@@ -67,9 +67,11 @@ def _check(name: str, passed: bool, detail: str) -> dict:
 
 
 def _finish(report: dict, started: float, ok: bool) -> None:
-    blob = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
-    click.echo(blob, nl=False)
-    click.echo(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", err=True)
+    # print, not click.echo: click caches a wrapper per stream and the entry
+    # keeps the stream alive, so a caller that swaps sys.stdout for each
+    # in-process call would keep every report it was ever sent.
+    print(json.dumps(report, sort_keys=True, separators=(",", ":")), flush=True)
+    print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr, flush=True)
     sys.exit(0 if ok else 1)
 
 
@@ -258,8 +260,8 @@ def riemann(path: str, out: str | None, points: tuple[str, ...]) -> None:
         _finish(report, started, False)
     blob = json.dumps(theta.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     if out is None:
-        click.echo(blob, nl=False)
-        click.echo(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", err=True)
+        print(blob, end="", flush=True)
+        print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr, flush=True)
         return
     with open(out, "w") as fh:
         fh.write(blob)
@@ -427,7 +429,7 @@ def export(path: str, fmt: str, out: str | None) -> None:
     else:
         with open(out, "wb") as fh:
             fh.write(blob)
-    click.echo(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", err=True)
+    print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr, flush=True)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from .linalg import (
     ShapeMismatchError,
     identity,
     is_symmetric,
-    matmul,
     matvec,
     rows_from,
     solve,
@@ -259,13 +258,40 @@ def _int_inverse(U: IntRows) -> IntRows:
     return tuple(out)
 
 
+def _column_hnf(A: IntRows) -> tuple[IntRows, IntRows]:
+    """Column Hermite normal form H = A V of a nonsingular integer matrix:
+    H lower triangular with 0 <= H[i][j] < H[i][i], V unimodular.  Euclid's
+    algorithm on column pairs clears each row right of the diagonal, then
+    the entries left of it are reduced modulo the pivot."""
+    g = len(A)
+    M = [list(r) for r in A] + [list(r) for r in identity(g)]  # H over V
+    for i in range(g):
+        for j in range(i + 1, g):
+            while M[i][j]:
+                q = M[i][i] // M[i][j]
+                for row in M:
+                    row[i], row[j] = row[j], row[i] - q * row[j]
+        if M[i][i] == 0:
+            raise ShapeMismatchError("coset lattice matrix must be nonsingular")
+        if M[i][i] < 0:
+            for row in M:
+                row[i] = -row[i]
+        for j in range(i):
+            q = M[i][j] // M[i][i]
+            for row in M:
+                row[j] -= q * row[i]
+    return tuple(map(tuple, M[:g])), tuple(map(tuple, M[g:]))
+
+
 @dataclass(frozen=True)
 class CosetLattice:
-    """The sublattice Lam * Z^g of Z^g, with coset bookkeeping.
+    """The sublattice Lam * Z^g = H * Z^g of Z^g (H = Lam V its column
+    Hermite normal form), with coset bookkeeping.
 
-    Representatives are the lexicographically smallest points of each class
-    inside the box {0, ..., |det Lam| - 1}^g (which meets every class since
-    |det Lam| * Z^g is contained in Lam * Z^g).
+    Representatives are the box prod_i [0, H[i][i]) in lex order, and
+    back-substitution down the triangle reduces any u into it.  Each is the
+    lex-smallest point of its class in {0..|det Lam|-1}^g: if x = r + H k >= 0,
+    the first nonzero k_i is positive (else x_i < 0), so x > r.
     """
 
     matrix: IntRows
@@ -274,10 +300,7 @@ class CosetLattice:
         g = len(self.matrix)
         if any(len(r) != g for r in self.matrix):
             raise ShapeMismatchError("coset lattice matrix must be square")
-        from .linalg import int_det
-
-        if int_det(self.matrix) == 0:
-            raise ShapeMismatchError("coset lattice matrix must be nonsingular")
+        object.__setattr__(self, "_hnf", _column_hnf(self.matrix))
 
     @property
     def g(self) -> int:
@@ -285,43 +308,23 @@ class CosetLattice:
 
     @property
     def index(self) -> int:
-        from .linalg import int_det
-
-        return abs(int_det(self.matrix))
-
-    @property
-    def _inverse_rows(self) -> Rows:
-        if "_inv" not in self.__dict__:
-            from .linalg import inverse
-
-            self.__dict__["_inv"] = inverse(self.matrix)
-        return self.__dict__["_inv"]
+        return math.prod(self._hnf[0][i][i] for i in range(self.g))
 
     def congruent(self, x: Sequence[int], y: Sequence[int]) -> bool:
-        diff = tuple(a - b for a, b in zip(x, y))
-        return all(c.denominator == 1 for c in matvec(self._inverse_rows, diff))
+        return self.decompose(x)[0] == self.decompose(y)[0]
 
     def representatives(self) -> tuple[IntVec, ...]:
-        if "_reps" not in self.__dict__:
-            d = self.index
-            reps: list[IntVec] = []
-            for cand in product(range(d), repeat=self.g):
-                if not any(self.congruent(cand, r) for r in reps):
-                    reps.append(cand)
-                if len(reps) == d:
-                    break
-            self.__dict__["_reps"] = tuple(reps)
-        return self.__dict__["_reps"]
+        return tuple(product(*(range(self._hnf[0][i][i]) for i in range(self.g))))
 
     def decompose(self, u: Sequence[int]) -> tuple[IntVec, IntVec]:
         """u = rep + Lam * n with rep in representatives(); returns (rep, n)."""
-        for rep in self.representatives():
-            coeffs = matvec(
-                self._inverse_rows, tuple(a - b for a, b in zip(u, rep))
-            )
-            if all(c.denominator == 1 for c in coeffs):
-                return rep, tuple(c.numerator for c in coeffs)
-        raise AssertionError("coset representatives incomplete")
+        H, V = self._hnf
+        rep, k = list(u), []
+        for j in range(self.g):
+            k.append(rep[j] // H[j][j])
+            for i in range(j, self.g):
+                rep[i] -= k[j] * H[i][j]
+        return tuple(rep), tuple(matvec(V, k))
 
 
 @dataclass(frozen=True)

@@ -85,18 +85,6 @@ def vecdot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def vecadd(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vecsub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vecscale(c, v):
-    return tuple(c * x for x in v)
-
-
 def is_symmetric(rows) -> bool:
     n = len(rows)
     return all(len(r) == n for r in rows) and all(
@@ -175,10 +163,6 @@ def int_det(rows: IntRows) -> int:
     d = det(rows)
     assert d.denominator == 1
     return d.numerator
-
-
-def is_unimodular(rows: IntRows) -> bool:
-    return abs(int_det(rows)) == 1
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .linalg import (
     IntVec,
     RatMatrix,
     ShapeMismatchError,
+    identity,
     int_det,
     int_rows_from,
     is_symmetric,
@@ -36,7 +37,7 @@ from .linalg import (
     transpose,
     vecdot,
 )
-from .puiseux import PuiseuxNumber
+from .puiseux import PuiseuxNumber, monomial_product
 from .rationals import INF
 from .theta import (
     AutomorphyFactor,
@@ -109,14 +110,13 @@ class PeriodMatrix:
         return RatMatrix(self.exponent_rows())
 
     def t(self, nprime: Sequence[int], u: Sequence[int]) -> PuiseuxNumber:
-        """t(u', u) = prod_{i,j} T[i][j]^(n'_i u_j)."""
-        out = PuiseuxNumber.one()
-        for i, ni in enumerate(nprime):
-            for j, uj in enumerate(u):
-                k = int(ni) * int(uj)
-                if k:
-                    out = out * (self.entries[i][j] ** k)
-        return out
+        """t(u', u) = prod_{i,j} T[i][j]^(n'_i u_j), one monomial whose
+        exponent is the bilinear form n'^T P u."""
+        return monomial_product(
+            (int(ni) * int(uj), self.entries[i][j])
+            for i, ni in enumerate(nprime)
+            for j, uj in enumerate(u)
+        )
 
     def to_json_rows(self) -> list:
         return [[str(e) for e in row] for row in self.entries]
@@ -151,9 +151,10 @@ class NACocycle:
                 raise InvalidDataError(f"cocycle generator must be a monomial: {c}")
         # symmetry of t(e'_i, lambda(e'_j)) is what makes the extension a
         # genuine cocycle; check it exactly
+        t = self._t_pairs
         for i in range(g):
             for j in range(i):
-                if self._t_pair(i, j) != self._t_pair(j, i):
+                if t[i][j] != t[j][i]:
                     raise InvalidDataError(
                         f"t(e'_{i}, lambda(e'_{j})) != t(e'_{j}, lambda(e'_{i}))"
                     )
@@ -162,32 +163,25 @@ class NACocycle:
     def g(self) -> int:
         return self.period.g
 
-    def lambda_column(self, j: int) -> IntVec:
-        return tuple(self.Lambda[k][j] for k in range(self.g))
-
-    def _t_pair(self, i: int, j: int) -> PuiseuxNumber:
-        basis = tuple(1 if k == i else 0 for k in range(self.g))
-        return self.period.t(basis, self.lambda_column(j))
+    @cached_property
+    def _t_pairs(self) -> tuple[tuple[PuiseuxNumber, ...], ...]:
+        """t(e'_i, lambda(e'_j)) for every pair of basis vectors."""
+        basis = identity(self.g)
+        return tuple(tuple(self.t_lambda(a, b) for b in basis) for a in basis)
 
     def lambda_is_zero(self) -> bool:
         return all(x == 0 for r in self.Lambda for x in r)
 
     def value(self, n: Sequence[int]) -> PuiseuxNumber:
-        """c(n) from the generator values and the cocycle relation."""
+        """c(n) = prod_i c(e'_i)^(n_i) t_ii^(n_i (n_i - 1)/2) prod_{i<j}
+        t_ij^(n_i n_j), t_ij = t(e'_i, lambda(e'_j)), as one monomial."""
         n = tuple(int(x) for x in n)
-        out = PuiseuxNumber.one()
+        t = self._t_pairs
+        factors = list(zip(n, self.generators))
         for i, ni in enumerate(n):
-            if ni:
-                out = out * (self.generators[i] ** ni)
-            binom = ni * (ni - 1) // 2
-            if binom:
-                out = out * (self._t_pair(i, i) ** binom)
-        for i in range(self.g):
-            for j in range(i + 1, self.g):
-                k = n[i] * n[j]
-                if k:
-                    out = out * (self._t_pair(i, j) ** k)
-        return out
+            factors.append((ni * (ni - 1) // 2, t[i][i]))
+            factors.extend((ni * n[j], t[i][j]) for j in range(i + 1, self.g))
+        return monomial_product(factors)
 
     def t_lambda(self, n1: Sequence[int], n2: Sequence[int]) -> PuiseuxNumber:
         """t(u1', lambda(u2'))."""
@@ -447,13 +441,17 @@ def theta_basis(period: PeriodMatrix, cocycle: NACocycle) -> tuple[NAThetaFuncti
 def tropicalize(f: NAThetaFunction) -> TropicalThetaFunction:
     """val of everything: profile w(u0) = val(a_u0) on the coset reps; the
     factor's linear part is how val(c) differs from the quadratic
-    (1/2) n^T (P Lambda) n."""
+    (1/2) n^T (P Lambda) n.  Computed once per series and cached on it."""
+    if "_trop" not in f.__dict__:
+        f.__dict__["_trop"] = _tropicalize(f)
+    return f.__dict__["_trop"]
+
+
+def _tropicalize(f: NAThetaFunction) -> TropicalThetaFunction:
     g = f.g
     P = f.cocycle.period.exponent_rows()
     base_lambda = f.cocycle.Lambda
     if int_det(base_lambda) == 0:
-        from .linalg import identity
-
         base_lambda = identity(g)
     base = TropicalPolarizationData(
         g=g, P=RatMatrix(P), Lambda=base_lambda

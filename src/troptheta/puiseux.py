@@ -4,7 +4,8 @@ A value is a finite rational combination of rational powers of q, kept in
 canonical form: terms sorted by strictly increasing exponent, no zero
 coefficients, zero = no terms.  val() is the smallest exponent (+infinity for
 zero).  This is a ring, not a field; only monomials are inverted, which is
-all the theta machinery needs.
+all the theta machinery needs.  Powers of monomials are closed-form,
+(c q^e)^k = c^k q^(ek), and so is monomial_product.
 """
 
 from __future__ import annotations
@@ -100,12 +101,15 @@ class PuiseuxNumber:
     def __pow__(self, k: int) -> "PuiseuxNumber":
         if not isinstance(k, int):
             raise TypeError("integer exponent required")
+        if self.is_monomial():
+            e, c = self.terms[0]
+            return PuiseuxNumber.monomial(c**k, e * k)
         if k < 0:
             return self.inverse_monomial() ** (-k)
-        out = PuiseuxNumber.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        if k == 0:
+            return PuiseuxNumber.one()
+        half = self ** (k // 2)  # square-and-multiply
+        return half * half * self if k & 1 else half * half
 
     def inverse_monomial(self) -> "PuiseuxNumber":
         if self.is_zero():
@@ -151,6 +155,20 @@ class PuiseuxNumber:
     @staticmethod
     def parse(text: str) -> "PuiseuxNumber":
         return _parse_puiseux(text)
+
+
+def monomial_product(factors: Iterable[tuple[int, PuiseuxNumber]]) -> PuiseuxNumber:
+    """prod m^k over (k, m) pairs of monomials, as one monomial: exponents
+    add up to sum k*val(m), coefficients multiply as Fraction powers."""
+    exp, coeff = Fraction(0), Fraction(1)
+    for k, m in factors:
+        if k:
+            if not m.is_monomial():
+                raise NotMonomialError(f"not a monomial: {m}")
+            e, c = m.terms[0]
+            exp += k * e
+            coeff *= c**k
+    return PuiseuxNumber.monomial(coeff, exp)
 
 
 def _render_term(coeff: Fraction, exp: Fraction) -> str:

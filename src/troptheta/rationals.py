@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 INF = math.inf  # the only non-Fraction value a valuation may take
 
@@ -46,14 +45,6 @@ def format_value(x: Fraction | float) -> str:
     if x == INF:
         return "inf"
     return format_fraction(x)
-
-
-def parse_point(parts: Iterable[str]) -> tuple[Fraction, ...]:
-    return tuple(parse_fraction(p) for p in parts)
-
-
-def format_point(v: Sequence[Fraction]) -> list[str]:
-    return [format_fraction(x) for x in v]
 
 
 def is_square(x: Fraction) -> bool:

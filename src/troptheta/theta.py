@@ -206,18 +206,17 @@ class TropicalThetaFunction:
             if not is_symmetric(B):
                 raise NotSymmetricError("P * Lambda must be symmetric")
             _ldlt(B)  # raises NotPositiveDefiniteError with the bad pivot
-            cosets = CosetLattice(self.factor.Lambda)
+            cosets = self._cosets
             reps = self.profile.reps
             if len(reps) != cosets.index:
                 raise ShapeMismatchError(
                     f"profile needs {cosets.index} coset representatives, got {len(reps)}"
                 )
-            for i, a in enumerate(reps):
-                for b in reps[:i]:
-                    if cosets.congruent(a, b):
-                        raise ShapeMismatchError(
-                            f"profile reps {a} and {b} are congruent"
-                        )
+            first: dict[IntVec, IntVec] = {}  # reps are distinct (ValuationProfile)
+            for a in reps:
+                b = first.setdefault(cosets.decompose(a)[0], a)
+                if b != a:
+                    raise ShapeMismatchError(f"profile reps {a} and {b} are congruent")
 
     @property
     def g(self) -> int:

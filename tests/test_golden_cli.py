@@ -1,0 +1,119 @@
+"""Golden CLI bytes: report and mesh digests must not change across commits.
+
+The determinism tests only compare two runs of the same build.  This module
+compares every run against sha256 digests recorded in `golden_cli.json`, so
+a change that reorders coset representatives, witnesses or mesh cells shows
+up even when each build is self-consistent.  The cases cover the report
+commands on `fixtures/`, plus an index-9 tropical theta (Lambda = 3I) and an
+index-4 Fourier series (Lambda = 2I), whose reports are keyed by coset
+representative.
+
+Re-record the digests (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from troptheta.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
+
+# case id -> steps; "{name}" is a file in a scratch directory whose bytes
+# are digested too, so meshes and theta files are covered as well as stdout.
+CASES = {
+    "validate-variety-g2": [["validate", "variety_g2.json"]],
+    "validate-variety-degenerate": [["validate", "variety_degenerate.json"]],
+    "validate-theta-g1": [["validate", "theta_g1.json"]],
+    "validate-series-g1": [["validate", "series_g1.json"]],
+    "eval-theta-g1": [["eval", "theta_g1.json", "4/7", "-9/11", "22/13", "1/2"]],
+    "riemann-variety-g2": [
+        ["riemann", "variety_g2.json", "--out", "{theta}", "--point", "1/3,1/5", "--point", "0,1/2"]
+    ],
+    "crosscheck-a-series-g1": [["crosscheck", "A", "series_g1.json", "--seed", "7"]],
+    "crosscheck-b-period-g1": [["crosscheck", "B", "period_g1.json"]],
+    "crosscheck-b-period-g2": [["crosscheck", "B", "period_g2.json", "--samples", "30", "--seed", "4"]],
+    "crosscheck-c-level2-g1": [["crosscheck", "C", "level2_g1.json", "--seed", "3"]],
+    "export-variety-g2": [
+        ["divisor", "variety_g2.json", "--out", "{mesh}"],
+        ["export", "{mesh}", "--format", "svg"],
+        ["export", "{mesh}", "--format", "json", "--out", "{copy}"],
+    ],
+    "validate-theta-index9": [["validate", "theta_g2_index9.json"]],
+    "eval-theta-index9": [
+        ["eval", "theta_g2_index9.json", "1/7,2/11", "0,0", "1/2,1/2", "-5/3,7/4", "100,-3/2"]
+    ],
+    "export-theta-index9": [
+        ["divisor", "theta_g2_index9.json", "--out", "{mesh}"],
+        ["export", "{mesh}", "--format", "svg"],
+    ],
+    "validate-series-index4": [["validate", "series_g2_index4.json"]],
+    "crosscheck-a-series-index4": [["crosscheck", "A", "series_g2_index4.json", "--seed", "5"]],
+    "crosscheck-c-series-index4": [
+        ["crosscheck", "C", "series_g2_index4.json", "--seed", "2", "--samples", "10"]
+    ],
+    "export-series-index4": [
+        ["divisor", "series_g2_index4.json", "--out", "{mesh}"],
+        ["export", "{mesh}", "--format", "json"],
+    ],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_case(steps, workdir: Path) -> dict:
+    """Run the steps in order; digest each stdout and each scratch file."""
+    runner = CliRunner()
+    files: dict[str, Path] = {}
+    exits, stdouts = [], []
+    for step in steps:
+        argv = []
+        for arg in step:
+            if arg.startswith("{"):
+                name = arg.strip("{}")
+                files.setdefault(name, workdir / f"{name}.out")
+                argv.append(str(files[name]))
+            elif arg.endswith(".json"):
+                argv.append(str(FIXTURES / arg))
+            else:
+                argv.append(arg)
+        res = runner.invoke(main, argv)
+        exits.append(res.exit_code)
+        stdouts.append(_sha(res.stdout_bytes))
+    return {
+        "exit": exits,
+        "stdout": stdouts,
+        "files": {name: _sha(p.read_bytes()) for name, p in sorted(files.items())},
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_bytes_match_golden(case, tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    assert run_case(CASES[case], tmp_path) == golden[case]
+
+
+def test_golden_covers_every_case():
+    assert sorted(json.loads(GOLDEN.read_text())) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden_cli.py --write")
+    out = {}
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            out[case] = run_case(CASES[case], Path(tmp))
+    GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

@@ -11,8 +11,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from troptheta.lattice import (
+    CosetLattice,
     GramForm,
     NegativeRadiusError,
     NotPositiveDefiniteError,
@@ -20,9 +23,19 @@ from troptheta.lattice import (
     enumerate_below,
     ldlt_decompose,
     lll_reduce,
+    _column_hnf,
     minimize_quadratic,
 )
-from troptheta.linalg import RatMatrix, ShapeMismatchError, matmul, matvec, transpose, vecdot
+from troptheta.linalg import (
+    RatMatrix,
+    ShapeMismatchError,
+    det,
+    inverse,
+    matmul,
+    matvec,
+    transpose,
+    vecdot,
+)
 
 F = Fraction
 
@@ -260,3 +273,99 @@ def test_enumerate_scales_with_known_count():
     # unit form, radius r: integer points in a sphere of squared radius 2r
     pts = enumerate_below([[1, 0], [0, 1]], (0, 0), F(1, 2))
     assert len(pts) == 5  # origin plus the four unit vectors
+
+
+# ---------- coset lattice ----------
+
+def fraction_inverse(lam):
+    return inverse(tuple(tuple(F(x) for x in r) for r in lam))
+
+
+def oracle_congruent(lam_inv, x, y):
+    """x - y in Lam Z^g iff Lam^{-1} (x - y) is integral."""
+    return all(c.denominator == 1 for c in matvec(lam_inv, [a - b for a, b in zip(x, y)]))
+
+
+def lex_scan_representatives(lam):
+    """The lexicographically first point of each class in {0..d-1}^g,
+    d = |det Lam|, in scan order: the definition of the representatives.
+    Classes are told apart by the integer vector d Lam^{-1} x mod d, which
+    is 0 exactly on the sublattice, so index 60 scans quickly."""
+    lam_inv = fraction_inverse(lam)
+    d = abs(det(lam).numerator)
+    scaled = [[int(d * c) for c in row] for row in lam_inv]
+    seen = set()
+    reps = []
+    for cand in itertools.product(range(d), repeat=len(lam)):
+        key = tuple(sum(a * x for a, x in zip(row, cand)) % d for row in scaled)
+        if key not in seen:
+            seen.add(key)
+            reps.append(cand)
+            if len(reps) == d:
+                break
+    return tuple(reps)
+
+
+@st.composite
+def coset_matrices(draw):
+    """Random nonsingular integer g x g matrices, g <= 3, index <= 60."""
+    g = draw(st.integers(min_value=1, max_value=3))
+    bound = {1: 60, 2: 9, 3: 4}[g]
+    entry = st.integers(min_value=-bound, max_value=bound)
+    lam = tuple(tuple(draw(entry) for _ in range(g)) for _ in range(g))
+    assume(0 < abs(det(lam)) <= 60)
+    return lam
+
+
+def shift(lam, u, n):
+    return tuple(a + b for a, b in zip(u, matvec(lam, n)))
+
+
+@given(coset_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_coset_lattice_matches_scan_oracles(lam, rng):
+    H, V = _column_hnf(lam)
+    g = len(lam)
+    assert H == matmul(lam, V)
+    assert abs(det(V)) == 1
+    for i in range(g):
+        assert all(H[i][j] == 0 for j in range(i + 1, g))
+        assert all(0 <= H[i][j] < H[i][i] for j in range(i))
+    cosets = CosetLattice(lam)
+    reps = cosets.representatives()
+    assert reps == lex_scan_representatives(lam)
+    assert cosets.index == len(reps) == abs(det(lam))
+    rep_set = set(reps)
+    lam_inv = fraction_inverse(lam)
+    for _ in range(10):
+        u = tuple(rng.randint(-50, 50) for _ in range(g))
+        rep, n = cosets.decompose(u)
+        assert rep in rep_set
+        assert u == shift(lam, rep, n)
+        m = tuple(rng.randint(-3, 3) for _ in range(g))
+        for v in (shift(lam, u, m), tuple(rng.randint(-50, 50) for _ in range(g))):
+            assert cosets.congruent(u, v) == oracle_congruent(lam_inv, u, v)
+
+
+def test_coset_lattice_diag_6_6_6():
+    lam = ((6, 0, 0), (0, 6, 0), (0, 0, 6))
+    cosets = CosetLattice(lam)
+    reps = cosets.representatives()
+    assert len(reps) == cosets.index == 216
+    assert reps == tuple(itertools.product(range(6), repeat=3))
+    for rep in reps:
+        for n in ((0, 0, 0), (1, -2, 3), (-7, 0, 5)):
+            assert cosets.decompose(shift(lam, rep, n)) == (rep, n)
+
+
+def test_coset_lattice_nondiagonal_box_and_errors():
+    # Lam = [[2, 1], [0, 2]] has column HNF [[1, 0], [2, 4]]: reps (0, 0..3)
+    cosets = CosetLattice(((2, 1), (0, 2)))
+    assert cosets.representatives() == ((0, 0), (0, 1), (0, 2), (0, 3))
+    assert cosets.decompose((5, -3)) == ((0, 3), (4, -3))
+    assert cosets.congruent((1, 0), (0, 2))
+    assert not cosets.congruent((1, 0), (0, 0))
+    with pytest.raises(ShapeMismatchError):
+        CosetLattice(((1, 2), (2, 4)))
+    with pytest.raises(ShapeMismatchError):
+        CosetLattice(((1, 2),))

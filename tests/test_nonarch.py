@@ -409,3 +409,73 @@ def test_json_roundtrip():
     g = NAThetaFunction.from_json_dict(json.loads(blob))
     assert g == f
     assert json.dumps(g.to_json_dict(), sort_keys=True) == blob
+
+
+# ---------- closed-form monomials ----------
+
+
+def power_by_products(m, k):
+    """m^k by |k| plain multiplications (inverting first when k < 0)."""
+    base = m if k >= 0 else m.inverse_monomial()
+    out = PuiseuxNumber.one()
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
+def t_by_products(period, nprime, u):
+    """t(u', u) = prod_{i,j} T[i][j]^(n'_i u_j), factor by factor."""
+    out = PuiseuxNumber.one()
+    for i, ni in enumerate(nprime):
+        for j, uj in enumerate(u):
+            out = out * power_by_products(period.entries[i][j], ni * uj)
+    return out
+
+
+def value_by_products(coc, n):
+    """c(n) from the generators and the pair values t(e'_i, lambda(e'_j)),
+    factor by factor."""
+    g = coc.g
+    basis = [tuple(int(k == i) for k in range(g)) for i in range(g)]
+    pair = [
+        [t_by_products(coc.period, basis[i], matvec(coc.Lambda, basis[j])) for j in range(g)]
+        for i in range(g)
+    ]
+    out = PuiseuxNumber.one()
+    for i, ni in enumerate(n):
+        out = out * power_by_products(coc.generators[i], ni)
+        out = out * power_by_products(pair[i][i], ni * (ni - 1) // 2)
+        for j in range(i + 1, g):
+            out = out * power_by_products(pair[i][j], ni * n[j])
+    return out
+
+
+def test_cocycle_value_and_t_match_product_definitions():
+    period = PeriodMatrix(
+        entries=((P("4*q^(2)"), P("2/3*q")), (P("2/3*q"), P("9*q^(5/2)")))
+    )
+    coc = NACocycle(
+        period=period, Lambda=((2, 0), (0, 2)), generators=(P("3*q^(1/2)"), P("1/5*q^(-1)"))
+    )
+    rng = random.Random(5)
+    box = list(product(range(-6, 7), repeat=2))
+    for n in box:
+        assert coc.value(n) == value_by_products(coc, n)
+        for u in rng.sample(box, 4):
+            assert period.t(n, u) == t_by_products(period, n, u)
+
+
+def test_riemann_coefficient_far_out_is_closed_form():
+    f = build_riemann_theta(pm2(), ((1, 0), (0, 1)))
+    u = (85, 85)
+    pairing = pm2().exponent_rows()
+    e = sum(u[i] * pairing[i][j] * u[j] for i in range(2) for j in range(2)) / 2
+    assert e == 21675
+    assert f.coefficient(u) == PuiseuxNumber.monomial(1, e)
+
+
+def test_tropicalize_is_cached_per_series():
+    f = build_riemann_theta(pm2(), ((1, 0), (0, 1)))
+    assert tropicalize(f) is tropicalize(f)
+    g = build_riemann_theta(pm2(), ((1, 0), (0, 1)))
+    assert tropicalize(g) == tropicalize(f)

@@ -8,6 +8,7 @@ from troptheta.puiseux import (
     CoefficientNotASquareError,
     NotMonomialError,
     PuiseuxNumber,
+    monomial_product,
 )
 from troptheta.rationals import INF
 
@@ -168,3 +169,61 @@ def test_monomial_inverse_and_square(x):
     root = sq.sqrt_monomial()
     assert root.val() == x.val()
     assert root == x or root == -x
+
+
+# ---------- closed-form powers ----------
+
+
+def repeated_product(x, k):
+    """x^k by k plain multiplications: the definition the closed form and
+    square-and-multiply must reproduce."""
+    out = P.one()
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+@st.composite
+def short_puiseux_numbers(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    terms = tuple((draw(rationals), draw(rationals)) for _ in range(n))
+    return P(terms)
+
+
+@given(short_puiseux_numbers(), st.integers(min_value=0, max_value=40))
+@settings(max_examples=80, deadline=None)
+def test_power_equals_repeated_multiplication(x, k):
+    assert x**k == repeated_product(x, k)
+
+
+@given(
+    st.fractions(min_value=-10, max_value=10, max_denominator=6).filter(bool),
+    rationals,
+    st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=120)
+def test_negative_power_of_monomial(c, e, k):
+    x = P.monomial(c, e)
+    assert x**-k == repeated_product(x.inverse_monomial(), k)
+    assert x**-k * x**k == P.one()
+    assert x**-k == P.monomial(c**-k, -k * e)
+
+
+def test_power_of_zero_and_one():
+    assert P.zero() ** 0 == P.one()
+    for k in (1, 2, 7, 40):
+        assert P.zero() ** k == P.zero()
+        assert P.one() ** k == P.one()
+        assert P.one() ** -k == P.one()
+    with pytest.raises(ZeroDivisionError):
+        P.zero() ** -1
+    with pytest.raises(TypeError):
+        P.one() ** F(1, 2)
+
+
+def test_monomial_product_folds_powers():
+    a, b = P.monomial(2, F(1, 3)), P.monomial(F(-3, 5), -2)
+    assert monomial_product([(3, a), (-2, b), (0, P.one() + a)]) == a**3 * b**-2
+    assert monomial_product([]) == P.one()
+    with pytest.raises(NotMonomialError):
+        monomial_product([(1, P.one() + a)])
