@@ -13,6 +13,18 @@ f <= l_u everywhere, so every u'' active somewhere in R satisfies
 l_{u''} <= l_u somewhere in R, hence at a corner of R (their difference is
 affine).  Sweeping the corners with bound l_u(corner) is one ellipsoid
 enumeration per coset and corner, finite by positive-definiteness.
+
+Polytopes are held in double-description form (Motzkin-Raiffa-Thompson-
+Thrall 1953; Fukuda-Prodon 1996): a dict from each vertex to the frozenset
+of applied halfspaces tight there.  `_cut`, the one primitive, intersects
+such a polytope with one halfspace.  Two vertices span an edge iff the
+normals tight at both have rank g-1 (those constraints cut out the smallest
+face holding both), so each new vertex is one exact interpolation along a
+crossing edge, with no linear solve.  A cell is its box cut by its pool of
+competitors; cut by the domain's 2g halfspaces it says whether it meets the
+domain, and each facet (its vertices, with the facet plane made tight) cut
+the same way is a piece of the divisor.  Only unbounded cells (non-ample
+functions) use the g-subset enumeration `_vertices_of`.
 """
 
 from __future__ import annotations
@@ -59,26 +71,22 @@ class UnsupportedFormatError(ValueError):
 
 _MAX_RANK = 3
 Halfspace = tuple[IntVec, Fraction]  # <normal, x> >= offset
+Polytope = dict[TropPoint, frozenset]  # vertex -> tight applied halfspaces
+_MAX_ROUNDS = 24  # box-growth rounds in _build_cell
+_SEED_PROBES = 64  # probe points in _generic_seed
 
 
 # ---------- exact polyhedral helpers ----------
 
 
-def _vertices_of(eqs, ineqs, g):
-    """Vertices of { <a,x> = b for eqs, <a,x> >= b for ineqs }: every
-    g-subset of tight constraints with a unique solution that satisfies the
-    rest.  Exact; intended for g <= 3 and modest constraint counts."""
-    ineqs = tuple(ineqs)
-    need = g - len(eqs)
-    if need < 0:
-        return ()
-    found = set()
-    rejected = set()
-    for subset in combinations(range(len(ineqs)), need):
-        rows = [list(a) for a, _ in eqs] + [list(ineqs[i][0]) for i in subset]
-        rhs = [b for _, b in eqs] + [ineqs[i][1] for i in subset]
+def _vertices_of(ineqs, g):
+    """Vertices of { <a,x> >= b for ineqs }: every g-subset of tight
+    constraints with a unique solution that satisfies the rest.  Exact; for
+    unbounded polyhedra, where `_cut` has no bounded polytope to start from."""
+    found, rejected = set(), set()
+    for subset in combinations(ineqs, g):
         try:
-            x = tuple(solve(rows, rhs))
+            x = solve([a for a, _ in subset], [b for _, b in subset])
         except ShapeMismatchError:
             continue
         if x in found or x in rejected:
@@ -90,49 +98,45 @@ def _vertices_of(eqs, ineqs, g):
     return tuple(sorted(found))
 
 
-def _clip_box(ineqs, center, halfwidth, g):
-    """Vertices of box(center, halfwidth) cut by ineqs, incrementally.
+def _cut(poly: Polytope, halfspace: Halfspace) -> Polytope:
+    """poly intersected with { <a, x> >= b }: the one polytope primitive.
 
-    Constraints satisfied by every current vertex cannot cut the hull and
-    are skipped outright; a cutting constraint only spawns vertices tight
-    on its own plane, so only (g-1)-subsets of the applied constraints are
-    solved against it.  Bounded throughout since the box starts bounded.
-
-    Planes closest to the center go first: the true facets land early and
-    the rest of the pool degrades into O(|verts|) redundancy skips.
+    Vertices with <a,v> > b stay; vertices on the plane stay and gain it as
+    tight.  Each new vertex lies on an edge from a kept p to a cut n, at
+    p + s_p/(s_p - s_n)(n - p) with s = <a,.> - b.  (p, n) is an edge iff
+    the normals tight at both have rank g-1.  A plane tight at a point
+    inside an edge is tight at both ends, so the new vertex's tight set is
+    the shared set plus the new plane.  Returns poly itself when every
+    vertex is strictly inside, and {} when every vertex is cut.
     """
-    applied = list(_box_halfspaces(center, halfwidth, g))
-    verts = {
-        tuple(c + s * halfwidth for c, s in zip(center, signs))
-        for signs in product((-1, 1), repeat=g)
-    }
+    a, b = halfspace
+    slack = {v: vecdot(a, v) - b for v in poly}
+    cut = [v for v, s in slack.items() if s < 0]
+    if not cut and all(slack.values()):
+        return poly
+    out: Polytope = {}
+    for p, s_p in slack.items():
+        if s_p == 0:
+            out[p] = poly[p] | {halfspace}
+        elif s_p > 0:
+            out[p] = poly[p]
+            for n in cut:
+                shared = poly[p] & poly[n]
+                normals = ((0,) * len(a), *(h[0] for h in shared))
+                if len(_affine_span(normals)) < len(a) - 1:
+                    continue
+                t = s_p / (s_p - slack[n])
+                x = tuple(pc + t * (nc - pc) for pc, nc in zip(p, n))
+                out[x] = shared | {halfspace}
+    return out
 
-    def depth(con):
-        a, b = con
-        norm = sum(float(x) * float(x) for x in a) ** 0.5
-        return float(b - vecdot(a, center)) / norm
 
-    for a, b in sorted(ineqs, key=depth, reverse=True):
-        keep = {v for v in verts if vecdot(a, v) >= b}
-        if len(keep) == len(verts):
-            continue
-        fresh = set()
-        for subset in combinations(range(len(applied)), g - 1):
-            rows = [list(a)] + [list(applied[i][0]) for i in subset]
-            rhs = [b] + [applied[i][1] for i in subset]
-            try:
-                x = tuple(solve(rows, rhs))
-            except ShapeMismatchError:
-                continue
-            if x in fresh or x in keep:
-                continue
-            if all(vecdot(aa, x) >= bb for aa, bb in applied):
-                fresh.add(x)
-        verts = keep | fresh
-        applied.append((a, b))
-        if not verts:
+def _clip(poly: Polytope, halfspaces) -> Polytope:
+    for h in halfspaces:
+        if not poly:
             break
-    return tuple(sorted(verts))
+        poly = _cut(poly, h)
+    return poly
 
 
 def _affine_span(points):
@@ -289,29 +293,31 @@ def _box_halfspaces(center, halfwidth, g):
 
 
 def _build_cell(
-    theta: TropicalThetaFunction, u: IntVec, center, halfwidth=Fraction(13, 7)
-) -> LinearityCell:
-    """The global cell of witness u: competitors pooled over a growing box,
-    certified once the polytope stays strictly inside it.
+    theta: TropicalThetaFunction, u: IntVec, center, wcache: dict
+) -> tuple[LinearityCell, Polytope]:
+    """The global cell of witness u and its polytope: competitors pooled
+    over a growing box, certified once the polytope stays strictly inside.
 
     If Q is the intersection of the pool's halfspaces, then Q cut to the box
     equals the true cell cut to the box (any point of the box beaten by some
     outside competitor is beaten by its local witness, which is in the
     pool); so Q inside the box certifies Q = cell.  center should be a point
     in or near the cell; pool sizes stay small when it is.
+
+    Each round `_cut`s the box corners, tight on their g box planes, by the
+    pool, most violated plane first (d|d|/<a,a>, d = b - <a, centre>, is the
+    signed distance d/|a| made exact).  Tight sets stay complete, so edges
+    are the vertex pairs whose shared tight normals have rank g-1, a vertex
+    touches the box iff a box plane is in its tight set, and a facet is the
+    vertices whose tight set holds its plane.  The polytope is returned for
+    corner_locus's domain cuts; wcache memoizes extended_w across calls.
     """
     g = theta.base.g
     w_u = theta.extended_w(u)
     center = as_point(center)
-    halfwidth = Fraction(halfwidth)
-    wcache: dict[IntVec, Fraction] = {}
+    halfwidth = Fraction(13, 7)
 
-    def wof(other: IntVec) -> Fraction:
-        if other not in wcache:
-            wcache[other] = theta.extended_w(other)
-        return wcache[other]
-
-    for round_ in range(24):
+    for round_ in range(_MAX_ROUNDS):
         corners = [
             tuple(c + s * halfwidth for c, s in zip(center, signs))
             for signs in product((-1, 1), repeat=g)
@@ -324,42 +330,53 @@ def _build_cell(
             for other in _terms_below(theta, corner, w_u + vecdot(u, corner)):
                 if other == u:
                     continue
+                if other not in wcache:
+                    wcache[other] = theta.extended_w(other)
                 normal = tuple(int(o - a) for o, a in zip(other, u))
-                a, b = _gcd_normalize(normal, w_u - wof(other))
+                a, b = _gcd_normalize(normal, w_u - wcache[other])
                 cur = groups.get(a)
                 if cur is None or b > cur[0]:
                     groups[a] = (b, [other])
                 elif b == cur[0] and other not in cur[1]:
                     cur[1].append(other)
-        ineqs = [(a, b) for a, (b, _) in sorted(groups.items())]
-        box = _box_halfspaces(center, halfwidth, g)
-        verts = _clip_box(ineqs, center, halfwidth, g)
-        on_box = any(
-            any(vecdot(a, p) == b for a, b in box) for p in verts
-        )
-        if verts and not on_box:
+        box = frozenset(_box_halfspaces(center, halfwidth, g))
+        poly = {
+            c: frozenset(h for h in box if vecdot(h[0], c) == h[1])
+            for c in corners
+        }
+
+        def key(con):
+            d = con[1] - vecdot(con[0], center)
+            return d * abs(d) / vecdot(con[0], con[0])
+
+        pool = [(a, b) for a, (b, _) in sorted(groups.items())]
+        poly = _clip(poly, sorted(pool, key=key, reverse=True))
+        if poly and not any(box & tight for tight in poly.values()):
             break
+        if round_ == _MAX_ROUNDS - 1:
+            raise InvalidDataError(
+                f"cell of witness {u} did not stabilize after {_MAX_ROUNDS} "
+                f"rounds: last centre ({', '.join(map(str, center))}), "
+                f"halfwidth {halfwidth}, pool of {len(groups)} halfspaces"
+            )
         # vertices inside the box are certified cell points: retarget the
         # box onto their bounding region, widening exponentially as backup
         margin = Fraction(2, 3) * 2 ** max(0, round_ - 1)
-        if verts:
-            lo = [min(p[i] for p in verts) for i in range(g)]
-            hi = [max(p[i] for p in verts) for i in range(g)]
+        if poly:
+            lo = [min(p[i] for p in poly) for i in range(g)]
+            hi = [max(p[i] for p in poly) for i in range(g)]
             center = tuple((a + b) / 2 for a, b in zip(lo, hi))
-            halfwidth = max(
-                (b - a) / 2 for a, b in zip(lo, hi)
-            ) + margin
+            halfwidth = max((b - a) / 2 for a, b in zip(lo, hi)) + margin
         else:
             halfwidth = margin
-    else:
-        raise InvalidDataError(f"cell of witness {u} did not stabilize")
 
+    verts = tuple(sorted(poly))
     tight = []
     facet_list = []
     span = _affine_span(verts)
     dim = len(span)
     for a, (b, wits) in sorted(groups.items()):
-        tight_verts = tuple(p for p in verts if vecdot(a, p) == b)
+        tight_verts = tuple(p for p in verts if (a, b) in poly[p])
         if not tight_verts:
             continue
         # a tight set with >= g vertices is a codimension-1 face; planes
@@ -368,15 +385,9 @@ def _build_cell(
             continue
         tight.append((a, b))
         if dim == g:
-            facet_list.append(
-                Facet(
-                    normal=a,
-                    offset=b,
-                    witnesses=tuple(sorted([u] + sorted(wits))),
-                    vertices=tight_verts,
-                )
-            )
-    return LinearityCell(
+            ties = tuple(sorted([u] + sorted(wits)))
+            facet_list.append(Facet(a, b, ties, tight_verts))
+    cell = LinearityCell(
         witness=u,
         halfspaces=tuple(tight),
         vertices=verts,
@@ -384,6 +395,7 @@ def _build_cell(
         span=span,
         facets=tuple(facet_list),
     )
+    return cell, poly
 
 
 def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
@@ -415,7 +427,7 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
         return LinearityCell(
             witness=u,
             halfspaces=ineqs,
-            vertices=_vertices_of((), ineqs, g),
+            vertices=_vertices_of(ineqs, g),
             dim=g,
             span=tuple(
                 tuple(Fraction(1 if i == j else 0) for j in range(g))
@@ -424,7 +436,7 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
             facets=(),
             bounded=False,
         )
-    return _build_cell(theta, u, point)
+    return _build_cell(theta, u, point, {})[0]
 
 
 # ---------- fundamental domain ----------
@@ -602,7 +614,7 @@ class CellComplex:
 
 def _generic_seed(theta: TropicalThetaFunction, fd: FundamentalDomain):
     g = theta.base.g
-    for k in range(64):
+    for k in range(_SEED_PROBES):
         t = tuple(
             Fraction(1, 2) + Fraction((i + 1) * k, 64 * (i + 2) * g + 257)
             for i in range(g)
@@ -611,12 +623,11 @@ def _generic_seed(theta: TropicalThetaFunction, fd: FundamentalDomain):
         result = theta.evaluate(point)
         if result.unique:
             return result.canonical, point
-    raise InvalidDataError("no generic seed point found in the domain")
-
-
-def _meets_domain(cell: LinearityCell, fd: FundamentalDomain) -> bool:
-    ineqs = tuple(cell.halfspaces) + tuple(fd.halfspaces)
-    return bool(_vertices_of((), ineqs, fd.g))
+    matrix = [[str(c) for c in row] for row in fd.matrix.entries]
+    raise InvalidDataError(
+        f"no generic seed point found in the domain after {_SEED_PROBES} "
+        f"probes; P^T = {matrix}"
+    )
 
 
 def _quotient_point(fd: FundamentalDomain, p: TropPoint):
@@ -651,18 +662,28 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     fd = _domain(theta)
     seed, seed_point = _generic_seed(theta, fd)
 
-    cells: dict[IntVec, LinearityCell] = {}
-    meets: dict[IntVec, bool] = {}
+    built: set[IntVec] = set()
+    kept = []
+    pieces = set()
+    wcache: dict[IntVec, Fraction] = {}
     queue = [(seed, seed_point)]
     while queue:
         u, hint = queue.pop(0)
-        if u in cells:
+        if u in built:
             continue
-        cell = _build_cell(theta, u, hint)
-        cells[u] = cell
-        meets[u] = _meets_domain(cell, fd)
-        if not meets[u]:
+        cell, poly = _build_cell(theta, u, hint, wcache)
+        built.add(u)
+        if not _clip(poly, fd.halfspaces):
             continue
+        kept.append(cell)
+        # clip the facets (only full-dimensional cells have them) to the
+        # domain: a facet is its vertices with the plane added as tight
+        for facet in cell.facets:
+            plane = (facet.normal, facet.offset)
+            face = {p: poly[p] | {plane} for p in facet.vertices}
+            verts = tuple(sorted(_clip(face, fd.halfspaces)))
+            if verts:
+                pieces.add((verts, facet.witnesses))
         # facet witnesses reach the facet-sharing neighbors; the tie sets at
         # the cell's vertices reach everything else that touches the cell;
         # each neighbor is seeded with a point known to lie in its closure
@@ -675,32 +696,11 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
                 neighbors.setdefault(w, p)
         neighbors.pop(u, None)
         for w in sorted(neighbors):
-            if w not in cells:
+            if w not in built:
                 queue.append((w, neighbors[w]))
 
-    kept = tuple(
-        cells[u] for u in sorted(cells) if meets[u]
-    )
-
-    # clip facets of full-dimensional cells to the domain, dedupe by geometry
-    piece_map: dict[tuple, SkeletonPiece] = {}
-    for cell in kept:
-        if cell.dim < g:
-            continue
-        for facet in cell.facets:
-            verts = _vertices_of(
-                ((facet.normal, facet.offset),),
-                tuple(cell.halfspaces) + tuple(fd.halfspaces),
-                g,
-            )
-            if not verts:
-                continue
-            key = (verts, facet.witnesses)
-            if key not in piece_map:
-                piece_map[key] = SkeletonPiece(
-                    witnesses=facet.witnesses, vertices=verts
-                )
-    skeleton = tuple(piece_map[k] for k in sorted(piece_map))
+    kept = tuple(sorted(kept, key=lambda c: c.witness))
+    skeleton = tuple(SkeletonPiece(w, v) for v, w in sorted(pieces))
 
     quotient = _quotient_summary(theta, fd, kept, skeleton)
     return CellComplex(

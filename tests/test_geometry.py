@@ -1,18 +1,25 @@
+import hashlib
+import itertools
 import json
 import random
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from troptheta import geometry
 from troptheta.geometry import (
     OnCornerLocusError,
     RankTooLargeError,
     UnsupportedFormatError,
+    _cut,
     corner_locus,
     export_mesh,
     linearity_cell,
 )
-from troptheta.linalg import RatMatrix, vecdot
+from troptheta.linalg import RatMatrix, ShapeMismatchError, solve, vecdot
 from troptheta.theta import (
     AutomorphyFactor,
     TropicalThetaFunction,
@@ -253,6 +260,11 @@ def test_diagonal_g3_walls(diag3_locus):
     for piece in cx.skeleton:
         assert piece.dim == 2
         assert len(piece.witnesses) == 2
+    # the mesh bytes of the brute-force vertex enumeration this replaced
+    mesh = export_mesh(cx, "json") + export_mesh(cx, "obj")
+    assert hashlib.sha256(mesh).hexdigest() == (
+        "9c98c4f7ddf45cc98f5a803fd8645c1c76695d62e3a07cdbc09bb61414aff189"
+    )
 
 
 def test_rank_cap_is_three():
@@ -261,6 +273,93 @@ def test_rank_cap_is_three():
         linearity_cell(th4, (F(0), F(0), F(0), F(0)))
     with pytest.raises(RankTooLargeError):
         corner_locus(th4)
+
+
+# ---------- the halfspace cut ----------
+
+
+def brute_force_vertices(ineqs, g):
+    """Oracle: solve every g-subset of the constraints, keep the feasible
+    solutions (the enumeration the incremental cut replaced)."""
+    found = set()
+    for subset in itertools.combinations(ineqs, g):
+        try:
+            x = tuple(solve([a for a, _ in subset], [b for _, b in subset]))
+        except ShapeMismatchError:
+            continue
+        if all(vecdot(a, x) >= b for a, b in ineqs):
+            found.add(x)
+    return found
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@given(st.data())
+@settings(max_examples=120, deadline=None)
+def test_cut_matches_brute_force_vertices_and_tight_sets(data):
+    g = data.draw(st.integers(1, 3))
+    center = tuple(data.draw(rationals) for _ in range(g))
+    half = data.draw(st.builds(F, st.integers(1, 6), st.integers(1, 3)))
+    units = [tuple(int(i == j) for j in range(g)) for i in range(g)]
+    applied = [(e, c - half) for e, c in zip(units, center)]
+    applied += [(tuple(-x for x in e), -(c + half)) for e, c in zip(units, center)]
+    poly = {}
+    for signs in itertools.product((-1, 1), repeat=g):
+        v = tuple(c + s * half for c, s in zip(center, signs))
+        poly[v] = frozenset(h for h in applied if vecdot(h[0], v) == h[1])
+    for _ in range(data.draw(st.integers(1, 5))):
+        kind = data.draw(st.sampled_from(["free", "vertex", "flip"]))
+        if kind == "flip":
+            # the reverse of an applied plane: an equality, so the polytope
+            # drops to a face of lower dimension
+            a, b = data.draw(st.sampled_from(applied))
+            a, b = tuple(-x for x in a), -b
+        else:
+            a = tuple(data.draw(st.integers(-3, 3)) for _ in range(g))
+            if not any(a):
+                continue
+            if kind == "vertex" and poly:
+                # degenerate: the plane passes through an existing vertex
+                b = vecdot(a, data.draw(st.sampled_from(sorted(poly))))
+            else:
+                b = data.draw(rationals) * data.draw(st.integers(1, 4))
+        poly = _cut(poly, (a, b))
+        applied.append((a, b))
+        assert set(poly) == brute_force_vertices(applied, g)
+        for v, tight in poly.items():
+            assert tight == {h for h in applied if vecdot(h[0], v) == h[1]}
+
+
+# ---------- iteration limits ----------
+
+
+def test_unstable_cell_reports_its_last_box(monkeypatch):
+    # with an empty competitor pool the polytope is the box itself, so it
+    # never comes off the box and every round fails
+    monkeypatch.setattr(geometry, "_terms_below", lambda theta, v, bound: [])
+    with pytest.raises(InvalidDataError) as err:
+        linearity_cell(TH2, (F(1, 7), F(1, 11)))
+    msg = str(err.value)
+    assert msg.startswith("cell of witness (0, 0) did not stabilize after 24 rounds")
+    assert "last centre (1/7, 1/11)" in msg
+    assert msg.endswith("pool of 0 halfspaces")
+    halfwidth = F(msg.split("halfwidth ")[1].split(",")[0])
+    assert halfwidth > F(13, 7)
+
+
+def test_seed_search_reports_probes_and_domain(monkeypatch):
+    monkeypatch.setattr(
+        TropicalThetaFunction,
+        "evaluate",
+        lambda self, v: types.SimpleNamespace(unique=False),
+    )
+    with pytest.raises(InvalidDataError) as err:
+        corner_locus(TH2)
+    assert str(err.value) == (
+        "no generic seed point found in the domain after 64 probes; "
+        "P^T = [['2', '1'], ['1', '2']]"
+    )
 
 
 # ---------- finite-support functions ----------

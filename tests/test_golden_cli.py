@@ -6,7 +6,10 @@ a change that reorders coset representatives, witnesses or mesh cells shows
 up even when each build is self-consistent.  The cases cover the report
 commands on `fixtures/`, plus an index-9 tropical theta (Lambda = 3I) and an
 index-4 Fourier series (Lambda = 2I), whose reports are keyed by coset
-representative.
+representative.  Two divisor cases pin the polytope work: a skewed g=2
+variety (P = [[2,3],[3,7]]) and a non-diagonal g=3 variety
+(P = [[3,1,1],[1,3,1],[1,1,3]]), whose cells have vertices where three
+facet planes meet along non-coordinate edges.
 
 Re-record the digests (only when an output change is intended) with
 
@@ -63,6 +66,13 @@ CASES = {
     "export-series-index4": [
         ["divisor", "series_g2_index4.json", "--out", "{mesh}"],
         ["export", "{mesh}", "--format", "json"],
+    ],
+    "export-variety-g2-skewed": [
+        ["divisor", "variety_g2_skewed.json", "--out", "{mesh}"],
+        ["export", "{mesh}", "--format", "svg"],
+    ],
+    "divisor-variety-g3-obj": [
+        ["divisor", "variety_g3.json", "--format", "obj", "--out", "{mesh}"],
     ],
 }
 
