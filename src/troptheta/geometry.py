@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .lattice import CosetLattice, enumerate_below
@@ -107,25 +107,36 @@ def _cut(poly: Polytope, halfspace: Halfspace) -> Polytope:
     the normals tight at both have rank g-1.  A plane tight at a point
     inside an edge is tight at both ends, so the new vertex's tight set is
     the shared set plus the new plane.  Returns poly itself when every
-    vertex is strictly inside, and {} when every vertex is cut.
+    vertex is strictly inside, and {} when every vertex is cut.  Most pool
+    planes cut nothing, so s is kept as an integer over a positive integer.
     """
     a, b = halfspace
-    slack = {v: vecdot(a, v) - b for v in poly}
-    cut = [v for v, s in slack.items() if s < 0]
-    if not cut and all(slack.values()):
+    an = [(c.numerator, c.denominator) for c in a]
+    bn, bd = b.numerator, b.denominator
+    rows = []
+    for v, tight in poly.items():
+        num, den = 0, 1
+        for (cn, cd), x in zip(an, v):
+            if cn:
+                xd = cd * x.denominator
+                num = num * xd + cn * x.numerator * den
+                den *= xd
+        rows.append((v, tight, num * bd - bn * den, den * bd))
+    if all(s > 0 for _, _, s, _ in rows):
         return poly
+    cut = [row for row in rows if row[2] < 0]
     out: Polytope = {}
-    for p, s_p in slack.items():
+    for p, tight, s_p, d_p in rows:
         if s_p == 0:
-            out[p] = poly[p] | {halfspace}
+            out[p] = tight | {halfspace}
         elif s_p > 0:
-            out[p] = poly[p]
-            for n in cut:
-                shared = poly[p] & poly[n]
+            out[p] = tight
+            for n, tight_n, s_n, d_n in cut:
+                shared = tight & tight_n
                 normals = ((0,) * len(a), *(h[0] for h in shared))
                 if len(_affine_span(normals)) < len(a) - 1:
                     continue
-                t = s_p / (s_p - slack[n])
+                t = Fraction(s_p * d_n, s_p * d_n - s_n * d_p)
                 x = tuple(pc + t * (nc - pc) for pc, nc in zip(p, n))
                 out[x] = shared | {halfspace}
     return out
@@ -146,7 +157,6 @@ def _affine_span(points):
     base = points[0]
     rows = [list(q - p for p, q in zip(base, pt)) for pt in points[1:]]
     g = len(base)
-    basis = []
     col = 0
     r = 0
     while r < len(rows) and col < g:
@@ -163,8 +173,7 @@ def _affine_span(points):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
         col += 1
-    basis = [tuple(row) for row in rows[:r]]
-    return tuple(basis)
+    return tuple(tuple(row) for row in rows[:r])
 
 
 def _gcd_normalize(normal: IntVec, offset: Fraction) -> Halfspace:
@@ -261,34 +270,23 @@ def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[IntVec]:
     lam_t_v = matvec(transpose(lam), point)
     out = set()
     for rep, w in theta.profile.finite_entries():
-        lin = tuple(
-            e + pr + lv
-            for e, pr, lv in zip(
-                theta.factor.ell, matvec(theta.base.P.entries, rep), lam_t_v
-            )
-        )
-        const = w + vecdot(rep, point)
-        center = tuple(solve(B, tuple(-c for c in lin)))
-        center_val = (
-            Fraction(1, 2) * vecdot(center, matvec(B, center))
-            + vecdot(lin, center)
-            + const
-        )
+        pr = matvec(theta.base.P.entries, rep)
+        lin = tuple(map(sum, zip(theta.factor.ell, pr, lam_t_v)))
+        center = solve(B, tuple(-c for c in lin))
+        # B center = -lin, so the minimum is <lin, center>/2 + the constant
+        center_val = vecdot(lin, center) / 2 + w + vecdot(rep, point)
         if bound < center_val:
             continue
         for n in enumerate_below(B, center, bound - center_val):
-            shift = matvec(lam, n)
-            out.add(tuple(int(r + s) for r, s in zip(rep, shift)))
+            out.add(tuple(r + vecdot(row, n) for r, row in zip(rep, lam)))
     return sorted(out)
 
 
 def _box_halfspaces(center, halfwidth, g):
     out = []
-    for i in range(g):
-        e = tuple(1 if j == i else 0 for j in range(g))
-        ne = tuple(-1 if j == i else 0 for j in range(g))
-        out.append((e, center[i] - halfwidth))
-        out.append((ne, -(center[i] + halfwidth)))
+    for i, c in enumerate(center):
+        e = tuple(int(j == i) for j in range(g))
+        out += [(e, c - halfwidth), (tuple(-x for x in e), -(c + halfwidth))]
     return out
 
 
@@ -345,9 +343,14 @@ def _build_cell(
             for c in corners
         }
 
+        # d = b - <a, centre> in integers over the centre's denominator
+        den = lcm(*(c.denominator for c in center))
+        scaled = [c.numerator * (den // c.denominator) for c in center]
+
         def key(con):
-            d = con[1] - vecdot(con[0], center)
-            return d * abs(d) / vecdot(con[0], con[0])
+            a, b = con
+            d = b.numerator * den - b.denominator * vecdot(a, scaled)
+            return Fraction(d * abs(d), (b.denominator * den) ** 2 * vecdot(a, a))
 
         pool = [(a, b) for a, (b, _) in sorted(groups.items())]
         poly = _clip(poly, sorted(pool, key=key, reverse=True))
@@ -385,17 +388,15 @@ def _build_cell(
             continue
         tight.append((a, b))
         if dim == g:
-            ties = tuple(sorted([u] + sorted(wits)))
-            facet_list.append(Facet(a, b, ties, tight_verts))
-    cell = LinearityCell(
+            facet_list.append(Facet(a, b, tuple(sorted([u, *wits])), tight_verts))
+    return LinearityCell(
         witness=u,
         halfspaces=tuple(tight),
         vertices=verts,
         dim=dim,
         span=span,
         facets=tuple(facet_list),
-    )
-    return cell, poly
+    ), poly
 
 
 def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
@@ -631,8 +632,7 @@ def _generic_seed(theta: TropicalThetaFunction, fd: FundamentalDomain):
 
 
 def _quotient_point(fd: FundamentalDomain, p: TropPoint):
-    t = fd.lattice_coordinates(p)
-    return tuple(c % 1 for c in t)
+    return tuple(c % 1 for c in fd.lattice_coordinates(p))
 
 
 def _canonical_shift(fd: FundamentalDomain, points):
@@ -642,9 +642,7 @@ def _canonical_shift(fd: FundamentalDomain, points):
     t = fd.lattice_coordinates(bary)
     shift_t = tuple(c - (c % 1) for c in t)
     delta = tuple(matvec(fd.matrix.entries, shift_t))
-    return tuple(
-        tuple(c - d for c, d in zip(p, delta)) for p in points
-    )
+    return tuple(tuple(c - d for c, d in zip(p, delta)) for p in points)
 
 
 def corner_locus(theta: TropicalThetaFunction) -> CellComplex:

@@ -10,6 +10,7 @@ value (Fincke-Pohst).  Every comparison is exact; floats never appear.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,15 +179,6 @@ def lll_reduce(B) -> tuple[IntRows, RatMatrix]:
     return tuple(tuple(r) for r in U), RatMatrix(tuple(tuple(r) for r in G))
 
 
-def _floor_plus_sqrt(gamma: Fraction, t: Fraction) -> int:
-    """Largest integer n with n <= gamma + sqrt(t), exactly (t >= 0)."""
-    n = math.floor(gamma) + math.isqrt(t.numerator // t.denominator) + 2
-    # n > gamma + sqrt(t)  <=>  n - gamma > 0 and (n - gamma)^2 > t
-    while (n - gamma) > 0 and (n - gamma) ** 2 > t:
-        n -= 1
-    return n
-
-
 def _ellipsoid_points(
     L: Rows, D: Row, center: Row, bound: Fraction
 ) -> Iterator[IntVec]:
@@ -194,27 +186,39 @@ def _ellipsoid_points(
 
     Uses the identity x^T B x = sum_i d_i (x_i + sum_{j>i} L[j][i] x_j)^2 and
     recurses from the last coordinate down with exact interval bounds.
+
+    The walk runs in integers.  With k = den(L) den(center), gamma_i =
+    G_i / k for an integer G_i, and the inequality times
+    den(bound) den(D) k^2 reads sum_i w_i e_i^2 <= R with integer weights
+    w_i, e_i = k x_i - G_i and R.  Level i then takes exactly the x_i with
+    |e_i| <= isqrt(r // w_i), r the budget the levels above left over.
     """
     g = len(D)
+    bound = Fraction(bound)
+    if bound < 0:
+        return
+    center = [Fraction(c) for c in center]
+    q = math.lcm(*(c.denominator for c in center))
+    lq = math.lcm(*(Fraction(L[j][i]).denominator for j in range(g) for i in range(j)))
+    dq = math.lcm(*(Fraction(d).denominator for d in D))
+    k = lq * q
+    C = [c.numerator * (q // c.denominator) for c in center]
+    Lk = [[int(L[j][i] * lq) for i in range(j)] for j in range(g)]
+    w = [int(d * dq) * bound.denominator for d in D]
     x = [0] * g
 
-    def recurse(i: int, remaining: Fraction) -> Iterator[IntVec]:
+    def recurse(i: int, r: int) -> Iterator[IntVec]:
         if i < 0:
             yield tuple(x)
             return
-        t = sum(L[j][i] * (x[j] - center[j]) for j in range(i + 1, g))
-        gamma = center[i] - t
-        s2 = remaining / D[i]
-        hi = _floor_plus_sqrt(gamma, s2)
-        lo = -_floor_plus_sqrt(-gamma, s2)
-        for xi in range(lo, hi + 1):
+        G = lq * C[i] - sum(Lk[j][i] * (q * x[j] - C[j]) for j in range(i + 1, g))
+        m = math.isqrt(r // w[i])
+        for xi in range(-((m - G) // k), (G + m) // k + 1):
             x[i] = xi
-            used = D[i] * (xi - gamma) ** 2
-            if used <= remaining:
-                yield from recurse(i - 1, remaining - used)
+            e = k * xi - G
+            yield from recurse(i - 1, r - w[i] * e * e)
 
-    if bound >= 0:
-        yield from recurse(g - 1, bound)
+    yield from recurse(g - 1, bound.numerator * dq * k * k)
 
 
 def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
@@ -229,19 +233,26 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     if len(c) != g:
         raise ShapeMismatchError("center length mismatch")
     if g >= 2:
-        U, G = lll_reduce(rows)
-        Uinv = _int_inverse(U)
+        U, Uinv, L, D = _reduced(rows)
         c_red = matvec(Uinv, c)
-        L, D = _ldlt(G.entries)
         pts = [
             tuple(matvec(U, m))
             for m in _ellipsoid_points(L, D, c_red, 2 * radius)
         ]
-        pts = [tuple(int(v) for v in p) for p in pts]
     else:
         L, D = _ldlt(rows)
         pts = list(_ellipsoid_points(L, D, c, 2 * radius))
     return sorted(pts)
+
+
+@functools.lru_cache(maxsize=32)
+def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, Row]:
+    """(U, U^-1, L, D) for the LLL-reduced form U^T B U = L D L^T.  Callers
+    such as the divisor's competitor sweeps enumerate many ellipsoids of
+    one form; this depends on the form alone."""
+    U, G = lll_reduce(rows)
+    L, D = _ldlt(G.entries)
+    return U, _int_inverse(U), L, D
 
 
 def _int_inverse(U: IntRows) -> IntRows:
