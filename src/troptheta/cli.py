@@ -188,6 +188,22 @@ def validate(path: str) -> None:
     _finish(report, started, all(c["passed"] for c in checks))
 
 
+def _results(theta: TropicalThetaFunction, points: tuple[str, ...]) -> list[dict]:
+    """The exact value and every witness at each point "p/q,p/q,..."."""
+    results = []
+    for text in points:
+        v = _parse_point(text, theta.g)
+        res = theta.evaluate(v)
+        results.append(
+            {
+                "point": [format_fraction(c) for c in v],
+                "value": format_fraction(res.value),
+                "witnesses": [list(u) for u in res.witnesses],
+            }
+        )
+    return results
+
+
 @main.command("eval", context_settings={"ignore_unknown_options": True})
 @click.argument("path", type=_INPUT)
 @click.argument("points", nargs=-1)
@@ -210,17 +226,7 @@ def eval_(path: str, points: tuple[str, ...]) -> None:
             "results": [],
         }
         _finish(report, started, False)
-    results = []
-    for text in points:
-        v = _parse_point(text, theta.g)
-        res = theta.evaluate(v)
-        results.append(
-            {
-                "point": [format_fraction(c) for c in v],
-                "value": format_fraction(res.value),
-                "witnesses": [list(u) for u in res.witnesses],
-            }
-        )
+    results = _results(theta, points)
     report = {
         "command": "eval",
         "input_sha256": hashlib.sha256(raw).hexdigest(),
@@ -265,17 +271,7 @@ def riemann(path: str, out: str | None, points: tuple[str, ...]) -> None:
         return
     with open(out, "w") as fh:
         fh.write(blob)
-    results = []
-    for text in points:
-        v = _parse_point(text, theta.g)
-        res = theta.evaluate(v)
-        results.append(
-            {
-                "point": [format_fraction(c) for c in v],
-                "value": format_fraction(res.value),
-                "witnesses": [list(u) for u in res.witnesses],
-            }
-        )
+    results = _results(theta, points)
     report = {
         "command": "riemann",
         "input_sha256": digest,

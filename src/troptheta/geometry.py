@@ -25,12 +25,21 @@ competitors; cut by the domain's 2g halfspaces it says whether it meets the
 domain, and each facet (its vertices, with the facet plane made tight) cut
 the same way is a piece of the divisor.  Only unbounded cells (non-ample
 functions) use the g-subset enumeration `_vertices_of`.
+
+The corner locus builds only cells that meet the domain.  The cell of w
+lies in { <v - w, x> >= w(w) - w(v) } for every v, so before a candidate is
+built the domain polytope is cut by these halfspaces for the witnesses
+already known around the kept cells that reached it; an empty cut proves
+the cell misses the domain.  The tie set at a certified vertex is read off
+its tight set: the cell's witness and the pool witnesses of every plane
+tight there, which is complete by the pool soundness above.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -292,7 +301,7 @@ def _box_halfspaces(center, halfwidth, g):
 
 def _build_cell(
     theta: TropicalThetaFunction, u: IntVec, center, wcache: dict
-) -> tuple[LinearityCell, Polytope]:
+) -> tuple[LinearityCell, Polytope, dict]:
     """The global cell of witness u and its polytope: competitors pooled
     over a growing box, certified once the polytope stays strictly inside.
 
@@ -307,8 +316,9 @@ def _build_cell(
     signed distance d/|a| made exact).  Tight sets stay complete, so edges
     are the vertex pairs whose shared tight normals have rank g-1, a vertex
     touches the box iff a box plane is in its tight set, and a facet is the
-    vertices whose tight set holds its plane.  The polytope is returned for
-    corner_locus's domain cuts; wcache memoizes extended_w across calls.
+    vertices whose tight set holds its plane.  The polytope and the pool
+    (normal -> (offset, witnesses)) are returned for corner_locus's domain
+    cuts and tie sets; wcache memoizes extended_w across calls.
     """
     g = theta.base.g
     w_u = theta.extended_w(u)
@@ -396,7 +406,7 @@ def _build_cell(
         dim=dim,
         span=span,
         facets=tuple(facet_list),
-    ), poly
+    ), poly, groups
 
 
 def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
@@ -645,12 +655,51 @@ def _canonical_shift(fd: FundamentalDomain, points):
     return tuple(tuple(c - d for c, d in zip(p, delta)) for p in points)
 
 
+def _misses_domain(theta, w, around, wcache, domain: Polytope) -> bool:
+    """Whether the cell of w certainly misses the domain.
+
+    The cell of w lies in { <v - w, x> >= w(w) - w(v) } for every v, since
+    l_w <= l_v on it.  So if the domain polytope cut by these halfspaces for
+    the known witnesses `around` is empty, so is the cell's meet with the
+    domain.  The test is exact and one-sided: a cell it passes is built and
+    checked as before.
+    """
+    for v in (w, *around):
+        if v not in wcache:
+            wcache[v] = theta.extended_w(v)
+    halfspaces = [
+        _gcd_normalize(
+            tuple(a - b for a, b in zip(v, w)), wcache[w] - wcache[v]
+        )
+        for v in around
+        if v != w
+    ]
+    return not _clip(domain, halfspaces)
+
+
+def _vertex_ties(u: IntVec, poly: Polytope, groups) -> dict:
+    """The tie set at each vertex of u's certified cell: u and the witnesses
+    of every pool plane tight there.  Complete: a witness u' at p ties with
+    u at a point of the box, so it is pooled; its plane is tight at p, and
+    the cell satisfies the deepest pooled plane of that normal, so the two
+    are one plane, with u' among its witnesses and in poly[p]."""
+    return {
+        p: tuple(sorted({u, *(v for a, _ in tight for v in groups[a][1])}))
+        for p, tight in poly.items()
+    }
+
+
 def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     """The tropical theta divisor in one fundamental parallelepiped.
 
-    BFS across facet witnesses from a generic seed cell; every cell whose
-    closure meets the domain is kept, facets are clipped to the domain and
-    deduplicated, and quotient counts are taken modulo the period lattice.
+    BFS across the witnesses around each kept cell, from a generic seed
+    cell; every cell whose closure meets the domain is kept, facets are
+    clipped to the domain and deduplicated, and quotient counts are taken
+    modulo the period lattice.  A candidate is built only if the domain cut
+    by its halfspaces against the witnesses around the kept cells that
+    reached it is not empty (`_misses_domain`).  The tie sets at a kept
+    cell's vertices come from their tight sets (`_vertex_ties`), so
+    `theta.evaluate` runs only for the seed probes.
     """
     g = theta.base.g
     if g > _MAX_RANK:
@@ -659,18 +708,26 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         raise InvalidDataError("corner locus needs an ample polarization")
     fd = _domain(theta)
     seed, seed_point = _generic_seed(theta, fd)
+    domain = {
+        c: frozenset(h for h in fd.halfspaces if vecdot(h[0], c) == h[1])
+        for c in fd.corners
+    }
 
     built: set[IntVec] = set()
     kept = []
     pieces = set()
     wcache: dict[IntVec, Fraction] = {}
-    queue = [(seed, seed_point)]
+    # known[w]: the witnesses around every kept cell that reached w so far
+    known: dict[IntVec, set[IntVec]] = {}
+    queue = deque([(seed, seed_point)])
     while queue:
-        u, hint = queue.pop(0)
+        u, hint = queue.popleft()
         if u in built:
             continue
-        cell, poly = _build_cell(theta, u, hint, wcache)
         built.add(u)
+        if _misses_domain(theta, u, known.pop(u, ()), wcache, domain):
+            continue
+        cell, poly, groups = _build_cell(theta, u, hint, wcache)
         if not _clip(poly, fd.halfspaces):
             continue
         kept.append(cell)
@@ -689,12 +746,14 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         for facet in cell.facets:
             for w in facet.witnesses:
                 neighbors.setdefault(w, facet.vertices[0])
+        ties = _vertex_ties(u, poly, groups)
         for p in cell.vertices:
-            for w in theta.evaluate(p).witnesses:
+            for w in ties[p]:
                 neighbors.setdefault(w, p)
         neighbors.pop(u, None)
         for w in sorted(neighbors):
             if w not in built:
+                known.setdefault(w, {u}).update(neighbors)
                 queue.append((w, neighbors[w]))
 
     kept = tuple(sorted(kept, key=lambda c: c.witness))

@@ -4,9 +4,10 @@ import json
 import random
 import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from troptheta import geometry
@@ -19,7 +20,7 @@ from troptheta.geometry import (
     export_mesh,
     linearity_cell,
 )
-from troptheta.linalg import RatMatrix, ShapeMismatchError, solve, vecdot
+from troptheta.linalg import RatMatrix, ShapeMismatchError, matvec, solve, vecdot
 from troptheta.theta import (
     AutomorphyFactor,
     TropicalThetaFunction,
@@ -265,6 +266,130 @@ def test_diagonal_g3_walls(diag3_locus):
     assert hashlib.sha256(mesh).hexdigest() == (
         "9c98c4f7ddf45cc98f5a803fd8645c1c76695d62e3a07cdbc09bb61414aff189"
     )
+
+
+# ---------- cells built, evaluations made ----------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_theta(name):
+    doc = json.loads((FIXTURES / name).read_text())
+    return riemann_theta(TropicalPolarizationData.from_json_dict(doc))
+
+
+GATED = {
+    "TH1": lambda: TH1,
+    "TH2": lambda: TH2,
+    "variety_g2_skewed": lambda: fixture_theta("variety_g2_skewed.json"),
+    "TH3": lambda: TH3,
+    "variety_g3": lambda: fixture_theta("variety_g3.json"),
+}
+
+
+@pytest.mark.parametrize(
+    "name, cells",
+    [("TH1", 2), ("TH2", 4), ("variety_g2_skewed", 6), ("TH3", 8), ("variety_g3", 8)],
+)
+def test_corner_locus_builds_only_kept_cells(monkeypatch, name, cells):
+    # machine-independent gates: every _build_cell call yields a kept cell,
+    # and theta.evaluate runs only for the seed search's two probes (the
+    # first, the domain's centre, is a half-period on the divisor)
+    theta = GATED[name]()
+    built = []
+    evals = {"seed": 0, "other": 0}
+    in_seed = [False]
+    build_cell, generic_seed = geometry._build_cell, geometry._generic_seed
+    evaluate = TropicalThetaFunction.evaluate
+
+    def counting_build(*args, **kwargs):
+        built.append(args[1])
+        return build_cell(*args, **kwargs)
+
+    def flagged_seed(*args, **kwargs):
+        in_seed[0] = True
+        try:
+            return generic_seed(*args, **kwargs)
+        finally:
+            in_seed[0] = False
+
+    def counting_evaluate(self, v):
+        evals["seed" if in_seed[0] else "other"] += 1
+        return evaluate(self, v)
+
+    monkeypatch.setattr(geometry, "_build_cell", counting_build)
+    monkeypatch.setattr(geometry, "_generic_seed", flagged_seed)
+    monkeypatch.setattr(TropicalThetaFunction, "evaluate", counting_evaluate)
+    cx = corner_locus(theta)
+    assert len(built) == cells
+    assert sorted(built) == [c.witness for c in cx.cells]
+    assert evals == {"seed": 2, "other": 0}
+
+
+# independent oracle: pointwise evaluation on a rational grid of the domain
+
+
+def sheared(P):
+    """U^T P U for U = [[1, 1], [0, 1]]."""
+    (a, b), (_, c) = P
+    return [[a, a + b], [a + b, a + 2 * b + c]]
+
+
+def principal_forms():
+    def form(a, c, b, shear):
+        P = [[a, b], [b, c]]
+        return sheared(P) if shear else P
+
+    return st.integers(2, 4).flatmap(
+        lambda a: st.builds(
+            form,
+            st.just(a),
+            st.integers(a, 5),
+            st.integers(-(a // 2), a // 2),
+            st.booleans(),
+        )
+    )
+
+
+LEVEL2_G2 = TropicalThetaFunction(
+    base=data_of([[2, 1], [1, 2]], [[1, 0], [0, 1]]),
+    factor=AutomorphyFactor(Lambda=[[2, 0], [0, 2]], ell=(F(0), F(0))),
+    profile=ValuationProfile(
+        entries=(
+            ((0, 0), F(0)),
+            ((0, 1), F(1, 2)),
+            ((1, 0), F(1, 3)),
+            ((1, 1), F(3, 4)),
+        )
+    ),
+)
+
+
+@given(principal_forms().map(lambda P: riemann_theta(data_of(P, [[1, 0], [0, 1]]))))
+@example(LEVEL2_G2)
+@settings(max_examples=20, deadline=None)
+def test_kept_cells_and_tie_sets_match_pointwise_evaluation(theta):
+    ties = []
+    vertex_ties = geometry._vertex_ties
+
+    def recording(u, poly, groups):
+        out = vertex_ties(u, poly, groups)
+        ties.extend(out.items())
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_vertex_ties", recording)
+        cx = corner_locus(theta)
+    kept = {cell.witness for cell in cx.cells}
+    # every witness at a point of the closed domain has a cell meeting it
+    n = 6
+    for t in itertools.product(range(n + 1), repeat=2):
+        p = tuple(matvec(cx.domain.matrix.entries, [F(c, n) for c in t]))
+        assert set(theta.evaluate(p).witnesses) <= kept, p
+    # the tie set read off a vertex's tight set is the full witness set
+    assert ties
+    for p, witnesses in ties:
+        assert witnesses == theta.evaluate(p).witnesses, p
 
 
 def test_rank_cap_is_three():
