@@ -75,6 +75,12 @@ def _finish(report: dict, started: float, ok: bool) -> None:
     sys.exit(0 if ok else 1)
 
 
+def _fail(command: str, digest: str, check: str, exc: Exception, started: float, **extra) -> None:
+    """Report that building the command's object failed, and exit 1."""
+    report = {"command": command, "input_sha256": digest, "checks": [_check(check, False, str(exc))], **extra}
+    _finish(report, started, False)
+
+
 def _parse_point(text: str, g: int) -> tuple[Fraction, ...]:
     parts = text.split(",")
     if len(parts) != g:
@@ -219,13 +225,7 @@ def eval_(path: str, points: tuple[str, ...]) -> None:
     try:
         theta = TropicalThetaFunction.from_json_dict(doc)
     except ValueError as exc:
-        report = {
-            "command": "eval",
-            "input_sha256": hashlib.sha256(raw).hexdigest(),
-            "checks": [_check("construction", False, str(exc))],
-            "results": [],
-        }
-        _finish(report, started, False)
+        _fail("eval", hashlib.sha256(raw).hexdigest(), "construction", exc, started, results=[])
     results = _results(theta, points)
     report = {
         "command": "eval",
@@ -257,13 +257,7 @@ def riemann(path: str, out: str | None, points: tuple[str, ...]) -> None:
     try:
         theta = riemann_theta(data)
     except ValueError as exc:
-        report = {
-            "command": "riemann",
-            "input_sha256": digest,
-            "checks": [_check("construction", False, str(exc))],
-            "results": [],
-        }
-        _finish(report, started, False)
+        _fail("riemann", digest, "construction", exc, started, results=[])
     blob = json.dumps(theta.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
     if out is None:
         print(blob, end="", flush=True)
@@ -370,12 +364,7 @@ def divisor(path: str, out: str, fmt: str) -> None:
     except RankTooLargeError as exc:
         raise click.UsageError(str(exc))
     except ValueError as exc:
-        report = {
-            "command": "divisor",
-            "input_sha256": digest,
-            "checks": [_check("divisor-extraction", False, str(exc))],
-        }
-        _finish(report, started, False)
+        _fail("divisor", digest, "divisor-extraction", exc, started)
     try:
         mesh = export_mesh(complex_, fmt)
     except UnsupportedFormatError as exc:

@@ -266,7 +266,7 @@ class LinearityCell:
 
 
 def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[IntVec]:
-    """All u with w(u) + <u, v> <= bound."""
+    """All u with w(u) + <u, v> <= bound, sorted."""
     point = as_point(v)
     if not theta.is_ample:
         return sorted(
@@ -276,14 +276,11 @@ def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[IntVec]:
         )
     B = theta._B_rows
     lam = theta.factor.Lambda
-    lam_t_v = matvec(transpose(lam), point)
     out = set()
-    for rep, w in theta.profile.finite_entries():
-        pr = matvec(theta.base.P.entries, rep)
-        lin = tuple(map(sum, zip(theta.factor.ell, pr, lam_t_v)))
+    for rep, lin, const in theta._coset_quadratics(point):
         center = solve(B, tuple(-c for c in lin))
-        # B center = -lin, so the minimum is <lin, center>/2 + the constant
-        center_val = vecdot(lin, center) / 2 + w + vecdot(rep, point)
+        # B center = -lin, so the minimum is <lin, center>/2 + const
+        center_val = vecdot(lin, center) / 2 + const
         if bound < center_val:
             continue
         for n in enumerate_below(B, center, bound - center_val):
@@ -624,8 +621,10 @@ class CellComplex:
 
 
 def _generic_seed(theta: TropicalThetaFunction, fd: FundamentalDomain):
+    # k = 0 would probe the domain's centre P^T (1/2, ..., 1/2), a
+    # half-period, which the divisors of the usual thetas pass through
     g = theta.base.g
-    for k in range(_SEED_PROBES):
+    for k in range(1, _SEED_PROBES + 1):
         t = tuple(
             Fraction(1, 2) + Fraction((i + 1) * k, 64 * (i + 2) * g + 257)
             for i in range(g)

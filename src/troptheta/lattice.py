@@ -1,11 +1,14 @@
 """Exact minimization of convex quadratics over integer lattice points.
 
 Objectives have the form q(n) = (1/2) n^T B n + ell^T n + c0 with B symmetric
-positive-definite over the rationals and n ranging over Z^g.  The pipeline is
-LLL reduction of the form (delta = 3/4, exact comparisons), LDL^T
-factorization, an upper-bound seed from the 2^g floor/ceil roundings of the
-real minimizer, then complete enumeration of the ellipsoid below the seed
-value (Fincke-Pohst).  Every comparison is exact; floats never appear.
+positive-definite over the rationals and n ranging over Z^g.  Each form is
+reduced once: LLL (delta = 3/4, exact comparisons) and the LDL^T
+factorization of the reduced form are cached per form in `_reduced`, which
+both entry points share.  `minimize_quadratic` seeds an upper bound from the
+2^g floor/ceil roundings of the real minimizer, then enumerates the
+ellipsoid below the seed value completely (Fincke-Pohst);
+`enumerate_below` enumerates an ellipsoid of a given radius.  Every
+comparison is exact; floats never appear.
 """
 
 from __future__ import annotations
@@ -67,14 +70,9 @@ class GramForm:
     matrix: RatMatrix
 
     def __post_init__(self):
-        m = self.matrix
-        if not isinstance(m, RatMatrix):
-            m = RatMatrix(rows_from(m))
-            object.__setattr__(self, "matrix", m)
-        if m.rows != m.cols:
-            raise ShapeMismatchError("gram matrix must be square")
-        if not m.is_symmetric():
-            raise NotSymmetricError("gram matrix must be symmetric")
+        rows = _gram_rows(self.matrix)
+        if not isinstance(self.matrix, RatMatrix):
+            object.__setattr__(self, "matrix", RatMatrix(rows))
 
     @property
     def g(self) -> int:
@@ -232,27 +230,22 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     c = tuple(Fraction(v) for v in center)
     if len(c) != g:
         raise ShapeMismatchError("center length mismatch")
-    if g >= 2:
-        U, Uinv, L, D = _reduced(rows)
-        c_red = matvec(Uinv, c)
-        pts = [
-            tuple(matvec(U, m))
-            for m in _ellipsoid_points(L, D, c_red, 2 * radius)
-        ]
-    else:
-        L, D = _ldlt(rows)
-        pts = list(_ellipsoid_points(L, D, c, 2 * radius))
-    return sorted(pts)
+    U, Uinv, _, L, D = _reduced(rows)
+    c_red = matvec(Uinv, c)
+    return sorted(
+        tuple(matvec(U, m)) for m in _ellipsoid_points(L, D, c_red, 2 * radius)
+    )
 
 
 @functools.lru_cache(maxsize=32)
-def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, Row]:
-    """(U, U^-1, L, D) for the LLL-reduced form U^T B U = L D L^T.  Callers
-    such as the divisor's competitor sweeps enumerate many ellipsoids of
-    one form; this depends on the form alone."""
+def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, Rows, Row]:
+    """(U, U^-1, G, L, D) for the LLL-reduced form G = U^T B U = L D L^T.
+    It depends on the form alone, and callers use few forms many times: a
+    theta evaluates one form per point, the divisor's competitor sweeps
+    enumerate many ellipsoids of one form."""
     U, G = lll_reduce(rows)
     L, D = _ldlt(G.entries)
-    return U, _int_inverse(U), L, D
+    return U, _int_inverse(U), G.entries, L, D
 
 
 def _int_inverse(U: IntRows) -> IntRows:
@@ -359,33 +352,22 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     otherwise, the latter with its 1-based pivot index).
     """
     rows = _gram_rows(B)
-    g = len(rows)
     ell = tuple(Fraction(v) for v in ell)
-    if len(ell) != g:
+    if len(ell) != len(rows):
         raise ShapeMismatchError("linear part length mismatch")
     c0 = Fraction(c0)
-
-    if g >= 2:
-        U, Gm = lll_reduce(rows)
-        G = Gm.entries
-        ell_red = matvec(transpose(U), ell)
-    else:
-        U = identity(1)
-        G = rows
-        ell_red = ell
+    U, _, G, L, D = _reduced(rows)
+    ell_red = matvec(transpose(U), ell)
 
     def objective(m) -> Fraction:
         return Fraction(1, 2) * vecdot(m, matvec(G, m)) + vecdot(ell_red, m) + c0
 
-    L, D = _ldlt(G)
     center = solve(G, tuple(-v for v in ell_red))
 
     best = None
-    corners = []
     for corner in product(*[
         sorted({math.floor(ci), math.ceil(ci)}) for ci in center
     ]):
-        corners.append(corner)
         val = objective(corner)
         if best is None or val < best:
             best = val

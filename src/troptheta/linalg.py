@@ -202,9 +202,6 @@ class RatMatrix:
     def solve(self, rhs) -> Row:
         return solve(self.entries, rhs)
 
-    def is_symmetric(self) -> bool:
-        return is_symmetric(self.entries)
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.entries[i][j]

@@ -21,7 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .lattice import CosetLattice, NotPositiveDefiniteError, _ldlt, enumerate_below
+from .geometry import _terms_below
+from .lattice import CosetLattice, NotPositiveDefiniteError, _ldlt
 from .linalg import (
     IntRows,
     IntVec,
@@ -33,12 +34,8 @@ from .linalg import (
     is_symmetric,
     matmul,
     matvec,
-    solve,
-    transpose,
-    vecdot,
 )
 from .puiseux import PuiseuxNumber, monomial_product
-from .rationals import INF
 from .theta import (
     AutomorphyFactor,
     NotPrincipalError,
@@ -497,9 +494,13 @@ def evaluate_at_point(
 ) -> PartialSum:
     """Sum a_u x^u over every u with val(a_u x^u) <= cutoff, exactly.
 
-    x must have monomial nonzero coordinates; cutoff must be at least the
-    minimal term valuation f_trop(trop(x)).  When the minimal-valuation term
-    is unique, val(value) equals that minimum.
+    val(a_u x^u) = w(u) + <u, trop(x)> for the tropicalization, so the terms
+    are geometry._terms_below(tropicalize(f), trop(x), cutoff): one
+    enumeration below the cutoff per finite coset (a finite scan when
+    lambda = 0), summed in lex order of u.  x must have monomial nonzero
+    coordinates; cutoff must be at least the minimal term valuation
+    f_trop(trop(x)).  When the minimal-valuation term is unique, val(value)
+    equals that minimum.
     """
     g = f.g
     if len(x) != g:
@@ -525,41 +526,9 @@ def evaluate_at_point(
                 out = out * (xj ** int(uj))
         return out
 
-    terms: list[IntVec] = []
-    if f.cocycle.lambda_is_zero():
-        for rep, a in f.coeffs:
-            if a.is_zero():
-                continue
-            if a.val() + vecdot(rep, v) <= cutoff:
-                terms.append(rep)
-    else:
-        B = trop._B_rows
-        lam_t = transpose(f.cocycle.Lambda)
-        P_rows = trop.base.P.entries
-        lam_t_v = matvec(lam_t, v)
-        for rep, w in trop.profile.entries:
-            if w == INF:
-                continue
-            lin = tuple(
-                e + pr + lv
-                for e, pr, lv in zip(trop.factor.ell, matvec(P_rows, rep), lam_t_v)
-            )
-            const = w + vecdot(rep, v)
-            center = solve(B, tuple(-c for c in lin))
-            center_val = (
-                Fraction(1, 2) * vecdot(center, matvec(B, center))
-                + vecdot(lin, center)
-                + const
-            )
-            radius = cutoff - center_val
-            if radius < 0:
-                continue
-            for n in enumerate_below(B, center, radius):
-                shift = matvec(f.cocycle.Lambda, n)
-                terms.append(tuple(int(r + s) for r, s in zip(rep, shift)))
-
+    terms = _terms_below(trop, v, cutoff)
     total = PuiseuxNumber.zero()
-    for u in sorted(terms):
+    for u in terms:
         total = total + f.coefficient(u) * x_power(u)
     return PartialSum(
         value=total,

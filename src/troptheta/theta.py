@@ -7,9 +7,12 @@ representatives of M / lambda(M'); it extends to all of M by
     w(u0 + Lam n) = w(u0) + c_trop(n) + [n, u0]
 
 and evaluates as f(v) = min_{u in M} w(u) + <u, v>.  With P Lam positive
-definite the minimum over each coset is a convex integer quadratic, handled
-by lattice.minimize_quadratic; the lambda = 0 case carries a finite support
-and a trivial factor, and the min is a finite scan.
+definite, w(u) + <u, v> on each coset is a convex integer quadratic in n,
+u = rep + Lam n; `TropicalThetaFunction._coset_quadratics` is the one place
+that forms it.  Values minimize it (lattice.minimize_quadratic), and the
+divisor's competitor sweeps and the Puiseux partial sums enumerate below a
+bound through geometry._terms_below.  The lambda = 0 case carries a finite
+support and a trivial factor, and the min is a finite scan.
 
 Products and translates never collapse into convolved profiles here: they
 stay formal expressions (TropicalThetaExpression) whose aggregate automorphy
@@ -279,27 +282,26 @@ class TropicalThetaFunction:
                     witnesses.append(rep)
             return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
 
-        B = self._B_rows
-        lam_t = transpose(self.factor.Lambda)
         best = None
         witnesses: list[IntVec] = []
-        for rep, w in finite:
-            lin = tuple(
-                e + pr + lv
-                for e, pr, lv in zip(
-                    self.factor.ell,
-                    matvec(self.base.P.entries, rep),
-                    matvec(lam_t, point),
-                )
-            )
-            const = w + vecdot(rep, point)
-            res = minimize_quadratic(B, lin, const)
+        for rep, lin, const in self._coset_quadratics(point):
+            res = minimize_quadratic(self._B_rows, lin, const)
             if best is None or res.value < best:
                 best = res.value
                 witnesses = [self._witness(rep, n) for n in res.argmin]
             elif res.value == best:
                 witnesses.extend(self._witness(rep, n) for n in res.argmin)
         return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
+
+    def _coset_quadratics(self, point: TropPoint):
+        """(rep, lin, const) for each finite coset of an ample theta: on
+        u = rep + Lam n, w(u) + <u, v> = (1/2) n^T (P Lam) n + <lin, n> + const
+        with lin = ell + P rep + Lam^T v and const = w(rep) + <rep, v>."""
+        lam_t_v = matvec(transpose(self.factor.Lambda), point)
+        for rep, w in self.profile.finite_entries():
+            pr = matvec(self.base.P.entries, rep)
+            lin = tuple(e + p + lv for e, p, lv in zip(self.factor.ell, pr, lam_t_v))
+            yield rep, lin, w + vecdot(rep, point)
 
     def _witness(self, rep: IntVec, n: IntVec) -> IntVec:
         shift = matvec(self.factor.Lambda, n)

@@ -293,8 +293,8 @@ GATED = {
 )
 def test_corner_locus_builds_only_kept_cells(monkeypatch, name, cells):
     # machine-independent gates: every _build_cell call yields a kept cell,
-    # and theta.evaluate runs only for the seed search's two probes (the
-    # first, the domain's centre, is a half-period on the divisor)
+    # and theta.evaluate runs once, for the seed search's first probe (the
+    # search skips the domain's centre, a half-period on the divisor)
     theta = GATED[name]()
     built = []
     evals = {"seed": 0, "other": 0}
@@ -323,7 +323,7 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, name, cells):
     cx = corner_locus(theta)
     assert len(built) == cells
     assert sorted(built) == [c.witness for c in cx.cells]
-    assert evals == {"seed": 2, "other": 0}
+    assert evals == {"seed": 1, "other": 0}
 
 
 # independent oracle: pointwise evaluation on a rational grid of the domain

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from troptheta import lattice
 from troptheta.lattice import (
     CosetLattice,
     GramForm,
@@ -30,12 +31,15 @@ from troptheta.linalg import (
     RatMatrix,
     ShapeMismatchError,
     det,
+    identity,
     inverse,
     matmul,
     matvec,
     transpose,
     vecdot,
 )
+from troptheta.theta import riemann_theta
+from troptheta.varieties import TropicalPolarizationData
 
 F = Fraction
 
@@ -226,6 +230,27 @@ def test_minimize_errors():
         minimize_quadratic([[1, 1], [0, 1]], [0, 0])
     with pytest.raises(ShapeMismatchError):
         minimize_quadratic([[2, 0], [0, 2]], [1])
+
+
+def test_one_reduction_per_form_across_evaluations(monkeypatch):
+    # machine-independent gate: the form P Lam is the theta's, not the
+    # point's, so 50 values of one theta share one cached LLL reduction
+    U = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    P = matmul(transpose(U), matmul([[3, 1, 1], [1, 3, 1], [1, 1, 3]], U))
+    theta = riemann_theta(TropicalPolarizationData(g=3, P=RatMatrix(P), Lambda=identity(3)))
+    calls = []
+    reduce = lattice.lll_reduce
+
+    def counting_reduce(*args, **kwargs):
+        calls.append(args)
+        return reduce(*args, **kwargs)
+
+    lattice._reduced.cache_clear()
+    monkeypatch.setattr(lattice, "lll_reduce", counting_reduce)
+    rng = random.Random(50)
+    for _ in range(50):
+        theta.evaluate(tuple(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3)))
+    assert len(calls) == 1
 
 
 # ---------- enumerate_below ----------

@@ -360,6 +360,69 @@ def test_partial_sum_cutoff_monotone():
             assert exp >= out.trop_value
 
 
+def box_partial_sum(f, x, cutoff, box):
+    """Independent oracle: scan the box |u_i| <= box for a_u x^u with val at
+    most cutoff, x^u built directly as prod c_j^u_j t^<u, val x>.  Returns
+    the sum, the term count, and the least val on the box's outer ring of
+    width 2 (every coset of a level <= 2 series meets it)."""
+    coeffs = [xj.leading_coefficient() for xj in x]
+    v = [xj.val() for xj in x]
+    total, count, edge = PuiseuxNumber.zero(), 0, None
+    for u in product(range(-box, box + 1), repeat=len(x)):
+        a = f.coefficient(u)
+        if a.is_zero():
+            continue
+        coeff = F(1)
+        for c, k in zip(coeffs, u):
+            coeff *= c**k
+        term = a * PuiseuxNumber.monomial(coeff, sum(k * vj for k, vj in zip(u, v)))
+        if max(map(abs, u)) >= box - 1:
+            edge = term.val() if edge is None else min(edge, term.val())
+        if term.val() <= cutoff:
+            total, count = total + term, count + 1
+    return total, count, edge
+
+
+def lambda_zero_series():
+    zero_coc = NACocycle(
+        period=pm2(), Lambda=((0, 0), (0, 0)), generators=(PuiseuxNumber.one(),) * 2
+    )
+    coeffs = (
+        ((0, 0), P("2 + q")),
+        ((1, 0), PuiseuxNumber.monomial(F(1, 3), F(1, 2))),
+        ((-1, 2), PuiseuxNumber.monomial(3, F(2))),
+        ((2, -1), PuiseuxNumber.monomial(-1, F(-1))),
+    )
+    return NAThetaFunction(cocycle=zero_coc, coeffs=coeffs)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: theta_basis(pm1(), canonical_cocycle(pm1(), [[2]]))[1],
+        lambda: theta_basis(pm2(), canonical_cocycle(pm2(), [[2, 0], [0, 2]]))[3],
+        lambda: build_riemann_theta(pm2(), ((1, 0), (0, 1))),
+        lambda_zero_series,
+    ],
+    ids=["level2-g1", "level2-g2", "riemann-g2", "lambda0-g2"],
+)
+def test_partial_sum_matches_box_scan(make):
+    f = make()
+    rng = random.Random(41)
+    for _ in range(5):
+        x = tuple(
+            PuiseuxNumber.monomial(rng.choice([1, 2, -3]), F(rng.randint(-9, 9), rng.randint(2, 4)))
+            for _ in range(f.g)
+        )
+        cutoff = tropicalize(f).evaluate(tuple(c.val() for c in x)).value + rng.choice([0, 1, F(5, 2)])
+        out = evaluate_at_point(f, x, cutoff)
+        total, count, edge = box_partial_sum(f, x, cutoff, box=12)
+        # the dominant term is inside the box and the outer ring is above the
+        # cutoff: the box is wide enough to hold every term
+        assert count >= 1 and (edge is None or edge > cutoff)
+        assert (out.value, out.terms) == (total, count)
+
+
 # ---------- rational functions ----------
 
 
