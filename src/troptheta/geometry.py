@@ -26,13 +26,15 @@ domain, and each facet (its vertices, with the facet plane made tight) cut
 the same way is a piece of the divisor.  Only unbounded cells (non-ample
 functions) use the g-subset enumeration `_vertices_of`.
 
-The corner locus builds only cells that meet the domain.  The cell of w
-lies in { <v - w, x> >= w(w) - w(v) } for every v, so before a candidate is
-built the domain polytope is cut by these halfspaces for the witnesses
-already known around the kept cells that reached it; an empty cut proves
-the cell misses the domain.  The tie set at a certified vertex is read off
-its tight set: the cell's witness and the pool witnesses of every plane
-tight there, which is complete by the pool soundness above.
+The corner locus is periodic: by the transformation law
+w(u + Lam d) = w(u) + c_trop(d) + [d, u], l_{u+Lam d}(x) - l_{u''+Lam d}(x)
+= l_u(x + tau) - l_{u''}(x + tau) for tau = P^T d, so the cell of u + Lam d
+is the cell of u moved by -tau (same normals, offsets b - <a, tau>,
+witnesses shifted by Lam d; lex order is kept).  One cell is built per coset
+class and moved to the rest of its class; a moved cell meets the domain iff
+the built one meets the domain moved by +tau.  The tie set at a certified
+vertex is read off its tight set: the cell's witness and the pool witnesses
+of every plane tight there, which is complete by the pool soundness above.
 """
 
 from __future__ import annotations
@@ -40,13 +42,13 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 from typing import Sequence
 
-from .lattice import CosetLattice, enumerate_below
+from .lattice import enumerate_below
 from .linalg import (
     IntVec,
     RatMatrix,
@@ -654,28 +656,6 @@ def _canonical_shift(fd: FundamentalDomain, points):
     return tuple(tuple(c - d for c, d in zip(p, delta)) for p in points)
 
 
-def _misses_domain(theta, w, around, wcache, domain: Polytope) -> bool:
-    """Whether the cell of w certainly misses the domain.
-
-    The cell of w lies in { <v - w, x> >= w(w) - w(v) } for every v, since
-    l_w <= l_v on it.  So if the domain polytope cut by these halfspaces for
-    the known witnesses `around` is empty, so is the cell's meet with the
-    domain.  The test is exact and one-sided: a cell it passes is built and
-    checked as before.
-    """
-    for v in (w, *around):
-        if v not in wcache:
-            wcache[v] = theta.extended_w(v)
-    halfspaces = [
-        _gcd_normalize(
-            tuple(a - b for a, b in zip(v, w)), wcache[w] - wcache[v]
-        )
-        for v in around
-        if v != w
-    ]
-    return not _clip(domain, halfspaces)
-
-
 def _vertex_ties(u: IntVec, poly: Polytope, groups) -> dict:
     """The tie set at each vertex of u's certified cell: u and the witnesses
     of every pool plane tight there.  Complete: a witness u' at p ties with
@@ -688,17 +668,40 @@ def _vertex_ties(u: IntVec, poly: Polytope, groups) -> dict:
     }
 
 
+def _minus(p, t):
+    return tuple(c - s for c, s in zip(p, t))
+
+
+def _translate(cell: LinearityCell, tau, u: IntVec) -> LinearityCell:
+    """The cell of u = cell.witness + Lam d, for tau = P^T d: points move by
+    -tau, offsets b by -<a, tau>, witnesses by Lam d."""
+    back = _minus(cell.witness, u)
+
+    def facet(f):
+        wits = tuple(_minus(w, back) for w in f.witnesses)
+        verts = tuple(_minus(p, tau) for p in f.vertices)
+        return Facet(f.normal, f.offset - vecdot(f.normal, tau), wits, verts)
+
+    return replace(
+        cell,
+        witness=u,
+        halfspaces=tuple((a, b - vecdot(a, tau)) for a, b in cell.halfspaces),
+        vertices=tuple(_minus(p, tau) for p in cell.vertices),
+        facets=tuple(map(facet, cell.facets)),
+    )
+
+
 def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     """The tropical theta divisor in one fundamental parallelepiped.
 
     BFS across the witnesses around each kept cell, from a generic seed
     cell; every cell whose closure meets the domain is kept, facets are
     clipped to the domain and deduplicated, and quotient counts are taken
-    modulo the period lattice.  A candidate is built only if the domain cut
-    by its halfspaces against the witnesses around the kept cells that
-    reached it is not empty (`_misses_domain`).  The tie sets at a kept
-    cell's vertices come from their tight sets (`_vertex_ties`), so
-    `theta.evaluate` runs only for the seed probes.
+    modulo the period lattice.  `_build_cell` runs once per coset class
+    (`theta._cosets`); every other cell of the class is that cell moved by
+    -P^T d (module docstring).  The tie sets at a built cell's vertices
+    come from their tight sets (`_vertex_ties`), so `theta.evaluate` runs
+    only for the seed probes.
     """
     g = theta.base.g
     if g > _MAX_RANK:
@@ -707,53 +710,50 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         raise InvalidDataError("corner locus needs an ample polarization")
     fd = _domain(theta)
     seed, seed_point = _generic_seed(theta, fd)
-    domain = {
-        c: frozenset(h for h in fd.halfspaces if vecdot(h[0], c) == h[1])
-        for c in fd.corners
-    }
 
-    built: set[IntVec] = set()
+    # class rep -> (Lam-coordinates of the built witness, its cell, its
+    # polytope, its sorted neighbors, each with a vertex they share)
+    classes: dict[IntVec, tuple] = {}
+    seen: set[IntVec] = set()
     kept = []
     pieces = set()
     wcache: dict[IntVec, Fraction] = {}
-    # known[w]: the witnesses around every kept cell that reached w so far
-    known: dict[IntVec, set[IntVec]] = {}
     queue = deque([(seed, seed_point)])
     while queue:
         u, hint = queue.popleft()
-        if u in built:
+        if u in seen:
             continue
-        built.add(u)
-        if _misses_domain(theta, u, known.pop(u, ()), wcache, domain):
+        seen.add(u)
+        rep, n = theta._cosets.decompose(u)
+        if rep not in classes:
+            cell, poly, groups = _build_cell(theta, u, hint, wcache)
+            # the tie sets at the cell's vertices (facet witnesses included)
+            # reach every neighbor, each with a vertex of its closure
+            neighbors: dict[IntVec, TropPoint] = {}
+            ties = _vertex_ties(u, poly, groups)
+            for p in cell.vertices:
+                for w in ties[p]:
+                    neighbors.setdefault(w, p)
+            neighbors.pop(u)
+            classes[rep] = (n, cell, poly, sorted(neighbors.items()))
+        n0, cell, poly, neighbors = classes[rep]
+        tau = tuple(matvec(fd.matrix.entries, _minus(n, n0)))
+        # the cell of u, cell - tau, meets the domain iff cell meets domain + tau
+        domain = [(r, b + vecdot(r, tau)) for r, b in fd.halfspaces]
+        if not _clip(poly, domain):
             continue
-        cell, poly, groups = _build_cell(theta, u, hint, wcache)
-        if not _clip(poly, fd.halfspaces):
-            continue
-        kept.append(cell)
+        moved = _translate(cell, tau, u)
+        kept.append(moved)
         # clip the facets (only full-dimensional cells have them) to the
         # domain: a facet is its vertices with the plane added as tight
-        for facet in cell.facets:
+        for facet, moved_facet in zip(cell.facets, moved.facets):
             plane = (facet.normal, facet.offset)
             face = {p: poly[p] | {plane} for p in facet.vertices}
-            verts = tuple(sorted(_clip(face, fd.halfspaces)))
+            verts = tuple(_minus(p, tau) for p in sorted(_clip(face, domain)))
             if verts:
-                pieces.add((verts, facet.witnesses))
-        # facet witnesses reach the facet-sharing neighbors; the tie sets at
-        # the cell's vertices reach everything else that touches the cell;
-        # each neighbor is seeded with a point known to lie in its closure
-        neighbors: dict[IntVec, TropPoint] = {}
-        for facet in cell.facets:
-            for w in facet.witnesses:
-                neighbors.setdefault(w, facet.vertices[0])
-        ties = _vertex_ties(u, poly, groups)
-        for p in cell.vertices:
-            for w in ties[p]:
-                neighbors.setdefault(w, p)
-        neighbors.pop(u, None)
-        for w in sorted(neighbors):
-            if w not in built:
-                known.setdefault(w, {u}).update(neighbors)
-                queue.append((w, neighbors[w]))
+                pieces.add((verts, moved_facet.witnesses))
+        back = _minus(cell.witness, u)
+        queue.extend((_minus(w, back), _minus(p, tau)) for w, p in neighbors)
 
     kept = tuple(sorted(kept, key=lambda c: c.witness))
     skeleton = tuple(SkeletonPiece(w, v) for v, w in sorted(pieces))
@@ -766,9 +766,8 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
 
 def _quotient_summary(theta, fd, kept_cells, skeleton) -> QuotientSummary:
     g = fd.g
-    factor_cosets = CosetLattice(theta.factor.Lambda)
     top_classes = {
-        factor_cosets.decompose(c.witness)[0]
+        theta._cosets.decompose(c.witness)[0]
         for c in kept_cells
         if c.dim == g
     }

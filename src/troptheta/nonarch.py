@@ -490,7 +490,7 @@ class PartialSum:
 
 
 def evaluate_at_point(
-    f: NAThetaFunction, x: Sequence[PuiseuxNumber], cutoff
+    f: NAThetaFunction, x: Sequence[PuiseuxNumber], cutoff=None
 ) -> PartialSum:
     """Sum a_u x^u over every u with val(a_u x^u) <= cutoff, exactly.
 
@@ -499,8 +499,8 @@ def evaluate_at_point(
     enumeration below the cutoff per finite coset (a finite scan when
     lambda = 0), summed in lex order of u.  x must have monomial nonzero
     coordinates; cutoff must be at least the minimal term valuation
-    f_trop(trop(x)).  When the minimal-valuation term is unique, val(value)
-    equals that minimum.
+    f_trop(trop(x)), which is the default.  When the minimal-valuation term
+    is unique, val(value) equals that minimum.
     """
     g = f.g
     if len(x) != g:
@@ -510,10 +510,10 @@ def evaluate_at_point(
             raise ZeroCoordinateError("point coordinates must be nonzero")
         if not xj.is_monomial():
             raise InvalidDataError("point coordinates must be monomials")
-    cutoff = Fraction(cutoff)
     v = tuple(xj.val() for xj in x)
     trop = tropicalize(f)
     result = trop.evaluate(v)
+    cutoff = result.value if cutoff is None else Fraction(cutoff)
     if cutoff < result.value:
         raise CutoffBelowMinimumError(
             f"cutoff {cutoff} below minimal valuation {result.value}"
@@ -560,15 +560,10 @@ class NARationalFunction:
         """val f1(x) - val f2(x) from exact partial sums at the minimal
         cutoff; the bool reports whether both dominant terms were unique
         (only then is the value certified equal to h_trop(trop x))."""
-        s1 = evaluate_at_point(self.numerator, x, _trop_min(self.numerator, x))
-        s2 = evaluate_at_point(self.denominator, x, _trop_min(self.denominator, x))
+        s1 = evaluate_at_point(self.numerator, x)
+        s2 = evaluate_at_point(self.denominator, x)
         ok = s1.dominant_unique and s2.dominant_unique
         return s1.value.val() - s2.value.val(), ok
-
-
-def _trop_min(f: NAThetaFunction, x: Sequence[PuiseuxNumber]) -> Fraction:
-    v = tuple(xj.val() for xj in x)
-    return tropicalize(f).evaluate(v).value
 
 
 def construct_rational_function(

@@ -292,9 +292,11 @@ GATED = {
     [("TH1", 2), ("TH2", 4), ("variety_g2_skewed", 6), ("TH3", 8), ("variety_g3", 8)],
 )
 def test_corner_locus_builds_only_kept_cells(monkeypatch, name, cells):
-    # machine-independent gates: every _build_cell call yields a kept cell,
-    # and theta.evaluate runs once, for the seed search's first probe (the
-    # search skips the domain's centre, a half-period on the divisor)
+    # machine-independent gates: _build_cell runs once per coset class of the
+    # kept cells (every other cell is a lattice translate), each time for a
+    # kept cell, and theta.evaluate runs once, for the seed search's first
+    # probe (the search skips the domain's centre, a half-period on the
+    # divisor)
     theta = GATED[name]()
     built = []
     evals = {"seed": 0, "other": 0}
@@ -321,8 +323,10 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, name, cells):
     monkeypatch.setattr(geometry, "_generic_seed", flagged_seed)
     monkeypatch.setattr(TropicalThetaFunction, "evaluate", counting_evaluate)
     cx = corner_locus(theta)
-    assert len(built) == cells
-    assert sorted(built) == [c.witness for c in cx.cells]
+    assert len(cx.cells) == cells
+    classes = {theta._cosets.decompose(c.witness)[0] for c in cx.cells}
+    assert len(built) == len(classes) == 1
+    assert set(built) <= {c.witness for c in cx.cells}
     assert evals == {"seed": 1, "other": 0}
 
 
@@ -390,6 +394,37 @@ def test_kept_cells_and_tie_sets_match_pointwise_evaluation(theta):
     assert ties
     for p, witnesses in ties:
         assert witnesses == theta.evaluate(p).witnesses, p
+
+
+# generic values on P = I with Lam = 2I: all four coset classes keep cells
+LEVEL2_I = TropicalThetaFunction(
+    base=data_of([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+    factor=AutomorphyFactor(Lambda=[[2, 0], [0, 2]], ell=(F(0), F(0))),
+    profile=ValuationProfile(
+        entries=(
+            ((0, 0), F(0)),
+            ((0, 1), F(1, 4)),
+            ((1, 0), F(1, 5)),
+            ((1, 1), F(1, 3)),
+        )
+    ),
+)
+
+
+@given(principal_forms().map(lambda P: riemann_theta(data_of(P, [[1, 0], [0, 1]]))))
+@example(L2)
+@example(SQUARE)
+@example(LEVEL2_I)
+@settings(max_examples=20, deadline=None)
+def test_translated_cells_equal_built_cells(theta):
+    # oracle for the lattice translation: every kept cell, facets included,
+    # is the cell _build_cell certifies from scratch at its witness
+    cx = corner_locus(theta)
+    classes = {theta._cosets.decompose(c.witness)[0] for c in cx.cells}
+    assert len(cx.cells) > len(classes)  # some cells are translates
+    for cell in cx.cells:
+        built = geometry._build_cell(theta, cell.witness, cell.vertices[0], {})[0]
+        assert built == cell, cell.witness
 
 
 def test_rank_cap_is_three():

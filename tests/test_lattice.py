@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -46,34 +47,47 @@ F = Fraction
 
 # ---------- oracles ----------
 
+def _scaled(values):
+    """The values as int64 numerators over one common denominator."""
+    den = math.lcm(*(F(v).denominator for v in values))
+    return np.array([int(F(v) * den) for v in values], dtype=np.int64), den
+
+
+def _box(g, box, bound):
+    """The box |n_i| <= box as int64 rows, once bound (a Python int bounding
+    every intermediate of the caller's scan) shows int64 cannot overflow."""
+    assert bound < 2**63, "box scan would overflow int64"
+    return np.array(list(itertools.product(range(-box, box + 1), repeat=g)))
+
+
 def brute_minimum(B, ell, c0=F(0), box=12):
     """Exhaustive scan of the box |n_i| <= box.  Independent of the package
-    internals on purpose: plain loops, no factorization."""
+    internals on purpose: no factorization, just the quadratic in exact
+    integers, 2 den q(n) = n^T (den B) n + 2 <den ell, n> + 2 den c0."""
     g = len(B)
-    best = None
-    arg = []
-    for n in itertools.product(range(-box, box + 1), repeat=g):
-        val = (
-            F(1, 2) * sum(n[i] * B[i][j] * n[j] for i in range(g) for j in range(g))
-            + sum(F(e) * x for e, x in zip(ell, n))
-            + c0
-        )
-        if best is None or val < best:
-            best, arg = val, [n]
-        elif val == best:
-            arg.append(n)
-    return best, sorted(arg)
+    flat, den = _scaled([*(x for row in B for x in row), *ell, c0])
+    Bn, ln, cn = flat[: g * g].reshape(g, g), flat[g * g : -1], int(flat[-1])
+    top = int(np.abs(flat).max())
+    n = _box(g, box, (g * box) ** 2 * top + 2 * g * box * top + 2 * top)
+    vals = np.einsum("ki,ij,kj->k", n, Bn, n) + 2 * (n @ ln) + 2 * cn
+    best = int(vals.min())
+    return F(best, 2 * den), sorted(tuple(map(int, m)) for m in n[vals == best])
 
 
 def brute_ball(B, center, radius, box=12):
+    """Every n in the box with (1/2)(n - c)^T B (n - c) <= radius, tested in
+    exact integers: for B = Bn/db and c = cn/dc that is
+    rd (dc n - cn)^T Bn (dc n - cn) <= rn for rn/rd = 2 db dc^2 radius."""
     g = len(B)
-    out = []
-    for n in itertools.product(range(-box, box + 1), repeat=g):
-        d = [F(n[i]) - F(center[i]) for i in range(g)]
-        val = F(1, 2) * sum(d[i] * B[i][j] * d[j] for i in range(g) for j in range(g))
-        if val <= radius:
-            out.append(n)
-    return sorted(out)
+    flat, db = _scaled([x for row in B for x in row])
+    cn, dc = _scaled(center)
+    r = 2 * db * dc * dc * F(radius)
+    reach = dc * box + int(np.abs(cn).max())  # bounds |dc n_i - cn_i|
+    quad_top = (g * reach) ** 2 * int(np.abs(flat).max()) * r.denominator
+    n = _box(g, box, max(quad_top, abs(r.numerator)))
+    d = dc * n - cn
+    vals = np.einsum("ki,ij,kj->k", d, flat.reshape(g, g), d) * r.denominator
+    return sorted(tuple(map(int, m)) for m in n[vals <= r.numerator])
 
 
 def random_pd(rng, g, denoms=(1, 2, 3, 4)):
@@ -221,6 +235,29 @@ def test_minimize_matches_brute_force():
         assert list(got.argmin) == want_arg
         # the box scan must have been wide enough to certify the argmin set
         assert all(abs(x) < 12 for m in want_arg for x in m)
+
+
+def test_box_scans_match_fraction_loops():
+    # the integer scans above against the plain Fraction loops they replace,
+    # on a small box
+    rng = random.Random(31)
+    for _ in range(30):
+        g = rng.randint(1, 3)
+        B = random_pd(rng, g)
+        ell = tuple(F(rng.randint(-8, 8), rng.choice([1, 2, 3])) for _ in range(g))
+        c0 = F(rng.randint(-5, 5), rng.choice([1, 2, 7]))
+        center = tuple(F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(g))
+        radius = F(rng.randint(0, 30), rng.choice([1, 2, 5]))
+        box = list(itertools.product(range(-3, 4), repeat=g))
+
+        def q(n, c=(0,) * g):
+            d = [F(x) - F(y) for x, y in zip(n, c)]
+            return F(1, 2) * sum(d[i] * B[i][j] * d[j] for i in range(g) for j in range(g))
+
+        vals = {n: q(n) + sum(F(e) * x for e, x in zip(ell, n)) + c0 for n in box}
+        low = min(vals.values())
+        assert brute_minimum(B, ell, c0, box=3) == (low, [n for n in box if vals[n] == low])
+        assert brute_ball(B, center, radius, box=3) == [n for n in box if q(n, center) <= radius]
 
 
 def test_minimize_errors():

@@ -26,7 +26,7 @@ from troptheta.nonarch import (
 )
 from troptheta.puiseux import CoefficientNotASquareError, PuiseuxNumber
 from troptheta.rationals import INF
-from troptheta.theta import riemann_theta
+from troptheta.theta import TropicalThetaFunction, riemann_theta
 from troptheta.varieties import InvalidDataError, TropicalPolarizationData
 
 P = PuiseuxNumber.parse
@@ -450,6 +450,24 @@ def test_rational_function_val_matches_tropical():
             checked += 1
             assert vd == h.h_trop.evaluate((x[0].val(),))
     assert checked >= 20
+
+
+def test_val_at_evaluates_each_theta_once(monkeypatch):
+    # machine-independent gate: the minimal cutoff and the dominant tie set
+    # come from one evaluation per (theta, point), not one each
+    coc = canonical_cocycle(pm1(), [[2]])
+    h = construct_rational_function(*theta_basis(pm1(), coc))
+    calls = []
+    evaluate = TropicalThetaFunction.evaluate
+
+    def counting_evaluate(self, v):
+        calls.append(v)
+        return evaluate(self, v)
+
+    monkeypatch.setattr(TropicalThetaFunction, "evaluate", counting_evaluate)
+    vd, ok = h.val_at((PuiseuxNumber.monomial(2, F(3, 7)),))
+    assert len(calls) == 2
+    assert ok and vd == h.h_trop.evaluate((F(3, 7),))
 
 
 def test_rational_function_rejects_mismatched_cocycles():
