@@ -48,12 +48,13 @@ from itertools import combinations, product
 from math import gcd, lcm
 from typing import Sequence
 
-from .lattice import enumerate_below
+from .lattice import _reduced, enumerate_below
 from .linalg import (
     IntVec,
     RatMatrix,
     Row,
     ShapeMismatchError,
+    _echelon,
     inverse,
     matvec,
     solve,
@@ -119,7 +120,8 @@ def _cut(poly: Polytope, halfspace: Halfspace) -> Polytope:
     inside an edge is tight at both ends, so the new vertex's tight set is
     the shared set plus the new plane.  Returns poly itself when every
     vertex is strictly inside, and {} when every vertex is cut.  Most pool
-    planes cut nothing, so s is kept as an integer over a positive integer.
+    planes cut nothing, so s is kept as an integer over a positive integer;
+    the edge test's rank is one fraction-free elimination.
     """
     a, b = halfspace
     an = [(c.numerator, c.denominator) for c in a]
@@ -144,8 +146,9 @@ def _cut(poly: Polytope, halfspace: Halfspace) -> Polytope:
             out[p] = tight
             for n, tight_n, s_n, d_n in cut:
                 shared = tight & tight_n
-                normals = ((0,) * len(a), *(h[0] for h in shared))
-                if len(_affine_span(normals)) < len(a) - 1:
+                if len(shared) < len(a) - 1 or (
+                    _echelon([h[0] for h in shared], len(a))[1] < len(a) - 1
+                ):
                     continue
                 t = Fraction(s_p * d_n, s_p * d_n - s_n * d_p)
                 x = tuple(pc + t * (nc - pc) for pc, nc in zip(p, n))
@@ -162,29 +165,15 @@ def _clip(poly: Polytope, halfspaces) -> Polytope:
 
 
 def _affine_span(points):
-    """Row-reduced basis of the direction space of the affine hull."""
+    """Reduced row echelon basis of the direction space of the affine hull:
+    the pivot rows of one fraction-free elimination over their pivot."""
     if len(points) <= 1:
         return ()
     base = points[0]
-    rows = [list(q - p for p, q in zip(base, pt)) for pt in points[1:]]
-    g = len(base)
-    col = 0
-    r = 0
-    while r < len(rows) and col < g:
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        col += 1
-    return tuple(tuple(row) for row in rows[:r])
+    rows, rank, p, _ = _echelon(
+        [[q - b for b, q in zip(base, pt)] for pt in points[1:]], len(base)
+    )
+    return tuple(tuple(Fraction(x, p) for x in row) for row in rows[:rank])
 
 
 def _gcd_normalize(normal: IntVec, offset: Fraction) -> Halfspace:
@@ -277,10 +266,11 @@ def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[IntVec]:
             if w + vecdot(rep, point) <= bound
         )
     B = theta._B_rows
+    B_inv = _reduced(B)[-1]
     lam = theta.factor.Lambda
     out = set()
     for rep, lin, const in theta._coset_quadratics(point):
-        center = solve(B, tuple(-c for c in lin))
+        center = tuple(-c for c in matvec(B_inv, lin))
         # B center = -lin, so the minimum is <lin, center>/2 + const
         center_val = vecdot(lin, center) / 2 + const
         if bound < center_val:
@@ -470,7 +460,10 @@ class FundamentalDomain:
         return all(vecdot(a, point) >= b for a, b in self.halfspaces)
 
     def lattice_coordinates(self, v: Sequence) -> TropPoint:
-        return tuple(self.matrix.solve(as_point(v)))
+        """t with v = P^T t: the lower halfspace normals are the rows of
+        (P^T)^-1."""
+        point = as_point(v)
+        return tuple(vecdot(a, point) for a, _ in self.halfspaces[::2])
 
     def to_json_dict(self) -> dict:
         return {
@@ -549,9 +542,13 @@ class QuotientSummary:
     """Cell counts of the complex modulo the period lattice.
 
     zero_cells are canonical representatives (lattice coordinates in
-    [0,1)^g mapped back).  Euler characteristic and Betti numbers are
-    computed for g <= 2; the divisor graph may carry subdivision points
-    from the clipping seams, which changes no invariant."""
+    [0,1)^g mapped back).  zero_cells and one_cell_count count the complex
+    after it is clipped to the chosen parallelepiped, whose seams add points
+    and edge fragments, so two bases of one torus can give different
+    counts: 4 / 5 for P = [[2,1],[1,3]], 6 / 7 for its shear [[2,3],[3,7]].
+    The Betti numbers and the Euler characteristic V - E + (-1)^g C,
+    computed for g <= 2, are intrinsic: the seams add as many points as
+    edge fragments."""
 
     zero_cells: tuple[TropPoint, ...]
     one_cell_count: int
@@ -772,24 +769,8 @@ def _quotient_summary(theta, fd, kept_cells, skeleton) -> QuotientSummary:
         if c.dim == g
     }
 
-    if g == 1:
-        nodes = {
-            _quotient_point(fd, piece.vertices[0]) for piece in skeleton
-        }
-        zero = tuple(
-            sorted(tuple(matvec(fd.matrix.entries, t)) for t in nodes)
-        )
-        v_count = len(zero)
-        return QuotientSummary(
-            zero_cells=zero,
-            one_cell_count=0,
-            top_cell_count=len(top_classes),
-            betti0=v_count,
-            betti1=0,
-            euler_characteristic=v_count - len(top_classes),
-        )
-
-    if g == 2:
+    if g <= 2:
+        # the divisor is a graph: points for g = 1, points and edges for g = 2
         edge_keys = set()
         node_keys = set()
         adjacency = []
@@ -835,7 +816,7 @@ def _quotient_summary(theta, fd, kept_cells, skeleton) -> QuotientSummary:
             top_cell_count=len(top_classes),
             betti0=b0,
             betti1=b1,
-            euler_characteristic=v_count - e_count + len(top_classes),
+            euler_characteristic=v_count - e_count + (-1) ** g * len(top_classes),
         )
 
     # g = 3: report facet classes and vertex classes; graph invariants of

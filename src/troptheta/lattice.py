@@ -2,13 +2,14 @@
 
 Objectives have the form q(n) = (1/2) n^T B n + ell^T n + c0 with B symmetric
 positive-definite over the rationals and n ranging over Z^g.  Each form is
-reduced once: LLL (delta = 3/4, exact comparisons) and the LDL^T
-factorization of the reduced form are cached per form in `_reduced`, which
-both entry points share.  `minimize_quadratic` seeds an upper bound from the
-2^g floor/ceil roundings of the real minimizer, then enumerates the
-ellipsoid below the seed value completely (Fincke-Pohst);
-`enumerate_below` enumerates an ellipsoid of a given radius.  Every
-comparison is exact; floats never appear.
+reduced once: LLL (delta = 3/4, exact comparisons), the LDL^T
+factorization of the reduced form and the inverses of both forms are
+cached per form in `_reduced`, which both entry points share, so the real
+minimizer -B^-1 ell of a point's objective is a matrix-vector product, not
+a solve.  `minimize_quadratic` seeds an upper bound from the 2^g floor/ceil
+roundings of that minimizer, then enumerates the ellipsoid below the seed
+value completely (Fincke-Pohst); `enumerate_below` enumerates an ellipsoid
+of a given radius.  Every comparison is exact; floats never appear.
 """
 
 from __future__ import annotations
@@ -28,10 +29,11 @@ from .linalg import (
     IntVec,
     ShapeMismatchError,
     identity,
+    int_rows_from,
+    inverse,
     is_symmetric,
     matvec,
     rows_from,
-    solve,
     transpose,
     vecdot,
 )
@@ -230,7 +232,7 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     c = tuple(Fraction(v) for v in center)
     if len(c) != g:
         raise ShapeMismatchError("center length mismatch")
-    U, Uinv, _, L, D = _reduced(rows)
+    U, Uinv, _, L, D, _, _ = _reduced(rows)
     c_red = matvec(Uinv, c)
     return sorted(
         tuple(matvec(U, m)) for m in _ellipsoid_points(L, D, c_red, 2 * radius)
@@ -238,28 +240,15 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
 
 
 @functools.lru_cache(maxsize=32)
-def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, Rows, Row]:
-    """(U, U^-1, G, L, D) for the LLL-reduced form G = U^T B U = L D L^T.
-    It depends on the form alone, and callers use few forms many times: a
-    theta evaluates one form per point, the divisor's competitor sweeps
-    enumerate many ellipsoids of one form."""
+def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, Rows, Row, Rows, Rows]:
+    """(U, U^-1, G, L, D, G^-1, B^-1) for the LLL-reduced form
+    G = U^T B U = L D L^T of B = rows.  It depends on the form alone, and
+    callers use few forms many times: a theta evaluates one form per point,
+    the divisor's competitor sweeps enumerate many ellipsoids of one form."""
     U, G = lll_reduce(rows)
     L, D = _ldlt(G.entries)
-    return U, _int_inverse(U), G.entries, L, D
-
-
-def _int_inverse(U: IntRows) -> IntRows:
-    from .linalg import inverse
-
-    inv = inverse(U)
-    out = []
-    for row in inv:
-        r = []
-        for v in row:
-            assert v.denominator == 1, "unimodular inverse must be integral"
-            r.append(v.numerator)
-        out.append(tuple(r))
-    return tuple(out)
+    G_inv, B_inv = inverse(G.entries), inverse(rows)
+    return U, int_rows_from(inverse(U)), G.entries, L, D, G_inv, B_inv
 
 
 def _column_hnf(A: IntRows) -> tuple[IntRows, IntRows]:
@@ -356,13 +345,13 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     if len(ell) != len(rows):
         raise ShapeMismatchError("linear part length mismatch")
     c0 = Fraction(c0)
-    U, _, G, L, D = _reduced(rows)
+    U, _, G, L, D, G_inv, _ = _reduced(rows)
     ell_red = matvec(transpose(U), ell)
 
     def objective(m) -> Fraction:
         return Fraction(1, 2) * vecdot(m, matvec(G, m)) + vecdot(ell_red, m) + c0
 
-    center = solve(G, tuple(-v for v in ell_red))
+    center = tuple(-c for c in matvec(G_inv, ell_red))
 
     best = None
     for corner in product(*[

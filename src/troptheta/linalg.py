@@ -1,14 +1,19 @@
-"""Small exact linear algebra over Fraction entries.
+"""Small exact linear algebra over int and Fraction entries.
 
 Everything operates on immutable nested tuples; matrices are tuples of row
-tuples.  Sizes here are tiny (g <= 3 in every caller), so plain Gaussian
-elimination with exact rationals is the right tool.
+tuples.  One fraction-free elimination, `_echelon` (Bareiss 1968), does
+all row reduction: each row is scaled to integers and every division in it
+is exact.  `det`, `int_det`, `solve`, `inverse` (one elimination of
+[A | I]) and `adjugate_int` read its pivots, swap parity and reduced rows,
+and so do the affine spans and edge ranks in `geometry`.  Sizes are tiny
+(g <= 3 in every caller).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 Row = tuple[Fraction, ...]
@@ -92,71 +97,81 @@ def is_symmetric(rows) -> bool:
     )
 
 
+def _echelon(rows, width: int) -> tuple[list[list[int]], int, int, bool]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968), pivots taken
+    in order from the first `width` columns.  Each row is first scaled to
+    integers by the lcm of its denominators; every entry then stays a minor
+    of the scaled rows (Sylvester's identity), so each division is exact.
+
+    Returns (rows, rank, p, odd): pivot rows first, each with the last pivot
+    p in its own pivot column and 0 in the other pivot columns, and odd the
+    parity of the row swaps.  So [A | B] with A square and nonsingular ends
+    as [p I | R]: A^-1 B = R / p, the scaled A has determinant (-1)^odd p,
+    and for an integer A and B = I, adj(A) = (-1)^odd R.
+    """
+    m = []
+    for row in rows:
+        row = [x if type(x) is int else _as_fraction(x) for x in row]
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+    rank, prev, odd = 0, 1, False
+    for col in range(width):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            odd = not odd
+        top = m[rank]
+        p = top[col]
+        for i, row in enumerate(m):
+            if i != rank:
+                f = row[col]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rank += 1
+    return m, rank, prev, odd
+
+
+def _square(rows, right) -> tuple[list[list[int]], int, bool]:
+    """(rows, p, odd) of _echelon on [A | right]; A square and nonsingular."""
+    n = len(rows)
+    if any(len(r) != n for r in rows) or len(right) != n:
+        raise ShapeMismatchError("square system shape mismatch")
+    m, rank, p, odd = _echelon([(*a, *b) for a, b in zip(rows, right)], n)
+    if rank < n:
+        raise ShapeMismatchError("singular system")
+    return m, p, odd
+
+
 def det(rows) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
+    """(-1)^odd times the last pivot, over the product of the row scales."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ShapeMismatchError("det of non-square matrix")
-    a = [[_as_fraction(x) for x in row] for row in rows]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            result = -result
-        result *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return result
+    _, rank, p, odd = _echelon(rows, n)
+    if rank < n:
+        return Fraction(0)
+    scale = prod(lcm(*(_as_fraction(x).denominator for x in r)) for r in rows)
+    return Fraction(-p if odd else p, scale)
 
 
 def solve(rows, rhs) -> Row:
     """Solve A x = rhs exactly.  Raises ShapeMismatchError if A is singular."""
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ShapeMismatchError("solve shape mismatch")
-    a = [[_as_fraction(x) for x in row] + [_as_fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            raise ShapeMismatchError("singular system")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
+    m, p, _ = _square(rows, [(b,) for b in rhs])
+    return tuple(Fraction(r[-1], p) for r in m)
 
 
 def inverse(rows) -> Rows:
-    n = len(rows)
-    cols = [solve(rows, tuple(Fraction(int(i == j)) for i in range(n))) for j in range(n)]
-    return transpose(tuple(cols))
+    """A^-1 from one elimination of [A | I]."""
+    m, p, _ = _square(rows, identity(len(rows)))
+    return tuple(tuple(Fraction(x, p) for x in r[len(rows):]) for r in m)
 
 
 def adjugate_int(rows: IntRows) -> IntRows:
     """Adjugate of an integer matrix with nonzero determinant, as integers."""
-    d = det(rows)
-    if d == 0:
-        raise ShapeMismatchError("adjugate of singular matrix not supported")
-    inv = inverse(rows)
-    out = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            y = d * x
-            assert y.denominator == 1
-            out_row.append(y.numerator)
-        out.append(tuple(out_row))
-    return tuple(out)
+    m, _, odd = _square(int_rows_from(rows), identity(len(rows)))
+    return tuple(tuple(-x if odd else x for x in r[len(rows):]) for r in m)
 
 
 def int_det(rows: IntRows) -> int:

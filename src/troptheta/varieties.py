@@ -25,6 +25,7 @@ from .linalg import (
     matmul,
     matvec,
     rows_from,
+    solve,
     transpose,
 )
 from .lattice import GramForm, NotPositiveDefiniteError, NotSymmetricError, _ldlt
@@ -177,9 +178,10 @@ def reduce_mod_lattice(data: TropicalPolarizationData, v: Sequence) -> SigmaPoin
     point = as_point(v)
     if len(point) != data.g:
         raise ShapeMismatchError("point length mismatch")
-    if data.P.det() == 0:
-        raise InvalidDataError("degenerate pairing: cannot reduce")
-    t = RatMatrix(transpose(data.P.entries)).solve(point)
+    try:
+        t = solve(transpose(data.P.entries), point)
+    except ShapeMismatchError:
+        raise InvalidDataError("degenerate pairing: cannot reduce") from None
     shift = tuple(math.floor(c) for c in t)
     rep = tuple(
         x - y for x, y in zip(point, embed_Mprime(data, shift))

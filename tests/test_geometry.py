@@ -291,12 +291,13 @@ GATED = {
     "name, cells",
     [("TH1", 2), ("TH2", 4), ("variety_g2_skewed", 6), ("TH3", 8), ("variety_g3", 8)],
 )
-def test_corner_locus_builds_only_kept_cells(monkeypatch, name, cells):
+def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cells):
     # machine-independent gates: _build_cell runs once per coset class of the
     # kept cells (every other cell is a lattice translate), each time for a
-    # kept cell, and theta.evaluate runs once, for the seed search's first
+    # kept cell, theta.evaluate runs once, for the seed search's first
     # probe (the search skips the domain's centre, a half-period on the
-    # divisor)
+    # divisor), and no linear system is solved: centres and lattice
+    # coordinates are products with inverses computed once per matrix
     theta = GATED[name]()
     built = []
     evals = {"seed": 0, "other": 0}
@@ -328,6 +329,7 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, name, cells):
     assert len(built) == len(classes) == 1
     assert set(built) <= {c.witness for c in cx.cells}
     assert evals == {"seed": 1, "other": 0}
+    assert solve_calls == []
 
 
 # independent oracle: pointwise evaluation on a rational grid of the domain

@@ -6,10 +6,10 @@ a change that reorders coset representatives, witnesses or mesh cells shows
 up even when each build is self-consistent.  The cases cover the report
 commands on `fixtures/`, plus an index-9 tropical theta (Lambda = 3I) and an
 index-4 Fourier series (Lambda = 2I), whose reports are keyed by coset
-representative.  Two divisor cases pin the polytope work: a skewed g=2
-variety (P = [[2,3],[3,7]]) and a non-diagonal g=3 variety
-(P = [[3,1,1],[1,3,1],[1,1,3]]), whose cells have vertices where three
-facet planes meet along non-coordinate edges.
+representative.  Three divisor cases pin the polytope work: the g=1
+variety, whose divisor is points, a skewed g=2 variety (P = [[2,3],[3,7]])
+and a non-diagonal g=3 variety (P = [[3,1,1],[1,3,1],[1,1,3]]), whose cells
+have vertices where three facet planes meet along non-coordinate edges.
 
 Re-record the digests (only when an output change is intended) with
 
@@ -71,6 +71,7 @@ CASES = {
         ["divisor", "variety_g2_skewed.json", "--out", "{mesh}"],
         ["export", "{mesh}", "--format", "svg"],
     ],
+    "divisor-variety-g1": [["divisor", "variety_g1.json", "--out", "{mesh}"]],
     "divisor-variety-g3-obj": [
         ["divisor", "variety_g3.json", "--format", "obj", "--out", "{mesh}"],
     ],

@@ -269,9 +269,10 @@ def test_minimize_errors():
         minimize_quadratic([[2, 0], [0, 2]], [1])
 
 
-def test_one_reduction_per_form_across_evaluations(monkeypatch):
-    # machine-independent gate: the form P Lam is the theta's, not the
-    # point's, so 50 values of one theta share one cached LLL reduction
+def test_one_reduction_per_form_across_evaluations(monkeypatch, solve_calls):
+    # machine-independent gates: the form P Lam is the theta's, not the
+    # point's, so 50 values of one theta share one cached LLL reduction,
+    # and each centre is a product with the cached inverse, not a solve
     U = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
     P = matmul(transpose(U), matmul([[3, 1, 1], [1, 3, 1], [1, 1, 3]], U))
     theta = riemann_theta(TropicalPolarizationData(g=3, P=RatMatrix(P), Lambda=identity(3)))
@@ -288,6 +289,7 @@ def test_one_reduction_per_form_across_evaluations(monkeypatch):
     for _ in range(50):
         theta.evaluate(tuple(F(rng.randint(-40, 40), rng.randint(1, 9)) for _ in range(3)))
     assert len(calls) == 1
+    assert solve_calls == []
 
 
 # ---------- enumerate_below ----------

@@ -1,15 +1,28 @@
-"""The library computes without floats: a syntax check over src/troptheta.
+"""The library computes without floats: a syntax check over src/troptheta,
+and a runtime check of the numbers in divisor results.
 
 Every value is a Fraction or an int, with math.inf as the one valuation
 sentinel.  A float(...) call or a float literal anywhere in the package
 fails this test, except inside geometry._fmt, which prints mesh
-coordinates for SVG and OBJ files.
+coordinates for SVG and OBJ files.  The syntax scan cannot see an int / int
+division, so the runtime check walks every number of corner loci at
+g = 1, 2, 3 and of a non-ample linearity cell.
 """
 
 import ast
+import json
+from dataclasses import fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "troptheta"
+import pytest
+
+from troptheta.geometry import corner_locus, linearity_cell
+from troptheta.theta import AutomorphyFactor, TropicalThetaFunction, ValuationProfile, riemann_theta
+from troptheta.varieties import TropicalPolarizationData
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "troptheta"
 ALLOWED = {("geometry.py", "_fmt")}
 
 
@@ -50,3 +63,50 @@ def test_the_guard_sees_a_float(tmp_path):
         "geometry.py:2 float(...) in depth",
         "geometry.py:2 0.5 in depth",
     ]
+
+
+def numbers(obj):
+    """Every number inside a result: dataclass fields, containers and dict
+    keys are walked; strings, flags and None are not numbers."""
+    if is_dataclass(obj):
+        for f in fields(obj):
+            yield from numbers(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for item in obj.items():
+            yield from numbers(item)
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        for x in obj:
+            yield from numbers(x)
+    elif not isinstance(obj, (bool, str, type(None))):
+        yield obj
+
+
+def fixture_theta(name):
+    doc = json.loads((ROOT / "fixtures" / name).read_text())
+    return riemann_theta(TropicalPolarizationData.from_json_dict(doc))
+
+
+def test_numbers_walks_every_field():
+    assert list(numbers({(1, Fraction(1, 2)): [2.5, True, "x", None]})) == [1, Fraction(1, 2), 2.5]
+
+
+@pytest.mark.parametrize("name", ["variety_g1.json", "variety_g2.json", "variety_g3.json"])
+def test_corner_locus_results_are_exact(name):
+    cx = corner_locus(fixture_theta(name))
+    found = list(numbers(cx))
+    assert cx.skeleton and cx.quotient.zero_cells and len(found) > 50
+    assert {type(x) for x in found} <= {int, Fraction}
+    assert {type(x) for c in cx.cells for x in numbers(c.span)} == {Fraction}
+
+
+def test_non_ample_cell_is_exact():
+    base = TropicalPolarizationData(g=2, P=[[2, 1], [1, 2]], Lambda=[[1, 0], [0, 1]])
+    terms = [((0, 0), 0), ((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1), ((1, 1), 3)]
+    theta = TropicalThetaFunction(
+        base=base,
+        factor=AutomorphyFactor(Lambda=[[0, 0], [0, 0]], ell=(Fraction(0), Fraction(0))),
+        profile=ValuationProfile(entries=tuple((u, Fraction(w)) for u, w in terms)),
+    )
+    cell = linearity_cell(theta, (Fraction(1, 3), Fraction(-1, 5)))
+    assert cell.witness == (0, 0) and len(cell.vertices) >= 4
+    assert {type(x) for x in numbers(cell)} <= {int, Fraction}
