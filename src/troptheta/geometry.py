@@ -32,9 +32,15 @@ w(u + Lam d) = w(u) + c_trop(d) + [d, u], l_{u+Lam d}(x) - l_{u''+Lam d}(x)
 is the cell of u moved by -tau (same normals, offsets b - <a, tau>,
 witnesses shifted by Lam d; lex order is kept).  One cell is built per coset
 class and moved to the rest of its class; a moved cell meets the domain iff
-the built one meets the domain moved by +tau.  The tie set at a certified
-vertex is read off its tight set: the cell's witness and the pool witnesses
-of every plane tight there, which is complete by the pool soundness above.
+the built one meets the domain moved by +tau.  Translates are culled in
+lattice coordinates first: the domain is [0, 1]^g there and a translate by
+d only shifts the built cell's coordinate bounds by -d, so a translate
+whose bounds miss the unit box is dropped without the exact clip, which
+decides the rest (a polytope can miss a box that its bounds meet).  The tie
+set at a certified vertex is read off its tight set: the cell's witness and
+the pool witnesses of every plane tight there, which is complete by the
+pool soundness above.  The pool offsets w(u) - w(u'') come from the theta's
+integer kernel (`theta` module docstring).
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from itertools import combinations, product
 from math import gcd, lcm
 from typing import Sequence
 
-from .lattice import _reduced, enumerate_below
+from .lattice import enumerate_below
 from .linalg import (
     IntVec,
     RatMatrix,
@@ -176,13 +182,12 @@ def _affine_span(points):
     return tuple(tuple(Fraction(x, p) for x in row) for row in rows[:rank])
 
 
-def _gcd_normalize(normal: IntVec, offset: Fraction) -> Halfspace:
-    g = 0
-    for a in normal:
-        g = gcd(g, abs(int(a)))
+def _gcd_normalize(normal: IntVec, num: int, den: int) -> Halfspace:
+    """<normal, x> >= num / den with the normal's entries made coprime."""
+    g = gcd(*normal)
     if g == 0:
         raise InvalidDataError("zero normal")
-    return tuple(int(a) // g for a in normal), Fraction(offset) / g
+    return tuple(a // g for a in normal), Fraction(num, den * g)
 
 
 # ---------- cells ----------
@@ -265,8 +270,8 @@ def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[IntVec]:
             for rep, w in theta.profile.finite_entries()
             if w + vecdot(rep, point) <= bound
         )
-    B = theta._B_rows
-    B_inv = _reduced(B)[-1]
+    form = theta._form
+    B_inv = form._reduction[-1]
     lam = theta.factor.Lambda
     out = set()
     for rep, lin, const in theta._coset_quadratics(point):
@@ -275,7 +280,7 @@ def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[IntVec]:
         center_val = vecdot(lin, center) / 2 + const
         if bound < center_val:
             continue
-        for n in enumerate_below(B, center, bound - center_val):
+        for n in enumerate_below(form, center, bound - center_val):
             out.add(tuple(r + vecdot(row, n) for r, row in zip(rep, lam)))
     return sorted(out)
 
@@ -307,10 +312,14 @@ def _build_cell(
     touches the box iff a box plane is in its tight set, and a facet is the
     vertices whose tight set holds its plane.  The polytope and the pool
     (normal -> (offset, witnesses)) are returned for corner_locus's domain
-    cuts and tie sets; wcache memoizes extended_w across calls.
+    cuts and tie sets.  Offsets w(u) - w(u'') are read off the theta's
+    integer kernel: one subtraction of numerators over its denominator;
+    wcache memoizes the numerators across calls.
     """
     g = theta.base.g
-    w_u = theta.extended_w(u)
+    D = theta._kernel.D
+    w_u = theta._w_numerator(u)
+    value_u = Fraction(w_u, D)
     center = as_point(center)
     halfwidth = Fraction(13, 7)
 
@@ -322,20 +331,21 @@ def _build_cell(
         # u'' can only win somewhere in the box if l_{u''} <= l_u at a box
         # corner (their difference is affine), so pool per corner with the
         # corner's own bound
-        groups: dict[IntVec, tuple[Fraction, list[IntVec]]] = {}
+        others = set()
         for corner in corners:
-            for other in _terms_below(theta, corner, w_u + vecdot(u, corner)):
-                if other == u:
-                    continue
-                if other not in wcache:
-                    wcache[other] = theta.extended_w(other)
-                normal = tuple(int(o - a) for o, a in zip(other, u))
-                a, b = _gcd_normalize(normal, w_u - wcache[other])
-                cur = groups.get(a)
-                if cur is None or b > cur[0]:
-                    groups[a] = (b, [other])
-                elif b == cur[0] and other not in cur[1]:
-                    cur[1].append(other)
+            others.update(_terms_below(theta, corner, value_u + vecdot(u, corner)))
+        others.discard(u)
+        groups: dict[IntVec, tuple[Fraction, list[IntVec]]] = {}
+        for other in others:
+            normal = tuple(o - a for o, a in zip(other, u))
+            if other not in wcache:
+                wcache[other] = theta._w_numerator(other)
+            a, b = _gcd_normalize(normal, w_u - wcache[other], D)
+            cur = groups.get(a)
+            if cur is None or b > cur[0]:
+                groups[a] = (b, [other])
+            elif b == cur[0]:
+                cur[1].append(other)
         box = frozenset(_box_halfspaces(center, halfwidth, g))
         poly = {
             c: frozenset(h for h in box if vecdot(h[0], c) == h[1])
@@ -377,8 +387,12 @@ def _build_cell(
     facet_list = []
     span = _affine_span(verts)
     dim = len(span)
+    on_plane: dict[Halfspace, list[TropPoint]] = {}
+    for p in verts:
+        for h in poly[p]:
+            on_plane.setdefault(h, []).append(p)
     for a, (b, wits) in sorted(groups.items()):
-        tight_verts = tuple(p for p in verts if (a, b) in poly[p])
+        tight_verts = tuple(on_plane.get((a, b), ()))
         if not tight_verts:
             continue
         # a tight set with >= g vertices is a codimension-1 face; planes
@@ -413,14 +427,14 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
         # finite support: the competitor set is the whole profile; the cell
         # of a uniquely witnessed point is always full-dimensional, though
         # possibly unbounded, so no vertex certification is attempted
-        w_u = theta.extended_w(u)
+        D = theta._kernel.D
+        w_u = theta._w_numerator(u)
         groups: dict[IntVec, Fraction] = {}
-        for rep, w in theta.profile.finite_entries():
+        for rep, _ in theta.profile.finite_entries():
             if rep == u:
                 continue
-            a, b = _gcd_normalize(
-                tuple(int(o - a_) for o, a_ in zip(rep, u)), w_u - w
-            )
+            normal = tuple(o - a_ for o, a_ in zip(rep, u))
+            a, b = _gcd_normalize(normal, w_u - theta._w_numerator(rep), D)
             if a not in groups or b > groups[a]:
                 groups[a] = b
         ineqs = tuple(sorted(groups.items()))
@@ -669,6 +683,11 @@ def _minus(p, t):
     return tuple(c - s for c, s in zip(p, t))
 
 
+def _apart(bounds, d) -> bool:
+    """Whether the box prod [lo_i - d_i, hi_i - d_i] misses [0, 1]^g."""
+    return any(hi < di or lo > di + 1 for (lo, hi), di in zip(bounds, d))
+
+
 def _translate(cell: LinearityCell, tau, u: IntVec) -> LinearityCell:
     """The cell of u = cell.witness + Lam d, for tau = P^T d: points move by
     -tau, offsets b by -<a, tau>, witnesses by Lam d."""
@@ -709,12 +728,13 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     seed, seed_point = _generic_seed(theta, fd)
 
     # class rep -> (Lam-coordinates of the built witness, its cell, its
-    # polytope, its sorted neighbors, each with a vertex they share)
+    # polytope, its sorted neighbors, each with a vertex they share, and the
+    # polytope's bounds in lattice coordinates)
     classes: dict[IntVec, tuple] = {}
     seen: set[IntVec] = set()
     kept = []
     pieces = set()
-    wcache: dict[IntVec, Fraction] = {}
+    wcache: dict[IntVec, int] = {}
     queue = deque([(seed, seed_point)])
     while queue:
         u, hint = queue.popleft()
@@ -732,9 +752,18 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
                 for w in ties[p]:
                     neighbors.setdefault(w, p)
             neighbors.pop(u)
-            classes[rep] = (n, cell, poly, sorted(neighbors.items()))
-        n0, cell, poly, neighbors = classes[rep]
-        tau = tuple(matvec(fd.matrix.entries, _minus(n, n0)))
+            coords = zip(*map(fd.lattice_coordinates, poly))
+            bounds = [(min(c), max(c)) for c in coords]
+            classes[rep] = (n, cell, poly, sorted(neighbors.items()), bounds)
+        n0, cell, poly, neighbors, bounds = classes[rep]
+        # the cell of u is cell - P^T d, with lattice coordinates in
+        # [lo - d, hi - d], and the domain is [0, 1]^g in them: a box apart
+        # from it needs no clip.  A box that meets it can still hold a cell
+        # that misses it, so the exact clip decides the rest.
+        d = _minus(n, n0)
+        if _apart(bounds, d):
+            continue
+        tau = tuple(matvec(fd.matrix.entries, d))
         # the cell of u, cell - tau, meets the domain iff cell meets domain + tau
         domain = [(r, b + vecdot(r, tau)) for r, b in fd.halfspaces]
         if not _clip(poly, domain):

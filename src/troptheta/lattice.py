@@ -3,13 +3,16 @@
 Objectives have the form q(n) = (1/2) n^T B n + ell^T n + c0 with B symmetric
 positive-definite over the rationals and n ranging over Z^g.  Each form is
 reduced once: LLL (delta = 3/4, exact comparisons), the LDL^T
-factorization of the reduced form and the inverses of both forms are
-cached per form in `_reduced`, which both entry points share, so the real
-minimizer -B^-1 ell of a point's objective is a matrix-vector product, not
-a solve.  `minimize_quadratic` seeds an upper bound from the 2^g floor/ceil
-roundings of that minimizer, then enumerates the ellipsoid below the seed
-value completely (Fincke-Pohst); `enumerate_below` enumerates an ellipsoid
-of a given radius.  Every comparison is exact; floats never appear.
+factorization of the reduced form, scaled to the integers the ellipsoid
+walk runs in, and the inverses of both forms are cached per form in
+`_reduced`, which both entry points share, so the real minimizer
+-B^-1 ell of a point's objective is a matrix-vector product, not a solve.
+`minimize_quadratic` seeds an upper bound from the 2^g floor/ceil roundings
+of that minimizer, then enumerates the ellipsoid below the seed value
+completely (Fincke-Pohst); `enumerate_below` enumerates an ellipsoid of a
+given radius.  A GramForm holds its own reduction, so enumerating many
+ellipsoids of one form neither re-validates it nor hashes it into that
+cache.  Every comparison is exact; floats never appear.
 """
 
 from __future__ import annotations
@@ -90,6 +93,12 @@ class GramForm:
         except NotPositiveDefiniteError:
             return False
         return True
+
+    @functools.cached_property
+    def _reduction(self):
+        """`_reduced` of this form, read once: a form that is enumerated
+        many times skips the cache's key hashing on every call."""
+        return _reduced(self.rows)
 
 
 def _gram_rows(B) -> Rows:
@@ -179,10 +188,19 @@ def lll_reduce(B) -> tuple[IntRows, RatMatrix]:
     return tuple(tuple(r) for r in U), RatMatrix(tuple(tuple(r) for r in G))
 
 
-def _ellipsoid_points(
-    L: Rows, D: Row, center: Row, bound: Fraction
-) -> Iterator[IntVec]:
-    """All integer x with (x-center)^T (L D L^T) (x-center) <= bound.
+def _walk(L: Rows, D: Row) -> tuple[int, list[list[int]], int, list[int]]:
+    """The form's part of `_ellipsoid_points`' integer data, computed once
+    per form: lq = den(L), the scaled L and D, and dq = den(D)."""
+    g = len(D)
+    lq = math.lcm(*(L[j][i].denominator for j in range(g) for i in range(j)))
+    dq = math.lcm(*(d.denominator for d in D))
+    Lk = [[int(L[j][i] * lq) for i in range(j)] for j in range(g)]
+    return lq, Lk, dq, [int(d * dq) for d in D]
+
+
+def _ellipsoid_points(walk, center: Row, bound: Fraction) -> Iterator[IntVec]:
+    """All integer x with (x-center)^T (L D L^T) (x-center) <= bound, for
+    walk = _walk(L, D).
 
     Uses the identity x^T B x = sum_i d_i (x_i + sum_{j>i} L[j][i] x_j)^2 and
     recurses from the last coordinate down with exact interval bounds.
@@ -193,18 +211,16 @@ def _ellipsoid_points(
     w_i, e_i = k x_i - G_i and R.  Level i then takes exactly the x_i with
     |e_i| <= isqrt(r // w_i), r the budget the levels above left over.
     """
-    g = len(D)
+    lq, Lk, dq, Dk = walk
+    g = len(Dk)
     bound = Fraction(bound)
     if bound < 0:
         return
     center = [Fraction(c) for c in center]
     q = math.lcm(*(c.denominator for c in center))
-    lq = math.lcm(*(Fraction(L[j][i]).denominator for j in range(g) for i in range(j)))
-    dq = math.lcm(*(Fraction(d).denominator for d in D))
     k = lq * q
     C = [c.numerator * (q // c.denominator) for c in center]
-    Lk = [[int(L[j][i] * lq) for i in range(j)] for j in range(g)]
-    w = [int(d * dq) * bound.denominator for d in D]
+    w = [d * bound.denominator for d in Dk]
     x = [0] * g
 
     def recurse(i: int, r: int) -> Iterator[IntVec]:
@@ -223,32 +239,36 @@ def _ellipsoid_points(
 
 def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     """All n in Z^g with (1/2) (n-center)^T B (n-center) <= radius, sorted
-    lexicographically."""
-    rows = _gram_rows(B)
-    g = len(rows)
+    lexicographically.  A GramForm B was validated when it was built and
+    carries its reduction, so repeated calls on one form skip both."""
+    if isinstance(B, GramForm):
+        reduction = B._reduction
+    else:
+        reduction = _reduced(_gram_rows(B))
+    U, Uinv, G, walk, _, _ = reduction
     radius = Fraction(radius) if not isinstance(radius, Fraction) else radius
     if radius < 0:
         raise NegativeRadiusError(f"radius {radius} < 0")
     c = tuple(Fraction(v) for v in center)
-    if len(c) != g:
+    if len(c) != len(G):
         raise ShapeMismatchError("center length mismatch")
-    U, Uinv, _, L, D, _, _ = _reduced(rows)
     c_red = matvec(Uinv, c)
     return sorted(
-        tuple(matvec(U, m)) for m in _ellipsoid_points(L, D, c_red, 2 * radius)
+        tuple(matvec(U, m)) for m in _ellipsoid_points(walk, c_red, 2 * radius)
     )
 
 
 @functools.lru_cache(maxsize=32)
-def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, Rows, Row, Rows, Rows]:
-    """(U, U^-1, G, L, D, G^-1, B^-1) for the LLL-reduced form
-    G = U^T B U = L D L^T of B = rows.  It depends on the form alone, and
-    callers use few forms many times: a theta evaluates one form per point,
-    the divisor's competitor sweeps enumerate many ellipsoids of one form."""
+def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, tuple, Rows, Rows]:
+    """(U, U^-1, G, walk, G^-1, B^-1) for the LLL-reduced form
+    G = U^T B U = L D L^T of B = rows, walk = _walk(L, D).  It depends on
+    the form alone, and callers use few forms many times: a theta evaluates
+    one form per point, the divisor's competitor sweeps enumerate many
+    ellipsoids of one form."""
     U, G = lll_reduce(rows)
     L, D = _ldlt(G.entries)
     G_inv, B_inv = inverse(G.entries), inverse(rows)
-    return U, int_rows_from(inverse(U)), G.entries, L, D, G_inv, B_inv
+    return U, int_rows_from(inverse(U)), G.entries, _walk(L, D), G_inv, B_inv
 
 
 def _column_hnf(A: IntRows) -> tuple[IntRows, IntRows]:
@@ -345,7 +365,7 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     if len(ell) != len(rows):
         raise ShapeMismatchError("linear part length mismatch")
     c0 = Fraction(c0)
-    U, _, G, L, D, G_inv, _ = _reduced(rows)
+    U, _, G, walk, G_inv, _ = _reduced(rows)
     ell_red = matvec(transpose(U), ell)
 
     def objective(m) -> Fraction:
@@ -365,7 +385,7 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     center_value = objective(center)
     bound = 2 * (best - center_value)
     winners = []
-    for m in _ellipsoid_points(L, D, center, bound):
+    for m in _ellipsoid_points(walk, center, bound):
         val = objective(m)
         if val < best:
             best = val

@@ -14,6 +14,13 @@ divisor's competitor sweeps and the Puiseux partial sums enumerate below a
 bound through geometry._terms_below.  The lambda = 0 case carries a finite
 support and a trivial factor, and the min is a finite scan.
 
+The extension itself is read from an integer kernel, compiled once per
+theta on first use: over one common denominator D (with D P Lam even),
+D w(rep), D P Lam, D ell and D P are integers, so `extended_w` and `c_trop`
+are one coset decomposition, a few integer dot products and one Fraction
+at the end, and the divisor's pool offsets w(u) - w(u'') are differences
+of the same numerators.
+
 Products and translates never collapse into convolved profiles here: they
 stay formal expressions (TropicalThetaExpression) whose aggregate automorphy
 factor is tracked term by term.  An expression with exactly cancelling factor
@@ -25,11 +32,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from typing import Sequence
+from itertools import chain, product
+from math import lcm
+from typing import NamedTuple, Sequence
 
 from .lattice import (
     CosetLattice,
+    GramForm,
     NotPositiveDefiniteError,
     NotSymmetricError,
     _ldlt,
@@ -38,6 +47,7 @@ from .lattice import (
 from .linalg import (
     IntRows,
     IntVec,
+    RatMatrix,
     ShapeMismatchError,
     int_det,
     int_rows_from,
@@ -143,12 +153,6 @@ class ValuationProfile:
     def reps(self) -> tuple[IntVec, ...]:
         return tuple(r for r, _ in self.entries)
 
-    def w(self, rep: IntVec) -> Fraction | float:
-        for r, value in self.entries:
-            if r == rep:
-                return value
-        raise KeyError(f"{rep} is not a profile representative")
-
     def finite_entries(self) -> tuple[tuple[IntVec, Fraction], ...]:
         return tuple((r, w) for r, w in self.entries if w != INF)
 
@@ -179,6 +183,18 @@ class EvalResult:
     @property
     def unique(self) -> bool:
         return len(self.witnesses) == 1
+
+
+class _Kernel(NamedTuple):
+    """A theta's data in integers over one common denominator D, chosen so
+    that D (P Lam) is even: D w(rep) on each rep (None for inf), D (P Lam),
+    D ell and D P."""
+
+    D: int
+    w: dict[IntVec, int | None]
+    B: IntRows
+    ell: IntVec
+    P: IntRows
 
 
 @dataclass(frozen=True)
@@ -233,6 +249,27 @@ class TropicalThetaFunction:
     def _cosets(self) -> CosetLattice:
         return CosetLattice(self.factor.Lambda)
 
+    @cached_property
+    def _form(self) -> GramForm:
+        return GramForm(RatMatrix(self._B_rows))
+
+    @cached_property
+    def _kernel(self) -> _Kernel:
+        P = self.base.P.entries
+        finite = (w for _, w in self.profile.finite_entries())
+        D = 2 * lcm(*(x.denominator for x in chain(*P, self.factor.ell, finite)))
+
+        def num(x: Fraction) -> int:
+            return x.numerator * (D // x.denominator)
+
+        return _Kernel(
+            D=D,
+            w={r: None if w == INF else num(w) for r, w in self.profile.entries},
+            B=tuple(tuple(map(num, row)) for row in self._B_rows),
+            ell=tuple(map(num, self.factor.ell)),
+            P=tuple(tuple(map(num, row)) for row in P),
+        )
+
     @property
     def is_ample(self) -> bool:
         return not self.factor.lambda_is_zero()
@@ -241,26 +278,32 @@ class TropicalThetaFunction:
 
     def c_trop(self, n: Sequence[int]) -> Fraction:
         n = tuple(int(x) for x in n)
-        quad = Fraction(1, 2) * vecdot(n, matvec(self._B_rows, n))
-        return quad + vecdot(self.factor.ell, n)
-
-    def pairing(self, n: Sequence[int], u: Sequence[int]) -> Fraction:
-        """[u', u] for u' = sum n_i e'_i and u = sum u_j e_j: n^T P u."""
-        return vecdot(matvec(self.base.P.entries, tuple(u)), tuple(n))
+        return Fraction(self._c_numerator(n), self._kernel.D)
 
     def extended_w(self, u: Sequence[int]) -> Fraction | float:
         """w on all of M via w(u0 + Lam n) = w(u0) + c_trop(n) + [n, u0]."""
-        u = tuple(int(x) for x in u)
+        num = self._w_numerator(tuple(int(x) for x in u))
+        return INF if num is None else Fraction(num, self._kernel.D)
+
+    def _c_numerator(self, n: IntVec) -> int:
+        """D c_trop(n): (1/2) n^T (D P Lam) n + <D ell, n>, exact since
+        D P Lam is even."""
+        k = self._kernel
+        quad = sum(x * sum(b * y for b, y in zip(row, n)) for x, row in zip(n, k.B))
+        return quad // 2 + sum(e * x for e, x in zip(k.ell, n))
+
+    def _w_numerator(self, u: IntVec) -> int | None:
+        """D w(u) over the kernel's denominator D, None where w(u) = inf;
+        the pairing [n, u0] is n^T P u0."""
+        k = self._kernel
         if not self.is_ample:
-            for rep, w in self.profile.entries:
-                if rep == u:
-                    return w
-            return INF
+            return k.w.get(u)
         rep, n = self._cosets.decompose(u)
-        w = self.profile.w(rep)
-        if w == INF:
-            return INF
-        return w + self.c_trop(n) + self.pairing(n, rep)
+        w = k.w[rep]
+        if w is None:
+            return None
+        pair = sum(x * sum(p * r for p, r in zip(row, rep)) for x, row in zip(n, k.P))
+        return w + self._c_numerator(n) + pair
 
     # ---------- evaluation ----------
 

@@ -6,19 +6,29 @@ from troptheta import linalg
 
 
 @pytest.fixture
-def solve_calls(monkeypatch):
-    """Every linalg.solve call, counted at each binding the package holds
-    (as the benchmark's tracer wraps it); the list of call arguments."""
-    calls = []
-    original = linalg.solve
+def count_calls(monkeypatch):
+    """count_calls(f) wraps f at every binding the package holds (as the
+    benchmark's tracer wraps it) and returns the list of its call
+    arguments."""
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def wrap(original):
+        calls = []
 
-    for name, module in list(sys.modules.items()):
-        if name == "troptheta" or name.startswith("troptheta."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
-    return calls
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "troptheta" or name.startswith("troptheta."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    return wrap
+
+
+@pytest.fixture
+def solve_calls(count_calls):
+    """Every linalg.solve call; the list of call arguments."""
+    return count_calls(linalg.solve)

@@ -332,6 +332,20 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cel
     assert solve_calls == []
 
 
+@pytest.mark.parametrize(
+    "name, clips",
+    [("variety_g1", 8), ("variety_g2", 29), ("variety_g2_skewed", 48), ("variety_g3", 106)],
+)
+def test_translates_are_culled_in_lattice_coordinates(count_calls, name, clips):
+    # machine-independent gate: a translate whose lattice-coordinate box
+    # misses the domain's is dropped without the exact clip (each
+    # _build_cell round and each kept facet clips too).  Clipping every
+    # translate took 10, 39, 58 and 154.
+    calls = count_calls(geometry._clip)
+    corner_locus(fixture_theta(f"{name}.json"))
+    assert len(calls) == clips
+
+
 # independent oracle: pointwise evaluation on a rational grid of the domain
 
 
@@ -427,6 +441,22 @@ def test_translated_cells_equal_built_cells(theta):
     for cell in cx.cells:
         built = geometry._build_cell(theta, cell.witness, cell.vertices[0], {})[0]
         assert built == cell, cell.witness
+
+
+@given(principal_forms().map(lambda P: riemann_theta(data_of(P, [[1, 0], [0, 1]]))))
+@example(L2)
+@example(SQUARE)
+@example(LEVEL2_I)
+@example(fixture_theta("variety_g3.json"))
+@settings(max_examples=10, deadline=None)
+def test_lattice_cull_matches_the_exact_clip(theta):
+    # the cull decides from lattice-coordinate boxes alone; clipping every
+    # translate exactly must give the same complex
+    culled = corner_locus(theta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_apart", lambda bounds, d: False)
+        clipped = corner_locus(theta)
+    assert culled == clipped
 
 
 def test_rank_cap_is_three():

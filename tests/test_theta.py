@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from troptheta.lattice import NotPositiveDefiniteError
+from troptheta import geometry
+from troptheta.lattice import CosetLattice, NotPositiveDefiniteError
 from troptheta.linalg import RatMatrix, ShapeMismatchError, matvec, solve, transpose
 from troptheta.rationals import INF
 from troptheta.theta import (
@@ -178,6 +179,103 @@ def test_extended_w_matches_oracle():
         for _ in range(20):
             u = tuple(rng.randint(-9, 9) for _ in range(theta.g))
             assert theta.extended_w(u) == oracle_w(theta, u)
+
+
+# ---------- the integer kernel against a Fraction box scan ----------
+
+# every way a theta's data can need a denominator: fractional P (so P Lam
+# has odd numerators over 2), fractional ell and w, an inf entry, a
+# non-diagonal Lambda of index 3 (P and Lambda commute, so P Lambda is
+# symmetric), and a non-ample theta with a finite support
+KERNEL_CASES = {
+    "fractional-P": riemann_theta(data_of([[F(3, 2), F(1, 2)], [F(1, 2), 1]], [[1, 0], [0, 1]])),
+    "fractional-ell-and-w": TropicalThetaFunction(
+        base=D2,
+        factor=AutomorphyFactor(Lambda=[[2, 0], [0, 2]], ell=(F(1, 3), F(-3, 4))),
+        profile=ValuationProfile(
+            entries=(
+                ((0, 0), F(1, 5)),
+                ((0, 1), F(-2, 3)),
+                ((1, 0), F(7, 4)),
+                ((1, 1), F(0)),
+            )
+        ),
+    ),
+    "inf-entry": NP2,
+    "index-3": TropicalThetaFunction(
+        base=data_of([[1, F(1, 2)], [F(1, 2), 1]], [[1, 0], [0, 1]]),
+        factor=AutomorphyFactor(Lambda=[[2, 1], [1, 2]], ell=(F(1, 2), F(-1, 6))),
+        profile=ValuationProfile(
+            entries=tuple(
+                zip(CosetLattice(((2, 1), (1, 2))).representatives(), (F(0), F(5, 6), INF))
+            )
+        ),
+    ),
+    "non-ample": TropicalThetaFunction(
+        base=D2,
+        factor=AutomorphyFactor(Lambda=[[0, 0], [0, 0]], ell=(F(0), F(0))),
+        profile=ValuationProfile(
+            entries=(((0, 0), F(1, 2)), ((1, -1), F(-1, 3)), ((-2, 1), INF))
+        ),
+    ),
+}
+SCAN = 10  # |n_i| <= SCAN in the box scan
+
+
+def scan_c_trop(theta, n):
+    """(1/2) n^T P Lam n + <ell, n> in Fractions."""
+    P, Lam, ell = theta.base.P.entries, theta.factor.Lambda, theta.factor.ell
+    lam_n = [sum(a * b for a, b in zip(row, n)) for row in Lam]
+    quad = sum(x * sum(p * y for p, y in zip(row, lam_n)) for x, row in zip(n, P))
+    return F(1, 2) * quad + sum(e * x for e, x in zip(ell, n))
+
+
+def box_scan(theta):
+    """u -> (w(u), n) for u = rep + Lam n, |n_i| <= SCAN, straight from
+    w(rep + Lam n) = w(rep) + (1/2) n^T P Lam n + <ell, n> + n^T P rep in
+    Fractions; a non-ample theta is its profile."""
+    P, Lam = theta.base.P.entries, theta.factor.Lambda
+    table = {}
+    box = range(-SCAN, SCAN + 1) if theta.is_ample else range(1)
+    for rep, w in theta.profile.entries:
+        for n in itertools.product(box, repeat=theta.g):
+            u = tuple(r + sum(a * b for a, b in zip(row, n)) for r, row in zip(rep, Lam))
+            if w == INF:
+                table[u] = (INF, n)
+                continue
+            pair = sum(x * sum(p * r for p, r in zip(row, rep)) for x, row in zip(n, P))
+            table[u] = (w + scan_c_trop(theta, n) + pair, n)
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+def test_integer_kernel_matches_fraction_box_scan(name):
+    theta = KERNEL_CASES[name]
+    table = box_scan(theta)
+    for u in itertools.product(range(-7, 8), repeat=theta.g):
+        if theta.is_ample:
+            assert u in table, u  # the scan covers every u of this box
+        assert theta.extended_w(u) == table.get(u, (INF,))[0], u
+    for n in itertools.product(range(-4, 5), repeat=theta.g):
+        assert theta.c_trop(n) == scan_c_trop(theta, n), n
+
+    for v in [(F(-7, 3), F(5, 4)), (F(1, 2), F(-3, 2)), (F(0), F(0)), (F(-5, 2), F(-11, 3))]:
+        values = sorted(
+            (w + sum(a * b for a, b in zip(u, v)), u)
+            for u, (w, _) in table.items()
+            if w != INF
+        )
+        lowest = values[0][0]
+        third, u3 = values[min(2, len(values) - 1)]
+        sixth = values[min(5, len(values) - 1)][0]
+        # bounds equal to a term's value (the test is <=), between values,
+        # and below every coset minimum (nothing)
+        for bound in (lowest, third, sixth + F(1, 7), lowest - 1):
+            want = sorted(u for value, u in values if value <= bound)
+            assert all(max(map(abs, table[u][1])) < SCAN - 1 for u in want)
+            assert geometry._terms_below(theta, v, bound) == want, (v, bound)
+        assert geometry._terms_below(theta, v, lowest - 1) == []
+        assert u3 in geometry._terms_below(theta, v, third)
 
 
 # ---------- invariants ----------

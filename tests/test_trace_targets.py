@@ -3,13 +3,18 @@
 perfbench/tracer.py patches functions by module and name; a rename in the
 library would make `--trace 1` runs fail.  This test loads the tracer by
 path, installs it over the modules the CLI imports, and uninstalls it.
+The benchmark's traced `divisor` run also requires some layers to be
+called at all; the last test checks that a divisor still calls them.
 """
 
 import importlib.util
 from pathlib import Path
 
 import troptheta.cli  # noqa: F401  (imports every traced module)
-from troptheta import geometry, lattice, nonarch
+from troptheta import geometry, lattice, linalg, nonarch
+from troptheta.linalg import RatMatrix
+from troptheta.theta import riemann_theta
+from troptheta.varieties import TropicalPolarizationData
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,3 +38,19 @@ def test_every_trace_target_resolves():
         tracer.uninstall()
     assert lattice.minimize_quadratic is minimize
     assert nonarch._terms_below is terms_below
+
+
+def test_divisor_calls_the_layers_its_benchmark_traces(count_calls):
+    # each layer the benchmark's self-test maps to the `divisor` workload
+    # (besides those named by the op itself) must see at least one call
+    calls = {
+        name: count_calls(f)
+        for name, f in [
+            ("lattice.enumerate_below", lattice.enumerate_below),
+            ("geometry._terms_below", geometry._terms_below),
+            ("linalg.inverse", linalg.inverse),
+        ]
+    }
+    data = TropicalPolarizationData(g=2, P=RatMatrix(((2, 1), (1, 2))), Lambda=((1, 0), (0, 1)))
+    geometry.corner_locus(riemann_theta(data))
+    assert all(calls.values()), {name: len(c) for name, c in calls.items()}
