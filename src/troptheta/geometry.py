@@ -14,6 +14,17 @@ l_{u''} <= l_u somewhere in R, hence at a corner of R (their difference is
 affine).  Sweeping the corners with bound l_u(corner) is one ellipsoid
 enumeration per coset and corner, finite by positive-definiteness.
 
+The box is certified up front (Voronoi 1908; Conway-Sloane, ch. 2).  The
+cell of u = rep + Lam n lies in u's cell within its own coset, since the
+min over all competitors is at most the min over that coset.  With
+B = P Lam, l_{u + Lam k}(x) - l_u(x) = (1/2) k^T B k + k^T (ell + P u +
+Lam^T x) >= 0 for all k iff z = -B^-1 (ell + P u + Lam^T x) lies in the
+Voronoi cell Vor_B(0) of (Z^g, B): the coset cell is x0 - Lam^-T B Vor_B(0),
+x0 = -Lam^-T (ell + P u).  Each e_j is a lattice vector, so |(B z)_j| <=
+B_jj / 2 on Vor_B(0), and coordinate i of the cell lies within
+(1/2) sum_j |(Lam^-T)_ij| B_jj of x0_i: the slab bound, exact rational, one
+per theta, attained by the cubes of diag(2, 2, 2).
+
 Polytopes are held in double-description form (Motzkin-Raiffa-Thompson-
 Thrall 1953; Fukuda-Prodon 1996): a dict from each vertex to the frozenset
 of applied halfspaces tight there.  `_cut`, the one primitive, intersects
@@ -61,6 +72,7 @@ from .linalg import (
     Row,
     ShapeMismatchError,
     _echelon,
+    identity,
     inverse,
     matvec,
     solve,
@@ -90,7 +102,7 @@ class UnsupportedFormatError(ValueError):
 _MAX_RANK = 3
 Halfspace = tuple[IntVec, Fraction]  # <normal, x> >= offset
 Polytope = dict[TropPoint, frozenset]  # vertex -> tight applied halfspaces
-_MAX_ROUNDS = 24  # box-growth rounds in _build_cell
+_BOX_MARGIN = Fraction(1, 2)  # added to _build_cell's slab bound
 _SEED_PROBES = 64  # probe points in _generic_seed
 
 
@@ -285,102 +297,84 @@ def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[IntVec]:
     return sorted(out)
 
 
-def _box_halfspaces(center, halfwidth, g):
-    out = []
-    for i, c in enumerate(center):
-        e = tuple(int(j == i) for j in range(g))
-        out += [(e, c - halfwidth), (tuple(-x for x in e), -(c + halfwidth))]
-    return out
+def _cell_box(theta: TropicalThetaFunction, u: IntVec):
+    """(x0, halfwidths): x0 = -Lam^-T (ell + P u) and the slab bound plus
+    `_BOX_MARGIN`, a box that holds the cell of u strictly inside."""
+    lam_inv_t, half = theta._cell_frame
+    y = [e + vecdot(row, u) for e, row in zip(theta.factor.ell, theta.base.P.entries)]
+    return tuple(-vecdot(r, y) for r in lam_inv_t), tuple(h + _BOX_MARGIN for h in half)
 
 
 def _build_cell(
-    theta: TropicalThetaFunction, u: IntVec, center, wcache: dict
+    theta: TropicalThetaFunction, u: IntVec
 ) -> tuple[LinearityCell, Polytope, dict]:
-    """The global cell of witness u and its polytope: competitors pooled
-    over a growing box, certified once the polytope stays strictly inside.
+    """The global cell of witness u and its polytope, clipped once inside
+    `_cell_box`: the cell lies in u's coset cell x0 - Lam^-T (P Lam) Vor(0),
+    which the lattice vectors e_j confine to the slab bound (module docstring).
 
-    If Q is the intersection of the pool's halfspaces, then Q cut to the box
-    equals the true cell cut to the box (any point of the box beaten by some
-    outside competitor is beaten by its local witness, which is in the
-    pool); so Q inside the box certifies Q = cell.  center should be a point
-    in or near the cell; pool sizes stay small when it is.
-
-    Each round `_cut`s the box corners, tight on their g box planes, by the
-    pool, most violated plane first (d|d|/<a,a>, d = b - <a, centre>, is the
-    signed distance d/|a| made exact).  Tight sets stay complete, so edges
-    are the vertex pairs whose shared tight normals have rank g-1, a vertex
-    touches the box iff a box plane is in its tight set, and a facet is the
-    vertices whose tight set holds its plane.  The polytope and the pool
-    (normal -> (offset, witnesses)) are returned for corner_locus's domain
-    cuts and tie sets.  Offsets w(u) - w(u'') are read off the theta's
-    integer kernel: one subtraction of numerators over its denominator;
-    wcache memoizes the numerators across calls.
+    The pool's halfspaces cut to the box give the true cell cut to the box
+    (a point of the box beaten by an outside competitor is beaten by its
+    local witness, which is pooled), which is the cell; the margin keeps the
+    box planes off its vertices, so a polytope touching the box raises.  The
+    box corners are `_cut` by the pool, most violated plane first (d|d|/<a,a>,
+    d = b - <a, x0>, is the signed distance d/|a| made exact).  Tight sets
+    stay complete, so edges are the vertex pairs whose shared tight normals
+    have rank g-1 and a facet is the vertices whose tight set holds its
+    plane.  The polytope and the pool (normal -> (offset, witnesses)) are
+    returned for corner_locus's domain cuts and tie sets; offsets
+    w(u) - w(u'') are differences of integer kernel numerators.
     """
     g = theta.base.g
     D = theta._kernel.D
     w_u = theta._w_numerator(u)
     value_u = Fraction(w_u, D)
-    center = as_point(center)
-    halfwidth = Fraction(13, 7)
+    center, halfwidths = _cell_box(theta, u)
 
-    for round_ in range(_MAX_ROUNDS):
-        corners = [
-            tuple(c + s * halfwidth for c, s in zip(center, signs))
-            for signs in product((-1, 1), repeat=g)
-        ]
-        # u'' can only win somewhere in the box if l_{u''} <= l_u at a box
-        # corner (their difference is affine), so pool per corner with the
-        # corner's own bound
-        others = set()
-        for corner in corners:
-            others.update(_terms_below(theta, corner, value_u + vecdot(u, corner)))
-        others.discard(u)
-        groups: dict[IntVec, tuple[Fraction, list[IntVec]]] = {}
-        for other in others:
-            normal = tuple(o - a for o, a in zip(other, u))
-            if other not in wcache:
-                wcache[other] = theta._w_numerator(other)
-            a, b = _gcd_normalize(normal, w_u - wcache[other], D)
-            cur = groups.get(a)
-            if cur is None or b > cur[0]:
-                groups[a] = (b, [other])
-            elif b == cur[0]:
-                cur[1].append(other)
-        box = frozenset(_box_halfspaces(center, halfwidth, g))
-        poly = {
-            c: frozenset(h for h in box if vecdot(h[0], c) == h[1])
-            for c in corners
-        }
+    # box planes (lower, upper) per axis; each corner is tight on g of them
+    planes = [
+        ((e, c - h), (tuple(-x for x in e), -(c + h)))
+        for e, c, h in zip(identity(g), center, halfwidths)
+    ]
+    poly: Polytope = {
+        tuple(c + h if s else c - h for c, h, s in zip(center, halfwidths, signs)):
+            frozenset(pair[s] for pair, s in zip(planes, signs))
+        for signs in product((0, 1), repeat=g)
+    }
+    box = frozenset(h for pair in planes for h in pair)
 
-        # d = b - <a, centre> in integers over the centre's denominator
-        den = lcm(*(c.denominator for c in center))
-        scaled = [c.numerator * (den // c.denominator) for c in center]
+    # u'' can only win somewhere in the box if l_{u''} <= l_u at a box corner
+    # (their difference is affine), so pool per corner with its own bound
+    others = set()
+    for corner in poly:
+        others.update(_terms_below(theta, corner, value_u + vecdot(u, corner)))
+    others.discard(u)
+    groups: dict[IntVec, tuple[Fraction, list[IntVec]]] = {}
+    for other in others:
+        normal = tuple(o - a for o, a in zip(other, u))
+        a, b = _gcd_normalize(normal, w_u - theta._w_numerator(other), D)
+        cur = groups.get(a)
+        if cur is None or b > cur[0]:
+            groups[a] = (b, [other])
+        elif b == cur[0]:
+            cur[1].append(other)
 
-        def key(con):
-            a, b = con
-            d = b.numerator * den - b.denominator * vecdot(a, scaled)
-            return Fraction(d * abs(d), (b.denominator * den) ** 2 * vecdot(a, a))
+    # d = b - <a, x0> in integers over x0's denominator
+    den = lcm(*(c.denominator for c in center))
+    scaled = [c.numerator * (den // c.denominator) for c in center]
 
-        pool = [(a, b) for a, (b, _) in sorted(groups.items())]
-        poly = _clip(poly, sorted(pool, key=key, reverse=True))
-        if poly and not any(box & tight for tight in poly.values()):
-            break
-        if round_ == _MAX_ROUNDS - 1:
-            raise InvalidDataError(
-                f"cell of witness {u} did not stabilize after {_MAX_ROUNDS} "
-                f"rounds: last centre ({', '.join(map(str, center))}), "
-                f"halfwidth {halfwidth}, pool of {len(groups)} halfspaces"
-            )
-        # vertices inside the box are certified cell points: retarget the
-        # box onto their bounding region, widening exponentially as backup
-        margin = Fraction(2, 3) * 2 ** max(0, round_ - 1)
-        if poly:
-            lo = [min(p[i] for p in poly) for i in range(g)]
-            hi = [max(p[i] for p in poly) for i in range(g)]
-            center = tuple((a + b) / 2 for a, b in zip(lo, hi))
-            halfwidth = max((b - a) / 2 for a, b in zip(lo, hi)) + margin
-        else:
-            halfwidth = margin
+    def key(con):
+        a, b = con
+        d = b.numerator * den - b.denominator * vecdot(a, scaled)
+        return Fraction(d * abs(d), (b.denominator * den) ** 2 * vecdot(a, a))
+
+    pool = [(a, b) for a, (b, _) in sorted(groups.items())]
+    poly = _clip(poly, sorted(pool, key=key, reverse=True))
+    if not poly or any(box & tight for tight in poly.values()):
+        raise InvalidDataError(
+            f"cell of witness {u} is not inside its certified box: centre "
+            f"({', '.join(map(str, center))}), halfwidths "
+            f"({', '.join(map(str, halfwidths))}), pool of {len(groups)} halfspaces"
+        )
 
     verts = tuple(sorted(poly))
     tight = []
@@ -418,8 +412,7 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
     g = theta.base.g
     if g > _MAX_RANK:
         raise RankTooLargeError(f"vertex enumeration capped at g <= {_MAX_RANK}")
-    point = as_point(v)
-    result = theta.evaluate(point)
+    result = theta.evaluate(as_point(v))
     if not result.unique:
         raise OnCornerLocusError(result.witnesses)
     u = result.canonical
@@ -443,14 +436,11 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
             halfspaces=ineqs,
             vertices=_vertices_of(ineqs, g),
             dim=g,
-            span=tuple(
-                tuple(Fraction(1 if i == j else 0) for j in range(g))
-                for i in range(g)
-            ),
+            span=tuple(tuple(map(Fraction, row)) for row in identity(g)),
             facets=(),
             bounded=False,
         )
-    return _build_cell(theta, u, point, {})[0]
+    return _build_cell(theta, u)[0]
 
 
 # ---------- fundamental domain ----------
@@ -642,10 +632,9 @@ def _generic_seed(theta: TropicalThetaFunction, fd: FundamentalDomain):
             Fraction(1, 2) + Fraction((i + 1) * k, 64 * (i + 2) * g + 257)
             for i in range(g)
         )
-        point = tuple(matvec(fd.matrix.entries, t))
-        result = theta.evaluate(point)
+        result = theta.evaluate(tuple(matvec(fd.matrix.entries, t)))
         if result.unique:
-            return result.canonical, point
+            return result.canonical
     matrix = [[str(c) for c in row] for row in fd.matrix.entries]
     raise InvalidDataError(
         f"no generic seed point found in the domain after {_SEED_PROBES} "
@@ -725,36 +714,27 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     if not theta.is_ample:
         raise InvalidDataError("corner locus needs an ample polarization")
     fd = _domain(theta)
-    seed, seed_point = _generic_seed(theta, fd)
-
-    # class rep -> (Lam-coordinates of the built witness, its cell, its
-    # polytope, its sorted neighbors, each with a vertex they share, and the
-    # polytope's bounds in lattice coordinates)
+    # class rep -> (Lam-coordinates of the built witness, its cell, polytope
+    # and sorted neighbors, and the polytope's lattice-coordinate bounds)
     classes: dict[IntVec, tuple] = {}
     seen: set[IntVec] = set()
     kept = []
     pieces = set()
-    wcache: dict[IntVec, int] = {}
-    queue = deque([(seed, seed_point)])
+    queue = deque([_generic_seed(theta, fd)])
     while queue:
-        u, hint = queue.popleft()
+        u = queue.popleft()
         if u in seen:
             continue
         seen.add(u)
         rep, n = theta._cosets.decompose(u)
         if rep not in classes:
-            cell, poly, groups = _build_cell(theta, u, hint, wcache)
-            # the tie sets at the cell's vertices (facet witnesses included)
-            # reach every neighbor, each with a vertex of its closure
-            neighbors: dict[IntVec, TropPoint] = {}
+            cell, poly, groups = _build_cell(theta, u)
+            # every neighbor ties with u at a vertex of the cell
             ties = _vertex_ties(u, poly, groups)
-            for p in cell.vertices:
-                for w in ties[p]:
-                    neighbors.setdefault(w, p)
-            neighbors.pop(u)
+            neighbors = tuple(sorted(set().union(*ties.values()) - {u}))
             coords = zip(*map(fd.lattice_coordinates, poly))
             bounds = [(min(c), max(c)) for c in coords]
-            classes[rep] = (n, cell, poly, sorted(neighbors.items()), bounds)
+            classes[rep] = (n, cell, poly, neighbors, bounds)
         n0, cell, poly, neighbors, bounds = classes[rep]
         # the cell of u is cell - P^T d, with lattice coordinates in
         # [lo - d, hi - d], and the domain is [0, 1]^g in them: a box apart
@@ -779,7 +759,7 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
             if verts:
                 pieces.add((verts, moved_facet.witnesses))
         back = _minus(cell.witness, u)
-        queue.extend((_minus(w, back), _minus(p, tau)) for w, p in neighbors)
+        queue.extend(_minus(w, back) for w in neighbors)
 
     kept = tuple(sorted(kept, key=lambda c: c.witness))
     skeleton = tuple(SkeletonPiece(w, v) for v, w in sorted(pieces))

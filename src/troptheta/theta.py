@@ -48,9 +48,11 @@ from .linalg import (
     IntRows,
     IntVec,
     RatMatrix,
+    Rows,
     ShapeMismatchError,
     int_det,
     int_rows_from,
+    inverse,
     is_symmetric,
     matmul,
     matvec,
@@ -270,6 +272,23 @@ class TropicalThetaFunction:
             P=tuple(tuple(map(num, row)) for row in P),
         )
 
+    @cached_property
+    def _coset_constants(self) -> tuple:
+        """(rep, w(rep), ell + P rep) per finite rep."""
+        P, ell = self.base.P.entries, self.factor.ell
+        return tuple(
+            (rep, w, tuple(e + p for e, p in zip(ell, matvec(P, rep))))
+            for rep, w in self.profile.finite_entries()
+        )
+
+    @cached_property
+    def _cell_frame(self) -> tuple[Rows, tuple[Fraction, ...]]:
+        """Lam^-T and the slab bound (1/2) sum_j |(Lam^-T)_ij| (P Lam)_jj on
+        the cells of an ample theta (geometry module docstring)."""
+        lam_inv_t, B = inverse(transpose(self.factor.Lambda)), self._B_rows
+        half = (sum(abs(a) * B[j][j] for j, a in enumerate(r)) / 2 for r in lam_inv_t)
+        return lam_inv_t, tuple(half)
+
     @property
     def is_ample(self) -> bool:
         return not self.factor.lambda_is_zero()
@@ -341,9 +360,8 @@ class TropicalThetaFunction:
         u = rep + Lam n, w(u) + <u, v> = (1/2) n^T (P Lam) n + <lin, n> + const
         with lin = ell + P rep + Lam^T v and const = w(rep) + <rep, v>."""
         lam_t_v = matvec(transpose(self.factor.Lambda), point)
-        for rep, w in self.profile.finite_entries():
-            pr = matvec(self.base.P.entries, rep)
-            lin = tuple(e + p + lv for e, p, lv in zip(self.factor.ell, pr, lam_t_v))
+        for rep, w, base in self._coset_constants:
+            lin = tuple(b + lv for b, lv in zip(base, lam_t_v))
             yield rep, lin, w + vecdot(rep, point)
 
     def _witness(self, rep: IntVec, n: IntVec) -> IntVec:

@@ -20,7 +20,15 @@ from troptheta.geometry import (
     export_mesh,
     linearity_cell,
 )
-from troptheta.linalg import RatMatrix, ShapeMismatchError, matvec, solve, vecdot
+from troptheta.linalg import (
+    RatMatrix,
+    ShapeMismatchError,
+    inverse,
+    matvec,
+    solve,
+    transpose,
+    vecdot,
+)
 from troptheta.theta import (
     AutomorphyFactor,
     TropicalThetaFunction,
@@ -28,6 +36,8 @@ from troptheta.theta import (
     riemann_theta,
 )
 from troptheta.varieties import InvalidDataError, TropicalPolarizationData
+
+from test_theta import KERNEL_CASES
 
 F = Fraction
 
@@ -334,13 +344,14 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cel
 
 @pytest.mark.parametrize(
     "name, clips",
-    [("variety_g1", 8), ("variety_g2", 29), ("variety_g2_skewed", 48), ("variety_g3", 106)],
+    [("variety_g1", 7), ("variety_g2", 29), ("variety_g2_skewed", 45), ("variety_g3", 105)],
 )
 def test_translates_are_culled_in_lattice_coordinates(count_calls, name, clips):
     # machine-independent gate: a translate whose lattice-coordinate box
     # misses the domain's is dropped without the exact clip (each
-    # _build_cell round and each kept facet clips too).  Clipping every
-    # translate took 10, 39, 58 and 154.
+    # _build_cell, one round in its certified box, and each kept facet
+    # clips too).  Clipping every translate, with boxes grown round by
+    # round, took 10, 39, 58 and 154.
     calls = count_calls(geometry._clip)
     corner_locus(fixture_theta(f"{name}.json"))
     assert len(calls) == clips
@@ -439,7 +450,7 @@ def test_translated_cells_equal_built_cells(theta):
     classes = {theta._cosets.decompose(c.witness)[0] for c in cx.cells}
     assert len(cx.cells) > len(classes)  # some cells are translates
     for cell in cx.cells:
-        built = geometry._build_cell(theta, cell.witness, cell.vertices[0], {})[0]
+        built = geometry._build_cell(theta, cell.witness)[0]
         assert built == cell, cell.witness
 
 
@@ -457,6 +468,82 @@ def test_lattice_cull_matches_the_exact_clip(theta):
         mp.setattr(geometry, "_apart", lambda bounds, d: False)
         clipped = corner_locus(theta)
     assert culled == clipped
+
+
+# ---------- the certified box ----------
+
+
+def slab_box(theta, u):
+    """The slab bound of the geometry module docstring in plain Fractions:
+    x0 solves Lam^T x0 = -(ell + P u), and half_i = (1/2) sum_j
+    |(Lam^-T)_ij| B_jj with B = P Lam."""
+    P, Lam = theta.base.P.entries, theta.factor.Lambda
+    lam_inv_t = inverse(transpose(Lam))
+    B = [[vecdot(row, col) for col in zip(*Lam)] for row in P]
+    y = [-(e + vecdot(row, u)) for e, row in zip(theta.factor.ell, P)]
+    x0 = tuple(solve(transpose(Lam), y))
+    half = tuple(
+        sum(abs(a) * B[j][j] for j, a in enumerate(row)) / 2 for row in lam_inv_t
+    )
+    return x0, half
+
+
+def assert_cells_inside_their_boxes(theta):
+    # every kept cell, translates included, lies within the slab bound of
+    # its own witness, hence strictly inside the box _build_cell uses
+    cx = corner_locus(theta)
+    assert cx.cells
+    for cell in cx.cells:
+        x0, half = slab_box(theta, cell.witness)
+        center, halfwidths = geometry._cell_box(theta, cell.witness)
+        assert center == x0
+        assert halfwidths == tuple(h + geometry._BOX_MARGIN for h in half)
+        for p in cell.vertices:
+            for x, c, h, hw in zip(p, x0, half, halfwidths):
+                assert abs(x - c) <= h < hw, (cell.witness, p)
+    return cx
+
+
+@given(principal_forms().map(lambda P: riemann_theta(data_of(P, [[1, 0], [0, 1]]))))
+@example(LEVEL2_G2)
+@example(LEVEL2_I)
+@example(fixture_theta("variety_g3.json"))
+@example(KERNEL_CASES["fractional-P"])
+@example(KERNEL_CASES["fractional-ell-and-w"])
+@example(KERNEL_CASES["inf-entry"])
+@example(KERNEL_CASES["index-3"])  # a non-diagonal Lam: Lam^-T mixes coordinates
+@settings(max_examples=20, deadline=None)
+def test_cells_lie_inside_their_certified_boxes(theta):
+    assert_cells_inside_their_boxes(theta)
+
+
+def test_slab_bound_is_attained_by_the_cube_cells():
+    cx = assert_cells_inside_their_boxes(TH3)
+    for cell in cx.cells:
+        _, halfwidths = geometry._cell_box(TH3, cell.witness)
+        extent = tuple((max(c) - min(c)) / 2 for c in zip(*cell.vertices))
+        assert extent == tuple(h - geometry._BOX_MARGIN for h in halfwidths)
+        assert extent == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        fixture_theta("variety_g1.json"),
+        fixture_theta("variety_g2_skewed.json"),
+        LEVEL2_I,
+        fixture_theta("variety_g3.json"),
+    ],
+    ids=["variety_g1", "variety_g2_skewed", "LEVEL2_I", "variety_g3"],
+)
+def test_each_build_sweeps_its_box_corners_once(count_calls, theta):
+    # machine-independent gate: the box is certified up front, so each
+    # _build_cell makes one round, one _terms_below sweep per box corner
+    builds = count_calls(geometry._build_cell)
+    sweeps = count_calls(geometry._terms_below)
+    corner_locus(theta)
+    assert builds
+    assert len(sweeps) == 2 ** theta.g * len(builds)
 
 
 def test_rank_cap_is_three():
@@ -526,18 +613,18 @@ def test_cut_matches_brute_force_vertices_and_tight_sets(data):
 # ---------- iteration limits ----------
 
 
-def test_unstable_cell_reports_its_last_box(monkeypatch):
-    # with an empty competitor pool the polytope is the box itself, so it
-    # never comes off the box and every round fails
+def test_cell_on_its_box_reports_witness_centre_and_halfwidths(monkeypatch):
+    # with an empty competitor pool the polytope is the box itself, which a
+    # certified box never is: the build raises with the box it used
     monkeypatch.setattr(geometry, "_terms_below", lambda theta, v, bound: [])
     with pytest.raises(InvalidDataError) as err:
-        linearity_cell(TH2, (F(1, 7), F(1, 11)))
-    msg = str(err.value)
-    assert msg.startswith("cell of witness (0, 0) did not stabilize after 24 rounds")
-    assert "last centre (1/7, 1/11)" in msg
-    assert msg.endswith("pool of 0 halfspaces")
-    halfwidth = F(msg.split("halfwidth ")[1].split(",")[0])
-    assert halfwidth > F(13, 7)
+        geometry._build_cell(TH2, (1, -2))
+    # x0 = -P u = (0, 3), halfwidths P_ii / 2 plus the margin
+    half = 1 + geometry._BOX_MARGIN
+    assert str(err.value) == (
+        "cell of witness (1, -2) is not inside its certified box: centre "
+        f"(0, 3), halfwidths ({half}, {half}), pool of 0 halfspaces"
+    )
 
 
 def test_seed_search_reports_probes_and_domain(monkeypatch):
