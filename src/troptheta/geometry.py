@@ -33,9 +33,10 @@ normals tight at both have rank g-1 (those constraints cut out the smallest
 face holding both), so each new vertex is one exact interpolation along a
 crossing edge, with no linear solve.  A cell is its box cut by its pool of
 competitors; cut by the domain's 2g halfspaces it says whether it meets the
-domain, and each facet (its vertices, with the facet plane made tight) cut
-the same way is a piece of the divisor.  Only unbounded cells (non-ample
-functions) use the g-subset enumeration `_vertices_of`.
+domain.  Tight sets stay complete under `_cut`, so each facet's piece of the
+divisor is a face of that one clip: the vertices whose tight set holds the
+facet plane.  Only unbounded cells (non-ample functions) use the g-subset
+enumeration `_vertices_of`.
 
 The corner locus is periodic: by the transformation law
 w(u + Lam d) = w(u) + c_trop(d) + [d, u], l_{u+Lam d}(x) - l_{u''+Lam d}(x)
@@ -43,11 +44,15 @@ w(u + Lam d) = w(u) + c_trop(d) + [d, u], l_{u+Lam d}(x) - l_{u''+Lam d}(x)
 is the cell of u moved by -tau (same normals, offsets b - <a, tau>,
 witnesses shifted by Lam d; lex order is kept).  One cell is built per coset
 class and moved to the rest of its class; a moved cell meets the domain iff
-the built one meets the domain moved by +tau.  Translates are culled in
-lattice coordinates first: the domain is [0, 1]^g there and a translate by
-d only shifts the built cell's coordinate bounds by -d, so a translate
-whose bounds miss the unit box is dropped without the exact clip, which
-decides the rest (a polytope can miss a box that its bounds meet).  The tie
+the built one meets the domain moved by +tau.  That test runs in lattice
+coordinates t (x = P^T t), computed once per built vertex: the domain is
+[0, 1]^g there, moved by +tau it is the box [d, d + 1], and a plane
+<a, x> >= b reads <P a, t> >= b.  A translate whose coordinate bounds miss
+the box is dropped unclipped; the rest are clipped to it exactly once (a
+polytope can miss a box that its bounds meet), and the clip gives the kept
+translate's pieces with their t.  A built vertex's t moves by -d, so only
+the vertices the cut creates are mapped back to x, and the quotient keys
+points and pieces by the carried t, with no matvec per point.  The tie
 set at a certified vertex is read off its tight set: the cell's witness and
 the pool witnesses of every plane tight there, which is complete by the
 pool soundness above.  The pool offsets w(u) - w(u'') come from the theta's
@@ -546,13 +551,14 @@ class QuotientSummary:
     """Cell counts of the complex modulo the period lattice.
 
     zero_cells are canonical representatives (lattice coordinates in
-    [0,1)^g mapped back).  zero_cells and one_cell_count count the complex
-    after it is clipped to the chosen parallelepiped, whose seams add points
-    and edge fragments, so two bases of one torus can give different
-    counts: 4 / 5 for P = [[2,1],[1,3]], 6 / 7 for its shear [[2,3],[3,7]].
-    The Betti numbers and the Euler characteristic V - E + (-1)^g C,
-    computed for g <= 2, are intrinsic: the seams add as many points as
-    edge fragments."""
+    [0,1)^g mapped back).  one_cell_count counts classes of clipped pieces:
+    edges for g <= 2 (none for g = 1), and for g = 3 the 2-dimensional
+    pieces, not edges.  Both count the complex after it is clipped to the
+    chosen parallelepiped, whose seams add points and edge fragments, so
+    two bases of one torus can give different counts: 4 / 5 for
+    P = [[2,1],[1,3]], 6 / 7 for its shear [[2,3],[3,7]].  The Betti
+    numbers and the Euler characteristic V - E + (-1)^g C, computed for
+    g <= 2, are intrinsic: the seams add as many points as edge fragments."""
 
     zero_cells: tuple[TropPoint, ...]
     one_cell_count: int
@@ -642,18 +648,18 @@ def _generic_seed(theta: TropicalThetaFunction, fd: FundamentalDomain):
     )
 
 
-def _quotient_point(fd: FundamentalDomain, p: TropPoint):
-    return tuple(c % 1 for c in fd.lattice_coordinates(p))
+def _quotient_point(t: TropPoint):
+    """The class of a point modulo the lattice: its lattice coordinates t
+    reduced into [0, 1)^g."""
+    return tuple(c % 1 for c in t)
 
 
-def _canonical_shift(fd: FundamentalDomain, points):
-    """Lattice translate moving the barycenter into [0,1)^g coordinates."""
-    g = fd.g
-    bary = tuple(sum(p[i] for p in points) / len(points) for i in range(g))
-    t = fd.lattice_coordinates(bary)
-    shift_t = tuple(c - (c % 1) for c in t)
-    delta = tuple(matvec(fd.matrix.entries, shift_t))
-    return tuple(tuple(c - d for c, d in zip(p, delta)) for p in points)
+def _canonical_shift(ts):
+    """The lattice coordinates ts of a piece moved by the lattice vector
+    that takes their barycenter into [0, 1)^g, sorted: the piece's key
+    modulo the lattice."""
+    shift = [sum(c) / len(ts) // 1 for c in zip(*ts)]
+    return tuple(sorted(tuple(c - s for c, s in zip(t, shift)) for t in ts))
 
 
 def _vertex_ties(u: IntVec, poly: Polytope, groups) -> dict:
@@ -677,36 +683,45 @@ def _apart(bounds, d) -> bool:
     return any(hi < di or lo > di + 1 for (lo, hi), di in zip(bounds, d))
 
 
-def _translate(cell: LinearityCell, tau, u: IntVec) -> LinearityCell:
+def _translate(cell: LinearityCell, tau, u: IntVec, offsets):
     """The cell of u = cell.witness + Lam d, for tau = P^T d: points move by
-    -tau, offsets b by -<a, tau>, witnesses by Lam d."""
+    -tau, witnesses by Lam d, and halfspace i takes offsets[i], its offset b
+    moved to b - <a, tau>.  Each vertex moves once, and the facets (a
+    full-dimensional cell's halfspaces, in order) reuse the moved vertices
+    and offsets.  Returns the moved cell and the vertex -> moved vertex map."""
     back = _minus(cell.witness, u)
-
-    def facet(f):
-        wits = tuple(_minus(w, back) for w in f.witnesses)
-        verts = tuple(_minus(p, tau) for p in f.vertices)
-        return Facet(f.normal, f.offset - vecdot(f.normal, tau), wits, verts)
-
+    moved = {p: _minus(p, tau) for p in cell.vertices}
+    facets = tuple(
+        Facet(
+            f.normal,
+            b,
+            tuple(_minus(w, back) for w in f.witnesses),
+            tuple(map(moved.get, f.vertices)),
+        )
+        for f, b in zip(cell.facets, offsets)
+    )
     return replace(
         cell,
         witness=u,
-        halfspaces=tuple((a, b - vecdot(a, tau)) for a, b in cell.halfspaces),
-        vertices=tuple(_minus(p, tau) for p in cell.vertices),
-        facets=tuple(map(facet, cell.facets)),
-    )
+        halfspaces=tuple((h[0], b) for h, b in zip(cell.halfspaces, offsets)),
+        vertices=tuple(moved.values()),
+        facets=facets,
+    ), moved
 
 
 def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     """The tropical theta divisor in one fundamental parallelepiped.
 
     BFS across the witnesses around each kept cell, from a generic seed
-    cell; every cell whose closure meets the domain is kept, facets are
-    clipped to the domain and deduplicated, and quotient counts are taken
-    modulo the period lattice.  `_build_cell` runs once per coset class
-    (`theta._cosets`); every other cell of the class is that cell moved by
-    -P^T d (module docstring).  The tie sets at a built cell's vertices
-    come from their tight sets (`_vertex_ties`), so `theta.evaluate` runs
-    only for the seed probes.
+    cell; every cell whose closure meets the domain is kept, and quotient
+    counts are taken modulo the period lattice.  `_build_cell` runs once
+    per coset class (`theta._cosets`); every other cell of the class is
+    that cell moved by -P^T d (module docstring).  Each kept translate is
+    clipped to the domain once, in lattice coordinates t (x = P^T t), where
+    the domain is the unit box; its skeleton pieces are faces of that clip,
+    deduplicated, and their vertices carry t into the quotient keys.  The
+    tie sets at a built cell's vertices come from their tight sets
+    (`_vertex_ties`), so `theta.evaluate` runs only for the seed probes.
     """
     g = theta.base.g
     if g > _MAX_RANK:
@@ -714,12 +729,16 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     if not theta.is_ample:
         raise InvalidDataError("corner locus needs an ample polarization")
     fd = _domain(theta)
-    # class rep -> (Lam-coordinates of the built witness, its cell, polytope
-    # and sorted neighbors, and the polytope's lattice-coordinate bounds)
+    D, DP, Pt = theta._kernel.D, theta._kernel.P, fd.matrix.entries
+    axes = [(e, tuple(-x for x in e)) for e in identity(g)]
+    # class rep -> (Lam-coordinates of the built witness, its cell, sorted
+    # neighbors, its polytope in t, the t -> vertex map, its halfspaces in
+    # t, and the polytope's t bounds)
     classes: dict[IntVec, tuple] = {}
     seen: set[IntVec] = set()
     kept = []
     pieces = set()
+    coords: dict[TropPoint, TropPoint] = {}  # skeleton vertex -> its t
     queue = deque([_generic_seed(theta, fd)])
     while queue:
         u = queue.popleft()
@@ -732,120 +751,108 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
             # every neighbor ties with u at a vertex of the cell
             ties = _vertex_ties(u, poly, groups)
             neighbors = tuple(sorted(set().union(*ties.values()) - {u}))
-            coords = zip(*map(fd.lattice_coordinates, poly))
-            bounds = [(min(c), max(c)) for c in coords]
-            classes[rep] = (n, cell, poly, neighbors, bounds)
-        n0, cell, poly, neighbors, bounds = classes[rep]
+            # <a, x> >= b is <D P a, t> >= D b in t, with D P the kernel's
+            # integer P; an invertible linear map keeps the tight sets and
+            # their ranks, so _cut runs unchanged
+            lift = {h: (matvec(DP, h[0]), D * h[1]) for h in set().union(*poly.values())}
+            poly_t = {
+                fd.lattice_coordinates(p): frozenset(map(lift.__getitem__, tight))
+                for p, tight in poly.items()
+            }
+            bounds = [(min(c), max(c)) for c in zip(*poly_t)]
+            planes = [lift[h] for h in cell.halfspaces]
+            classes[rep] = (n, cell, neighbors, poly_t, dict(zip(poly_t, poly)), planes, bounds)
+        n0, cell, neighbors, poly_t, vertex_of, planes, bounds = classes[rep]
         # the cell of u is cell - P^T d, with lattice coordinates in
         # [lo - d, hi - d], and the domain is [0, 1]^g in them: a box apart
         # from it needs no clip.  A box that meets it can still hold a cell
-        # that misses it, so the exact clip decides the rest.
+        # that misses it, so the exact clip by the box [d, d + 1] decides.
         d = _minus(n, n0)
         if _apart(bounds, d):
             continue
-        tau = tuple(matvec(fd.matrix.entries, d))
-        # the cell of u, cell - tau, meets the domain iff cell meets domain + tau
-        domain = [(r, b + vecdot(r, tau)) for r, b in fd.halfspaces]
-        if not _clip(poly, domain):
+        box = [h for (e, f), k in zip(axes, d) for h in ((e, k), (f, -k - 1))]
+        clipped = _clip(poly_t, box)
+        if not clipped:
             continue
-        moved = _translate(cell, tau, u)
-        kept.append(moved)
-        # clip the facets (only full-dimensional cells have them) to the
-        # domain: a facet is its vertices with the plane added as tight
-        for facet, moved_facet in zip(cell.facets, moved.facets):
-            plane = (facet.normal, facet.offset)
-            face = {p: poly[p] | {plane} for p in facet.vertices}
-            verts = tuple(_minus(p, tau) for p in sorted(_clip(face, domain)))
+        tau = tuple(matvec(Pt, d))
+        moved_cell, moved = _translate(
+            cell, tau, u, [(b - vecdot(a, d)) / D for a, b in planes]
+        )
+        kept.append(moved_cell)
+        # each piece is a face of the clip: tight sets stay complete, so its
+        # vertices are those whose tight set holds the facet plane.  A vertex
+        # of the built cell moves with it; only the box cut's own vertices
+        # are mapped back to x.
+        on_plane: dict[Halfspace, list[TropPoint]] = {}
+        for t, tight in clipped.items():
+            t_moved = _minus(t, d)
+            p = vertex_of.get(t)
+            q = moved[p] if p is not None else tuple(matvec(Pt, t_moved))
+            coords[q] = t_moved
+            for h in tight:
+                on_plane.setdefault(h, []).append(q)
+        # only full-dimensional cells have facets
+        for plane, moved_facet in zip(planes, moved_cell.facets):
+            verts = on_plane.get(plane)
             if verts:
-                pieces.add((verts, moved_facet.witnesses))
+                pieces.add((tuple(sorted(verts)), moved_facet.witnesses))
         back = _minus(cell.witness, u)
         queue.extend(_minus(w, back) for w in neighbors)
 
     kept = tuple(sorted(kept, key=lambda c: c.witness))
     skeleton = tuple(SkeletonPiece(w, v) for v, w in sorted(pieces))
 
-    quotient = _quotient_summary(theta, fd, kept, skeleton)
+    quotient = _quotient_summary(theta, fd, kept, skeleton, coords)
     return CellComplex(
         g=g, cells=kept, skeleton=skeleton, domain=fd, quotient=quotient
     )
 
 
-def _quotient_summary(theta, fd, kept_cells, skeleton) -> QuotientSummary:
+def _quotient_summary(theta, fd, kept_cells, skeleton, coords) -> QuotientSummary:
+    """Quotient counts; coords maps each skeleton vertex to its lattice
+    coordinates, which key points and pieces modulo the lattice."""
     g = fd.g
-    top_classes = {
-        theta._cosets.decompose(c.witness)[0]
-        for c in kept_cells
-        if c.dim == g
-    }
-
-    if g <= 2:
-        # the divisor is a graph: points for g = 1, points and edges for g = 2
-        edge_keys = set()
-        node_keys = set()
-        adjacency = []
-        for piece in skeleton:
-            pts = piece.vertices
-            if len(pts) == 1:
-                node_keys.add(_quotient_point(fd, pts[0]))
-                continue
-            # endpoints are the lex extremes; interior points (tangencies
-            # against the clipping parallelepiped) are not graph nodes
-            canon = tuple(sorted(_canonical_shift(fd, pts)))
-            edge_keys.add(canon)
-            ends = (_quotient_point(fd, pts[0]), _quotient_point(fd, pts[-1]))
-            node_keys.update(ends)
-            adjacency.append((canon, tuple(sorted(ends))))
-        # union-find over quotient nodes through quotient edges
-        parent = {n: n for n in node_keys}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        seen_edges = set()
-        for canon, (p, q) in sorted(adjacency):
-            if canon in seen_edges:
-                continue
-            seen_edges.add(canon)
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[rp] = rq
-        v_count = len(node_keys)
-        e_count = len(edge_keys)
-        b0 = len({find(n) for n in node_keys})
-        b1 = e_count - v_count + b0
-        zero = tuple(
-            sorted(tuple(matvec(fd.matrix.entries, t)) for t in node_keys)
-        )
-        return QuotientSummary(
-            zero_cells=zero,
-            one_cell_count=e_count,
-            top_cell_count=len(top_classes),
-            betti0=b0,
-            betti1=b1,
-            euler_characteristic=v_count - e_count + (-1) ** g * len(top_classes),
-        )
-
-    # g = 3: report facet classes and vertex classes; graph invariants of
-    # the 2-dimensional skeleton are out of scope
-    face_keys = set()
-    node_keys = set()
+    c_count = len({theta._cosets.decompose(c.witness)[0] for c in kept_cells if c.dim == g})
+    # g <= 2: the divisor is a graph, points for g = 1, points and edges for
+    # g = 2, whose nodes are the pieces' lex extremes (interior points are
+    # tangencies against the clipping parallelepiped).  g = 3: vertex classes
+    # and 2-dimensional piece classes; graph invariants of the 2-dimensional
+    # skeleton are out of scope.  A piece with max(2, g) or more vertices is
+    # an edge for g = 2 and 2-dimensional for g = 3.
+    nodes: dict[TropPoint, int] = {}  # quotient point -> union-find index
+    piece_keys = set()
+    links = []
     for piece in skeleton:
-        pts = piece.vertices
-        if len(pts) >= 3:
-            face_keys.add(tuple(sorted(_canonical_shift(fd, pts))))
-        for p in pts:
-            node_keys.add(_quotient_point(fd, p))
-    zero = tuple(sorted(tuple(matvec(fd.matrix.entries, t)) for t in node_keys))
+        ts = [coords[p] for p in piece.vertices]
+        ends = ts if g == 3 else (ts[0], ts[-1])
+        ids = [nodes.setdefault(_quotient_point(t), len(nodes)) for t in ends]
+        if len(ts) >= max(2, g):
+            piece_keys.add(_canonical_shift(ts))
+            links.append(ids)
+    zero = tuple(sorted(tuple(matvec(fd.matrix.entries, t)) for t in nodes))
+    v_count, e_count = len(nodes), len(piece_keys)
+    if g == 3:
+        return QuotientSummary(zero, e_count, c_count, None, None, None)
+
+    # union-find over quotient nodes through quotient edges
+    parent = list(range(v_count))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p, q in links:
+        parent[find(p)] = find(q)
+    b0 = len({find(i) for i in range(v_count)})
     return QuotientSummary(
         zero_cells=zero,
-        one_cell_count=len(face_keys),
-        top_cell_count=len(top_classes),
-        betti0=None,
-        betti1=None,
-        euler_characteristic=None,
+        one_cell_count=e_count,
+        top_cell_count=c_count,
+        betti0=b0,
+        betti1=e_count - v_count + b0,
+        euler_characteristic=v_count - e_count + (-1) ** g * c_count,
     )
 
 

@@ -459,6 +459,23 @@ def default_shifts(g: int) -> tuple[IntVec, ...]:
     return tuple(n for n in product((-1, 0, 1), repeat=g) if any(n))
 
 
+def _check_samples(samples, shifts, lhs, rhs) -> CheckReport:
+    """The one sample x shift loop of the exact checks: lhs(v) == rhs(v, n)
+    at every sample point v and every integer shift n (lhs once per point)."""
+    shifts = [tuple(int(x) for x in n) for n in shifts]
+    failures = []
+    checked = 0
+    for raw in samples:
+        v = as_point(raw)
+        left = lhs(v)
+        for n in shifts:
+            right = rhs(v, n)
+            checked += 1
+            if left != right:
+                failures.append(CheckFailure(point=v, shift=n, lhs=left, rhs=right))
+    return CheckReport(checked=checked, failures=tuple(failures))
+
+
 def verify_transformation(
     theta: TropicalThetaFunction,
     samples: Sequence[Sequence],
@@ -466,23 +483,15 @@ def verify_transformation(
 ) -> CheckReport:
     """Exact check of f(v) = f(v + u') + c_trop(u') + <lambda(u'), v> for
     every sample point v and period u' = embed(n), n in shifts."""
+
+    def rhs(v, n):
+        u = embed_Mprime(theta.base, n)
+        shifted = theta.evaluate(tuple(a + b for a, b in zip(v, u))).value
+        return shifted + theta.c_trop(n) + vecdot(matvec(theta.factor.Lambda, n), v)
+
     if shifts is None:
         shifts = default_shifts(theta.g)
-    failures = []
-    checked = 0
-    for raw in samples:
-        v = as_point(raw)
-        lhs = theta.evaluate(v).value
-        for n in shifts:
-            n = tuple(int(x) for x in n)
-            u = embed_Mprime(theta.base, n)
-            shifted = theta.evaluate(tuple(a + b for a, b in zip(v, u))).value
-            lam_n = matvec(theta.factor.Lambda, n)
-            rhs = shifted + theta.c_trop(n) + vecdot(lam_n, v)
-            checked += 1
-            if lhs != rhs:
-                failures.append(CheckFailure(point=v, shift=n, lhs=lhs, rhs=rhs))
-    return CheckReport(checked=checked, failures=tuple(failures))
+    return _check_samples(samples, shifts, lambda v: theta.evaluate(v).value, rhs)
 
 
 def is_even(theta: TropicalThetaFunction) -> bool:
@@ -570,22 +579,13 @@ class PeriodicPLFunction:
         samples: Sequence[Sequence],
         shifts: Sequence[Sequence[int]] | None = None,
     ) -> CheckReport:
+        def there(v, n):
+            u = embed_Mprime(self.base, n)
+            return self.evaluate(tuple(a + b for a, b in zip(v, u)))
+
         if shifts is None:
             shifts = default_shifts(self.base.g)
-        failures = []
-        checked = 0
-        for raw in samples:
-            v = as_point(raw)
-            here = self.evaluate(v)
-            for n in shifts:
-                u = embed_Mprime(self.base, tuple(int(x) for x in n))
-                there = self.evaluate(tuple(a + b for a, b in zip(v, u)))
-                checked += 1
-                if here != there:
-                    failures.append(
-                        CheckFailure(point=v, shift=tuple(int(x) for x in n), lhs=here, rhs=there)
-                    )
-        return CheckReport(checked=checked, failures=tuple(failures))
+        return _check_samples(samples, shifts, self.evaluate, there)
 
 
 def difference_to_periodic(expr: TropicalThetaExpression) -> PeriodicPLFunction:
@@ -638,15 +638,6 @@ def kummer_check(
                 raise IncompatibleError(
                     "kummer_check needs an even base theta (ell = 0, w(u) = w(-u))"
                 )
-    failures = []
-    checked = 0
-    for raw in samples:
-        v = as_point(raw)
-        lhs = h.evaluate(v)
-        rhs = h.evaluate(tuple(-x for x in v))
-        checked += 1
-        if lhs != rhs:
-            failures.append(
-                CheckFailure(point=v, shift=tuple(0 for _ in v), lhs=lhs, rhs=rhs)
-            )
-    return CheckReport(checked=checked, failures=tuple(failures))
+    return _check_samples(
+        samples, [(0,) * h.base.g], h.evaluate, lambda v, _: h.evaluate(tuple(-x for x in v))
+    )

@@ -7,9 +7,9 @@ from troptheta import linalg
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """count_calls(f) wraps f at every binding the package holds (as the
-    benchmark's tracer wraps it) and returns the list of its call
-    arguments."""
+    """count_calls(f) wraps f at every binding the package holds, module
+    attributes and methods of the package's classes (as the benchmark's
+    tracer wraps it), and returns the list of its call arguments."""
 
     def wrap(original):
         calls = []
@@ -20,9 +20,11 @@ def count_calls(monkeypatch):
 
         for name, module in list(sys.modules.items()):
             if name == "troptheta" or name.startswith("troptheta."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counting)
+                classes = [v for v in vars(module).values() if isinstance(v, type)]
+                for owner in [module, *classes]:
+                    for attr, value in list(vars(owner).items()):
+                        if value is original:
+                            monkeypatch.setattr(owner, attr, counting)
         return calls
 
     return wrap

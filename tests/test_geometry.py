@@ -344,17 +344,34 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cel
 
 @pytest.mark.parametrize(
     "name, clips",
-    [("variety_g1", 7), ("variety_g2", 29), ("variety_g2_skewed", 45), ("variety_g3", 105)],
+    [("variety_g1", 3), ("variety_g2", 5), ("variety_g2_skewed", 9), ("variety_g3", 9)],
 )
 def test_translates_are_culled_in_lattice_coordinates(count_calls, name, clips):
     # machine-independent gate: a translate whose lattice-coordinate box
-    # misses the domain's is dropped without the exact clip (each
-    # _build_cell, one round in its certified box, and each kept facet
-    # clips too).  Clipping every translate, with boxes grown round by
-    # round, took 10, 39, 58 and 154.
+    # misses the domain's is dropped without the exact clip, each
+    # _build_cell clips once in its certified box, and each kept translate
+    # once (its skeleton pieces are read off that clip).  Clipping every
+    # translate, with boxes grown round by round, took 10, 39, 58 and 154;
+    # clipping each kept facet again took 7, 29, 45 and 105.
     calls = count_calls(geometry._clip)
     corner_locus(fixture_theta(f"{name}.json"))
     assert len(calls) == clips
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("variety_g1", 2), ("variety_g2", 6), ("variety_g2_skewed", 6), ("variety_g3", 14)],
+)
+def test_lattice_coordinates_once_per_built_vertex(count_calls, name, calls):
+    # machine-independent gate: corner_locus maps each built cell's vertices
+    # to lattice coordinates once; a translate's move by -d, its clip (in
+    # lattice coordinates) and the quotient keys reuse them.  Recomputing
+    # them for every skeleton vertex and barycentre took 3, 21, 27 and 104.
+    found = count_calls(geometry.FundamentalDomain.lattice_coordinates)
+    cx = corner_locus(fixture_theta(f"{name}.json"))
+    assert len(found) == calls
+    assert all(isinstance(args[0], geometry.FundamentalDomain) for args in found)
+    assert cx.skeleton
 
 
 # independent oracle: pointwise evaluation on a rational grid of the domain
@@ -468,6 +485,106 @@ def test_lattice_cull_matches_the_exact_clip(theta):
         mp.setattr(geometry, "_apart", lambda bounds, d: False)
         clipped = corner_locus(theta)
     assert culled == clipped
+
+
+def reference_skeleton(theta, cx):
+    """The skeleton as each kept cell's facets clipped to the domain one by
+    one: a facet is its vertices with its plane made tight, cut by the
+    domain's 2g halfspaces (the per-facet clip that reading the pieces off
+    one clip of the cell replaced).  Each kept cell is built afresh."""
+    pieces = set()
+    for cell in cx.cells:
+        _, poly, _ = geometry._build_cell(theta, cell.witness)
+        for facet in cell.facets:
+            plane = (facet.normal, facet.offset)
+            face = {p: poly[p] | {plane} for p in facet.vertices}
+            verts = tuple(sorted(geometry._clip(face, cx.domain.halfspaces)))
+            if verts:
+                pieces.add((verts, facet.witnesses))
+    return pieces
+
+
+def reference_quotient(theta, cx):
+    """The quotient summary with every vertex's and barycentre's lattice
+    coordinates computed afresh and pieces keyed in x, components found by
+    merging node sets (no union-find)."""
+    fd, g = cx.domain, cx.g
+
+    def point_class(p):
+        return tuple(c % 1 for c in fd.lattice_coordinates(p))
+
+    def piece_class(pts):
+        bary = tuple(sum(c) / len(pts) for c in zip(*pts))
+        floor = [c - c % 1 for c in fd.lattice_coordinates(bary)]
+        shift = matvec(fd.matrix.entries, floor)
+        return tuple(sorted(tuple(c - s for c, s in zip(p, shift)) for p in pts))
+
+    top = len({theta._cosets.decompose(c.witness)[0] for c in cx.cells if c.dim == g})
+    nodes, keys, edges = set(), set(), []
+    for piece in cx.skeleton:
+        pts = piece.vertices
+        if g == 3:
+            nodes.update(map(point_class, pts))
+            if len(pts) >= 3:
+                keys.add(piece_class(pts))
+            continue
+        ends = {point_class(pts[0]), point_class(pts[-1])}
+        nodes |= ends
+        if len(pts) > 1:
+            keys.add(piece_class(pts))
+            edges.append(ends)
+    zero = tuple(sorted(tuple(matvec(fd.matrix.entries, t)) for t in nodes))
+    if g == 3:
+        return geometry.QuotientSummary(zero, len(keys), top, None, None, None)
+    components = [{n} for n in nodes]
+    for ends in edges:
+        joined = [c for c in components if c & ends]
+        components = [c for c in components if not c & ends] + [set().union(*joined)]
+    b0, v, e = len(components), len(nodes), len(keys)
+    return geometry.QuotientSummary(zero, e, top, b0, e - v + b0, v - e + (-1) ** g * top)
+
+
+@given(principal_forms().map(lambda P: riemann_theta(data_of(P, [[1, 0], [0, 1]]))))
+@example(LEVEL2_G2)
+@example(LEVEL2_I)
+@example(fixture_theta("variety_g3.json"))
+@example(KERNEL_CASES["index-3"])  # a non-diagonal Lam
+@example(KERNEL_CASES["fractional-P"])
+@settings(max_examples=20, deadline=None)
+def test_pieces_are_the_facets_clipped_one_by_one(theta):
+    # oracle for reading the pieces off one clip of each kept translate
+    cx = corner_locus(theta)
+    assert cx.skeleton
+    assert {(p.vertices, p.witnesses) for p in cx.skeleton} == reference_skeleton(theta, cx)
+
+
+@given(principal_forms().map(lambda P: riemann_theta(data_of(P, [[1, 0], [0, 1]]))))
+@example(LEVEL2_G2)
+@example(LEVEL2_I)
+@example(fixture_theta("variety_g1.json"))
+@example(fixture_theta("variety_g3.json"))
+@example(KERNEL_CASES["index-3"])
+@example(KERNEL_CASES["fractional-P"])
+@settings(max_examples=20, deadline=None)
+def test_quotient_from_carried_coordinates_matches_a_fresh_one(theta):
+    # oracle for the carried lattice coordinates: each skeleton vertex's
+    # carried t is its lattice_coordinates, and the summary equals the one
+    # fed fresh coordinates and the reference that keys pieces in x
+    carried = {}
+    summary = geometry._quotient_summary
+
+    def recording(theta_, fd, kept, skeleton, coords):
+        carried.update(coords)
+        return summary(theta_, fd, kept, skeleton, coords)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_quotient_summary", recording)
+        cx = corner_locus(theta)
+    fd = cx.domain
+    fresh = {p: fd.lattice_coordinates(p) for piece in cx.skeleton for p in piece.vertices}
+    assert {p: carried[p] for p in fresh} == fresh
+    assert summary(theta, fd, cx.cells, cx.skeleton, fresh) == cx.quotient
+    assert reference_quotient(theta, cx) == cx.quotient
 
 
 # ---------- the certified box ----------
