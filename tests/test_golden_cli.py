@@ -6,10 +6,12 @@ a change that reorders coset representatives, witnesses or mesh cells shows
 up even when each build is self-consistent.  The cases cover the report
 commands on `fixtures/`, plus an index-9 tropical theta (Lambda = 3I) and an
 index-4 Fourier series (Lambda = 2I), whose reports are keyed by coset
-representative.  Three divisor cases pin the polytope work: the g=1
+representative.  Five divisor cases pin the polytope work: the g=1
 variety, whose divisor is points, a skewed g=2 variety (P = [[2,3],[3,7]])
-and a non-diagonal g=3 variety (P = [[3,1,1],[1,3,1],[1,1,3]]), whose cells
-have vertices where three facet planes meet along non-coordinate edges.
+and three g=3 varieties.  P = [[3,1,1],[1,3,1],[1,1,3]] has vertices where
+three facet planes meet along non-coordinate edges; diag(2,2,2) has cube
+cells, with the most planes tight at each vertex; [[2,1,0],[1,2,1],[0,1,2]]
+has the largest g=3 cells of the three.
 
 Re-record the digests (only when an output change is intended) with
 
@@ -75,6 +77,8 @@ CASES = {
     "divisor-variety-g3-obj": [
         ["divisor", "variety_g3.json", "--format", "obj", "--out", "{mesh}"],
     ],
+    "divisor-variety-g3-diag": [["divisor", "variety_g3_diag.json", "--out", "{mesh}"]],
+    "divisor-variety-g3-chain": [["divisor", "variety_g3_chain.json", "--out", "{mesh}"]],
 }
 
 
