@@ -25,38 +25,34 @@ B_jj / 2 on Vor_B(0), and coordinate i of the cell lies within
 (1/2) sum_j |(Lam^-T)_ij| B_jj of x0_i: the slab bound, exact rational, one
 per theta, attained by the cubes of diag(2, 2, 2).
 
-Polytopes are held in double-description form (Motzkin-Raiffa-Thompson-
-Thrall 1953; Fukuda-Prodon 1996): a dict from each vertex to the frozenset
-of applied halfspaces tight there.  `_cut`, the one primitive, intersects
-such a polytope with one halfspace.  Two vertices span an edge iff the
-normals tight at both have rank g-1 (those constraints cut out the smallest
-face holding both), so each new vertex is one exact interpolation along a
-crossing edge, with no linear solve.  A cell is its box cut by its pool of
-competitors; cut by the domain's 2g halfspaces it says whether it meets the
-domain.  Tight sets stay complete under `_cut`, so each facet's piece of the
-divisor is a face of that one clip: the vertices whose tight set holds the
-facet plane.  Only unbounded cells (non-ample functions) use the g-subset
-enumeration `_vertices_of`.
+Polytopes are held in exact double-description form (Motzkin-Raiffa-
+Thompson-Thrall 1953; Fukuda-Prodon 1996), in integers as in Avis's lrs
+(2000) and in lattice coordinates t (x = P^T t): a dict from each vertex, a
+primitive integer vector (X, den) with den > 0 for t = X / den, to the
+bitmask of its tight planes.  A plane is one integer row of its cell's table
+(`_Planes`: the box, the domain [0, 1]^g and the pool; <a, x> >= b reads
+<D P a, t> >= D b with the kernel's integer D P), so a slack is one dot
+product.  `_cut`, the one primitive, cuts by one row: two vertices span an
+edge iff the normals tight at both (an AND of masks) have rank g-1, cached
+per mask, and each new vertex is an integer combination of the edge's ends.
+Tight sets stay complete under `_cut`, so each facet's piece of the divisor
+is a face of the domain clip: the vertices whose mask holds the facet plane.
+x is formed in Fractions only for the returned cells, pieces and quotient.
+Unbounded cells (non-ample functions) use the enumeration `_vertices_of`.
 
 The corner locus is periodic: by the transformation law
 w(u + Lam d) = w(u) + c_trop(d) + [d, u], l_{u+Lam d}(x) - l_{u''+Lam d}(x)
 = l_u(x + tau) - l_{u''}(x + tau) for tau = P^T d, so the cell of u + Lam d
 is the cell of u moved by -tau (same normals, offsets b - <a, tau>,
 witnesses shifted by Lam d; lex order is kept).  One cell is built per coset
-class and moved to the rest of its class; a moved cell meets the domain iff
-the built one meets the domain moved by +tau.  That test runs in lattice
-coordinates t (x = P^T t), computed once per built vertex: the domain is
-[0, 1]^g there, moved by +tau it is the box [d, d + 1], and a plane
-<a, x> >= b reads <P a, t> >= b.  A translate whose coordinate bounds miss
-the box is dropped unclipped; the rest are clipped to it exactly once (a
-polytope can miss a box that its bounds meet), and the clip gives the kept
-translate's pieces with their t.  A built vertex's t moves by -d, so only
-the vertices the cut creates are mapped back to x, and the quotient keys
-points and pieces by the carried t, with no matvec per point.  The tie
-set at a certified vertex is read off its tight set: the cell's witness and
-the pool witnesses of every plane tight there, which is complete by the
-pool soundness above.  The pool offsets w(u) - w(u'') come from the theta's
-integer kernel (`theta` module docstring).
+class and moved to the rest of its class, in t by -d: (X, den) becomes
+(X - den d, den).  A moved cell whose integer coordinate bounds miss the
+domain is dropped unclipped, the rest are clipped to it once (a polytope can
+miss a box its bounds meet), and the quotient keys points by their residues
+modulo den.  The tie set at a certified vertex is read off its mask: the
+cell's witness and the pool witnesses of every plane tight there, complete
+by the pool soundness above.  The pool offsets w(u) - w(u'') come from the
+theta's integer kernel (`theta` module docstring).
 """
 
 from __future__ import annotations
@@ -68,7 +64,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .lattice import enumerate_below
 from .linalg import (
@@ -106,9 +103,8 @@ class UnsupportedFormatError(ValueError):
 
 _MAX_RANK = 3
 Halfspace = tuple[IntVec, Fraction]  # <normal, x> >= offset
-Polytope = dict[TropPoint, frozenset]  # vertex -> tight applied halfspaces
+Polytope = dict[IntVec, int]  # homogeneous vertex (X, den) -> tight mask
 _BOX_MARGIN = Fraction(1, 2)  # added to _build_cell's slab bound
-_SEED_PROBES = 64  # probe points in _generic_seed
 
 
 # ---------- exact polyhedral helpers ----------
@@ -133,57 +129,74 @@ def _vertices_of(ineqs, g):
     return tuple(sorted(found))
 
 
-def _cut(poly: Polytope, halfspace: Halfspace) -> Polytope:
-    """poly intersected with { <a, x> >= b }: the one polytope primitive.
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Vertices with <a,v> > b stay; vertices on the plane stay and gain it as
-    tight.  Each new vertex lies on an edge from a kept p to a cut n, at
-    p + s_p/(s_p - s_n)(n - p) with s = <a,.> - b.  (p, n) is an edge iff
-    the normals tight at both have rank g-1.  A plane tight at a point
-    inside an edge is tight at both ends, so the new vertex's tight set is
-    the shared set plus the new plane.  Returns poly itself when every
-    vertex is strictly inside, and {} when every vertex is cut.  Most pool
-    planes cut nothing, so s is kept as an integer over a positive integer;
-    the edge test's rank is one fraction-free elimination.
+
+class _Planes(NamedTuple):
+    """A cell's integer planes in lattice coordinates t: row k, (A, -B), is
+    <A, t> >= B and bit k of a tight mask, and the slack of a vertex
+    (X, den) is <row, (X, den)>.  `edges` caches, per mask, whether the
+    normals of its rows have rank g-1."""
+
+    rows: list[IntVec]
+    edges: dict[int, bool]
+
+
+def _row(normal: IntVec, b: Fraction) -> IntVec:
+    """<normal, t> >= b as one integer row, scaled by b's denominator."""
+    return (*(b.denominator * c for c in normal), -b.numerator)
+
+
+def _move(v: IntVec, d: IntVec) -> IntVec:
+    """The homogeneous point v moved by -d; it stays primitive."""
+    return (*(x - v[-1] * s for x, s in zip(v, d)), v[-1])
+
+
+def _cut(poly: Polytope, planes: _Planes, k: int) -> Polytope:
+    """poly intersected with plane k of its table: the one polytope primitive.
+
+    Vertices with positive slack s stay; vertices on the plane stay and gain
+    bit k.  Each new vertex is on an edge from a kept p to a cut n: the
+    primitive part of s_p n - s_n p, with zero slack and den > 0.  (p, n) is
+    an edge iff the normals tight at both have rank g-1; a plane tight inside
+    an edge is tight at both ends, so the new mask is the shared one plus
+    bit k.  Returns poly itself when no vertex is cut, {} when all are.
     """
-    a, b = halfspace
-    an = [(c.numerator, c.denominator) for c in a]
-    bn, bd = b.numerator, b.denominator
-    rows = []
-    for v, tight in poly.items():
-        num, den = 0, 1
-        for (cn, cd), x in zip(an, v):
-            if cn:
-                xd = cd * x.denominator
-                num = num * xd + cn * x.numerator * den
-                den *= xd
-        rows.append((v, tight, num * bd - bn * den, den * bd))
-    if all(s > 0 for _, _, s, _ in rows):
+    rows, edges = planes
+    h, bit, g = rows[k], 1 << k, len(rows[k]) - 1
+    slacks = [(v, m, sum(map(mul, h, v))) for v, m in poly.items()]
+    if all(s > 0 for _, _, s in slacks):
         return poly
-    cut = [row for row in rows if row[2] < 0]
+    cut = [row for row in slacks if row[2] < 0]
     out: Polytope = {}
-    for p, tight, s_p, d_p in rows:
+    for p, m, s_p in slacks:
         if s_p == 0:
-            out[p] = tight | {halfspace}
+            out[p] = m | bit
         elif s_p > 0:
-            out[p] = tight
-            for n, tight_n, s_n, d_n in cut:
-                shared = tight & tight_n
-                if len(shared) < len(a) - 1 or (
-                    _echelon([h[0] for h in shared], len(a))[1] < len(a) - 1
-                ):
-                    continue
-                t = Fraction(s_p * d_n, s_p * d_n - s_n * d_p)
-                x = tuple(pc + t * (nc - pc) for pc, nc in zip(p, n))
-                out[x] = shared | {halfspace}
+            out[p] = m
+            for n, m_n, s_n in cut:
+                shared = m & m_n
+                edge = edges.get(shared)
+                if edge is None:
+                    normals = [rows[i][:g] for i in _bits(shared)]
+                    edge = len(normals) >= g - 1 and _echelon(normals, g)[1] == g - 1
+                    edges[shared] = edge
+                if edge:
+                    v = [s_p * y - s_n * x for x, y in zip(p, n)]
+                    c = gcd(*v)
+                    out[tuple(x // c for x in v)] = shared | bit
     return out
 
 
-def _clip(poly: Polytope, halfspaces) -> Polytope:
-    for h in halfspaces:
+def _clip(poly: Polytope, planes: _Planes, ks) -> Polytope:
+    for k in ks:
         if not poly:
             break
-        poly = _cut(poly, h)
+        poly = _cut(poly, planes, k)
     return poly
 
 
@@ -199,12 +212,32 @@ def _affine_span(points):
     return tuple(tuple(Fraction(x, p) for x in row) for row in rows[:rank])
 
 
-def _gcd_normalize(normal: IntVec, num: int, den: int) -> Halfspace:
-    """<normal, x> >= num / den with the normal's entries made coprime."""
-    g = gcd(*normal)
-    if g == 0:
-        raise InvalidDataError("zero normal")
-    return tuple(a // g for a in normal), Fraction(num, den * g)
+def _pool(theta: TropicalThetaFunction, u: IntVec, others) -> dict:
+    """The planes l_u <= l_{u''} of the competitors u'' != u by primitive
+    normal a = (u'' - u) / m: <a, x> >= num / (D m) for num = D w(u) -
+    D w(u''), the deepest per normal, with its witnesses: a -> (num, m, ws)."""
+    w_u = theta._w_numerator(u)
+    groups: dict[IntVec, tuple[int, int, list[IntVec]]] = {}
+    for other in others:
+        if other == u:
+            continue
+        normal = tuple(o - c for o, c in zip(other, u))
+        m = gcd(*normal)
+        a = tuple(c // m for c in normal)
+        num = w_u - theta._w_numerator(other)
+        cur = groups.get(a)
+        if cur is None or num * cur[1] > cur[0] * m:
+            groups[a] = (num, m, [other])
+        elif num * cur[1] == cur[0] * m:
+            cur[2].append(other)
+    return groups
+
+
+def _x_keys(ts, cols) -> dict[IntVec, IntVec]:
+    """Integer keys in the lex order of x = P^T t for homogeneous points ts:
+    their x numerators over one common denominator."""
+    den = lcm(*(t[-1] for t in ts))
+    return {t: tuple(sum(map(mul, c, t)) * (den // t[-1]) for c in cols) for t in ts}
 
 
 # ---------- cells ----------
@@ -310,9 +343,26 @@ def _cell_box(theta: TropicalThetaFunction, u: IntVec):
     return tuple(-vecdot(r, y) for r in lam_inv_t), tuple(h + _BOX_MARGIN for h in half)
 
 
-def _build_cell(
-    theta: TropicalThetaFunction, u: IntVec
-) -> tuple[LinearityCell, Polytope, dict]:
+def _to_x(v: IntVec, cols, D: int) -> TropPoint:
+    """x = P^T t of the homogeneous t = v, for cols the columns of D P."""
+    den = D * v[-1]
+    return tuple(Fraction(sum(map(mul, c, v)), den) for c in cols)
+
+
+class _Built(NamedTuple):
+    """A built cell and what its translates reuse: its polytope in t, with
+    its vertices in the cell's vertex order, its plane table, (bit, offset
+    denominator, vertex indices) per halfspace of the cell, and the
+    witnesses of each pool plane by bit."""
+
+    cell: LinearityCell
+    poly: Polytope
+    planes: _Planes
+    halfspaces: tuple[tuple[int, int, tuple[int, ...]], ...]
+    witnesses: dict[int, list[IntVec]]
+
+
+def _build_cell(theta: TropicalThetaFunction, u: IntVec, fd: "FundamentalDomain") -> _Built:
     """The global cell of witness u and its polytope, clipped once inside
     `_cell_box`: the cell lies in u's coset cell x0 - Lam^-T (P Lam) Vor(0),
     which the lattice vectors e_j confine to the slab bound (module docstring).
@@ -321,94 +371,88 @@ def _build_cell(
     (a point of the box beaten by an outside competitor is beaten by its
     local witness, which is pooled), which is the cell; the margin keeps the
     box planes off its vertices, so a polytope touching the box raises.  The
-    box corners are `_cut` by the pool, most violated plane first (d|d|/<a,a>,
-    d = b - <a, x0>, is the signed distance d/|a| made exact).  Tight sets
-    stay complete, so edges are the vertex pairs whose shared tight normals
-    have rank g-1 and a facet is the vertices whose tight set holds its
-    plane.  The polytope and the pool (normal -> (offset, witnesses)) are
-    returned for corner_locus's domain cuts and tie sets; offsets
-    w(u) - w(u'') are differences of integer kernel numerators.
+    box corners, in lattice coordinates of `fd`, are `_cut` by the pool,
+    most violated plane first (d|d|/<a,a>, d = b - <a, x0>, is the signed
+    distance d/|a| made exact).  Tight sets stay complete, so a facet is the
+    vertices whose mask holds its plane.  The plane table holds the box, the
+    domain (for corner_locus's clips) and the pool, sorted by normal.
     """
     g = theta.base.g
-    D = theta._kernel.D
-    w_u = theta._w_numerator(u)
-    value_u = Fraction(w_u, D)
+    D, DP = theta._kernel.D, theta._kernel.P
+    cols = tuple(zip(*DP))
+    value_u = Fraction(theta._w_numerator(u), D)
     center, halfwidths = _cell_box(theta, u)
 
-    # box planes (lower, upper) per axis; each corner is tight on g of them
-    planes = [
-        ((e, c - h), (tuple(-x for x in e), -(c + h)))
-        for e, c, h in zip(identity(g), center, halfwidths)
-    ]
-    poly: Polytope = {
+    # rows 0..2g-1: the box, x_i >= c_i - h_i and -x_i >= -(c_i + h_i), each
+    # corner tight on g of them; rows 2g..4g-1: the domain, t_i >= 0 and
+    # -t_i >= -1
+    rows = []
+    for col, c, h in zip(cols, center, halfwidths):
+        rows += [_row(col, D * (c - h)), _row([-x for x in col], -D * (c + h))]
+    for e in identity(g):
+        rows += [(*e, 0), (*(-x for x in e), 1)]
+    corners = {
         tuple(c + h if s else c - h for c, h, s in zip(center, halfwidths, signs)):
-            frozenset(pair[s] for pair, s in zip(planes, signs))
+            sum(1 << (2 * i + s) for i, s in enumerate(signs))
         for signs in product((0, 1), repeat=g)
     }
-    box = frozenset(h for pair in planes for h in pair)
 
     # u'' can only win somewhere in the box if l_{u''} <= l_u at a box corner
     # (their difference is affine), so pool per corner with its own bound
     others = set()
-    for corner in poly:
+    for corner in corners:
         others.update(_terms_below(theta, corner, value_u + vecdot(u, corner)))
-    others.discard(u)
-    groups: dict[IntVec, tuple[Fraction, list[IntVec]]] = {}
-    for other in others:
-        normal = tuple(o - a for o, a in zip(other, u))
-        a, b = _gcd_normalize(normal, w_u - theta._w_numerator(other), D)
-        cur = groups.get(a)
-        if cur is None or b > cur[0]:
-            groups[a] = (b, [other])
-        elif b == cur[0]:
-            cur[1].append(other)
+    pool = sorted(_pool(theta, u, others).items())
 
-    # d = b - <a, x0> in integers over x0's denominator
+    # the plane <m a, x> >= num / D is <D P m a, t> >= num.  Cut order: with
+    # e = (D m den) d, d|d|/<a, a> is e|e| / (m^2 <a, a>) up to a common
+    # factor, taken over one common denominator
     den = lcm(*(c.denominator for c in center))
     scaled = [c.numerator * (den // c.denominator) for c in center]
-
-    def key(con):
-        a, b = con
-        d = b.numerator * den - b.denominator * vecdot(a, scaled)
-        return Fraction(d * abs(d), (b.denominator * den) ** 2 * vecdot(a, a))
-
-    pool = [(a, b) for a, (b, _) in sorted(groups.items())]
-    poly = _clip(poly, sorted(pool, key=key, reverse=True))
-    if not poly or any(box & tight for tight in poly.values()):
+    depth, witnesses = {}, {}
+    for k, (a, (num, m, wits)) in enumerate(pool, 4 * g):
+        rows.append((*(m * x for x in matvec(DP, a)), -num))
+        e = num * den - D * m * vecdot(a, scaled)
+        depth[k] = (e * abs(e), m * m * vecdot(a, a))
+        witnesses[k] = wits
+    common = lcm(*(q for _, q in depth.values()))
+    keys = {k: p * (common // q) for k, (p, q) in depth.items()}
+    planes = _Planes(rows, {})
+    poly = {}
+    for x, mask in corners.items():
+        t = fd.lattice_coordinates(x)
+        q = lcm(*(c.denominator for c in t))
+        poly[(*(c.numerator * (q // c.denominator) for c in t), q)] = mask
+    poly = _clip(poly, planes, sorted(keys, key=keys.__getitem__, reverse=True))
+    if not poly or any(m & ((1 << 2 * g) - 1) for m in poly.values()):
         raise InvalidDataError(
             f"cell of witness {u} is not inside its certified box: centre "
             f"({', '.join(map(str, center))}), halfwidths "
-            f"({', '.join(map(str, halfwidths))}), pool of {len(groups)} halfspaces"
+            f"({', '.join(map(str, halfwidths))}), pool of {len(pool)} halfspaces"
         )
 
-    verts = tuple(sorted(poly))
-    tight = []
-    facet_list = []
+    poly = {v: poly[v] for v in sorted(poly, key=_x_keys(poly, cols).__getitem__)}
+    verts = tuple(_to_x(v, cols, D) for v in poly)
     span = _affine_span(verts)
     dim = len(span)
-    on_plane: dict[Halfspace, list[TropPoint]] = {}
-    for p in verts:
-        for h in poly[p]:
-            on_plane.setdefault(h, []).append(p)
-    for a, (b, wits) in sorted(groups.items()):
-        tight_verts = tuple(on_plane.get((a, b), ()))
-        if not tight_verts:
-            continue
+    on_plane: dict[int, list[int]] = {}
+    for i, mask in enumerate(poly.values()):
+        for k in _bits(mask):
+            on_plane.setdefault(k, []).append(i)
+    tight, halfspaces, facets = [], [], []
+    for k, (a, (num, m, wits)) in enumerate(pool, 4 * g):
+        idx = tuple(on_plane.get(k, ()))
         # a tight set with >= g vertices is a codimension-1 face; planes
         # only grazing lower faces are implied by the facets and dropped
-        if dim == g and len(tight_verts) < g:
+        if not idx or (dim == g and len(idx) < g):
             continue
+        b = Fraction(num, D * m)
         tight.append((a, b))
+        halfspaces.append((k, D * m, idx))
         if dim == g:
-            facet_list.append(Facet(a, b, tuple(sorted([u, *wits])), tight_verts))
-    return LinearityCell(
-        witness=u,
-        halfspaces=tuple(tight),
-        vertices=verts,
-        dim=dim,
-        span=span,
-        facets=tuple(facet_list),
-    ), poly, groups
+            facets.append(Facet(a, b, tuple(sorted([u, *wits])), tuple(verts[i] for i in idx)))
+    cell = LinearityCell(u, tuple(tight), verts, dim, span, tuple(facets))
+    return _Built(cell, poly, planes, tuple(halfspaces), witnesses)
 
 
 def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
@@ -426,16 +470,8 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
         # of a uniquely witnessed point is always full-dimensional, though
         # possibly unbounded, so no vertex certification is attempted
         D = theta._kernel.D
-        w_u = theta._w_numerator(u)
-        groups: dict[IntVec, Fraction] = {}
-        for rep, _ in theta.profile.finite_entries():
-            if rep == u:
-                continue
-            normal = tuple(o - a_ for o, a_ in zip(rep, u))
-            a, b = _gcd_normalize(normal, w_u - theta._w_numerator(rep), D)
-            if a not in groups or b > groups[a]:
-                groups[a] = b
-        ineqs = tuple(sorted(groups.items()))
+        groups = _pool(theta, u, (rep for rep, _ in theta.profile.finite_entries()))
+        ineqs = tuple((a, Fraction(num, D * m)) for a, (num, m, _) in sorted(groups.items()))
         return LinearityCell(
             witness=u,
             halfspaces=ineqs,
@@ -445,7 +481,7 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
             facets=(),
             bounded=False,
         )
-    return _build_cell(theta, u)[0]
+    return _build_cell(theta, u, _domain(theta)).cell
 
 
 # ---------- fundamental domain ----------
@@ -505,13 +541,11 @@ def _parallelepiped_halfspaces(Pt: RatMatrix):
 
 
 def _domain(theta: TropicalThetaFunction) -> FundamentalDomain:
-    g = theta.base.g
     Pt = RatMatrix(transpose(theta.base.P.entries))
-    corners = tuple(
-        sorted(tuple(matvec(Pt.entries, s)) for s in product((0, 1), repeat=g))
-    )
+    D, cols = theta._kernel.D, tuple(zip(*theta._kernel.P))
+    corners = sorted(_to_x((*s, 1), cols, D) for s in product((0, 1), repeat=theta.g))
     return FundamentalDomain(
-        matrix=Pt, corners=corners, halfspaces=_parallelepiped_halfspaces(Pt)
+        matrix=Pt, corners=tuple(corners), halfspaces=_parallelepiped_halfspaces(Pt)
     )
 
 
@@ -629,48 +663,32 @@ class CellComplex:
         )
 
 
-def _generic_seed(theta: TropicalThetaFunction, fd: FundamentalDomain):
-    # k = 0 would probe the domain's centre P^T (1/2, ..., 1/2), a
-    # half-period, which the divisors of the usual thetas pass through
-    g = theta.base.g
-    for k in range(1, _SEED_PROBES + 1):
-        t = tuple(
-            Fraction(1, 2) + Fraction((i + 1) * k, 64 * (i + 2) * g + 257)
-            for i in range(g)
-        )
-        result = theta.evaluate(tuple(matvec(fd.matrix.entries, t)))
-        if result.unique:
-            return result.canonical
-    matrix = [[str(c) for c in row] for row in fd.matrix.entries]
-    raise InvalidDataError(
-        f"no generic seed point found in the domain after {_SEED_PROBES} "
-        f"probes; P^T = {matrix}"
-    )
+def _quotient_point(t: IntVec) -> IntVec:
+    """The class of a homogeneous point modulo the lattice: its coordinates
+    reduced into [0, 1)^g, an integer residue modulo den."""
+    den = t[-1]
+    return (*(x % den for x in t[:-1]), den)
 
 
-def _quotient_point(t: TropPoint):
-    """The class of a point modulo the lattice: its lattice coordinates t
-    reduced into [0, 1)^g."""
-    return tuple(c % 1 for c in t)
+def _canonical_shift(ts) -> tuple[IntVec, ...]:
+    """The homogeneous points ts of a piece moved by the lattice vector that
+    takes their barycenter into [0, 1)^g, sorted: the piece's key modulo the
+    lattice."""
+    den = lcm(*(t[-1] for t in ts))
+    k = len(ts) * den
+    shift = [sum(t[i] * (den // t[-1]) for t in ts) // k for i in range(len(ts[0]) - 1)]
+    return tuple(sorted(_move(t, shift) for t in ts))
 
 
-def _canonical_shift(ts):
-    """The lattice coordinates ts of a piece moved by the lattice vector
-    that takes their barycenter into [0, 1)^g, sorted: the piece's key
-    modulo the lattice."""
-    shift = [sum(c) / len(ts) // 1 for c in zip(*ts)]
-    return tuple(sorted(tuple(c - s for c, s in zip(t, shift)) for t in ts))
-
-
-def _vertex_ties(u: IntVec, poly: Polytope, groups) -> dict:
+def _vertex_ties(u: IntVec, poly: Polytope, witnesses) -> dict:
     """The tie set at each vertex of u's certified cell: u and the witnesses
     of every pool plane tight there.  Complete: a witness u' at p ties with
     u at a point of the box, so it is pooled; its plane is tight at p, and
     the cell satisfies the deepest pooled plane of that normal, so the two
-    are one plane, with u' among its witnesses and in poly[p]."""
+    are one plane, with u' among its witnesses and its bit in poly[p]."""
     return {
-        p: tuple(sorted({u, *(v for a, _ in tight for v in groups[a][1])}))
-        for p, tight in poly.items()
+        p: tuple(sorted({u, *(v for k in _bits(mask) for v in witnesses[k])}))
+        for p, mask in poly.items()
     }
 
 
@@ -679,49 +697,41 @@ def _minus(p, t):
 
 
 def _apart(bounds, d) -> bool:
-    """Whether the box prod [lo_i - d_i, hi_i - d_i] misses [0, 1]^g."""
+    """Whether a polytope whose coordinates have integer bounds (ceil of the
+    min, floor of the max) misses [0, 1]^g once moved by -d: for an integer
+    d_i, max < d_i iff its floor is, and min > d_i + 1 iff its ceiling is."""
     return any(hi < di or lo > di + 1 for (lo, hi), di in zip(bounds, d))
 
 
-def _translate(cell: LinearityCell, tau, u: IntVec, offsets):
-    """The cell of u = cell.witness + Lam d, for tau = P^T d: points move by
-    -tau, witnesses by Lam d, and halfspace i takes offsets[i], its offset b
-    moved to b - <a, tau>.  Each vertex moves once, and the facets (a
-    full-dimensional cell's halfspaces, in order) reuse the moved vertices
-    and offsets.  Returns the moved cell and the vertex -> moved vertex map."""
+def _translate(built: _Built, u: IntVec, d: IntVec, verts) -> LinearityCell:
+    """The cell of u = built witness + Lam d, with verts its vertices in the
+    built cell's order: witnesses move by Lam d, and a halfspace's offset b
+    moves to b - <a, P^T d>, which is (B - <A, d>) / scale for its row
+    (A, -B) in t.  The facets (a full-dimensional cell's halfspaces, in
+    order) reuse the moved vertices and offsets."""
+    cell, rows, hs = built.cell, built.planes.rows, built.halfspaces
     back = _minus(cell.witness, u)
-    moved = {p: _minus(p, tau) for p in cell.vertices}
+    offsets = [Fraction(-rows[k][-1] - sum(map(mul, rows[k], d)), q) for k, q, _ in hs]
     facets = tuple(
-        Facet(
-            f.normal,
-            b,
-            tuple(_minus(w, back) for w in f.witnesses),
-            tuple(map(moved.get, f.vertices)),
-        )
-        for f, b in zip(cell.facets, offsets)
+        Facet(f.normal, b, tuple(_minus(w, back) for w in f.witnesses), tuple(verts[i] for i in ix))
+        for f, b, (_, _, ix) in zip(cell.facets, offsets, hs)
     )
-    return replace(
-        cell,
-        witness=u,
-        halfspaces=tuple((h[0], b) for h, b in zip(cell.halfspaces, offsets)),
-        vertices=tuple(moved.values()),
-        facets=facets,
-    ), moved
+    halfspaces = tuple((h[0], b) for h, b in zip(cell.halfspaces, offsets))
+    return replace(cell, witness=u, halfspaces=halfspaces, vertices=verts, facets=facets)
 
 
 def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     """The tropical theta divisor in one fundamental parallelepiped.
 
-    BFS across the witnesses around each kept cell, from a generic seed
-    cell; every cell whose closure meets the domain is kept, and quotient
-    counts are taken modulo the period lattice.  `_build_cell` runs once
-    per coset class (`theta._cosets`); every other cell of the class is
-    that cell moved by -P^T d (module docstring).  Each kept translate is
-    clipped to the domain once, in lattice coordinates t (x = P^T t), where
-    the domain is the unit box; its skeleton pieces are faces of that clip,
-    deduplicated, and their vertices carry t into the quotient keys.  The
-    tie sets at a built cell's vertices come from their tight sets
-    (`_vertex_ties`), so `theta.evaluate` runs only for the seed probes.
+    BFS across the witnesses around each kept cell, from the cell of a
+    witness at x = 0, a corner of the domain: the cells that meet the convex
+    domain cover it, and two that meet are tied at a vertex.  `_build_cell`
+    runs once per coset class (`theta._cosets`); every other cell of the
+    class is that cell moved by -d in lattice coordinates t (module
+    docstring), clipped to the domain [0, 1]^g once if kept.  Its skeleton
+    pieces are faces of that clip, deduplicated by their integer vertices,
+    which key the quotient; x is formed once per vertex.  Tie sets come from
+    masks (`_vertex_ties`), so `theta.evaluate` runs once, for the seed.
     """
     g = theta.base.g
     if g > _MAX_RANK:
@@ -729,17 +739,19 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     if not theta.is_ample:
         raise InvalidDataError("corner locus needs an ample polarization")
     fd = _domain(theta)
-    D, DP, Pt = theta._kernel.D, theta._kernel.P, fd.matrix.entries
-    axes = [(e, tuple(-x for x in e)) for e in identity(g)]
-    # class rep -> (Lam-coordinates of the built witness, its cell, sorted
-    # neighbors, its polytope in t, the t -> vertex map, its halfspaces in
-    # t, and the polytope's t bounds)
+    D, cols = theta._kernel.D, tuple(zip(*theta._kernel.P))
+    xs: dict[IntVec, TropPoint] = {}
+
+    def x_of(t):  # x of a homogeneous t, formed once
+        return xs.get(t) or xs.setdefault(t, _to_x(t, cols, D))
+
+    # class rep -> (built witness's Lam-coordinates, build, neighbors, bounds)
     classes: dict[IntVec, tuple] = {}
     seen: set[IntVec] = set()
     kept = []
     pieces = set()
-    coords: dict[TropPoint, TropPoint] = {}  # skeleton vertex -> its t
-    queue = deque([_generic_seed(theta, fd)])
+    domain = range(2 * g, 4 * g)
+    queue = deque([theta.evaluate((Fraction(0),) * g).canonical])
     while queue:
         u = queue.popleft()
         if u in seen:
@@ -747,71 +759,54 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         seen.add(u)
         rep, n = theta._cosets.decompose(u)
         if rep not in classes:
-            cell, poly, groups = _build_cell(theta, u)
+            built = _build_cell(theta, u, fd)
             # every neighbor ties with u at a vertex of the cell
-            ties = _vertex_ties(u, poly, groups)
+            ties = _vertex_ties(u, built.poly, built.witnesses)
             neighbors = tuple(sorted(set().union(*ties.values()) - {u}))
-            # <a, x> >= b is <D P a, t> >= D b in t, with D P the kernel's
-            # integer P; an invertible linear map keeps the tight sets and
-            # their ranks, so _cut runs unchanged
-            lift = {h: (matvec(DP, h[0]), D * h[1]) for h in set().union(*poly.values())}
-            poly_t = {
-                fd.lattice_coordinates(p): frozenset(map(lift.__getitem__, tight))
-                for p, tight in poly.items()
-            }
-            bounds = [(min(c), max(c)) for c in zip(*poly_t)]
-            planes = [lift[h] for h in cell.halfspaces]
-            classes[rep] = (n, cell, neighbors, poly_t, dict(zip(poly_t, poly)), planes, bounds)
-        n0, cell, neighbors, poly_t, vertex_of, planes, bounds = classes[rep]
-        # the cell of u is cell - P^T d, with lattice coordinates in
-        # [lo - d, hi - d], and the domain is [0, 1]^g in them: a box apart
-        # from it needs no clip.  A box that meets it can still hold a cell
-        # that misses it, so the exact clip by the box [d, d + 1] decides.
+            bounds = [
+                (min(-(-x // t[-1]) for x, t in zip(c, built.poly)),
+                 max(x // t[-1] for x, t in zip(c, built.poly)))
+                for c in list(zip(*built.poly))[:-1]
+            ]
+            classes[rep] = (n, built, neighbors, bounds)
+        n0, built, neighbors, bounds = classes[rep]
+        # the cell of u is the built one moved by -d, and the domain is
+        # [0, 1]^g in t: a polytope whose bounds miss it needs no clip.  One
+        # whose bounds meet it can still miss it, so the exact clip decides.
         d = _minus(n, n0)
         if _apart(bounds, d):
             continue
-        box = [h for (e, f), k in zip(axes, d) for h in ((e, k), (f, -k - 1))]
-        clipped = _clip(poly_t, box)
+        moved = {t: _move(t, d) for t in built.poly}
+        clipped = _clip({moved[t]: m for t, m in built.poly.items()}, built.planes, domain)
         if not clipped:
             continue
-        tau = tuple(matvec(Pt, d))
-        moved_cell, moved = _translate(
-            cell, tau, u, [(b - vecdot(a, d)) / D for a, b in planes]
-        )
-        kept.append(moved_cell)
+        cell = _translate(built, u, d, tuple(map(x_of, moved.values())))
+        kept.append(cell)
         # each piece is a face of the clip: tight sets stay complete, so its
-        # vertices are those whose tight set holds the facet plane.  A vertex
-        # of the built cell moves with it; only the box cut's own vertices
-        # are mapped back to x.
-        on_plane: dict[Halfspace, list[TropPoint]] = {}
-        for t, tight in clipped.items():
-            t_moved = _minus(t, d)
-            p = vertex_of.get(t)
-            q = moved[p] if p is not None else tuple(matvec(Pt, t_moved))
-            coords[q] = t_moved
-            for h in tight:
-                on_plane.setdefault(h, []).append(q)
-        # only full-dimensional cells have facets
-        for plane, moved_facet in zip(planes, moved_cell.facets):
-            verts = on_plane.get(plane)
+        # vertices are those whose mask holds the facet plane (only
+        # full-dimensional cells have facets)
+        for (k, _, _), facet in zip(built.halfspaces, cell.facets):
+            verts = tuple(sorted(t for t, m in clipped.items() if m >> k & 1))
             if verts:
-                pieces.add((tuple(sorted(verts)), moved_facet.witnesses))
-        back = _minus(cell.witness, u)
+                pieces.add((verts, facet.witnesses))
+        back = _minus(built.cell.witness, u)
         queue.extend(_minus(w, back) for w in neighbors)
 
     kept = tuple(sorted(kept, key=lambda c: c.witness))
-    skeleton = tuple(SkeletonPiece(w, v) for v, w in sorted(pieces))
+    # the pieces in x order, each with its vertices in x order
+    keys = _x_keys({t for ts, _ in pieces for t in ts}, cols)
+    point = {key: t for t, key in keys.items()}
+    ordered = sorted((tuple(sorted(map(keys.get, ts))), w) for ts, w in pieces)
+    skeleton = tuple(SkeletonPiece(w, tuple(x_of(point[k]) for k in ks)) for ks, w in ordered)
+    quotient = _quotient_summary(theta, kept, [tuple(map(point.get, ks)) for ks, _ in ordered])
+    return CellComplex(g=g, cells=kept, skeleton=skeleton, domain=fd, quotient=quotient)
 
-    quotient = _quotient_summary(theta, fd, kept, skeleton, coords)
-    return CellComplex(
-        g=g, cells=kept, skeleton=skeleton, domain=fd, quotient=quotient
-    )
 
-
-def _quotient_summary(theta, fd, kept_cells, skeleton, coords) -> QuotientSummary:
-    """Quotient counts; coords maps each skeleton vertex to its lattice
-    coordinates, which key points and pieces modulo the lattice."""
-    g = fd.g
+def _quotient_summary(theta, kept_cells, pieces) -> QuotientSummary:
+    """Quotient counts; pieces holds each skeleton piece's homogeneous
+    lattice coordinates in its vertex order, which key points and pieces
+    modulo the lattice."""
+    g = theta.g
     c_count = len({theta._cosets.decompose(c.witness)[0] for c in kept_cells if c.dim == g})
     # g <= 2: the divisor is a graph, points for g = 1, points and edges for
     # g = 2, whose nodes are the pieces' lex extremes (interior points are
@@ -819,17 +814,18 @@ def _quotient_summary(theta, fd, kept_cells, skeleton, coords) -> QuotientSummar
     # and 2-dimensional piece classes; graph invariants of the 2-dimensional
     # skeleton are out of scope.  A piece with max(2, g) or more vertices is
     # an edge for g = 2 and 2-dimensional for g = 3.
-    nodes: dict[TropPoint, int] = {}  # quotient point -> union-find index
+    nodes: dict[IntVec, int] = {}  # quotient point -> union-find index
     piece_keys = set()
     links = []
-    for piece in skeleton:
-        ts = [coords[p] for p in piece.vertices]
+    for ts in pieces:
         ends = ts if g == 3 else (ts[0], ts[-1])
         ids = [nodes.setdefault(_quotient_point(t), len(nodes)) for t in ends]
         if len(ts) >= max(2, g):
             piece_keys.add(_canonical_shift(ts))
             links.append(ids)
-    zero = tuple(sorted(tuple(matvec(fd.matrix.entries, t)) for t in nodes))
+    cols = tuple(zip(*theta._kernel.P))
+    zero = sorted(nodes, key=_x_keys(nodes, cols).get)
+    zero = tuple(_to_x(t, cols, theta._kernel.D) for t in zero)
     v_count, e_count = len(nodes), len(piece_keys)
     if g == 3:
         return QuotientSummary(zero, e_count, c_count, None, None, None)

@@ -1,8 +1,8 @@
 import hashlib
 import itertools
 import json
+import math
 import random
-import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,42 +304,65 @@ GATED = {
 def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cells):
     # machine-independent gates: _build_cell runs once per coset class of the
     # kept cells (every other cell is a lattice translate), each time for a
-    # kept cell, theta.evaluate runs once, for the seed search's first
-    # probe (the search skips the domain's centre, a half-period on the
-    # divisor), and no linear system is solved: centres and lattice
-    # coordinates are products with inverses computed once per matrix
+    # kept cell, theta.evaluate runs once, at x = 0 for the seed witness,
+    # and no linear system is solved: centres and lattice coordinates are
+    # products with inverses computed once per matrix
     theta = GATED[name]()
     built = []
-    evals = {"seed": 0, "other": 0}
-    in_seed = [False]
-    build_cell, generic_seed = geometry._build_cell, geometry._generic_seed
+    evals = []
+    build_cell = geometry._build_cell
     evaluate = TropicalThetaFunction.evaluate
 
     def counting_build(*args, **kwargs):
         built.append(args[1])
         return build_cell(*args, **kwargs)
 
-    def flagged_seed(*args, **kwargs):
-        in_seed[0] = True
-        try:
-            return generic_seed(*args, **kwargs)
-        finally:
-            in_seed[0] = False
-
     def counting_evaluate(self, v):
-        evals["seed" if in_seed[0] else "other"] += 1
+        evals.append(v)
         return evaluate(self, v)
 
     monkeypatch.setattr(geometry, "_build_cell", counting_build)
-    monkeypatch.setattr(geometry, "_generic_seed", flagged_seed)
     monkeypatch.setattr(TropicalThetaFunction, "evaluate", counting_evaluate)
     cx = corner_locus(theta)
     assert len(cx.cells) == cells
     classes = {theta._cosets.decompose(c.witness)[0] for c in cx.cells}
     assert len(built) == len(classes) == 1
     assert set(built) <= {c.witness for c in cx.cells}
-    assert evals == {"seed": 1, "other": 0}
+    assert evals == [(F(0),) * theta.g]
     assert solve_calls == []
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("TH1", 1), ("TH2", 12), ("variety_g2_skewed", 10), ("TH3", 48), ("variety_g3", 61)],
+)
+def test_edge_ranks_once_per_mask(monkeypatch, name, calls):
+    # machine-independent gate: _cut's edge test ranks the normals of a
+    # shared tight mask with one _echelon call, cached per mask for the
+    # corner_locus call, so the calls count distinct masks (ranking every
+    # tested pair took 4, 28, 44, 120 and 165).  _affine_span's one call per
+    # build is not an edge test and is not counted.
+    ranks = []
+    in_span = [False]
+    echelon, affine_span = geometry._echelon, geometry._affine_span
+
+    def counting_echelon(rows, width):
+        if not in_span[0]:
+            ranks.append(tuple(rows))
+        return echelon(rows, width)
+
+    def flagged_span(points):
+        in_span[0] = True
+        try:
+            return affine_span(points)
+        finally:
+            in_span[0] = False
+
+    monkeypatch.setattr(geometry, "_echelon", counting_echelon)
+    monkeypatch.setattr(geometry, "_affine_span", flagged_span)
+    corner_locus(GATED[name]())
+    assert len(ranks) == calls
+    assert all(type(x) is int for rows in ranks for row in rows for x in row)
 
 
 @pytest.mark.parametrize(
@@ -360,13 +383,15 @@ def test_translates_are_culled_in_lattice_coordinates(count_calls, name, clips):
 
 @pytest.mark.parametrize(
     "name, calls",
-    [("variety_g1", 2), ("variety_g2", 6), ("variety_g2_skewed", 6), ("variety_g3", 14)],
+    [("variety_g1", 2), ("variety_g2", 4), ("variety_g2_skewed", 4), ("variety_g3", 8)],
 )
 def test_lattice_coordinates_once_per_built_vertex(count_calls, name, calls):
-    # machine-independent gate: corner_locus maps each built cell's vertices
-    # to lattice coordinates once; a translate's move by -d, its clip (in
-    # lattice coordinates) and the quotient keys reuse them.  Recomputing
-    # them for every skeleton vertex and barycentre took 3, 21, 27 and 104.
+    # machine-independent gate: the only vertices mapped to lattice
+    # coordinates are the 2^g box corners a build starts from; every other
+    # vertex is made in lattice coordinates by _cut, and translates, clips
+    # and quotient keys use them.  Mapping each built cell's vertices took 2,
+    # 6, 6 and 14; recomputing them for every skeleton vertex and barycentre
+    # took 3, 21, 27 and 104.
     found = count_calls(geometry.FundamentalDomain.lattice_coordinates)
     cx = corner_locus(fixture_theta(f"{name}.json"))
     assert len(found) == calls
@@ -420,8 +445,8 @@ def test_kept_cells_and_tie_sets_match_pointwise_evaluation(theta):
     ties = []
     vertex_ties = geometry._vertex_ties
 
-    def recording(u, poly, groups):
-        out = vertex_ties(u, poly, groups)
+    def recording(u, poly, witnesses):
+        out = vertex_ties(u, poly, witnesses)
         ties.extend(out.items())
         return out
 
@@ -434,9 +459,11 @@ def test_kept_cells_and_tie_sets_match_pointwise_evaluation(theta):
     for t in itertools.product(range(n + 1), repeat=2):
         p = tuple(matvec(cx.domain.matrix.entries, [F(c, n) for c in t]))
         assert set(theta.evaluate(p).witnesses) <= kept, p
-    # the tie set read off a vertex's tight set is the full witness set
+    # the tie set read off a vertex's mask is the full witness set; the
+    # vertex (X, den) is the point x = P^T X / den
     assert ties
-    for p, witnesses in ties:
+    for (*X, den), witnesses in ties:
+        p = tuple(matvec(cx.domain.matrix.entries, [F(c, den) for c in X]))
         assert witnesses == theta.evaluate(p).witnesses, p
 
 
@@ -467,7 +494,7 @@ def test_translated_cells_equal_built_cells(theta):
     classes = {theta._cosets.decompose(c.witness)[0] for c in cx.cells}
     assert len(cx.cells) > len(classes)  # some cells are translates
     for cell in cx.cells:
-        built = geometry._build_cell(theta, cell.witness)[0]
+        built = geometry._build_cell(theta, cell.witness, cx.domain).cell
         assert built == cell, cell.witness
 
 
@@ -489,18 +516,27 @@ def test_lattice_cull_matches_the_exact_clip(theta):
 
 def reference_skeleton(theta, cx):
     """The skeleton as each kept cell's facets clipped to the domain one by
-    one: a facet is its vertices with its plane made tight, cut by the
-    domain's 2g halfspaces (the per-facet clip that reading the pieces off
-    one clip of the cell replaced).  Each kept cell is built afresh."""
+    one, by brute force: the vertices of facet ∩ domain are the feasible
+    unique solutions of the facet plane with g - 1 of the other cell and
+    domain planes.  Each kept cell is built afresh."""
     pieces = set()
+    g = cx.g
     for cell in cx.cells:
-        _, poly, _ = geometry._build_cell(theta, cell.witness)
+        planes = geometry._build_cell(theta, cell.witness, cx.domain).cell.halfspaces
         for facet in cell.facets:
             plane = (facet.normal, facet.offset)
-            face = {p: poly[p] | {plane} for p in facet.vertices}
-            verts = tuple(sorted(geometry._clip(face, cx.domain.halfspaces)))
-            if verts:
-                pieces.add((verts, facet.witnesses))
+            rest = [h for h in planes if h != plane] + list(cx.domain.halfspaces)
+            found = set()
+            for subset in itertools.combinations(rest, g - 1):
+                system = [plane, *subset]
+                try:
+                    x = tuple(solve([a for a, _ in system], [b for _, b in system]))
+                except ShapeMismatchError:
+                    continue
+                if all(vecdot(a, x) >= b for a, b in rest):
+                    found.add(x)
+            if found:
+                pieces.add((tuple(sorted(found)), facet.witnesses))
     return pieces
 
 
@@ -568,22 +604,31 @@ def test_pieces_are_the_facets_clipped_one_by_one(theta):
 @settings(max_examples=20, deadline=None)
 def test_quotient_from_carried_coordinates_matches_a_fresh_one(theta):
     # oracle for the carried lattice coordinates: each skeleton vertex's
-    # carried t is its lattice_coordinates, and the summary equals the one
-    # fed fresh coordinates and the reference that keys pieces in x
-    carried = {}
+    # carried homogeneous t is its lattice_coordinates, and the summary
+    # equals the one fed fresh coordinates and the reference that keys
+    # pieces in x
+    carried = []
     summary = geometry._quotient_summary
 
-    def recording(theta_, fd, kept, skeleton, coords):
-        carried.update(coords)
-        return summary(theta_, fd, kept, skeleton, coords)
+    def recording(theta_, kept, pieces):
+        carried.extend(pieces)
+        return summary(theta_, kept, pieces)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_quotient_summary", recording)
         cx = corner_locus(theta)
     fd = cx.domain
-    fresh = {p: fd.lattice_coordinates(p) for piece in cx.skeleton for p in piece.vertices}
-    assert {p: carried[p] for p in fresh} == fresh
-    assert summary(theta, fd, cx.cells, cx.skeleton, fresh) == cx.quotient
+
+    def homogeneous(t):
+        den = math.lcm(*(c.denominator for c in t))
+        return (*(int(c * den) for c in t), den)
+
+    fresh = [
+        tuple(homogeneous(fd.lattice_coordinates(p)) for p in piece.vertices)
+        for piece in cx.skeleton
+    ]
+    assert carried == fresh
+    assert summary(theta, cx.cells, fresh) == cx.quotient
     assert reference_quotient(theta, cx) == cx.quotient
 
 
@@ -691,6 +736,12 @@ def brute_force_vertices(ineqs, g):
 rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 
 
+def homogeneous_row(a, b):
+    """<a, x> >= b as one integer row (a, -b) over b's denominator."""
+    b = F(b)
+    return (*(b.denominator * c for c in a), -b.numerator)
+
+
 @given(st.data())
 @settings(max_examples=120, deadline=None)
 def test_cut_matches_brute_force_vertices_and_tight_sets(data):
@@ -700,10 +751,13 @@ def test_cut_matches_brute_force_vertices_and_tight_sets(data):
     units = [tuple(int(i == j) for j in range(g)) for i in range(g)]
     applied = [(e, c - half) for e, c in zip(units, center)]
     applied += [(tuple(-x for x in e), -(c + half)) for e, c in zip(units, center)]
+    planes = geometry._Planes([homogeneous_row(a, b) for a, b in applied], {})
     poly = {}
     for signs in itertools.product((-1, 1), repeat=g):
         v = tuple(c + s * half for c, s in zip(center, signs))
-        poly[v] = frozenset(h for h in applied if vecdot(h[0], v) == h[1])
+        den = math.lcm(*(c.denominator for c in v))
+        tight = [k for k, h in enumerate(applied) if vecdot(h[0], v) == h[1]]
+        poly[(*(int(c * den) for c in v), den)] = sum(1 << k for k in tight)
     for _ in range(data.draw(st.integers(1, 5))):
         kind = data.draw(st.sampled_from(["free", "vertex", "flip"]))
         if kind == "flip":
@@ -717,14 +771,20 @@ def test_cut_matches_brute_force_vertices_and_tight_sets(data):
                 continue
             if kind == "vertex" and poly:
                 # degenerate: the plane passes through an existing vertex
-                b = vecdot(a, data.draw(st.sampled_from(sorted(poly))))
+                *X, den = data.draw(st.sampled_from(sorted(poly)))
+                b = vecdot(a, [F(c, den) for c in X])
             else:
                 b = data.draw(rationals) * data.draw(st.integers(1, 4))
-        poly = _cut(poly, (a, b))
         applied.append((a, b))
-        assert set(poly) == brute_force_vertices(applied, g)
-        for v, tight in poly.items():
-            assert tight == {h for h in applied if vecdot(h[0], v) == h[1]}
+        planes.rows.append(homogeneous_row(a, b))
+        poly = _cut(poly, planes, len(applied) - 1)
+        # every vertex is a primitive integer vector with den > 0
+        assert all(v[-1] > 0 and math.gcd(*v) == 1 for v in poly)
+        points = {tuple(F(c, v[-1]) for c in v[:-1]): m for v, m in poly.items()}
+        assert set(points) == brute_force_vertices(applied, g)
+        for x, mask in points.items():
+            tight = {k for k, h in enumerate(applied) if vecdot(h[0], x) == h[1]}
+            assert mask == sum(1 << k for k in tight)
 
 
 # ---------- iteration limits ----------
@@ -735,26 +795,12 @@ def test_cell_on_its_box_reports_witness_centre_and_halfwidths(monkeypatch):
     # certified box never is: the build raises with the box it used
     monkeypatch.setattr(geometry, "_terms_below", lambda theta, v, bound: [])
     with pytest.raises(InvalidDataError) as err:
-        geometry._build_cell(TH2, (1, -2))
+        geometry._build_cell(TH2, (1, -2), geometry._domain(TH2))
     # x0 = -P u = (0, 3), halfwidths P_ii / 2 plus the margin
     half = 1 + geometry._BOX_MARGIN
     assert str(err.value) == (
         "cell of witness (1, -2) is not inside its certified box: centre "
         f"(0, 3), halfwidths ({half}, {half}), pool of 0 halfspaces"
-    )
-
-
-def test_seed_search_reports_probes_and_domain(monkeypatch):
-    monkeypatch.setattr(
-        TropicalThetaFunction,
-        "evaluate",
-        lambda self, v: types.SimpleNamespace(unique=False),
-    )
-    with pytest.raises(InvalidDataError) as err:
-        corner_locus(TH2)
-    assert str(err.value) == (
-        "no generic seed point found in the domain after 64 probes; "
-        "P^T = [['2', '1'], ['1', '2']]"
     )
 
 

@@ -6,7 +6,9 @@ sentinel.  A float(...) call or a float literal anywhere in the package
 fails this test, except inside geometry._fmt, which prints mesh
 coordinates for SVG and OBJ files.  The syntax scan cannot see an int / int
 division, so the runtime check walks every number of corner loci at
-g = 1, 2, 3 and of a non-ample linearity cell.
+g = 1, 2, 3 and of a non-ample linearity cell.  The polytope primitive
+`geometry._cut` works in integers alone: a third check walks every argument
+and result of its calls during corner loci and finds only ints.
 """
 
 import ast
@@ -17,9 +19,12 @@ from pathlib import Path
 
 import pytest
 
+from troptheta import geometry
 from troptheta.geometry import corner_locus, linearity_cell
 from troptheta.theta import AutomorphyFactor, TropicalThetaFunction, ValuationProfile, riemann_theta
 from troptheta.varieties import TropicalPolarizationData
+
+from test_geometry import LEVEL2_I
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "troptheta"
@@ -110,3 +115,23 @@ def test_non_ample_cell_is_exact():
     cell = linearity_cell(theta, (Fraction(1, 3), Fraction(-1, 5)))
     assert cell.witness == (0, 0) and len(cell.vertices) >= 4
     assert {type(x) for x in numbers(cell)} <= {int, Fraction}
+
+
+@pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I"])
+def test_cut_runs_in_integers(monkeypatch, name):
+    # homogeneous vertices, tight masks, plane rows and the edge-rank cache:
+    # no Fraction goes into _cut or comes out of it
+    theta = LEVEL2_I if name == "LEVEL2_I" else fixture_theta(name)
+    calls = []
+    cut = geometry._cut
+
+    def recording(*args):
+        out = cut(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(geometry, "_cut", recording)
+    corner_locus(theta)
+    found = list(numbers(calls))
+    assert len(calls) > 10 and len(found) > 1000
+    assert {type(x) for x in found} == {int}
