@@ -118,7 +118,7 @@ def suite_b(
     """Principal tropicalization identity: tropicalize(series from a_0 = 1)
     equals the intrinsic tropical Riemann theta pointwise, constant zero."""
     g = period.g
-    Lambda = identity(g) if Lambda is None else int_rows_from(Lambda)
+    Lambda = identity(g) if Lambda is None else int_rows_from(Lambda, "Lambda")
     series = build_riemann_theta(period, Lambda)
     trop = tropicalize(series)
     intrinsic = riemann_theta(

@@ -26,39 +26,52 @@ class ShapeMismatchError(ValueError):
     """Operands have incompatible or non-square dimensions."""
 
 
-def _as_fraction(x) -> Fraction:
+def _as_fraction(x, name: str = "matrix") -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
-    raise TypeError(f"exact rational required, got {type(x).__name__}: {x!r}")
+    raise TypeError(f"{name}: exact rational required, got {type(x).__name__}: {x!r}")
 
 
-def rows_from(data: Sequence[Sequence]) -> Rows:
-    rows = tuple(tuple(_as_fraction(x) for x in row) for row in data)
+def _as_int(x, name: str) -> int:
+    if type(x) is int:
+        return x
+    if isinstance(x, (Fraction, str)) and (f := Fraction(x)).denominator == 1:
+        return f.numerator
+    raise TypeError(f"{name}: integer required, got {type(x).__name__}: {x!r}")
+
+
+def json_list(data, name: str) -> Sequence:
+    """data, checked to be a list: a string would read as its characters
+    and a mapping as its keys."""
+    if not isinstance(data, (list, tuple)):
+        raise TypeError(f"{name} must be a list, got {type(data).__name__}: {data!r}")
+    return data
+
+
+def _rows(data, name: str, entry) -> tuple:
+    rows = tuple(
+        tuple(entry(x, name) for x in json_list(row, f"each row of {name}"))
+        for row in json_list(data, name)
+    )
     if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ShapeMismatchError("ragged rows")
+        raise ShapeMismatchError(f"{name}: ragged rows")
     return rows
 
 
-def int_rows_from(data: Sequence[Sequence]) -> IntRows:
-    rows = []
-    for row in data:
-        out = []
-        for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
-                f = _as_fraction(x)
-                if f.denominator != 1:
-                    raise TypeError(f"integer required, got {x!r}")
-                x = f.numerator
-            out.append(x)
-        rows.append(tuple(out))
-    rows = tuple(rows)
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise ShapeMismatchError("ragged rows")
-    return rows
+def rows_from(data: Sequence[Sequence], name: str = "matrix") -> Rows:
+    return _rows(data, name, _as_fraction)
+
+
+def int_rows_from(data: Sequence[Sequence], name: str = "matrix") -> IntRows:
+    return _rows(data, name, _as_int)
+
+
+def int_vector_from(data: Sequence, name: str) -> IntVec:
+    return tuple(_as_int(x, name) for x in json_list(data, name))
 
 
 def identity(n: int) -> IntRows:
@@ -188,8 +201,6 @@ class RatMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", rows_from(self.entries))
-        if self.entries and any(len(r) != len(self.entries[0]) for r in self.entries):
-            raise ShapeMismatchError("ragged rows")
 
     @property
     def rows(self) -> int:

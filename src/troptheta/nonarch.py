@@ -11,6 +11,18 @@ determines theta functions: Fourier coefficient families a_u with
 Taking val of everything recovers the tropical layer: profiles, factors and
 the min formula.  Series are never truncated approximately; partial sums
 carry every term up to an exact valuation cutoff.
+
+Every factor of the extension rule is a monomial whose exponent is an
+integer bilinear or quadratic form over one denominator, so each period and
+each cocycle is compiled once, on first use, into integer monomials over one
+common exponent denominator D: (D val, coefficient numerator, coefficient
+denominator) for every period entry T_ij, every generator value c(e'_i) and
+every pair value t(e'_i, lambda(e'_j)).  `t`, `t_lambda`, `value`, the
+cocycle's symmetry check and `coefficient` are then integer dot products
+and integer powers, with one exponent Fraction and one coefficient Fraction
+at the end, handed to puiseux's trusted constructor (a monomial, or a
+series times a nonzero monomial, is canonical as it stands).  Partial sums
+form x^u the same way and canonicalize all their terms once.
 """
 
 from __future__ import annotations
@@ -19,7 +31,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from itertools import chain
+from math import lcm
+from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import _terms_below
 from .lattice import CosetLattice, NotPositiveDefiniteError, _ldlt
@@ -31,11 +45,14 @@ from .linalg import (
     identity,
     int_det,
     int_rows_from,
+    int_vector_from,
     is_symmetric,
+    json_list,
     matmul,
     matvec,
+    transpose,
 )
-from .puiseux import PuiseuxNumber, monomial_product
+from .puiseux import PuiseuxNumber, Term
 from .theta import (
     AutomorphyFactor,
     NotPrincipalError,
@@ -65,6 +82,65 @@ class CutoffBelowMinimumError(ValueError):
 
 class ZeroDenominatorError(ZeroDivisionError):
     """Rational function with identically zero denominator."""
+
+
+# c q^(e/D) as (e, numerator of c, denominator of c), over a D the holder keeps
+Mono = tuple[int, int, int]
+
+
+def _mono(m: PuiseuxNumber, D: int) -> Mono:
+    (e, c), = m.terms
+    return e.numerator * (D // e.denominator), c.numerator, c.denominator
+
+
+def _fold(factors: Iterable[tuple[Mono, int]]) -> Mono:
+    """prod m^k over (m, k) pairs: the exponents add up, and numerators and
+    denominators multiply as integer powers (swapped for k < 0)."""
+    exp, num, den = 0, 1, 1
+    for (e, a, b), k in factors:
+        if k:
+            exp += k * e
+            if k < 0:
+                a, b, k = b, a, -k
+            num *= a**k
+            den *= b**k
+    return exp, num, den
+
+
+def _term(D: int, m: Mono) -> Term:
+    return Fraction(m[0], D), Fraction(m[1], m[2])
+
+
+def _reduced(m: Mono) -> Mono:
+    c = Fraction(m[1], m[2])
+    return m[0], c.numerator, c.denominator
+
+
+def _monomial(D: int, m: Mono) -> PuiseuxNumber:
+    return PuiseuxNumber._trusted((_term(D, m),))
+
+
+def _bilinear(T: Sequence[Sequence[Mono]], a: Sequence[int], b: Sequence[int]):
+    """The factors of prod_{i,j} T_ij^(a_i b_j)."""
+    return ((m, ai * bj) for row, ai in zip(T, a) if ai for m, bj in zip(row, b))
+
+
+def _literal(x, name: str) -> PuiseuxNumber:
+    """A Puiseux literal from JSON: a string, or an integer constant."""
+    if isinstance(x, bool) or not isinstance(x, (str, int)):
+        raise TypeError(f"{name}: Puiseux literal required, got {type(x).__name__}: {x!r}")
+    return PuiseuxNumber.parse(str(x))
+
+
+class _Kernel(NamedTuple):
+    """A cocycle's monomials over one exponent denominator D: the period
+    entries T_ij, the generator values G_i = c(e'_i) and the pair values
+    Q_ij = t(e'_i, lambda(e'_j)), each with a reduced coefficient."""
+
+    D: int
+    T: tuple[tuple[Mono, ...], ...]
+    G: tuple[Mono, ...]
+    Q: tuple[tuple[Mono, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -106,25 +182,32 @@ class PeriodMatrix:
     def pairing(self) -> RatMatrix:
         return RatMatrix(self.exponent_rows())
 
+    @cached_property
+    def _kernel(self) -> tuple[int, tuple[tuple[Mono, ...], ...]]:
+        """D and the entries as integer monomials over it."""
+        D = lcm(*(e.val().denominator for row in self.entries for e in row))
+        return D, tuple(tuple(_mono(e, D) for e in row) for row in self.entries)
+
     def t(self, nprime: Sequence[int], u: Sequence[int]) -> PuiseuxNumber:
         """t(u', u) = prod_{i,j} T[i][j]^(n'_i u_j), one monomial whose
         exponent is the bilinear form n'^T P u."""
-        return monomial_product(
-            (int(ni) * int(uj), self.entries[i][j])
-            for i, ni in enumerate(nprime)
-            for j, uj in enumerate(u)
-        )
+        D, T = self._kernel
+        nprime, u = tuple(map(int, nprime)), tuple(map(int, u))
+        return _monomial(D, _fold(_bilinear(T, nprime, u)))
 
     def to_json_rows(self) -> list:
         return [[str(e) for e in row] for row in self.entries]
 
     @classmethod
     def from_json_rows(cls, rows: list) -> "PeriodMatrix":
-        return cls(
-            entries=tuple(
-                tuple(PuiseuxNumber.parse(str(e)) for e in row) for row in rows
+        try:
+            entries = tuple(
+                tuple(_literal(e, "T") for e in json_list(row, "each row of T"))
+                for row in json_list(rows, "T")
             )
-        )
+        except TypeError as exc:
+            raise InvalidDataError(str(exc)) from exc
+        return cls(entries=entries)
 
 
 @dataclass(frozen=True)
@@ -148,10 +231,10 @@ class NACocycle:
                 raise InvalidDataError(f"cocycle generator must be a monomial: {c}")
         # symmetry of t(e'_i, lambda(e'_j)) is what makes the extension a
         # genuine cocycle; check it exactly
-        t = self._t_pairs
+        Q = self._kernel.Q
         for i in range(g):
             for j in range(i):
-                if t[i][j] != t[j][i]:
+                if Q[i][j] != Q[j][i]:
                     raise InvalidDataError(
                         f"t(e'_{i}, lambda(e'_{j})) != t(e'_{j}, lambda(e'_{i}))"
                     )
@@ -161,10 +244,15 @@ class NACocycle:
         return self.period.g
 
     @cached_property
-    def _t_pairs(self) -> tuple[tuple[PuiseuxNumber, ...], ...]:
-        """t(e'_i, lambda(e'_j)) for every pair of basis vectors."""
-        basis = identity(self.g)
-        return tuple(tuple(self.t_lambda(a, b) for b in basis) for a in basis)
+    def _kernel(self) -> _Kernel:
+        """Q_ij = prod_k T_ik^(Lambda_kj), since lambda(e'_j) is column j."""
+        D = lcm(self.period._kernel[0], *(c.val().denominator for c in self.generators))
+        T = tuple(tuple(_mono(e, D) for e in row) for row in self.period.entries)
+        Q = tuple(
+            tuple(_reduced(_fold(zip(row, col))) for col in transpose(self.Lambda))
+            for row in T
+        )
+        return _Kernel(D, T, tuple(_mono(c, D) for c in self.generators), Q)
 
     def lambda_is_zero(self) -> bool:
         return all(x == 0 for r in self.Lambda for x in r)
@@ -172,18 +260,26 @@ class NACocycle:
     def value(self, n: Sequence[int]) -> PuiseuxNumber:
         """c(n) = prod_i c(e'_i)^(n_i) t_ii^(n_i (n_i - 1)/2) prod_{i<j}
         t_ij^(n_i n_j), t_ij = t(e'_i, lambda(e'_j)), as one monomial."""
-        n = tuple(int(x) for x in n)
-        t = self._t_pairs
-        factors = list(zip(n, self.generators))
+        return _monomial(self._kernel.D, _fold(self._value_factors(tuple(map(int, n)))))
+
+    def _value_factors(self, n: IntVec):
+        G, Q = self._kernel.G, self._kernel.Q
+        yield from zip(G, n)
         for i, ni in enumerate(n):
-            factors.append((ni * (ni - 1) // 2, t[i][i]))
-            factors.extend((ni * n[j], t[i][j]) for j in range(i + 1, self.g))
-        return monomial_product(factors)
+            if ni:
+                yield Q[i][i], ni * (ni - 1) // 2
+                yield from ((Q[i][j], ni * n[j]) for j in range(i + 1, len(n)))
+
+    def _extension(self, n: IntVec, u: IntVec) -> Term:
+        """t(n, u) c(n) as (exponent, coefficient): the factor with
+        a_{u + lambda(n)} = t(n, u) c(n) a_u."""
+        k = self._kernel
+        return _term(k.D, _fold(chain(_bilinear(k.T, n, u), self._value_factors(n))))
 
     def t_lambda(self, n1: Sequence[int], n2: Sequence[int]) -> PuiseuxNumber:
-        """t(u1', lambda(u2'))."""
-        lam_n2 = tuple(matvec(self.Lambda, tuple(int(x) for x in n2)))
-        return self.period.t(tuple(int(x) for x in n1), lam_n2)
+        """t(u1', lambda(u2')) = prod_{i,j} t_ij^(n1_i n2_j)."""
+        n1, n2 = tuple(map(int, n1)), tuple(map(int, n2))
+        return _monomial(self._kernel.D, _fold(_bilinear(self._kernel.Q, n1, n2)))
 
     def to_json_list(self) -> list:
         return [str(c) for c in self.generators]
@@ -262,9 +358,9 @@ class NAThetaFunction:
                         f"two coefficients in the coset of {canon}"
                     )
                 if rep != canon:
-                    # a_rep = t(n, canon) c(n) a_canon, all monomial factors
-                    scale = self.cocycle.period.t(n, canon) * self.cocycle.value(n)
-                    a = a.divide_by_monomial(scale)
+                    # a_rep = t(n, canon) c(n) a_canon, one monomial factor
+                    e, c = self.cocycle._extension(n, canon)
+                    a = a._shifted(-e, 1 / c)
                 canonical[canon] = a
             for rep in cosets.representatives():
                 canonical.setdefault(rep, PuiseuxNumber.zero())
@@ -300,7 +396,7 @@ class NAThetaFunction:
         rep, n = self._cosets.decompose(u)
         a = table[rep]
         if not a.is_zero():
-            a = self.cocycle.period.t(n, rep) * self.cocycle.value(n) * a
+            a = a._shifted(*self.cocycle._extension(n, rep))
         table[u] = a
         return a
 
@@ -317,11 +413,11 @@ class NAThetaFunction:
             indices.append(tuple(rng.randint(-4, 4) for _ in range(g)))
         shifts = [tuple(rng.randint(-2, 2) for _ in range(g)) for _ in range(5)]
         shifts = [s for s in shifts if any(s)] or [tuple(1 for _ in range(g))]
+        lam_shifts = [(nprime, matvec(self.cocycle.Lambda, nprime)) for nprime in shifts]
         failures = []
         checked = 0
         for u in indices:
-            for nprime in shifts:
-                lam_shift = tuple(matvec(self.cocycle.Lambda, nprime))
+            for nprime, lam_shift in lam_shifts:
                 target = tuple(a + b for a, b in zip(u, lam_shift))
                 lhs = self.coefficient(target)
                 rhs = (
@@ -349,17 +445,19 @@ class NAThetaFunction:
     @classmethod
     def from_json_dict(cls, data: dict) -> "NAThetaFunction":
         period = PeriodMatrix.from_json_rows(data["T"])
-        cocycle = NACocycle(
-            period=period,
-            Lambda=int_rows_from(data["Lambda"]),
-            generators=tuple(PuiseuxNumber.parse(str(c)) for c in data["c"]),
-        )
+        try:
+            Lambda = int_rows_from(data["Lambda"], "Lambda")
+            generators = tuple(_literal(c, "c") for c in json_list(data["c"], "c"))
+            coeffs = []
+            for e in json_list(data["coeffs"], "coeffs"):
+                if not isinstance(e, dict) or not {"rep", "a"} <= e.keys():
+                    raise TypeError(f'each entry of coeffs needs "rep" and "a", got {e!r}')
+                coeffs.append((int_vector_from(e["rep"], "rep"), _literal(e["a"], "a")))
+        except TypeError as exc:
+            raise InvalidDataError(str(exc)) from exc
         return cls(
-            cocycle=cocycle,
-            coeffs=tuple(
-                (tuple(int(x) for x in e["rep"]), PuiseuxNumber.parse(str(e["a"])))
-                for e in data["coeffs"]
-            ),
+            cocycle=NACocycle(period=period, Lambda=Lambda, generators=generators),
+            coeffs=tuple(coeffs),
         )
 
 
@@ -380,7 +478,7 @@ def build_riemann_theta(period: PeriodMatrix, Lambda) -> NAThetaFunction:
     """The symmetric-normalized Riemann theta for a principal polarization:
     c(e'_i) = sqrt(t(e'_i, lambda(e'_i))) (square roots chosen on generator
     pairs, extended bilinearly), coefficients generated from a_0 = 1."""
-    Lambda = int_rows_from(Lambda)
+    Lambda = int_rows_from(Lambda, "Lambda")
     if abs(int_det(Lambda)) != 1:
         raise NotPrincipalError("build_riemann_theta needs |det Lambda| = 1")
     g = period.g
@@ -401,7 +499,7 @@ def build_riemann_theta(period: PeriodMatrix, Lambda) -> NAThetaFunction:
 def canonical_cocycle(period: PeriodMatrix, Lambda) -> NACocycle:
     """Square-root-normalized cocycle when the diagonal pair values are
     squares, otherwise generator values 1."""
-    Lambda = int_rows_from(Lambda)
+    Lambda = int_rows_from(Lambda, "Lambda")
     g = period.g
     gens = []
     for i in range(g):
@@ -519,19 +617,13 @@ def evaluate_at_point(
             f"cutoff {cutoff} below minimal valuation {result.value}"
         )
 
-    def x_power(u: IntVec) -> PuiseuxNumber:
-        out = PuiseuxNumber.one()
-        for xj, uj in zip(x, u):
-            if uj:
-                out = out * (xj ** int(uj))
-        return out
-
+    D = lcm(*(c.denominator for c in v))
+    X = tuple(_mono(xj, D) for xj in x)
     terms = _terms_below(trop, v, cutoff)
-    total = PuiseuxNumber.zero()
-    for u in terms:
-        total = total + f.coefficient(u) * x_power(u)
+    # a_u x^u, with x^u one monomial; all terms canonicalized once
+    products = (f.coefficient(u)._shifted(*_term(D, _fold(zip(X, u)))) for u in terms)
     return PartialSum(
-        value=total,
+        value=PuiseuxNumber(tuple(chain.from_iterable(p.terms for p in products))),
         terms=len(terms),
         trop_value=result.value,
         dominant_unique=result.unique,

@@ -5,7 +5,15 @@ canonical form: terms sorted by strictly increasing exponent, no zero
 coefficients, zero = no terms.  val() is the smallest exponent (+infinity for
 zero).  This is a ring, not a field; only monomials are inverted, which is
 all the theta machinery needs.  Powers of monomials are closed-form,
-(c q^e)^k = c^k q^(ek), and so is monomial_product.
+(c q^e)^k = c^k q^(ek).
+
+A product with a nonzero monomial c q^e is already canonical: it shifts
+every exponent by e and scales every coefficient by c != 0, so the order
+holds and no coefficient vanishes.  `PuiseuxNumber._trusted` builds such a
+value without running `_canonical` again, and `_shifted` is that product;
+`__mul__` takes it whenever either factor is a monomial, and so do the
+monomial powers and inverses.  The non-Archimedean kernels (`nonarch`) form
+each monomial from integers and hand it over the same way.
 """
 
 from __future__ import annotations
@@ -44,6 +52,14 @@ class PuiseuxNumber:
         object.__setattr__(self, "terms", _canonical(self.terms))
 
     # ---------- constructors ----------
+
+    @classmethod
+    def _trusted(cls, terms: tuple[Term, ...]) -> "PuiseuxNumber":
+        """A value from terms that are canonical already: Fraction pairs,
+        strictly increasing exponents, no zero coefficient."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "terms", terms)
+        return x
 
     @staticmethod
     def zero() -> "PuiseuxNumber":
@@ -90,6 +106,10 @@ class PuiseuxNumber:
         return PuiseuxNumber(tuple((e, -c) for e, c in self.terms))
 
     def __mul__(self, other: "PuiseuxNumber") -> "PuiseuxNumber":
+        if len(other.terms) == 1:
+            return self._shifted(*other.terms[0])
+        if len(self.terms) == 1:
+            return other._shifted(*self.terms[0])
         return PuiseuxNumber(
             tuple(
                 (e1 + e2, c1 * c2)
@@ -98,12 +118,19 @@ class PuiseuxNumber:
             )
         )
 
+    def _shifted(self, exponent: Fraction, coeff: Fraction) -> "PuiseuxNumber":
+        """self * coeff q^exponent for a nonzero coeff, canonical as it
+        stands (module docstring)."""
+        return PuiseuxNumber._trusted(
+            tuple((e + exponent, c * coeff) for e, c in self.terms)
+        )
+
     def __pow__(self, k: int) -> "PuiseuxNumber":
         if not isinstance(k, int):
             raise TypeError("integer exponent required")
         if self.is_monomial():
             e, c = self.terms[0]
-            return PuiseuxNumber.monomial(c**k, e * k)
+            return PuiseuxNumber._trusted(((e * k, c**k),))
         if k < 0:
             return self.inverse_monomial() ** (-k)
         if k == 0:
@@ -117,7 +144,7 @@ class PuiseuxNumber:
         if not self.is_monomial():
             raise NotMonomialError(f"not a monomial: {self}")
         e, c = self.terms[0]
-        return PuiseuxNumber.monomial(Fraction(1) / c, -e)
+        return PuiseuxNumber._trusted(((-e, 1 / c),))
 
     def sqrt_monomial(self) -> "PuiseuxNumber":
         """Exact square root of a monomial c*q^r with c a rational square."""
@@ -155,20 +182,6 @@ class PuiseuxNumber:
     @staticmethod
     def parse(text: str) -> "PuiseuxNumber":
         return _parse_puiseux(text)
-
-
-def monomial_product(factors: Iterable[tuple[int, PuiseuxNumber]]) -> PuiseuxNumber:
-    """prod m^k over (k, m) pairs of monomials, as one monomial: exponents
-    add up to sum k*val(m), coefficients multiply as Fraction powers."""
-    exp, coeff = Fraction(0), Fraction(1)
-    for k, m in factors:
-        if k:
-            if not m.is_monomial():
-                raise NotMonomialError(f"not a monomial: {m}")
-            e, c = m.terms[0]
-            exp += k * e
-            coeff *= c**k
-    return PuiseuxNumber.monomial(coeff, exp)
 
 
 def _render_term(coeff: Fraction, exp: Fraction) -> str:

@@ -2,6 +2,7 @@
 and byte-determinism of reports and meshes."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -68,6 +69,81 @@ def test_validate_series_runs_cocycle_checks():
     assert res.exit_code == 0
     names = [c["name"] for c in report_of(res)["checks"]]
     assert names == ["construction", "cocycle-relation", "coefficient-invariance"]
+
+
+SERIES_G1 = {"T": [["q^(2)"]], "Lambda": [[1]], "c": ["q"], "coeffs": [{"rep": [0], "a": "1"}]}
+VARIETY_G1 = {"g": 1, "P": [["2"]], "Lambda": [[1]]}
+
+
+def run_doc(tmp_path, doc, *args):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(doc))
+    return run(*args, p)
+
+
+def test_well_typed_documents_validate(tmp_path):
+    for doc in (SERIES_G1, VARIETY_G1, {**VARIETY_G1, "P": [[2]], "Lambda": [["1"]]}):
+        assert run_doc(tmp_path, doc, "validate").exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "field,value,cmd",
+    [
+        ("T", "q", "validate"),
+        ("T", ["q^(2)"], "validate"),
+        ("c", "q", "validate"),
+        ("c", [True], "validate"),
+        ("Lambda", ["1"], "validate"),
+        ("Lambda", [[True]], "validate"),
+        ("Lambda", [[1.0]], "validate"),
+        ("rep", "0", "validate"),
+        ("rep", [0.0], "validate"),
+        ("coeffs", "x", "validate"),
+        ("coeffs", [[0]], "validate"),
+        ("T", "q", "crosscheck"),
+        ("c", "q", "crosscheck"),
+        ("rep", "0", "divisor"),
+        ("Lambda", "1", "suite-b"),
+        ("Lambda", "1", "suite-c"),
+    ],
+)
+def test_series_with_wrongly_typed_field_is_rejected(tmp_path, field, value, cmd):
+    if field == "rep":
+        doc = {**SERIES_G1, "coeffs": [{"rep": value, "a": "1"}]}
+    else:
+        doc = {**SERIES_G1, field: value}
+    args = {
+        "validate": ["validate"],
+        "crosscheck": ["crosscheck", "A"],
+        "suite-b": ["crosscheck", "B"],
+        "suite-c": ["crosscheck", "C"],
+        "divisor": ["divisor", "--out", tmp_path / "m"],
+    }[cmd]
+    res = run_doc(tmp_path, doc, *args)
+    assert res.exit_code in (1, 2)
+    assert isinstance(res.exception, SystemExit)  # a report or a usage error, no traceback
+    assert re.search(rf"\b{field}( must|:| needs)", res.output), res.output
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("P", "2"),
+        ("P", ["2"]),
+        ("P", [[True]]),
+        ("P", [[2.5]]),
+        ("Lambda", "1"),
+        ("Lambda", ["1"]),
+        ("Lambda", [[True]]),
+        ("Lambda", [[2.5]]),
+        ("g", True),
+        ("g", 1.5),
+    ],
+)
+def test_variety_with_wrongly_typed_field_exits_two(tmp_path, field, value):
+    res = run_doc(tmp_path, {**VARIETY_G1, field: value}, "validate")
+    assert res.exit_code == 2
+    assert re.search(rf"malformed variety data: .*\b{field}( must|:)", res.output), res.output
 
 
 def test_validate_theta_file():

@@ -6,7 +6,9 @@ a change that reorders coset representatives, witnesses or mesh cells shows
 up even when each build is self-consistent.  The cases cover the report
 commands on `fixtures/`, plus an index-9 tropical theta (Lambda = 3I) and an
 index-4 Fourier series (Lambda = 2I), whose reports are keyed by coset
-representative.  Five divisor cases pin the polytope work: the g=1
+representative, and a g=2 series with non-unit rational coefficients and
+rational exponents in its periods, generators and coefficients
+(`series_g2_rational.json`).  Five divisor cases pin the polytope work: the g=1
 variety, whose divisor is points, a skewed g=2 variety (P = [[2,3],[3,7]])
 and three g=3 varieties.  P = [[3,1,1],[1,3,1],[1,1,3]] has vertices where
 three facet planes meet along non-coordinate edges; diag(2,2,2) has cube
@@ -64,6 +66,10 @@ CASES = {
     "crosscheck-a-series-index4": [["crosscheck", "A", "series_g2_index4.json", "--seed", "5"]],
     "crosscheck-c-series-index4": [
         ["crosscheck", "C", "series_g2_index4.json", "--seed", "2", "--samples", "10"]
+    ],
+    "validate-series-rational": [["validate", "series_g2_rational.json"]],
+    "crosscheck-a-series-rational": [
+        ["crosscheck", "A", "series_g2_rational.json", "--samples", "3", "--seed", "2"]
     ],
     "export-series-index4": [
         ["divisor", "series_g2_index4.json", "--out", "{mesh}"],

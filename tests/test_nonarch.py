@@ -6,9 +6,14 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from troptheta.linalg import RatMatrix, matvec
 from troptheta.nonarch import (
+    _fold,
+    _mono,
+    _monomial,
     CocycleMismatchError,
     CutoffBelowMinimumError,
     NACocycle,
@@ -148,6 +153,14 @@ def test_cocycle_requires_symmetric_pairs():
     skew = PeriodMatrix(entries=((q2, q), (q3, q2)))
     with pytest.raises(InvalidDataError):
         NACocycle(period=skew, Lambda=((1, 0), (0, 1)), generators=(q, q))
+
+
+def test_cocycle_requires_symmetric_pair_coefficients():
+    # equal exponents, but t(e'_0, lambda(e'_1)) = 2q and t(e'_1, lambda(e'_0)) = 3q
+    q2 = P("q^(2)")
+    skew = PeriodMatrix(entries=((q2, P("2*q")), (P("3*q"), q2)))
+    with pytest.raises(InvalidDataError):
+        NACocycle(period=skew, Lambda=((1, 0), (0, 1)), generators=(P("q"), P("q")))
 
 
 def test_cocycle_value_on_generators():
@@ -544,6 +557,65 @@ def test_cocycle_value_and_t_match_product_definitions():
         assert coc.value(n) == value_by_products(coc, n)
         for u in rng.sample(box, 4):
             assert period.t(n, u) == t_by_products(period, n, u)
+
+
+small_exponents = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+diagonal_exponents = st.fractions(min_value=10, max_value=14, max_denominator=4)
+positive = st.fractions(min_value=F(1, 5), max_value=6, max_denominator=5)
+signed = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+@st.composite
+def series_with_rational_data(draw):
+    """A series on a symmetric period with positive rational coefficients
+    and rational exponents (diagonally dominant, so nondegenerate),
+    Lambda = dI, signed generator coefficients, and a_rep on every coset."""
+    g = draw(st.integers(min_value=1, max_value=3))
+    T = {}
+    for i in range(g):
+        for j in range(i, g):
+            e = draw(diagonal_exponents if i == j else small_exponents)
+            T[i, j] = T[j, i] = PuiseuxNumber.monomial(draw(positive), e)
+    d = draw(st.integers(min_value=1, max_value=3))
+    period = PeriodMatrix(entries=tuple(tuple(T[i, j] for j in range(g)) for i in range(g)))
+    coc = NACocycle(
+        period=period,
+        Lambda=tuple(tuple(d * (i == j) for j in range(g)) for i in range(g)),
+        generators=tuple(PuiseuxNumber.monomial(draw(signed), draw(small_exponents)) for _ in range(g)),
+    )
+    series = st.lists(st.tuples(small_exponents, signed), max_size=2).map(PuiseuxNumber)
+    coeffs = [(rep, draw(series)) for rep in product(range(d), repeat=g)]
+    coeffs[0] = (coeffs[0][0], PuiseuxNumber.one())
+    return NAThetaFunction(cocycle=coc, coeffs=tuple(coeffs))
+
+
+def small_vectors(g):
+    return st.tuples(*[st.integers(min_value=-6, max_value=6)] * g)
+
+
+@given(series_with_rational_data(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_product_definitions(f, data):
+    coc, g = f.cocycle, f.g
+    d = coc.Lambda[0][0]
+    n, u = data.draw(small_vectors(g)), data.draw(small_vectors(g))
+    assert coc.period.t(n, u) == t_by_products(coc.period, n, u)
+    assert coc.t_lambda(n, u) == t_by_products(coc.period, n, matvec(coc.Lambda, u))
+    assert coc.value(n) == value_by_products(coc, n)
+    # a_u = t(m, rep) c(m) a_rep for u = rep + d m, rep the stored rep of u's coset
+    rep, a = next((r, a) for r, a in f.coeffs if all((x - y) % d == 0 for x, y in zip(u, r)))
+    m = tuple((x - y) // d for x, y in zip(u, rep))
+    assert f.coefficient(u) == t_by_products(coc.period, m, rep) * value_by_products(coc, m) * a
+
+
+def test_kernel_folds_powers():
+    a, b = PuiseuxNumber.monomial(2, F(1, 3)), PuiseuxNumber.monomial(F(-3, 5), -2)
+    D = 3
+    folded = _fold([(_mono(a, D), 3), (_mono(b, D), -2), (_mono(a, D), 0)])
+    assert _monomial(D, folded) == a**3 * b**-2
+    assert _monomial(D, _fold([])) == PuiseuxNumber.one()
+    with pytest.raises(ValueError):
+        _mono(PuiseuxNumber.one() + a, D)
 
 
 def test_riemann_coefficient_far_out_is_closed_form():

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ from troptheta.puiseux import (
     CoefficientNotASquareError,
     NotMonomialError,
     PuiseuxNumber,
-    monomial_product,
 )
 from troptheta.rationals import INF
 
@@ -221,9 +221,48 @@ def test_power_of_zero_and_one():
         P.one() ** F(1, 2)
 
 
-def test_monomial_product_folds_powers():
-    a, b = P.monomial(2, F(1, 3)), P.monomial(F(-3, 5), -2)
-    assert monomial_product([(3, a), (-2, b), (0, P.one() + a)]) == a**3 * b**-2
-    assert monomial_product([]) == P.one()
-    with pytest.raises(NotMonomialError):
-        monomial_product([(1, P.one() + a)])
+# ---------- the trusted constructor ----------
+
+
+@contextmanager
+def checked_trusted():
+    """Check every value that PuiseuxNumber._trusted returns against a full
+    canonicalization of its terms, and collect them."""
+    original = P.__dict__["_trusted"]
+    made = []
+
+    def checking(cls, terms):
+        x = original.__func__(cls, terms)
+        assert x == P(x.terms)
+        assert all(type(e) is type(c) is Fraction for e, c in x.terms)
+        made.append(x)
+        return x
+
+    P._trusted = classmethod(checking)
+    try:
+        yield made
+    finally:
+        P._trusted = original
+
+
+def product_by_definition(x, y):
+    return P(tuple((e1 + e2, c1 * c2) for e1, c1 in x.terms for e2, c2 in y.terms))
+
+
+@given(
+    puiseux_numbers(),
+    st.fractions(min_value=-10, max_value=10, max_denominator=6).filter(bool),
+    rationals,
+    st.integers(min_value=-6, max_value=6),
+)
+@settings(max_examples=150)
+def test_trusted_values_are_canonical(x, c, e, k):
+    m = P.monomial(c, e)
+    with checked_trusted() as made:
+        products = [m * x, x * m, x._shifted(e, c)]
+        zeros = [m * P.zero(), P.zero() * m]
+        powers = [m**k, m.inverse_monomial()]
+    assert len(made) == 7
+    assert products == [product_by_definition(x, m)] * 3
+    assert zeros == [P.zero()] * 2
+    assert powers == [P.monomial(c**k, e * k), P.monomial(1 / c, -e)]
