@@ -51,8 +51,10 @@ domain is dropped unclipped, the rest are clipped to it once (a polytope can
 miss a box its bounds meet), and the quotient keys points by their residues
 modulo den.  The tie set at a certified vertex is read off its mask: the
 cell's witness and the pool witnesses of every plane tight there, complete
-by the pool soundness above.  The pool offsets w(u) - w(u'') come from the
-theta's integer kernel (`theta` module docstring).
+by the pool soundness above.  The sweeps carry D w(u) with each competitor
+u, read off the enumerated n in the theta's integer kernel, so the pool
+offsets D w(u) - D w(u'') are integer differences and no competitor is
+decomposed into its coset again (`theta` module docstring).
 """
 
 from __future__ import annotations
@@ -212,19 +214,20 @@ def _affine_span(points):
     return tuple(tuple(Fraction(x, p) for x in row) for row in rows[:rank])
 
 
-def _pool(theta: TropicalThetaFunction, u: IntVec, others) -> dict:
-    """The planes l_u <= l_{u''} of the competitors u'' != u by primitive
-    normal a = (u'' - u) / m: <a, x> >= num / (D m) for num = D w(u) -
-    D w(u''), the deepest per normal, with its witnesses: a -> (num, m, ws)."""
-    w_u = theta._w_numerator(u)
+def _pool(u: IntVec, w_u: int, pairs) -> dict:
+    """The planes l_u <= l_{u''} of the competitors (u'', D w(u'')) with
+    u'' != u, by primitive normal a = (u'' - u) / m: <a, x> >= num / (D m)
+    for num = D w(u) - D w(u''), w_u = D w(u), the deepest per normal, with
+    its witnesses: a -> (num, m, ws).  The offsets are differences of the
+    integers the sweep carries; no competitor is decomposed again."""
     groups: dict[IntVec, tuple[int, int, list[IntVec]]] = {}
-    for other in others:
+    for other, w in pairs:
         if other == u:
             continue
         normal = tuple(o - c for o, c in zip(other, u))
         m = gcd(*normal)
         a = tuple(c // m for c in normal)
-        num = w_u - theta._w_numerator(other)
+        num = w_u - w
         cur = groups.get(a)
         if cur is None or num * cur[1] > cur[0] * m:
             groups[a] = (num, m, [other])
@@ -311,36 +314,56 @@ class LinearityCell:
         )
 
 
-def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[IntVec]:
-    """All u with w(u) + <u, v> <= bound, sorted."""
+def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[tuple[IntVec, int]]:
+    """All (u, D w(u)) with w(u) + <u, v> <= bound, sorted, D the theta
+    kernel's denominator.
+
+    One enumeration per finite coset (`theta._coset_quadratics`): with
+    (D P Lam)^-1 = A / a, the quadratic (q/2) n^T (D P Lam) n + <L, n> + C
+    is least at n* = -A L / (a q), where it is m = C - L^T A L / (2 a q), and
+    w(u) + <u, v> <= bound is (1/2) (n - n*)^T (P Lam) (n - n*) <=
+    bound - m / (D q).  D w(u) is read off each n as
+    D w(rep) + n^T (D P Lam) n / 2 + <D (ell + P rep), n>."""
     point = as_point(v)
     if not theta.is_ample:
+        numerators = theta._kernel.w
         return sorted(
-            rep
+            (rep, numerators[rep])
             for rep, w in theta.profile.finite_entries()
             if w + vecdot(rep, point) <= bound
         )
-    form = theta._form
-    B_inv = form._reduction[-1]
-    lam = theta.factor.Lambda
-    out = set()
-    for rep, lin, const in theta._coset_quadratics(point):
-        center = tuple(-c for c in matvec(B_inv, lin))
-        # B center = -lin, so the minimum is <lin, center>/2 + const
-        center_val = vecdot(lin, center) / 2 + const
-        if bound < center_val:
+    bound = Fraction(bound)
+    b_num, b_den = bound.numerator, bound.denominator
+    form, lam, B = theta._form, theta.factor.Lambda, theta._kernel.B
+    A, a = theta._B_inverse
+    D = theta._kernel.D
+    out = []
+    for (rep, w, base), (_, L, C, q) in zip(theta._coset_constants, theta._coset_quadratics(point)):
+        AL = [sum(map(mul, row, L)) for row in A]
+        # the radius bound - m / (D q), over 2 a q D q den(bound)
+        scale = 2 * a * q
+        top = scale * (D * q * b_num - C * b_den) + b_den * sum(map(mul, L, AL))
+        if top < 0:
             continue
-        for n in enumerate_below(form, center, bound - center_val):
-            out.add(tuple(r + vecdot(row, n) for r, row in zip(rep, lam)))
-    return sorted(out)
+        center = [Fraction(-x, a * q) for x in AL]
+        for n in enumerate_below(form, center, Fraction(top, scale * D * q * b_den)):
+            quad = sum(x * sum(map(mul, row, n)) for x, row in zip(n, B))
+            u = tuple(r + sum(map(mul, row, n)) for r, row in zip(rep, lam))
+            out.append((u, w + quad // 2 + sum(map(mul, base, n))))
+    out.sort()
+    return out
 
 
 def _cell_box(theta: TropicalThetaFunction, u: IntVec):
-    """(x0, halfwidths): x0 = -Lam^-T (ell + P u) and the slab bound plus
+    """(x0, halfwidths): x0 = -Lam^-T (ell + P u), formed from the kernel's
+    integer D (ell + P u) and Lam^-T = N / n, and the slab bound plus
     `_BOX_MARGIN`, a box that holds the cell of u strictly inside."""
-    lam_inv_t, half = theta._cell_frame
-    y = [e + vecdot(row, u) for e, row in zip(theta.factor.ell, theta.base.P.entries)]
-    return tuple(-vecdot(r, y) for r in lam_inv_t), tuple(h + _BOX_MARGIN for h in half)
+    N, n, half = theta._cell_frame
+    k = theta._kernel
+    y = [e + sum(map(mul, row, u)) for e, row in zip(k.ell, k.P)]
+    den = n * k.D
+    center = tuple(Fraction(-sum(map(mul, r, y)), den) for r in N)
+    return center, tuple(h + _BOX_MARGIN for h in half)
 
 
 def _to_x(v: IntVec, cols, D: int) -> TropPoint:
@@ -380,7 +403,8 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec, fd: "FundamentalDomain"
     g = theta.base.g
     D, DP = theta._kernel.D, theta._kernel.P
     cols = tuple(zip(*DP))
-    value_u = Fraction(theta._w_numerator(u), D)
+    w_u = theta._w_numerator(u)
+    value_u = Fraction(w_u, D)
     center, halfwidths = _cell_box(theta, u)
 
     # rows 0..2g-1: the box, x_i >= c_i - h_i and -x_i >= -(c_i + h_i), each
@@ -399,10 +423,11 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec, fd: "FundamentalDomain"
 
     # u'' can only win somewhere in the box if l_{u''} <= l_u at a box corner
     # (their difference is affine), so pool per corner with its own bound
-    others = set()
+    # (its D w(u'') carried by the sweep)
+    others: dict[IntVec, int] = {}
     for corner in corners:
         others.update(_terms_below(theta, corner, value_u + vecdot(u, corner)))
-    pool = sorted(_pool(theta, u, others).items())
+    pool = sorted(_pool(u, w_u, others.items()).items())
 
     # the plane <m a, x> >= num / D is <D P m a, t> >= num.  Cut order: with
     # e = (D m den) d, d|d|/<a, a> is e|e| / (m^2 <a, a>) up to a common
@@ -411,9 +436,9 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec, fd: "FundamentalDomain"
     scaled = [c.numerator * (den // c.denominator) for c in center]
     depth, witnesses = {}, {}
     for k, (a, (num, m, wits)) in enumerate(pool, 4 * g):
-        rows.append((*(m * x for x in matvec(DP, a)), -num))
-        e = num * den - D * m * vecdot(a, scaled)
-        depth[k] = (e * abs(e), m * m * vecdot(a, a))
+        rows.append((*(m * sum(map(mul, row, a)) for row in DP), -num))
+        e = num * den - D * m * sum(map(mul, a, scaled))
+        depth[k] = (e * abs(e), m * m * sum(map(mul, a, a)))
         witnesses[k] = wits
     common = lcm(*(q for _, q in depth.values()))
     keys = {k: p * (common // q) for k, (p, q) in depth.items()}
@@ -469,8 +494,8 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
         # finite support: the competitor set is the whole profile; the cell
         # of a uniquely witnessed point is always full-dimensional, though
         # possibly unbounded, so no vertex certification is attempted
-        D = theta._kernel.D
-        groups = _pool(theta, u, (rep for rep, _ in theta.profile.finite_entries()))
+        D, w = theta._kernel.D, theta._kernel.w
+        groups = _pool(u, w[u], ((rep, x) for rep, x in w.items() if x is not None))
         ineqs = tuple((a, Fraction(num, D * m)) for a, (num, m, _) in sorted(groups.items()))
         return LinearityCell(
             witness=u,

@@ -4,9 +4,9 @@ Objectives have the form q(n) = (1/2) n^T B n + ell^T n + c0 with B symmetric
 positive-definite over the rationals and n ranging over Z^g.  Each form is
 reduced once: LLL (delta = 3/4, exact comparisons), the LDL^T
 factorization of the reduced form, scaled to the integers the ellipsoid
-walk runs in, and the inverses of both forms are cached per form in
+walk runs in, and the inverse of the reduced form are cached per form in
 `_reduced`, which both entry points share, so the real minimizer
--B^-1 ell of a point's objective is a matrix-vector product, not a solve.
+-G^-1 ell of a point's objective is a matrix-vector product, not a solve.
 `minimize_quadratic` seeds an upper bound from the 2^g floor/ceil roundings
 of that minimizer, then enumerates the ellipsoid below the seed value
 completely (Fincke-Pohst); `enumerate_below` enumerates an ellipsoid of a
@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Iterator, Sequence
 
 from .linalg import (
@@ -245,30 +246,33 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
         reduction = B._reduction
     else:
         reduction = _reduced(_gram_rows(B))
-    U, Uinv, G, walk, _, _ = reduction
+    U, Uinv, G, walk, _ = reduction
     radius = Fraction(radius) if not isinstance(radius, Fraction) else radius
     if radius < 0:
         raise NegativeRadiusError(f"radius {radius} < 0")
-    c = tuple(Fraction(v) for v in center)
+    c = [Fraction(v) for v in center]
     if len(c) != len(G):
         raise ShapeMismatchError("center length mismatch")
-    c_red = matvec(Uinv, c)
+    # U^-1 c and U m in integers: c over its common denominator q
+    q = math.lcm(*(x.denominator for x in c))
+    C = [x.numerator * (q // x.denominator) for x in c]
+    c_red = [Fraction(sum(map(mul, row, C)), q) for row in Uinv]
     return sorted(
-        tuple(matvec(U, m)) for m in _ellipsoid_points(walk, c_red, 2 * radius)
+        tuple(sum(map(mul, row, m)) for row in U)
+        for m in _ellipsoid_points(walk, c_red, 2 * radius)
     )
 
 
 @functools.lru_cache(maxsize=32)
-def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, tuple, Rows, Rows]:
-    """(U, U^-1, G, walk, G^-1, B^-1) for the LLL-reduced form
+def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, tuple, Rows]:
+    """(U, U^-1, G, walk, G^-1) for the LLL-reduced form
     G = U^T B U = L D L^T of B = rows, walk = _walk(L, D).  It depends on
     the form alone, and callers use few forms many times: a theta evaluates
     one form per point, the divisor's competitor sweeps enumerate many
     ellipsoids of one form."""
     U, G = lll_reduce(rows)
     L, D = _ldlt(G.entries)
-    G_inv, B_inv = inverse(G.entries), inverse(rows)
-    return U, int_rows_from(inverse(U)), G.entries, _walk(L, D), G_inv, B_inv
+    return U, int_rows_from(inverse(U)), G.entries, _walk(L, D), inverse(G.entries)
 
 
 def _column_hnf(A: IntRows) -> tuple[IntRows, IntRows]:
@@ -337,7 +341,7 @@ class CosetLattice:
             k.append(rep[j] // H[j][j])
             for i in range(j, self.g):
                 rep[i] -= k[j] * H[i][j]
-        return tuple(rep), tuple(matvec(V, k))
+        return tuple(rep), tuple(sum(map(mul, row, k)) for row in V)
 
 
 @dataclass(frozen=True)
@@ -365,7 +369,7 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     if len(ell) != len(rows):
         raise ShapeMismatchError("linear part length mismatch")
     c0 = Fraction(c0)
-    U, _, G, walk, G_inv, _ = _reduced(rows)
+    U, _, G, walk, G_inv = _reduced(rows)
     ell_red = matvec(transpose(U), ell)
 
     def objective(m) -> Fraction:

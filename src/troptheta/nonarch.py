@@ -593,11 +593,11 @@ def evaluate_at_point(
     """Sum a_u x^u over every u with val(a_u x^u) <= cutoff, exactly.
 
     val(a_u x^u) = w(u) + <u, trop(x)> for the tropicalization, so the terms
-    are geometry._terms_below(tropicalize(f), trop(x), cutoff): one
-    enumeration below the cutoff per finite coset (a finite scan when
-    lambda = 0), summed in lex order of u.  x must have monomial nonzero
-    coordinates; cutoff must be at least the minimal term valuation
-    f_trop(trop(x)), which is the default.  When the minimal-valuation term
+    are the u of the (u, D w(u)) pairs of geometry._terms_below(
+    tropicalize(f), trop(x), cutoff): one enumeration below the cutoff per
+    finite coset (a finite scan when lambda = 0), summed in lex order of u.
+    x must have monomial nonzero coordinates; cutoff must be at least the
+    minimal term valuation f_trop(trop(x)), which is the default.  When the minimal-valuation term
     is unique, val(value) equals that minimum.
     """
     g = f.g
@@ -619,7 +619,7 @@ def evaluate_at_point(
 
     D = lcm(*(c.denominator for c in v))
     X = tuple(_mono(xj, D) for xj in x)
-    terms = _terms_below(trop, v, cutoff)
+    terms = [u for u, _ in _terms_below(trop, v, cutoff)]
     # a_u x^u, with x^u one monomial; all terms canonicalized once
     products = (f.coefficient(u)._shifted(*_term(D, _fold(zip(X, u)))) for u in terms)
     return PartialSum(

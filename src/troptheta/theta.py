@@ -8,18 +8,20 @@ representatives of M / lambda(M'); it extends to all of M by
 
 and evaluates as f(v) = min_{u in M} w(u) + <u, v>.  With P Lam positive
 definite, w(u) + <u, v> on each coset is a convex integer quadratic in n,
-u = rep + Lam n; `TropicalThetaFunction._coset_quadratics` is the one place
-that forms it.  Values minimize it (lattice.minimize_quadratic), and the
-divisor's competitor sweeps and the Puiseux partial sums enumerate below a
-bound through geometry._terms_below.  The lambda = 0 case carries a finite
-support and a trivial factor, and the min is a finite scan.
-
-The extension itself is read from an integer kernel, compiled once per
-theta on first use: over one common denominator D (with D P Lam even),
-D w(rep), D P Lam, D ell and D P are integers, so `extended_w` and `c_trop`
-are one coset decomposition, a few integer dot products and one Fraction
-at the end, and the divisor's pool offsets w(u) - w(u'') are differences
-of the same numerators.
+u = rep + Lam n.  `TropicalThetaFunction._coset_quadratics` is the one place
+that forms it, in integers: each theta compiles its data once, on first
+use, over one common denominator D (with D P Lam even), so D w(rep),
+D P Lam, D ell and D P are integers and one table, `_coset_constants`, holds
+(rep, D w(rep), D (ell + P rep)) per finite coset.  Values minimize the
+quadratic (lattice.minimize_quadratic, on g + 1 Fractions per coset formed
+from those integers), and the divisor's competitor sweeps and the Puiseux
+partial sums enumerate below a bound through geometry._terms_below, which
+reads D w(u) off each enumerated n; the divisor's pool offsets
+D w(u) - D w(u'') are differences of those integers, so no competitor is
+decomposed into its coset again.  `extended_w` and
+`c_trop` are one coset decomposition, a few integer dot products and one
+Fraction at the end.  The lambda = 0 case carries a finite support and a
+trivial factor, and the min is a finite scan.
 
 Products and translates never collapse into convolved profiles here: they
 stay formal expressions (TropicalThetaExpression) whose aggregate automorphy
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .lattice import (
@@ -48,19 +51,27 @@ from .linalg import (
     IntRows,
     IntVec,
     RatMatrix,
-    Rows,
     ShapeMismatchError,
+    adjugate_int,
     int_det,
     int_rows_from,
-    inverse,
+    int_vector_from,
     is_symmetric,
+    json_list,
     matmul,
     matvec,
     transpose,
     vecdot,
 )
-from .rationals import INF, format_fraction, format_value, parse_fraction, parse_value
-from .varieties import TropicalPolarizationData, TropPoint, as_point, embed_Mprime
+from .rationals import INF, format_fraction, format_value, parse_value
+from .varieties import (
+    InvalidDataError,
+    TropicalPolarizationData,
+    TropPoint,
+    _exact,
+    as_point,
+    embed_Mprime,
+)
 
 
 class NotPrincipalError(ValueError):
@@ -125,10 +136,14 @@ class AutomorphyFactor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AutomorphyFactor":
-        return cls(
-            Lambda=int_rows_from(data["Lambda"]),
-            ell=tuple(parse_fraction(str(x)) for x in data["ell"]),
-        )
+        try:
+            if not isinstance(data, dict) or not {"Lambda", "ell"} <= data.keys():
+                raise TypeError(f'factor needs "Lambda" and "ell", got {data!r}')
+            Lambda = int_rows_from(data["Lambda"], "Lambda")
+            ell = tuple(_exact(x, "ell") for x in json_list(data["ell"], "ell"))
+        except TypeError as exc:
+            raise InvalidDataError(str(exc)) from exc
+        return cls(Lambda=Lambda, ell=ell)
 
 
 @dataclass(frozen=True)
@@ -165,12 +180,18 @@ class ValuationProfile:
 
     @classmethod
     def from_json_list(cls, data: list) -> "ValuationProfile":
-        return cls(
-            entries=tuple(
-                (tuple(int(x) for x in e["rep"]), parse_value(str(e["w"])))
-                for e in data
-            )
-        )
+        entries = []
+        try:
+            for e in json_list(data, "profile"):
+                if not isinstance(e, dict) or not {"rep", "w"} <= e.keys():
+                    raise TypeError(f'each entry of profile needs "rep" and "w", got {e!r}')
+                w = e["w"]
+                if isinstance(w, bool) or not isinstance(w, (str, int)):
+                    raise TypeError(f'w: exact rational or "inf" required, got {type(w).__name__}: {w!r}')
+                entries.append((int_vector_from(e["rep"], "rep"), parse_value(str(w))))
+        except TypeError as exc:
+            raise InvalidDataError(str(exc)) from exc
+        return cls(entries=tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -273,21 +294,34 @@ class TropicalThetaFunction:
         )
 
     @cached_property
-    def _coset_constants(self) -> tuple:
-        """(rep, w(rep), ell + P rep) per finite rep."""
-        P, ell = self.base.P.entries, self.factor.ell
+    def _coset_constants(self) -> tuple[tuple[IntVec, int, IntVec], ...]:
+        """(rep, D w(rep), D (ell + P rep)) per finite rep, in the kernel's
+        integers: the one per-coset table."""
+        k = self._kernel
         return tuple(
-            (rep, w, tuple(e + p for e, p in zip(ell, matvec(P, rep))))
-            for rep, w in self.profile.finite_entries()
+            (rep, w, tuple(e + sum(map(mul, row, rep)) for e, row in zip(k.ell, k.P)))
+            for rep, w in k.w.items()
+            if w is not None
         )
 
     @cached_property
-    def _cell_frame(self) -> tuple[Rows, tuple[Fraction, ...]]:
-        """Lam^-T and the slab bound (1/2) sum_j |(Lam^-T)_ij| (P Lam)_jj on
-        the cells of an ample theta (geometry module docstring)."""
-        lam_inv_t, B = inverse(transpose(self.factor.Lambda)), self._B_rows
-        half = (sum(abs(a) * B[j][j] for j, a in enumerate(r)) / 2 for r in lam_inv_t)
-        return lam_inv_t, tuple(half)
+    def _B_inverse(self) -> tuple[IntRows, int]:
+        """(A, a) with (D P Lam)^-1 = A / a in lowest terms, a > 0 (D P Lam
+        is positive definite)."""
+        B = self._kernel.B
+        A, a = adjugate_int(B), int_det(B)
+        c = gcd(a, *chain(*A))
+        return tuple(tuple(x // c for x in row) for row in A), a // c
+
+    @cached_property
+    def _cell_frame(self) -> tuple[IntRows, int, tuple[Fraction, ...]]:
+        """(N, n, half): Lam^-T = N / n in integers, and the slab bound
+        (1/2) sum_j |(Lam^-T)_ij| (P Lam)_jj on the cells of an ample theta
+        (geometry module docstring)."""
+        lam, B = self.factor.Lambda, self._B_rows
+        N, n = transpose(adjugate_int(lam)), int_det(lam)
+        half = (Fraction(sum(abs(a) * B[j][j] for j, a in enumerate(r)), 2 * abs(n)) for r in N)
+        return N, n, tuple(half)
 
     @property
     def is_ample(self) -> bool:
@@ -346,8 +380,9 @@ class TropicalThetaFunction:
 
         best = None
         witnesses: list[IntVec] = []
-        for rep, lin, const in self._coset_quadratics(point):
-            res = minimize_quadratic(self._B_rows, lin, const)
+        for rep, L, C, q in self._coset_quadratics(point):
+            den = self._kernel.D * q
+            res = minimize_quadratic(self._B_rows, [Fraction(x, den) for x in L], Fraction(C, den))
             if best is None or res.value < best:
                 best = res.value
                 witnesses = [self._witness(rep, n) for n in res.argmin]
@@ -356,13 +391,17 @@ class TropicalThetaFunction:
         return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
 
     def _coset_quadratics(self, point: TropPoint):
-        """(rep, lin, const) for each finite coset of an ample theta: on
-        u = rep + Lam n, w(u) + <u, v> = (1/2) n^T (P Lam) n + <lin, n> + const
-        with lin = ell + P rep + Lam^T v and const = w(rep) + <rep, v>."""
-        lam_t_v = matvec(transpose(self.factor.Lambda), point)
+        """(rep, L, C, q) in integers for each finite coset of an ample theta,
+        q the common denominator of v: on u = rep + Lam n,
+        D q (w(u) + <u, v>) = (q/2) n^T (D P Lam) n + <L, n> + C, with
+        L = q D (ell + P rep) + D Lam^T (q v) and C = q D w(rep) + D <rep, q v>."""
+        q = lcm(*(c.denominator for c in point))
+        V = [c.numerator * (q // c.denominator) for c in point]
+        D = self._kernel.D
+        lam_t_v = [D * sum(map(mul, col, V)) for col in zip(*self.factor.Lambda)]
         for rep, w, base in self._coset_constants:
-            lin = tuple(b + lv for b, lv in zip(base, lam_t_v))
-            yield rep, lin, w + vecdot(rep, point)
+            L = tuple(q * b + lv for b, lv in zip(base, lam_t_v))
+            yield rep, L, q * w + D * sum(map(mul, rep, V)), q
 
     def _witness(self, rep: IntVec, n: IntVec) -> IntVec:
         shift = matvec(self.factor.Lambda, n)
@@ -405,16 +444,13 @@ class TropicalThetaFunction:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TropicalThetaFunction":
+        factor = AutomorphyFactor.from_json_dict(data["factor"])
         base = TropicalPolarizationData.from_json_dict(
-            {
-                "g": data["g"],
-                "P": data["P"],
-                "Lambda": data.get("Lambda", data["factor"]["Lambda"]),
-            }
+            {"g": data["g"], "P": data["P"], "Lambda": data.get("Lambda", factor.Lambda)}
         )
         return cls(
             base=base,
-            factor=AutomorphyFactor.from_json_dict(data["factor"]),
+            factor=factor,
             profile=ValuationProfile.from_json_list(data["profile"]),
         )
 

@@ -154,6 +154,53 @@ def test_validate_theta_file():
     assert "polarization-finite-index" in names
 
 
+THETA_G1 = json.loads((FIXTURES / "theta_g1.json").read_text())
+
+
+def test_well_typed_theta_documents_validate(tmp_path):
+    # integers where "p/q" strings are allowed, and an "inf" profile value
+    ints = {**THETA_G1, "factor": {"Lambda": [[2]], "ell": [0]}}
+    ints["profile"] = [{"rep": [0], "w": 0}, {"rep": [1], "w": "inf"}]
+    for doc in (THETA_G1, ints):
+        assert run_doc(tmp_path, doc, "validate").exit_code == 0
+
+
+@pytest.mark.parametrize("cmd", ["validate", "eval", "divisor"])
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("rep", "0"),
+        ("rep", [0.7]),
+        ("rep", [True]),
+        ("w", 0.5),
+        ("w", True),
+        ("ell", "0"),
+        ("ell", [0.5]),
+        ("Lambda", "1"),
+        ("Lambda", [[True]]),
+        ("factor", "x"),
+        ("profile", "x"),
+    ],
+)
+def test_theta_with_wrongly_typed_field_is_rejected(tmp_path, field, value, cmd):
+    # each field of theta_g1.json edited to a wrong type: a failed
+    # construction check naming the field, exit 1 and no traceback
+    doc = json.loads(json.dumps(THETA_G1))
+    if field in ("rep", "w"):
+        doc["profile"][0][field] = value
+    elif field in ("ell", "Lambda"):
+        doc["factor"][field] = value
+    else:
+        doc[field] = value
+    args = {"validate": ["validate"], "eval": ["eval"], "divisor": ["divisor", "--out", tmp_path / "m"]}[cmd]
+    res = run_doc(tmp_path, doc, *args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    failed = [c for c in report_of(res)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["divisor-extraction" if cmd == "divisor" else "construction"]
+    assert re.search(rf"^{field}( must|:| needs)", failed[0]["detail"]), failed[0]["detail"]
+
+
 # -------------------------------------------------------------------- eval
 
 

@@ -20,6 +20,7 @@ from troptheta.geometry import (
     export_mesh,
     linearity_cell,
 )
+from troptheta.lattice import CosetLattice
 from troptheta.linalg import (
     RatMatrix,
     ShapeMismatchError,
@@ -330,6 +331,22 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cel
     assert set(built) <= {c.witness for c in cx.cells}
     assert evals == [(F(0),) * theta.g]
     assert solve_calls == []
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [("TH1", 7), ("TH2", 19), ("variety_g2_skewed", 25), ("TH3", 73), ("variety_g3", 65)],
+)
+def test_coset_decompositions_per_corner_locus(count_calls, name, calls):
+    # machine-independent gate: the competitor sweep carries D w(u) with
+    # each u, so the pool decomposes no competitor into its coset.  What is
+    # left is one decomposition per visited witness, one for the built
+    # witness's D w(u) and one per kept cell for the quotient's cell count.
+    # Decomposing every pooled competitor again took 10, 40, 76, 124 and 138.
+    theta = GATED[name]()
+    found = count_calls(CosetLattice.decompose)
+    corner_locus(theta)
+    assert len(found) == calls
 
 
 @pytest.mark.parametrize(
@@ -674,6 +691,7 @@ def assert_cells_inside_their_boxes(theta):
 @example(KERNEL_CASES["fractional-ell-and-w"])
 @example(KERNEL_CASES["inf-entry"])
 @example(KERNEL_CASES["index-3"])  # a non-diagonal Lam: Lam^-T mixes coordinates
+@example(riemann_theta(data_of([[1, 2], [2, 1]], [[0, 1], [1, 0]])))  # det Lam = -1
 @settings(max_examples=20, deadline=None)
 def test_cells_lie_inside_their_certified_boxes(theta):
     assert_cells_inside_their_boxes(theta)

@@ -8,7 +8,10 @@ coordinates for SVG and OBJ files.  The syntax scan cannot see an int / int
 division, so the runtime check walks every number of corner loci at
 g = 1, 2, 3 and of a non-ample linearity cell.  The polytope primitive
 `geometry._cut` works in integers alone: a third check walks every argument
-and result of its calls during corner loci and finds only ints.
+and result of its calls during corner loci and finds only ints.  So do the
+competitor sweep's (u, D w(u)) pairs and the pool built from them: a fourth
+check walks every `_terms_below` result and every `_pool` argument and
+result.
 """
 
 import ast
@@ -104,15 +107,20 @@ def test_corner_locus_results_are_exact(name):
     assert {type(x) for c in cx.cells for x in numbers(c.span)} == {Fraction}
 
 
+NON_AMPLE = TropicalThetaFunction(
+    base=TropicalPolarizationData(g=2, P=[[2, 1], [1, 2]], Lambda=[[1, 0], [0, 1]]),
+    factor=AutomorphyFactor(Lambda=[[0, 0], [0, 0]], ell=(Fraction(0), Fraction(0))),
+    profile=ValuationProfile(
+        entries=tuple(
+            (u, Fraction(w))
+            for u, w in [((0, 0), 0), ((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1), ((1, 1), 3)]
+        )
+    ),
+)
+
+
 def test_non_ample_cell_is_exact():
-    base = TropicalPolarizationData(g=2, P=[[2, 1], [1, 2]], Lambda=[[1, 0], [0, 1]])
-    terms = [((0, 0), 0), ((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1), ((1, 1), 3)]
-    theta = TropicalThetaFunction(
-        base=base,
-        factor=AutomorphyFactor(Lambda=[[0, 0], [0, 0]], ell=(Fraction(0), Fraction(0))),
-        profile=ValuationProfile(entries=tuple((u, Fraction(w)) for u, w in terms)),
-    )
-    cell = linearity_cell(theta, (Fraction(1, 3), Fraction(-1, 5)))
+    cell = linearity_cell(NON_AMPLE, (Fraction(1, 3), Fraction(-1, 5)))
     assert cell.witness == (0, 0) and len(cell.vertices) >= 4
     assert {type(x) for x in numbers(cell)} <= {int, Fraction}
 
@@ -134,4 +142,37 @@ def test_cut_runs_in_integers(monkeypatch, name):
     corner_locus(theta)
     found = list(numbers(calls))
     assert len(calls) > 10 and len(found) > 1000
+    assert {type(x) for x in found} == {int}
+
+
+@pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I", "non-ample"])
+def test_sweep_and_pool_run_in_integers(monkeypatch, name):
+    # the sweep's pairs carry D w(u) as an int, and the pool's offsets are
+    # their differences: no Fraction goes into _pool or comes out of it
+    sweeps, pools = [], []
+    terms_below, pool = geometry._terms_below, geometry._pool
+
+    def recording_sweep(*args):
+        out = terms_below(*args)
+        sweeps.append(out)
+        return out
+
+    def recording_pool(u, w_u, pairs):
+        pairs = list(pairs)
+        out = pool(u, w_u, pairs)
+        pools.append(((u, w_u, pairs), out))
+        return out
+
+    monkeypatch.setattr(geometry, "_terms_below", recording_sweep)
+    monkeypatch.setattr(geometry, "_pool", recording_pool)
+    if name == "non-ample":
+        # the pool of a non-ample cell is the finite support, with D w(rep)
+        linearity_cell(NON_AMPLE, (Fraction(1, 3), Fraction(-1, 5)))
+        assert len(geometry._terms_below(NON_AMPLE, (0, 0), 2)) == 5
+    else:
+        corner_locus(LEVEL2_I if name == "LEVEL2_I" else fixture_theta(name))
+    assert sweeps and all(sweeps)
+    assert pools and all(pairs for (_, _, pairs), _ in pools)
+    found = list(numbers([sweeps, pools]))
+    assert len(found) > 20
     assert {type(x) for x in found} == {int}

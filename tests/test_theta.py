@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from troptheta import geometry
 from troptheta.lattice import CosetLattice, NotPositiveDefiniteError
-from troptheta.linalg import RatMatrix, ShapeMismatchError, matvec, solve, transpose
+from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matvec, solve, transpose
 from troptheta.rationals import INF
 from troptheta.theta import (
     AutomorphyFactor,
@@ -259,6 +262,7 @@ def test_integer_kernel_matches_fraction_box_scan(name):
     for n in itertools.product(range(-4, 5), repeat=theta.g):
         assert theta.c_trop(n) == scan_c_trop(theta, n), n
 
+    D = theta._kernel.D
     for v in [(F(-7, 3), F(5, 4)), (F(1, 2), F(-3, 2)), (F(0), F(0)), (F(-5, 2), F(-11, 3))]:
         values = sorted(
             (w + sum(a * b for a, b in zip(u, v)), u)
@@ -269,13 +273,112 @@ def test_integer_kernel_matches_fraction_box_scan(name):
         third, u3 = values[min(2, len(values) - 1)]
         sixth = values[min(5, len(values) - 1)][0]
         # bounds equal to a term's value (the test is <=), between values,
-        # and below every coset minimum (nothing)
+        # and below every coset minimum (nothing); every term carries
+        # D w(u), D times the scan's w(u), as an int
         for bound in (lowest, third, sixth + F(1, 7), lowest - 1):
-            want = sorted(u for value, u in values if value <= bound)
-            assert all(max(map(abs, table[u][1])) < SCAN - 1 for u in want)
-            assert geometry._terms_below(theta, v, bound) == want, (v, bound)
+            want = sorted((u, D * table[u][0]) for value, u in values if value <= bound)
+            assert all(max(map(abs, table[u][1])) < SCAN - 1 for u, _ in want)
+            got = geometry._terms_below(theta, v, bound)
+            assert got == want, (v, bound)
+            assert all(type(w) is int for _, w in got)
         assert geometry._terms_below(theta, v, lowest - 1) == []
-        assert u3 in geometry._terms_below(theta, v, third)
+        assert u3 in dict(geometry._terms_below(theta, v, third))
+
+
+# ---------- the competitor sweep against a Fraction brute force ----------
+
+small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def sweep_cases(draw):
+    """(theta, v, offset) for every shape of theta the sweep serves: g <= 3,
+    Lam = d I with a fractional symmetric P, or a non-diagonal Lam with
+    P = a I + b Lam (so P Lam is symmetric), fractional ell and w, inf
+    entries, and non-ample thetas with a finite support."""
+    g = draw(st.integers(1, 3))
+    unit = [[int(i == j) for j in range(g)] for i in range(g)]
+    kinds = ["scalar", "non-ample"] + (["non-diagonal"] if g > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    value = st.one_of(small_rationals, st.just(INF))
+    if kind == "non-diagonal":
+        lam = {2: [[2, 1], [1, 2]], 3: [[2, 1, 0], [1, 2, 1], [0, 1, 2]]}[g]
+        a = draw(st.sampled_from([F(1, 2), F(1), F(3, 2)]))
+        b = draw(st.sampled_from([F(0), F(1, 3), F(1, 2)]))
+        P = [[a * unit[i][j] + b * lam[i][j] for j in range(g)] for i in range(g)]
+    else:
+        # diagonally dominant, so positive definite
+        P = [[F(0)] * g for _ in range(g)]
+        for i in range(g):
+            P[i][i] = draw(st.sampled_from([F(3, 2), F(2), F(5, 2), F(3)]))
+        for i, j in itertools.combinations(range(g), 2):
+            P[i][j] = P[j][i] = draw(st.sampled_from([F(-1, 2), F(-1, 3), F(0), F(1, 3), F(1, 2)]))
+        d = draw(st.integers(1, 2 if g == 3 else 3))
+        lam = [[d * x for x in row] for row in unit]
+    if kind == "non-ample":
+        reps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * g), min_size=1, max_size=5, unique=True))
+        factor = AutomorphyFactor(Lambda=[[0] * g for _ in range(g)], ell=(F(0),) * g)
+    else:
+        reps = CosetLattice(tuple(map(tuple, lam))).representatives()
+        factor = AutomorphyFactor(Lambda=lam, ell=tuple(draw(small_rationals) for _ in range(g)))
+    ws = [draw(value) for _ in reps]
+    ws[draw(st.integers(0, len(reps) - 1))] = draw(small_rationals)  # one finite value
+    theta = TropicalThetaFunction(
+        base=data_of(P, unit), factor=factor, profile=ValuationProfile(entries=tuple(zip(reps, ws)))
+    )
+    v = tuple(draw(st.builds(F, st.integers(-9, 9), st.integers(1, 4))) for _ in range(g))
+    return theta, v, draw(st.sampled_from([F(-1), F(0), F(1, 3), F(1), F(5, 2)]))
+
+
+def brute_terms(theta, v, bound):
+    """Every (u, w(u)) with w(u) + <u, v> <= bound, w(u) straight from the
+    transformation law in Fractions.  Each coset is scanned over a box that
+    holds its sublevel ellipsoid: with B = P Lam, the real minimizer n* of
+    its quadratic and r = bound - its real minimum, |n_i - n*_i| <=
+    sqrt(2 r (B^-1)_ii) < isqrt(floor(2 r (B^-1)_ii)) + 1."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    if not theta.is_ample:
+        return sorted((u, w) for u, w in theta.profile.finite_entries() if w + dot(u, v) <= bound)
+    P, Lam, ell = theta.base.P.entries, theta.factor.Lambda, theta.factor.ell
+    B = [[dot(row, col) for col in zip(*Lam)] for row in P]
+    B_inv = inverse(B)
+    out = []
+    for rep, w0 in theta.profile.finite_entries():
+        lin = [e + dot(row, rep) + dot(col, v) for e, row, col in zip(ell, P, zip(*Lam))]
+        center = [-dot(row, lin) for row in B_inv]
+        low = w0 + dot(rep, v) + dot(lin, center) / 2
+        if bound < low:
+            continue
+        reach = [math.isqrt(math.floor(2 * (bound - low) * B_inv[i][i])) + 1 for i in range(theta.g)]
+        box = [range(math.floor(c - e), math.ceil(c + e) + 1) for c, e in zip(center, reach)]
+        for n in itertools.product(*box):
+            u = tuple(r + dot(row, n) for r, row in zip(rep, Lam))
+            w = w0 + scan_c_trop(theta, n) + dot(n, [dot(row, rep) for row in P])
+            if w + dot(u, v) <= bound:
+                out.append((u, w))
+    return sorted(out)
+
+
+@given(sweep_cases())
+@example((KERNEL_CASES["index-3"], (F(-7, 3), F(5, 4)), F(5, 2)))
+@example((KERNEL_CASES["inf-entry"], (F(1, 2), F(-3, 2)), F(1)))
+@example((KERNEL_CASES["fractional-ell-and-w"], (F(-5, 2), F(-11, 3)), F(0)))
+@example((KERNEL_CASES["non-ample"], (F(1, 3), F(-2)), F(5, 2)))
+@example((TH3, (F(1, 2), F(-1, 3), F(7, 4)), F(5, 2)))
+@settings(max_examples=60, deadline=None)
+def test_terms_below_matches_fraction_brute_force(case):
+    # the integer sweep returns every term below the bound with D w(u), D
+    # the kernel's denominator, as an int; offsets -1 (nothing), 0 (the
+    # minimal terms, ties included) and above
+    theta, v, offset = case
+    bound = theta.evaluate(v).value + offset
+    got = geometry._terms_below(theta, v, bound)
+    D = theta._kernel.D
+    assert got == [(u, D * w) for u, w in brute_terms(theta, v, bound)]
+    assert all(type(x) is int for u, w in got for x in (*u, w))
+    assert (offset < 0) == (got == [])
 
 
 # ---------- invariants ----------
