@@ -74,6 +74,7 @@ from .linalg import (
     IntVec,
     RatMatrix,
     Row,
+    Rows,
     ShapeMismatchError,
     _echelon,
     identity,
@@ -551,15 +552,14 @@ class FundamentalDomain:
             corners=tuple(
                 tuple(Fraction(c) for c in p) for p in data["corners"]
             ),
-            halfspaces=_parallelepiped_halfspaces(Pt),
+            halfspaces=_parallelepiped_halfspaces(inverse(Pt.entries)),
         )
 
 
-def _parallelepiped_halfspaces(Pt: RatMatrix):
-    inv_rows = inverse(Pt.entries)
+def _parallelepiped_halfspaces(inv_rows: Rows):
+    """0 <= t_i <= 1 for t = (P^T)^-1 x, from the rows of (P^T)^-1."""
     halfspaces = []
-    for i in range(Pt.rows):
-        row = tuple(inv_rows[i])
+    for row in inv_rows:
         halfspaces.append((row, Fraction(0)))
         halfspaces.append((tuple(-c for c in row), Fraction(-1)))
     return tuple(halfspaces)
@@ -570,7 +570,7 @@ def _domain(theta: TropicalThetaFunction) -> FundamentalDomain:
     D, cols = theta._kernel.D, tuple(zip(*theta._kernel.P))
     corners = sorted(_to_x((*s, 1), cols, D) for s in product((0, 1), repeat=theta.g))
     return FundamentalDomain(
-        matrix=Pt, corners=tuple(corners), halfspaces=_parallelepiped_halfspaces(Pt)
+        matrix=Pt, corners=tuple(corners), halfspaces=_parallelepiped_halfspaces(theta._P_inverse_t)
     )
 
 
@@ -774,6 +774,7 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     classes: dict[IntVec, tuple] = {}
     seen: set[IntVec] = set()
     kept = []
+    top = set()  # classes of the kept full-dimensional cells
     pieces = set()
     domain = range(2 * g, 4 * g)
     queue = deque([theta.evaluate((Fraction(0),) * g).canonical])
@@ -807,6 +808,8 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
             continue
         cell = _translate(built, u, d, tuple(map(x_of, moved.values())))
         kept.append(cell)
+        if cell.dim == g:
+            top.add(rep)
         # each piece is a face of the clip: tight sets stay complete, so its
         # vertices are those whose mask holds the facet plane (only
         # full-dimensional cells have facets)
@@ -823,16 +826,16 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     point = {key: t for t, key in keys.items()}
     ordered = sorted((tuple(sorted(map(keys.get, ts))), w) for ts, w in pieces)
     skeleton = tuple(SkeletonPiece(w, tuple(x_of(point[k]) for k in ks)) for ks, w in ordered)
-    quotient = _quotient_summary(theta, kept, [tuple(map(point.get, ks)) for ks, _ in ordered])
+    quotient = _quotient_summary(theta, len(top), [tuple(map(point.get, ks)) for ks, _ in ordered])
     return CellComplex(g=g, cells=kept, skeleton=skeleton, domain=fd, quotient=quotient)
 
 
-def _quotient_summary(theta, kept_cells, pieces) -> QuotientSummary:
-    """Quotient counts; pieces holds each skeleton piece's homogeneous
-    lattice coordinates in its vertex order, which key points and pieces
-    modulo the lattice."""
+def _quotient_summary(theta, c_count: int, pieces) -> QuotientSummary:
+    """Quotient counts; c_count is the number of coset classes of the kept
+    full-dimensional cells, and pieces holds each skeleton piece's
+    homogeneous lattice coordinates in its vertex order, which key points
+    and pieces modulo the lattice."""
     g = theta.g
-    c_count = len({theta._cosets.decompose(c.witness)[0] for c in kept_cells if c.dim == g})
     # g <= 2: the divisor is a graph, points for g = 1, points and edges for
     # g = 2, whose nodes are the pieces' lex extremes (interior points are
     # tangencies against the clipping parallelepiped).  g = 3: vertex classes

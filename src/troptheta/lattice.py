@@ -7,12 +7,13 @@ factorization of the reduced form, scaled to the integers the ellipsoid
 walk runs in, and the inverse of the reduced form are cached per form in
 `_reduced`, which both entry points share, so the real minimizer
 -G^-1 ell of a point's objective is a matrix-vector product, not a solve.
-`minimize_quadratic` seeds an upper bound from the 2^g floor/ceil roundings
-of that minimizer, then enumerates the ellipsoid below the seed value
-completely (Fincke-Pohst); `enumerate_below` enumerates an ellipsoid of a
-given radius.  A GramForm holds its own reduction, so enumerating many
-ellipsoids of one form neither re-validates it nor hashes it into that
-cache.  Every comparison is exact; floats never appear.
+`minimize_quadratic` seeds an upper bound with the value at Babai's
+nearest-plane point of that minimizer, rounded level by level from the walk
+data in O(g^2) integer operations, then enumerates the ellipsoid below the
+seed value completely (Fincke-Pohst); `enumerate_below` enumerates an
+ellipsoid of a given radius.  A GramForm holds its own reduction, so
+enumerating many ellipsoids of one form neither re-validates it nor hashes
+it into that cache.  Every comparison is exact; floats never appear.
 """
 
 from __future__ import annotations
@@ -199,6 +200,30 @@ def _walk(L: Rows, D: Row) -> tuple[int, list[list[int]], int, list[int]]:
     return lq, Lk, dq, [int(d * dq) for d in D]
 
 
+def _over_common_denominator(values: Row) -> tuple[int, list[int]]:
+    """(q, [q v for v in values]) with q the lcm of the denominators."""
+    q = math.lcm(*(v.denominator for v in values))
+    return q, [v.numerator * (q // v.denominator) for v in values]
+
+
+def _nearest_plane(walk, center: Row) -> IntVec:
+    """Babai's nearest-plane point for center in the form of walk =
+    _walk(L, D): from the last coordinate down, x_i is the integer nearest
+    its level's centre gamma_i given the x_j above it (ties round up), with
+    gamma_i = G_i / k in the integers of `_ellipsoid_points`.  It is the
+    first leaf of a nearest-first walk: a lattice point, so its value bounds
+    the minimum, found in O(g^2) integer operations for any g."""
+    lq, Lk, _, _ = walk
+    g = len(Lk)
+    q, C = _over_common_denominator(center)
+    k = lq * q
+    x = [0] * g
+    for i in range(g - 1, -1, -1):
+        G = lq * C[i] - sum(Lk[j][i] * (q * x[j] - C[j]) for j in range(i + 1, g))
+        x[i] = (2 * G + k) // (2 * k)
+    return tuple(x)
+
+
 def _ellipsoid_points(walk, center: Row, bound: Fraction) -> Iterator[IntVec]:
     """All integer x with (x-center)^T (L D L^T) (x-center) <= bound, for
     walk = _walk(L, D).
@@ -217,10 +242,8 @@ def _ellipsoid_points(walk, center: Row, bound: Fraction) -> Iterator[IntVec]:
     bound = Fraction(bound)
     if bound < 0:
         return
-    center = [Fraction(c) for c in center]
-    q = math.lcm(*(c.denominator for c in center))
+    q, C = _over_common_denominator([Fraction(c) for c in center])
     k = lq * q
-    C = [c.numerator * (q // c.denominator) for c in center]
     w = [d * bound.denominator for d in Dk]
     x = [0] * g
 
@@ -254,8 +277,7 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     if len(c) != len(G):
         raise ShapeMismatchError("center length mismatch")
     # U^-1 c and U m in integers: c over its common denominator q
-    q = math.lcm(*(x.denominator for x in c))
-    C = [x.numerator * (q // x.denominator) for x in c]
+    q, C = _over_common_denominator(c)
     c_red = [Fraction(sum(map(mul, row, C)), q) for row in Uinv]
     return sorted(
         tuple(sum(map(mul, row, m)) for row in U)
@@ -357,12 +379,24 @@ class QuadraticMinimum:
         return self.argmin[0]
 
 
+def _objective(G: Rows, ell: Row, c0: Fraction, m: Row) -> Fraction:
+    """(1/2) m^T G m + ell^T m + c0: the one place `minimize_quadratic`
+    evaluates its objective."""
+    return Fraction(1, 2) * vecdot(m, matvec(G, m)) + vecdot(ell, m) + c0
+
+
 def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     """Minimize (1/2) n^T B n + ell^T n + c0 over n in Z^g, exactly.
 
     Returns the minimum value and the complete argmin set.  B must be
     symmetric positive-definite (NotSymmetricError / NotPositiveDefiniteError
     otherwise, the latter with its 1-based pivot index).
+
+    In the LLL-reduced form, the value at Babai's nearest-plane point of the
+    real minimizer bounds the minimum; every lattice point at or below that
+    value is then enumerated, so the argmin is complete.  The objective is
+    evaluated at the seed, at the real minimizer and at each enumerated
+    point: 2 + points evaluations, for any g.
     """
     rows = _gram_rows(B)
     ell = tuple(Fraction(v) for v in ell)
@@ -371,26 +405,13 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     c0 = Fraction(c0)
     U, _, G, walk, G_inv = _reduced(rows)
     ell_red = matvec(transpose(U), ell)
-
-    def objective(m) -> Fraction:
-        return Fraction(1, 2) * vecdot(m, matvec(G, m)) + vecdot(ell_red, m) + c0
-
     center = tuple(-c for c in matvec(G_inv, ell_red))
 
-    best = None
-    for corner in product(*[
-        sorted({math.floor(ci), math.ceil(ci)}) for ci in center
-    ]):
-        val = objective(corner)
-        if best is None or val < best:
-            best = val
-    assert best is not None
-
-    center_value = objective(center)
-    bound = 2 * (best - center_value)
+    best = _objective(G, ell_red, c0, _nearest_plane(walk, center))
+    bound = 2 * (best - _objective(G, ell_red, c0, center))
     winners = []
     for m in _ellipsoid_points(walk, center, bound):
-        val = objective(m)
+        val = _objective(G, ell_red, c0, m)
         if val < best:
             best = val
             winners = [m]

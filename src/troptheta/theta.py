@@ -51,11 +51,13 @@ from .linalg import (
     IntRows,
     IntVec,
     RatMatrix,
+    Rows,
     ShapeMismatchError,
     adjugate_int,
     int_det,
     int_rows_from,
     int_vector_from,
+    inverse,
     is_symmetric,
     json_list,
     matmul,
@@ -312,6 +314,13 @@ class TropicalThetaFunction:
         A, a = adjugate_int(B), int_det(B)
         c = gcd(a, *chain(*A))
         return tuple(tuple(x // c for x in row) for row in A), a // c
+
+    @cached_property
+    def _P_inverse_t(self) -> Rows:
+        """(P^T)^-1 = D (D P^T)^-1, one elimination of the kernel's integer
+        D P^T: the fundamental domain's lower halfspace normals."""
+        D = self._kernel.D
+        return tuple(tuple(D * x for x in row) for row in inverse(transpose(self._kernel.P)))
 
     @cached_property
     def _cell_frame(self) -> tuple[IntRows, int, tuple[Fraction, ...]]:

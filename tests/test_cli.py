@@ -2,13 +2,17 @@
 and byte-determinism of reports and meshes."""
 
 import json
+import random
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from troptheta.cli import main
+from troptheta.rationals import format_fraction
+from troptheta.theta import TropicalThetaFunction
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -213,6 +217,30 @@ def test_eval_riemann_g1_points():
     # v = 1 sits on the corner locus: two lattice classes tie
     assert results[2]["value"] == "0"
     assert results[2]["witnesses"] == [[-1], [0]]
+
+
+def test_eval_g12_principal_theta_matches_the_library(tmp_path):
+    # the minimizer's seed is one point at any g, so a g = 12 evaluation
+    # takes milliseconds; seeding from the 2^12 rounding corners of the
+    # real minimizer took about 3.5 s per point
+    g = 12
+    variety = {"g": g, "P": [[2 if i == j else 1 for j in range(g)] for i in range(g)],
+               "Lambda": [[int(i == j) for j in range(g)] for i in range(g)]}
+    src, out = tmp_path / "variety.json", tmp_path / "theta.json"
+    src.write_text(json.dumps(variety))
+    assert run("riemann", src, "--out", out).exit_code == 0
+    rng = random.Random(12)
+    points = [[Fraction(rng.randint(-400, 400), rng.choice((7, 11, 13))) for _ in range(g)] for _ in range(4)]
+    points.append([Fraction(rng.choice((-1, 1)) * 10**30 + rng.randint(-9, 9), 7) for _ in range(g)])
+    res = run("eval", out, *(",".join(map(format_fraction, v)) for v in points))
+    assert res.exit_code == 0
+    theta = TropicalThetaFunction.from_json_dict(json.loads(out.read_text()))
+    want = []
+    for v in points:
+        r = theta.evaluate(v)
+        want.append({"point": [format_fraction(c) for c in v], "value": format_fraction(r.value),
+                     "witnesses": [list(u) for u in r.witnesses]})
+    assert report_of(res)["results"] == want
 
 
 def test_eval_rejects_wrong_arity():

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from troptheta import geometry
+from troptheta import geometry, linalg
 from troptheta.geometry import (
     OnCornerLocusError,
     RankTooLargeError,
@@ -335,18 +336,37 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cel
 
 @pytest.mark.parametrize(
     "name, calls",
-    [("TH1", 7), ("TH2", 19), ("variety_g2_skewed", 25), ("TH3", 73), ("variety_g3", 65)],
+    [("TH1", 5), ("TH2", 15), ("variety_g2_skewed", 19), ("TH3", 65), ("variety_g3", 57)],
 )
 def test_coset_decompositions_per_corner_locus(count_calls, name, calls):
     # machine-independent gate: the competitor sweep carries D w(u) with
-    # each u, so the pool decomposes no competitor into its coset.  What is
-    # left is one decomposition per visited witness, one for the built
-    # witness's D w(u) and one per kept cell for the quotient's cell count.
-    # Decomposing every pooled competitor again took 10, 40, 76, 124 and 138.
+    # each u, so the pool decomposes no competitor into its coset, and the
+    # quotient's cell count takes the classes corner_locus recorded as it
+    # kept each cell.  What is left is one decomposition per visited witness
+    # and one for the built witness's D w(u).  Decomposing every pooled
+    # competitor again took 10, 40, 76, 124 and 138; decomposing each kept
+    # cell's witness again for the count took 7, 19, 25, 73 and 65.
     theta = GATED[name]()
     found = count_calls(CosetLattice.decompose)
     corner_locus(theta)
     assert len(found) == calls
+
+
+@pytest.mark.parametrize("name", list(GATED))
+def test_domain_inverse_once_per_theta(count_calls, name):
+    # machine-independent gate: the domain's normals (P^T)^-1 are formed
+    # once per theta, from the kernel's integer D P, not in every
+    # corner_locus and linearity_cell call (three linalg.inverse calls
+    # here).  The domain equals the one whose normals come from inverting
+    # P^T itself (from_json_dict).
+    theta = replace(GATED[name]())  # a fresh theta: nothing cached
+    theta.evaluate((F(0),) * theta.g)  # fills the form's cached reduction
+    calls = count_calls(linalg.inverse)
+    cx = corner_locus(theta)
+    corner_locus(theta)
+    linearity_cell(theta, tuple(F(1, p) for p in (7, 11, 13)[: theta.g]))
+    assert len(calls) == 1
+    assert geometry.FundamentalDomain.from_json_dict(cx.domain.to_json_dict()) == cx.domain
 
 
 @pytest.mark.parametrize(
@@ -627,9 +647,9 @@ def test_quotient_from_carried_coordinates_matches_a_fresh_one(theta):
     carried = []
     summary = geometry._quotient_summary
 
-    def recording(theta_, kept, pieces):
+    def recording(theta_, top, pieces):
         carried.extend(pieces)
-        return summary(theta_, kept, pieces)
+        return summary(theta_, top, pieces)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_quotient_summary", recording)
@@ -645,7 +665,8 @@ def test_quotient_from_carried_coordinates_matches_a_fresh_one(theta):
         for piece in cx.skeleton
     ]
     assert carried == fresh
-    assert summary(theta, cx.cells, fresh) == cx.quotient
+    top = len({theta._cosets.decompose(c.witness)[0] for c in cx.cells if c.dim == theta.g})
+    assert summary(theta, top, fresh) == cx.quotient
     assert reference_quotient(theta, cx) == cx.quotient
 
 
