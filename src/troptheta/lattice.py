@@ -7,13 +7,15 @@ factorization of the reduced form, scaled to the integers the ellipsoid
 walk runs in, and the inverse of the reduced form are cached per form in
 `_reduced`, which both entry points share, so the real minimizer
 -G^-1 ell of a point's objective is a matrix-vector product, not a solve.
-`minimize_quadratic` seeds an upper bound with the value at Babai's
-nearest-plane point of that minimizer, rounded level by level from the walk
-data in O(g^2) integer operations, then enumerates the ellipsoid below the
-seed value completely (Fincke-Pohst); `enumerate_below` enumerates an
-ellipsoid of a given radius.  A GramForm holds its own reduction, so
-enumerating many ellipsoids of one form neither re-validates it nor hashes
-it into that cache.  Every comparison is exact; floats never appear.
+`minimize_quadratic` takes its walk budget from Babai's nearest-plane point
+of that minimizer, rounded level by level from the walk data in O(g^2)
+integer operations, then walks the ellipsoid below the seed completely
+(Fincke-Pohst) and reads the argmin and the minimum off the leftover
+budgets of the leaves: one Fraction value per call, none per point.
+`enumerate_below` walks an ellipsoid of a given radius.  A GramForm holds
+its own reduction, so enumerating many ellipsoids of one form neither
+re-validates it nor hashes it into that cache.  Every comparison is exact;
+floats never appear.
 """
 
 from __future__ import annotations
@@ -206,50 +208,49 @@ def _over_common_denominator(values: Row) -> tuple[int, list[int]]:
     return q, [v.numerator * (q // v.denominator) for v in values]
 
 
-def _nearest_plane(walk, center: Row) -> IntVec:
-    """Babai's nearest-plane point for center in the form of walk =
-    _walk(L, D): from the last coordinate down, x_i is the integer nearest
-    its level's centre gamma_i given the x_j above it (ties round up), with
-    gamma_i = G_i / k in the integers of `_ellipsoid_points`.  It is the
-    first leaf of a nearest-first walk: a lattice point, so its value bounds
-    the minimum, found in O(g^2) integer operations for any g."""
-    lq, Lk, _, _ = walk
+def _nearest_plane(walk, q: int, C: list[int]) -> tuple[IntVec, int]:
+    """Babai's nearest-plane point x for the centre C / q in the form of
+    walk = _walk(L, D), with its scaled distance S = sum_i Dk_i e_i^2.
+    From the last coordinate down, x_i is the integer nearest its level's
+    centre gamma_i given the x_j above it (ties round up), with gamma_i =
+    G_i / k and e_i = k x_i - G_i in the integers of `_ellipsoid_points`.
+    It is the first leaf of a nearest-first walk: a lattice point, so the
+    walk with budget S reaches the minimum.  It takes O(g^2) integer
+    operations for any g."""
+    lq, Lk, _, Dk = walk
     g = len(Lk)
-    q, C = _over_common_denominator(center)
     k = lq * q
     x = [0] * g
+    S = 0
     for i in range(g - 1, -1, -1):
         G = lq * C[i] - sum(Lk[j][i] * (q * x[j] - C[j]) for j in range(i + 1, g))
         x[i] = (2 * G + k) // (2 * k)
-    return tuple(x)
+        e = k * x[i] - G
+        S += Dk[i] * e * e
+    return tuple(x), S
 
 
-def _ellipsoid_points(walk, center: Row, bound: Fraction) -> Iterator[IntVec]:
-    """All integer x with (x-center)^T (L D L^T) (x-center) <= bound, for
-    walk = _walk(L, D).
+def _ellipsoid_points(walk, q: int, C: list[int], s: int, R: int) -> Iterator[tuple[IntVec, int]]:
+    """Every integer x with (x-c)^T (L D L^T) (x-c) <= R / (s dq k^2), for
+    walk = _walk(L, D), the centre c = C / q and k = den(L) q, each with its
+    leftover budget r = R - sum_i s Dk_i e_i^2 >= 0.
 
     Uses the identity x^T B x = sum_i d_i (x_i + sum_{j>i} L[j][i] x_j)^2 and
-    recurses from the last coordinate down with exact interval bounds.
-
-    The walk runs in integers.  With k = den(L) den(center), gamma_i =
-    G_i / k for an integer G_i, and the inequality times
-    den(bound) den(D) k^2 reads sum_i w_i e_i^2 <= R with integer weights
-    w_i, e_i = k x_i - G_i and R.  Level i then takes exactly the x_i with
-    |e_i| <= isqrt(r // w_i), r the budget the levels above left over.
+    recurses from the last coordinate down with exact interval bounds, in
+    integers: gamma_i = G_i / k for an integer G_i, e_i = k x_i - G_i, and
+    level i takes exactly the x_i with |e_i| <= isqrt(r // (s Dk_i)), r the
+    budget the levels above left over.  At scale s = 1 every leaf's
+    (x-c)^T G (x-c) is (R - r) / (dq k^2).
     """
     lq, Lk, dq, Dk = walk
     g = len(Dk)
-    bound = Fraction(bound)
-    if bound < 0:
-        return
-    q, C = _over_common_denominator([Fraction(c) for c in center])
     k = lq * q
-    w = [d * bound.denominator for d in Dk]
+    w = [d * s for d in Dk]
     x = [0] * g
 
-    def recurse(i: int, r: int) -> Iterator[IntVec]:
+    def recurse(i: int, r: int) -> Iterator[tuple[IntVec, int]]:
         if i < 0:
-            yield tuple(x)
+            yield tuple(x), r
             return
         G = lq * C[i] - sum(Lk[j][i] * (q * x[j] - C[j]) for j in range(i + 1, g))
         m = math.isqrt(r // w[i])
@@ -258,7 +259,7 @@ def _ellipsoid_points(walk, center: Row, bound: Fraction) -> Iterator[IntVec]:
             e = k * xi - G
             yield from recurse(i - 1, r - w[i] * e * e)
 
-    yield from recurse(g - 1, bound.numerator * dq * k * k)
+    yield from recurse(g - 1, R)
 
 
 def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
@@ -276,13 +277,13 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     c = [Fraction(v) for v in center]
     if len(c) != len(G):
         raise ShapeMismatchError("center length mismatch")
-    # U^-1 c and U m in integers: c over its common denominator q
+    # U^-1 c = (U^-1 C) / q and U m in integers: c over its common denominator q
     q, C = _over_common_denominator(c)
-    c_red = [Fraction(sum(map(mul, row, C)), q) for row in Uinv]
-    return sorted(
-        tuple(sum(map(mul, row, m)) for row in U)
-        for m in _ellipsoid_points(walk, c_red, 2 * radius)
-    )
+    lq, _, dq, _ = walk
+    C_red = [sum(map(mul, row, C)) for row in Uinv]
+    bound = 2 * radius
+    leaves = _ellipsoid_points(walk, q, C_red, bound.denominator, bound.numerator * dq * (lq * q) ** 2)
+    return sorted(tuple(sum(map(mul, row, m)) for row in U) for m, _ in leaves)
 
 
 @functools.lru_cache(maxsize=32)
@@ -379,12 +380,6 @@ class QuadraticMinimum:
         return self.argmin[0]
 
 
-def _objective(G: Rows, ell: Row, c0: Fraction, m: Row) -> Fraction:
-    """(1/2) m^T G m + ell^T m + c0: the one place `minimize_quadratic`
-    evaluates its objective."""
-    return Fraction(1, 2) * vecdot(m, matvec(G, m)) + vecdot(ell, m) + c0
-
-
 def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     """Minimize (1/2) n^T B n + ell^T n + c0 over n in Z^g, exactly.
 
@@ -392,31 +387,32 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     symmetric positive-definite (NotSymmetricError / NotPositiveDefiniteError
     otherwise, the latter with its 1-based pivot index).
 
-    In the LLL-reduced form, the value at Babai's nearest-plane point of the
-    real minimizer bounds the minimum; every lattice point at or below that
-    value is then enumerated, so the argmin is complete.  The objective is
-    evaluated at the seed, at the real minimizer and at each enumerated
-    point: 2 + points evaluations, for any g.
+    In the LLL-reduced form, Babai's nearest-plane point of the real
+    minimizer c lies at scaled distance S from it; the integer walk with
+    budget S yields every lattice point at or below the seed's value, each
+    with its leftover budget r, so the argmin is complete.  All leaves share
+    the scale dq k^2 of `_ellipsoid_points`, so the argmin is the leaves of
+    largest r and the minimum is q(c) + (S - r) / (2 dq k^2), with
+    q(c) = c0 + (1/2) ell^T c: one value per call, and no objective
+    evaluated at any point, for any g.
     """
     rows = _gram_rows(B)
     ell = tuple(Fraction(v) for v in ell)
     if len(ell) != len(rows):
         raise ShapeMismatchError("linear part length mismatch")
-    c0 = Fraction(c0)
-    U, _, G, walk, G_inv = _reduced(rows)
+    U, _, _, walk, G_inv = _reduced(rows)
     ell_red = matvec(transpose(U), ell)
     center = tuple(-c for c in matvec(G_inv, ell_red))
-
-    best = _objective(G, ell_red, c0, _nearest_plane(walk, center))
-    bound = 2 * (best - _objective(G, ell_red, c0, center))
-    winners = []
-    for m in _ellipsoid_points(walk, center, bound):
-        val = _objective(G, ell_red, c0, m)
-        if val < best:
-            best = val
-            winners = [m]
-        elif val == best:
+    q, C = _over_common_denominator(center)
+    S = _nearest_plane(walk, q, C)[1]
+    top, winners = -1, []
+    for m, r in _ellipsoid_points(walk, q, C, 1, S):
+        if r > top:
+            top, winners = r, [m]
+        elif r == top:
             winners.append(m)
 
-    argmin = sorted(tuple(int(x) for x in matvec(U, m)) for m in winners)
-    return QuadraticMinimum(value=best, argmin=tuple(argmin))
+    lq, _, dq, _ = walk
+    value = Fraction(c0) + vecdot(ell_red, center) / 2 + Fraction(S - top, 2 * dq * (lq * q) ** 2)
+    argmin = sorted(tuple(sum(map(mul, row, m)) for row in U) for m in winners)
+    return QuadraticMinimum(value=value, argmin=tuple(argmin))

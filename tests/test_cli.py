@@ -1,9 +1,13 @@
 """End-to-end tests of the command line: exit codes, report contents,
 and byte-determinism of reports and meshes."""
 
+import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -251,6 +255,27 @@ def test_eval_rejects_wrong_arity():
 def test_eval_rejects_decimal_points():
     res = run("eval", FIXTURES / "theta_g1.json", "0.5")
     assert res.exit_code == 2
+
+
+def test_import_leaves_hashlib_out_and_eval_hashes_its_input():
+    # importing the package and its CLI loads neither click nor hashlib
+    # (which maps OpenSSL): the commands load on first use, and the report
+    # in a fresh process is the in-process one, with the input's sha256
+    path = FIXTURES / "theta_g1.json"
+    code = (
+        "import sys, troptheta, troptheta.cli\n"
+        "assert not {'click', 'hashlib'} & set(sys.modules), sorted(sys.modules)\n"
+        "troptheta.cli.main(sys.argv[1:])\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "eval", str(path), "0", "-3/2", "1"],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert proc.stdout.decode() == run("eval", path, "0", "-3/2", "1").stdout
 
 
 # ----------------------------------------------------------------- riemann

@@ -311,32 +311,131 @@ def test_minimize_matches_separable_oracle(problem):
     assert list(got.argmin) == argmin
 
 
-def _objective_value(G, ell, c0, m):
-    """(1/2) m^T G m + ell^T m + c0, for the recorded objective calls."""
-    return sum(x * vecdot(row, m) for x, row in zip(m, G)) / 2 + vecdot(ell, m) + c0
+def _objective_value(B, ell, c0, n):
+    """(1/2) n^T B n + ell^T n + c0 in plain Fractions."""
+    return F(1, 2) * sum(x * vecdot(row, n) for x, row in zip(n, B)) + vecdot(ell, n) + c0
 
 
-@pytest.mark.parametrize("g, total", [(4, 33), (8, 36), (10, 47)])
-def test_objective_evaluations_per_minimization(count_calls, g, total):
-    # machine-independent gate: the upper bound is the value at one seed
-    # point (Babai's nearest plane), so a minimization evaluates its
-    # objective at the seed, at the real minimizer and at each lattice point
-    # at or below the seed's value: 2 + points times.  Seeding from the 2^g
-    # floor/ceil roundings of the real minimizer took 2^g + 1 + points, for
-    # totals of 181, 2,586 and 10,262 over these ten minimizations.
+def box_argmin(A, t):
+    """Every integer y minimizing (y - t)^T A (y - t), by a numpy scan of a
+    certified box: for y0 the rounding of t and delta its value, each
+    minimizer has (y_i - t_i)^2 <= (A^-1)_ii delta (Cauchy-Schwarz in the
+    A-norm).  In integers, with A = An/da and t = tn/dt, the scan compares
+    (dt y - tn)^T An (dt y - tn)."""
+    g = len(A)
+    Ainv = inverse(A)
+    e = [math.floor(x + F(1, 2)) - x for x in t]
+    delta = sum(e[i] * A[i][j] * e[j] for i in range(g) for j in range(g))
+    ranges = []
+    for i in range(g):
+        h = math.isqrt(math.floor(Ainv[i][i] * delta)) + 1  # > sqrt((A^-1)_ii delta)
+        near = range(math.floor(t[i]) - h, math.ceil(t[i]) + h + 1)
+        ranges.append([y for y in near if (y - t[i]) ** 2 <= Ainv[i][i] * delta])
+    flat, _ = _scaled([x for row in A for x in row])
+    tn, dt = _scaled(t)
+    reach = max(dt * (abs(y) + abs(x)) for r, x in zip(ranges, t) for y in r)  # >= |dt y_i - tn_i|
+    assert (g * reach) ** 2 * int(np.abs(flat).max()) < 2**63, "box scan would overflow int64"
+    y = np.array(list(itertools.product(*ranges)))
+    d = dt * y - tn
+    vals = np.einsum("ki,ij,kj->k", d, flat.reshape(g, g), d)
+    return [tuple(map(int, x)) for x in y[vals == vals.min()]]
+
+
+@st.composite
+def skewed_problems(draw):
+    """(B, ell, c0, A, S, V, z, f) with B = S^T A S, g <= 6: A diagonally
+    dominant with nonzero off-diagonal entries, S a unimodular shear and
+    V = S^-1.  The real minimizer is z + f, z an integer point with some
+    coordinates near 10^30 and f small; a half-integer f ties, as
+    q(n) = q(2 (z + f) - n)."""
+    g = draw(st.integers(1, 6))
+    A = [[F(0)] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i):
+            A[i][j] = A[j][i] = F(draw(st.sampled_from((-1, 1))), draw(st.integers(2, 4)))
+    for i in range(g):
+        A[i][i] = sum(abs(A[i][j]) for j in range(g) if j != i) + draw(st.integers(1, 3))
+    # S by row operations row_i += k row_j, V by the inverse column ones
+    S, V = [list(r) for r in identity(g)], [list(r) for r in identity(g)]
+    ops = st.tuples(st.integers(0, g - 1), st.integers(0, g - 1), st.integers(-2, 2))
+    for i, j, k in draw(st.lists(ops, max_size=2 * g)):
+        if i != j:
+            S[i] = [a + k * b for a, b in zip(S[i], S[j])]
+            for row in V:
+                row[j] -= k * row[i]
+    B = matmul(transpose(S), matmul(A, S))
+    z = [draw(st.sampled_from((0, 0, 10**30, -(10**30)))) + draw(st.integers(-20, 20)) for _ in range(g)]
+    if draw(st.booleans()):
+        f = [F(draw(st.integers(0, 1)), 2) for _ in range(g)]
+    else:
+        f = [F(draw(st.integers(-12, 12)), draw(st.sampled_from((1, 3, 7, 13)))) for _ in range(g)]
+    ell = [-x for x in matvec(B, [a + b for a, b in zip(z, f)])]
+    c0 = F(draw(st.integers(-9, 9)), draw(st.integers(1, 5)))
+    return B, ell, c0, A, S, V, z, f
+
+
+@given(skewed_problems())
+@settings(max_examples=60, deadline=None)
+def test_minimize_matches_box_scan_on_skewed_forms(problem):
+    # non-separable skewed forms: the value is a plain Fraction objective at
+    # every argmin point, and the argmin is a box scan in the coordinates
+    # y = S (n - z) of the well-conditioned A, which needs no reduction,
+    # rounding or walk of the library's
+    B, ell, c0, A, S, V, z, f = problem
+    got = minimize_quadratic(B, ell, c0)
+    assert {_objective_value(B, ell, c0, n) for n in got.argmin} == {got.value}
+    scan = sorted(tuple(a + b for a, b in zip(z, matvec(V, y))) for y in box_argmin(A, matvec(S, f)))
+    assert list(got.argmin) == scan
+    if any(x.denominator == 2 for x in f):
+        assert len(scan) >= 2
+
+
+@pytest.fixture
+def walk_leaves(monkeypatch):
+    """Every (m, r) leaf the ellipsoid walk yields, in reduced coordinates
+    with its leftover budget, and every Babai seed (x, S) computed."""
+    leaves, seeds = [], []
+    walk, nearest = lattice._ellipsoid_points, lattice._nearest_plane
+
+    def recording_walk(*args):
+        for leaf in walk(*args):
+            leaves.append(leaf)
+            yield leaf
+
+    def recording_nearest(*args):
+        seeds.append(nearest(*args))
+        return seeds[-1]
+
+    monkeypatch.setattr(lattice, "_ellipsoid_points", recording_walk)
+    monkeypatch.setattr(lattice, "_nearest_plane", recording_nearest)
+    return leaves, seeds
+
+
+@pytest.mark.parametrize("g, total", [(4, 13), (8, 16), (10, 27)])
+def test_walk_leaves_per_minimization(walk_leaves, g, total):
+    # machine-independent gate: the walk's budget is the scaled distance of
+    # one seed point (Babai's nearest plane), so a minimization yields each
+    # lattice point at or below the seed's value once, as a leaf, the seed
+    # with nothing left over, and reads its value off the leftover budgets
+    leaves, seeds = walk_leaves
     B = [[2 if i == j else 1 for j in range(g)] for i in range(g)]  # P = I + J
+    U = lattice._reduced(lattice._gram_rows(B))[0]
     rng = random.Random(g)
-    calls = count_calls(lattice._objective)
+    count = 0
     for k in range(10):
         far = rng.choice((-1, 1)) * 10**30 if k % 5 == 4 else 0
         ell = [far + F(rng.randint(-400, 400), rng.choice((7, 11, 13))) for _ in range(g)]
-        start = len(calls)
+        del leaves[:], seeds[:]
         minimize_quadratic(B, ell)
-        values = [_objective_value(*args) for args in calls[start:]]
+        (seed, _), = seeds
+        assert (seed, 0) in leaves and all(r >= 0 for _, r in leaves)
+        found = len(leaves)
         centre = [-x for x in matvec(inverse(B), ell)]
-        points = enumerate_below(B, centre, max(values) - min(values))
-        assert len(values) == 2 + len(points)
-    assert len(calls) == total
+        seed_value = _objective_value(B, ell, 0, matvec(U, seed))
+        points = enumerate_below(B, centre, seed_value - _objective_value(B, ell, 0, centre))
+        assert found == len(points)
+        count += found
+    assert count == total
 
 
 def test_minimize_errors():

@@ -11,7 +11,9 @@ g = 1, 2, 3 and of a non-ample linearity cell.  The polytope primitive
 and result of its calls during corner loci and finds only ints.  So do the
 competitor sweep's (u, D w(u)) pairs and the pool built from them: a fourth
 check walks every `_terms_below` result and every `_pool` argument and
-result.
+result.  The minimizer reads each value off its ellipsoid walk: a fifth
+check walks every leaf the walk yields during theta evaluations, point and
+leftover budget, and finds only ints.
 """
 
 import ast
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from troptheta import geometry
+from troptheta import geometry, lattice
 from troptheta.geometry import corner_locus, linearity_cell
 from troptheta.theta import AutomorphyFactor, TropicalThetaFunction, ValuationProfile, riemann_theta
 from troptheta.varieties import TropicalPolarizationData
@@ -176,3 +178,23 @@ def test_sweep_and_pool_run_in_integers(monkeypatch, name):
     found = list(numbers([sweeps, pools]))
     assert len(found) > 20
     assert {type(x) for x in found} == {int}
+
+
+@pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I"])
+def test_walk_leaves_are_integers(monkeypatch, name):
+    # every point and leftover budget the minimizer's walk yields is an int
+    theta = LEVEL2_I if name == "LEVEL2_I" else fixture_theta(name)
+    leaves = []
+    walk = lattice._ellipsoid_points
+
+    def recording(*args):
+        for leaf in walk(*args):
+            leaves.append(leaf)
+            yield leaf
+
+    monkeypatch.setattr(lattice, "_ellipsoid_points", recording)
+    for k in range(20):
+        theta.evaluate(tuple(Fraction(k * (i + 2) - 17, 7 + i) for i in range(theta.g)))
+    assert len(leaves) >= 20
+    assert {type(r) for _, r in leaves} == {int}
+    assert {type(x) for m, _ in leaves for x in m} == {int}
