@@ -8,29 +8,31 @@ V-representations, the divisor as a polyhedral complex clipped to one
 fundamental parallelepiped, with lattice identifications and the quotient
 counts (Betti numbers, Euler characteristic) computed from them.
 
-Soundness of the competitor pools: for any box R and any single witness u,
-f <= l_u everywhere, so every u'' active somewhere in R satisfies
-l_{u''} <= l_u somewhere in R, hence at a corner of R (their difference is
-affine).  Sweeping the corners with bound l_u(corner) is one ellipsoid
-enumeration per coset and corner, finite by positive-definiteness.
+Soundness of the competitor pools: for any polytope R and any single
+witness u, f <= l_u everywhere, so every u'' active somewhere in R satisfies
+l_{u''} <= l_u somewhere in R, hence at a vertex of R (their difference is
+affine).  Sweeping the vertices with bound l_u(vertex) is one ellipsoid
+enumeration per coset and vertex, finite by positive-definiteness.
 
-The box is certified up front (Voronoi 1908; Conway-Sloane, ch. 2).  The
-cell of u = rep + Lam n lies in u's cell within its own coset, since the
-min over all competitors is at most the min over that coset.  With
-B = P Lam, l_{u + Lam k}(x) - l_u(x) = (1/2) k^T B k + k^T (ell + P u +
-Lam^T x) >= 0 for all k iff z = -B^-1 (ell + P u + Lam^T x) lies in the
-Voronoi cell Vor_B(0) of (Z^g, B): the coset cell is x0 - Lam^-T B Vor_B(0),
-x0 = -Lam^-T (ell + P u).  Each e_j is a lattice vector, so |(B z)_j| <=
-B_jj / 2 on Vor_B(0), and coordinate i of the cell lies within
-(1/2) sum_j |(Lam^-T)_ij| B_jj of x0_i: the slab bound, exact rational, one
-per theta, attained by the cubes of diag(2, 2, 2).
+R is certified up front (Voronoi 1908; Conway-Sloane, ch. 2).  The cell of
+u = rep + Lam n lies in u's cell within its own coset, since the min over
+all competitors is at most the min over that coset.  With B = P Lam and
+x0 = -Lam^-T (ell + P u), l_{u + Lam k}(x) - l_u(x) = (1/2) k^T B k +
+k^T Lam^T (x - x0), which is >= 0 for every integer k on that coset cell.
+For k = +-b_j, the basis b_j = U e_j to which LLL reduces B
+(Lenstra-Lenstra-Lovasz 1982), with G = U^T B U, this reads
+|<Lam b_j, x - x0>| <= G_jj / 2: g pairs of parallel planes, a
+parallelepiped that is as tight as the reduced basis is short, and whose
+bound the cubes of diag(2, 2, 2) attain.  `_build_cell` widens each bound by
+`_MARGIN` to R_u and reads R_u's planes and 2^g vertices off one integer
+frame per theta (`theta._region_frame`).
 
 Polytopes are held in exact double-description form (Motzkin-Raiffa-
 Thompson-Thrall 1953; Fukuda-Prodon 1996), in integers as in Avis's lrs
 (2000) and in lattice coordinates t (x = P^T t): a dict from each vertex, a
 primitive integer vector (X, den) with den > 0 for t = X / den, to the
 bitmask of its tight planes.  A plane is one integer row of its cell's table
-(`_Planes`: the box, the domain [0, 1]^g and the pool; <a, x> >= b reads
+(`_Planes`: the region, the domain [0, 1]^g and the pool; <a, x> >= b reads
 <D P a, t> >= D b with the kernel's integer D P), so a slack is one dot
 product.  `_cut`, the one primitive, cuts by one row: two vertices span an
 edge iff the normals tight at both (an AND of masks) have rank g-1, cached
@@ -107,7 +109,7 @@ class UnsupportedFormatError(ValueError):
 _MAX_RANK = 3
 Halfspace = tuple[IntVec, Fraction]  # <normal, x> >= offset
 Polytope = dict[IntVec, int]  # homogeneous vertex (X, den) -> tight mask
-_BOX_MARGIN = Fraction(1, 2)  # added to _build_cell's slab bound
+_MARGIN = Fraction(1, 16)  # added to each bound of a cell's certified region
 
 
 # ---------- exact polyhedral helpers ----------
@@ -147,11 +149,6 @@ class _Planes(NamedTuple):
 
     rows: list[IntVec]
     edges: dict[int, bool]
-
-
-def _row(normal: IntVec, b: Fraction) -> IntVec:
-    """<normal, t> >= b as one integer row, scaled by b's denominator."""
-    return (*(b.denominator * c for c in normal), -b.numerator)
 
 
 def _move(v: IntVec, d: IntVec) -> IntVec:
@@ -355,18 +352,6 @@ def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[tuple[IntVec, i
     return out
 
 
-def _cell_box(theta: TropicalThetaFunction, u: IntVec):
-    """(x0, halfwidths): x0 = -Lam^-T (ell + P u), formed from the kernel's
-    integer D (ell + P u) and Lam^-T = N / n, and the slab bound plus
-    `_BOX_MARGIN`, a box that holds the cell of u strictly inside."""
-    N, n, half = theta._cell_frame
-    k = theta._kernel
-    y = [e + sum(map(mul, row, u)) for e, row in zip(k.ell, k.P)]
-    den = n * k.D
-    center = tuple(Fraction(-sum(map(mul, r, y)), den) for r in N)
-    return center, tuple(h + _BOX_MARGIN for h in half)
-
-
 def _to_x(v: IntVec, cols, D: int) -> TropPoint:
     """x = P^T t of the homogeneous t = v, for cols the columns of D P."""
     den = D * v[-1]
@@ -386,75 +371,84 @@ class _Built(NamedTuple):
     witnesses: dict[int, list[IntVec]]
 
 
-def _build_cell(theta: TropicalThetaFunction, u: IntVec, fd: "FundamentalDomain") -> _Built:
+def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     """The global cell of witness u and its polytope, clipped once inside
-    `_cell_box`: the cell lies in u's coset cell x0 - Lam^-T (P Lam) Vor(0),
-    which the lattice vectors e_j confine to the slab bound (module docstring).
+    its certified region R_u (module docstring).
 
-    The pool's halfspaces cut to the box give the true cell cut to the box
-    (a point of the box beaten by an outside competitor is beaten by its
-    local witness, which is pooled), which is the cell; the margin keeps the
-    box planes off its vertices, so a polytope touching the box raises.  The
-    box corners, in lattice coordinates of `fd`, are `_cut` by the pool,
-    most violated plane first (d|d|/<a,a>, d = b - <a, x0>, is the signed
-    distance d/|a| made exact).  Tight sets stay complete, so a facet is the
-    vertices whose mask holds its plane.  The plane table holds the box, the
-    domain (for corner_locus's clips) and the pool, sorted by normal.
+    The pool's halfspaces cut to R_u give the true cell cut to R_u (a point
+    of R_u beaten by an outside competitor is beaten by its local witness,
+    which is pooled), which is the cell; the margin keeps R_u's planes off
+    its vertices, so a polytope touching them raises.  In lattice
+    coordinates t, R_u is |M t + c| <= half + D eps, with c = U^T D (ell +
+    P u) and M, half from `theta._region_frame`, so its corners are
+    M^-1 (+-(half + D eps) - c), read off the frame's adjugate in integers.
+    They are `_cut` by the pool, most violated plane first (d|d|/<a,a>,
+    d = b - <a, x0>, is the signed distance d/|a| made exact).  Tight sets
+    stay complete, so in a full-dimensional cell a plane is a facet iff the
+    masks of the vertices on it meet in its own bit alone (a lower face
+    lies on two or more facet planes).  The plane table holds the region,
+    the domain (for corner_locus's clips) and the pool, sorted by normal.
     """
     g = theta.base.g
-    D, DP = theta._kernel.D, theta._kernel.P
+    kernel = theta._kernel
+    D, DP = kernel.D, kernel.P
     cols = tuple(zip(*DP))
+    Ut, M, A, a, half = theta._region_frame
+    p, q = _MARGIN.numerator, _MARGIN.denominator
     w_u = theta._w_numerator(u)
     value_u = Fraction(w_u, D)
-    center, halfwidths = _cell_box(theta, u)
+    y = [e + sum(map(mul, row, u)) for e, row in zip(kernel.ell, DP)]
+    c = [q * sum(map(mul, b, y)) for b in Ut]
+    r = [q * h + D * p for h in half]
 
-    # rows 0..2g-1: the box, x_i >= c_i - h_i and -x_i >= -(c_i + h_i), each
-    # corner tight on g of them; rows 2g..4g-1: the domain, t_i >= 0 and
-    # -t_i >= -1
+    # rows 0..2g-1: the region scaled by q, <q M_j, t> >= -(c_j + r_j) and
+    # <-q M_j, t> >= c_j - r_j, each corner tight on g of them; rows
+    # 2g..4g-1: the domain, t_i >= 0 and -t_i >= -1
     rows = []
-    for col, c, h in zip(cols, center, halfwidths):
-        rows += [_row(col, D * (c - h)), _row([-x for x in col], -D * (c + h))]
+    for m_j, c_j, r_j in zip(M, c, r):
+        rows += [(*(q * x for x in m_j), c_j + r_j), (*(-q * x for x in m_j), r_j - c_j)]
     for e in identity(g):
         rows += [(*e, 0), (*(-x for x in e), 1)]
-    corners = {
-        tuple(c + h if s else c - h for c, h, s in zip(center, halfwidths, signs)):
-            sum(1 << (2 * i + s) for i, s in enumerate(signs))
-        for signs in product((0, 1), repeat=g)
-    }
+    Ac = [sum(map(mul, row, c)) for row in A]  # the centre t0 is -Ac / (a q)
+    corners = {}
+    for signs in product((0, 1), repeat=g):
+        R = [r_j if s else -r_j for r_j, s in zip(r, signs)]
+        v = [sum(map(mul, row, R)) - x for row, x in zip(A, Ac)] + [a * q]
+        f = gcd(*v)
+        corners[tuple(x // f for x in v)] = sum(1 << (2 * i + s) for i, s in enumerate(signs))
 
-    # u'' can only win somewhere in the box if l_{u''} <= l_u at a box corner
-    # (their difference is affine), so pool per corner with its own bound
-    # (its D w(u'') carried by the sweep)
+    # u'' can only win somewhere in the region if l_{u''} <= l_u at one of
+    # its corners (their difference is affine), so pool per corner with its
+    # own bound (its D w(u'') carried by the sweep)
     others: dict[IntVec, int] = {}
     for corner in corners:
-        others.update(_terms_below(theta, corner, value_u + vecdot(u, corner)))
+        x = _to_x(corner, cols, D)
+        others.update(_terms_below(theta, x, value_u + vecdot(u, x)))
     pool = sorted(_pool(u, w_u, others.items()).items())
 
-    # the plane <m a, x> >= num / D is <D P m a, t> >= num.  Cut order: with
-    # e = (D m den) d, d|d|/<a, a> is e|e| / (m^2 <a, a>) up to a common
-    # factor, taken over one common denominator
-    den = lcm(*(c.denominator for c in center))
-    scaled = [c.numerator * (den // c.denominator) for c in center]
+    # the plane <m n, x> >= num / D is <D P m n, t> >= num.  Cut order: with
+    # t0 = T0 / a and e = a D m d, d|d|/<n, n> is e|e| / (m^2 <n, n>) up to
+    # a common factor, taken over one common denominator
+    T0 = [-x // q for x in Ac]
     depth, witnesses = {}, {}
-    for k, (a, (num, m, wits)) in enumerate(pool, 4 * g):
-        rows.append((*(m * sum(map(mul, row, a)) for row in DP), -num))
-        e = num * den - D * m * sum(map(mul, a, scaled))
-        depth[k] = (e * abs(e), m * m * sum(map(mul, a, a)))
+    for k, (n, (num, m, wits)) in enumerate(pool, 4 * g):
+        normal = tuple(m * sum(map(mul, row, n)) for row in DP)
+        rows.append((*normal, -num))
+        e = num * a - sum(map(mul, normal, T0))
+        depth[k] = (e * abs(e), m * m * sum(map(mul, n, n)))
         witnesses[k] = wits
-    common = lcm(*(q for _, q in depth.values()))
-    keys = {k: p * (common // q) for k, (p, q) in depth.items()}
+    common = lcm(*(d for _, d in depth.values()))
+    keys = {k: e * (common // d) for k, (e, d) in depth.items()}
     planes = _Planes(rows, {})
-    poly = {}
-    for x, mask in corners.items():
-        t = fd.lattice_coordinates(x)
-        q = lcm(*(c.denominator for c in t))
-        poly[(*(c.numerator * (q // c.denominator) for c in t), q)] = mask
-    poly = _clip(poly, planes, sorted(keys, key=keys.__getitem__, reverse=True))
+    poly = _clip(corners, planes, sorted(keys, key=keys.__getitem__, reverse=True))
     if not poly or any(m & ((1 << 2 * g) - 1) for m in poly.values()):
+        lam_b = (matvec(theta.factor.Lambda, b) for b in Ut)
+        bounds = (Fraction(h, D) + _MARGIN for h in half)
         raise InvalidDataError(
-            f"cell of witness {u} is not inside its certified box: centre "
-            f"({', '.join(map(str, center))}), halfwidths "
-            f"({', '.join(map(str, halfwidths))}), pool of {len(pool)} halfspaces"
+            f"cell of witness {u} is not inside its certified region: centre "
+            f"({', '.join(map(str, _to_x((*T0, a), cols, D)))}), region "
+            + ", ".join(f"|<{n}, x - x0>| <= {b}" for n, b in zip(lam_b, bounds))
+            + f", pool of {len(pool)} halfspaces"
         )
 
     poly = {v: poly[v] for v in sorted(poly, key=_x_keys(poly, cols).__getitem__)}
@@ -462,21 +456,22 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec, fd: "FundamentalDomain"
     span = _affine_span(verts)
     dim = len(span)
     on_plane: dict[int, list[int]] = {}
+    meet: dict[int, int] = {}  # the AND of the masks of the vertices on each plane
     for i, mask in enumerate(poly.values()):
         for k in _bits(mask):
             on_plane.setdefault(k, []).append(i)
+            meet[k] = meet.get(k, mask) & mask
     tight, halfspaces, facets = [], [], []
-    for k, (a, (num, m, wits)) in enumerate(pool, 4 * g):
+    for k, (n, (num, m, wits)) in enumerate(pool, 4 * g):
         idx = tuple(on_plane.get(k, ()))
-        # a tight set with >= g vertices is a codimension-1 face; planes
-        # only grazing lower faces are implied by the facets and dropped
-        if not idx or (dim == g and len(idx) < g):
+        # planes only grazing lower faces are implied by the facets and dropped
+        if not idx or (dim == g and meet[k] != 1 << k):
             continue
         b = Fraction(num, D * m)
-        tight.append((a, b))
+        tight.append((n, b))
         halfspaces.append((k, D * m, idx))
         if dim == g:
-            facets.append(Facet(a, b, tuple(sorted([u, *wits])), tuple(verts[i] for i in idx)))
+            facets.append(Facet(n, b, tuple(sorted([u, *wits])), tuple(verts[i] for i in idx)))
     cell = LinearityCell(u, tuple(tight), verts, dim, span, tuple(facets))
     return _Built(cell, poly, planes, tuple(halfspaces), witnesses)
 
@@ -507,7 +502,7 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
             facets=(),
             bounded=False,
         )
-    return _build_cell(theta, u, _domain(theta)).cell
+    return _build_cell(theta, u).cell
 
 
 # ---------- fundamental domain ----------
@@ -565,12 +560,16 @@ def _parallelepiped_halfspaces(inv_rows: Rows):
     return tuple(halfspaces)
 
 
-def _domain(theta: TropicalThetaFunction) -> FundamentalDomain:
+def _fundamental_domain(theta: TropicalThetaFunction) -> FundamentalDomain:
+    """The fundamental domain of an ample theta, which `theta._domain`
+    keeps: its normals (P^T)^-1 = D (D P^T)^-1 are one elimination of the
+    kernel's integer D P^T."""
     Pt = RatMatrix(transpose(theta.base.P.entries))
-    D, cols = theta._kernel.D, tuple(zip(*theta._kernel.P))
-    corners = sorted(_to_x((*s, 1), cols, D) for s in product((0, 1), repeat=theta.g))
+    D, DP = theta._kernel.D, theta._kernel.P
+    corners = sorted(_to_x((*s, 1), tuple(zip(*DP)), D) for s in product((0, 1), repeat=theta.g))
+    normals = tuple(tuple(D * x for x in row) for row in inverse(transpose(DP)))
     return FundamentalDomain(
-        matrix=Pt, corners=tuple(corners), halfspaces=_parallelepiped_halfspaces(theta._P_inverse_t)
+        matrix=Pt, corners=tuple(corners), halfspaces=_parallelepiped_halfspaces(normals)
     )
 
 
@@ -708,7 +707,7 @@ def _canonical_shift(ts) -> tuple[IntVec, ...]:
 def _vertex_ties(u: IntVec, poly: Polytope, witnesses) -> dict:
     """The tie set at each vertex of u's certified cell: u and the witnesses
     of every pool plane tight there.  Complete: a witness u' at p ties with
-    u at a point of the box, so it is pooled; its plane is tight at p, and
+    u at a point of the region, so it is pooled; its plane is tight at p, and
     the cell satisfies the deepest pooled plane of that normal, so the two
     are one plane, with u' among its witnesses and its bit in poly[p]."""
     return {
@@ -763,7 +762,7 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         raise RankTooLargeError(f"corner locus capped at g <= {_MAX_RANK}")
     if not theta.is_ample:
         raise InvalidDataError("corner locus needs an ample polarization")
-    fd = _domain(theta)
+    fd = theta._domain
     D, cols = theta._kernel.D, tuple(zip(*theta._kernel.P))
     xs: dict[IntVec, TropPoint] = {}
 
@@ -785,7 +784,7 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         seen.add(u)
         rep, n = theta._cosets.decompose(u)
         if rep not in classes:
-            built = _build_cell(theta, u, fd)
+            built = _build_cell(theta, u)
             # every neighbor ties with u at a vertex of the cell
             ties = _vertex_ties(u, built.poly, built.witnesses)
             neighbors = tuple(sorted(set().union(*ties.values()) - {u}))

@@ -18,10 +18,12 @@ from those integers), and the divisor's competitor sweeps and the Puiseux
 partial sums enumerate below a bound through geometry._terms_below, which
 reads D w(u) off each enumerated n; the divisor's pool offsets
 D w(u) - D w(u'') are differences of those integers, so no competitor is
-decomposed into its coset again.  `extended_w` and
-`c_trop` are one coset decomposition, a few integer dot products and one
-Fraction at the end.  The lambda = 0 case carries a finite support and a
-trivial factor, and the min is a finite scan.
+decomposed into its coset again.  The divisor certifies each cell in a
+parallelepiped read off `_region_frame`, one integer frame per theta built
+from the LLL reduction of P Lam, and keeps its fundamental domain in
+`_domain`.  `extended_w` and `c_trop` are one coset decomposition, a few
+integer dot products and one Fraction at the end.  The lambda = 0 case
+carries a finite support and a trivial factor, and the min is a finite scan.
 
 Products and translates never collapse into convolved profiles here: they
 stay formal expressions (TropicalThetaExpression) whose aggregate automorphy
@@ -51,13 +53,11 @@ from .linalg import (
     IntRows,
     IntVec,
     RatMatrix,
-    Rows,
     ShapeMismatchError,
     adjugate_int,
     int_det,
     int_rows_from,
     int_vector_from,
-    inverse,
     is_symmetric,
     json_list,
     matmul,
@@ -316,21 +316,27 @@ class TropicalThetaFunction:
         return tuple(tuple(x // c for x in row) for row in A), a // c
 
     @cached_property
-    def _P_inverse_t(self) -> Rows:
-        """(P^T)^-1 = D (D P^T)^-1, one elimination of the kernel's integer
-        D P^T: the fundamental domain's lower halfspace normals."""
-        D = self._kernel.D
-        return tuple(tuple(D * x for x in row) for row in inverse(transpose(self._kernel.P)))
+    def _region_frame(self) -> tuple[IntRows, IntRows, IntRows, int, IntVec]:
+        """(Ut, M, A, a, half), the integer frame of the divisor's certified
+        cell regions (geometry module docstring): U^T for the LLL-reduced
+        basis b_j = U e_j of the form P Lam, M = U^T (D P Lam), whose row j
+        is D P Lam b_j, M^-1 = A / a with a > 0, and
+        half_j = (U^T D P Lam U)_jj / 2, an integer since D P Lam is even."""
+        Ut = transpose(self._form._reduction[0])
+        M = tuple(tuple(sum(map(mul, b, col)) for col in zip(*self._kernel.B)) for b in Ut)
+        A, a = adjugate_int(M), int_det(M)
+        if a < 0:
+            A, a = tuple(tuple(-x for x in row) for row in A), -a
+        half = tuple(sum(map(mul, row, b)) // 2 for row, b in zip(M, Ut))
+        return Ut, M, A, a, half
 
     @cached_property
-    def _cell_frame(self) -> tuple[IntRows, int, tuple[Fraction, ...]]:
-        """(N, n, half): Lam^-T = N / n in integers, and the slab bound
-        (1/2) sum_j |(Lam^-T)_ij| (P Lam)_jj on the cells of an ample theta
-        (geometry module docstring)."""
-        lam, B = self.factor.Lambda, self._B_rows
-        N, n = transpose(adjugate_int(lam)), int_det(lam)
-        half = (Fraction(sum(abs(a) * B[j][j] for j, a in enumerate(r)), 2 * abs(n)) for r in N)
-        return N, n, tuple(half)
+    def _domain(self):
+        """The divisor's fundamental parallelepiped, built once per theta
+        (geometry.FundamentalDomain)."""
+        from .geometry import _fundamental_domain  # geometry imports this module
+
+        return _fundamental_domain(self)
 
     @property
     def is_ample(self) -> bool:

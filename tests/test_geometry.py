@@ -21,11 +21,10 @@ from troptheta.geometry import (
     export_mesh,
     linearity_cell,
 )
-from troptheta.lattice import CosetLattice
+from troptheta.lattice import CosetLattice, lll_reduce
 from troptheta.linalg import (
     RatMatrix,
     ShapeMismatchError,
-    inverse,
     matvec,
     solve,
     transpose,
@@ -371,13 +370,14 @@ def test_domain_inverse_once_per_theta(count_calls, name):
 
 @pytest.mark.parametrize(
     "name, calls",
-    [("TH1", 1), ("TH2", 12), ("variety_g2_skewed", 10), ("TH3", 48), ("variety_g3", 61)],
+    [("TH1", 1), ("TH2", 12), ("variety_g2_skewed", 8), ("TH3", 48), ("variety_g3", 61)],
 )
 def test_edge_ranks_once_per_mask(monkeypatch, name, calls):
     # machine-independent gate: _cut's edge test ranks the normals of a
     # shared tight mask with one _echelon call, cached per mask for the
     # corner_locus call, so the calls count distinct masks (ranking every
-    # tested pair took 4, 28, 44, 120 and 165).  _affine_span's one call per
+    # tested pair took 4, 28, 44, 120 and 165; cutting the skewed form's
+    # larger coordinate box took 10 for it).  _affine_span's one call per
     # build is not an edge test and is not counted.
     ranks = []
     in_span = [False]
@@ -418,22 +418,49 @@ def test_translates_are_culled_in_lattice_coordinates(count_calls, name, clips):
     assert len(calls) == clips
 
 
-@pytest.mark.parametrize(
-    "name, calls",
-    [("variety_g1", 2), ("variety_g2", 4), ("variety_g2_skewed", 4), ("variety_g3", 8)],
-)
-def test_lattice_coordinates_once_per_built_vertex(count_calls, name, calls):
-    # machine-independent gate: the only vertices mapped to lattice
-    # coordinates are the 2^g box corners a build starts from; every other
-    # vertex is made in lattice coordinates by _cut, and translates, clips
-    # and quotient keys use them.  Mapping each built cell's vertices took 2,
-    # 6, 6 and 14; recomputing them for every skeleton vertex and barycentre
-    # took 3, 21, 27 and 104.
+@pytest.mark.parametrize("name", ["variety_g1", "variety_g2", "variety_g2_skewed", "variety_g3"])
+def test_no_vertex_is_mapped_to_lattice_coordinates(count_calls, name):
+    # machine-independent gate: a build reads its region's corners off the
+    # theta's integer frame, in lattice coordinates, and every other vertex
+    # is made in lattice coordinates by _cut; translates, clips and quotient
+    # keys use them.  Mapping the 2^g Fraction box corners of each build took
+    # 2, 4, 4 and 8 calls; mapping each built cell's vertices took 2, 6, 6
+    # and 14; recomputing them for every skeleton vertex and barycentre took
+    # 3, 21, 27 and 104.
     found = count_calls(geometry.FundamentalDomain.lattice_coordinates)
     cx = corner_locus(fixture_theta(f"{name}.json"))
-    assert len(found) == calls
-    assert all(isinstance(args[0], geometry.FundamentalDomain) for args in found)
+    assert found == []
     assert cx.skeleton
+
+
+@pytest.mark.parametrize(
+    "name, planes",
+    [
+        ("variety_g2", 10),
+        ("variety_g2_skewed", 8),
+        ("variety_g3", 24),
+        ("variety_g3_chain", 48),
+        ("variety_g3_diag", 26),
+        ("variety_g3_sheared", 36),
+    ],
+)
+def test_pool_planes_per_build(monkeypatch, name, planes):
+    # machine-independent gate: each build pools the competitors that beat
+    # its witness at a corner of its certified region, the parallelepiped of
+    # the reduced basis of P Lam.  Each principal fixture builds one cell.
+    # Pooling over the corners of the coordinate box around the slab bound
+    # took 16, 36, 66, 166, 50 and 376 planes.
+    sizes = []
+    pool = geometry._pool
+
+    def recording(u, w_u, pairs):
+        out = pool(u, w_u, pairs)
+        sizes.append(len(out))
+        return out
+
+    monkeypatch.setattr(geometry, "_pool", recording)
+    corner_locus(fixture_theta(f"{name}.json"))
+    assert sizes == [planes]
 
 
 # independent oracle: pointwise evaluation on a rational grid of the domain
@@ -531,7 +558,7 @@ def test_translated_cells_equal_built_cells(theta):
     classes = {theta._cosets.decompose(c.witness)[0] for c in cx.cells}
     assert len(cx.cells) > len(classes)  # some cells are translates
     for cell in cx.cells:
-        built = geometry._build_cell(theta, cell.witness, cx.domain).cell
+        built = geometry._build_cell(theta, cell.witness).cell
         assert built == cell, cell.witness
 
 
@@ -559,7 +586,7 @@ def reference_skeleton(theta, cx):
     pieces = set()
     g = cx.g
     for cell in cx.cells:
-        planes = geometry._build_cell(theta, cell.witness, cx.domain).cell.halfspaces
+        planes = geometry._build_cell(theta, cell.witness).cell.halfspaces
         for facet in cell.facets:
             plane = (facet.normal, facet.offset)
             rest = [h for h in planes if h != plane] + list(cx.domain.halfspaces)
@@ -670,44 +697,47 @@ def test_quotient_from_carried_coordinates_matches_a_fresh_one(theta):
     assert reference_quotient(theta, cx) == cx.quotient
 
 
-# ---------- the certified box ----------
+# ---------- the certified region ----------
 
 
-def slab_box(theta, u):
-    """The slab bound of the geometry module docstring in plain Fractions:
-    x0 solves Lam^T x0 = -(ell + P u), and half_i = (1/2) sum_j
-    |(Lam^-T)_ij| B_jj with B = P Lam."""
+def voronoi_sides(theta, u, p):
+    """y = Lam^T (p - x0) for x0 = -Lam^-T (ell + P u), in plain Fractions:
+    the cell of u lies where |k^T y| <= (1/2) k^T (P Lam) k for every
+    integer k (geometry module docstring)."""
     P, Lam = theta.base.P.entries, theta.factor.Lambda
-    lam_inv_t = inverse(transpose(Lam))
-    B = [[vecdot(row, col) for col in zip(*Lam)] for row in P]
-    y = [-(e + vecdot(row, u)) for e, row in zip(theta.factor.ell, P)]
-    x0 = tuple(solve(transpose(Lam), y))
-    half = tuple(
-        sum(abs(a) * B[j][j] for j, a in enumerate(row)) / 2 for row in lam_inv_t
-    )
-    return x0, half
+    return [e + vecdot(row, u) + vecdot(col, p) for e, row, col in zip(theta.factor.ell, P, zip(*Lam))]
 
 
-def assert_cells_inside_their_boxes(theta):
-    # every kept cell, translates included, lies within the slab bound of
-    # its own witness, hence strictly inside the box _build_cell uses
+def assert_cells_inside_their_regions(theta):
+    # every kept cell, translates included, satisfies the Voronoi bound of
+    # its own witness for every k in a small box (an oracle that does not
+    # use the reduction) and for the reduced basis vectors b_j, which puts
+    # it strictly inside the region _build_cell uses
     cx = corner_locus(theta)
     assert cx.cells
+    B = theta._B_rows
+    basis = transpose(lll_reduce(B)[0])
+    Ut, M, _, _, half = theta._region_frame
+    D = theta._kernel.D
+    assert Ut == basis
+    for b, row, h in zip(basis, M, half):
+        assert row == tuple(D * c for c in matvec(B, b))
+        assert F(h, D) == vecdot(b, matvec(B, b)) / 2
+    box = [k for k in itertools.product(range(-2, 3), repeat=theta.g) if any(k)]
+    bounds = [(k, vecdot(k, matvec(B, k)) / 2) for k in [*box, *basis]]
     for cell in cx.cells:
-        x0, half = slab_box(theta, cell.witness)
-        center, halfwidths = geometry._cell_box(theta, cell.witness)
-        assert center == x0
-        assert halfwidths == tuple(h + geometry._BOX_MARGIN for h in half)
         for p in cell.vertices:
-            for x, c, h, hw in zip(p, x0, half, halfwidths):
-                assert abs(x - c) <= h < hw, (cell.witness, p)
-    return cx
+            y = voronoi_sides(theta, cell.witness, p)
+            for k, bound in bounds:
+                assert abs(vecdot(k, y)) <= bound, (cell.witness, p, k)
+    return cx, basis
 
 
 @given(principal_forms().map(lambda P: riemann_theta(data_of(P, [[1, 0], [0, 1]]))))
 @example(LEVEL2_G2)
 @example(LEVEL2_I)
 @example(fixture_theta("variety_g3.json"))
+@example(fixture_theta("variety_g3_sheared.json"))
 @example(KERNEL_CASES["fractional-P"])
 @example(KERNEL_CASES["fractional-ell-and-w"])
 @example(KERNEL_CASES["inf-entry"])
@@ -715,16 +745,18 @@ def assert_cells_inside_their_boxes(theta):
 @example(riemann_theta(data_of([[1, 2], [2, 1]], [[0, 1], [1, 0]])))  # det Lam = -1
 @settings(max_examples=20, deadline=None)
 def test_cells_lie_inside_their_certified_boxes(theta):
-    assert_cells_inside_their_boxes(theta)
+    assert_cells_inside_their_regions(theta)
 
 
 def test_slab_bound_is_attained_by_the_cube_cells():
-    cx = assert_cells_inside_their_boxes(TH3)
+    # diag(2, 2, 2) is reduced, and each cube cell touches all six faces of
+    # its region's bound G_jj / 2 = 1, inside the margin
+    cx, basis = assert_cells_inside_their_regions(TH3)
+    assert basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for cell in cx.cells:
-        _, halfwidths = geometry._cell_box(TH3, cell.witness)
-        extent = tuple((max(c) - min(c)) / 2 for c in zip(*cell.vertices))
-        assert extent == tuple(h - geometry._BOX_MARGIN for h in halfwidths)
-        assert extent == (1, 1, 1)
+        sides = {tuple(voronoi_sides(TH3, cell.witness, p)) for p in cell.vertices}
+        assert {abs(y) for ys in sides for y in ys} == {1}
+        assert len(sides) == 8
 
 
 @pytest.mark.parametrize(
@@ -738,8 +770,8 @@ def test_slab_bound_is_attained_by_the_cube_cells():
     ids=["variety_g1", "variety_g2_skewed", "LEVEL2_I", "variety_g3"],
 )
 def test_each_build_sweeps_its_box_corners_once(count_calls, theta):
-    # machine-independent gate: the box is certified up front, so each
-    # _build_cell makes one round, one _terms_below sweep per box corner
+    # machine-independent gate: the region is certified up front, so each
+    # _build_cell makes one round, one _terms_below sweep per region corner
     builds = count_calls(geometry._build_cell)
     sweeps = count_calls(geometry._terms_below)
     corner_locus(theta)
@@ -753,6 +785,47 @@ def test_rank_cap_is_three():
         linearity_cell(th4, (F(0), F(0), F(0), F(0)))
     with pytest.raises(RankTooLargeError):
         corner_locus(th4)
+
+
+def voronoi_relevant(P, reach=3):
+    """The nonzero n whose class n + 2 Z^g has exactly the two shortest
+    vectors +-n under P (Voronoi 1908), by a box scan: the normals of the
+    facets of the principal cell of 0."""
+    g = len(P)
+    shortest = {}
+    for n in itertools.product(range(-reach, reach + 1), repeat=g):
+        if any(n):
+            norm = vecdot(n, matvec(P, n))
+            best = shortest.setdefault(tuple(c % 2 for c in n), [norm, []])
+            if norm < best[0]:
+                best[:] = [norm, [n]]
+            elif norm == best[0]:
+                best[1].append(n)
+    return {n for _, ns in shortest.values() if len(ns) == 2 for n in ns}
+
+
+@pytest.mark.parametrize(
+    "P, facets",
+    [
+        ([[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 2]], 8),
+        ([[2, 1, 1, 1], [1, 2, 1, 1], [1, 1, 2, 1], [1, 1, 1, 2]], 20),
+        ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]], 20),
+    ],
+    ids=["diag", "I+J", "A4"],
+)
+def test_facets_have_codimension_one_at_g4(monkeypatch, P, facets):
+    # a plane is a facet iff the masks of its vertices meet in its bit
+    # alone.  Counting the planes with at least g tight vertices reported 32
+    # facets on the 4-cube of diag(2, 2, 2, 2), 24 of them 2-faces.  The
+    # public cap stays 3 (test_rank_cap_is_three), so it is lifted here only.
+    monkeypatch.setattr(geometry, "_MAX_RANK", 4)
+    theta = riemann_theta(data_of(P, [[int(i == j) for j in range(4)] for i in range(4)]))
+    cell = linearity_cell(theta, (F(1, 7), F(1, 11), F(1, 13), F(1, 17)))
+    assert cell.witness == (0, 0, 0, 0) and cell.dim == 4
+    assert len(cell.facets) == facets
+    assert all(len(geometry._affine_span(f.vertices)) == 3 for f in cell.facets)
+    assert cell.halfspaces == tuple((f.normal, f.offset) for f in cell.facets)
+    assert {f.normal for f in cell.facets} == voronoi_relevant(P)
 
 
 # ---------- the halfspace cut ----------
@@ -830,16 +903,18 @@ def test_cut_matches_brute_force_vertices_and_tight_sets(data):
 
 
 def test_cell_on_its_box_reports_witness_centre_and_halfwidths(monkeypatch):
-    # with an empty competitor pool the polytope is the box itself, which a
-    # certified box never is: the build raises with the box it used
+    # with an empty competitor pool the polytope is the region itself, which
+    # a certified region never is: the build raises with the region it used
     monkeypatch.setattr(geometry, "_terms_below", lambda theta, v, bound: [])
     with pytest.raises(InvalidDataError) as err:
-        geometry._build_cell(TH2, (1, -2), geometry._domain(TH2))
-    # x0 = -P u = (0, 3), halfwidths P_ii / 2 plus the margin
-    half = 1 + geometry._BOX_MARGIN
+        geometry._build_cell(TH2, (1, -2))
+    # x0 = -P u = (0, 3); P is reduced, so b_j = e_j and each bound is
+    # P_jj / 2 plus the margin
+    half = 1 + geometry._MARGIN
     assert str(err.value) == (
-        "cell of witness (1, -2) is not inside its certified box: centre "
-        f"(0, 3), halfwidths ({half}, {half}), pool of 0 halfspaces"
+        "cell of witness (1, -2) is not inside its certified region: centre "
+        f"(0, 3), region |<(1, 0), x - x0>| <= {half}, |<(0, 1), x - x0>| <= {half}, "
+        "pool of 0 halfspaces"
     )
 
 

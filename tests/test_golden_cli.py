@@ -8,12 +8,14 @@ commands on `fixtures/`, plus an index-9 tropical theta (Lambda = 3I) and an
 index-4 Fourier series (Lambda = 2I), whose reports are keyed by coset
 representative, and a g=2 series with non-unit rational coefficients and
 rational exponents in its periods, generators and coefficients
-(`series_g2_rational.json`).  Five divisor cases pin the polytope work: the g=1
+(`series_g2_rational.json`).  Six divisor cases pin the polytope work: the g=1
 variety, whose divisor is points, a skewed g=2 variety (P = [[2,3],[3,7]])
-and three g=3 varieties.  P = [[3,1,1],[1,3,1],[1,1,3]] has vertices where
+and four g=3 varieties.  P = [[3,1,1],[1,3,1],[1,1,3]] has vertices where
 three facet planes meet along non-coordinate edges; diag(2,2,2) has cube
 cells, with the most planes tight at each vertex; [[2,1,0],[1,2,1],[0,1,2]]
-has the largest g=3 cells of the three.
+has the largest g=3 cells of the three; [[2,3,0],[3,7,1],[0,1,2]] is a
+skewed basis, whose cells are much smaller than the coordinate box around
+them.
 
 Re-record the digests (only when an output change is intended) with
 
@@ -85,6 +87,7 @@ CASES = {
     ],
     "divisor-variety-g3-diag": [["divisor", "variety_g3_diag.json", "--out", "{mesh}"]],
     "divisor-variety-g3-chain": [["divisor", "variety_g3_chain.json", "--out", "{mesh}"]],
+    "divisor-variety-g3-sheared": [["divisor", "variety_g3_sheared.json", "--out", "{mesh}"]],
 }
 
 
