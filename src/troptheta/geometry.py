@@ -39,24 +39,34 @@ edge iff the normals tight at both (an AND of masks) have rank g-1, cached
 per mask, and each new vertex is an integer combination of the edge's ends.
 Tight sets stay complete under `_cut`, so each facet's piece of the divisor
 is a face of the domain clip: the vertices whose mask holds the facet plane.
-x is formed in Fractions only for the returned cells, pieces and quotient.
+x is formed in Fractions once per returned point (a cell vertex, a piece
+vertex or a zero cell).
 Unbounded cells (non-ample functions) use the enumeration `_vertices_of`.
 
 The corner locus is periodic: by the transformation law
 w(u + Lam d) = w(u) + c_trop(d) + [d, u], l_{u+Lam d}(x) - l_{u''+Lam d}(x)
 = l_u(x + tau) - l_{u''}(x + tau) for tau = P^T d, so the cell of u + Lam d
 is the cell of u moved by -tau (same normals, offsets b - <a, tau>,
-witnesses shifted by Lam d; lex order is kept).  One cell is built per coset
-class and moved to the rest of its class, in t by -d: (X, den) becomes
-(X - den d, den).  A moved cell whose integer coordinate bounds miss the
-domain is dropped unclipped, the rest are clipped to it once (a polytope can
-miss a box its bounds meet), and the quotient keys points by their residues
-modulo den.  The tie set at a certified vertex is read off its mask: the
-cell's witness and the pool witnesses of every plane tight there, complete
-by the pool soundness above.  The sweeps carry D w(u) with each competitor
-u, read off the enumerated n in the theta's integer kernel, so the pool
-offsets D w(u) - D w(u'') are integer differences and no competitor is
-decomposed into its coset again (`theta` module docstring).
+witnesses shifted by Lam d; lex order is kept).  Witnesses are walked as
+(rep, n), u = rep + Lam n, in Lambda-coordinates.  One cell is built per
+coset class and moved to the rest of its class by one integer shift, in t
+by -d: (X, den) becomes (X - den d, den), the offset of a plane row (A, -N)
+over its scale q becomes (N - <A, d>) / q, witnesses move by Lam d, and the
+neighbors (rep_w, n_w) of the built cell become (rep_w, n_w + d).  A moved
+cell whose integer coordinate bounds miss the domain is dropped unclipped;
+the rest are clipped once, by the domain planes that some moved vertex is
+not strictly inside (a polytope can miss a box its bounds meet), and the
+quotient keys points by their residues modulo den.  The tie set at a
+certified vertex is read off its mask: the cell's witness and the pool
+witnesses of every plane tight there.  It is complete: a witness u' at p
+ties with u at a point of the region, so it is pooled; its plane is tight
+at p, and the cell satisfies the deepest pooled plane of that normal, so
+the two are one plane, with u' among its witnesses and its bit in p's mask.
+The sweeps take each region corner as integers (V, q) for x = V / q with an
+integer bound, and carry D w(u) with each competitor u, read off the
+enumerated n in the theta's integer kernel, so the pool offsets
+D w(u) - D w(u'') are integer differences and no competitor is decomposed
+into its coset again (`theta` module docstring).
 """
 
 from __future__ import annotations
@@ -64,11 +74,11 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import gcd, lcm
-from operator import mul
+from operator import add, and_, mul, or_, sub
 from typing import NamedTuple, Sequence
 
 from .lattice import enumerate_below
@@ -78,10 +88,15 @@ from .linalg import (
     Row,
     Rows,
     ShapeMismatchError,
+    _as_fraction,
+    _as_int,
     _echelon,
     identity,
+    int_vector_from,
     inverse,
+    json_list,
     matvec,
+    rows_from,
     solve,
     transpose,
     vecdot,
@@ -153,7 +168,7 @@ class _Planes(NamedTuple):
 
 def _move(v: IntVec, d: IntVec) -> IntVec:
     """The homogeneous point v moved by -d; it stays primitive."""
-    return (*(x - v[-1] * s for x, s in zip(v, d)), v[-1])
+    return (*map(sub, v, [v[-1] * s for s in d]), v[-1])
 
 
 def _cut(poly: Polytope, planes: _Planes, k: int) -> Polytope:
@@ -296,58 +311,56 @@ class LinearityCell:
     @classmethod
     def from_json_dict(cls, data: dict) -> "LinearityCell":
         # facet data is not serialized; deserialized cells carry geometry only
+        bounded = data["bounded"]
+        if not isinstance(bounded, bool):
+            raise TypeError(f"bounded: true or false required, got {type(bounded).__name__}: {bounded!r}")
         return cls(
-            witness=tuple(int(x) for x in data["witness"]),
+            witness=int_vector_from(data["witness"], "witness"),
             halfspaces=tuple(
-                (tuple(int(x) for x in h["normal"]), Fraction(h["offset"]))
-                for h in data["halfspaces"]
+                (int_vector_from(h["normal"], "normal"), _as_fraction(h["offset"], "offset"))
+                for h in json_list(data["halfspaces"], "halfspaces")
             ),
-            vertices=tuple(
-                tuple(Fraction(c) for c in p) for p in data["vertices"]
-            ),
-            dim=int(data["dim"]),
-            span=tuple(tuple(Fraction(c) for c in d) for d in data["span"]),
+            vertices=_points(data["vertices"], "vertices"),
+            dim=_as_int(data["dim"], "dim"),
+            span=_points(data["span"], "span"),
             facets=(),
-            bounded=bool(data["bounded"]),
+            bounded=bounded,
         )
 
 
-def _terms_below(theta: TropicalThetaFunction, v, bound) -> list[tuple[IntVec, int]]:
-    """All (u, D w(u)) with w(u) + <u, v> <= bound, sorted, D the theta
-    kernel's denominator.
+def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tuple[IntVec, int]]:
+    """All (u, D w(u)) with D q (w(u) + <u, v>) <= bound at the point
+    v = V / q, sorted, D the theta kernel's denominator: the terms below
+    bound / (D q), in integers (q > 0).
 
     One enumeration per finite coset (`theta._coset_quadratics`): with
     (D P Lam)^-1 = A / a, the quadratic (q/2) n^T (D P Lam) n + <L, n> + C
     is least at n* = -A L / (a q), where it is m = C - L^T A L / (2 a q), and
-    w(u) + <u, v> <= bound is (1/2) (n - n*)^T (P Lam) (n - n*) <=
-    bound - m / (D q).  D w(u) is read off each n as
+    it is at most bound iff (1/2) (n - n*)^T (P Lam) (n - n*) <=
+    (bound - m) / (D q).  D w(u) is read off each n as
     D w(rep) + n^T (D P Lam) n / 2 + <D (ell + P rep), n>."""
-    point = as_point(v)
+    D = theta._kernel.D
     if not theta.is_ample:
-        numerators = theta._kernel.w
         return sorted(
-            (rep, numerators[rep])
-            for rep, w in theta.profile.finite_entries()
-            if w + vecdot(rep, point) <= bound
+            (rep, w)
+            for rep, w in theta._kernel.w.items()
+            if w is not None and q * w + D * sum(map(mul, rep, V)) <= bound
         )
-    bound = Fraction(bound)
-    b_num, b_den = bound.numerator, bound.denominator
     form, lam, B = theta._form, theta.factor.Lambda, theta._kernel.B
     A, a = theta._B_inverse
-    D = theta._kernel.D
     out = []
-    for (rep, w, base), (_, L, C, q) in zip(theta._coset_constants, theta._coset_quadratics(point)):
+    for (rep, w, base), (_, L, C) in zip(theta._coset_constants, theta._coset_quadratics(q, V)):
         AL = [sum(map(mul, row, L)) for row in A]
-        # the radius bound - m / (D q), over 2 a q D q den(bound)
+        # the radius (bound - m) / (D q), over 2 a q D q
         scale = 2 * a * q
-        top = scale * (D * q * b_num - C * b_den) + b_den * sum(map(mul, L, AL))
+        top = scale * (bound - C) + sum(map(mul, L, AL))
         if top < 0:
             continue
         center = [Fraction(-x, a * q) for x in AL]
-        for n in enumerate_below(form, center, Fraction(top, scale * D * q * b_den)):
-            quad = sum(x * sum(map(mul, row, n)) for x, row in zip(n, B))
-            u = tuple(r + sum(map(mul, row, n)) for r, row in zip(rep, lam))
-            out.append((u, w + quad // 2 + sum(map(mul, base, n))))
+        for n in enumerate_below(form, center, Fraction(top, scale * D * q)):
+            Bn = [sum(map(mul, row, n)) for row in B]
+            u = tuple(map(add, rep, [sum(map(mul, row, n)) for row in lam]))
+            out.append((u, w + sum(map(mul, n, Bn)) // 2 + sum(map(mul, base, n))))
     out.sort()
     return out
 
@@ -384,8 +397,9 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     M^-1 (+-(half + D eps) - c), read off the frame's adjugate in integers.
     They are `_cut` by the pool, most violated plane first (d|d|/<a,a>,
     d = b - <a, x0>, is the signed distance d/|a| made exact).  Tight sets
-    stay complete, so in a full-dimensional cell a plane is a facet iff the
-    masks of the vertices on it meet in its own bit alone (a lower face
+    stay complete, so the cell's affine hull is cut out by the planes tight
+    at every vertex, and in a full-dimensional cell a plane is a facet iff
+    the masks of the vertices on it meet in its own bit alone (a lower face
     lies on two or more facet planes).  The plane table holds the region,
     the domain (for corner_locus's clips) and the pool, sorted by normal.
     """
@@ -396,7 +410,6 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     Ut, M, A, a, half = theta._region_frame
     p, q = _MARGIN.numerator, _MARGIN.denominator
     w_u = theta._w_numerator(u)
-    value_u = Fraction(w_u, D)
     y = [e + sum(map(mul, row, u)) for e, row in zip(kernel.ell, DP)]
     c = [q * sum(map(mul, b, y)) for b in Ut]
     r = [q * h + D * p for h in half]
@@ -419,11 +432,13 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
 
     # u'' can only win somewhere in the region if l_{u''} <= l_u at one of
     # its corners (their difference is affine), so pool per corner with its
-    # own bound (its D w(u'') carried by the sweep)
+    # own bound (its D w(u'') carried by the sweep): the corner X / den is
+    # x = V / (D den) for V = (D P)^T X, where D (D den) l_u(x) is an integer
     others: dict[IntVec, int] = {}
     for corner in corners:
-        x = _to_x(corner, cols, D)
-        others.update(_terms_below(theta, x, value_u + vecdot(u, x)))
+        V = [sum(map(mul, c, corner)) for c in cols]
+        den = D * corner[-1]
+        others.update(_terms_below(theta, den, V, den * w_u + D * sum(map(mul, u, V))))
     pool = sorted(_pool(u, w_u, others.items()).items())
 
     # the plane <m n, x> >= num / D is <D P m n, t> >= num.  Cut order: with
@@ -453,8 +468,11 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
 
     poly = {v: poly[v] for v in sorted(poly, key=_x_keys(poly, cols).__getitem__)}
     verts = tuple(_to_x(v, cols, D) for v in poly)
-    span = _affine_span(verts)
-    dim = len(span)
+    # the affine hull is cut out by the planes tight at every vertex (tight
+    # sets are complete), so a cell whose masks share no bit is full
+    common = functools.reduce(and_, poly.values())
+    dim = g - (_echelon([rows[k][:g] for k in _bits(common)], g)[1] if common else 0)
+    span = _affine_span(verts) if dim < g else tuple(tuple(map(Fraction, e)) for e in identity(g))
     on_plane: dict[int, list[int]] = {}
     meet: dict[int, int] = {}  # the AND of the masks of the vertices on each plane
     for i, mask in enumerate(poly.values()):
@@ -539,16 +557,17 @@ class FundamentalDomain:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FundamentalDomain":
-        Pt = RatMatrix(
-            tuple(tuple(Fraction(c) for c in row) for row in data["matrix"])
-        )
+        Pt = RatMatrix(rows_from(data["matrix"], "matrix"))
         return cls(
             matrix=Pt,
-            corners=tuple(
-                tuple(Fraction(c) for c in p) for p in data["corners"]
-            ),
+            corners=_points(data["corners"], "corners"),
             halfspaces=_parallelepiped_halfspaces(inverse(Pt.entries)),
         )
+
+
+def _points(data, name: str) -> tuple[TropPoint, ...]:
+    """Exact points of a mesh file: lists of "p/q" strings or integers."""
+    return tuple(tuple(_as_fraction(c, name) for c in json_list(p, name)) for p in json_list(data, name))
 
 
 def _parallelepiped_halfspaces(inv_rows: Rows):
@@ -596,11 +615,12 @@ class SkeletonPiece:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkeletonPiece":
+        vertices = _points(data["vertices"], "vertices")
+        if not vertices:
+            raise InvalidDataError("a skeleton piece needs at least one vertex")
         return cls(
-            witnesses=tuple(tuple(int(x) for x in u) for u in data["witnesses"]),
-            vertices=tuple(
-                tuple(Fraction(c) for c in p) for p in data["vertices"]
-            ),
+            witnesses=tuple(int_vector_from(u, "witnesses") for u in json_list(data["witnesses"], "witnesses")),
+            vertices=vertices,
         )
 
 
@@ -637,18 +657,16 @@ class QuotientSummary:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QuotientSummary":
-        def opt(x):
-            return None if x is None else int(x)
+        def opt(key):
+            return None if data[key] is None else _as_int(data[key], key)
 
         return cls(
-            zero_cells=tuple(
-                tuple(Fraction(c) for c in p) for p in data["zero_cells"]
-            ),
-            one_cell_count=int(data["one_cell_count"]),
-            top_cell_count=int(data["top_cell_count"]),
-            betti0=opt(data["betti0"]),
-            betti1=opt(data["betti1"]),
-            euler_characteristic=opt(data["euler_characteristic"]),
+            zero_cells=_points(data["zero_cells"], "zero_cells"),
+            one_cell_count=_as_int(data["one_cell_count"], "one_cell_count"),
+            top_cell_count=_as_int(data["top_cell_count"], "top_cell_count"),
+            betti0=opt("betti0"),
+            betti1=opt("betti1"),
+            euler_characteristic=opt("euler_characteristic"),
         )
 
 
@@ -674,17 +692,25 @@ class CellComplex:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CellComplex":
-        return cls(
-            g=int(data["g"]),
-            cells=tuple(
-                LinearityCell.from_json_dict(c) for c in data["cells"]
-            ),
-            skeleton=tuple(
-                SkeletonPiece.from_json_dict(p) for p in data["skeleton"]
-            ),
-            domain=FundamentalDomain.from_json_dict(data["domain"]),
-            quotient=QuotientSummary.from_json_dict(data["quotient"]),
-        )
+        """Read a mesh file exactly: rationals by the "p/q" literal rule,
+        integers as integers, and every point, normal, witness and domain
+        row of length g."""
+        g = _as_int(data["g"], "g")
+        if g < 1:
+            raise InvalidDataError(f"g: a positive integer required, got {g}")
+        cells = tuple(LinearityCell.from_json_dict(c) for c in json_list(data["cells"], "cells"))
+        skeleton = tuple(SkeletonPiece.from_json_dict(p) for p in json_list(data["skeleton"], "skeleton"))
+        domain = FundamentalDomain.from_json_dict(data["domain"])
+        quotient = QuotientSummary.from_json_dict(data["quotient"])
+        # every witness, normal, point and row of the (square) domain matrix
+        cell_vs = (v for c in cells for v in (c.witness, *(a for a, _ in c.halfspaces), *c.vertices, *c.span))
+        piece_vs = (v for piece in skeleton for v in (*piece.witnesses, *piece.vertices))
+        for v in chain(cell_vs, piece_vs, domain.matrix.entries, domain.corners, quotient.zero_cells):
+            if len(v) != g:
+                raise ShapeMismatchError(f"the vector ({', '.join(map(str, v))}) has length {len(v)}, not g = {g}")
+        if len(domain.corners) != 2**g:
+            raise ShapeMismatchError(f"corners: the domain has 2^g = {2**g} corners, got {len(domain.corners)}")
+        return cls(g=g, cells=cells, skeleton=skeleton, domain=domain, quotient=quotient)
 
 
 def _quotient_point(t: IntVec) -> IntVec:
@@ -704,58 +730,34 @@ def _canonical_shift(ts) -> tuple[IntVec, ...]:
     return tuple(sorted(_move(t, shift) for t in ts))
 
 
-def _vertex_ties(u: IntVec, poly: Polytope, witnesses) -> dict:
-    """The tie set at each vertex of u's certified cell: u and the witnesses
-    of every pool plane tight there.  Complete: a witness u' at p ties with
-    u at a point of the region, so it is pooled; its plane is tight at p, and
-    the cell satisfies the deepest pooled plane of that normal, so the two
-    are one plane, with u' among its witnesses and its bit in poly[p]."""
-    return {
-        p: tuple(sorted({u, *(v for k in _bits(mask) for v in witnesses[k])}))
-        for p, mask in poly.items()
-    }
-
-
-def _minus(p, t):
-    return tuple(c - s for c, s in zip(p, t))
-
-
-def _apart(bounds, d) -> bool:
-    """Whether a polytope whose coordinates have integer bounds (ceil of the
-    min, floor of the max) misses [0, 1]^g once moved by -d: for an integer
-    d_i, max < d_i iff its floor is, and min > d_i + 1 iff its ceiling is."""
-    return any(hi < di or lo > di + 1 for (lo, hi), di in zip(bounds, d))
-
-
-def _translate(built: _Built, u: IntVec, d: IntVec, verts) -> LinearityCell:
-    """The cell of u = built witness + Lam d, with verts its vertices in the
-    built cell's order: witnesses move by Lam d, and a halfspace's offset b
-    moves to b - <a, P^T d>, which is (B - <A, d>) / scale for its row
-    (A, -B) in t.  The facets (a full-dimensional cell's halfspaces, in
-    order) reuse the moved vertices and offsets."""
-    cell, rows, hs = built.cell, built.planes.rows, built.halfspaces
-    back = _minus(cell.witness, u)
-    offsets = [Fraction(-rows[k][-1] - sum(map(mul, rows[k], d)), q) for k, q, _ in hs]
-    facets = tuple(
-        Facet(f.normal, b, tuple(_minus(w, back) for w in f.witnesses), tuple(verts[i] for i in ix))
-        for f, b, (_, _, ix) in zip(cell.facets, offsets, hs)
-    )
-    halfspaces = tuple((h[0], b) for h, b in zip(cell.halfspaces, offsets))
-    return replace(cell, witness=u, halfspaces=halfspaces, vertices=verts, facets=facets)
+def _domain_cuts(bounds, d) -> list[int] | None:
+    """The domain planes (rows 2g..4g-1) that some vertex of a polytope
+    moved by -d is not strictly inside, None if it misses [0, 1]^g, from
+    integer bounds (lo, hi) = (ceil min, floor max) of its coordinates: for
+    an integer d_i, min - d_i > 0 iff lo > d_i, max - d_i < 1 iff hi <= d_i,
+    max < d_i iff hi < d_i and min > d_i + 1 iff lo > d_i + 1."""
+    g, cuts = len(d), []
+    for i, ((lo, hi), di) in enumerate(zip(bounds, d)):
+        if hi < di or lo > di + 1:
+            return None
+        if lo <= di:
+            cuts.append(2 * (g + i))
+        if hi > di:
+            cuts.append(2 * (g + i) + 1)
+    return cuts
 
 
 def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     """The tropical theta divisor in one fundamental parallelepiped.
 
-    BFS across the witnesses around each kept cell, from the cell of a
-    witness at x = 0, a corner of the domain: the cells that meet the convex
-    domain cover it, and two that meet are tied at a vertex.  `_build_cell`
-    runs once per coset class (`theta._cosets`); every other cell of the
-    class is that cell moved by -d in lattice coordinates t (module
-    docstring), clipped to the domain [0, 1]^g once if kept.  Its skeleton
-    pieces are faces of that clip, deduplicated by their integer vertices,
-    which key the quotient; x is formed once per vertex.  Tie sets come from
-    masks (`_vertex_ties`), so `theta.evaluate` runs once, for the seed.
+    BFS across the witnesses (rep, n) around each kept cell, from the cell of
+    a witness at x = 0, a corner of the domain: the cells that meet the
+    convex domain cover it, and two that meet are tied at a vertex.
+    `_build_cell` runs at the first (rep, n0) of each coset class; the cell
+    of (rep, n) is its shift by d = n - n0 (module docstring), so a visit
+    decomposes nothing.  A kept translate's skeleton pieces are faces of its
+    one clip, deduplicated by their integer vertices, which key the quotient.
+    Tie sets come from masks, so `theta.evaluate` runs once, for the seed.
     """
     g = theta.base.g
     if g > _MAX_RANK:
@@ -764,30 +766,33 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         raise InvalidDataError("corner locus needs an ample polarization")
     fd = theta._domain
     D, cols = theta._kernel.D, tuple(zip(*theta._kernel.P))
+    lam, cosets = theta.factor.Lambda, theta._cosets
     xs: dict[IntVec, TropPoint] = {}
 
     def x_of(t):  # x of a homogeneous t, formed once
         return xs.get(t) or xs.setdefault(t, _to_x(t, cols, D))
 
-    # class rep -> (built witness's Lam-coordinates, build, neighbors, bounds)
+    # class rep -> (n0 of the built witness, build, neighbors as (rep, n), bounds)
     classes: dict[IntVec, tuple] = {}
-    seen: set[IntVec] = set()
+    seen: set[tuple[IntVec, IntVec]] = set()
     kept = []
     top = set()  # classes of the kept full-dimensional cells
     pieces = set()
-    domain = range(2 * g, 4 * g)
-    queue = deque([theta.evaluate((Fraction(0),) * g).canonical])
+    queue = deque([cosets.decompose(theta.evaluate((Fraction(0),) * g).canonical)])
     while queue:
-        u = queue.popleft()
-        if u in seen:
+        key = queue.popleft()
+        if key in seen:
             continue
-        seen.add(u)
-        rep, n = theta._cosets.decompose(u)
+        seen.add(key)
+        rep, n = key
         if rep not in classes:
+            u = theta._witness(rep, n)
             built = _build_cell(theta, u)
-            # every neighbor ties with u at a vertex of the cell
-            ties = _vertex_ties(u, built.poly, built.witnesses)
-            neighbors = tuple(sorted(set().union(*ties.values()) - {u}))
+            xs.update(zip(built.poly, built.cell.vertices))
+            # every neighbor ties with u at a vertex of the cell: it is a
+            # witness of a pool plane tight at some vertex (module docstring)
+            tight = functools.reduce(or_, built.poly.values())
+            neighbors = tuple(map(cosets.decompose, sorted({w for k in _bits(tight) for w in built.witnesses[k]})))
             bounds = [
                 (min(-(-x // t[-1]) for x, t in zip(c, built.poly)),
                  max(x // t[-1] for x, t in zip(c, built.poly)))
@@ -795,29 +800,39 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
             ]
             classes[rep] = (n, built, neighbors, bounds)
         n0, built, neighbors, bounds = classes[rep]
-        # the cell of u is the built one moved by -d, and the domain is
-        # [0, 1]^g in t: a polytope whose bounds miss it needs no clip.  One
-        # whose bounds meet it can still miss it, so the exact clip decides.
-        d = _minus(n, n0)
-        if _apart(bounds, d):
+        # a polytope whose bounds miss the domain [0, 1]^g needs no clip; one
+        # whose bounds meet it can still miss it, so the exact clip decides
+        d = tuple(map(sub, n, n0))
+        cuts = _domain_cuts(bounds, d)
+        if cuts is None:
             continue
-        moved = {t: _move(t, d) for t in built.poly}
-        clipped = _clip({moved[t]: m for t, m in built.poly.items()}, built.planes, domain)
+        moved = [(_move(t, d), m) for t, m in built.poly.items()]
+        clipped = _clip(dict(moved), built.planes, cuts)
         if not clipped:
             continue
-        cell = _translate(built, u, d, tuple(map(x_of, moved.values())))
-        kept.append(cell)
-        if cell.dim == g:
-            top.add(rep)
+        cell, rows, d1 = built.cell, built.planes.rows, (*d, 1)
+        shift = [sum(map(mul, row, d)) for row in lam]
+        verts = tuple(x_of(t) for t, _ in moved)
+        offsets = [Fraction(-sum(map(mul, rows[k], d1)), q) for k, q, _ in built.halfspaces]
+        facets = []
         # each piece is a face of the clip: tight sets stay complete, so its
         # vertices are those whose mask holds the facet plane (only
         # full-dimensional cells have facets)
-        for (k, _, _), facet in zip(built.halfspaces, cell.facets):
-            verts = tuple(sorted(t for t, m in clipped.items() if m >> k & 1))
-            if verts:
-                pieces.add((verts, facet.witnesses))
-        back = _minus(built.cell.witness, u)
-        queue.extend(_minus(w, back) for w in neighbors)
+        on: dict[int, list[IntVec]] = {}
+        for t, m in clipped.items():
+            for k in _bits(m):
+                on.setdefault(k, []).append(t)
+        for f, b, (k, _, idx) in zip(cell.facets, offsets, built.halfspaces):
+            wits = tuple([tuple(map(add, w, shift)) for w in f.witnesses])
+            facets.append(Facet(f.normal, b, wits, tuple(map(verts.__getitem__, idx))))
+            if k in on:
+                pieces.add((tuple(sorted(on[k])), wits))
+        halfspaces = tuple((h[0], b) for h, b in zip(cell.halfspaces, offsets))
+        u = tuple(map(add, cell.witness, shift))
+        kept.append(LinearityCell(u, halfspaces, verts, cell.dim, cell.span, tuple(facets)))
+        if cell.dim == g:
+            top.add(rep)
+        queue.extend((r, tuple(map(add, m, d))) for r, m in neighbors)
 
     kept = tuple(sorted(kept, key=lambda c: c.witness))
     # the pieces in x order, each with its vertices in x order
@@ -825,15 +840,15 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     point = {key: t for t, key in keys.items()}
     ordered = sorted((tuple(sorted(map(keys.get, ts))), w) for ts, w in pieces)
     skeleton = tuple(SkeletonPiece(w, tuple(x_of(point[k]) for k in ks)) for ks, w in ordered)
-    quotient = _quotient_summary(theta, len(top), [tuple(map(point.get, ks)) for ks, _ in ordered])
+    quotient = _quotient_summary(theta, len(top), [tuple(map(point.get, ks)) for ks, _ in ordered], x_of)
     return CellComplex(g=g, cells=kept, skeleton=skeleton, domain=fd, quotient=quotient)
 
 
-def _quotient_summary(theta, c_count: int, pieces) -> QuotientSummary:
+def _quotient_summary(theta, c_count: int, pieces, x_of) -> QuotientSummary:
     """Quotient counts; c_count is the number of coset classes of the kept
-    full-dimensional cells, and pieces holds each skeleton piece's
-    homogeneous lattice coordinates in its vertex order, which key points
-    and pieces modulo the lattice."""
+    full-dimensional cells, pieces holds each skeleton piece's homogeneous
+    lattice coordinates in its vertex order, which key points and pieces
+    modulo the lattice, and x_of maps a homogeneous point to its x."""
     g = theta.g
     # g <= 2: the divisor is a graph, points for g = 1, points and edges for
     # g = 2, whose nodes are the pieces' lex extremes (interior points are
@@ -850,9 +865,8 @@ def _quotient_summary(theta, c_count: int, pieces) -> QuotientSummary:
         if len(ts) >= max(2, g):
             piece_keys.add(_canonical_shift(ts))
             links.append(ids)
-    cols = tuple(zip(*theta._kernel.P))
-    zero = sorted(nodes, key=_x_keys(nodes, cols).get)
-    zero = tuple(_to_x(t, cols, theta._kernel.D) for t in zero)
+    zero = sorted(nodes, key=_x_keys(nodes, tuple(zip(*theta._kernel.P))).get)
+    zero = tuple(map(x_of, zero))
     v_count, e_count = len(nodes), len(piece_keys)
     if g == 3:
         return QuotientSummary(zero, e_count, c_count, None, None, None)

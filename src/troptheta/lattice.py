@@ -274,16 +274,16 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     radius = Fraction(radius) if not isinstance(radius, Fraction) else radius
     if radius < 0:
         raise NegativeRadiusError(f"radius {radius} < 0")
-    c = [Fraction(v) for v in center]
+    c = [v if type(v) is Fraction else Fraction(v) for v in center]
     if len(c) != len(G):
         raise ShapeMismatchError("center length mismatch")
     # U^-1 c = (U^-1 C) / q and U m in integers: c over its common denominator q
     q, C = _over_common_denominator(c)
     lq, _, dq, _ = walk
     C_red = [sum(map(mul, row, C)) for row in Uinv]
-    bound = 2 * radius
-    leaves = _ellipsoid_points(walk, q, C_red, bound.denominator, bound.numerator * dq * (lq * q) ** 2)
-    return sorted(tuple(sum(map(mul, row, m)) for row in U) for m, _ in leaves)
+    # the walk's scale and budget for 2 radius (a common factor changes no leaf)
+    leaves = _ellipsoid_points(walk, q, C_red, radius.denominator, 2 * radius.numerator * dq * (lq * q) ** 2)
+    return sorted([tuple([sum(map(mul, row, m)) for row in U]) for m, _ in leaves])
 
 
 @functools.lru_cache(maxsize=32)

@@ -16,6 +16,8 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
+from .rationals import parse_fraction
+
 Row = tuple[Fraction, ...]
 Rows = tuple[Row, ...]
 IntVec = tuple[int, ...]
@@ -32,14 +34,17 @@ def _as_fraction(x, name: str = "matrix") -> Fraction:
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:  # the package's exact-literal rule, naming the field
+            return parse_fraction(x)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
     raise TypeError(f"{name}: exact rational required, got {type(x).__name__}: {x!r}")
 
 
 def _as_int(x, name: str) -> int:
     if type(x) is int:
         return x
-    if isinstance(x, (Fraction, str)) and (f := Fraction(x)).denominator == 1:
+    if isinstance(x, (Fraction, str)) and (f := _as_fraction(x, name)).denominator == 1:
         return f.numerator
     raise TypeError(f"{name}: integer required, got {type(x).__name__}: {x!r}")
 

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
+from math import floor, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import _terms_below
-from .lattice import CosetLattice, NotPositiveDefiniteError, _ldlt
+from .lattice import CosetLattice, NotPositiveDefiniteError, _ldlt, _over_common_denominator
 from .linalg import (
     IntRows,
     IntVec,
@@ -593,8 +593,8 @@ def evaluate_at_point(
     """Sum a_u x^u over every u with val(a_u x^u) <= cutoff, exactly.
 
     val(a_u x^u) = w(u) + <u, trop(x)> for the tropicalization, so the terms
-    are the u of the (u, D w(u)) pairs of geometry._terms_below(
-    tropicalize(f), trop(x), cutoff): one enumeration below the cutoff per
+    are the u of the (u, D w(u)) pairs of geometry._terms_below at trop(x)
+    and the cutoff, in integers: one enumeration below the cutoff per
     finite coset (a finite scan when lambda = 0), summed in lex order of u.
     x must have monomial nonzero coordinates; cutoff must be at least the
     minimal term valuation f_trop(trop(x)), which is the default.  When the minimal-valuation term
@@ -617,11 +617,12 @@ def evaluate_at_point(
             f"cutoff {cutoff} below minimal valuation {result.value}"
         )
 
-    D = lcm(*(c.denominator for c in v))
-    X = tuple(_mono(xj, D) for xj in x)
-    terms = [u for u, _ in _terms_below(trop, v, cutoff)]
+    # v = V / q; each term's D q val(a_u x^u) is an integer, so floor the cutoff
+    q, V = _over_common_denominator(v)
+    X = tuple(_mono(xj, q) for xj in x)
+    terms = [u for u, _ in _terms_below(trop, q, V, floor(cutoff * trop._kernel.D * q))]
     # a_u x^u, with x^u one monomial; all terms canonicalized once
-    products = (f.coefficient(u)._shifted(*_term(D, _fold(zip(X, u)))) for u in terms)
+    products = (f.coefficient(u)._shifted(*_term(q, _fold(zip(X, u)))) for u in terms)
     return PartialSum(
         value=PuiseuxNumber(tuple(chain.from_iterable(p.terms for p in products))),
         terms=len(terms),

@@ -47,6 +47,7 @@ from .lattice import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     _ldlt,
+    _over_common_denominator,
     minimize_quadratic,
 )
 from .linalg import (
@@ -54,6 +55,7 @@ from .linalg import (
     IntVec,
     RatMatrix,
     ShapeMismatchError,
+    _as_fraction,
     adjugate_int,
     int_det,
     int_rows_from,
@@ -70,7 +72,6 @@ from .varieties import (
     InvalidDataError,
     TropicalPolarizationData,
     TropPoint,
-    _exact,
     as_point,
     embed_Mprime,
 )
@@ -142,7 +143,7 @@ class AutomorphyFactor:
             if not isinstance(data, dict) or not {"Lambda", "ell"} <= data.keys():
                 raise TypeError(f'factor needs "Lambda" and "ell", got {data!r}')
             Lambda = int_rows_from(data["Lambda"], "Lambda")
-            ell = tuple(_exact(x, "ell") for x in json_list(data["ell"], "ell"))
+            ell = tuple(_as_fraction(x, "ell") for x in json_list(data["ell"], "ell"))
         except TypeError as exc:
             raise InvalidDataError(str(exc)) from exc
         return cls(Lambda=Lambda, ell=ell)
@@ -395,7 +396,8 @@ class TropicalThetaFunction:
 
         best = None
         witnesses: list[IntVec] = []
-        for rep, L, C, q in self._coset_quadratics(point):
+        q, V = _over_common_denominator(point)
+        for rep, L, C in self._coset_quadratics(q, V):
             den = self._kernel.D * q
             res = minimize_quadratic(self._B_rows, [Fraction(x, den) for x in L], Fraction(C, den))
             if best is None or res.value < best:
@@ -405,18 +407,16 @@ class TropicalThetaFunction:
                 witnesses.extend(self._witness(rep, n) for n in res.argmin)
         return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
 
-    def _coset_quadratics(self, point: TropPoint):
-        """(rep, L, C, q) in integers for each finite coset of an ample theta,
-        q the common denominator of v: on u = rep + Lam n,
+    def _coset_quadratics(self, q: int, V: Sequence[int]):
+        """(rep, L, C) in integers for each finite coset of an ample theta,
+        at the point v = V / q with integers V and q > 0: on u = rep + Lam n,
         D q (w(u) + <u, v>) = (q/2) n^T (D P Lam) n + <L, n> + C, with
-        L = q D (ell + P rep) + D Lam^T (q v) and C = q D w(rep) + D <rep, q v>."""
-        q = lcm(*(c.denominator for c in point))
-        V = [c.numerator * (q // c.denominator) for c in point]
+        L = q D (ell + P rep) + D Lam^T V and C = q D w(rep) + D <rep, V>."""
         D = self._kernel.D
         lam_t_v = [D * sum(map(mul, col, V)) for col in zip(*self.factor.Lambda)]
         for rep, w, base in self._coset_constants:
             L = tuple(q * b + lv for b, lv in zip(base, lam_t_v))
-            yield rep, L, q * w + D * sum(map(mul, rep, V)), q
+            yield rep, L, q * w + D * sum(map(mul, rep, V))
 
     def _witness(self, rep: IntVec, n: IntVec) -> IntVec:
         shift = matvec(self.factor.Lambda, n)

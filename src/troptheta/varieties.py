@@ -22,7 +22,6 @@ from .linalg import (
     adjugate_int,
     int_det,
     int_rows_from,
-    json_list,
     matmul,
     matvec,
     rows_from,
@@ -30,7 +29,7 @@ from .linalg import (
     transpose,
 )
 from .lattice import GramForm, NotPositiveDefiniteError, NotSymmetricError, _ldlt
-from .rationals import format_fraction, parse_fraction
+from .rationals import format_fraction
 
 TropPoint = tuple[Fraction, ...]
 
@@ -91,19 +90,11 @@ class TropicalPolarizationData:
             g = data["g"]
             if type(g) is not int:
                 raise TypeError(f"g must be an integer, got {type(g).__name__}: {g!r}")
-            rows = json_list(data["P"], "P")
-            P = rows_from([[_exact(x, "P") for x in json_list(r, "each row of P")] for r in rows], "P")
+            P = rows_from(data["P"], "P")
             Lam = int_rows_from(data["Lambda"], "Lambda")
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"malformed variety data: {exc}") from exc
         return cls(g=g, P=RatMatrix(P), Lambda=Lam)
-
-
-def _exact(x, name: str) -> Fraction:
-    """An exact rational from JSON: a "p/q" string or an integer."""
-    if isinstance(x, bool) or not isinstance(x, (str, int)):
-        raise TypeError(f"{name}: exact rational required, got {type(x).__name__}: {x!r}")
-    return parse_fraction(str(x))
 
 
 @dataclass(frozen=True)

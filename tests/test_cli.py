@@ -188,6 +188,8 @@ def test_well_typed_theta_documents_validate(tmp_path):
         ("Lambda", [[True]]),
         ("factor", "x"),
         ("profile", "x"),
+        ("ell", ["1/0"]),
+        ("Lambda", [["1/0"]]),
     ],
 )
 def test_theta_with_wrongly_typed_field_is_rejected(tmp_path, field, value, cmd):
@@ -428,6 +430,50 @@ def test_export_json_roundtrips_bytes(tmp_path):
 def test_export_rejects_non_mesh_file():
     res = run("export", FIXTURES / "variety_g1.json", "--format", "json")
     assert res.exit_code == 2
+
+
+def set_path(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+# each malformed mesh, with what its error names: the field of a non-exact
+# number, a wrongly typed integer or a zero denominator, an empty piece, and
+# a vector whose length is not g.  Each used to be read with bare
+# Fraction/int, and exported (exit 0) or ended in a traceback (exit 1).
+MALFORMED_MESHES = {
+    "float-vertex": (("cells", 0, "vertices", 0, 0), 0.1, "json", "vertices"),
+    "decimal-offset": (("cells", 0, "halfspaces", 0, "offset"), "0.5", "json", "offset"),
+    "bool-and-float-witness": (("skeleton", 0, "witnesses"), [[True, 1.7]], "json", "witnesses"),
+    "float-cell-witness": (("cells", 0, "witness"), [0, 1.7], "json", "witness"),
+    "float-dim": (("cells", 0, "dim"), 2.0, "json", "dim"),
+    "string-bounded": (("cells", 0, "bounded"), "yes", "json", "bounded"),
+    "string-betti": (("quotient", "betti0"), "1.0", "json", "betti0"),
+    "zero-denominator-vertex": (("skeleton", 0, "vertices", 0, 0), "1/0", "json", "vertices"),
+    "zero-denominator-matrix": (("domain", "matrix", 0, 0), "1/0", "json", "matrix"),
+    "zero-denominator-zero-cell": (("quotient", "zero_cells", 0, 0), "1/0", "json", "zero_cells"),
+    "empty-piece": (("skeleton", 0, "vertices"), [], "svg", "vertex"),
+    "g-3-over-2x2": (("g",), 3, "json", "not g = 3"),
+    "g-0": (("g",), 0, "json", "g"),
+    "short-vertex": (("skeleton", 0, "vertices", 0), ["1/2"], "svg", "(1/2) has length 1, not g = 2"),
+    "long-normal": (("cells", 0, "halfspaces", 0, "normal"), [1, 0, 1], "json", "(1, 0, 1) has length 3"),
+    "no-corners": (("domain", "corners"), [], "svg", "corners"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MESHES))
+def test_export_rejects_malformed_mesh(tmp_path, case):
+    path, value, fmt, field = MALFORMED_MESHES[case]
+    mesh = tmp_path / "mesh.json"
+    assert run("divisor", FIXTURES / "variety_g2.json", "--out", mesh).exit_code == 0
+    doc = json.loads(mesh.read_text())
+    set_path(doc, path, value)
+    mesh.write_text(json.dumps(doc))
+    res = run("export", mesh, "--format", fmt)
+    assert res.exit_code == 2, res.output
+    assert "not a mesh file" in res.output and field in res.output, res.output
 
 
 # ------------------------------------------------------------ determinism

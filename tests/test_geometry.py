@@ -335,16 +335,17 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cel
 
 @pytest.mark.parametrize(
     "name, calls",
-    [("TH1", 5), ("TH2", 15), ("variety_g2_skewed", 19), ("TH3", 65), ("variety_g3", 57)],
+    [("TH1", 4), ("TH2", 8), ("variety_g2_skewed", 8), ("TH3", 28), ("variety_g3", 20)],
 )
 def test_coset_decompositions_per_corner_locus(count_calls, name, calls):
-    # machine-independent gate: the competitor sweep carries D w(u) with
-    # each u, so the pool decomposes no competitor into its coset, and the
-    # quotient's cell count takes the classes corner_locus recorded as it
-    # kept each cell.  What is left is one decomposition per visited witness
-    # and one for the built witness's D w(u).  Decomposing every pooled
-    # competitor again took 10, 40, 76, 124 and 138; decomposing each kept
-    # cell's witness again for the count took 7, 19, 25, 73 and 65.
+    # machine-independent gate: the BFS walks witnesses as (rep, n) in
+    # Lambda-coordinates, so a visit decomposes nothing.  What is left is
+    # one decomposition for the seed, one for the built witness's D w(u)
+    # and one per neighbor of each built cell (2, 6, 6, 26 and 18 here).
+    # Decomposing every visited witness took 5, 15, 19, 65 and 57;
+    # decomposing every pooled competitor again took 10, 40, 76, 124 and
+    # 138; decomposing each kept cell's witness again for the count took 7,
+    # 19, 25, 73 and 65.
     theta = GATED[name]()
     found = count_calls(CosetLattice.decompose)
     corner_locus(theta)
@@ -368,6 +369,29 @@ def test_domain_inverse_once_per_theta(count_calls, name):
     assert geometry.FundamentalDomain.from_json_dict(cx.domain.to_json_dict()) == cx.domain
 
 
+@pytest.mark.parametrize("name", list(GATED))
+def test_x_is_formed_once_per_output_point(monkeypatch, name):
+    # machine-independent gate: x = P^T t is formed in Fractions once per
+    # distinct output point (a cell vertex, a skeleton vertex or a zero
+    # cell) and never for a sweep, whose region corners reach _terms_below
+    # as integers.  Each fixture keeps the cell it builds.
+    theta = replace(GATED[name]())  # a fresh theta: nothing cached
+    theta._domain  # the domain's corners are formed once per theta
+    calls = []
+    to_x = geometry._to_x
+
+    def recording(v, cols, D):
+        calls.append(v)
+        return to_x(v, cols, D)
+
+    monkeypatch.setattr(geometry, "_to_x", recording)
+    cx = corner_locus(theta)
+    points = {p for c in cx.cells for p in c.vertices}
+    points |= {p for piece in cx.skeleton for p in piece.vertices}
+    points |= set(cx.quotient.zero_cells)
+    assert len(calls) == len(set(calls)) == len(points)
+
+
 @pytest.mark.parametrize(
     "name, calls",
     [("TH1", 1), ("TH2", 12), ("variety_g2_skewed", 8), ("TH3", 48), ("variety_g3", 61)],
@@ -377,26 +401,27 @@ def test_edge_ranks_once_per_mask(monkeypatch, name, calls):
     # shared tight mask with one _echelon call, cached per mask for the
     # corner_locus call, so the calls count distinct masks (ranking every
     # tested pair took 4, 28, 44, 120 and 165; cutting the skewed form's
-    # larger coordinate box took 10 for it).  _affine_span's one call per
-    # build is not an edge test and is not counted.
+    # larger coordinate box took 10 for it).  Only calls made inside _cut
+    # are edge tests: the build's rank of its homogeneous vertices is not
+    # counted.
     ranks = []
-    in_span = [False]
-    echelon, affine_span = geometry._echelon, geometry._affine_span
+    in_cut = [False]
+    echelon, cut = geometry._echelon, geometry._cut
 
     def counting_echelon(rows, width):
-        if not in_span[0]:
+        if in_cut[0]:
             ranks.append(tuple(rows))
         return echelon(rows, width)
 
-    def flagged_span(points):
-        in_span[0] = True
+    def flagged_cut(*args):
+        in_cut[0] = True
         try:
-            return affine_span(points)
+            return cut(*args)
         finally:
-            in_span[0] = False
+            in_cut[0] = False
 
     monkeypatch.setattr(geometry, "_echelon", counting_echelon)
-    monkeypatch.setattr(geometry, "_affine_span", flagged_span)
+    monkeypatch.setattr(geometry, "_cut", flagged_cut)
     corner_locus(GATED[name]())
     assert len(ranks) == calls
     assert all(type(x) is int for rows in ranks for row in rows for x in row)
@@ -506,16 +531,20 @@ LEVEL2_G2 = TropicalThetaFunction(
 @example(LEVEL2_G2)
 @settings(max_examples=20, deadline=None)
 def test_kept_cells_and_tie_sets_match_pointwise_evaluation(theta):
+    # the tie set at a vertex of a built cell, read off its mask: the cell's
+    # witness and the pool witnesses of every plane tight there
     ties = []
-    vertex_ties = geometry._vertex_ties
+    build_cell = geometry._build_cell
 
-    def recording(u, poly, witnesses):
-        out = vertex_ties(u, poly, witnesses)
-        ties.extend(out.items())
-        return out
+    def recording(theta_, u):
+        built = build_cell(theta_, u)
+        for p, mask in built.poly.items():
+            bits = [k for k in range(mask.bit_length()) if mask >> k & 1]
+            ties.append((p, tuple(sorted({u, *(w for k in bits for w in built.witnesses[k])}))))
+        return built
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_vertex_ties", recording)
+        mp.setattr(geometry, "_build_cell", recording)
         cx = corner_locus(theta)
     kept = {cell.witness for cell in cx.cells}
     # every witness at a point of the closed domain has a cell meeting it
@@ -550,6 +579,10 @@ LEVEL2_I = TropicalThetaFunction(
 @example(L2)
 @example(SQUARE)
 @example(LEVEL2_I)
+@example(fixture_theta("variety_g3.json"))
+@example(fixture_theta("variety_g3_sheared.json"))
+@example(riemann_theta(data_of([[2, 3], [3, 6]], [[1, 0], [0, 1]])))
+@example(riemann_theta(data_of([[3, 4], [4, 9]], [[1, 0], [0, 1]])))
 @settings(max_examples=20, deadline=None)
 def test_translated_cells_equal_built_cells(theta):
     # oracle for the lattice translation: every kept cell, facets included,
@@ -570,12 +603,42 @@ def test_translated_cells_equal_built_cells(theta):
 @settings(max_examples=10, deadline=None)
 def test_lattice_cull_matches_the_exact_clip(theta):
     # the cull decides from lattice-coordinate boxes alone; clipping every
-    # translate exactly must give the same complex
+    # translate exactly, by all 2g domain planes, must give the same complex
     culled = corner_locus(theta)
+    domain_cuts = geometry._domain_cuts
+
+    def never_culled(bounds, d):
+        cuts = domain_cuts(bounds, d)
+        return list(range(2 * len(d), 4 * len(d))) if cuts is None else cuts
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_apart", lambda bounds, d: False)
+        mp.setattr(geometry, "_domain_cuts", never_culled)
         clipped = corner_locus(theta)
     assert culled == clipped
+
+
+@given(principal_forms().map(lambda P: riemann_theta(data_of(P, [[1, 0], [0, 1]]))))
+@example(L2)
+@example(SQUARE)
+@example(LEVEL2_I)
+@example(fixture_theta("variety_g3.json"))
+@example(fixture_theta("variety_g3_sheared.json"))
+@settings(max_examples=10, deadline=None)
+def test_skipped_domain_planes_match_the_full_clip(theta):
+    # a kept translate is cut only by the domain planes that some moved
+    # vertex is not strictly inside; clipping each kept translate by all 2g
+    # domain planes must give an equal complex: cells, pieces and quotient
+    skipped = corner_locus(theta)
+    domain_cuts = geometry._domain_cuts
+
+    def every_plane(bounds, d):
+        cuts = domain_cuts(bounds, d)
+        return None if cuts is None else list(range(2 * len(d), 4 * len(d)))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_domain_cuts", every_plane)
+        full = corner_locus(theta)
+    assert skipped == full
 
 
 def reference_skeleton(theta, cx):
@@ -674,9 +737,9 @@ def test_quotient_from_carried_coordinates_matches_a_fresh_one(theta):
     carried = []
     summary = geometry._quotient_summary
 
-    def recording(theta_, top, pieces):
+    def recording(theta_, top, pieces, x_of):
         carried.extend(pieces)
-        return summary(theta_, top, pieces)
+        return summary(theta_, top, pieces, x_of)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_quotient_summary", recording)
@@ -693,7 +756,8 @@ def test_quotient_from_carried_coordinates_matches_a_fresh_one(theta):
     ]
     assert carried == fresh
     top = len({theta._cosets.decompose(c.witness)[0] for c in cx.cells if c.dim == theta.g})
-    assert summary(theta, top, fresh) == cx.quotient
+    cols, D = tuple(zip(*theta._kernel.P)), theta._kernel.D
+    assert summary(theta, top, fresh, lambda t: geometry._to_x(t, cols, D)) == cx.quotient
     assert reference_quotient(theta, cx) == cx.quotient
 
 
@@ -905,7 +969,7 @@ def test_cut_matches_brute_force_vertices_and_tight_sets(data):
 def test_cell_on_its_box_reports_witness_centre_and_halfwidths(monkeypatch):
     # with an empty competitor pool the polytope is the region itself, which
     # a certified region never is: the build raises with the region it used
-    monkeypatch.setattr(geometry, "_terms_below", lambda theta, v, bound: [])
+    monkeypatch.setattr(geometry, "_terms_below", lambda theta, q, V, bound: [])
     with pytest.raises(InvalidDataError) as err:
         geometry._build_cell(TH2, (1, -2))
     # x0 = -P u = (0, 3); P is reduced, so b_j = e_j and each bound is

@@ -19,7 +19,9 @@ from troptheta.linalg import (
     adjugate_int,
     det,
     int_det,
+    int_rows_from,
     inverse,
+    rows_from,
     solve,
 )
 
@@ -173,3 +175,16 @@ def test_singular_and_ragged_input_raise():
         solve(((1.5,),), (1,))
     with pytest.raises(TypeError):
         adjugate_int(((F(1, 2), 0), (0, 1)))
+
+
+@pytest.mark.parametrize("text", ["1/0", "0.5", "1e3", "x"])
+def test_string_entries_follow_the_exact_literal_rule(text):
+    # a string entry is a "p/q" or "p" literal: a zero denominator or a
+    # decimal is a ValueError naming the field, not a ZeroDivisionError or
+    # a silently rounded value
+    with pytest.raises(ValueError, match="^P: not an exact rational literal"):
+        rows_from([["1", text]], "P")
+    with pytest.raises(ValueError, match="^Lambda: not an exact rational literal"):
+        int_rows_from([["1", text]], "Lambda")
+    assert rows_from([["-3/6", "2"]], "P") == ((F(-1, 2), F(2)),)
+    assert int_rows_from([["4/2", 1]], "Lambda") == ((2, 1),)

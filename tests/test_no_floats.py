@@ -10,8 +10,8 @@ g = 1, 2, 3 and of a non-ample linearity cell.  The polytope primitive
 `geometry._cut` works in integers alone: a third check walks every argument
 and result of its calls during corner loci and finds only ints.  So do the
 competitor sweep's (u, D w(u)) pairs and the pool built from them: a fourth
-check walks every `_terms_below` result and every `_pool` argument and
-result.  The minimizer reads each value off its ellipsoid walk: a fifth
+check walks every `_terms_below` argument and result and every `_pool`
+argument and result.  The minimizer reads each value off its ellipsoid walk: a fifth
 check walks every leaf the walk yields during theta evaluations, point and
 leftover budget, and finds only ints.
 """
@@ -149,14 +149,16 @@ def test_cut_runs_in_integers(monkeypatch, name):
 
 @pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I", "non-ample"])
 def test_sweep_and_pool_run_in_integers(monkeypatch, name):
-    # the sweep's pairs carry D w(u) as an int, and the pool's offsets are
-    # their differences: no Fraction goes into _pool or comes out of it
+    # each region corner reaches the sweep as integers (q, V, bound), the
+    # sweep's pairs carry D w(u) as an int, and the pool's offsets are
+    # their differences: no Fraction goes into _terms_below or _pool or
+    # comes out of them
     sweeps, pools = [], []
     terms_below, pool = geometry._terms_below, geometry._pool
 
-    def recording_sweep(*args):
-        out = terms_below(*args)
-        sweeps.append(out)
+    def recording_sweep(theta, *args):
+        out = terms_below(theta, *args)
+        sweeps.append((args, out))
         return out
 
     def recording_pool(u, w_u, pairs):
@@ -170,10 +172,12 @@ def test_sweep_and_pool_run_in_integers(monkeypatch, name):
     if name == "non-ample":
         # the pool of a non-ample cell is the finite support, with D w(rep)
         linearity_cell(NON_AMPLE, (Fraction(1, 3), Fraction(-1, 5)))
-        assert len(geometry._terms_below(NON_AMPLE, (0, 0), 2)) == 5
+        # every term of value at most 2 at v = 0: bound 2 D over q = 1
+        assert len(geometry._terms_below(NON_AMPLE, 1, (0, 0), 2 * NON_AMPLE._kernel.D)) == 5
     else:
         corner_locus(LEVEL2_I if name == "LEVEL2_I" else fixture_theta(name))
-    assert sweeps and all(sweeps)
+    assert sweeps and all(out for _, out in sweeps)
+    assert all(type(x) is int for args, _ in sweeps for x in numbers(args))
     assert pools and all(pairs for (_, _, pairs), _ in pools)
     found = list(numbers([sweeps, pools]))
     assert len(found) > 20

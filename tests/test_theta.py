@@ -233,6 +233,15 @@ def scan_c_trop(theta, n):
     return F(1, 2) * quad + sum(e * x for e, x in zip(ell, n))
 
 
+def terms_below(theta, v, bound):
+    """geometry._terms_below at the rational point v and bound: v = V / q
+    over its common denominator, and the bound floored over D q, which is
+    exact since D q (w(u) + <u, v>) is an integer."""
+    q = math.lcm(*(F(c).denominator for c in v))
+    V = [int(F(c) * q) for c in v]
+    return geometry._terms_below(theta, q, V, math.floor(F(bound) * theta._kernel.D * q))
+
+
 def box_scan(theta):
     """u -> (w(u), n) for u = rep + Lam n, |n_i| <= SCAN, straight from
     w(rep + Lam n) = w(rep) + (1/2) n^T P Lam n + <ell, n> + n^T P rep in
@@ -278,11 +287,11 @@ def test_integer_kernel_matches_fraction_box_scan(name):
         for bound in (lowest, third, sixth + F(1, 7), lowest - 1):
             want = sorted((u, D * table[u][0]) for value, u in values if value <= bound)
             assert all(max(map(abs, table[u][1])) < SCAN - 1 for u, _ in want)
-            got = geometry._terms_below(theta, v, bound)
+            got = terms_below(theta, v, bound)
             assert got == want, (v, bound)
             assert all(type(w) is int for _, w in got)
-        assert geometry._terms_below(theta, v, lowest - 1) == []
-        assert u3 in dict(geometry._terms_below(theta, v, third))
+        assert terms_below(theta, v, lowest - 1) == []
+        assert u3 in dict(terms_below(theta, v, third))
 
 
 # ---------- the competitor sweep against a Fraction brute force ----------
@@ -374,7 +383,7 @@ def test_terms_below_matches_fraction_brute_force(case):
     # minimal terms, ties included) and above
     theta, v, offset = case
     bound = theta.evaluate(v).value + offset
-    got = geometry._terms_below(theta, v, bound)
+    got = terms_below(theta, v, bound)
     D = theta._kernel.D
     assert got == [(u, D * w) for u, w in brute_terms(theta, v, bound)]
     assert all(type(x) is int for u, w in got for x in (*u, w))

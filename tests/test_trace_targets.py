@@ -42,11 +42,15 @@ def test_every_trace_target_resolves():
 
 def test_divisor_calls_the_layers_its_benchmark_traces(count_calls):
     # each layer the benchmark's self-test maps to the `divisor` workload
-    # (besides those named by the op itself) must see at least one call
+    # (besides those named by the op itself) must see at least one call.
+    # The tracer patches lattice.enumerate_below at every binding that holds
+    # it, so geometry's sweep must call that very function by name.
+    assert geometry.enumerate_below is lattice.enumerate_below
     calls = {
         name: count_calls(f)
         for name, f in [
             ("lattice.enumerate_below", lattice.enumerate_below),
+            ("geometry._build_cell", geometry._build_cell),
             ("geometry._terms_below", geometry._terms_below),
             ("linalg.inverse", linalg.inverse),
         ]
