@@ -334,11 +334,11 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
     bound / (D q), in integers (q > 0).
 
     One enumeration per finite coset (`theta._coset_quadratics`): with
-    (D P Lam)^-1 = A / a, the quadratic (q/2) n^T (D P Lam) n + <L, n> + C
-    is least at n* = -A L / (a q), where it is m = C - L^T A L / (2 a q), and
-    it is at most bound iff (1/2) (n - n*)^T (P Lam) (n - n*) <=
-    (bound - m) / (D q).  D w(u) is read off each n as
-    D w(rep) + n^T (D P Lam) n / 2 + <D (ell + P rep), n>."""
+    (D P Lam)^-1 = A / a (from (P Lam)^-1 in lattice._reduced), the quadratic
+    (q/2) n^T (D P Lam) n + <L, n> + C is least at n* = -A L / (a q), where it
+    is m = C - L^T A L / (2 a q), and it is at most bound iff
+    (1/2) (n - n*)^T (P Lam) (n - n*) <= (bound - m) / (D q).  D w(u) is read
+    off each n as D w(rep) + n^T (D P Lam) n / 2 + <D (ell + P rep), n>."""
     D = theta._kernel.D
     if not theta.is_ample:
         return sorted(
@@ -347,7 +347,8 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
             if w is not None and q * w + D * sum(map(mul, rep, V)) <= bound
         )
     form, lam, B = theta._form, theta.factor.Lambda, theta._kernel.B
-    A, a = theta._B_inverse
+    A, a = form._reduction[-1]
+    a *= D
     out = []
     for (rep, w, base), (_, L, C) in zip(theta._coset_constants, theta._coset_quadratics(q, V)):
         AL = [sum(map(mul, row, L)) for row in A]

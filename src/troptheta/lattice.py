@@ -1,12 +1,12 @@
 """Exact minimization of convex quadratics over integer lattice points.
 
 Objectives have the form q(n) = (1/2) n^T B n + ell^T n + c0 with B symmetric
-positive-definite over the rationals and n ranging over Z^g.  Each form is
-reduced once: LLL (delta = 3/4, exact comparisons), the LDL^T
-factorization of the reduced form, scaled to the integers the ellipsoid
-walk runs in, and the inverse of the reduced form are cached per form in
-`_reduced`, which both entry points share, so the real minimizer
--G^-1 ell of a point's objective is a matrix-vector product, not a solve.
+positive-definite over the rationals and n ranging over Z^g.  `_gso`, a
+fraction-free LDL^T in integers (Cohen, Algorithm 2.6.7), factors each form
+and checks it positive-definite.  `_reduced` reduces each form once, cached
+for both entry points: the integral LLL keeps that factorization current in
+place, and one adjugate of the reduced form G gives every inverse, so the
+real minimizer -G^-1 ell of a point's objective is a matrix-vector product.
 `minimize_quadratic` takes its walk budget from Babai's nearest-plane point
 of that minimizer, rounded level by level from the walk data in O(g^2)
 integer operations, then walks the ellipsoid below the seed completely
@@ -24,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -35,17 +35,15 @@ from .linalg import (
     IntRows,
     IntVec,
     ShapeMismatchError,
+    adjugate_int,
     identity,
-    int_rows_from,
-    inverse,
     is_symmetric,
+    matmul,
     matvec,
     rows_from,
     transpose,
     vecdot,
 )
-
-LOVASZ_DELTA = Fraction(3, 4)
 
 
 class NotSymmetricError(ValueError):
@@ -72,8 +70,8 @@ class GramForm:
     """A symmetric rational g x g quadratic form.
 
     Symmetry is enforced at construction; positive-definiteness is
-    established by ldlt_decompose (and cached) so that the failure carries
-    the offending pivot index.
+    established by `_gso`, so that the failure carries the offending pivot
+    index.
     """
 
     matrix: RatMatrix
@@ -93,7 +91,7 @@ class GramForm:
 
     def is_positive_definite(self) -> bool:
         try:
-            _ldlt(self.rows)
+            _gso(self.rows)
         except NotPositiveDefiniteError:
             return False
         return True
@@ -120,29 +118,42 @@ def _gram_rows(B) -> Rows:
     return rows
 
 
-def _ldlt(rows: Rows) -> tuple[Rows, Row]:
-    """B = L D L^T with L unit lower triangular, D positive diagonal.
+def _integral(rows) -> tuple[int, list[list[int]]]:
+    """(s, s rows) in integers, s the lcm of the entries' denominators."""
+    s = math.lcm(*(x.denominator for row in rows for x in row))
+    return s, [[x.numerator * (s // x.denominator) for x in row] for row in rows]
 
-    Raises NotPositiveDefiniteError with the 1-based index of the first
-    nonpositive pivot.
-    """
-    g = len(rows)
-    L = [[Fraction(0)] * g for _ in range(g)]
-    D = [Fraction(0)] * g
-    for j in range(g):
-        d = rows[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if d <= 0:
-            raise NotPositiveDefiniteError(j + 1)
-        D[j] = d
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, g):
-            L[i][j] = (rows[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / d
-    return tuple(tuple(r) for r in L), tuple(D)
+
+def _gso(rows) -> tuple[int, list[list[int]], list[int], list[list[int]]]:
+    """The fraction-free LDL^T (s, b, d, lam) of a symmetric form (Cohen,
+    Algorithm 2.6.7): b = s rows by `_integral`, d[i] its leading i x i minor
+    (d[0] = 1), lam[k][j] = d[j+1] L_kj for j <= k and D_j = d[j+1] / (s d[j]),
+    each division exact.  NotPositiveDefiniteError(k + 1) at the first d[k+1] <= 0."""
+    s, b = _integral(rows)
+    g = len(b)
+    d, lam = [1] * (g + 1), [[0] * g for _ in range(g)]
+    for k in range(g):
+        for j in range(k + 1):
+            u = b[k][j]
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        if u <= 0:
+            raise NotPositiveDefiniteError(k + 1)
+        d[k + 1] = u
+    return s, b, d, lam
+
+
+def _ldlt(s: int, d: list[int], lam: list[list[int]]) -> tuple[Rows, Row]:
+    """`_gso`'s (s, d, lam) in Fractions: B = L D L^T, L unit lower triangular."""
+    L = tuple(tuple(Fraction(x, d[j + 1]) for j, x in enumerate(row)) for row in lam)
+    return L, tuple(Fraction(d[j + 1], s * d[j]) for j in range(len(lam)))
 
 
 def ldlt_decompose(B) -> tuple[RatMatrix, tuple[Fraction, ...]]:
     """Exact LDL^T factorization of a symmetric positive-definite form."""
-    L, D = _ldlt(_gram_rows(B))
+    s, _, d, lam = _gso(_gram_rows(B))
+    L, D = _ldlt(s, d, lam)
     return RatMatrix(L), D
 
 
@@ -151,55 +162,52 @@ def lll_reduce(B) -> tuple[IntRows, RatMatrix]:
 
     U is unimodular with integer entries (columns are the new basis in old
     coordinates).  B_red satisfies the size-reduction condition |mu_kj| <= 1/2
-    and the Lovasz condition with delta = 3/4, both checked exactly.
+    and the Lovasz condition with delta = 3/4.  Integral LLL (de Weger 1987;
+    Cohen, Algorithm 2.6.7): each size reduction and swap updates one `_gso`
+    in place.  Step k size-reduces b_k against b_{k-1}, ..., b_0 (m =
+    lam_kj / d_{j+1} rounded half to even, if 2 |lam_kj| > d_{j+1}), then
+    tests 4 d_{k+1} d_{k-1} >= 3 d_k^2 - 4 lam_{k,k-1}^2.
     """
-    rows = _gram_rows(B)
-    g = len(rows)
-    _ldlt(rows)  # raises if not positive-definite
-    G = [list(r) for r in rows]
+    s, b, d, lam = _gso(_gram_rows(B))
+    g = len(b)
     U = [list(r) for r in identity(g)]
-
-    def col_addmul(k: int, j: int, m: int):
-        # basis op b_k <- b_k - m * b_j; update U columns and gram
-        for i in range(g):
-            U[i][k] -= m * U[i][j]
-        for i in range(g):
-            G[i][k] -= m * G[i][j]
-        for i in range(g):
-            G[k][i] -= m * G[j][i]
-
-    def col_swap(k: int, j: int):
-        for i in range(g):
-            U[i][k], U[i][j] = U[i][j], U[i][k]
-        for i in range(g):
-            G[i][k], G[i][j] = G[i][j], G[i][k]
-        G[k], G[j] = G[j], G[k]
-
     k = 1
     while k < g:
-        L, D = _ldlt(tuple(tuple(r) for r in G))
         for j in range(k - 1, -1, -1):
-            mu = L[k][j]
-            if 2 * abs(mu) > 1:
-                col_addmul(k, j, round(mu))
-                L, D = _ldlt(tuple(tuple(r) for r in G))
-        if D[k] >= (LOVASZ_DELTA - L[k][k - 1] ** 2) * D[k - 1]:
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                m = round(Fraction(lam[k][j], d[j + 1]))
+                for row in U:
+                    row[k] -= m * row[j]
+                lam[k][j] -= m * d[j + 1]
+                for i in range(j):
+                    lam[k][i] -= m * lam[j][i]
+        t = lam[k][k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * t * t:
             k += 1
-        else:
-            col_swap(k, k - 1)
-            k = max(k - 1, 1)
+            continue
+        # swap b_{k-1} and b_k: lam_{k,k-1} stays, d_k and the lam below move
+        for row in U:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        dk = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, g):
+            x = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * x) // d[k]
+            lam[i][k - 1] = (dk * x + t * lam[i][k]) // d[k + 1]
+        d[k] = dk
+        k = max(k - 1, 1)
+    G = matmul(matmul(transpose(U), b), U)
+    return tuple(map(tuple, U)), RatMatrix(tuple(tuple(Fraction(x, s) for x in row) for row in G))
 
-    return tuple(tuple(r) for r in U), RatMatrix(tuple(tuple(r) for r in G))
 
-
-def _walk(L: Rows, D: Row) -> tuple[int, list[list[int]], int, list[int]]:
-    """The form's part of `_ellipsoid_points`' integer data, computed once
-    per form: lq = den(L), the scaled L and D, and dq = den(D)."""
-    g = len(D)
-    lq = math.lcm(*(L[j][i].denominator for j in range(g) for i in range(j)))
-    dq = math.lcm(*(d.denominator for d in D))
-    Lk = [[int(L[j][i] * lq) for i in range(j)] for j in range(g)]
-    return lq, Lk, dq, [int(d * dq) for d in D]
+def _walk(s: int, d: list[int], lam: list[list[int]]) -> tuple[int, list[list[int]], int, list[int]]:
+    """The form's part of `_ellipsoid_points`' integer data, from its `_gso`,
+    computed once per form: lq = den(L), the scaled L and D, and dq = den(D)."""
+    L, D = _ldlt(s, d, lam)
+    lq = math.lcm(*(x.denominator for row in L for x in row))
+    dq = math.lcm(*(x.denominator for x in D))
+    return lq, [[int(x * lq) for x in row[:j]] for j, row in enumerate(L)], dq, [int(x * dq) for x in D]
 
 
 def _over_common_denominator(values: Row) -> tuple[int, list[int]]:
@@ -209,8 +217,8 @@ def _over_common_denominator(values: Row) -> tuple[int, list[int]]:
 
 
 def _nearest_plane(walk, q: int, C: list[int]) -> tuple[IntVec, int]:
-    """Babai's nearest-plane point x for the centre C / q in the form of
-    walk = _walk(L, D), with its scaled distance S = sum_i Dk_i e_i^2.
+    """Babai's nearest-plane point x for the centre C / q in the form whose
+    `_walk` data is walk, with its scaled distance S = sum_i Dk_i e_i^2.
     From the last coordinate down, x_i is the integer nearest its level's
     centre gamma_i given the x_j above it (ties round up), with gamma_i =
     G_i / k and e_i = k x_i - G_i in the integers of `_ellipsoid_points`.
@@ -232,7 +240,7 @@ def _nearest_plane(walk, q: int, C: list[int]) -> tuple[IntVec, int]:
 
 def _ellipsoid_points(walk, q: int, C: list[int], s: int, R: int) -> Iterator[tuple[IntVec, int]]:
     """Every integer x with (x-c)^T (L D L^T) (x-c) <= R / (s dq k^2), for
-    walk = _walk(L, D), the centre c = C / q and k = den(L) q, each with its
+    walk the form's `_walk` data, the centre c = C / q and k = den(L) q, each with its
     leftover budget r = R - sum_i s Dk_i e_i^2 >= 0.
 
     Uses the identity x^T B x = sum_i d_i (x_i + sum_{j>i} L[j][i] x_j)^2 and
@@ -270,32 +278,38 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
         reduction = B._reduction
     else:
         reduction = _reduced(_gram_rows(B))
-    U, Uinv, G, walk, _ = reduction
+    U, U_inv, walk = reduction[:3]
     radius = Fraction(radius) if not isinstance(radius, Fraction) else radius
     if radius < 0:
         raise NegativeRadiusError(f"radius {radius} < 0")
     c = [v if type(v) is Fraction else Fraction(v) for v in center]
-    if len(c) != len(G):
+    if len(c) != len(U):
         raise ShapeMismatchError("center length mismatch")
     # U^-1 c = (U^-1 C) / q and U m in integers: c over its common denominator q
     q, C = _over_common_denominator(c)
     lq, _, dq, _ = walk
-    C_red = [sum(map(mul, row, C)) for row in Uinv]
+    C_red = [sum(map(mul, row, C)) for row in U_inv]
     # the walk's scale and budget for 2 radius (a common factor changes no leaf)
     leaves = _ellipsoid_points(walk, q, C_red, radius.denominator, 2 * radius.numerator * dq * (lq * q) ** 2)
     return sorted([tuple([sum(map(mul, row, m)) for row in U]) for m, _ in leaves])
 
 
 @functools.lru_cache(maxsize=32)
-def _reduced(rows: Rows) -> tuple[IntRows, IntRows, Rows, tuple, Rows]:
-    """(U, U^-1, G, walk, G^-1) for the LLL-reduced form
-    G = U^T B U = L D L^T of B = rows, walk = _walk(L, D).  It depends on
-    the form alone, and callers use few forms many times: a theta evaluates
-    one form per point, the divisor's competitor sweeps enumerate many
-    ellipsoids of one form."""
+def _reduced(rows: Rows) -> tuple[IntRows, IntRows, tuple, Rows, tuple[IntRows, int], tuple[IntRows, int]]:
+    """(U, U^-1, walk, G^-1, (A, a), (A', a')) for B = rows, cached: U from
+    `lll_reduce`, walk from the `_gso` of G = U^T B U, G^-1 = s adj(s G) / d_g
+    in integers, and from it U G^-1 = A / a (the divisor's region frame),
+    B^-1 = U G^-1 U^T = A' / a' in lowest terms (its sweeps) and
+    U^-1 = (U G^-1)^T B.  A theta evaluates one form at every point."""
     U, G = lll_reduce(rows)
-    L, D = _ldlt(G.entries)
-    return U, int_rows_from(inverse(U)), G.entries, _walk(L, D), inverse(G.entries)
+    s, b, d, lam = _gso(G.entries)
+    adj, a = [[s * x for x in row] for row in adjugate_int(b)], d[-1]  # G^-1 = adj / a
+    UA, (t, B) = matmul(U, adj), _integral(rows)
+    U_inv = tuple(tuple(x // (a * t) for x in row) for row in matmul(transpose(UA), B))
+    BA = matmul(UA, transpose(U))
+    c = math.gcd(a, *chain.from_iterable(BA))
+    G_inv = tuple(tuple(Fraction(x, a) for x in row) for row in adj)
+    return U, U_inv, _walk(s, d, lam), G_inv, (UA, a), (tuple(tuple(x // c for x in row) for row in BA), a // c)
 
 
 def _column_hnf(A: IntRows) -> tuple[IntRows, IntRows]:
@@ -400,7 +414,7 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     ell = tuple(Fraction(v) for v in ell)
     if len(ell) != len(rows):
         raise ShapeMismatchError("linear part length mismatch")
-    U, _, _, walk, G_inv = _reduced(rows)
+    U, _, walk, G_inv, _, _ = _reduced(rows)
     ell_red = matvec(transpose(U), ell)
     center = tuple(-c for c in matvec(G_inv, ell_red))
     q, C = _over_common_denominator(center)

@@ -5,8 +5,8 @@ tuples.  One fraction-free elimination, `_echelon` (Bareiss 1968), does
 all row reduction: each row is scaled to integers and every division in it
 is exact.  `det`, `int_det`, `solve`, `inverse` (one elimination of
 [A | I]) and `adjugate_int` read its pivots, swap parity and reduced rows,
-and so do the affine spans and edge ranks in `geometry`.  Sizes are tiny
-(g <= 3 in every caller).
+and so do the affine spans and edge ranks in `geometry`.  Sizes are the
+rank g of a form (g <= 3 in geometry).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .rationals import parse_fraction
@@ -91,9 +92,7 @@ def matmul(a, b):
     if len(b) == 0 or any(len(r) != len(b) for r in a):
         raise ShapeMismatchError("matmul shape mismatch")
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(ra, cb)) for cb in bt) for ra in a
-    )
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def matvec(a, v):
@@ -218,17 +217,8 @@ class RatMatrix:
     def transpose(self) -> "RatMatrix":
         return RatMatrix(transpose(self.entries))
 
-    def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix(matmul(self.entries, other.entries))
-
-    def matvec(self, v) -> Row:
-        return matvec(self.entries, v)
-
     def det(self) -> Fraction:
         return det(self.entries)
-
-    def inverse(self) -> "RatMatrix":
-        return RatMatrix(inverse(self.entries))
 
     def solve(self, rhs) -> Row:
         return solve(self.entries, rhs)

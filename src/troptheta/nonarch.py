@@ -36,7 +36,7 @@ from math import floor, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import _terms_below
-from .lattice import CosetLattice, NotPositiveDefiniteError, _ldlt, _over_common_denominator
+from .lattice import CosetLattice, NotPositiveDefiniteError, _gso, _over_common_denominator
 from .linalg import (
     IntRows,
     IntVec,
@@ -349,7 +349,7 @@ class NAThetaFunction:
                 seen.add(rep)
             norm = sorted(entries)
         else:
-            cosets = CosetLattice(self.cocycle.Lambda)
+            cosets = self._cosets
             canonical: dict[IntVec, PuiseuxNumber] = {}
             for rep, a in entries:
                 canon, n = cosets.decompose(rep)
@@ -399,9 +399,6 @@ class NAThetaFunction:
             a = a._shifted(*self.cocycle._extension(n, rep))
         table[u] = a
         return a
-
-    def support_reps(self) -> tuple[IntVec, ...]:
-        return tuple(r for r, a in self.coeffs if not a.is_zero())
 
     def verify_invariance(self, samples: int = 20, seed: int = 0) -> NAReport:
         """Exact check of a_{u + lambda(u')} = t(u', u) c(u') a_u on the
@@ -466,12 +463,19 @@ def _require_ample(cocycle: NACocycle):
     if not is_symmetric(B):
         raise NotAmpleError("exponent form P * Lambda is not symmetric")
     try:
-        _ldlt(B)
+        _gso(B)
     except NotPositiveDefiniteError as exc:
         raise NotAmpleError(
             f"exponent form P * Lambda is not positive-definite (pivot {exc.pivot_index})"
         ) from exc
     return B
+
+
+def _diagonal_pairs(period: PeriodMatrix, Lambda: IntRows) -> Iterable[PuiseuxNumber]:
+    """The pair values t(e'_i, lambda(e'_i)), generator by generator."""
+    g = period.g
+    for i in range(g):
+        yield period.t(tuple(int(k == i) for k in range(g)), tuple(row[i] for row in Lambda))
 
 
 def build_riemann_theta(period: PeriodMatrix, Lambda) -> NAThetaFunction:
@@ -481,16 +485,11 @@ def build_riemann_theta(period: PeriodMatrix, Lambda) -> NAThetaFunction:
     Lambda = int_rows_from(Lambda, "Lambda")
     if abs(int_det(Lambda)) != 1:
         raise NotPrincipalError("build_riemann_theta needs |det Lambda| = 1")
-    g = period.g
-    gens = []
-    for i in range(g):
-        basis = tuple(1 if k == i else 0 for k in range(g))
-        lam_col = tuple(Lambda[k][i] for k in range(g))
-        t_ii = period.t(basis, lam_col)
-        gens.append(t_ii.sqrt_monomial())  # CoefficientNotASquareError if not
-    cocycle = NACocycle(period=period, Lambda=Lambda, generators=tuple(gens))
+    # CoefficientNotASquareError if a pair value is not a square
+    gens = tuple(t_ii.sqrt_monomial() for t_ii in _diagonal_pairs(period, Lambda))
+    cocycle = NACocycle(period=period, Lambda=Lambda, generators=gens)
     _require_ample(cocycle)
-    zero = tuple(0 for _ in range(g))
+    zero = tuple(0 for _ in range(period.g))
     return NAThetaFunction(
         cocycle=cocycle, coeffs=((zero, PuiseuxNumber.one()),)
     )
@@ -500,12 +499,8 @@ def canonical_cocycle(period: PeriodMatrix, Lambda) -> NACocycle:
     """Square-root-normalized cocycle when the diagonal pair values are
     squares, otherwise generator values 1."""
     Lambda = int_rows_from(Lambda, "Lambda")
-    g = period.g
     gens = []
-    for i in range(g):
-        basis = tuple(1 if k == i else 0 for k in range(g))
-        lam_col = tuple(Lambda[k][i] for k in range(g))
-        t_ii = period.t(basis, lam_col)
+    for t_ii in _diagonal_pairs(period, Lambda):
         try:
             gens.append(t_ii.sqrt_monomial())
         except ValueError:

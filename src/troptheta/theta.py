@@ -19,9 +19,9 @@ partial sums enumerate below a bound through geometry._terms_below, which
 reads D w(u) off each enumerated n; the divisor's pool offsets
 D w(u) - D w(u'') are differences of those integers, so no competitor is
 decomposed into its coset again.  The divisor certifies each cell in a
-parallelepiped read off `_region_frame`, one integer frame per theta built
-from the LLL reduction of P Lam, and keeps its fundamental domain in
-`_domain`.  `extended_w` and `c_trop` are one coset decomposition, a few
+parallelepiped read off `_region_frame`, one integer frame per theta: no
+inverse is formed here, each is read off the one reduction of P Lam
+(lattice._reduced).  Its fundamental domain is kept in `_domain`.  `extended_w` and `c_trop` are one coset decomposition, a few
 integer dot products and one Fraction at the end.  The lambda = 0 case
 carries a finite support and a trivial factor, and the min is a finite scan.
 
@@ -37,16 +37,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .lattice import (
     CosetLattice,
     GramForm,
-    NotPositiveDefiniteError,
     NotSymmetricError,
-    _ldlt,
+    _gso,
     _over_common_denominator,
     minimize_quadratic,
 )
@@ -56,7 +55,6 @@ from .linalg import (
     RatMatrix,
     ShapeMismatchError,
     _as_fraction,
-    adjugate_int,
     int_det,
     int_rows_from,
     int_vector_from,
@@ -250,7 +248,7 @@ class TropicalThetaFunction:
             B = self._B_rows
             if not is_symmetric(B):
                 raise NotSymmetricError("P * Lambda must be symmetric")
-            _ldlt(B)  # raises NotPositiveDefiniteError with the bad pivot
+            _gso(B)  # raises NotPositiveDefiniteError with the bad pivot
             cosets = self._cosets
             reps = self.profile.reps
             if len(reps) != cosets.index:
@@ -308,28 +306,17 @@ class TropicalThetaFunction:
         )
 
     @cached_property
-    def _B_inverse(self) -> tuple[IntRows, int]:
-        """(A, a) with (D P Lam)^-1 = A / a in lowest terms, a > 0 (D P Lam
-        is positive definite)."""
-        B = self._kernel.B
-        A, a = adjugate_int(B), int_det(B)
-        c = gcd(a, *chain(*A))
-        return tuple(tuple(x // c for x in row) for row in A), a // c
-
-    @cached_property
     def _region_frame(self) -> tuple[IntRows, IntRows, IntRows, int, IntVec]:
         """(Ut, M, A, a, half), the integer frame of the divisor's certified
         cell regions (geometry module docstring): U^T for the LLL-reduced
         basis b_j = U e_j of the form P Lam, M = U^T (D P Lam), whose row j
-        is D P Lam b_j, M^-1 = A / a with a > 0, and
+        is D P Lam b_j, M^-1 = U G^-1 / D = A / a (lattice._reduced), a > 0, and
         half_j = (U^T D P Lam U)_jj / 2, an integer since D P Lam is even."""
-        Ut = transpose(self._form._reduction[0])
+        U, _, _, _, (A, a), _ = self._form._reduction
+        Ut = transpose(U)
         M = tuple(tuple(sum(map(mul, b, col)) for col in zip(*self._kernel.B)) for b in Ut)
-        A, a = adjugate_int(M), int_det(M)
-        if a < 0:
-            A, a = tuple(tuple(-x for x in row) for row in A), -a
         half = tuple(sum(map(mul, row, b)) // 2 for row, b in zip(M, Ut))
-        return Ut, M, A, a, half
+        return Ut, M, A, a * self._kernel.D, half
 
     @cached_property
     def _domain(self):

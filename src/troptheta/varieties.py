@@ -22,13 +22,14 @@ from .linalg import (
     adjugate_int,
     int_det,
     int_rows_from,
+    is_symmetric,
     matmul,
     matvec,
     rows_from,
     solve,
     transpose,
 )
-from .lattice import GramForm, NotPositiveDefiniteError, NotSymmetricError, _ldlt
+from .lattice import GramForm, NotPositiveDefiniteError, _gso
 from .rationals import format_fraction
 
 TropPoint = tuple[Fraction, ...]
@@ -51,6 +52,8 @@ class TropicalPolarizationData:
     Lambda: IntRows
 
     def __post_init__(self):
+        if self.g < 1:
+            raise InvalidDataError(f"g must be at least 1, got {self.g}")
         if not isinstance(self.P, RatMatrix):
             object.__setattr__(self, "P", RatMatrix(rows_from(self.P)))
         object.__setattr__(self, "Lambda", int_rows_from(self.Lambda))
@@ -73,9 +76,6 @@ class TropicalPolarizationData:
     def index(self) -> int:
         """[M : lambda(M')] = |det Lambda|."""
         return abs(int_det(self.Lambda))
-
-    def is_principal(self) -> bool:
-        return self.index() == 1
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,14 +130,12 @@ def validate(data: TropicalPolarizationData) -> ValidityReport:
     symmetric positive-definite form; report |det Lambda| and principality."""
     nondeg = data.P.det() != 0
     beta = data.beta_rows
-    symmetric = all(
-        beta[i][j] == beta[j][i] for i in range(data.g) for j in range(i)
-    )
+    symmetric = is_symmetric(beta)
     pd = False
     pivot = None
     if symmetric:
         try:
-            _ldlt(beta)
+            _gso(beta)
             pd = True
         except NotPositiveDefiniteError as exc:
             pivot = exc.pivot_index

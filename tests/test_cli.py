@@ -154,6 +154,42 @@ def test_variety_with_wrongly_typed_field_exits_two(tmp_path, field, value):
     assert re.search(rf"malformed variety data: .*\b{field}( must|:)", res.output), res.output
 
 
+@pytest.mark.parametrize(
+    "kind,g,cmd",
+    [
+        ("variety", 0, "validate"),
+        ("variety", -1, "validate"),
+        ("variety", 0, "riemann"),
+        ("variety", 0, "divisor"),
+        ("theta", 0, "validate"),
+        ("theta", 0, "eval"),
+        ("theta", 0, "divisor"),
+    ],
+)
+def test_rank_below_one_is_rejected(tmp_path, kind, g, cmd):
+    # an empty P and Lambda describe no torus: a variety file is a usage
+    # error (exit 2), a theta file fails its construction check (exit 1)
+    doc = {"g": g, "P": [], "Lambda": []}
+    if kind == "theta":
+        doc = {"g": g, "P": [], "factor": {"Lambda": [], "ell": []}, "profile": [{"rep": [], "w": "0"}]}
+    args = {
+        "validate": ["validate"],
+        "eval": ["eval"],
+        "riemann": ["riemann", "--out", tmp_path / "theta.json"],
+        "divisor": ["divisor", "--out", tmp_path / "m"],
+    }[cmd]
+    res = run_doc(tmp_path, doc, *args)
+    assert isinstance(res.exception, SystemExit)  # a report or a usage error, no traceback
+    assert f"g must be at least 1, got {g}" in res.output, res.output
+    if kind == "variety":
+        assert res.exit_code == 2
+    else:
+        assert res.exit_code == 1
+        failed = [c["name"] for c in report_of(res)["checks"] if not c["passed"]]
+        assert failed == ["divisor-extraction" if cmd == "divisor" else "construction"]
+    assert not (tmp_path / "theta.json").exists()
+
+
 def test_validate_theta_file():
     res = run("validate", FIXTURES / "theta_g1.json")
     assert res.exit_code == 0

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from troptheta import lattice
@@ -36,10 +36,11 @@ from troptheta.linalg import (
     inverse,
     matmul,
     matvec,
+    rows_from,
     transpose,
     vecdot,
 )
-from troptheta.theta import riemann_theta
+from troptheta.theta import AutomorphyFactor, TropicalThetaFunction, ValuationProfile, riemann_theta
 from troptheta.varieties import TropicalPolarizationData
 
 F = Fraction
@@ -195,6 +196,179 @@ def test_lll_preserves_minimum():
         assert sorted(tuple(int(x) for x in matvec(U, m)) for m in via.argmin) == list(
             direct.argmin
         )
+
+
+# ---------- the integral reduction against Fraction references ----------
+
+def reference_ldlt(rows):
+    """The Fraction LDL^T that `_gso` replaced: (L, D), raising
+    NotPositiveDefiniteError at the first nonpositive pivot."""
+    g = len(rows)
+    L = [[F(0)] * g for _ in range(g)]
+    D = [F(0)] * g
+    for j in range(g):
+        d = rows[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
+        if d <= 0:
+            raise NotPositiveDefiniteError(j + 1)
+        D[j] = d
+        L[j][j] = F(1)
+        for i in range(j + 1, g):
+            L[i][j] = (rows[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / d
+    return L, D
+
+
+def reference_lll(rows):
+    """The Fraction LLL that the integral one replaced: the whole LDL^T is
+    recomputed after every size-reduction step, and delta = 3/4.  Returns
+    U."""
+    g = len(rows)
+    G = [[F(x) for x in r] for r in rows]
+    U = [list(r) for r in identity(g)]
+    k = 1
+    while k < g:
+        L, D = reference_ldlt(G)
+        for j in range(k - 1, -1, -1):
+            mu = L[k][j]
+            if 2 * abs(mu) > 1:
+                m = round(mu)
+                for i in range(g):
+                    U[i][k] -= m * U[i][j]
+                    G[i][k] -= m * G[i][j]
+                for i in range(g):
+                    G[k][i] -= m * G[j][i]
+                L, D = reference_ldlt(G)
+        if D[k] >= (F(3, 4) - L[k][k - 1] ** 2) * D[k - 1]:
+            k += 1
+        else:
+            for row in U:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            for row in G:
+                row[k], row[k - 1] = row[k - 1], row[k]
+            G[k], G[k - 1] = G[k - 1], G[k]
+            k = max(k - 1, 1)
+    return tuple(map(tuple, U))
+
+
+def sheared_sum_form(g, seed):
+    """V^T (I + J) V, V the product of 3g seeded column operations
+    col_i += m col_j with |m| <= 3."""
+    rng = random.Random(seed)
+    V = [list(r) for r in identity(g)]
+    for _ in range(3 * g):
+        i, j = rng.sample(range(g), 2)
+        m = rng.choice((-3, -2, -1, 1, 2, 3))
+        for row in V:
+            row[i] += m * row[j]
+    I_J = [[2 if i == j else 1 for j in range(g)] for i in range(g)]
+    return tuple(tuple(F(x) for x in r) for r in matmul(transpose(V), matmul(I_J, V)))
+
+
+@st.composite
+def sheared_forms(draw):
+    """S^T A S for g <= 8: A diagonally dominant with fractional
+    off-diagonal entries, S a product of up to 2g column operations whose
+    multipliers reach 1000."""
+    g = draw(st.integers(2, 8))
+    A = [[F(0)] * g for _ in range(g)]
+    for i in range(g):
+        for j in range(i):
+            A[i][j] = A[j][i] = F(draw(st.integers(-3, 3)), draw(st.sampled_from((1, 2, 3, 5))))
+    for i in range(g):
+        A[i][i] = sum(abs(A[i][j]) for j in range(g) if j != i) + F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    S = [list(r) for r in identity(g)]
+    multipliers = st.one_of(st.integers(-3, 3), st.integers(-1000, 1000))
+    for i, j, m in draw(st.lists(st.tuples(st.integers(0, g - 1), st.integers(0, g - 1), multipliers), max_size=2 * g)):
+        if i != j:
+            for row in S:
+                row[i] += m * row[j]
+    return matmul(transpose(S), matmul(A, S))
+
+
+@given(sheared_forms())
+@example(sheared_sum_form(16, 16))
+@settings(max_examples=40, deadline=None)
+def test_lll_matches_the_fraction_reference(B):
+    # the integral LLL takes the same steps as the Fraction one, in the same
+    # order, so it returns the same basis
+    U, G = lll_reduce(B)
+    assert U == reference_lll(B)
+    assert G.entries == matmul(matmul(transpose(U), B), U)
+
+
+def test_pivot_index_matches_the_fraction_reference():
+    rng = random.Random(17)
+    checked = 0
+    for _ in range(300):
+        g = rng.randint(1, 5)
+        A = [[F(0)] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i + 1):
+                A[i][j] = A[j][i] = F(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+        try:
+            reference_ldlt(A)
+        except NotPositiveDefiniteError as exc:
+            expected = exc.pivot_index
+        else:
+            continue
+        for call in (lattice._gso, ldlt_decompose, lll_reduce, lambda B: minimize_quadratic(B, [0] * g)):
+            with pytest.raises(NotPositiveDefiniteError) as info:
+                call(A)
+            assert info.value.pivot_index == expected
+        checked += 1
+    assert checked > 100
+
+
+def test_one_factorization_per_reduction(monkeypatch):
+    # machine-independent gate: lll_reduce factors the form once and keeps
+    # the factorization current in place; it never recomputes it
+    gso, calls = lattice._gso, []
+
+    def counting_gso(rows):
+        calls.append(rows)
+        return gso(rows)
+
+    def no_ldlt(*args):
+        raise AssertionError("lll_reduce read the Fraction LDL^T")
+
+    monkeypatch.setattr(lattice, "_gso", counting_gso)
+    monkeypatch.setattr(lattice, "_ldlt", no_ldlt)
+    for B in (sheared_sum_form(8, 8), sheared_sum_form(12, 12), [[2, 3], [3, 7]]):
+        del calls[:]
+        lll_reduce(B)
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "P, Lam",
+    [
+        ([[2, 1], [1, 2]], [[1, 0], [0, 1]]),
+        ([[2, 3], [3, 7]], [[1, 0], [0, 1]]),
+        ([["1/2", "1/3"], ["1/3", "5/4"]], [[2, 0], [0, 2]]),
+        ([[2, 3, 0], [3, 7, 1], [0, 1, 2]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ([[1, 0], [0, 1]], [[2, 1], [1, 3]]),
+    ],
+)
+def test_each_inverse_of_a_reduction_is_the_inverse(P, Lam):
+    # every inverse that one reduction hands out (of the reduced form, of
+    # U, of B and U G^-1) and the divisor's region frame M^-1 equal a plain
+    # Fraction inverse of their matrices
+    g = len(P)
+    theta = TropicalThetaFunction(
+        base=TropicalPolarizationData(g=g, P=RatMatrix(rows_from(P)), Lambda=Lam),
+        factor=AutomorphyFactor(Lambda=Lam, ell=(0,) * g),
+        profile=ValuationProfile(entries=tuple((r, 0) for r in CosetLattice(Lam).representatives())),
+    )
+    B = matmul(rows_from(P), Lam)
+    lattice._reduced.cache_clear()
+    U, U_inv, _, G_inv, (UA, ua), (A, a) = lattice._reduced(lattice._gram_rows(B))
+    G = matmul(transpose(U), matmul(B, U))
+    assert G_inv == inverse(G)
+    assert U_inv == tuple(tuple(int(x) for x in r) for r in inverse(U))
+    assert a > 0 and math.gcd(a, *itertools.chain(*A)) == 1
+    assert tuple(tuple(F(x, a) for x in r) for r in A) == inverse(B)
+    assert tuple(tuple(F(x, ua) for x in r) for r in UA) == matmul(U, inverse(G))
+    _, M, A, a, _ = theta._region_frame
+    assert a > 0 and tuple(tuple(F(x, a) for x in r) for r in A) == inverse(M)
 
 
 # ---------- minimize_quadratic ----------

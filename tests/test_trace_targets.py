@@ -58,3 +58,27 @@ def test_divisor_calls_the_layers_its_benchmark_traces(count_calls):
     data = TropicalPolarizationData(g=2, P=RatMatrix(((2, 1), (1, 2))), Lambda=((1, 0), (0, 1)))
     geometry.corner_locus(riemann_theta(data))
     assert all(calls.values()), {name: len(c) for name, c in calls.items()}
+
+
+def test_eval_calls_the_layers_its_benchmark_traces(count_calls):
+    # the layers the benchmark's self-test maps to the `eval` workload: a
+    # fresh theta's first value reduces its form (by the name the tracer
+    # patches, so the reduction stays visible) and minimizes through it
+    from troptheta.theta import TropicalThetaFunction
+
+    calls = {
+        name: count_calls(f)
+        for name, f in [
+            ("lattice.lll_reduce", lattice.lll_reduce),
+            ("lattice.minimize_quadratic", lattice.minimize_quadratic),
+            ("theta.evaluate", TropicalThetaFunction.evaluate),
+        ]
+    }
+    lattice._reduced.cache_clear()
+    data = TropicalPolarizationData(g=2, P=RatMatrix(((2, 3), (3, 7))), Lambda=((1, 0), (0, 1)))
+    riemann_theta(data).evaluate((0, 0))
+    assert {name: len(c) for name, c in calls.items()} == {
+        "lattice.lll_reduce": 1,
+        "lattice.minimize_quadratic": 1,
+        "theta.evaluate": 1,
+    }
