@@ -40,8 +40,8 @@ per mask, and each new vertex is an integer combination of the edge's ends.
 Tight sets stay complete under `_cut`, so each facet's piece of the divisor
 is a face of the domain clip: the vertices whose mask holds the facet plane.
 x is formed in Fractions once per returned point (a cell vertex, a piece
-vertex or a zero cell).
-Unbounded cells (non-ample functions) use the enumeration `_vertices_of`.
+vertex or a zero cell).  An unbounded cell (of a non-ample function) is
+`_cut` from a box that holds all its vertices strictly (`linearity_cell`).
 
 The corner locus is periodic: by the transformation law
 w(u + Lam d) = w(u) + c_trop(d) + [d, u], l_{u+Lam d}(x) - l_{u''+Lam d}(x)
@@ -52,7 +52,8 @@ witnesses shifted by Lam d; lex order is kept).  Witnesses are walked as
 coset class and moved to the rest of its class by one integer shift, in t
 by -d: (X, den) becomes (X - den d, den), the offset of a plane row (A, -N)
 over its scale q becomes (N - <A, d>) / q, witnesses move by Lam d, and the
-neighbors (rep_w, n_w) of the built cell become (rep_w, n_w + d).  A moved
+neighbors (rep_w, n_w) of the built cell become (rep_w, n_w + d).  `_place`
+is the one assembly of a cell and its facets, at d = 0 or moved.  A moved
 cell whose integer coordinate bounds miss the domain is dropped unclipped;
 the rest are clipped once, by the domain planes that some moved vertex is
 not strictly inside (a polytope can miss a box its bounds meet), and the
@@ -63,10 +64,8 @@ ties with u at a point of the region, so it is pooled; its plane is tight
 at p, and the cell satisfies the deepest pooled plane of that normal, so
 the two are one plane, with u' among its witnesses and its bit in p's mask.
 The sweeps take each region corner as integers (V, q) for x = V / q with an
-integer bound, and carry D w(u) with each competitor u, read off the
-enumerated n in the theta's integer kernel, so the pool offsets
-D w(u) - D w(u'') are integer differences and no competitor is decomposed
-into its coset again (`theta` module docstring).
+integer bound and carry D w(u) with each competitor u (`theta._coset_terms`),
+so the pool offsets D w(u) - D w(u'') are integer differences.
 """
 
 from __future__ import annotations
@@ -76,8 +75,8 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product
-from math import gcd, lcm
+from itertools import chain, product
+from math import gcd, isqrt, lcm
 from operator import add, and_, mul, or_, sub
 from typing import NamedTuple, Sequence
 
@@ -97,7 +96,6 @@ from .linalg import (
     json_list,
     matvec,
     rows_from,
-    solve,
     transpose,
     vecdot,
 )
@@ -128,25 +126,6 @@ _MARGIN = Fraction(1, 16)  # added to each bound of a cell's certified region
 
 
 # ---------- exact polyhedral helpers ----------
-
-
-def _vertices_of(ineqs, g):
-    """Vertices of { <a,x> >= b for ineqs }: every g-subset of tight
-    constraints with a unique solution that satisfies the rest.  Exact; for
-    unbounded polyhedra, where `_cut` has no bounded polytope to start from."""
-    found, rejected = set(), set()
-    for subset in combinations(ineqs, g):
-        try:
-            x = solve([a for a, _ in subset], [b for _, b in subset])
-        except ShapeMismatchError:
-            continue
-        if x in found or x in rejected:
-            continue
-        if all(vecdot(a, x) >= b for a, b in ineqs):
-            found.add(x)
-        else:
-            rejected.add(x)
-    return tuple(sorted(found))
 
 
 def _bits(mask: int):
@@ -338,7 +317,7 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
     (q/2) n^T (D P Lam) n + <L, n> + C is least at n* = -A L / (a q), where it
     is m = C - L^T A L / (2 a q), and it is at most bound iff
     (1/2) (n - n*)^T (P Lam) (n - n*) <= (bound - m) / (D q).  D w(u) is read
-    off each n as D w(rep) + n^T (D P Lam) n / 2 + <D (ell + P rep), n>."""
+    off each n by `theta._coset_terms`."""
     D = theta._kernel.D
     if not theta.is_ample:
         return sorted(
@@ -346,11 +325,10 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
             for rep, w in theta._kernel.w.items()
             if w is not None and q * w + D * sum(map(mul, rep, V)) <= bound
         )
-    form, lam, B = theta._form, theta.factor.Lambda, theta._kernel.B
-    A, a = form._reduction[-1]
+    A, a = theta._form._reduction[-1]
     a *= D
     out = []
-    for (rep, w, base), (_, L, C) in zip(theta._coset_constants, theta._coset_quadratics(q, V)):
+    for (w, base), (rep, L, C) in zip(theta._coset_constants.values(), theta._coset_quadratics(q, V)):
         AL = [sum(map(mul, row, L)) for row in A]
         # the radius (bound - m) / (D q), over 2 a q D q
         scale = 2 * a * q
@@ -358,10 +336,7 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
         if top < 0:
             continue
         center = [Fraction(-x, a * q) for x in AL]
-        for n in enumerate_below(form, center, Fraction(top, scale * D * q)):
-            Bn = [sum(map(mul, row, n)) for row in B]
-            u = tuple(map(add, rep, [sum(map(mul, row, n)) for row in lam]))
-            out.append((u, w + sum(map(mul, n, Bn)) // 2 + sum(map(mul, base, n))))
+        out += theta._coset_terms(rep, w, base, enumerate_below(theta._form, center, Fraction(top, scale * D * q)))
     out.sort()
     return out
 
@@ -373,16 +348,38 @@ def _to_x(v: IntVec, cols, D: int) -> TropPoint:
 
 
 class _Built(NamedTuple):
-    """A built cell and what its translates reuse: its polytope in t, with
-    its vertices in the cell's vertex order, its plane table, (bit, offset
-    denominator, vertex indices) per halfspace of the cell, and the
-    witnesses of each pool plane by bit."""
+    """A built cell as `_place` moves it: the x of the polytope's vertices
+    in its order, (bit, offset denominator, normal, facet witnesses, vertex
+    indices) per halfspace, and the witnesses of each pool plane by bit."""
 
-    cell: LinearityCell
+    witness: IntVec
     poly: Polytope
+    verts: tuple[TropPoint, ...]
     planes: _Planes
-    halfspaces: tuple[tuple[int, int, tuple[int, ...]], ...]
+    dim: int
+    span: tuple[Row, ...]
+    halfspaces: tuple[tuple, ...]
     witnesses: dict[int, list[IntVec]]
+
+    @property
+    def cell(self) -> LinearityCell:
+        zero = (0,) * len(self.witness)
+        return _place(self, zero, zero, self.verts)
+
+
+def _place(built: _Built, d: IntVec, shift, verts) -> LinearityCell:
+    """The built cell moved by -d in t (module docstring), shift = Lam d,
+    with verts the x of its moved vertices."""
+    rows, d1, full = built.planes.rows, (*d, 1), built.dim == len(d)
+    halfspaces, facets = [], []
+    for k, q, n, wits, idx in built.halfspaces:
+        b = Fraction(-sum(map(mul, rows[k], d1)), q)
+        halfspaces.append((n, b))
+        if full:
+            moved = tuple(tuple(map(add, w, shift)) for w in wits)
+            facets.append(Facet(n, b, moved, tuple(map(verts.__getitem__, idx))))
+    u = tuple(map(add, built.witness, shift))
+    return LinearityCell(u, tuple(halfspaces), verts, built.dim, built.span, tuple(facets))
 
 
 def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
@@ -480,19 +477,13 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
         for k in _bits(mask):
             on_plane.setdefault(k, []).append(i)
             meet[k] = meet.get(k, mask) & mask
-    tight, halfspaces, facets = [], [], []
-    for k, (n, (num, m, wits)) in enumerate(pool, 4 * g):
+    halfspaces = []
+    for k, (n, (_, m, wits)) in enumerate(pool, 4 * g):
         idx = tuple(on_plane.get(k, ()))
         # planes only grazing lower faces are implied by the facets and dropped
-        if not idx or (dim == g and meet[k] != 1 << k):
-            continue
-        b = Fraction(num, D * m)
-        tight.append((n, b))
-        halfspaces.append((k, D * m, idx))
-        if dim == g:
-            facets.append(Facet(n, b, tuple(sorted([u, *wits])), tuple(verts[i] for i in idx)))
-    cell = LinearityCell(u, tuple(tight), verts, dim, span, tuple(facets))
-    return _Built(cell, poly, planes, tuple(halfspaces), witnesses)
+        if idx and (dim < g or meet[k] == 1 << k):
+            halfspaces.append((k, D * m, n, tuple(sorted([u, *wits])), idx))
+    return _Built(u, poly, verts, planes, dim, span, tuple(halfspaces), witnesses)
 
 
 def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
@@ -506,21 +497,27 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
         raise OnCornerLocusError(result.witnesses)
     u = result.canonical
     if not theta.is_ample:
-        # finite support: the competitor set is the whole profile; the cell
-        # of a uniquely witnessed point is always full-dimensional, though
-        # possibly unbounded, so no vertex certification is attempted
+        # finite support: the pool is the whole profile.  A vertex solves g
+        # integer pool rows (a, b), so by Cramer and Hadamard |x_i| <=
+        # prod sqrt(|a|^2 + b^2) < sqrt(c^g) < R, for c the largest
+        # |a|^2 + (floor|b| + 1)^2: the cell's vertices are those of the box
+        # |x_i| <= R cut by the pool that are tight on no box plane
         D, w = theta._kernel.D, theta._kernel.w
-        groups = _pool(u, w[u], ((rep, x) for rep, x in w.items() if x is not None))
-        ineqs = tuple((a, Fraction(num, D * m)) for a, (num, m, _) in sorted(groups.items()))
-        return LinearityCell(
-            witness=u,
-            halfspaces=ineqs,
-            vertices=_vertices_of(ineqs, g),
-            dim=g,
-            span=tuple(tuple(map(Fraction, row)) for row in identity(g)),
-            facets=(),
-            bounded=False,
-        )
+        pool = sorted(_pool(u, w[u], ((rep, x) for rep, x in w.items() if x is not None)).items())
+        c = max((sum(x * x for x in a) + (abs(num) // (D * m) + 1) ** 2 for a, (num, m, _) in pool), default=0)
+        R = isqrt(c**g) + 1
+        rows = [row for e in identity(g) for row in ((*e, R), (*(-x for x in e), R))]
+        rows += [(*(D * m * x for x in a), -num) for a, (num, m, _) in pool]
+        box = {
+            (*(R * s for s in signs), 1): sum(1 << (2 * i + (s > 0)) for i, s in enumerate(signs))
+            for signs in product((-1, 1), repeat=g)
+        }
+        poly = _clip(box, _Planes(rows, {}), range(2 * g, len(rows)))
+        box_bits = (1 << 2 * g) - 1
+        verts = sorted(tuple(Fraction(x, t[-1]) for x in t[:-1]) for t, m in poly.items() if not m & box_bits)
+        halfspaces = tuple((a, Fraction(num, D * m)) for a, (num, m, _) in pool)
+        span = tuple(tuple(map(Fraction, e)) for e in identity(g))
+        return LinearityCell(u, halfspaces, tuple(verts), g, span, (), bounded=False)
     return _build_cell(theta, u).cell
 
 
@@ -789,7 +786,7 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         if rep not in classes:
             u = theta._witness(rep, n)
             built = _build_cell(theta, u)
-            xs.update(zip(built.poly, built.cell.vertices))
+            xs.update(zip(built.poly, built.verts))
             # every neighbor ties with u at a vertex of the cell: it is a
             # witness of a pool plane tight at some vertex (module docstring)
             tight = functools.reduce(or_, built.poly.values())
@@ -807,15 +804,12 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         cuts = _domain_cuts(bounds, d)
         if cuts is None:
             continue
-        moved = [(_move(t, d), m) for t, m in built.poly.items()]
-        clipped = _clip(dict(moved), built.planes, cuts)
+        moved = {_move(t, d): m for t, m in built.poly.items()}
+        clipped = _clip(moved, built.planes, cuts)
         if not clipped:
             continue
-        cell, rows, d1 = built.cell, built.planes.rows, (*d, 1)
-        shift = [sum(map(mul, row, d)) for row in lam]
-        verts = tuple(x_of(t) for t, _ in moved)
-        offsets = [Fraction(-sum(map(mul, rows[k], d1)), q) for k, q, _ in built.halfspaces]
-        facets = []
+        cell = _place(built, d, [sum(map(mul, row, d)) for row in lam], tuple(map(x_of, moved)))
+        kept.append(cell)
         # each piece is a face of the clip: tight sets stay complete, so its
         # vertices are those whose mask holds the facet plane (only
         # full-dimensional cells have facets)
@@ -823,14 +817,9 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         for t, m in clipped.items():
             for k in _bits(m):
                 on.setdefault(k, []).append(t)
-        for f, b, (k, _, idx) in zip(cell.facets, offsets, built.halfspaces):
-            wits = tuple([tuple(map(add, w, shift)) for w in f.witnesses])
-            facets.append(Facet(f.normal, b, wits, tuple(map(verts.__getitem__, idx))))
+        for f, (k, *_) in zip(cell.facets, built.halfspaces):
             if k in on:
-                pieces.add((tuple(sorted(on[k])), wits))
-        halfspaces = tuple((h[0], b) for h, b in zip(cell.halfspaces, offsets))
-        u = tuple(map(add, cell.witness, shift))
-        kept.append(LinearityCell(u, halfspaces, verts, cell.dim, cell.span, tuple(facets)))
+                pieces.add((tuple(sorted(on[k])), f.witnesses))
         if cell.dim == g:
             top.add(rep)
         queue.extend((r, tuple(map(add, m, d))) for r, m in neighbors)
@@ -852,17 +841,15 @@ def _quotient_summary(theta, c_count: int, pieces, x_of) -> QuotientSummary:
     modulo the lattice, and x_of maps a homogeneous point to its x."""
     g = theta.g
     # g <= 2: the divisor is a graph, points for g = 1, points and edges for
-    # g = 2, whose nodes are the pieces' lex extremes (interior points are
-    # tangencies against the clipping parallelepiped).  g = 3: vertex classes
-    # and 2-dimensional piece classes; graph invariants of the 2-dimensional
-    # skeleton are out of scope.  A piece with max(2, g) or more vertices is
-    # an edge for g = 2 and 2-dimensional for g = 3.
+    # g = 2 (a face of a polygon has its two ends as its only vertices).
+    # g = 3: vertex classes and 2-dimensional piece classes; graph invariants
+    # of the 2-dimensional skeleton are out of scope.  A piece with max(2, g)
+    # or more vertices is an edge for g = 2 and 2-dimensional for g = 3.
     nodes: dict[IntVec, int] = {}  # quotient point -> union-find index
     piece_keys = set()
     links = []
     for ts in pieces:
-        ends = ts if g == 3 else (ts[0], ts[-1])
-        ids = [nodes.setdefault(_quotient_point(t), len(nodes)) for t in ends]
+        ids = [nodes.setdefault(_quotient_point(t), len(nodes)) for t in ts]
         if len(ts) >= max(2, g):
             piece_keys.add(_canonical_shift(ts))
             links.append(ids)

@@ -379,11 +379,13 @@ class NAThetaFunction:
             return None
         return CosetLattice(self.cocycle.Lambda)
 
-    @property
+    @cached_property
     def _table(self) -> dict[IntVec, PuiseuxNumber]:
-        if "_cache" not in self.__dict__:
-            self.__dict__["_cache"] = dict(self.coeffs)
-        return self.__dict__["_cache"]
+        return dict(self.coeffs)
+
+    @cached_property
+    def _trop(self) -> TropicalThetaFunction:
+        return _tropicalize(self)
 
     def coefficient(self, u: Sequence[int]) -> PuiseuxNumber:
         """a_u, from the stored coset data via the extension rule."""
@@ -532,9 +534,7 @@ def tropicalize(f: NAThetaFunction) -> TropicalThetaFunction:
     """val of everything: profile w(u0) = val(a_u0) on the coset reps; the
     factor's linear part is how val(c) differs from the quadratic
     (1/2) n^T (P Lambda) n.  Computed once per series and cached on it."""
-    if "_trop" not in f.__dict__:
-        f.__dict__["_trop"] = _tropicalize(f)
-    return f.__dict__["_trop"]
+    return f._trop
 
 
 def _tropicalize(f: NAThetaFunction) -> TropicalThetaFunction:

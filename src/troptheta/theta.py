@@ -12,18 +12,19 @@ u = rep + Lam n.  `TropicalThetaFunction._coset_quadratics` is the one place
 that forms it, in integers: each theta compiles its data once, on first
 use, over one common denominator D (with D P Lam even), so D w(rep),
 D P Lam, D ell and D P are integers and one table, `_coset_constants`, holds
-(rep, D w(rep), D (ell + P rep)) per finite coset.  Values minimize the
+D w(rep) and D (ell + P rep) per finite coset rep.  Values minimize the
 quadratic (lattice.minimize_quadratic, on g + 1 Fractions per coset formed
 from those integers), and the divisor's competitor sweeps and the Puiseux
-partial sums enumerate below a bound through geometry._terms_below, which
-reads D w(u) off each enumerated n; the divisor's pool offsets
-D w(u) - D w(u'') are differences of those integers, so no competitor is
+partial sums enumerate below a bound through geometry._terms_below.
+`_coset_terms` is the one D w(rep + Lam n) formula, for those enumerations,
+`extended_w` and `c_trop` (the coset of 0), so the divisor's pool offsets
+D w(u) - D w(u'') are differences of integers and no competitor is
 decomposed into its coset again.  The divisor certifies each cell in a
 parallelepiped read off `_region_frame`, one integer frame per theta: no
 inverse is formed here, each is read off the one reduction of P Lam
-(lattice._reduced).  Its fundamental domain is kept in `_domain`.  `extended_w` and `c_trop` are one coset decomposition, a few
-integer dot products and one Fraction at the end.  The lambda = 0 case
-carries a finite support and a trivial factor, and the min is a finite scan.
+(lattice._reduced).  Its fundamental domain is kept in `_domain`.  The
+lambda = 0 case carries a finite support and a trivial factor, and the min
+is a finite scan.
 
 Products and translates never collapse into convolved profiles here: they
 stay formal expressions (TropicalThetaExpression) whose aggregate automorphy
@@ -38,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .lattice import (
@@ -122,9 +123,7 @@ class AutomorphyFactor:
         return len(self.Lambda)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.Lambda for x in r) and all(
-            x == 0 for x in self.ell
-        )
+        return self.lambda_is_zero() and not any(self.ell)
 
     def lambda_is_zero(self) -> bool:
         return all(x == 0 for r in self.Lambda for x in r)
@@ -295,15 +294,15 @@ class TropicalThetaFunction:
         )
 
     @cached_property
-    def _coset_constants(self) -> tuple[tuple[IntVec, int, IntVec], ...]:
-        """(rep, D w(rep), D (ell + P rep)) per finite rep, in the kernel's
+    def _coset_constants(self) -> dict[IntVec, tuple[int, IntVec]]:
+        """rep -> (D w(rep), D (ell + P rep)) per finite rep, in the kernel's
         integers: the one per-coset table."""
         k = self._kernel
-        return tuple(
-            (rep, w, tuple(e + sum(map(mul, row, rep)) for e, row in zip(k.ell, k.P)))
+        return {
+            rep: (w, tuple(e + sum(map(mul, row, rep)) for e, row in zip(k.ell, k.P)))
             for rep, w in k.w.items()
             if w is not None
-        )
+        }
 
     @cached_property
     def _region_frame(self) -> tuple[IntRows, IntRows, IntRows, int, IntVec]:
@@ -333,33 +332,36 @@ class TropicalThetaFunction:
     # ---------- the automorphy data ----------
 
     def c_trop(self, n: Sequence[int]) -> Fraction:
-        n = tuple(int(x) for x in n)
-        return Fraction(self._c_numerator(n), self._kernel.D)
+        # D c_trop(n) is D w(Lam n) on the coset of 0, with w(0) = 0
+        ((_, num),) = self._coset_terms((0,) * self.g, 0, self._kernel.ell, [tuple(int(x) for x in n)])
+        return Fraction(num, self._kernel.D)
 
     def extended_w(self, u: Sequence[int]) -> Fraction | float:
         """w on all of M via w(u0 + Lam n) = w(u0) + c_trop(n) + [n, u0]."""
         num = self._w_numerator(tuple(int(x) for x in u))
         return INF if num is None else Fraction(num, self._kernel.D)
 
-    def _c_numerator(self, n: IntVec) -> int:
-        """D c_trop(n): (1/2) n^T (D P Lam) n + <D ell, n>, exact since
-        D P Lam is even."""
-        k = self._kernel
-        quad = sum(x * sum(b * y for b, y in zip(row, n)) for x, row in zip(n, k.B))
-        return quad // 2 + sum(e * x for e, x in zip(k.ell, n))
-
     def _w_numerator(self, u: IntVec) -> int | None:
-        """D w(u) over the kernel's denominator D, None where w(u) = inf;
-        the pairing [n, u0] is n^T P u0."""
-        k = self._kernel
+        """D w(u) over the kernel's denominator D, None where w(u) = inf."""
         if not self.is_ample:
-            return k.w.get(u)
+            return self._kernel.w.get(u)
         rep, n = self._cosets.decompose(u)
-        w = k.w[rep]
-        if w is None:
+        if self._kernel.w[rep] is None:
             return None
-        pair = sum(x * sum(p * r for p, r in zip(row, rep)) for x, row in zip(n, k.P))
-        return w + self._c_numerator(n) + pair
+        return self._coset_terms(rep, *self._coset_constants[rep], [n])[0][1]
+
+    def _coset_terms(self, rep: IntVec, w: int, base: IntVec, ns) -> list[tuple[IntVec, int]]:
+        """(u, D w(u)) for u = rep + Lam n, n in ns, with w = D w(rep) and
+        base = D (ell + P rep): the one place that spells out
+        D w(u) = w + n^T (D P Lam) n / 2 + <base, n>, exact as D P Lam is even."""
+        lam, B = self.factor.Lambda, self._kernel.B
+        return [
+            (
+                tuple(map(add, rep, [sum(map(mul, row, n)) for row in lam])),
+                w + sum(map(mul, n, [sum(map(mul, row, n)) for row in B])) // 2 + sum(map(mul, base, n)),
+            )
+            for n in ns
+        ]
 
     # ---------- evaluation ----------
 
@@ -401,7 +403,7 @@ class TropicalThetaFunction:
         L = q D (ell + P rep) + D Lam^T V and C = q D w(rep) + D <rep, V>."""
         D = self._kernel.D
         lam_t_v = [D * sum(map(mul, col, V)) for col in zip(*self.factor.Lambda)]
-        for rep, w, base in self._coset_constants:
+        for rep, (w, base) in self._coset_constants.items():
             L = tuple(q * b + lv for b, lv in zip(base, lam_t_v))
             yield rep, L, q * w + D * sum(map(mul, rep, V))
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from troptheta import geometry, linalg
@@ -1007,6 +1007,49 @@ def test_two_term_cell_is_a_halfline():
     assert cell.vertices == ((F(0),),)
     assert not cell.bounded
     assert cell.contains((F(100),)) and not cell.contains((F(-1, 3),))
+
+
+def finite_theta(entries):
+    """A non-ample theta (Lam = 0) with the finite support `entries`."""
+    g = len(entries[0][0])
+    unit = [[int(i == j) for j in range(g)] for i in range(g)]
+    return TropicalThetaFunction(
+        base=TropicalPolarizationData(g=g, P=unit, Lambda=unit),
+        factor=AutomorphyFactor(Lambda=[[0] * g for _ in range(g)], ell=(F(0),) * g),
+        profile=ValuationProfile(entries=tuple(entries)),
+    )
+
+
+@st.composite
+def finite_supports(draw):
+    g = draw(st.integers(1, 3))
+    points = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * g), min_size=1, max_size=12, unique=True))
+    fine = st.builds(F, st.integers(-40, 40), st.integers(1, 13))
+    return [(u, draw(rationals)) for u in points], tuple(draw(fine) for _ in range(g))
+
+
+# 60 points of {-3..3}^3 with w(u) = |u|^2; the cell at v has 58 pool planes
+SIXTY = [
+    (u, F(sum(x * x for x in u)))
+    for u in random.Random(1).sample(sorted(itertools.product(range(-3, 4), repeat=3)), 60)
+]
+
+
+@given(finite_supports())
+@example(([((0, 0), F(0))], (F(1), F(2))))  # one point: an empty pool
+@example(([((0,), F(0)), ((1,), F(0))], (F(1),)))  # two points: a half-line
+@example(([((0, 0), F(0)), ((1, 0), F(1)), ((2, 0), F(3))], (F(-1, 2), F(5))))  # no vertex
+@example((SIXTY, (F(1, 7), F(-1, 11), F(1, 13))))
+@settings(max_examples=60, deadline=None)
+def test_non_ample_cell_vertices_match_brute_force(case):
+    entries, v = case
+    try:
+        cell = linearity_cell(finite_theta(entries), v)
+    except OnCornerLocusError:
+        assume(False)
+    if entries is SIXTY:
+        assert len(cell.halfspaces) == 58
+    assert cell.vertices == tuple(sorted(brute_force_vertices(cell.halfspaces, len(v))))
 
 
 def test_corner_locus_needs_an_ample_factor():

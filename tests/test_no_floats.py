@@ -127,11 +127,11 @@ def test_non_ample_cell_is_exact():
     assert {type(x) for x in numbers(cell)} <= {int, Fraction}
 
 
-@pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I"])
+@pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I", "non-ample"])
 def test_cut_runs_in_integers(monkeypatch, name):
     # homogeneous vertices, tight masks, plane rows and the edge-rank cache:
-    # no Fraction goes into _cut or comes out of it
-    theta = LEVEL2_I if name == "LEVEL2_I" else fixture_theta(name)
+    # no Fraction goes into _cut or comes out of it, also where a non-ample
+    # cell is cut from its box
     calls = []
     cut = geometry._cut
 
@@ -141,7 +141,13 @@ def test_cut_runs_in_integers(monkeypatch, name):
         return out
 
     monkeypatch.setattr(geometry, "_cut", recording)
-    corner_locus(theta)
+    if name == "non-ample":
+        # one point in the cell of each of the six support points
+        third, seventh = Fraction(1, 3), Fraction(1, 7)
+        for v in [(third, Fraction(-1, 5)), (-5, third), (third, -5), (5, seventh), (seventh, 5), (-5, -5)]:
+            linearity_cell(NON_AMPLE, v)
+    else:
+        corner_locus(LEVEL2_I if name == "LEVEL2_I" else fixture_theta(name))
     found = list(numbers(calls))
     assert len(calls) > 10 and len(found) > 1000
     assert {type(x) for x in found} == {int}
