@@ -380,6 +380,19 @@ class CosetLattice:
                 rep[i] -= k[j] * H[i][j]
         return tuple(rep), tuple(sum(map(mul, row, k)) for row in V)
 
+    def normal_form(self, entries, move, name: str, error: type[ValueError]) -> dict:
+        """{rep: value} over representatives(), sorted, from (u, value)
+        entries given at any member u = rep + Lam n of their cosets: a value
+        given at u != rep is moved to rep by move(rep, n, value), and a second
+        entry in one coset raises error("<name> reps u and u' are congruent")."""
+        out: dict = {}
+        for u, value in entries:
+            rep, n = self.decompose(u)
+            if rep in out:
+                raise error(f"{name} reps {u} and {out[rep][0]} are congruent")
+            out[rep] = u, move(rep, n, value) if any(n) else value
+        return {rep: value for rep, (_, value) in sorted(out.items())}
+
 
 @dataclass(frozen=True)
 class QuadraticMinimum:

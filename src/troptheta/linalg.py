@@ -220,9 +220,6 @@ class RatMatrix:
     def det(self) -> Fraction:
         return det(self.entries)
 
-    def solve(self, rhs) -> Row:
-        return solve(self.entries, rhs)
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
         return self.entries[i][j]

@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from math import floor, lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -55,6 +55,8 @@ from .linalg import (
 from .puiseux import PuiseuxNumber, Term
 from .theta import (
     AutomorphyFactor,
+    CheckFailure,
+    CheckReport,
     NotPrincipalError,
     TropicalThetaExpression,
     TropicalThetaFunction,
@@ -285,42 +287,22 @@ class NACocycle:
         return [str(c) for c in self.generators]
 
 
-@dataclass(frozen=True)
-class NAReport:
-    checked: int
-    failures: tuple[tuple, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def verify_cocycle(cocycle: NACocycle, samples: int = 20, seed: int = 0) -> NAReport:
+def verify_cocycle(cocycle: NACocycle, samples: int = 20, seed: int = 0) -> CheckReport:
     """Exact spot-check of c(u1+u2) = c(u1) c(u2) t(u1, lambda(u2)) on all
-    generator pairs plus `samples` seeded random pairs with |n_i| <= 4."""
-    g = cocycle.g
-    pairs = []
-    for i in range(g):
-        for j in range(g):
-            e_i = tuple(1 if k == i else 0 for k in range(g))
-            e_j = tuple(1 if k == j else 0 for k in range(g))
-            pairs.append((e_i, e_j))
-    rng = random.Random(seed)
+    generator pairs plus `samples` seeded random pairs with |n_i| <= 4; a
+    failure carries the pair (n1, n2) as its point and shift."""
+    g, rng = cocycle.g, random.Random(seed)
+    pairs = list(product(identity(g), repeat=2))
     for _ in range(samples):
-        pairs.append(
-            (
-                tuple(rng.randint(-4, 4) for _ in range(g)),
-                tuple(rng.randint(-4, 4) for _ in range(g)),
-            )
-        )
+        pairs.append(tuple(tuple(rng.randint(-4, 4) for _ in range(g)) for _ in range(2)))
     failures = []
     for n1, n2 in pairs:
         total = tuple(a + b for a, b in zip(n1, n2))
         lhs = cocycle.value(total)
         rhs = cocycle.value(n1) * cocycle.value(n2) * cocycle.t_lambda(n1, n2)
         if lhs != rhs:
-            failures.append((n1, n2))
-    return NAReport(checked=len(pairs), failures=tuple(failures))
+            failures.append(CheckFailure(point=n1, shift=n2, lhs=lhs, rhs=rhs))
+    return CheckReport(checked=len(pairs), failures=tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -349,22 +331,14 @@ class NAThetaFunction:
                 seen.add(rep)
             norm = sorted(entries)
         else:
-            cosets = self._cosets
-            canonical: dict[IntVec, PuiseuxNumber] = {}
-            for rep, a in entries:
-                canon, n = cosets.decompose(rep)
-                if canon in canonical:
-                    raise InvalidDataError(
-                        f"two coefficients in the coset of {canon}"
-                    )
-                if rep != canon:
-                    # a_rep = t(n, canon) c(n) a_canon, one monomial factor
-                    e, c = self.cocycle._extension(n, canon)
-                    a = a._shifted(-e, 1 / c)
-                canonical[canon] = a
-            for rep in cosets.representatives():
-                canonical.setdefault(rep, PuiseuxNumber.zero())
-            norm = sorted(canonical.items())
+
+            def move(rep: IntVec, n: IntVec, a: PuiseuxNumber) -> PuiseuxNumber:
+                # a_{rep + lambda(n)} = t(n, rep) c(n) a_rep, one monomial factor
+                e, c = self.cocycle._extension(n, rep)
+                return a._shifted(-e, 1 / c)
+
+            table = self._cosets.normal_form(entries, move, "coefficient", InvalidDataError)
+            norm = [(rep, table.get(rep, PuiseuxNumber.zero())) for rep in self._cosets.representatives()]
         object.__setattr__(self, "coeffs", tuple(norm))
         if all(a.is_zero() for _, a in self.coeffs):
             raise InvalidDataError("theta function needs a nonzero coefficient")
@@ -402,9 +376,10 @@ class NAThetaFunction:
         table[u] = a
         return a
 
-    def verify_invariance(self, samples: int = 20, seed: int = 0) -> NAReport:
+    def verify_invariance(self, samples: int = 20, seed: int = 0) -> CheckReport:
         """Exact check of a_{u + lambda(u')} = t(u', u) c(u') a_u on the
-        stored (and cached) indices plus seeded random ones."""
+        stored (and cached) indices plus seeded random ones; a failure
+        carries u as its point and u' as its shift."""
         rng = random.Random(seed)
         g = self.g
         indices = sorted(self._table.keys())
@@ -426,8 +401,8 @@ class NAThetaFunction:
                 )
                 checked += 1
                 if lhs != rhs:
-                    failures.append((nprime, u))
-        return NAReport(checked=checked, failures=tuple(failures))
+                    failures.append(CheckFailure(point=u, shift=nprime, lhs=lhs, rhs=rhs))
+        return CheckReport(checked=checked, failures=tuple(failures))
 
     # ---------- serialization ----------
 

@@ -9,12 +9,16 @@ representatives of M / lambda(M'); it extends to all of M by
 and evaluates as f(v) = min_{u in M} w(u) + <u, v>.  With P Lam positive
 definite, w(u) + <u, v> on each coset is a convex integer quadratic in n,
 u = rep + Lam n.  `TropicalThetaFunction._coset_quadratics` is the one place
-that forms it, in integers: each theta compiles its data once, on first
-use, over one common denominator D (with D P Lam even), so D w(rep),
-D P Lam, D ell and D P are integers and one table, `_coset_constants`, holds
-D w(rep) and D (ell + P rep) per finite coset rep.  Values minimize the
-quadratic (lattice.minimize_quadratic, on g + 1 Fractions per coset formed
-from those integers), and the divisor's competitor sweeps and the Puiseux
+that forms it, in integers: each theta compiles its data once over one
+common denominator D (with D P Lam even), so D w(rep), D P Lam, D ell and
+D P are integers and one table, `_coset_constants`, holds D w(rep) and
+D (ell + P rep) per finite coset, keyed by the canonical rep of
+lattice.CosetLattice.  A profile rep may be any member of its coset: at
+construction, CosetLattice.normal_form (the one place that decomposes
+profile reps) moves its value to the canonical rep by the law above, and
+rejects a second rep of one coset.  Values minimize the quadratic
+(lattice.minimize_quadratic, on g + 1 Fractions per coset formed from
+those integers), and the divisor's competitor sweeps and the Puiseux
 partial sums enumerate below a bound through geometry._terms_below.
 `_coset_terms` is the one D w(rep + Lam n) formula, for those enumerations,
 `extended_w` and `c_trop` (the coset of 0), so the divisor's pool offsets
@@ -210,8 +214,8 @@ class EvalResult:
 
 class _Kernel(NamedTuple):
     """A theta's data in integers over one common denominator D, chosen so
-    that D (P Lam) is even: D w(rep) on each rep (None for inf), D (P Lam),
-    D ell and D P."""
+    that D (P Lam) is even: D w(rep) on each profile rep as given (None for
+    inf), D (P Lam), D ell and D P."""
 
     D: int
     w: dict[IntVec, int | None]
@@ -248,17 +252,10 @@ class TropicalThetaFunction:
             if not is_symmetric(B):
                 raise NotSymmetricError("P * Lambda must be symmetric")
             _gso(B)  # raises NotPositiveDefiniteError with the bad pivot
-            cosets = self._cosets
-            reps = self.profile.reps
-            if len(reps) != cosets.index:
-                raise ShapeMismatchError(
-                    f"profile needs {cosets.index} coset representatives, got {len(reps)}"
-                )
-            first: dict[IntVec, IntVec] = {}  # reps are distinct (ValuationProfile)
-            for a in reps:
-                b = first.setdefault(cosets.decompose(a)[0], a)
-                if b != a:
-                    raise ShapeMismatchError(f"profile reps {a} and {b} are congruent")
+            index, count = self._cosets.index, len(self.profile.entries)
+            if count != index:
+                raise ShapeMismatchError(f"profile needs {index} coset representatives, got {count}")
+            self._coset_constants  # one rep per coset, or ShapeMismatchError
 
     @property
     def g(self) -> int:
@@ -295,14 +292,22 @@ class TropicalThetaFunction:
 
     @cached_property
     def _coset_constants(self) -> dict[IntVec, tuple[int, IntVec]]:
-        """rep -> (D w(rep), D (ell + P rep)) per finite rep, in the kernel's
-        integers: the one per-coset table."""
+        """rep -> (D w(rep), D (ell + P rep)) per finite coset, keyed by the
+        canonical rep (CosetLattice.normal_form), in the kernel's integers:
+        the one per-coset table.  A profile rep may be any member
+        u = rep + Lam n of its coset; its value moves to rep by the
+        transformation law, D w(rep) = D w(u) - D (c_trop(n) + [n, rep]),
+        an integer over the same D since D P Lam is even."""
         k = self._kernel
-        return {
-            rep: (w, tuple(e + sum(map(mul, row, rep)) for e, row in zip(k.ell, k.P)))
-            for rep, w in k.w.items()
-            if w is not None
-        }
+
+        def base(rep: IntVec) -> IntVec:
+            return tuple(e + sum(map(mul, row, rep)) for e, row in zip(k.ell, k.P))
+
+        def move(rep: IntVec, n: IntVec, w: int | None) -> int | None:
+            return None if w is None else w - self._coset_terms(rep, 0, base(rep), [n])[0][1]
+
+        table = self._cosets.normal_form(k.w.items(), move, "profile", ShapeMismatchError)
+        return {rep: (w, base(rep)) for rep, w in table.items() if w is not None}
 
     @cached_property
     def _region_frame(self) -> tuple[IntRows, IntRows, IntRows, int, IntVec]:
@@ -346,9 +351,8 @@ class TropicalThetaFunction:
         if not self.is_ample:
             return self._kernel.w.get(u)
         rep, n = self._cosets.decompose(u)
-        if self._kernel.w[rep] is None:
-            return None
-        return self._coset_terms(rep, *self._coset_constants[rep], [n])[0][1]
+        constants = self._coset_constants.get(rep)
+        return None if constants is None else self._coset_terms(rep, *constants, [n])[0][1]
 
     def _coset_terms(self, rep: IntVec, w: int, base: IntVec, ns) -> list[tuple[IntVec, int]]:
         """(u, D w(u)) for u = rep + Lam n, n in ns, with w = D w(rep) and
@@ -479,10 +483,13 @@ def riemann_theta(data: TropicalPolarizationData) -> TropicalThetaFunction:
 
 @dataclass(frozen=True)
 class CheckFailure:
-    point: TropPoint
+    """lhs != rhs at a point and an integer shift: theta values at a point v
+    here, Puiseux monomials or coefficients at an integer pair in nonarch."""
+
+    point: TropPoint | IntVec
     shift: IntVec
-    lhs: Fraction
-    rhs: Fraction
+    lhs: object
+    rhs: object
 
 
 @dataclass(frozen=True)
@@ -656,7 +663,7 @@ def level_n_function(
     if (
         abs(int_det(theta.factor.Lambda)) != 1
         or any(x != 0 for x in theta.factor.ell)
-        or theta.profile.entries != ((zero, Fraction(0)),)
+        or theta._coset_constants != {zero: (0, zero)}
         or theta.factor.Lambda != theta.base.Lambda
     ):
         raise NotPrincipalError("level_n_function needs the principal Riemann theta")

@@ -428,6 +428,41 @@ def test_divisor_accepts_series_input(tmp_path):
     assert report_of(res)["divisor"]["zero_cells"] == 1
 
 
+LEVEL2_TWIN = {
+    "g": 1,
+    "P": [["1"]],
+    "Lambda": [[2]],
+    "factor": {"Lambda": [[2]], "ell": ["0"]},
+    "profile": [{"rep": [0], "w": "0"}, {"rep": [1], "w": "-3/2"}],
+}
+
+
+def test_divisor_and_eval_accept_profile_reps_off_the_canonical_box(tmp_path):
+    # rep 3 = 1 + 2 * 1 carries w(3) = w(1) + c_trop(1) + [1, 1] = -3/2 + 1 + 1:
+    # the same theta as its canonical twin, so the same mesh and values
+    shifted = {**LEVEL2_TWIN, "profile": [{"rep": [0], "w": "0"}, {"rep": [3], "w": "1/2"}]}
+    meshes, results = [], []
+    for name, doc in (("shifted", shifted), ("twin", LEVEL2_TWIN)):
+        path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.mesh.json"
+        path.write_text(json.dumps(doc))
+        res = run("divisor", path, "--out", out)
+        assert res.exit_code == 0, res.output
+        meshes.append(out.read_bytes())
+        res = run("eval", path, "1/3", "0", "-5/7", "1/2")
+        assert res.exit_code == 0, res.output
+        results.append(json.dumps(report_of(res)["results"]))
+    assert meshes[0] == meshes[1]
+    assert results[0] == results[1]
+
+
+def test_validate_rejects_congruent_profile_reps(tmp_path):
+    doc = {**LEVEL2_TWIN, "profile": [{"rep": [0], "w": "0"}, {"rep": [2], "w": "1"}]}
+    res = run_doc(tmp_path, doc, "validate")
+    assert res.exit_code == 1
+    (check,) = report_of(res)["checks"]
+    assert check == {"name": "construction", "passed": False, "detail": "profile reps (2,) and (0,) are congruent"}
+
+
 def test_divisor_rejects_svg_for_g1(tmp_path):
     res = run("divisor", FIXTURES / "variety_g1.json", "--out", tmp_path / "m.svg", "--format", "svg")
     assert res.exit_code == 2

@@ -11,9 +11,11 @@ g = 1, 2, 3 and of a non-ample linearity cell.  The polytope primitive
 and result of its calls during corner loci and finds only ints.  So do the
 competitor sweep's (u, D w(u)) pairs and the pool built from them: a fourth
 check walks every `_terms_below` argument and result and every `_pool`
-argument and result.  The minimizer reads each value off its ellipsoid walk: a fifth
-check walks every leaf the walk yields during theta evaluations, point and
-leftover budget, and finds only ints.
+argument and result, also for a theta whose profile reps lie off the
+canonical box, so that its values are moved onto the box in ints.  The
+minimizer reads each value off its ellipsoid walk: a fifth check walks every
+leaf the walk yields during theta evaluations, point and leftover budget,
+and finds only ints.
 """
 
 import ast
@@ -121,6 +123,17 @@ NON_AMPLE = TropicalThetaFunction(
 )
 
 
+# LEVEL2_I with each profile rep moved off the canonical box by Lam m and its
+# value carried along by the transformation law
+LEVEL2_SHIFTED = TropicalThetaFunction(
+    base=LEVEL2_I.base,
+    factor=LEVEL2_I.factor,
+    profile=ValuationProfile(
+        entries=tuple((u, LEVEL2_I.extended_w(u)) for u in [(2, -2), (-2, 1), (1, 4), (3, -3)])
+    ),
+)
+
+
 def test_non_ample_cell_is_exact():
     cell = linearity_cell(NON_AMPLE, (Fraction(1, 3), Fraction(-1, 5)))
     assert cell.witness == (0, 0) and len(cell.vertices) >= 4
@@ -153,12 +166,13 @@ def test_cut_runs_in_integers(monkeypatch, name):
     assert {type(x) for x in found} == {int}
 
 
-@pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I", "non-ample"])
+@pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I", "LEVEL2_SHIFTED", "non-ample"])
 def test_sweep_and_pool_run_in_integers(monkeypatch, name):
     # each region corner reaches the sweep as integers (q, V, bound), the
     # sweep's pairs carry D w(u) as an int, and the pool's offsets are
     # their differences: no Fraction goes into _terms_below or _pool or
-    # comes out of them
+    # comes out of them.  Profile values given off the canonical box are
+    # moved onto it as ints over the same D
     sweeps, pools = [], []
     terms_below, pool = geometry._terms_below, geometry._pool
 
@@ -180,6 +194,11 @@ def test_sweep_and_pool_run_in_integers(monkeypatch, name):
         linearity_cell(NON_AMPLE, (Fraction(1, 3), Fraction(-1, 5)))
         # every term of value at most 2 at v = 0: bound 2 D over q = 1
         assert len(geometry._terms_below(NON_AMPLE, 1, (0, 0), 2 * NON_AMPLE._kernel.D)) == 5
+    elif name == "LEVEL2_SHIFTED":
+        assert LEVEL2_SHIFTED._kernel.D == LEVEL2_I._kernel.D
+        assert LEVEL2_SHIFTED._coset_constants == LEVEL2_I._coset_constants
+        assert {type(x) for x in numbers(LEVEL2_SHIFTED._coset_constants)} == {int}
+        corner_locus(LEVEL2_SHIFTED)
     else:
         corner_locus(LEVEL2_I if name == "LEVEL2_I" else fixture_theta(name))
     assert sweeps and all(out for _, out in sweeps)

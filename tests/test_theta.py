@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from troptheta import geometry
 from troptheta.lattice import CosetLattice, NotPositiveDefiniteError
 from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matvec, solve, transpose
+from troptheta.nonarch import NAThetaFunction, PeriodMatrix, canonical_cocycle
+from troptheta.puiseux import PuiseuxNumber
 from troptheta.rationals import INF
 from troptheta.theta import (
     AutomorphyFactor,
@@ -390,6 +392,47 @@ def test_terms_below_matches_fraction_brute_force(case):
     assert (offset < 0) == (got == [])
 
 
+# ---------- profile reps anywhere in their cosets ----------
+
+
+@given(sweep_cases().filter(lambda case: case[0].is_ample), st.data())
+@settings(max_examples=30, deadline=None)
+def test_profile_reps_may_be_any_member_of_their_cosets(case, data):
+    # each canonical rep moved to rep + Lam m, its w moved by the
+    # transformation law (the canonical theta's extended_w): the same theta,
+    # value for value, witness for witness and mesh byte for mesh byte; and
+    # the same for a Fourier series whose coefficients are given there
+    theta, v, _ = case
+    g, lam = theta.g, theta.factor.Lambda
+    shift = st.tuples(*[st.integers(-3, 3)] * g)
+    moved = [
+        tuple(r + x for r, x in zip(rep, matvec(lam, data.draw(shift))))
+        for rep in theta.profile.reps
+    ]
+    twin = TropicalThetaFunction(
+        base=theta.base,
+        factor=theta.factor,
+        profile=ValuationProfile(entries=tuple((u, theta.extended_w(u)) for u in moved)),
+    )
+    point = st.tuples(*[st.builds(F, st.integers(-9, 9), st.integers(1, 4))] * g)
+    for x in [v, *data.draw(st.lists(point, min_size=3, max_size=3))]:
+        assert twin.evaluate(x) == theta.evaluate(x)
+    for u in [*moved, *data.draw(st.lists(shift, min_size=5, max_size=5))]:
+        assert twin.extended_w(u) == theta.extended_w(u)
+    assert geometry.export_mesh(geometry.corner_locus(twin), "json") == geometry.export_mesh(
+        geometry.corner_locus(theta), "json"
+    )
+
+    period = PeriodMatrix(entries=tuple(tuple(PuiseuxNumber(((x, F(1)),)) for x in row) for row in theta.base.P.entries))
+    coeffs = [
+        (rep, PuiseuxNumber.zero() if w == INF else PuiseuxNumber(((w, F(k)), (w + 1, F(1)))))
+        for k, (rep, w) in enumerate(theta.profile.entries, 1)
+    ]
+    f = NAThetaFunction(cocycle=canonical_cocycle(period, lam), coeffs=tuple(coeffs))
+    shifted = NAThetaFunction(cocycle=f.cocycle, coeffs=tuple((u, f.coefficient(u)) for u in moved))
+    assert shifted.coeffs == f.coeffs
+
+
 # ---------- invariants ----------
 
 def rational_grid(g, count, seed, span=6):
@@ -635,6 +678,11 @@ def test_level_n_function_and_kummer():
     samples2 = rational_grid(2, 8, seed=61)
     assert h2.check_periodicity(samples2).ok
     assert kummer_check(h2, samples2).ok
+
+    # the Riemann theta with its one profile rep given at 2 = 0 + Lam 2
+    moved = TropicalThetaFunction(base=D1, factor=TH1.factor, profile=ValuationProfile(entries=(((2,), TH1.extended_w((2,))),)))
+    h3 = level_n_function(moved, [w, tuple(-x for x in w)])
+    assert [h3(v) for v in samples] == [h(v) for v in samples]
 
 
 def test_level_n_shift_sum_enforced():

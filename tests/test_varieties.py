@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from troptheta.linalg import RatMatrix, ShapeMismatchError, matvec, transpose
+from troptheta.linalg import RatMatrix, ShapeMismatchError, matvec, solve, transpose
 from troptheta.varieties import (
     InvalidDataError,
     TropicalPolarizationData,
@@ -80,7 +80,7 @@ def test_embed_and_reduce_g2():
         back = tuple(a + b for a, b in zip(p.rep, embed_Mprime(G2, p.shift)))
         assert back == v
         # rep has coefficients in [0, 1) w.r.t. the period basis
-        t = RatMatrix(transpose(G2.P.entries)).solve(p.rep)
+        t = solve(transpose(G2.P.entries), p.rep)
         assert all(0 <= c < 1 for c in t)
 
 
