@@ -385,7 +385,7 @@ def _build() -> None:
             "divisor": {
                 "cells": len(complex_.cells),
                 "skeleton_pieces": len(complex_.skeleton),
-                "zero_cells": len(q.zero_cells),
+                "zero_cells": len(q.points),
                 "one_cells": q.one_cell_count,
                 "top_cells": q.top_cell_count,
                 "components": q.betti0,

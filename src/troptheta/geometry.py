@@ -39,9 +39,19 @@ edge iff the normals tight at both (an AND of masks) have rank g-1, cached
 per mask, and each new vertex is an integer combination of the edge's ends.
 Tight sets stay complete under `_cut`, so each facet's piece of the divisor
 is a face of the domain clip: the vertices whose mask holds the facet plane.
-x is formed in Fractions once per returned point (a cell vertex, a piece
-vertex or a zero cell).  An unbounded cell (of a non-ample function) is
-`_cut` from a box that holds all its vertices strictly (`linearity_cell`).
+An unbounded cell (of a non-ample function) is `_cut` from a box that holds
+all its vertices strictly (`linearity_cell`).
+
+Results keep the integer form to the mesh bytes.  A returned point x = P^T t
+(a cell vertex, a piece vertex, a zero cell or a span direction) is held as
+a homogeneous x, (V, q) with V = (D P)^T X and q = D den over their gcd, and
+an offset as a ratio (num, den), both in lowest terms with a positive last
+entry, so equal values have equal forms (`_lowest`).  The Fraction fields of
+the public classes (`vertices`, `offset`, `halfspaces`, `span`,
+`zero_cells`) are views formed when first read (`_x`), with the same
+`repr`, `==` and json as eager Fractions.  The writers print "p/q" after
+one gcd (`_ratio`) and floats as V_i / q, an int true division that rounds
+exactly as float(Fraction) does.
 
 The corner locus is periodic: by the transformation law
 w(u + Lam d) = w(u) + c_trop(d) + [d, u], l_{u+Lam d}(x) - l_{u''+Lam d}(x)
@@ -75,7 +85,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd, isqrt, lcm
 from operator import add, and_, mul, or_, sub
 from typing import NamedTuple, Sequence
@@ -194,16 +204,77 @@ def _clip(poly: Polytope, planes: _Planes, ks) -> Polytope:
     return poly
 
 
-def _affine_span(points):
-    """Reduced row echelon basis of the direction space of the affine hull:
-    the pivot rows of one fraction-free elimination over their pivot."""
+def _lowest(v) -> IntVec:
+    """The integer vector v over the gcd of its entries, signed so that its
+    last entry is positive: a homogeneous x (V, q), or a ratio (num, den),
+    in lowest terms."""
+    f = gcd(*v)
+    if v[-1] < 0:
+        f = -f
+    return tuple(v) if f == 1 else tuple([x // f for x in v])
+
+
+def _hx(t: IntVec, cols, D: int) -> IntVec:
+    """The homogeneous x of x = P^T t, for the homogeneous t = (X, den) and
+    cols the columns of D P: (V, q) = ((D P)^T X, D den) in lowest terms."""
+    return _lowest([*[sum(map(mul, c, t)) for c in cols], D * t[-1]])
+
+
+def _homogeneous(point: TropPoint) -> IntVec:
+    """A Fraction point as a homogeneous x in lowest terms: its entries over
+    the lcm of their denominators."""
+    q = lcm(*(c.denominator for c in point))
+    return (*(c.numerator * (q // c.denominator) for c in point), q)
+
+
+@functools.lru_cache(maxsize=1024)
+def _x(p: IntVec) -> TropPoint:
+    """The Fraction view V / q of a homogeneous x (V, q): formed once per
+    point while it is cached, and shared by every object that holds it."""
+    q = p[-1]
+    return tuple(Fraction(v, q) for v in p[:-1])
+
+
+def _ratio(n: int, d: int) -> str:
+    """n / d, for d > 0, as the "p/q" literal that str(Fraction(n, d))
+    prints."""
+    f = gcd(n, d)
+    return str(n // f) if d == f else f"{n // f}/{d // f}"
+
+
+def _literals(p: IntVec) -> list[str]:
+    """The "p/q" literals of the coordinates of a homogeneous x (`_ratio`)."""
+    q = p[-1]
+    return [str(v) for v in p[:-1]] if q == 1 else [_ratio(v, q) for v in p[:-1]]
+
+
+def _x_keys(points) -> dict[IntVec, IntVec]:
+    """Integer keys in the lex order of x for homogeneous points (V, q):
+    each V over one common denominator."""
+    den = lcm(*(p[-1] for p in points))
+    return {p: tuple(v * (den // p[-1]) for v in p[:-1]) for p in points}
+
+
+def _affine_span(points) -> tuple[IntVec, ...]:
+    """Reduced row echelon basis of the direction space of the affine hull
+    of homogeneous points, as homogeneous rows: the pivot rows of one
+    fraction-free elimination of their differences, taken over one common
+    denominator, over its pivot."""
     if len(points) <= 1:
         return ()
-    base = points[0]
-    rows, rank, p, _ = _echelon(
-        [[q - b for b, q in zip(base, pt)] for pt in points[1:]], len(base)
-    )
-    return tuple(tuple(Fraction(x, p) for x in row) for row in rows[:rank])
+    keys = _x_keys(points)
+    base = keys[points[0]]
+    rows, rank, p, _ = _echelon([[a - b for b, a in zip(base, keys[pt])] for pt in points[1:]], len(base))
+    return tuple(_lowest((*row, p)) for row in rows[:rank])
+
+
+def _identity_span(g: int) -> tuple[IntVec, ...]:
+    return tuple((*e, 1) for e in identity(g))
+
+
+def _repr(obj, names) -> str:
+    """The dataclass repr of obj with the public views `names`."""
+    return f"{type(obj).__name__}({', '.join(f'{n}={getattr(obj, n)!r}' for n in names)})"
 
 
 def _pool(u: IntVec, w_u: int, pairs) -> dict:
@@ -228,25 +299,28 @@ def _pool(u: IntVec, w_u: int, pairs) -> dict:
     return groups
 
 
-def _x_keys(ts, cols) -> dict[IntVec, IntVec]:
-    """Integer keys in the lex order of x = P^T t for homogeneous points ts:
-    their x numerators over one common denominator."""
-    den = lcm(*(t[-1] for t in ts))
-    return {t: tuple(sum(map(mul, c, t)) * (den // t[-1]) for c in cols) for t in ts}
-
-
 # ---------- cells ----------
 
 
 @dataclass(frozen=True)
 class Facet:
     """A codimension-1 face of a cell: the locus where the cell's witness
-    ties with `witnesses` (every competitor sharing the supporting plane)."""
+    ties with `witnesses` (every competitor sharing the supporting plane).
+
+    It holds its offset as a ratio `bound` and its vertices as homogeneous
+    x `points` (module docstring); `offset` and `vertices` are their
+    Fraction views."""
 
     normal: IntVec
-    offset: Fraction
+    bound: IntVec
     witnesses: tuple[IntVec, ...]
-    vertices: tuple[TropPoint, ...]
+    points: tuple[IntVec, ...]
+
+    offset = functools.cached_property(lambda self: Fraction(*self.bound))
+    vertices = functools.cached_property(lambda self: tuple(map(_x, self.points)))
+
+    def __repr__(self) -> str:
+        return _repr(self, ("normal", "offset", "witnesses", "vertices"))
 
 
 @dataclass(frozen=True)
@@ -256,16 +330,42 @@ class LinearityCell:
     halfspaces are the supporting competitors (normal u'' - u, offset
     w(u) - w(u'')); vertices are exact rational points.  dim < g marks a
     degenerate cell (only possible at special profiles); span records a
-    basis of its affine hull's direction space.
+    basis of its affine hull's direction space; a full-dimensional cell of
+    an ample theta has one facet per halfspace.  The cell holds them in
+    integers: `inequalities` as (normal, offset ratio), `points` and
+    `directions` as homogeneous x (module docstring), and per facet the
+    offsets u' - u of its witnesses u' from the cell's witness u (`ties`,
+    empty where there are no facets); `halfspaces`, `vertices`, `span` and
+    `facets` are their views.
     """
 
     witness: IntVec
-    halfspaces: tuple[Halfspace, ...]
-    vertices: tuple[TropPoint, ...]
+    inequalities: tuple[tuple[IntVec, IntVec], ...]
+    points: tuple[IntVec, ...]
     dim: int
-    span: tuple[Row, ...]
-    facets: tuple[Facet, ...]
+    directions: tuple[IntVec, ...]
+    ties: tuple[tuple[IntVec, ...], ...]
     bounded: bool = True
+
+    halfspaces = functools.cached_property(lambda self: tuple((a, Fraction(*b)) for a, b in self.inequalities))
+    vertices = functools.cached_property(lambda self: tuple(map(_x, self.points)))
+    span = functools.cached_property(lambda self: tuple(map(_x, self.directions)))
+
+    @functools.cached_property
+    def facets(self) -> tuple[Facet, ...]:
+        """Each facet's vertices are the cell's vertices on its plane."""
+        return tuple(
+            Facet(
+                a,
+                (num, den),
+                tuple(tuple(map(add, self.witness, k)) for k in ks),
+                tuple(p for p in self.points if den * sum(map(mul, a, p)) == num * p[-1]),
+            )
+            for (a, (num, den)), ks in zip(self.inequalities, self.ties)
+        )
+
+    def __repr__(self) -> str:
+        return _repr(self, ("witness", "halfspaces", "vertices", "dim", "span", "facets", "bounded"))
 
     @property
     def g(self) -> int:
@@ -278,12 +378,10 @@ class LinearityCell:
     def to_json_dict(self) -> dict:
         return {
             "witness": list(self.witness),
-            "halfspaces": [
-                {"normal": list(a), "offset": str(b)} for a, b in self.halfspaces
-            ],
-            "vertices": [[str(c) for c in p] for p in self.vertices],
+            "halfspaces": [{"normal": list(a), "offset": _ratio(n, d)} for a, (n, d) in self.inequalities],
+            "vertices": list(map(_literals, self.points)),
             "dim": self.dim,
-            "span": [[str(c) for c in d] for d in self.span],
+            "span": list(map(_literals, self.directions)),
             "bounded": self.bounded,
         }
 
@@ -295,14 +393,14 @@ class LinearityCell:
             raise TypeError(f"bounded: true or false required, got {type(bounded).__name__}: {bounded!r}")
         return cls(
             witness=int_vector_from(data["witness"], "witness"),
-            halfspaces=tuple(
-                (int_vector_from(h["normal"], "normal"), _as_fraction(h["offset"], "offset"))
+            inequalities=tuple(
+                (int_vector_from(h["normal"], "normal"), _as_fraction(h["offset"], "offset").as_integer_ratio())
                 for h in json_list(data["halfspaces"], "halfspaces")
             ),
-            vertices=_points(data["vertices"], "vertices"),
+            points=_homogeneous_points(data["vertices"], "vertices"),
             dim=_as_int(data["dim"], "dim"),
-            span=_points(data["span"], "span"),
-            facets=(),
+            directions=_homogeneous_points(data["span"], "span"),
+            ties=(),
             bounded=bounded,
         )
 
@@ -341,45 +439,40 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
     return out
 
 
-def _to_x(v: IntVec, cols, D: int) -> TropPoint:
-    """x = P^T t of the homogeneous t = v, for cols the columns of D P."""
-    den = D * v[-1]
-    return tuple(Fraction(sum(map(mul, c, v)), den) for c in cols)
-
-
 class _Built(NamedTuple):
-    """A built cell as `_place` moves it: the x of the polytope's vertices
-    in its order, (bit, offset denominator, normal, facet witnesses, vertex
-    indices) per halfspace, and the witnesses of each pool plane by bit."""
+    """A built cell as `_place` moves it: the homogeneous x of the
+    polytope's vertices in its order, (bit, offset denominator, normal,
+    facet witness offsets) per halfspace, and the witnesses of each pool
+    plane by bit."""
 
     witness: IntVec
     poly: Polytope
-    verts: tuple[TropPoint, ...]
+    points: tuple[IntVec, ...]
     planes: _Planes
     dim: int
-    span: tuple[Row, ...]
+    directions: tuple[IntVec, ...]
     halfspaces: tuple[tuple, ...]
     witnesses: dict[int, list[IntVec]]
 
     @property
     def cell(self) -> LinearityCell:
         zero = (0,) * len(self.witness)
-        return _place(self, zero, zero, self.verts)
+        return _place(self, zero, zero, self.points)
 
 
-def _place(built: _Built, d: IntVec, shift, verts) -> LinearityCell:
+def _place(built: _Built, d: IntVec, shift, points) -> LinearityCell:
     """The built cell moved by -d in t (module docstring), shift = Lam d,
-    with verts the x of its moved vertices."""
-    rows, d1, full = built.planes.rows, (*d, 1), built.dim == len(d)
-    halfspaces, facets = [], []
-    for k, q, n, wits, idx in built.halfspaces:
-        b = Fraction(-sum(map(mul, rows[k], d1)), q)
-        halfspaces.append((n, b))
-        if full:
-            moved = tuple(tuple(map(add, w, shift)) for w in wits)
-            facets.append(Facet(n, b, moved, tuple(map(verts.__getitem__, idx))))
+    with points the homogeneous x of its moved vertices.  Its facets'
+    witness offsets do not move."""
+    rows, d1 = built.planes.rows, (*d, 1)
+    inequalities = []
+    for k, q, n, _ in built.halfspaces:
+        num = -sum(map(mul, rows[k], d1))
+        f = gcd(num, q)
+        inequalities.append((n, (num // f, q // f)))
+    ties = tuple(ks for *_, ks in built.halfspaces) if built.dim == len(d) else ()
     u = tuple(map(add, built.witness, shift))
-    return LinearityCell(u, tuple(halfspaces), verts, built.dim, built.span, tuple(facets))
+    return LinearityCell(u, tuple(inequalities), points, built.dim, built.directions, ties)
 
 
 def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
@@ -459,31 +552,31 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
         bounds = (Fraction(h, D) + _MARGIN for h in half)
         raise InvalidDataError(
             f"cell of witness {u} is not inside its certified region: centre "
-            f"({', '.join(map(str, _to_x((*T0, a), cols, D)))}), region "
+            f"({', '.join(map(str, _x(_hx((*T0, a), cols, D))))}), region "
             + ", ".join(f"|<{n}, x - x0>| <= {b}" for n, b in zip(lam_b, bounds))
             + f", pool of {len(pool)} halfspaces"
         )
 
-    poly = {v: poly[v] for v in sorted(poly, key=_x_keys(poly, cols).__getitem__)}
-    verts = tuple(_to_x(v, cols, D) for v in poly)
+    hx = {v: _hx(v, cols, D) for v in poly}
+    keys = _x_keys(hx.values())
+    poly = {v: poly[v] for v in sorted(poly, key=lambda v: keys[hx[v]])}
+    points = tuple(map(hx.__getitem__, poly))
     # the affine hull is cut out by the planes tight at every vertex (tight
     # sets are complete), so a cell whose masks share no bit is full
     common = functools.reduce(and_, poly.values())
     dim = g - (_echelon([rows[k][:g] for k in _bits(common)], g)[1] if common else 0)
-    span = _affine_span(verts) if dim < g else tuple(tuple(map(Fraction, e)) for e in identity(g))
-    on_plane: dict[int, list[int]] = {}
+    directions = _affine_span(points) if dim < g else _identity_span(g)
     meet: dict[int, int] = {}  # the AND of the masks of the vertices on each plane
-    for i, mask in enumerate(poly.values()):
+    for mask in poly.values():
         for k in _bits(mask):
-            on_plane.setdefault(k, []).append(i)
             meet[k] = meet.get(k, mask) & mask
     halfspaces = []
     for k, (n, (_, m, wits)) in enumerate(pool, 4 * g):
-        idx = tuple(on_plane.get(k, ()))
         # planes only grazing lower faces are implied by the facets and dropped
-        if idx and (dim < g or meet[k] == 1 << k):
-            halfspaces.append((k, D * m, n, tuple(sorted([u, *wits])), idx))
-    return _Built(u, poly, verts, planes, dim, span, tuple(halfspaces), witnesses)
+        if k in meet and (dim < g or meet[k] == 1 << k):
+            ties = tuple(tuple(map(sub, w, u)) for w in sorted([u, *wits]))
+            halfspaces.append((k, D * m, n, ties))
+    return _Built(u, poly, points, planes, dim, directions, tuple(halfspaces), witnesses)
 
 
 def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
@@ -513,11 +606,12 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
             for signs in product((-1, 1), repeat=g)
         }
         poly = _clip(box, _Planes(rows, {}), range(2 * g, len(rows)))
+        # the box is in x, so its vertices are homogeneous x already
         box_bits = (1 << 2 * g) - 1
-        verts = sorted(tuple(Fraction(x, t[-1]) for x in t[:-1]) for t, m in poly.items() if not m & box_bits)
-        halfspaces = tuple((a, Fraction(num, D * m)) for a, (num, m, _) in pool)
-        span = tuple(tuple(map(Fraction, e)) for e in identity(g))
-        return LinearityCell(u, halfspaces, tuple(verts), g, span, (), bounded=False)
+        keys = _x_keys([t for t, m in poly.items() if not m & box_bits])
+        inequalities = tuple((a, _lowest((num, D * m))) for a, (num, m, _) in pool)
+        points = tuple(sorted(keys, key=keys.__getitem__))
+        return LinearityCell(u, inequalities, points, g, _identity_span(g), (), bounded=False)
     return _build_cell(theta, u).cell
 
 
@@ -547,6 +641,28 @@ class FundamentalDomain:
         point = as_point(v)
         return tuple(vecdot(a, point) for a, _ in self.halfspaces[::2])
 
+    @functools.cached_property
+    def _svg_frame(self) -> tuple[str, ...]:
+        """The opening lines of a g = 2 svg: the view box, the domain padded
+        by 1/2, and the domain's outline, formed once per domain."""
+
+        def fmt(x: Fraction) -> str:
+            return _fmt(x.numerator, x.denominator)
+
+        xs = [c[0] for c in self.corners]
+        ys = [c[1] for c in self.corners]
+        pad = Fraction(1, 2)
+        x0, x1 = min(xs) - pad, max(xs) + pad
+        y0, y1 = min(ys) - pad, max(ys) + pad
+        ring = [matvec(self.matrix.entries, t) for t in [(0, 0), (1, 0), (1, 1), (0, 1)]]
+        path = " ".join(f"{fmt(p[0])},{fmt(p[1])}" for p in ring)
+        return (
+            '<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'viewBox="{fmt(x0)} {fmt(y0)} {fmt(x1 - x0)} {fmt(y1 - y0)}">',
+            f'<polygon points="{path}" fill="none" stroke="#888888" stroke-width="0.02"/>',
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "matrix": [[str(c) for c in row] for row in self.matrix.entries],
@@ -568,6 +684,11 @@ def _points(data, name: str) -> tuple[TropPoint, ...]:
     return tuple(tuple(_as_fraction(c, name) for c in json_list(p, name)) for p in json_list(data, name))
 
 
+def _homogeneous_points(data, name: str) -> tuple[IntVec, ...]:
+    """Exact points of a mesh file as homogeneous x."""
+    return tuple(map(_homogeneous, _points(data, name)))
+
+
 def _parallelepiped_halfspaces(inv_rows: Rows):
     """0 <= t_i <= 1 for t = (P^T)^-1 x, from the rows of (P^T)^-1."""
     halfspaces = []
@@ -583,7 +704,7 @@ def _fundamental_domain(theta: TropicalThetaFunction) -> FundamentalDomain:
     kernel's integer D P^T."""
     Pt = RatMatrix(transpose(theta.base.P.entries))
     D, DP = theta._kernel.D, theta._kernel.P
-    corners = sorted(_to_x((*s, 1), tuple(zip(*DP)), D) for s in product((0, 1), repeat=theta.g))
+    corners = sorted(_x(_hx((*s, 1), tuple(zip(*DP)), D)) for s in product((0, 1), repeat=theta.g))
     normals = tuple(tuple(D * x for x in row) for row in inverse(transpose(DP)))
     return FundamentalDomain(
         matrix=Pt, corners=tuple(corners), halfspaces=_parallelepiped_halfspaces(normals)
@@ -596,29 +717,36 @@ def _fundamental_domain(theta: TropicalThetaFunction) -> FundamentalDomain:
 @dataclass(frozen=True)
 class SkeletonPiece:
     """A clipped codimension-1 piece of the corner locus: the tie locus of
-    `witnesses` intersected with one cell and the fundamental domain."""
+    `witnesses` intersected with one cell and the fundamental domain.  It
+    holds its vertices as homogeneous x `points`; `vertices` is their
+    Fraction view."""
 
     witnesses: tuple[IntVec, ...]
-    vertices: tuple[TropPoint, ...]
+    points: tuple[IntVec, ...]
+
+    vertices = functools.cached_property(lambda self: tuple(map(_x, self.points)))
+
+    def __repr__(self) -> str:
+        return _repr(self, ("witnesses", "vertices"))
 
     @property
     def dim(self) -> int:
-        return len(_affine_span(self.vertices))
+        return len(_affine_span(self.points))
 
     def to_json_dict(self) -> dict:
         return {
             "witnesses": [list(u) for u in self.witnesses],
-            "vertices": [[str(c) for c in p] for p in self.vertices],
+            "vertices": list(map(_literals, self.points)),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SkeletonPiece":
-        vertices = _points(data["vertices"], "vertices")
-        if not vertices:
+        points = _homogeneous_points(data["vertices"], "vertices")
+        if not points:
             raise InvalidDataError("a skeleton piece needs at least one vertex")
         return cls(
             witnesses=tuple(int_vector_from(u, "witnesses") for u in json_list(data["witnesses"], "witnesses")),
-            vertices=vertices,
+            points=points,
         )
 
 
@@ -627,25 +755,33 @@ class QuotientSummary:
     """Cell counts of the complex modulo the period lattice.
 
     zero_cells are canonical representatives (lattice coordinates in
-    [0,1)^g mapped back).  one_cell_count counts classes of clipped pieces:
-    edges for g <= 2 (none for g = 1), and for g = 3 the 2-dimensional
-    pieces, not edges.  Both count the complex after it is clipped to the
-    chosen parallelepiped, whose seams add points and edge fragments, so
-    two bases of one torus can give different counts: 4 / 5 for
+    [0,1)^g mapped back), held as homogeneous x `points`; `zero_cells` is
+    their Fraction view.  one_cell_count counts classes of clipped pieces:
+    edges for g <= 2 (none for g = 1), and for g >= 3 the pieces of
+    dimension g - 1, not edges.  Both count the complex after it is clipped
+    to the chosen parallelepiped, whose seams add points and edge fragments,
+    so two bases of one torus can give different counts: 4 / 5 for
     P = [[2,1],[1,3]], 6 / 7 for its shear [[2,3],[3,7]].  The Betti
-    numbers and the Euler characteristic V - E + (-1)^g C, computed for
-    g <= 2, are intrinsic: the seams add as many points as edge fragments."""
+    numbers and the Euler characteristic V - E + (-1)^g C are computed for
+    g <= 2 only, where they are intrinsic: the seams add as many points as
+    edge fragments.  For g >= 3 they are None."""
 
-    zero_cells: tuple[TropPoint, ...]
+    points: tuple[IntVec, ...]
     one_cell_count: int
     top_cell_count: int
     betti0: int | None
     betti1: int | None
     euler_characteristic: int | None
 
+    zero_cells = functools.cached_property(lambda self: tuple(map(_x, self.points)))
+
+    def __repr__(self) -> str:
+        names = ("zero_cells", "one_cell_count", "top_cell_count", "betti0", "betti1", "euler_characteristic")
+        return _repr(self, names)
+
     def to_json_dict(self) -> dict:
         return {
-            "zero_cells": [[str(c) for c in p] for p in self.zero_cells],
+            "zero_cells": list(map(_literals, self.points)),
             "one_cell_count": self.one_cell_count,
             "top_cell_count": self.top_cell_count,
             "betti0": self.betti0,
@@ -659,7 +795,7 @@ class QuotientSummary:
             return None if data[key] is None else _as_int(data[key], key)
 
         return cls(
-            zero_cells=_points(data["zero_cells"], "zero_cells"),
+            points=_homogeneous_points(data["zero_cells"], "zero_cells"),
             one_cell_count=_as_int(data["one_cell_count"], "one_cell_count"),
             top_cell_count=_as_int(data["top_cell_count"], "top_cell_count"),
             betti0=opt("betti0"),
@@ -700,11 +836,21 @@ class CellComplex:
         skeleton = tuple(SkeletonPiece.from_json_dict(p) for p in json_list(data["skeleton"], "skeleton"))
         domain = FundamentalDomain.from_json_dict(data["domain"])
         quotient = QuotientSummary.from_json_dict(data["quotient"])
-        # every witness, normal, point and row of the (square) domain matrix
-        cell_vs = (v for c in cells for v in (c.witness, *(a for a, _ in c.halfspaces), *c.vertices, *c.span))
-        piece_vs = (v for piece in skeleton for v in (*piece.witnesses, *piece.vertices))
-        for v in chain(cell_vs, piece_vs, domain.matrix.entries, domain.corners, quotient.zero_cells):
-            if len(v) != g:
+        # every witness, normal, point and row of the (square) domain matrix;
+        # a homogeneous x (V, q) has g + 1 entries
+        def vectors():
+            for c in cells:
+                yield from ((v, 0) for v in (c.witness, *(a for a, _ in c.inequalities)))
+                yield from ((p, 1) for p in (*c.points, *c.directions))
+            for piece in skeleton:
+                yield from ((v, 0) for v in piece.witnesses)
+                yield from ((p, 1) for p in piece.points)
+            yield from ((v, 0) for v in (*domain.matrix.entries, *domain.corners))
+            yield from ((p, 1) for p in quotient.points)
+
+        for v, extra in vectors():
+            if len(v) - extra != g:
+                v = _x(v) if extra else v
                 raise ShapeMismatchError(f"the vector ({', '.join(map(str, v))}) has length {len(v)}, not g = {g}")
         if len(domain.corners) != 2**g:
             raise ShapeMismatchError(f"corners: the domain has 2^g = {2**g} corners, got {len(domain.corners)}")
@@ -765,12 +911,8 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     fd = theta._domain
     D, cols = theta._kernel.D, tuple(zip(*theta._kernel.P))
     lam, cosets = theta.factor.Lambda, theta._cosets
-    xs: dict[IntVec, TropPoint] = {}
-
-    def x_of(t):  # x of a homogeneous t, formed once
-        return xs.get(t) or xs.setdefault(t, _to_x(t, cols, D))
-
-    # class rep -> (n0 of the built witness, build, neighbors as (rep, n), bounds)
+    # class rep -> (n0 of the built witness, build, neighbors as (rep, n),
+    # bounds, the bits of its facet planes)
     classes: dict[IntVec, tuple] = {}
     seen: set[tuple[IntVec, IntVec]] = set()
     kept = []
@@ -786,7 +928,6 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         if rep not in classes:
             u = theta._witness(rep, n)
             built = _build_cell(theta, u)
-            xs.update(zip(built.poly, built.verts))
             # every neighbor ties with u at a vertex of the cell: it is a
             # witness of a pool plane tight at some vertex (module docstring)
             tight = functools.reduce(or_, built.poly.values())
@@ -796,8 +937,9 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
                  max(x // t[-1] for x, t in zip(c, built.poly)))
                 for c in list(zip(*built.poly))[:-1]
             ]
-            classes[rep] = (n, built, neighbors, bounds)
-        n0, built, neighbors, bounds = classes[rep]
+            facet_bits = sum(1 << k for k, *_ in built.halfspaces)
+            classes[rep] = (n, built, neighbors, bounds, facet_bits)
+        n0, built, neighbors, bounds, facet_bits = classes[rep]
         # a polytope whose bounds miss the domain [0, 1]^g needs no clip; one
         # whose bounds meet it can still miss it, so the exact clip decides
         d = tuple(map(sub, n, n0))
@@ -808,43 +950,46 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         clipped = _clip(moved, built.planes, cuts)
         if not clipped:
             continue
-        cell = _place(built, d, [sum(map(mul, row, d)) for row in lam], tuple(map(x_of, moved)))
+        points = tuple(_hx(t, cols, D) for t in moved)
+        cell = _place(built, d, [sum(map(mul, row, d)) for row in lam], points)
         kept.append(cell)
         # each piece is a face of the clip: tight sets stay complete, so its
         # vertices are those whose mask holds the facet plane (only
         # full-dimensional cells have facets)
-        on: dict[int, list[IntVec]] = {}
-        for t, m in clipped.items():
-            for k in _bits(m):
-                on.setdefault(k, []).append(t)
-        for f, (k, *_) in zip(cell.facets, built.halfspaces):
-            if k in on:
-                pieces.add((tuple(sorted(on[k])), f.witnesses))
-        if cell.dim == g:
+        if built.dim == g:
             top.add(rep)
+            on: dict[int, list[IntVec]] = {}
+            for t, m in clipped.items():
+                for k in _bits(m & facet_bits):
+                    on.setdefault(k, []).append(t)
+            for k, _, _, ks in built.halfspaces:
+                if k in on:
+                    pieces.add((tuple(sorted(on[k])), tuple(tuple(map(add, cell.witness, x)) for x in ks)))
         queue.extend((r, tuple(map(add, m, d))) for r, m in neighbors)
 
     kept = tuple(sorted(kept, key=lambda c: c.witness))
     # the pieces in x order, each with its vertices in x order
-    keys = _x_keys({t for ts, _ in pieces for t in ts}, cols)
-    point = {key: t for t, key in keys.items()}
-    ordered = sorted((tuple(sorted(map(keys.get, ts))), w) for ts, w in pieces)
-    skeleton = tuple(SkeletonPiece(w, tuple(x_of(point[k]) for k in ks)) for ks, w in ordered)
-    quotient = _quotient_summary(theta, len(top), [tuple(map(point.get, ks)) for ks, _ in ordered], x_of)
+    hx = {t: _hx(t, cols, D) for t in {t for ts, _ in pieces for t in ts}}
+    keys = _x_keys(hx.values())
+    point = {keys[x]: t for t, x in hx.items()}
+    ordered = sorted((tuple(sorted(keys[hx[t]] for t in ts)), w) for ts, w in pieces)
+    skeleton = tuple(SkeletonPiece(w, tuple(hx[point[k]] for k in ks)) for ks, w in ordered)
+    quotient = _quotient_summary(theta, len(top), [tuple(map(point.get, ks)) for ks, _ in ordered])
     return CellComplex(g=g, cells=kept, skeleton=skeleton, domain=fd, quotient=quotient)
 
 
-def _quotient_summary(theta, c_count: int, pieces, x_of) -> QuotientSummary:
+def _quotient_summary(theta, c_count: int, pieces) -> QuotientSummary:
     """Quotient counts; c_count is the number of coset classes of the kept
-    full-dimensional cells, pieces holds each skeleton piece's homogeneous
-    lattice coordinates in its vertex order, which key points and pieces
-    modulo the lattice, and x_of maps a homogeneous point to its x."""
+    full-dimensional cells, and pieces holds each skeleton piece's
+    homogeneous lattice coordinates in its vertex order, which key points
+    and pieces modulo the lattice."""
     g = theta.g
     # g <= 2: the divisor is a graph, points for g = 1, points and edges for
     # g = 2 (a face of a polygon has its two ends as its only vertices).
-    # g = 3: vertex classes and 2-dimensional piece classes; graph invariants
-    # of the 2-dimensional skeleton are out of scope.  A piece with max(2, g)
-    # or more vertices is an edge for g = 2 and 2-dimensional for g = 3.
+    # g >= 3: vertex classes and (g-1)-dimensional piece classes; invariants
+    # of the higher-dimensional skeleton are out of scope.  A piece with
+    # max(2, g) or more vertices is an edge for g = 2 and (g-1)-dimensional
+    # for g >= 3.
     nodes: dict[IntVec, int] = {}  # quotient point -> union-find index
     piece_keys = set()
     links = []
@@ -853,10 +998,11 @@ def _quotient_summary(theta, c_count: int, pieces, x_of) -> QuotientSummary:
         if len(ts) >= max(2, g):
             piece_keys.add(_canonical_shift(ts))
             links.append(ids)
-    zero = sorted(nodes, key=_x_keys(nodes, tuple(zip(*theta._kernel.P))).get)
-    zero = tuple(map(x_of, zero))
+    D, cols = theta._kernel.D, tuple(zip(*theta._kernel.P))
+    keys = _x_keys([_hx(t, cols, D) for t in nodes])
+    zero = tuple(sorted(keys, key=keys.__getitem__))
     v_count, e_count = len(nodes), len(piece_keys)
-    if g == 3:
+    if g >= 3:
         return QuotientSummary(zero, e_count, c_count, None, None, None)
 
     # union-find over quotient nodes through quotient edges
@@ -872,7 +1018,7 @@ def _quotient_summary(theta, c_count: int, pieces, x_of) -> QuotientSummary:
         parent[find(p)] = find(q)
     b0 = len({find(i) for i in range(v_count)})
     return QuotientSummary(
-        zero_cells=zero,
+        points=zero,
         one_cell_count=e_count,
         top_cell_count=c_count,
         betti0=b0,
@@ -884,42 +1030,47 @@ def _quotient_summary(theta, c_count: int, pieces, x_of) -> QuotientSummary:
 # ---------- export ----------
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.6f}"
+def _fmt(n: int, d: int) -> str:
+    """n / d printed to six places: int true division rounds exactly as
+    float(Fraction(n, d)) does."""
+    try:
+        return f"{n / d:.6f}"
+    except OverflowError:
+        raise UnsupportedFormatError(f"the coordinate {_ratio(n, d)} is too large for a float") from None
 
 
 def _cycle_order(points):
-    """Order coplanar points around their barycenter; exact comparisons."""
-    if len(points) <= 3:
-        return tuple(sorted(points))
-    g = len(points[0])
-    basis = _affine_span(tuple(sorted(points)))
+    """Order coplanar homogeneous points around their barycenter, exactly
+    and in integers: over one common denominator the points are integer
+    vectors k, and the coordinates of n k - sum(k), for n points, along the
+    span's rows (V, s), s > 0, are positive multiples of the planar ones."""
+    keys = _x_keys(points)
+    pts = sorted(points, key=keys.__getitem__)
+    if len(pts) <= 3:
+        return tuple(pts)
+    basis = _affine_span(pts)
     if len(basis) != 2:
-        return tuple(sorted(points))
-    bary = tuple(sum(p[i] for p in points) / len(points) for i in range(g))
+        return tuple(pts)
+    n, total = len(pts), [sum(c) for c in zip(*map(keys.__getitem__, pts))]
     planar = []
-    for p in sorted(points):
-        d = tuple(c - b for c, b in zip(p, bary))
-        planar.append((vecdot(d, basis[0]), vecdot(d, basis[1]), p))
+    for i, p in enumerate(pts):
+        d = [n * k - s for k, s in zip(keys[p], total)]
+        planar.append((sum(map(mul, d, basis[0])), sum(map(mul, d, basis[1])), i))
 
     def half(xy):
         x, y, _ = xy
         return 0 if (y > 0 or (y == 0 and x > 0)) else 1
 
-    def cross(u, v):
-        return u[0] * v[1] - u[1] * v[0]
-
     def cmp(a, b):
         ha, hb = half(a), half(b)
         if ha != hb:
             return -1 if ha < hb else 1
-        c = cross((a[0], a[1]), (b[0], b[1]))
+        c = a[0] * b[1] - a[1] * b[0]
         if c != 0:
             return -1 if c > 0 else 1
-        return -1 if a[2] < b[2] else (1 if a[2] > b[2] else 0)
+        return a[2] - b[2]
 
-    ordered = sorted(planar, key=functools.cmp_to_key(cmp))
-    return tuple(p for _, _, p in ordered)
+    return tuple(pts[i] for _, _, i in sorted(planar, key=functools.cmp_to_key(cmp)))
 
 
 def _export_json(complex_: CellComplex) -> bytes:
@@ -932,40 +1083,19 @@ def _export_json(complex_: CellComplex) -> bytes:
 def _export_svg(complex_: CellComplex) -> bytes:
     if complex_.g != 2:
         raise UnsupportedFormatError("svg export needs g = 2")
-    fd = complex_.domain
-    xs = [c[0] for c in fd.corners]
-    ys = [c[1] for c in fd.corners]
-    pad = Fraction(1, 2)
-    x0, x1 = min(xs) - pad, max(xs) + pad
-    y0, y1 = min(ys) - pad, max(ys) + pad
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(x0)} {_fmt(y0)} {_fmt(x1 - x0)} {_fmt(y1 - y0)}">',
-    ]
-    t_corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    ring = [
-        tuple(matvec(fd.matrix.entries, t)) for t in t_corners
-    ]
-    path = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in ring)
-    lines.append(
-        f'<polygon points="{path}" fill="none" stroke="#888888" '
-        'stroke-width="0.02"/>'
-    )
+    lines = [*complex_.domain._svg_frame]
     for piece in complex_.skeleton:
-        pts = piece.vertices
+        pts = piece.points
         if len(pts) >= 2:
-            a, b = pts[0], pts[-1]
+            (ax, ay, aq), (bx, by, bq) = pts[0], pts[-1]
             lines.append(
-                f'<line x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
-                f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}" '
+                f'<line x1="{_fmt(ax, aq)}" y1="{_fmt(ay, aq)}" '
+                f'x2="{_fmt(bx, bq)}" y2="{_fmt(by, bq)}" '
                 'stroke="#000000" stroke-width="0.04"/>'
             )
         else:
-            lines.append(
-                f'<circle cx="{_fmt(pts[0][0])}" cy="{_fmt(pts[0][1])}" '
-                'r="0.05" fill="#000000"/>'
-            )
+            x, y, q = pts[0]
+            lines.append(f'<circle cx="{_fmt(x, q)}" cy="{_fmt(y, q)}" r="0.05" fill="#000000"/>')
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -973,13 +1103,12 @@ def _export_svg(complex_: CellComplex) -> bytes:
 def _export_obj(complex_: CellComplex) -> bytes:
     if complex_.g != 3:
         raise UnsupportedFormatError("obj export needs g = 3")
-    verts: list[TropPoint] = []
-    index: dict[TropPoint, int] = {}
+    verts: list[IntVec] = []
+    index: dict[IntVec, int] = {}
     elements = []
     for piece in complex_.skeleton:
-        pts = _cycle_order(piece.vertices)
         ids = []
-        for p in pts:
+        for p in _cycle_order(piece.points):
             if p not in index:
                 verts.append(p)
                 index[p] = len(verts)
@@ -990,7 +1119,7 @@ def _export_obj(complex_: CellComplex) -> bytes:
             elements.append("l " + " ".join(str(i) for i in ids))
     lines = ["# corner locus mesh"]
     for p in verts:
-        lines.append("v " + " ".join(_fmt(c) for c in p))
+        lines.append("v " + " ".join(_fmt(v, p[-1]) for v in p[:-1]))
     lines.extend(elements)
     return ("\n".join(lines) + "\n").encode("ascii")
 

@@ -13,10 +13,14 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from troptheta.cli import main
+from troptheta.geometry import CellComplex, corner_locus, export_mesh
 from troptheta.rationals import format_fraction
-from troptheta.theta import TropicalThetaFunction
+from troptheta.theta import TropicalThetaFunction, riemann_theta
+from troptheta.varieties import TropicalPolarizationData
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -421,6 +425,27 @@ def test_divisor_g2_first_betti_two(tmp_path):
     assert d["cells"] == 4
 
 
+@pytest.mark.parametrize("name, fmt", [("variety_g2.json", "json"), ("variety_g2.json", "svg"), ("variety_g3.json", "obj")])
+def test_divisor_forms_no_fraction_view(monkeypatch, tmp_path, name, fmt):
+    # the report reads counts and the mesh is written from the complex's
+    # integers: the one Fraction points formed are the new theta's 2^g
+    # domain corners
+    from troptheta import geometry
+
+    formed = []
+    view = geometry._x
+
+    def recording(p):
+        formed.append(p)
+        return view(p)
+
+    monkeypatch.setattr(geometry, "_x", recording)
+    res = run("divisor", FIXTURES / name, "--out", tmp_path / f"mesh.{fmt}", "--format", fmt)
+    assert res.exit_code == 0, res.output
+    g = json.loads((FIXTURES / name).read_text())["g"]
+    assert len(formed) == 2**g
+
+
 def test_divisor_accepts_series_input(tmp_path):
     out = tmp_path / "mesh.json"
     res = run("divisor", FIXTURES / "series_g1.json", "--out", out)
@@ -545,6 +570,134 @@ def test_export_rejects_malformed_mesh(tmp_path, case):
     res = run("export", mesh, "--format", fmt)
     assert res.exit_code == 2, res.output
     assert "not a mesh file" in res.output and field in res.output, res.output
+
+
+def test_export_rejects_a_coordinate_beyond_float_range(tmp_path):
+    # svg prints floats: a numerator of 10^400 used to end in an
+    # OverflowError traceback (exit 1); json still prints it exactly
+    mesh = tmp_path / "mesh.json"
+    assert run("divisor", FIXTURES / "variety_g2.json", "--out", mesh).exit_code == 0
+    doc = json.loads(mesh.read_text())
+    set_path(doc, ("skeleton", 0, "vertices", 0, 0), str(10**400))
+    mesh.write_text(json.dumps(doc))
+    res = run("export", mesh, "--format", "svg")
+    assert res.exit_code == 2 and "too large for a float" in res.output, res.output
+    res = run("export", mesh, "--format", "json")
+    assert res.exit_code == 0 and str(10**400) in res.stdout
+
+
+# ------------------------------------------------------------ reader fuzz
+
+
+def mesh_doc(name):
+    """The json mesh of `troptheta divisor` on a fixture, as a document."""
+    doc = json.loads((FIXTURES / name).read_text())
+    theta = TropicalThetaFunction.from_json_dict(doc) if name.startswith("theta") else riemann_theta(
+        TropicalPolarizationData.from_json_dict(doc)
+    )
+    return json.loads(export_mesh(corner_locus(theta), "json"))
+
+
+# a g = 1 mesh and a g = 2 mesh with fractional vertices and offsets
+FUZZ_MESHES = {1: mesh_doc("variety_g1.json"), 2: mesh_doc("theta_g2_index9.json")}
+BIG = 10**400
+LITERALS = st.sampled_from(
+    ["1/0", "-3/0", "0/0", "1e400", "1E2", "0.5", "", "abc", "inf", "nan", "2/4", "-6/4", "1/-2", " 1/2 ", "1/2"]
+    + [str(BIG), f"{BIG}/3", f"3/{BIG}", f"-{BIG}/{BIG + 1}"]
+)
+FUZZ_VALUES = st.one_of(
+    LITERALS,
+    st.integers(-(10**30), 10**30) | st.just(BIG) | st.just(-BIG),
+    st.none() | st.booleans() | st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(["[]", "{}", "[[]]", '["1", "2", "3"]', '{"g": 1}']).map(json.loads),
+)
+
+
+def value_paths(doc, prefix=()):
+    """The path to every value inside doc, containers included."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield (*prefix, key)
+        yield from value_paths(value, (*prefix, key))
+
+
+def mutate(data, doc):
+    """One drawn edit of doc: replace a literal with another, drop a key or
+    an item, set a value, or lengthen or shorten a list."""
+    paths = list(value_paths(doc))
+    *parents, last = data.draw(st.sampled_from(paths))
+    holder = value_at(doc, parents)
+    kind = data.draw(st.sampled_from(["literal", "literal", "drop", "set", "grow", "shrink"]))
+    if kind == "literal":
+        leaves = [p for p in paths if isinstance(value_at(doc, p), str)]
+        if leaves:
+            *parents, last = data.draw(st.sampled_from(leaves))
+            holder = value_at(doc, parents)
+            holder[last] = data.draw(LITERALS)
+    elif kind == "drop":
+        del holder[last]
+    elif kind == "set":
+        holder[last] = data.draw(FUZZ_VALUES)
+    elif isinstance(holder[last], list) and kind == "grow":
+        copy = json.loads(json.dumps(holder[last][-1])) if holder[last] else 0
+        holder[last].append(data.draw(st.just(copy) | FUZZ_VALUES))
+    elif isinstance(holder[last], list) and holder[last]:
+        holder[last].pop(data.draw(st.integers(0, len(holder[last]) - 1)))
+
+
+def value_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_export_reader_fuzz(tmp_path_factory, data):
+    # a mutated mesh is exported (exit 0) or refused with a message (exit
+    # 2) in every format: never a traceback
+    g = data.draw(st.sampled_from([1, 2]))
+    doc = json.loads(json.dumps(FUZZ_MESHES[g]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if doc:
+            mutate(data, doc)
+    path = tmp_path_factory.mktemp("fuzz") / "mesh.json"
+    path.write_text(json.dumps(doc))
+    for fmt in ("json", "svg", "obj"):
+        res = run("export", path, "--format", fmt)
+        assert res.exit_code in (0, 2), (fmt, res.exit_code, repr(res.exception), res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (fmt, repr(res.exception))
+        assert "Traceback" not in res.output
+
+
+def test_export_reads_literals_in_any_form(tmp_path):
+    # every literal written over a doubled denominator ("1/2" as "2/4", "2"
+    # as "4/2") reads as the same rational and re-exports in lowest terms
+    doc = mesh_doc("variety_g2_skewed.json")
+
+    def doubled(x):
+        if isinstance(x, str):
+            f = Fraction(x)
+            return f"{2 * f.numerator}/{2 * f.denominator}"
+        if isinstance(x, list):
+            return list(map(doubled, x))
+        if isinstance(x, dict):
+            return {k: doubled(v) for k, v in x.items()}
+        return x
+
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps(doubled(doc)))
+    assert '"2/4"' in mesh.read_text() and '"1/2"' not in mesh.read_text()
+    for fmt in ("json", "svg"):
+        res = run("export", mesh, "--format", fmt)
+        assert res.exit_code == 0, res.output
+        assert res.stdout.encode() == export_mesh(CellComplex.from_json_dict(doc), fmt)
+    assert '"1/2"' in run("export", mesh, "--format", "json").stdout
 
 
 # ------------------------------------------------------------ determinism

@@ -370,26 +370,48 @@ def test_domain_inverse_once_per_theta(count_calls, name):
 
 
 @pytest.mark.parametrize("name", list(GATED))
-def test_x_is_formed_once_per_output_point(monkeypatch, name):
-    # machine-independent gate: x = P^T t is formed in Fractions once per
-    # distinct output point (a cell vertex, a skeleton vertex or a zero
-    # cell) and never for a sweep, whose region corners reach _terms_below
-    # as integers.  Each fixture keeps the cell it builds.
-    theta = replace(GATED[name]())  # a fresh theta: nothing cached
+def test_corner_locus_and_export_form_no_fraction_view(name):
+    # machine-independent gate: a complex carries every output point as a
+    # homogeneous x (V, q) in ints, and the writers print from them, so
+    # corner_locus and export_mesh in each format form no Fraction view
+    # (geometry._x) and fill no view of any object
+    theta = GATED[name]()
     theta._domain  # the domain's corners are formed once per theta
-    calls = []
-    to_x = geometry._to_x
-
-    def recording(v, cols, D):
-        calls.append(v)
-        return to_x(v, cols, D)
-
-    monkeypatch.setattr(geometry, "_to_x", recording)
+    before = geometry._x.cache_info()
     cx = corner_locus(theta)
-    points = {p for c in cx.cells for p in c.vertices}
-    points |= {p for piece in cx.skeleton for p in piece.vertices}
-    points |= set(cx.quotient.zero_cells)
-    assert len(calls) == len(set(calls)) == len(points)
+    formats = ["json"] + {2: ["svg"], 3: ["obj"]}.get(theta.g, [])
+    assert all(export_mesh(cx, fmt) for fmt in formats)
+    after = geometry._x.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    objects = [*cx.cells, *cx.skeleton, cx.quotient]
+    views = {"vertices", "halfspaces", "span", "facets", "zero_cells"}
+    assert all(not views & set(vars(o)) for o in objects)
+    assert {type(x) for c in cx.cells for p in c.points for x in p} == {int}
+
+
+@pytest.mark.parametrize("name", list(GATED))
+def test_x_is_formed_once_per_output_point(name):
+    # machine-independent gate: reading the views (cell vertices and span
+    # directions, facet vertices, skeleton vertices and zero cells) forms
+    # the Fractions of each distinct output point once, shared by every
+    # object that holds it, and each view is its points' V / q
+    cx = corner_locus(GATED[name]())
+    geometry._x.cache_clear()
+    read = [p for c in cx.cells for p in (*c.vertices, *c.span, *(v for f in c.facets for v in f.vertices))]
+    read += [p for piece in cx.skeleton for p in piece.vertices]
+    read += list(cx.quotient.zero_cells)
+    assert geometry._x.cache_info().misses == len(set(read)) == len({id(p) for p in read})
+
+    def view(p):
+        return tuple(F(v, p[-1]) for v in p[:-1])
+
+    for c in cx.cells:
+        assert c.vertices == tuple(map(view, c.points)) and c.span == tuple(map(view, c.directions))
+        assert c.halfspaces == tuple((a, F(*b)) for a, b in c.inequalities)
+        if c.dim == cx.g:
+            assert c.halfspaces == tuple((f.normal, f.offset) for f in c.facets)
+    assert all(piece.vertices == tuple(map(view, piece.points)) for piece in cx.skeleton)
+    assert cx.quotient.zero_cells == tuple(map(view, cx.quotient.points))
 
 
 @pytest.mark.parametrize(
@@ -670,7 +692,8 @@ def reference_skeleton(theta, cx):
 def reference_quotient(theta, cx):
     """The quotient summary with every vertex's and barycentre's lattice
     coordinates computed afresh and pieces keyed in x, components found by
-    merging node sets (no union-find)."""
+    merging node sets (no union-find), as the tuple of the summary's public
+    values (zero cells as Fractions)."""
     fd, g = cx.domain, cx.g
 
     def point_class(p):
@@ -698,13 +721,13 @@ def reference_quotient(theta, cx):
             edges.append(ends)
     zero = tuple(sorted(tuple(matvec(fd.matrix.entries, t)) for t in nodes))
     if g == 3:
-        return geometry.QuotientSummary(zero, len(keys), top, None, None, None)
+        return zero, len(keys), top, None, None, None
     components = [{n} for n in nodes]
     for ends in edges:
         joined = [c for c in components if c & ends]
         components = [c for c in components if not c & ends] + [set().union(*joined)]
     b0, v, e = len(components), len(nodes), len(keys)
-    return geometry.QuotientSummary(zero, e, top, b0, e - v + b0, v - e + (-1) ** g * top)
+    return zero, e, top, b0, e - v + b0, v - e + (-1) ** g * top
 
 
 @given(principal_forms().map(lambda P: riemann_theta(data_of(P, [[1, 0], [0, 1]]))))
@@ -737,9 +760,9 @@ def test_quotient_from_carried_coordinates_matches_a_fresh_one(theta):
     carried = []
     summary = geometry._quotient_summary
 
-    def recording(theta_, top, pieces, x_of):
+    def recording(theta_, top, pieces):
         carried.extend(pieces)
-        return summary(theta_, top, pieces, x_of)
+        return summary(theta_, top, pieces)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "_quotient_summary", recording)
@@ -756,9 +779,11 @@ def test_quotient_from_carried_coordinates_matches_a_fresh_one(theta):
     ]
     assert carried == fresh
     top = len({theta._cosets.decompose(c.witness)[0] for c in cx.cells if c.dim == theta.g})
-    cols, D = tuple(zip(*theta._kernel.P)), theta._kernel.D
-    assert summary(theta, top, fresh, lambda t: geometry._to_x(t, cols, D)) == cx.quotient
-    assert reference_quotient(theta, cx) == cx.quotient
+    assert summary(theta, top, fresh) == cx.quotient
+    q = cx.quotient
+    assert reference_quotient(theta, cx) == (
+        q.zero_cells, q.one_cell_count, q.top_cell_count, q.betti0, q.betti1, q.euler_characteristic
+    )
 
 
 # ---------- the certified region ----------
@@ -851,6 +876,18 @@ def test_rank_cap_is_three():
         corner_locus(th4)
 
 
+def test_quotient_runs_at_g4(monkeypatch):
+    # with the cap lifted inside this test only, the g = 4 quotient reports
+    # counts and no graph invariants, as at g = 3; the g <= 2 union-find
+    # used to read every piece's whole vertex tuple as an edge and raised
+    # ValueError: too many values to unpack
+    monkeypatch.setattr(geometry, "_MAX_RANK", 4)
+    q = corner_locus(riemann_theta(D4)).quotient
+    assert q.top_cell_count == 1
+    assert (q.betti0, q.betti1, q.euler_characteristic) == (None, None, None)
+    assert q.zero_cells and q.one_cell_count > 0
+
+
 def voronoi_relevant(P, reach=3):
     """The nonzero n whose class n + 2 Z^g has exactly the two shortest
     vectors +-n under P (Voronoi 1908), by a box scan: the normals of the
@@ -887,7 +924,7 @@ def test_facets_have_codimension_one_at_g4(monkeypatch, P, facets):
     cell = linearity_cell(theta, (F(1, 7), F(1, 11), F(1, 13), F(1, 17)))
     assert cell.witness == (0, 0, 0, 0) and cell.dim == 4
     assert len(cell.facets) == facets
-    assert all(len(geometry._affine_span(f.vertices)) == 3 for f in cell.facets)
+    assert all(len(geometry._affine_span(f.points)) == 3 for f in cell.facets)
     assert cell.halfspaces == tuple((f.normal, f.offset) for f in cell.facets)
     assert {f.normal for f in cell.facets} == voronoi_relevant(P)
 

@@ -3,8 +3,9 @@
 `linalg._echelon` (Bareiss) does every exact solve, inverse, determinant
 and rank in the package.  This file keeps its own Gauss-Jordan elimination
 over Fractions and compares det, solve, inverse, adjugate_int, the integer
-rank and geometry._affine_span against it on seeded matrices, singular and
-rank-deficient ones included, and on collinear and coplanar point sets.
+rank and geometry._affine_span (on homogeneous points) against it on
+seeded matrices, singular and rank-deficient ones included, and on
+collinear and coplanar point sets.
 """
 
 import random
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from troptheta.geometry import _affine_span
+from troptheta.geometry import _affine_span, _homogeneous, _x
 from troptheta.linalg import (
     ShapeMismatchError,
     _echelon,
@@ -132,7 +133,7 @@ def test_affine_span_of_collinear_and_coplanar_points():
             pts.append(tuple(x + sum(c * d[i] for c, d in zip(t, dirs)) for i, x in enumerate(base)))
         pts = tuple(pts)
         rref, _ = reference([[q - b for b, q in zip(pts[0], p)] for p in pts[1:]], g)
-        span = _affine_span(pts)
+        span = tuple(map(_x, _affine_span(tuple(map(_homogeneous, pts)))))
         assert span == rref and len(span) <= k, pts
         assert all(type(x) is F for r in span for x in r)
 
@@ -140,12 +141,13 @@ def test_affine_span_of_collinear_and_coplanar_points():
 def test_integer_points_give_exact_spans():
     # a pair (v, -v) of primitive integer vectors: binary floats read the
     # span of {0, v, -v} as rank 2
-    span = _affine_span(((0, 0, 0), (-29, -30, -30), (29, 30, 30)))
-    assert span == ((F(1), F(30, 29), F(30, 29)),)
-    assert all(type(x) is F for x in span[0])
+    span = _affine_span(((0, 0, 0, 1), (-29, -30, -30, 1), (29, 30, 30, 1)))
+    assert span == ((29, 30, 30, 29),)
+    assert _x(span[0]) == (F(1), F(30, 29), F(30, 29))
+    assert all(type(x) is int for x in span[0])
     # coplanar integer normals, as _cut's edge test passes them
     coplanar = ((3, 3, 1), (2, 0, 2), (2, 3, 0))
-    assert len(_affine_span(((0, 0, 0), *coplanar))) == 2
+    assert len(_affine_span(((0, 0, 0, 1), *((*c, 1) for c in coplanar)))) == 2
     assert _echelon(coplanar, 3)[1] == 2
     assert det(coplanar) == 0
 

@@ -6,16 +6,18 @@ sentinel.  A float(...) call or a float literal anywhere in the package
 fails this test, except inside geometry._fmt, which prints mesh
 coordinates for SVG and OBJ files.  The syntax scan cannot see an int / int
 division, so the runtime check walks every number of corner loci at
-g = 1, 2, 3 and of a non-ample linearity cell.  The polytope primitive
-`geometry._cut` works in integers alone: a third check walks every argument
-and result of its calls during corner loci and finds only ints.  So do the
-competitor sweep's (u, D w(u)) pairs and the pool built from them: a fourth
-check walks every `_terms_below` argument and result and every `_pool`
-argument and result, also for a theta whose profile reps lie off the
-canonical box, so that its values are moved onto the box in ints.  The
-minimizer reads each value off its ellipsoid walk: a fifth check walks every
-leaf the walk yields during theta evaluations, point and leftover budget,
-and finds only ints.
+g = 1, 2, 3 and of a non-ample linearity cell: the integer core that each
+cell, facet, skeleton piece and quotient carries (its dataclass fields)
+holds only ints, and the Fraction views read off it hold only Fractions and
+ints.  The polytope primitive `geometry._cut` works in integers alone: a
+third check walks every argument and result of its calls during corner loci
+and finds only ints.  So do the competitor sweep's (u, D w(u)) pairs and
+the pool built from them: a fourth check walks every `_terms_below`
+argument and result and every `_pool` argument and result, also for a
+theta whose profile reps lie off the canonical box, so that its values are
+moved onto the box in ints.  The minimizer reads each value off its
+ellipsoid walk: a fifth check walks every leaf the walk yields during theta
+evaluations, point and leftover budget, and finds only ints.
 """
 
 import ast
@@ -102,13 +104,24 @@ def test_numbers_walks_every_field():
     assert list(numbers({(1, Fraction(1, 2)): [2.5, True, "x", None]})) == [1, Fraction(1, 2), 2.5]
 
 
+def views(obj):
+    """The Fraction views of a cell, a skeleton piece or a quotient."""
+    names = ("halfspaces", "vertices", "span", "facets", "zero_cells")
+    return [getattr(obj, n) for n in names if hasattr(obj, n)]
+
+
 @pytest.mark.parametrize("name", ["variety_g1.json", "variety_g2.json", "variety_g3.json"])
 def test_corner_locus_results_are_exact(name):
     cx = corner_locus(fixture_theta(name))
-    found = list(numbers(cx))
-    assert cx.skeleton and cx.quotient.zero_cells and len(found) > 50
+    # the integer core: every field of the cells, the pieces and the
+    # quotient; the domain is the theta's, in Fractions
+    core = list(numbers([cx.g, cx.cells, cx.skeleton, cx.quotient]))
+    assert cx.skeleton and cx.quotient.points and len(core) > 40
+    assert {type(x) for x in core} == {int}
+    found = list(numbers([views(o) for o in (*cx.cells, *cx.skeleton, cx.quotient)]))
     assert {type(x) for x in found} <= {int, Fraction}
     assert {type(x) for c in cx.cells for x in numbers(c.span)} == {Fraction}
+    assert {type(x) for c in cx.cells for x in numbers(c.vertices)} == {Fraction}
 
 
 NON_AMPLE = TropicalThetaFunction(
@@ -137,7 +150,8 @@ LEVEL2_SHIFTED = TropicalThetaFunction(
 def test_non_ample_cell_is_exact():
     cell = linearity_cell(NON_AMPLE, (Fraction(1, 3), Fraction(-1, 5)))
     assert cell.witness == (0, 0) and len(cell.vertices) >= 4
-    assert {type(x) for x in numbers(cell)} <= {int, Fraction}
+    assert {type(x) for x in numbers(cell)} == {int}
+    assert {type(x) for x in numbers(views(cell))} <= {int, Fraction}
 
 
 @pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I", "non-ample"])
