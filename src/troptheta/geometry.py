@@ -130,7 +130,6 @@ class UnsupportedFormatError(ValueError):
 
 
 _MAX_RANK = 3
-Halfspace = tuple[IntVec, Fraction]  # <normal, x> >= offset
 Polytope = dict[IntVec, int]  # homogeneous vertex (X, den) -> tight mask
 _MARGIN = Fraction(1, 16)  # added to each bound of a cell's certified region
 
@@ -168,7 +167,8 @@ def _cut(poly: Polytope, planes: _Planes, k: int) -> Polytope:
     primitive part of s_p n - s_n p, with zero slack and den > 0.  (p, n) is
     an edge iff the normals tight at both have rank g-1; a plane tight inside
     an edge is tight at both ends, so the new mask is the shared one plus
-    bit k.  Returns poly itself when no vertex is cut, {} when all are.
+    bit k.  No normal is zero, so fewer than two have rank as many as they
+    are.  Returns poly itself when no vertex is cut, {} when all are.
     """
     rows, edges = planes
     h, bit, g = rows[k], 1 << k, len(rows[k]) - 1
@@ -187,8 +187,10 @@ def _cut(poly: Polytope, planes: _Planes, k: int) -> Polytope:
                 edge = edges.get(shared)
                 if edge is None:
                     normals = [rows[i][:g] for i in _bits(shared)]
-                    edge = len(normals) >= g - 1 and _echelon(normals, g)[1] == g - 1
-                    edges[shared] = edge
+                    if len(normals) < 2:
+                        edges[shared] = edge = len(normals) == g - 1
+                    else:
+                        edges[shared] = edge = len(normals) >= g - 1 and _echelon(normals, g)[1] == g - 1
                 if edge:
                     v = [s_p * y - s_n * x for x, y in zip(p, n)]
                     c = gcd(*v)
@@ -486,6 +488,8 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     coordinates t, R_u is |M t + c| <= half + D eps, with c = U^T D (ell +
     P u) and M, half from `theta._region_frame`, so its corners are
     M^-1 (+-(half + D eps) - c), read off the frame's adjugate in integers.
+    eps is `_MARGIN` times min(1, min_j G_jj / 2): it shrinks with the form,
+    where a fixed 1/16 pooled 1 / (8 p) competitors per corner for P = [[p]].
     They are `_cut` by the pool, most violated plane first (d|d|/<a,a>,
     d = b - <a, x0>, is the signed distance d/|a| made exact).  Tight sets
     stay complete, so the cell's affine hull is cut out by the planes tight
@@ -503,7 +507,7 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     w_u = theta._w_numerator(u)
     y = [e + sum(map(mul, row, u)) for e, row in zip(kernel.ell, DP)]
     c = [q * sum(map(mul, b, y)) for b in Ut]
-    r = [q * h + D * p for h in half]
+    r = [q * h + p * min(D, *half) for h in half]
 
     # rows 0..2g-1: the region scaled by q, <q M_j, t> >= -(c_j + r_j) and
     # <-q M_j, t> >= c_j - r_j, each corner tight on g of them; rows
@@ -549,7 +553,7 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     poly = _clip(corners, planes, sorted(keys, key=keys.__getitem__, reverse=True))
     if not poly or any(m & ((1 << 2 * g) - 1) for m in poly.values()):
         lam_b = (matvec(theta.factor.Lambda, b) for b in Ut)
-        bounds = (Fraction(h, D) + _MARGIN for h in half)
+        bounds = (Fraction(r_j, q * D) for r_j in r)
         raise InvalidDataError(
             f"cell of witness {u} is not inside its certified region: centre "
             f"({', '.join(map(str, _x(_hx((*T0, a), cols, D))))}), region "
@@ -901,7 +905,8 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     of (rep, n) is its shift by d = n - n0 (module docstring), so a visit
     decomposes nothing.  A kept translate's skeleton pieces are faces of its
     one clip, deduplicated by their integer vertices, which key the quotient.
-    Tie sets come from masks, so `theta.evaluate` runs once, for the seed.
+    Tie sets come from masks and the seed is `theta._least_terms` at x = 0,
+    so `theta.evaluate` never runs.
     """
     g = theta.base.g
     if g > _MAX_RANK:
@@ -912,13 +917,13 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     D, cols = theta._kernel.D, tuple(zip(*theta._kernel.P))
     lam, cosets = theta.factor.Lambda, theta._cosets
     # class rep -> (n0 of the built witness, build, neighbors as (rep, n),
-    # bounds, the bits of its facet planes)
+    # bounds)
     classes: dict[IntVec, tuple] = {}
     seen: set[tuple[IntVec, IntVec]] = set()
     kept = []
     top = set()  # classes of the kept full-dimensional cells
-    pieces = set()
-    queue = deque([cosets.decompose(theta.evaluate((Fraction(0),) * g).canonical)])
+    pieces: dict[tuple[IntVec, ...], list[IntVec]] = {}  # witnesses -> vertices
+    queue = deque([cosets.decompose(theta._least_terms(1, (0,) * g)[0][0])])
     while queue:
         key = queue.popleft()
         if key in seen:
@@ -937,9 +942,8 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
                  max(x // t[-1] for x, t in zip(c, built.poly)))
                 for c in list(zip(*built.poly))[:-1]
             ]
-            facet_bits = sum(1 << k for k, *_ in built.halfspaces)
-            classes[rep] = (n, built, neighbors, bounds, facet_bits)
-        n0, built, neighbors, bounds, facet_bits = classes[rep]
+            classes[rep] = (n, built, neighbors, bounds)
+        n0, built, neighbors, bounds = classes[rep]
         # a polytope whose bounds miss the domain [0, 1]^g needs no clip; one
         # whose bounds meet it can still miss it, so the exact clip decides
         d = tuple(map(sub, n, n0))
@@ -950,29 +954,30 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         clipped = _clip(moved, built.planes, cuts)
         if not clipped:
             continue
-        points = tuple(_hx(t, cols, D) for t in moved)
+        s = [sum(map(mul, c, d)) for c in cols]  # x = V / q moves by -P^T d = -s / D
+        points = tuple(_lowest([*(D * v - p[-1] * x for v, x in zip(p, s)), D * p[-1]]) for p in built.points)
         cell = _place(built, d, [sum(map(mul, row, d)) for row in lam], points)
         kept.append(cell)
         # each piece is a face of the clip: tight sets stay complete, so its
         # vertices are those whose mask holds the facet plane (only
-        # full-dimensional cells have facets)
+        # full-dimensional cells have facets), and keyed by its witnesses: a
+        # tie locus is convex, so it meets the domain in one face
         if built.dim == g:
             top.add(rep)
-            on: dict[int, list[IntVec]] = {}
-            for t, m in clipped.items():
-                for k in _bits(m & facet_bits):
-                    on.setdefault(k, []).append(t)
             for k, _, _, ks in built.halfspaces:
-                if k in on:
-                    pieces.add((tuple(sorted(on[k])), tuple(tuple(map(add, cell.witness, x)) for x in ks)))
+                ws = tuple(tuple(map(add, cell.witness, x)) for x in ks)
+                if ws not in pieces:
+                    on = [t for t, m in clipped.items() if m >> k & 1]
+                    if on:
+                        pieces[ws] = on
         queue.extend((r, tuple(map(add, m, d))) for r, m in neighbors)
 
     kept = tuple(sorted(kept, key=lambda c: c.witness))
     # the pieces in x order, each with its vertices in x order
-    hx = {t: _hx(t, cols, D) for t in {t for ts, _ in pieces for t in ts}}
+    hx = {t: _hx(t, cols, D) for ts in pieces.values() for t in ts}
     keys = _x_keys(hx.values())
     point = {keys[x]: t for t, x in hx.items()}
-    ordered = sorted((tuple(sorted(keys[hx[t]] for t in ts)), w) for ts, w in pieces)
+    ordered = sorted((tuple(sorted(keys[hx[t]] for t in ts)), w) for w, ts in pieces.items())
     skeleton = tuple(SkeletonPiece(w, tuple(hx[point[k]] for k in ks)) for ks, w in ordered)
     quotient = _quotient_summary(theta, len(top), [tuple(map(point.get, ks)) for ks, _ in ordered])
     return CellComplex(g=g, cells=kept, skeleton=skeleton, domain=fd, quotient=quotient)

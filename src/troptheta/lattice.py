@@ -7,11 +7,12 @@ and checks it positive-definite.  `_reduced` reduces each form once, cached
 for both entry points: the integral LLL keeps that factorization current in
 place, and one adjugate of the reduced form G gives every inverse, so the
 real minimizer -G^-1 ell of a point's objective is a matrix-vector product.
-`minimize_quadratic` takes its walk budget from Babai's nearest-plane point
-of that minimizer, rounded level by level from the walk data in O(g^2)
-integer operations, then walks the ellipsoid below the seed completely
-(Fincke-Pohst) and reads the argmin and the minimum off the leftover
-budgets of the leaves: one Fraction value per call, none per point.
+`_argmin`, the integer argmin entry, takes its walk budget from Babai's
+nearest-plane point of an integer centre, rounded level by level from the
+walk data in O(g^2) integer operations, then walks the ellipsoid below the
+seed completely (Fincke-Pohst) and returns the leaves with the most budget
+left over; `minimize_quadratic` is its Fraction wrapper and reads the
+minimum off that budget: one Fraction value per call, none per point.
 `enumerate_below` walks an ellipsoid of a given radius.  A GramForm holds
 its own reduction, so enumerating many ellipsoids of one form neither
 re-validates it nor hashes it into that cache.  Every comparison is exact;
@@ -414,11 +415,12 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     symmetric positive-definite (NotSymmetricError / NotPositiveDefiniteError
     otherwise, the latter with its 1-based pivot index).
 
-    In the LLL-reduced form, Babai's nearest-plane point of the real
-    minimizer c lies at scaled distance S from it; the integer walk with
-    budget S yields every lattice point at or below the seed's value, each
-    with its leftover budget r, so the argmin is complete.  All leaves share
-    the scale dq k^2 of `_ellipsoid_points`, so the argmin is the leaves of
+    The Fraction wrapper of `_argmin`, the integer argmin entry: in the
+    LLL-reduced form, Babai's nearest-plane point of the real minimizer c
+    lies at scaled distance S from it; the integer walk with budget S
+    yields every lattice point at or below the seed's value, each with its
+    leftover budget r, so the argmin is complete.  All leaves share the
+    scale dq k^2 of `_ellipsoid_points`, so the argmin is the leaves of
     largest r and the minimum is q(c) + (S - r) / (2 dq k^2), with
     q(c) = c0 + (1/2) ell^T c: one value per call, and no objective
     evaluated at any point, for any g.
@@ -431,6 +433,18 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     ell_red = matvec(transpose(U), ell)
     center = tuple(-c for c in matvec(G_inv, ell_red))
     q, C = _over_common_denominator(center)
+    gap, winners = _argmin(walk, q, C)
+    lq, _, dq, _ = walk
+    value = Fraction(c0) + vecdot(ell_red, center) / 2 + Fraction(gap, 2 * dq * (lq * q) ** 2)
+    argmin = sorted(tuple(sum(map(mul, row, m)) for row in U) for m in winners)
+    return QuadraticMinimum(value=value, argmin=tuple(argmin))
+
+
+def _argmin(walk, q: int, C: list[int]) -> tuple[int, list[IntVec]]:
+    """(S - r, winners): every lattice point nearest the centre C / q of the
+    form with `_walk` data walk, in its coordinates, and its scaled distance,
+    the walk's budget S (Babai's point, so polynomial for any centre) less
+    the largest leftover r."""
     S = _nearest_plane(walk, q, C)[1]
     top, winners = -1, []
     for m, r in _ellipsoid_points(walk, q, C, 1, S):
@@ -438,8 +452,4 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
             top, winners = r, [m]
         elif r == top:
             winners.append(m)
-
-    lq, _, dq, _ = walk
-    value = Fraction(c0) + vecdot(ell_red, center) / 2 + Fraction(S - top, 2 * dq * (lq * q) ** 2)
-    argmin = sorted(tuple(sum(map(mul, row, m)) for row in U) for m in winners)
-    return QuadraticMinimum(value=value, argmin=tuple(argmin))
+    return S - top, winners

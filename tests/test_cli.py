@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from troptheta.cli import main
 from troptheta.geometry import CellComplex, corner_locus, export_mesh
+from troptheta.lattice import CosetLattice
 from troptheta.rationals import format_fraction
 from troptheta.theta import TropicalThetaFunction, riemann_theta
 from troptheta.varieties import TropicalPolarizationData
@@ -673,6 +675,93 @@ def test_export_reader_fuzz(tmp_path_factory, data):
         assert res.exit_code in (0, 2), (fmt, res.exit_code, repr(res.exception), res.output)
         assert res.exception is None or isinstance(res.exception, SystemExit), (fmt, repr(res.exception))
         assert "Traceback" not in res.output
+
+
+SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+HUGE = st.builds(Fraction, st.sampled_from([10**30, -(10**30), 10**9]), st.sampled_from([1, 7]))
+
+
+@st.composite
+def theta_docs(draw):
+    """A theta document of any shape `divisor` and `eval` read: g up to 4,
+    Lam scalar, non-diagonal, singular, zero or of huge index, P positive,
+    indefinite, unsymmetric or huge, huge numerators in ell and w, "inf"
+    values, and profile reps anywhere in their cosets or not one per coset."""
+    g = draw(st.integers(1, 4))
+    unit = [[int(i == j) for j in range(g)] for i in range(g)]
+    kinds = ["scalar"] * 4 + ["singular", "zero", "huge"] + (["non-diagonal"] * 2 if g in (2, 3) else [])
+    lam_kind = draw(st.sampled_from(kinds))
+    d = draw(st.integers(1, 2 if g <= 3 else 1))
+    lam = {
+        "scalar": [[d * x for x in row] for row in unit],
+        "singular": [[0] * g] + unit[1:],
+        "zero": [[0] * g for _ in range(g)],
+        "huge": [[10**8 * x for x in row] for row in unit],
+        "non-diagonal": {2: [[2, 1], [1, 2]], 3: [[2, 1, 0], [1, 2, 1], [0, 1, 2]]}.get(g),
+    }[lam_kind]
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1), Fraction(10**30), Fraction(1, 10**9)]))
+    if lam_kind == "non-diagonal":
+        a, b = draw(st.sampled_from([1, 2])), draw(st.sampled_from([0, Fraction(1, 2)]))
+        P = [[scale * (a * unit[i][j] + b * lam[i][j]) for j in range(g)] for i in range(g)]
+    else:
+        P = [[scale * draw(st.sampled_from([2, 3])) if i == j else Fraction(0) for j in range(g)] for i in range(g)]
+        for i in range(g):
+            for j in range(i):
+                P[i][j] = P[j][i] = scale * draw(st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 3)]))
+        shape = draw(st.sampled_from(["positive"] * 4 + ["indefinite", "unsymmetric", "degenerate"]))
+        if shape == "indefinite":
+            P[0][0] = -P[0][0]
+        elif shape == "unsymmetric" and g > 1:
+            P[0][1] += 1
+        elif shape == "degenerate":
+            for i in range(g):
+                P[0][i] = P[i][0] = Fraction(0)
+    value = st.one_of(SMALL, SMALL, HUGE, st.just("inf"))
+    ell = [draw(st.one_of(SMALL, HUGE)) for _ in range(g)] if lam_kind != "zero" else [0] * g
+    try:
+        reps = list(CosetLattice(tuple(map(tuple, lam))).representatives()) if lam_kind != "huge" else []
+    except ValueError:  # a singular Lam has no cosets
+        reps = []
+    if not reps or draw(st.integers(0, 3)) == 0:
+        reps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * g), min_size=1, max_size=4, unique=True))
+    m = st.tuples(*[st.sampled_from([0, 0, 1, -2, 10**6])] * g)
+    if lam_kind != "zero":
+        reps = [tuple(r + sum(x * y for x, y in zip(row, draw(m))) for r, row in zip(rep, lam)) for rep in reps]
+    profile = [{"rep": list(rep), "w": str(draw(value))} for rep in reps]
+    profile[0]["w"] = str(draw(SMALL))
+    doc = {
+        "g": g,
+        "P": [[str(x) for x in row] for row in P],
+        "Lambda": unit,
+        "factor": {"Lambda": lam, "ell": [str(x) for x in ell]},
+        "profile": profile,
+    }
+    return doc
+
+
+@given(theta_docs(), st.data())
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_divisor_and_eval_fuzz(tmp_path_factory, doc, data):
+    # a theta document, drawn or mutated to wrong types and shapes, gets a
+    # mesh and a report (exit 0), a failed check (exit 1) or a message
+    # (exit 2) from `divisor` and `eval`: never a traceback, and each within
+    # a few seconds
+    for _ in range(data.draw(st.integers(0, 2))):
+        mutate(data, doc)
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "theta.json"
+    path.write_text(json.dumps(doc))
+    g = doc.get("g") if type(doc.get("g")) is int else 2
+    coordinate = st.one_of(SMALL, HUGE).map(format_fraction)
+    point = st.lists(coordinate, min_size=g, max_size=g) | st.lists(coordinate, min_size=1, max_size=5)
+    points = [",".join(p) for p in data.draw(st.lists(point, min_size=1, max_size=2))]
+    for argv in (("divisor", path, "--out", folder / "mesh.json"), ("eval", path, *points)):
+        started = time.perf_counter()
+        res = run(*argv)
+        assert res.exit_code in (0, 1, 2), (argv[0], res.exit_code, repr(res.exception), res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (argv[0], repr(res.exception))
+        assert "Traceback" not in res.output
+        assert time.perf_counter() - started < 10, argv[0]
 
 
 def test_export_reads_literals_in_any_form(tmp_path):

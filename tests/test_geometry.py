@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -305,9 +306,10 @@ GATED = {
 def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cells):
     # machine-independent gates: _build_cell runs once per coset class of the
     # kept cells (every other cell is a lattice translate), each time for a
-    # kept cell, theta.evaluate runs once, at x = 0 for the seed witness,
-    # and no linear system is solved: centres and lattice coordinates are
-    # products with inverses computed once per matrix
+    # kept cell, theta.evaluate never runs (the seed witness at x = 0 is
+    # found in integers, and tie sets come from masks), and no linear
+    # system is solved: centres and lattice coordinates are products with
+    # inverses computed once per matrix
     theta = GATED[name]()
     built = []
     evals = []
@@ -329,7 +331,7 @@ def test_corner_locus_builds_only_kept_cells(monkeypatch, solve_calls, name, cel
     classes = {theta._cosets.decompose(c.witness)[0] for c in cx.cells}
     assert len(built) == len(classes) == 1
     assert set(built) <= {c.witness for c in cx.cells}
-    assert evals == [(F(0),) * theta.g]
+    assert evals == []
     assert solve_calls == []
 
 
@@ -416,16 +418,17 @@ def test_x_is_formed_once_per_output_point(name):
 
 @pytest.mark.parametrize(
     "name, calls",
-    [("TH1", 1), ("TH2", 12), ("variety_g2_skewed", 8), ("TH3", 48), ("variety_g3", 61)],
+    [("TH1", 0), ("TH2", 0), ("variety_g2_skewed", 0), ("TH3", 48), ("variety_g3", 61)],
 )
 def test_edge_ranks_once_per_mask(monkeypatch, name, calls):
     # machine-independent gate: _cut's edge test ranks the normals of a
-    # shared tight mask with one _echelon call, cached per mask for the
-    # corner_locus call, so the calls count distinct masks (ranking every
-    # tested pair took 4, 28, 44, 120 and 165; cutting the skewed form's
-    # larger coordinate box took 10 for it).  Only calls made inside _cut
-    # are edge tests: the build's rank of its homogeneous vertices is not
-    # counted.
+    # shared tight mask of two or more planes with one _echelon call,
+    # cached per mask for the corner_locus call, so the calls count distinct
+    # such masks.  A mask of one plane (or none) has rank 1 (or 0), as no
+    # normal is zero, so at g <= 2 every edge test is decided without one
+    # (ranking every mask took 1, 12 and 8 here; ranking every tested pair
+    # took 4, 28, 44, 120 and 165).  Only calls made inside _cut are edge
+    # tests: the build's rank of its homogeneous vertices is not counted.
     ranks = []
     in_cut = [False]
     echelon, cut = geometry._echelon, geometry._cut
@@ -1001,6 +1004,43 @@ def test_cut_matches_brute_force_vertices_and_tight_sets(data):
 
 
 # ---------- iteration limits ----------
+
+
+E9 = 10**9
+PROBES = {
+    "g3-entries-1e9": riemann_theta(data_of([[E9, E9 - 1, 0], [E9 - 1, E9, 1], [0, 1, E9]], DIAG3.Lambda)),
+    "g2-ell-1e6": TropicalThetaFunction(
+        base=D2,
+        factor=AutomorphyFactor(Lambda=D2.Lambda, ell=(F(10**6), F(-(10**6)))),
+        profile=ValuationProfile(entries=(((0, 0), F(0)),)),
+    ),
+    "g2-form-1e-9": riemann_theta(data_of([[F(2, E9), F(1, E9)], [F(1, E9), F(2, E9)]], D2.Lambda)),
+}
+
+
+@pytest.mark.parametrize("name", list(PROBES))
+def test_corner_locus_is_bounded_far_from_unit_scale(name):
+    # robustness probes, each within 2 s: the seed walks below its Babai
+    # point in the reduced basis (a sweep bounded by the profile's value at
+    # x = 0 would enumerate about 10^12 points at ell = (10^6, -10^6)), and
+    # each certified region's margin shrinks with the form (a fixed 1/16
+    # pooled about 10^8 competitors per corner at P = 10^-9 [[2,1],[1,2]])
+    theta = PROBES[name]
+    started = time.perf_counter()
+    cx = corner_locus(theta)
+    assert time.perf_counter() - started < 2
+    assert theta._least_terms(1, (0,) * theta.g)[0][0] == theta.evaluate((F(0),) * theta.g).canonical
+    if name == "g3-entries-1e9":
+        assert cx.cells and cx.skeleton
+        return
+    # f(v) = f_TH2(v + ell) with ell = P^T (10^6, -10^6) a period, and
+    # f(v) = f_TH2(10^9 v) / 10^9: the divisor of TH2, with its witnesses
+    # moved by that period or its vertices scaled by 10^-9
+    ref = corner_locus(TH2)
+    move, scale = ((-(10**6), 10**6), 1) if name == "g2-ell-1e6" else ((0, 0), F(1, E9))
+    assert [(tuple(tuple(a - b for a, b in zip(w, move)) for w in p.witnesses), p.vertices) for p in cx.skeleton] == [
+        (p.witnesses, tuple(tuple(scale * x for x in v) for v in p.vertices)) for p in ref.skeleton
+    ]
 
 
 def test_cell_on_its_box_reports_witness_centre_and_halfwidths(monkeypatch):

@@ -17,7 +17,10 @@ argument and result and every `_pool` argument and result, also for a
 theta whose profile reps lie off the canonical box, so that its values are
 moved onto the box in ints.  The minimizer reads each value off its
 ellipsoid walk: a fifth check walks every leaf the walk yields during theta
-evaluations, point and leftover budget, and finds only ints.
+evaluations, point and leftover budget, and finds only ints.  The divisor's
+seed is the integer argmin entry `lattice._argmin`: a sixth check walks
+every argument and result of its calls during corner loci and finds only
+ints.
 """
 
 import ast
@@ -28,7 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from troptheta import geometry, lattice
+from troptheta import geometry, lattice, theta
 from troptheta.geometry import corner_locus, linearity_cell
 from troptheta.theta import AutomorphyFactor, TropicalThetaFunction, ValuationProfile, riemann_theta
 from troptheta.varieties import TropicalPolarizationData
@@ -241,3 +244,22 @@ def test_walk_leaves_are_integers(monkeypatch, name):
     assert len(leaves) >= 20
     assert {type(r) for _, r in leaves} == {int}
     assert {type(x) for m, _ in leaves for x in m} == {int}
+
+
+@pytest.mark.parametrize("name", ["variety_g1.json", "variety_g2.json", "variety_g3.json", "LEVEL2_SHIFTED"])
+def test_seed_argmin_runs_in_integers(monkeypatch, name):
+    # the seed witness at x = 0 comes from the integer argmin entry: its
+    # walk data, centre, gap and winners are all ints
+    calls = []
+    argmin = lattice._argmin
+
+    def recording(*args):
+        out = argmin(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(theta, "_argmin", recording)
+    corner_locus(LEVEL2_SHIFTED if name == "LEVEL2_SHIFTED" else fixture_theta(name))
+    found = list(numbers(calls))
+    assert calls and all(winners for _, (_, winners) in calls)
+    assert {type(x) for x in found} == {int}

@@ -433,6 +433,39 @@ def test_profile_reps_may_be_any_member_of_their_cosets(case, data):
     assert shifted.coeffs == f.coeffs
 
 
+
+@given(sweep_cases().filter(lambda case: case[0].is_ample), st.data())
+@settings(max_examples=40, deadline=None)
+def test_least_terms_are_the_witnesses_of_evaluate(case, data):
+    # the integer seed of corner_locus: at x = 0 and at other points,
+    # _least_terms gives evaluate's witnesses, each with D w(u) as an int,
+    # also with profile reps moved off the canonical box and ell moved far
+    # from 0 (the coset minima then lie far from n = 0)
+    theta, v, _ = case
+    g, lam = theta.g, theta.factor.Lambda
+    far = data.draw(st.sampled_from([0, 10**6, 10**30]))
+    ell = tuple(e + far * data.draw(st.integers(-2, 2)) for e in theta.factor.ell)
+    shift = st.tuples(*[st.integers(-3, 3)] * g)
+    entries = tuple(
+        (tuple(r + x for r, x in zip(rep, matvec(lam, data.draw(shift)))), w) for rep, w in theta.profile.entries
+    )
+    theta = TropicalThetaFunction(
+        base=theta.base, factor=AutomorphyFactor(Lambda=lam, ell=ell), profile=ValuationProfile(entries=entries)
+    )
+    D = theta._kernel.D
+    for x in [(F(0),) * g, v]:
+        q = math.lcm(*(c.denominator for c in x))
+        V = [c.numerator * (q // c.denominator) for c in x]
+        terms = theta._least_terms(q, V)
+        res = theta.evaluate(x)
+        assert tuple(u for u, _ in terms) == res.witnesses
+        assert all(type(n) is int for u, w in terms for n in (*u, w))
+        assert all(w == D * theta.extended_w(u) for u, w in terms)
+        assert {F(q * w + D * sum(a * b for a, b in zip(u, V)), D * q) for u, w in terms} == {res.value}
+    zero = theta._least_terms(1, (0,) * g)
+    assert zero[0][0] == theta.evaluate((0,) * g).canonical
+
+
 # ---------- invariants ----------
 
 def rational_grid(g, count, seed, span=6):
