@@ -31,6 +31,7 @@ from .geometry import (
 from .nonarch import (
     NAThetaFunction,
     PeriodMatrix,
+    SeriesTooLargeError,
     canonical_cocycle,
     theta_basis,
     tropicalize,
@@ -190,6 +191,8 @@ def _build() -> None:
             _require_keys(doc, ("T", "Lambda", "c", "coeffs"))
             try:
                 f = NAThetaFunction.from_json_dict(doc)
+            except SeriesTooLargeError as exc:
+                raise click.UsageError(str(exc))
             except ValueError as exc:
                 checks.append(_check("construction", False, str(exc)))
             else:
@@ -336,6 +339,8 @@ def _build() -> None:
                 outcomes = suite_c(f1, f2, pairs=used, seed=seed)
         except (KeyError, TypeError) as exc:
             raise click.UsageError(f"malformed input for suite {suite}: {exc}")
+        except SeriesTooLargeError as exc:
+            raise click.UsageError(str(exc))
         except ValueError as exc:
             outcomes = (CheckOutcome("precondition", False, str(exc)),)
             used = 0 if used is None else used
@@ -366,7 +371,7 @@ def _build() -> None:
         try:
             theta = _theta_from_any(doc)
             complex_ = corner_locus(theta)
-        except RankTooLargeError as exc:
+        except (RankTooLargeError, SeriesTooLargeError) as exc:
             raise click.UsageError(str(exc))
         except ValueError as exc:
             _fail("divisor", digest, "divisor-extraction", exc, started)

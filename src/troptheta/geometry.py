@@ -589,10 +589,10 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
     g = theta.base.g
     if g > _MAX_RANK:
         raise RankTooLargeError(f"vertex enumeration capped at g <= {_MAX_RANK}")
-    result = theta.evaluate(as_point(v))
-    if not result.unique:
-        raise OnCornerLocusError(result.witnesses)
-    u = result.canonical
+    _, witnesses = theta._least(v)
+    if len(witnesses) > 1:
+        raise OnCornerLocusError(witnesses)
+    u = witnesses[0]
     if not theta.is_ample:
         # finite support: the pool is the whole profile.  A vertex solves g
         # integer pool rows (a, b), so by Cramer and Hadamard |x_i| <=

@@ -14,9 +14,9 @@ seed completely (Fincke-Pohst) and returns the leaves with the most budget
 left over; `minimize_quadratic` is its Fraction wrapper and reads the
 minimum off that budget: one Fraction value per call, none per point.
 `enumerate_below` walks an ellipsoid of a given radius.  A GramForm holds
-its own reduction, so enumerating many ellipsoids of one form neither
-re-validates it nor hashes it into that cache.  Every comparison is exact;
-floats never appear.
+its own reduction, so minimizing or enumerating many times over one form
+neither re-validates it nor hashes it into that cache.  Every comparison is
+exact; floats never appear.
 """
 
 from __future__ import annotations
@@ -273,13 +273,8 @@ def _ellipsoid_points(walk, q: int, C: list[int], s: int, R: int) -> Iterator[tu
 
 def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     """All n in Z^g with (1/2) (n-center)^T B (n-center) <= radius, sorted
-    lexicographically.  A GramForm B was validated when it was built and
-    carries its reduction, so repeated calls on one form skip both."""
-    if isinstance(B, GramForm):
-        reduction = B._reduction
-    else:
-        reduction = _reduced(_gram_rows(B))
-    U, U_inv, walk = reduction[:3]
+    lexicographically.  A GramForm B carries its reduction (`_reduction`)."""
+    U, U_inv, walk = _reduction(B)[:3]
     radius = Fraction(radius) if not isinstance(radius, Fraction) else radius
     if radius < 0:
         raise NegativeRadiusError(f"radius {radius} < 0")
@@ -293,6 +288,12 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     # the walk's scale and budget for 2 radius (a common factor changes no leaf)
     leaves = _ellipsoid_points(walk, q, C_red, radius.denominator, 2 * radius.numerator * dq * (lq * q) ** 2)
     return sorted([tuple([sum(map(mul, row, m)) for row in U]) for m, _ in leaves])
+
+
+def _reduction(B):
+    """`_reduced` of B; a GramForm was validated when it was built and
+    carries its own, so repeated calls on one form skip both."""
+    return B._reduction if isinstance(B, GramForm) else _reduced(_gram_rows(B))
 
 
 @functools.lru_cache(maxsize=32)
@@ -413,7 +414,8 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
 
     Returns the minimum value and the complete argmin set.  B must be
     symmetric positive-definite (NotSymmetricError / NotPositiveDefiniteError
-    otherwise, the latter with its 1-based pivot index).
+    otherwise, the latter with its 1-based pivot index).  A GramForm B
+    carries its reduction, as for `enumerate_below`.
 
     The Fraction wrapper of `_argmin`, the integer argmin entry: in the
     LLL-reduced form, Babai's nearest-plane point of the real minimizer c
@@ -425,11 +427,10 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     q(c) = c0 + (1/2) ell^T c: one value per call, and no objective
     evaluated at any point, for any g.
     """
-    rows = _gram_rows(B)
+    U, _, walk, G_inv, _, _ = _reduction(B)
     ell = tuple(Fraction(v) for v in ell)
-    if len(ell) != len(rows):
+    if len(ell) != len(U):
         raise ShapeMismatchError("linear part length mismatch")
-    U, _, walk, G_inv, _, _ = _reduced(rows)
     ell_red = matvec(transpose(U), ell)
     center = tuple(-c for c in matvec(G_inv, ell_red))
     q, C = _over_common_denominator(center)

@@ -86,6 +86,19 @@ class ZeroDenominatorError(ZeroDivisionError):
     """Rational function with identically zero denominator."""
 
 
+class SeriesTooLargeError(ValueError):
+    """A series has more than _MAX_INDEX cosets, or one of its exact
+    coefficients needs an integer power of more than _MAX_BITS bits."""
+
+
+# A series' file need not list its cosets (a missing coefficient is 0), yet
+# its coefficient table and its tropicalization hold one entry per coset; and
+# a coefficient a_u holds powers whose size grows with |u|^2, so a cocycle
+# value of valuation 10^30 puts the dominant terms at |u| ~ 10^30.
+_MAX_INDEX = 4096
+_MAX_BITS = 1 << 20
+
+
 # c q^(e/D) as (e, numerator of c, denominator of c), over a D the holder keeps
 Mono = tuple[int, int, int]
 
@@ -104,6 +117,9 @@ def _fold(factors: Iterable[tuple[Mono, int]]) -> Mono:
             exp += k * e
             if k < 0:
                 a, b, k = b, a, -k
+            size = max(abs(a), abs(b))
+            if size > 1 and k * size.bit_length() > _MAX_BITS:
+                raise SeriesTooLargeError(f"coefficient ({a}/{b})^{k} exceeds {_MAX_BITS} bits")
             num *= a**k
             den *= b**k
     return exp, num, den
@@ -338,7 +354,7 @@ class NAThetaFunction:
                 return a._shifted(-e, 1 / c)
 
             table = self._cosets.normal_form(entries, move, "coefficient", InvalidDataError)
-            norm = [(rep, table.get(rep, PuiseuxNumber.zero())) for rep in self._cosets.representatives()]
+            norm = [(rep, table.get(rep, PuiseuxNumber.zero())) for rep in _representatives(self._cosets)]
         object.__setattr__(self, "coeffs", tuple(norm))
         if all(a.is_zero() for _, a in self.coeffs):
             raise InvalidDataError("theta function needs a nonzero coefficient")
@@ -435,6 +451,13 @@ class NAThetaFunction:
         )
 
 
+def _representatives(cosets: CosetLattice) -> tuple[IntVec, ...]:
+    """A series' coset reps, or SeriesTooLargeError beyond _MAX_INDEX."""
+    if cosets.index > _MAX_INDEX:
+        raise SeriesTooLargeError(f"polarization index {cosets.index} exceeds {_MAX_INDEX} cosets")
+    return cosets.representatives()
+
+
 def _require_ample(cocycle: NACocycle):
     B = matmul(cocycle.period.exponent_rows(), cocycle.Lambda)
     if not is_symmetric(B):
@@ -448,6 +471,14 @@ def _require_ample(cocycle: NACocycle):
     return B
 
 
+def _polarization(period: PeriodMatrix, Lambda) -> IntRows:
+    """Lambda as integer rows, g x g for the period's g."""
+    Lambda, g = int_rows_from(Lambda, "Lambda"), period.g
+    if len(Lambda) != g or any(len(r) != g for r in Lambda):
+        raise ShapeMismatchError("Lambda shape mismatch")
+    return Lambda
+
+
 def _diagonal_pairs(period: PeriodMatrix, Lambda: IntRows) -> Iterable[PuiseuxNumber]:
     """The pair values t(e'_i, lambda(e'_i)), generator by generator."""
     g = period.g
@@ -459,7 +490,7 @@ def build_riemann_theta(period: PeriodMatrix, Lambda) -> NAThetaFunction:
     """The symmetric-normalized Riemann theta for a principal polarization:
     c(e'_i) = sqrt(t(e'_i, lambda(e'_i))) (square roots chosen on generator
     pairs, extended bilinearly), coefficients generated from a_0 = 1."""
-    Lambda = int_rows_from(Lambda, "Lambda")
+    Lambda = _polarization(period, Lambda)
     if abs(int_det(Lambda)) != 1:
         raise NotPrincipalError("build_riemann_theta needs |det Lambda| = 1")
     # CoefficientNotASquareError if a pair value is not a square
@@ -475,7 +506,7 @@ def build_riemann_theta(period: PeriodMatrix, Lambda) -> NAThetaFunction:
 def canonical_cocycle(period: PeriodMatrix, Lambda) -> NACocycle:
     """Square-root-normalized cocycle when the diagonal pair values are
     squares, otherwise generator values 1."""
-    Lambda = int_rows_from(Lambda, "Lambda")
+    Lambda = _polarization(period, Lambda)
     gens = []
     for t_ii in _diagonal_pairs(period, Lambda):
         try:
@@ -494,7 +525,7 @@ def theta_basis(period: PeriodMatrix, cocycle: NACocycle) -> tuple[NAThetaFuncti
     if cocycle.lambda_is_zero() or int_det(cocycle.Lambda) == 0:
         raise NotAmpleError("theta_basis needs an invertible polarization")
     _require_ample(cocycle)
-    reps = CosetLattice(cocycle.Lambda).representatives()
+    reps = _representatives(CosetLattice(cocycle.Lambda))
     out = []
     for rep in reps:
         out.append(
@@ -567,8 +598,11 @@ def evaluate_at_point(
     and the cutoff, in integers: one enumeration below the cutoff per
     finite coset (a finite scan when lambda = 0), summed in lex order of u.
     x must have monomial nonzero coordinates; cutoff must be at least the
-    minimal term valuation f_trop(trop(x)), which is the default.  When the minimal-valuation term
-    is unique, val(value) equals that minimum.
+    minimal term valuation f_trop(trop(x)), which is the default.  That
+    minimum and whether one term attains it come from one integer argmin of
+    the tropicalization (TropicalThetaFunction._least), not from `evaluate`.
+    When the minimal-valuation term is unique, val(value) equals that
+    minimum.
     """
     g = f.g
     if len(x) != g:
@@ -580,12 +614,10 @@ def evaluate_at_point(
             raise InvalidDataError("point coordinates must be monomials")
     v = tuple(xj.val() for xj in x)
     trop = tropicalize(f)
-    result = trop.evaluate(v)
-    cutoff = result.value if cutoff is None else Fraction(cutoff)
-    if cutoff < result.value:
-        raise CutoffBelowMinimumError(
-            f"cutoff {cutoff} below minimal valuation {result.value}"
-        )
+    least, witnesses = trop._least(v)
+    cutoff = least if cutoff is None else Fraction(cutoff)
+    if cutoff < least:
+        raise CutoffBelowMinimumError(f"cutoff {cutoff} below minimal valuation {least}")
 
     # v = V / q; each term's D q val(a_u x^u) is an integer, so floor the cutoff
     q, V = _over_common_denominator(v)
@@ -596,8 +628,8 @@ def evaluate_at_point(
     return PartialSum(
         value=PuiseuxNumber(tuple(chain.from_iterable(p.terms for p in products))),
         terms=len(terms),
-        trop_value=result.value,
-        dominant_unique=result.unique,
+        trop_value=least,
+        dominant_unique=len(witnesses) == 1,
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .rationals import INF, format_fraction, is_square, sqrt_exact
+from .rationals import INF, format_fraction, is_square, parse_fraction, sqrt_exact
 
 Term = tuple[Fraction, Fraction]  # (exponent, coefficient)
 
@@ -238,11 +238,12 @@ def _parse_puiseux(text: str) -> PuiseuxNumber:
         m = _TERM_RE.match(piece)
         if not m or (m.group("coeff") is None and m.group("q") is None):
             raise ValueError(f"bad Puiseux term: {piece!r} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        # parse_fraction refuses a zero denominator with a ValueError
+        coeff = parse_fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
         if m.group("q") is None:
             exp = Fraction(0)
         elif m.group("pexp") is not None:
-            exp = Fraction(m.group("pexp"))
+            exp = parse_fraction(m.group("pexp"))
         elif m.group("iexp") is not None:
             exp = Fraction(m.group("iexp"))
         else:

@@ -16,12 +16,15 @@ D (ell + P rep) per finite coset, keyed by the canonical rep of
 lattice.CosetLattice.  A profile rep may be any member of its coset: at
 construction, CosetLattice.normal_form (the one place that decomposes
 profile reps) moves its value to the canonical rep by the law above, and
-rejects a second rep of one coset.  Values minimize the quadratic
-(lattice.minimize_quadratic, on g + 1 Fractions per coset formed from
-those integers; `_least_terms`, the divisor's seed, finds the same
-witnesses in integers through lattice._argmin), and the divisor's
-competitor sweeps and the Puiseux partial sums enumerate below a bound
-through geometry._terms_below.
+rejects a second rep of one coset.  Values minimize the quadratic in
+integers: `_least_terms` takes each coset's centre from those integers to
+the integer argmin entry lattice._argmin, and `_least` reads the value off
+its first term.  Every library reader of a value (`__call__`, the
+transformation-law and periodicity checks, expressions, the Puiseux partial
+sums, the divisor's seed and linearity cells) uses that path; only the
+public `evaluate` still minimizes on g + 1 Fractions per coset through
+lattice.minimize_quadratic.  The divisor's competitor sweeps and the
+Puiseux partial sums enumerate below a bound through geometry._terms_below.
 `_coset_terms` is the one D w(rep + Lam n) formula, for those enumerations,
 `extended_w` and `c_trop` (the coset of 0), so the divisor's pool offsets
 D w(u) - D w(u'') are differences of integers and no competitor is
@@ -373,32 +376,24 @@ class TropicalThetaFunction:
     # ---------- evaluation ----------
 
     def evaluate(self, v: Sequence) -> EvalResult:
-        """f(v) and every witness, through minimize_quadratic: `_least_terms`
-        is faster, but the benchmark harness's peak RSS grows with the op
-        count, so a faster `eval` loop would read as a memory rise."""
-        point = as_point(v)
-        if len(point) != self.g:
-            raise ShapeMismatchError("point length mismatch")
-        finite = self.profile.finite_entries()
-        if not finite:
+        """f(v) and every witness, sorted: the one Fraction reader, through
+        lattice.minimize_quadratic per coset.  Every other reader takes its
+        value off `_least` in integers.  `evaluate` stays on the Fraction
+        path because the benchmark harness's peak RSS grows with its op
+        count, so a faster `eval` loop reads as a memory rise; once the
+        harness's statistics stop growing with the op count it becomes
+        EvalResult(*self._least(v))."""
+        point = self._point(v)
+        if not self.profile.finite_entries():
             raise EmptyProfileError("profile has no finite value")
         if not self.is_ample:
-            best = None
-            witnesses = []
-            for rep, w in finite:
-                val = w + vecdot(rep, point)
-                if best is None or val < best:
-                    best, witnesses = val, [rep]
-                elif val == best:
-                    witnesses.append(rep)
-            return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
-
+            return EvalResult(*self._least(point))
         best = None
         witnesses: list[IntVec] = []
         q, V = _over_common_denominator(point)
         for rep, L, C in self._coset_quadratics(q, V):
             den = self._kernel.D * q
-            res = minimize_quadratic(self._B_rows, [Fraction(x, den) for x in L], Fraction(C, den))
+            res = minimize_quadratic(self._form, [Fraction(x, den) for x in L], Fraction(C, den))
             if best is None or res.value < best:
                 best = res.value
                 witnesses = [self._witness(rep, n) for n in res.argmin]
@@ -406,27 +401,55 @@ class TropicalThetaFunction:
                 witnesses.extend(self._witness(rep, n) for n in res.argmin)
         return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
 
+    def _point(self, v: Sequence) -> TropPoint:
+        point = as_point(v)
+        if len(point) != self.g:
+            raise ShapeMismatchError("point length mismatch")
+        return point
+
+    def _least(self, v: Sequence) -> tuple[Fraction, tuple[IntVec, ...]]:
+        """(f(v), every witness, sorted), in integers: the value is
+        D q (w(u) + <u, v>) / (D q) at the first of `_least_terms`."""
+        q, V = _over_common_denominator(self._point(v))
+        terms = self._least_terms(q, V)
+        u, w_u = terms[0]
+        D = self._kernel.D
+        return Fraction(q * w_u + D * sum(map(mul, u, V)), D * q), tuple(u for u, _ in terms)
+
     def _least_terms(self, q: int, V: Sequence[int]) -> list[tuple[IntVec, int]]:
-        """(u, D w(u)) for `evaluate`'s witnesses u at v = V / q (q > 0),
-        sorted, in integers.  Each coset's quadratic (`_coset_quadratics`) is
-        least over the reals at n = -A L / (a D q), (P Lam)^-1 = A / a, so
-        lattice._argmin takes the centre -U^-1 A L / (a D q) in reduced
-        coordinates m = U^-1 n; D q (w(u) + <u, v>) compare as integers."""
-        U, U_inv, walk, _, _, (A, a) = self._form._reduction
+        """(u, D w(u)) for every witness u of f at v = V / q (q > 0), sorted,
+        in integers; D q (w(u) + <u, v>) compare as integers.  With lambda =
+        0 each finite support point is a term.  Otherwise each coset's
+        quadratic (`_coset_quadratics`) is least over the reals at
+        n = -A L / (a D q), (P Lam)^-1 = A / a, so lattice._argmin takes the
+        centre -U^-1 A L / (a D q) in reduced coordinates m = U^-1 n.
+        EmptyProfileError if no value is finite."""
         D = self._kernel.D
         best, out = None, []
-        for (w, base), (rep, L, _) in zip(self._coset_constants.values(), self._coset_quadratics(q, V)):
-            AL = [sum(map(mul, row, L)) for row in A]
-            _, winners = _argmin(walk, a * D * q, [-sum(map(mul, row, AL)) for row in U_inv])
-            terms = self._coset_terms(rep, w, base, [[sum(map(mul, row, m)) for row in U] for m in winners])
+        if self.is_ample:
+            groups = self._coset_least_terms(q, V)
+        else:
+            groups = ([(u, w)] for u, w in self._kernel.w.items() if w is not None)
+        for terms in groups:
             u, w_u = terms[0]
             value = q * w_u + D * sum(map(mul, u, V))
             if best is None or value < best:
                 best, out = value, terms
             elif value == best:
                 out += terms
+        if best is None:
+            raise EmptyProfileError("profile has no finite value")
         out.sort()
         return out
+
+    def _coset_least_terms(self, q: int, V: Sequence[int]):
+        """Each finite coset's least (u, D w(u)) terms at v = V / q."""
+        U, U_inv, walk, _, _, (A, a) = self._form._reduction
+        aDq = a * self._kernel.D * q
+        for (w, base), (rep, L, _) in zip(self._coset_constants.values(), self._coset_quadratics(q, V)):
+            AL = [sum(map(mul, row, L)) for row in A]
+            _, winners = _argmin(walk, aDq, [-sum(map(mul, row, AL)) for row in U_inv])
+            yield self._coset_terms(rep, w, base, [[sum(map(mul, row, m)) for row in U] for m in winners])
 
     def _coset_quadratics(self, q: int, V: Sequence[int]):
         """(rep, L, C) in integers for each finite coset of an ample theta,
@@ -444,7 +467,8 @@ class TropicalThetaFunction:
         return tuple(int(r + s) for r, s in zip(rep, shift))
 
     def __call__(self, v: Sequence) -> Fraction:
-        return self.evaluate(v).value
+        """f(v), in integers (`_least`)."""
+        return self._least(v)[0]
 
     # ---------- translation ----------
 
@@ -561,12 +585,12 @@ def verify_transformation(
 
     def rhs(v, n):
         u = embed_Mprime(theta.base, n)
-        shifted = theta.evaluate(tuple(a + b for a, b in zip(v, u))).value
+        shifted = theta(tuple(a + b for a, b in zip(v, u)))
         return shifted + theta.c_trop(n) + vecdot(matvec(theta.factor.Lambda, n), v)
 
     if shifts is None:
         shifts = default_shifts(theta.g)
-    return _check_samples(samples, shifts, lambda v: theta.evaluate(v).value, rhs)
+    return _check_samples(samples, shifts, theta, rhs)
 
 
 def is_even(theta: TropicalThetaFunction) -> bool:
@@ -609,7 +633,7 @@ class TropicalThetaExpression:
     def evaluate(self, v: Sequence) -> Fraction:
         point = as_point(v)
         return sum(
-            m * theta.evaluate(tuple(a + b for a, b in zip(point, shift))).value
+            m * theta(tuple(a + b for a, b in zip(point, shift)))
             for m, shift, theta in self.terms
         )
 

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from troptheta.cli import main
 from troptheta.geometry import CellComplex, corner_locus, export_mesh
 from troptheta.lattice import CosetLattice
+from troptheta.puiseux import PuiseuxNumber
 from troptheta.rationals import format_fraction
 from troptheta.theta import TropicalThetaFunction, riemann_theta
 from troptheta.varieties import TropicalPolarizationData
@@ -762,6 +763,125 @@ def test_divisor_and_eval_fuzz(tmp_path_factory, doc, data):
         assert res.exception is None or isinstance(res.exception, SystemExit), (argv[0], repr(res.exception))
         assert "Traceback" not in res.output
         assert time.perf_counter() - started < 10, argv[0]
+
+
+def monomial(coeff, exponent):
+    return str(PuiseuxNumber.monomial(coeff, exponent))
+
+
+@st.composite
+def series_docs(draw):
+    """A series document of any shape `validate` and `crosscheck` read: g up
+    to 3; Lam scalar, non-diagonal, singular, zero or of huge index; a
+    pairing P positive, indefinite, unsymmetric, degenerate or scaled by
+    10^30, under coefficients other than 1; cocycle values and coefficients
+    that are zero, not monomials, or carry exponents of 10^30; and
+    coefficient reps anywhere in their cosets or not one per coset."""
+    g = draw(st.integers(1, 3))
+    unit = [[int(i == j) for j in range(g)] for i in range(g)]
+    kinds = ["scalar"] * 4 + ["singular", "zero", "huge"] + (["non-diagonal"] * 2 if g > 1 else [])
+    lam_kind = draw(st.sampled_from(kinds))
+    d = draw(st.integers(1, 2))
+    lam = {
+        "scalar": [[d * x for x in row] for row in unit],
+        "singular": [[0] * g] + unit[1:],
+        "zero": [[0] * g for _ in range(g)],
+        "huge": [[10**8 * x for x in row] for row in unit],
+        "non-diagonal": {2: [[2, 1], [1, 2]], 3: [[2, 1, 0], [1, 2, 1], [0, 1, 2]]}.get(g),
+    }[lam_kind]
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1), Fraction(10**30)]))
+    if lam_kind == "non-diagonal":
+        P = [[scale * (unit[i][j] + Fraction(1, 2) * lam[i][j]) for j in range(g)] for i in range(g)]
+    else:
+        P = [[scale * draw(st.sampled_from([1, 2])) if i == j else Fraction(0) for j in range(g)] for i in range(g)]
+        for i in range(g):
+            for j in range(i):
+                P[i][j] = P[j][i] = scale * draw(st.sampled_from([Fraction(-1, 3), Fraction(0), Fraction(1, 3)]))
+        shape = draw(st.sampled_from(["positive"] * 4 + ["indefinite", "unsymmetric", "degenerate"]))
+        if shape == "indefinite":
+            P[0][0] = -P[0][0]
+        elif shape == "unsymmetric" and g > 1:
+            P[0][1] += 1
+        elif shape == "degenerate":
+            for i in range(g):
+                P[0][i] = P[i][0] = Fraction(0)
+    coeff = st.sampled_from([1, 1, 1, 2, Fraction(1, 3)])
+    # T_ij and T_ji share a coefficient, so that the cocycle is often valid
+    C = [[draw(coeff) for _ in range(g)] for _ in range(g)]
+    T = [[monomial(C[min(i, j)][max(i, j)], x) for j, x in enumerate(row)] for i, row in enumerate(P)]
+    exponent = st.one_of(SMALL, SMALL, HUGE)
+
+    def entry():
+        if draw(st.integers(0, 5)) == 5:  # one entry in six: zero or not a monomial
+            return draw(st.sampled_from(["0", "1 + q", "2 - q^(1/2)"]))
+        return monomial(draw(coeff | st.just(-1)), draw(exponent))
+
+    try:
+        reps = list(CosetLattice(tuple(map(tuple, lam))).representatives()) if lam_kind != "huge" else []
+    except ValueError:  # a singular Lam has no cosets
+        reps = []
+    if not reps or draw(st.integers(0, 3)) == 0:
+        reps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * g), min_size=1, max_size=4, unique=True))
+    m = st.tuples(*[st.sampled_from([0, 0, 1, -2, 10**6])] * g)
+    if lam_kind != "zero":
+        reps = [tuple(r + sum(x * y for x, y in zip(row, draw(m))) for r, row in zip(rep, lam)) for rep in reps]
+    coeffs = [{"rep": list(rep), "a": entry()} for rep in reps]
+    coeffs[0]["a"] = monomial(1, draw(SMALL))
+    return {"T": T, "Lambda": lam, "c": [entry() for _ in range(g)], "coeffs": coeffs}
+
+
+def series(**edit):
+    return {"T": [["q^(2)"]], "Lambda": [[1]], "c": ["q"], "coeffs": [{"rep": [0], "a": "1"}], **edit}
+
+
+FAR_TERMS = series(T=[["2*q"]], Lambda=[[2]], c=[f"-q^({10**30})"])
+SERIES_FOUND = {
+    # a series' coefficients default to 0, so its file does not bound its
+    # coset count: the coefficient table used to be built for 10^8 cosets
+    "huge-index": (("validate",), series(Lambda=[[10**8]]), 2, "polarization index 100000000 exceeds 4096 cosets"),
+    # a cocycle value of valuation 10^30 puts the dominant terms of suite C
+    # at |u| ~ 10^30, whose coefficients hold powers 2^(u^2)
+    "huge-coefficient": (("crosscheck", "C"), {"f1": FAR_TERMS, "f2": FAR_TERMS}, 2, "bits"),
+    "zero-denominator": (("validate",), series(T=[["3/0"]]), 1, "not an exact rational literal: '3/0'"),
+    "short-Lambda-row": (("crosscheck", "C"), series(Lambda=[[]]), 1, "Lambda shape mismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_FOUND))
+def test_series_found_by_the_fuzz(tmp_path, case):
+    # inputs that ended in a MemoryError, ZeroDivisionError or IndexError
+    # traceback: each is now refused with a message
+    argv, doc, code, message = SERIES_FOUND[case]
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    res = run(*argv, path)
+    assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
+    assert res.exit_code == code and message in res.output, res.output
+
+
+@given(series_docs(), st.data())
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_validate_and_crosscheck_fuzz(tmp_path_factory, doc, data):
+    # a series document, drawn or mutated to wrong types and shapes, gets a
+    # report from `validate` and from each crosscheck suite: passed (exit
+    # 0), failed (exit 1) or refused with a message (exit 2), never a
+    # traceback, and each within a few seconds.  Suite C also reads the
+    # series against a second one with the same cocycle
+    for _ in range(data.draw(st.integers(0, 2))):
+        mutate(data, doc)
+    folder = tmp_path_factory.mktemp("fuzz")
+    path, pair = folder / "series.json", folder / "pair.json"
+    path.write_text(json.dumps(doc))
+    g = len(doc["c"]) if isinstance(doc.get("c"), list) else 1
+    other = {**doc, "coeffs": [{"rep": [0] * g, "a": "1"}]}
+    pair.write_text(json.dumps({"f1": doc, "f2": other}))
+    for argv in (("validate", path), *(("crosscheck", s, path) for s in "ABC"), ("crosscheck", "C", pair)):
+        started = time.perf_counter()
+        res = run(*argv)
+        assert res.exit_code in (0, 1, 2), (argv, res.exit_code, repr(res.exception), res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (argv, repr(res.exception))
+        assert "Traceback" not in res.output
+        assert time.perf_counter() - started < 10, argv
 
 
 def test_export_reads_literals_in_any_form(tmp_path):

@@ -20,7 +20,9 @@ ellipsoid walk: a fifth check walks every leaf the walk yields during theta
 evaluations, point and leftover budget, and finds only ints.  The divisor's
 seed is the integer argmin entry `lattice._argmin`: a sixth check walks
 every argument and result of its calls during corner loci and finds only
-ints.
+ints.  Every theta value but `evaluate`'s is read off that entry too: a
+seventh check walks its calls during the transformation-law and Riemann
+crosschecks and the Puiseux partial sums, and finds only ints.
 """
 
 import ast
@@ -31,7 +33,8 @@ from pathlib import Path
 
 import pytest
 
-from troptheta import geometry, lattice, theta
+from troptheta import geometry, lattice, nonarch, theta
+from troptheta.crosschecks import seeded_period, suite_a, suite_b
 from troptheta.geometry import corner_locus, linearity_cell
 from troptheta.theta import AutomorphyFactor, TropicalThetaFunction, ValuationProfile, riemann_theta
 from troptheta.varieties import TropicalPolarizationData
@@ -262,4 +265,37 @@ def test_seed_argmin_runs_in_integers(monkeypatch, name):
     corner_locus(LEVEL2_SHIFTED if name == "LEVEL2_SHIFTED" else fixture_theta(name))
     found = list(numbers(calls))
     assert calls and all(winners for _, (_, winners) in calls)
+    assert {type(x) for x in found} == {int}
+
+
+@pytest.mark.parametrize("name", ["suite_a", "suite_b", "evaluate_at_point"])
+def test_theta_values_run_in_integers(monkeypatch, name):
+    # the crosschecks' theta values and the partial sums' minimal valuation
+    # come from the integer argmin entry, at every binding: its walk data,
+    # centre, gap and winners are all ints
+    calls = []
+    argmin = lattice._argmin
+
+    def recording(*args):
+        out = argmin(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(theta, "_argmin", recording)
+    monkeypatch.setattr(lattice, "_argmin", recording)
+    period = seeded_period(2, 3)
+    if name == "suite_a":
+        basis = nonarch.theta_basis(period, nonarch.canonical_cocycle(period, [[2, 0], [0, 2]]))
+        outcomes = suite_a(basis[1], samples=4, shifts=3, seed=5)
+    elif name == "suite_b":
+        outcomes = suite_b(period, samples=8, seed=5)
+    else:
+        f = nonarch.build_riemann_theta(period, [[1, 0], [0, 1]])
+        for k in range(4):
+            x = tuple(nonarch.PuiseuxNumber.monomial(Fraction(1), Fraction(k * c - 9, 7)) for c in (2, 5))
+            assert nonarch.evaluate_at_point(f, x, 3).terms > 0
+        outcomes = ()
+    assert all(o.passed for o in outcomes)
+    found = list(numbers(calls))
+    assert len(calls) >= 4 and all(winners for _, (_, winners) in calls)
     assert {type(x) for x in found} == {int}

@@ -465,21 +465,16 @@ def test_rational_function_val_matches_tropical():
     assert checked >= 20
 
 
-def test_val_at_evaluates_each_theta_once(monkeypatch):
+def test_val_at_evaluates_each_theta_once(count_calls):
     # machine-independent gate: the minimal cutoff and the dominant tie set
-    # come from one evaluation per (theta, point), not one each
+    # come from one integer argmin per (theta, point), not one each, and the
+    # Fraction path of evaluate is never taken
     coc = canonical_cocycle(pm1(), [[2]])
     h = construct_rational_function(*theta_basis(pm1(), coc))
-    calls = []
-    evaluate = TropicalThetaFunction.evaluate
-
-    def counting_evaluate(self, v):
-        calls.append(v)
-        return evaluate(self, v)
-
-    monkeypatch.setattr(TropicalThetaFunction, "evaluate", counting_evaluate)
+    least = count_calls(TropicalThetaFunction._least_terms)
+    evaluate = count_calls(TropicalThetaFunction.evaluate)
     vd, ok = h.val_at((PuiseuxNumber.monomial(2, F(3, 7)),))
-    assert len(calls) == 2
+    assert (len(least), len(evaluate)) == (2, 0)
     assert ok and vd == h.h_trop.evaluate((F(3, 7),))
 
 

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from troptheta import geometry
 from troptheta.lattice import CosetLattice, NotPositiveDefiniteError
 from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matvec, solve, transpose
-from troptheta.nonarch import NAThetaFunction, PeriodMatrix, canonical_cocycle
+from troptheta.nonarch import (
+    CutoffBelowMinimumError,
+    NACocycle,
+    NAThetaFunction,
+    PeriodMatrix,
+    canonical_cocycle,
+    evaluate_at_point,
+)
 from troptheta.puiseux import PuiseuxNumber
 from troptheta.rationals import INF
 from troptheta.theta import (
@@ -464,6 +471,70 @@ def test_least_terms_are_the_witnesses_of_evaluate(case, data):
         assert {F(q * w + D * sum(a * b for a, b in zip(u, V)), D * q) for u, w in terms} == {res.value}
     zero = theta._least_terms(1, (0,) * g)
     assert zero[0][0] == theta.evaluate((0,) * g).canonical
+
+
+def series_of(theta):
+    """A Fourier series over q^P whose tropicalization is theta: cocycle
+    values q^(ell_i + (P Lam)_ii / 2) and a_rep = q^(w(rep)) (0 for inf)."""
+    g, lam = theta.g, theta.factor.Lambda
+    P = theta.base.P.entries
+    period = PeriodMatrix(entries=tuple(tuple(PuiseuxNumber.monomial(1, x) for x in row) for row in P))
+    B = [[sum(P[i][k] * lam[k][j] for k in range(g)) for j in range(g)] for i in range(g)]
+    gens = tuple(PuiseuxNumber.monomial(1, e + B[i][i] / 2) for i, e in enumerate(theta.factor.ell))
+    coeffs = tuple(
+        (rep, PuiseuxNumber.zero() if w == INF else PuiseuxNumber.monomial(1, w)) for rep, w in theta.profile.entries
+    )
+    return NAThetaFunction(cocycle=NACocycle(period=period, Lambda=lam, generators=gens), coeffs=coeffs)
+
+
+@given(sweep_cases(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_integer_readers_match_evaluate(case, data):
+    # theta(v) and _least(v) give evaluate's value and witnesses, and the
+    # partial sums of a series tropicalizing to theta give evaluate's value
+    # as their minimal valuation and its uniqueness as their dominance: for
+    # every kind of theta, with profile reps moved off the canonical box, ell
+    # moved far from 0, at points 10^30 away and at ties.  Both paths raise the same
+    # errors on a wrong point length, a profile with no finite value, and a
+    # cutoff below the minimum
+    theta, v, _ = case
+    g, lam = theta.g, theta.factor.Lambda
+    if theta.is_ample:
+        far = data.draw(st.sampled_from([0, 10**30]))
+        ell = tuple(e + far * data.draw(st.integers(-2, 2)) for e in theta.factor.ell)
+        shift = st.tuples(*[st.integers(-3, 3)] * g)
+        entries = tuple(
+            (tuple(r + x for r, x in zip(rep, matvec(lam, data.draw(shift)))), w) for rep, w in theta.profile.entries
+        )
+        theta = TropicalThetaFunction(
+            base=theta.base, factor=AutomorphyFactor(Lambda=lam, ell=ell), profile=ValuationProfile(entries=entries)
+        )
+    f = series_of(theta)
+    away = tuple(c + 10**30 * k for c, k in zip(v, data.draw(st.tuples(*[st.integers(-1, 1)] * g))))
+    # vertices of v's linearity cell are ties, often across cosets
+    ties = list(geometry.linearity_cell(theta, v).vertices[:2]) if theta.evaluate(v).unique else []
+    for x in [v, away, *ties]:
+        res = theta.evaluate(x)
+        assert theta(x) == res.value and theta._least(x) == (res.value, res.witnesses)
+        if not theta.is_ample:  # evaluate reads _least here too: scan the support in Fractions
+            values = {u: w + sum(a * b for a, b in zip(u, x)) for u, w in theta.profile.finite_entries()}
+            low = min(values.values())
+            assert (res.value, res.witnesses) == (low, tuple(sorted(u for u in values if values[u] == low)))
+        point = tuple(PuiseuxNumber.monomial(1, c) for c in x)
+        out = evaluate_at_point(f, point)
+        assert (out.trop_value, out.dominant_unique) == (res.value, res.unique)
+        assert out.terms == len(res.witnesses)
+        with pytest.raises(CutoffBelowMinimumError, match=f"below minimal valuation {res.value}$"):
+            evaluate_at_point(f, point, res.value - F(1, 7))
+    for call in (theta, theta.evaluate, lambda x: evaluate_at_point(f, tuple(PuiseuxNumber.monomial(1, c) for c in x))):
+        with pytest.raises(ShapeMismatchError):
+            call((*v, F(1)))
+    hollow = ValuationProfile(entries=theta.profile.entries)
+    object.__setattr__(hollow, "entries", tuple((rep, INF) for rep, _ in hollow.entries))
+    empty = TropicalThetaFunction(base=theta.base, factor=theta.factor, profile=hollow)
+    for call in (empty, empty.evaluate):
+        with pytest.raises(EmptyProfileError):
+            call(v)
 
 
 # ---------- invariants ----------
