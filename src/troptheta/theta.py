@@ -17,16 +17,18 @@ lattice.CosetLattice.  A profile rep may be any member of its coset: at
 construction, CosetLattice.normal_form (the one place that decomposes
 profile reps) moves its value to the canonical rep by the law above, and
 rejects a second rep of one coset.  Values minimize the quadratic in
-integers: `_least_terms` takes each coset's centre from those integers to
-the integer argmin entry lattice._argmin, and `_least` reads the value off
-its first term.  Every library reader of a value (`__call__`, the
-transformation-law and periodicity checks, expressions, the Puiseux partial
-sums, the divisor's seed and linearity cells) uses that path; only the
-public `evaluate` still minimizes on g + 1 Fractions per coset through
-lattice.minimize_quadratic.  The divisor's competitor sweeps and the
-Puiseux partial sums enumerate below a bound through geometry._terms_below.
-`_coset_terms` is the one D w(rep + Lam n) formula, for those enumerations,
-`extended_w` and `c_trop` (the coset of 0), so the divisor's pool offsets
+integers: `_least_terms` reads each coset's centre off `_centre_frame`, one
+integer frame per theta (a g x g product per point, g multiply-adds per
+coset), for the integer argmin entry lattice._argmin, and `_least` reads the
+value off its first term.  Every library reader of a value (`__call__`, the
+transformation-law check, whose sides are integers over D q, the periodicity
+checks, expressions, the Puiseux partial sums, the divisor's seed and
+linearity cells) uses that path; only the public `evaluate` still minimizes
+on g + 1 Fractions per coset through lattice.minimize_quadratic.  The
+divisor's competitor sweeps and the Puiseux partial sums enumerate below a
+bound through geometry._terms_below.  `_coset_terms` is the one
+D w(rep + Lam n) formula, for those enumerations, `extended_w` and `c_trop`
+and the law check's shifts (the coset of 0), so the divisor's pool offsets
 D w(u) - D w(u'') are differences of integers and no competitor is
 decomposed into its coset again.  The divisor certifies each cell in a
 parallelepiped read off `_region_frame`, one integer frame per theta: no
@@ -336,7 +338,7 @@ class TropicalThetaFunction:
 
         return _fundamental_domain(self)
 
-    @property
+    @cached_property
     def is_ample(self) -> bool:
         return not self.factor.lambda_is_zero()
 
@@ -344,12 +346,12 @@ class TropicalThetaFunction:
 
     def c_trop(self, n: Sequence[int]) -> Fraction:
         # D c_trop(n) is D w(Lam n) on the coset of 0, with w(0) = 0
-        ((_, num),) = self._coset_terms((0,) * self.g, 0, self._kernel.ell, [tuple(int(x) for x in n)])
+        ((_, num),) = self._coset_terms((0,) * self.g, 0, self._kernel.ell, [self._point(n, "shift", int)])
         return Fraction(num, self._kernel.D)
 
     def extended_w(self, u: Sequence[int]) -> Fraction | float:
         """w on all of M via w(u0 + Lam n) = w(u0) + c_trop(n) + [n, u0]."""
-        num = self._w_numerator(tuple(int(x) for x in u))
+        num = self._w_numerator(self._point(u, "lattice point", int))
         return INF if num is None else Fraction(num, self._kernel.D)
 
     def _w_numerator(self, u: IntVec) -> int | None:
@@ -401,10 +403,11 @@ class TropicalThetaFunction:
                 witnesses.extend(self._witness(rep, n) for n in res.argmin)
         return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
 
-    def _point(self, v: Sequence) -> TropPoint:
-        point = as_point(v)
+    def _point(self, v: Sequence, name: str = "point", kind=Fraction) -> tuple:
+        """v as a g-tuple of kind; ShapeMismatchError on another length."""
+        point = tuple(map(kind, v))
         if len(point) != self.g:
-            raise ShapeMismatchError("point length mismatch")
+            raise ShapeMismatchError(f"{name} length mismatch")
         return point
 
     def _least(self, v: Sequence) -> tuple[Fraction, tuple[IntVec, ...]]:
@@ -418,11 +421,10 @@ class TropicalThetaFunction:
 
     def _least_terms(self, q: int, V: Sequence[int]) -> list[tuple[IntVec, int]]:
         """(u, D w(u)) for every witness u of f at v = V / q (q > 0), sorted,
-        in integers; D q (w(u) + <u, v>) compare as integers.  With lambda =
-        0 each finite support point is a term.  Otherwise each coset's
-        quadratic (`_coset_quadratics`) is least over the reals at
-        n = -A L / (a D q), (P Lam)^-1 = A / a, so lattice._argmin takes the
-        centre -U^-1 A L / (a D q) in reduced coordinates m = U^-1 n.
+        in integers; D q (w(u) + <u, v>) compare as integers, and V / q need
+        not be in lowest terms.  With lambda = 0 each finite support point
+        is a term; otherwise lattice._argmin takes each coset's real
+        minimizer off `_centre_frame` (`_coset_least_terms`).
         EmptyProfileError if no value is finite."""
         D = self._kernel.D
         best, out = None, []
@@ -442,13 +444,28 @@ class TropicalThetaFunction:
         out.sort()
         return out
 
+    @cached_property
+    def _centre_frame(self):
+        """(U, walk, a D, N D Lam^T, [(rep, w, base, N base)] per finite
+        coset), N = -(U A)^T: `_coset_least_terms`' centres, in integers."""
+        U, _, walk, _, (UA, a), _ = self._form._reduction
+        N = [[-x for x in col] for col in zip(*UA)]
+        D = self._kernel.D
+        NDLt = [[D * sum(map(mul, row, lam)) for lam in self.factor.Lambda] for row in N]
+        cosets = [(rep, w, base, [sum(map(mul, row, base)) for row in N]) for rep, (w, base) in self._coset_constants.items()]
+        return U, walk, a * D, NDLt, cosets
+
     def _coset_least_terms(self, q: int, V: Sequence[int]):
-        """Each finite coset's least (u, D w(u)) terms at v = V / q."""
-        U, U_inv, walk, _, _, (A, a) = self._form._reduction
-        aDq = a * self._kernel.D * q
-        for (w, base), (rep, L, _) in zip(self._coset_constants.values(), self._coset_quadratics(q, V)):
-            AL = [sum(map(mul, row, L)) for row in A]
-            _, winners = _argmin(walk, aDq, [-sum(map(mul, row, AL)) for row in U_inv])
+        """Each finite coset's least (u, D w(u)) terms at v = V / q.  Its
+        quadratic (`_coset_quadratics`) is least at n = -B^-1 L / (D q),
+        B = P Lam, so in reduced coordinates m = U^-1 n at -(U A)^T L /
+        (a D q), as U^-1 B^-1 = G^-1 U^T = (U A / a)^T (lattice._reduced);
+        with L = q base + D Lam^T V that is (q N base + W) / (a D q),
+        W = N D Lam^T V once per point (`_centre_frame`)."""
+        U, walk, aD, NDLt, cosets = self._centre_frame
+        W = [sum(map(mul, row, V)) for row in NDLt]
+        for rep, w, base, Nb in cosets:
+            _, winners = _argmin(walk, aD * q, [q * x + y for x, y in zip(Nb, W)])
             yield self._coset_terms(rep, w, base, [[sum(map(mul, row, m)) for row in U] for m in winners])
 
     def _coset_quadratics(self, q: int, V: Sequence[int]):
@@ -475,9 +492,7 @@ class TropicalThetaFunction:
     def translate(self, v0: Sequence) -> "TropicalThetaFunction":
         """The translate T_{v0} f(v) = f(v + v0) as a theta function:
         ell gains Lam^T v0, each profile value gains <rep, v0>."""
-        shift = as_point(v0)
-        if len(shift) != self.g:
-            raise ShapeMismatchError("shift length mismatch")
+        shift = self._point(v0, "shift")
         new_ell = tuple(
             e + s
             for e, s in zip(
@@ -558,17 +573,18 @@ def default_shifts(g: int) -> tuple[IntVec, ...]:
     return tuple(n for n in product((-1, 0, 1), repeat=g) if any(n))
 
 
-def _check_samples(samples, shifts, lhs, rhs) -> CheckReport:
-    """The one sample x shift loop of the exact checks: lhs(v) == rhs(v, n)
-    at every sample point v and every integer shift n (lhs once per point)."""
+def _check_samples(samples, shifts, sides) -> CheckReport:
+    """The one sample x shift loop of the exact checks: lhs == rhs(n) at
+    every sample point v and every integer shift n, (lhs, rhs) = sides(v)
+    once per point."""
     shifts = [tuple(int(x) for x in n) for n in shifts]
     failures = []
     checked = 0
     for raw in samples:
         v = as_point(raw)
-        left = lhs(v)
+        left, rhs = sides(v)
         for n in shifts:
-            right = rhs(v, n)
+            right = rhs(n)
             checked += 1
             if left != right:
                 failures.append(CheckFailure(point=v, shift=n, lhs=left, rhs=right))
@@ -580,17 +596,37 @@ def verify_transformation(
     samples: Sequence[Sequence],
     shifts: Sequence[Sequence[int]] | None = None,
 ) -> CheckReport:
-    """Exact check of f(v) = f(v + u') + c_trop(u') + <lambda(u'), v> for
-    every sample point v and period u' = embed(n), n in shifts."""
-
-    def rhs(v, n):
-        u = embed_Mprime(theta.base, n)
-        shifted = theta(tuple(a + b for a, b in zip(v, u)))
-        return shifted + theta.c_trop(n) + vecdot(matvec(theta.factor.Lambda, n), v)
-
+    """Exact check of f(v) = f(v + P^T n) + c_trop(n) + <Lam n, v> at every
+    sample v and shift n, in the kernel's integers: at v = V / q, v + P^T n
+    is V' / (D q) with V' = D V + q (D P)^T n, and the first of its
+    `_least_terms` (u, D w(u)) puts the right side over D^2 q as
+    D q D w(u) + D <u, V'> + D q D c_trop(n) + D^2 <Lam n, V>, D times an
+    integer over D q as f(v) is.  Only unequal sides become Fractions."""
+    k = theta._kernel
     if shifts is None:
         shifts = default_shifts(theta.g)
-    return _check_samples(samples, shifts, theta, rhs)
+    # per shift: (D P)^T n, then (Lam n, D c_trop(n)) as c_trop reads it
+    ns = [theta._point(n, "shift", int) for n in shifts]
+    terms = theta._coset_terms((0,) * theta.g, 0, k.ell, ns)
+    table = {n: ([sum(map(mul, col, n)) for col in zip(*k.P)], *t) for n, t in zip(ns, terms)}
+
+    def sides(v):
+        q, V = _over_common_denominator(theta._point(v))
+        u, w = theta._least_terms(q, V)[0]
+        DV = [k.D * x for x in V]
+        left = q * w + sum(map(mul, u, DV))
+        value = Fraction(left, k.D * q)
+
+        def rhs(n):
+            Pn, lam_n, c = table[n]
+            shifted = [x + q * y for x, y in zip(DV, Pn)]
+            u, w = theta._least_terms(k.D * q, shifted)[0]
+            right = q * (w + c) + sum(map(mul, u, shifted)) + sum(map(mul, lam_n, DV))
+            return value if right == left else Fraction(right, k.D * q)
+
+        return value, rhs
+
+    return _check_samples(samples, ns, sides)
 
 
 def is_even(theta: TropicalThetaFunction) -> bool:
@@ -678,13 +714,12 @@ class PeriodicPLFunction:
         samples: Sequence[Sequence],
         shifts: Sequence[Sequence[int]] | None = None,
     ) -> CheckReport:
-        def there(v, n):
-            u = embed_Mprime(self.base, n)
-            return self.evaluate(tuple(a + b for a, b in zip(v, u)))
+        def sides(v):
+            return self.evaluate(v), lambda n: self.evaluate(tuple(map(add, v, embed_Mprime(self.base, n))))
 
         if shifts is None:
             shifts = default_shifts(self.base.g)
-        return _check_samples(samples, shifts, self.evaluate, there)
+        return _check_samples(samples, shifts, sides)
 
 
 def difference_to_periodic(expr: TropicalThetaExpression) -> PeriodicPLFunction:
@@ -738,5 +773,5 @@ def kummer_check(
                     "kummer_check needs an even base theta (ell = 0, w(u) = w(-u))"
                 )
     return _check_samples(
-        samples, [(0,) * h.base.g], h.evaluate, lambda v, _: h.evaluate(tuple(-x for x in v))
+        samples, [(0,) * h.base.g], lambda v: (h.evaluate(v), lambda _: h.evaluate(tuple(-x for x in v)))
     )

@@ -11,6 +11,7 @@ from troptheta.crosschecks import (
     suite_b,
     suite_c,
 )
+from troptheta import linalg, varieties
 from troptheta.linalg import identity, is_symmetric
 from troptheta.nonarch import (
     CocycleMismatchError,
@@ -19,9 +20,10 @@ from troptheta.nonarch import (
     canonical_cocycle,
     construct_rational_function,
     theta_basis,
+    tropicalize,
 )
 from troptheta.puiseux import PuiseuxNumber
-from troptheta.theta import NotPrincipalError
+from troptheta.theta import NotPrincipalError, TropicalThetaFunction, verify_transformation
 
 F = Fraction
 Q = PuiseuxNumber.parse
@@ -52,6 +54,48 @@ def test_suite_a_holds_on_principal_and_level_two_series():
         assert outcomes[0].name == "transformation-law"
         assert outcomes[0].passed, outcomes[0].detail
         assert outcomes[0].detail == "350 exact identities"
+
+
+@pytest.mark.parametrize("f", fixtures_for_suite_a(), ids=["riemann-g1", "riemann-g2", "riemann-g3", "level2-0", "level2-1"])
+def test_transformation_law_runs_in_integers(count_calls, f):
+    # both sides of the law come off the integer argmin entry: one
+    # _least_terms per sample and one per (sample, shift), and no period is
+    # embedded and no c_trop, matvec or vecdot formed per (point, shift)
+    counted = [varieties.embed_Mprime, linalg.matvec, linalg.vecdot, TropicalThetaFunction.c_trop]
+    calls = [count_calls(fn) for fn in counted]
+    least = count_calls(TropicalThetaFunction._least_terms)
+    (outcome,) = suite_a(f, samples=9, shifts=4, seed=2)
+    assert outcome.passed and outcome.detail == "36 exact identities"
+    assert [len(c) for c in calls] == [0, 0, 0, 0]
+    assert len(least) == 9 * (4 + 1)
+
+
+def test_transformation_law_failures_stay_exact(monkeypatch):
+    # one shifted point's terms moved by 1 in D w(u), so its value by 1/D at
+    # any scale of its denominator: the one failure carries Fractions equal
+    # to f(v + P^T n) + c_trop(n) + <Lam n, v> from theta values, and suite
+    # A's detail names it as before
+    f = fixtures_for_suite_a()[1]
+    trop = tropicalize(f)
+    points, shifts = sample_points(2, 5, 3), sample_shifts(2, 3, 4)
+    v, n = points[2], shifts[1]
+    target = tuple(a + b for a, b in zip(v, (sum(p * x for p, x in zip(col, n)) for col in zip(*trop.base.P.entries))))
+    least_terms = TropicalThetaFunction._least_terms
+
+    def perturbed(self, q, V):
+        terms = least_terms(self, q, V)
+        return [(u, w + 1) for u, w in terms] if tuple(F(x, q) for x in V) == target else terms
+
+    monkeypatch.setattr(TropicalThetaFunction, "_least_terms", perturbed)
+    lam_n = [sum(a * b for a, b in zip(row, n)) for row in trop.factor.Lambda]
+    lhs, rhs = trop(v), trop(target) + trop.c_trop(n) + sum(a * b for a, b in zip(lam_n, v))
+    assert lhs != rhs
+    report = verify_transformation(trop, points, shifts)
+    (failure,) = report.failures
+    assert (failure.point, failure.shift, failure.lhs, failure.rhs) == (v, n, lhs, rhs)
+    assert type(failure.lhs) is type(failure.rhs) is Fraction
+    (outcome,) = suite_a(f, samples=5, shifts=3, seed=3)
+    assert outcome.detail == f"1/15 failed; first at v={v} n={n}: {lhs} != {rhs}"
 
 
 def test_suite_b_standard_periods_match_exactly():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from troptheta import geometry
+from troptheta import geometry, theta as theta_module
 from troptheta.lattice import CosetLattice, NotPositiveDefiniteError
 from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matvec, solve, transpose
 from troptheta.nonarch import (
@@ -535,6 +535,66 @@ def test_integer_readers_match_evaluate(case, data):
     for call in (empty, empty.evaluate):
         with pytest.raises(EmptyProfileError):
             call(v)
+
+
+@given(sweep_cases(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_least_terms_do_not_depend_on_the_scale_of_the_denominator(case, data):
+    # the law check hands _least_terms its shifted point over D q, often not
+    # in lowest terms: every scale k q of one point gives the same terms, for
+    # every kind of theta, with profile reps moved off the canonical box; and
+    # each coset's centre, read off the per-theta frame as (q N base + W) /
+    # (a D q), is the rational -U^-1 A' L / (a' D q) of B^-1 = A' / a'
+    theta, v, _ = case
+    g, lam = theta.g, theta.factor.Lambda
+    if theta.is_ample:
+        shift = st.tuples(*[st.integers(-3, 3)] * g)
+        entries = tuple(
+            (tuple(r + x for r, x in zip(rep, matvec(lam, data.draw(shift)))), w) for rep, w in theta.profile.entries
+        )
+        theta = TropicalThetaFunction(base=theta.base, factor=theta.factor, profile=ValuationProfile(entries=entries))
+    q = math.lcm(*(c.denominator for c in v))
+    V = [c.numerator * (q // c.denominator) for c in v]
+    centres = []
+
+    def recording(walk, scale, C):
+        centres.append((scale, C))
+        return argmin(walk, scale, C)
+
+    argmin = theta_module._argmin
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theta_module, "_argmin", recording)
+        want = theta._least_terms(q, V)
+    for k in range(2, 8):
+        assert theta._least_terms(k * q, [k * x for x in V]) == want
+    if not theta.is_ample:
+        assert centres == []
+        return
+    _, U_inv, _, _, _, (A, a) = theta._form._reduction
+    _, _, aD, NDLt, cosets = theta._centre_frame
+    W = [sum(x * y for x, y in zip(row, V)) for row in NDLt]
+    assert centres == [(aD * q, [q * x + y for x, y in zip(Nb, W)]) for *_, Nb in cosets]
+    for (scale, C), (_, L, _) in zip(centres, theta._coset_quadratics(q, V), strict=True):
+        AL = [sum(x * y for x, y in zip(row, L)) for row in A]
+        old = [F(-sum(x * y for x, y in zip(row, AL)), a * theta._kernel.D * q) for row in U_inv]
+        assert [F(x, scale) for x in C] == old
+
+
+def test_automorphy_data_takes_vectors_of_the_rank(count_calls):
+    # c_trop, extended_w and the law check raise on a shift, lattice point or
+    # sample of another length (zip used to truncate, or an index ran past the
+    # end); is_ample is read once per theta
+    for call, x in [(TH2.c_trop, (1, 2, 3)), (TH2.c_trop, ()), (TH2.extended_w, (1, 2, 3)), (TH2.extended_w, (1,))]:
+        with pytest.raises(ShapeMismatchError):
+            call(x)
+    point = (F(1, 3), F(-1, 2))
+    for samples, shifts in [([point], [(1, 0, 0)]), ([point], [(1,)]), ([(F(1, 3),)], [(1, 0)]), ([(*point, F(0))], None)]:
+        with pytest.raises(ShapeMismatchError):
+            verify_transformation(TH2, samples, shifts)
+    theta = TropicalThetaFunction(base=NP2.base, factor=NP2.factor, profile=NP2.profile)
+    calls = count_calls(AutomorphyFactor.lambda_is_zero)
+    assert verify_transformation(theta, [point, (F(0), F(2, 3))]).ok
+    assert theta.is_ample and len(calls) == 1
 
 
 # ---------- invariants ----------
