@@ -197,7 +197,10 @@ def _build() -> None:
                 checks.append(_check("construction", False, str(exc)))
             else:
                 checks.append(_check("construction", True, f"valid series, g = {f.g}"))
-                rep = verify_cocycle(f.cocycle)
+                try:
+                    rep, inv = verify_cocycle(f.cocycle), f.verify_invariance()
+                except SeriesTooLargeError as exc:
+                    raise click.UsageError(str(exc))
                 checks.append(
                     _check(
                         "cocycle-relation",
@@ -205,7 +208,6 @@ def _build() -> None:
                         f"{rep.checked} relations hold" if rep.ok else f"{len(rep.failures)} relations fail",
                     )
                 )
-                inv = f.verify_invariance()
                 checks.append(
                     _check(
                         "coefficient-invariance",

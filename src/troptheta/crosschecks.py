@@ -27,8 +27,8 @@ from .nonarch import (
     tropicalize,
 )
 from .puiseux import PuiseuxNumber
-from .theta import riemann_theta, verify_transformation
-from .varieties import TropicalPolarizationData, embed_Mprime
+from .theta import _check_samples, _mismatch, riemann_theta, verify_transformation
+from .varieties import TropicalPolarizationData
 
 # pairwise-coprime odd denominators keep random samples off the ties that
 # live on small-denominator walls
@@ -124,38 +124,29 @@ def suite_b(
     intrinsic = riemann_theta(
         TropicalPolarizationData(g=g, P=period.pairing(), Lambda=Lambda)
     )
-    points = sample_points(g, samples, seed)
-    bad = []
-    for v in points:
-        lhs = trop(v)
-        rhs = intrinsic(v)
-        if lhs != rhs:
-            bad.append((v, lhs, rhs))
-    if bad:
-        v, lhs, rhs = bad[0]
-        match_detail = f"{len(bad)}/{len(points)} mismatched; first at v={v}: {lhs} != {rhs}"
+    zero = [(0,) * g]
+    match = _check_samples(
+        ((v, zero) for v in sample_points(g, samples, seed)),
+        lambda v: lambda _: _mismatch(trop(v), intrinsic(v)),
+    )
+    if match.ok:
+        match_detail = f"{match.checked}/{match.checked} exact equalities, additive constant 0"
     else:
-        match_detail = f"{len(points)}/{len(points)} exact equalities, additive constant 0"
-    outcomes = [CheckOutcome("riemann-match", not bad, match_detail)]
+        first = match.failures[0]
+        match_detail = f"{len(match.failures)}/{match.checked} mismatched; first at v={first.point}: {first.lhs} != {first.rhs}"
+    outcomes = [CheckOutcome("riemann-match", match.ok, match_detail)]
 
     # symmetric normalization makes the coefficient valuations even
-    even_bad = 0
-    even_checked = 0
     rng = random.Random(seed + 1)
-    for _ in range(samples // 4 or 1):
-        n = tuple(rng.randint(-3, 3) for _ in range(g))
-        lam_n = tuple(matvec(Lambda, n))
-        neg = tuple(-x for x in lam_n)
-        even_checked += 1
-        if trop.extended_w(lam_n) != trop.extended_w(neg):
-            even_bad += 1
-    outcomes.append(
-        CheckOutcome(
-            "even-valuations",
-            even_bad == 0,
-            f"{even_checked - even_bad}/{even_checked} symmetric pairs",
-        )
-    )
+    draws = [tuple(rng.randint(-3, 3) for _ in range(g)) for _ in range(samples // 4 or 1)]
+
+    def symmetric(n):
+        lam_n = matvec(Lambda, n)
+        return lambda _: _mismatch(trop.extended_w(lam_n), trop.extended_w(tuple(-x for x in lam_n)))
+
+    even = _check_samples(((n, zero) for n in draws), symmetric)
+    detail = f"{even.checked - len(even.failures)}/{even.checked} symmetric pairs"
+    outcomes.append(CheckOutcome("even-valuations", even.ok, detail))
     return tuple(outcomes)
 
 
@@ -172,24 +163,11 @@ def suite_c(
     h = construct_rational_function(f1, f2)
     ht = h.h_trop
     g = f1.g
-    base = ht.base
 
-    sample = sample_points(g, pairs, seed)
-    shift_vecs = sample_shifts(g, pairs, seed + 1)
-    aperiodic = 0
-    for v, n in zip(sample, shift_vecs):
-        translate = tuple(
-            a + b for a, b in zip(v, embed_Mprime(base, n))
-        )
-        if ht(v) != ht(translate):
-            aperiodic += 1
-    outcomes = [
-        CheckOutcome(
-            "difference-periodic",
-            aperiodic == 0,
-            f"{pairs - aperiodic}/{pairs} sample/shift pairs agree",
-        )
-    ]
+    cases = zip(sample_points(g, pairs, seed), ((n,) for n in sample_shifts(g, pairs, seed + 1)))
+    periodic = _check_samples(cases, ht._periodic_sides)
+    detail = f"{periodic.checked - len(periodic.failures)}/{periodic.checked} sample/shift pairs agree"
+    outcomes = [CheckOutcome("difference-periodic", periodic.ok, detail)]
 
     rng = random.Random(seed + 2)
     collected = 0

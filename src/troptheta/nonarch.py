@@ -22,7 +22,9 @@ cocycle's symmetry check and `coefficient` are then integer dot products
 and integer powers, with one exponent Fraction and one coefficient Fraction
 at the end, handed to puiseux's trusted constructor (a monomial, or a
 series times a nonzero monomial, is canonical as it stands).  Partial sums
-form x^u the same way and canonicalize all their terms once.
+form x^u the same way and canonicalize all their terms once.  Both identity
+checks compare in these integers, through theta's one check loop, and form
+the exact products only for a failing case.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain
 from math import floor, lcm
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import _terms_below
@@ -55,12 +58,12 @@ from .linalg import (
 from .puiseux import PuiseuxNumber, Term
 from .theta import (
     AutomorphyFactor,
-    CheckFailure,
     CheckReport,
     NotPrincipalError,
     TropicalThetaExpression,
     TropicalThetaFunction,
     ValuationProfile,
+    _check_samples,
     difference_to_periodic,
 )
 from .varieties import InvalidDataError, TropicalPolarizationData
@@ -305,20 +308,24 @@ class NACocycle:
 
 def verify_cocycle(cocycle: NACocycle, samples: int = 20, seed: int = 0) -> CheckReport:
     """Exact spot-check of c(u1+u2) = c(u1) c(u2) t(u1, lambda(u2)) on all
-    generator pairs plus `samples` seeded random pairs with |n_i| <= 4; a
-    failure carries the pair (n1, n2) as its point and shift."""
-    g, rng = cocycle.g, random.Random(seed)
-    pairs = list(product(identity(g), repeat=2))
+    generator pairs plus `samples` seeded random pairs with |n_i| <= 4: each
+    side is one integer `_fold` of its factors, compared reduced.  A failure
+    carries the pair (n1, n2) as its point and shift, and value(n1 + n2)
+    and value(n1) value(n2) t_lambda(n1, n2) as its sides."""
+    g, rng, Q = cocycle.g, random.Random(seed), cocycle._kernel.Q
+    cases = [(e, identity(g)) for e in identity(g)]
     for _ in range(samples):
-        pairs.append(tuple(tuple(rng.randint(-4, 4) for _ in range(g)) for _ in range(2)))
-    failures = []
-    for n1, n2 in pairs:
-        total = tuple(a + b for a, b in zip(n1, n2))
-        lhs = cocycle.value(total)
-        rhs = cocycle.value(n1) * cocycle.value(n2) * cocycle.t_lambda(n1, n2)
-        if lhs != rhs:
-            failures.append(CheckFailure(point=n1, shift=n2, lhs=lhs, rhs=rhs))
-    return CheckReport(checked=len(pairs), failures=tuple(failures))
+        n1, n2 = (tuple(rng.randint(-4, 4) for _ in range(g)) for _ in range(2))
+        cases.append((n1, (n2,)))
+
+    def differ(n1, n2):
+        total = tuple(map(add, n1, n2))
+        lhs = _fold(cocycle._value_factors(total))
+        rhs = _fold(chain(cocycle._value_factors(n1), cocycle._value_factors(n2), _bilinear(Q, n1, n2)))
+        if _reduced(lhs) != _reduced(rhs):
+            return cocycle.value(total), cocycle.value(n1) * cocycle.value(n2) * cocycle.t_lambda(n1, n2)
+
+    return _check_samples(cases, lambda n1: lambda n2: differ(n1, n2))
 
 
 @dataclass(frozen=True)
@@ -393,32 +400,31 @@ class NAThetaFunction:
         return a
 
     def verify_invariance(self, samples: int = 20, seed: int = 0) -> CheckReport:
-        """Exact check of a_{u + lambda(u')} = t(u', u) c(u') a_u on the
-        stored (and cached) indices plus seeded random ones; a failure
-        carries u as its point and u' as its shift."""
+        """Exact check of a_{u + lambda(u')} = t(u', u) c(u') a_u at the
+        stored coset reps and seeded random u, never at the coefficient cache
+        that earlier calls grew.  Both sides read `coefficient`, the right one
+        times the monomial `_extension(u', u)`; a failure carries u, u' and
+        the exact a_{u + lambda(u')} and t(u', u) c(u') a_u."""
         rng = random.Random(seed)
-        g = self.g
-        indices = sorted(self._table.keys())
+        g, cocycle = self.g, self.cocycle
+        indices = [rep for rep, _ in self.coeffs]
         for _ in range(samples):
             indices.append(tuple(rng.randint(-4, 4) for _ in range(g)))
         shifts = [tuple(rng.randint(-2, 2) for _ in range(g)) for _ in range(5)]
         shifts = [s for s in shifts if any(s)] or [tuple(1 for _ in range(g))]
-        lam_shifts = [(nprime, matvec(self.cocycle.Lambda, nprime)) for nprime in shifts]
-        failures = []
-        checked = 0
-        for u in indices:
-            for nprime, lam_shift in lam_shifts:
-                target = tuple(a + b for a, b in zip(u, lam_shift))
-                lhs = self.coefficient(target)
-                rhs = (
-                    self.cocycle.period.t(nprime, u)
-                    * self.cocycle.value(nprime)
-                    * self.coefficient(u)
-                )
-                checked += 1
-                if lhs != rhs:
-                    failures.append(CheckFailure(point=u, shift=nprime, lhs=lhs, rhs=rhs))
-        return CheckReport(checked=checked, failures=tuple(failures))
+        lam = {nprime: matvec(cocycle.Lambda, nprime) for nprime in shifts}
+
+        def sides(u):
+            a = self.coefficient(u)
+
+            def differ(nprime):
+                lhs = self.coefficient(tuple(map(add, u, lam[nprime])))
+                if lhs != a._shifted(*cocycle._extension(nprime, u)):
+                    return lhs, cocycle.period.t(nprime, u) * cocycle.value(nprime) * a
+
+            return differ
+
+        return _check_samples(((u, shifts) for u in indices), sides)
 
     # ---------- serialization ----------
 

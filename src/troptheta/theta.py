@@ -550,8 +550,9 @@ def riemann_theta(data: TropicalPolarizationData) -> TropicalThetaFunction:
 
 @dataclass(frozen=True)
 class CheckFailure:
-    """lhs != rhs at a point and an integer shift: theta values at a point v
-    here, Puiseux monomials or coefficients at an integer pair in nonarch."""
+    """lhs != rhs at a point and an integer shift, built by `_check_samples`
+    alone: theta values, or exact Puiseux monomials or coefficients at an
+    integer pair in nonarch."""
 
     point: TropPoint | IntVec
     shift: IntVec
@@ -573,21 +574,26 @@ def default_shifts(g: int) -> tuple[IntVec, ...]:
     return tuple(n for n in product((-1, 0, 1), repeat=g) if any(n))
 
 
-def _check_samples(samples, shifts, sides) -> CheckReport:
-    """The one sample x shift loop of the exact checks: lhs == rhs(n) at
-    every sample point v and every integer shift n, (lhs, rhs) = sides(v)
-    once per point."""
-    shifts = [tuple(int(x) for x in n) for n in shifts]
+def _mismatch(lhs, rhs):
+    """None where lhs == rhs, else the pair: a `_check_samples` verdict."""
+    return None if lhs == rhs else (lhs, rhs)
+
+
+def _check_samples(cases, sides) -> CheckReport:
+    """The one loop of the exact checks, the one place that counts cases
+    and builds failures.  Each case is a parsed point and its shifts;
+    sides(point) does the per-point work once and returns differ, and
+    differ(n) is None where the identity holds at shift n, else its exact
+    (lhs, rhs).  Every (point, shift) counts; failures keep case order."""
     failures = []
     checked = 0
-    for raw in samples:
-        v = as_point(raw)
-        left, rhs = sides(v)
+    for point, shifts in cases:
+        differ = sides(point)
         for n in shifts:
-            right = rhs(n)
             checked += 1
-            if left != right:
-                failures.append(CheckFailure(point=v, shift=n, lhs=left, rhs=right))
+            pair = differ(n)
+            if pair is not None:
+                failures.append(CheckFailure(point, n, *pair))
     return CheckReport(checked=checked, failures=tuple(failures))
 
 
@@ -611,22 +617,22 @@ def verify_transformation(
     table = {n: ([sum(map(mul, col, n)) for col in zip(*k.P)], *t) for n, t in zip(ns, terms)}
 
     def sides(v):
-        q, V = _over_common_denominator(theta._point(v))
+        q, V = _over_common_denominator(v)
         u, w = theta._least_terms(q, V)[0]
         DV = [k.D * x for x in V]
         left = q * w + sum(map(mul, u, DV))
-        value = Fraction(left, k.D * q)
 
-        def rhs(n):
+        def differ(n):
             Pn, lam_n, c = table[n]
             shifted = [x + q * y for x, y in zip(DV, Pn)]
             u, w = theta._least_terms(k.D * q, shifted)[0]
             right = q * (w + c) + sum(map(mul, u, shifted)) + sum(map(mul, lam_n, DV))
-            return value if right == left else Fraction(right, k.D * q)
+            if right != left:
+                return Fraction(left, k.D * q), Fraction(right, k.D * q)
 
-        return value, rhs
+        return differ
 
-    return _check_samples(samples, ns, sides)
+    return _check_samples(((theta._point(v), ns) for v in samples), sides)
 
 
 def is_even(theta: TropicalThetaFunction) -> bool:
@@ -714,12 +720,13 @@ class PeriodicPLFunction:
         samples: Sequence[Sequence],
         shifts: Sequence[Sequence[int]] | None = None,
     ) -> CheckReport:
-        def sides(v):
-            return self.evaluate(v), lambda n: self.evaluate(tuple(map(add, v, embed_Mprime(self.base, n))))
+        shifts = [tuple(map(int, n)) for n in (default_shifts(self.base.g) if shifts is None else shifts)]
+        return _check_samples(((as_point(v), shifts) for v in samples), self._periodic_sides)
 
-        if shifts is None:
-            shifts = default_shifts(self.base.g)
-        return _check_samples(samples, shifts, sides)
+    def _periodic_sides(self, v: TropPoint):
+        """`_check_samples` sides of h(v) = h(v + P^T n)."""
+        value = self.evaluate(v)
+        return lambda n: _mismatch(value, self.evaluate(tuple(map(add, v, embed_Mprime(self.base, n)))))
 
 
 def difference_to_periodic(expr: TropicalThetaExpression) -> PeriodicPLFunction:
@@ -772,6 +779,8 @@ def kummer_check(
                 raise IncompatibleError(
                     "kummer_check needs an even base theta (ell = 0, w(u) = w(-u))"
                 )
-    return _check_samples(
-        samples, [(0,) * h.base.g], lambda v: (h.evaluate(v), lambda _: h.evaluate(tuple(-x for x in v)))
-    )
+    def sides(v):
+        return lambda _: _mismatch(h.evaluate(v), h.evaluate(tuple(-x for x in v)))
+
+    zero = [(0,) * h.base.g]
+    return _check_samples(((as_point(v), zero) for v in samples), sides)

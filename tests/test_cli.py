@@ -846,6 +846,14 @@ SERIES_FOUND = {
     "huge-coefficient": (("crosscheck", "C"), {"f1": FAR_TERMS, "f2": FAR_TERMS}, 2, "bits"),
     "zero-denominator": (("validate",), series(T=[["3/0"]]), 1, "not an exact rational literal: '3/0'"),
     "short-Lambda-row": (("crosscheck", "C"), series(Lambda=[[]]), 1, "Lambda shape mismatch"),
+    # a lambda = 0 coefficient at u ~ 10^300 asks the invariance check for
+    # t(u', u) = (2q)^(u' u), a power 2^(10^300)
+    "far-support-point": (
+        ("validate",),
+        series(T=[["2*q"]], Lambda=[[0]], c=["1"], coeffs=[{"rep": [0], "a": "1"}, {"rep": [10**300], "a": "1"}]),
+        2,
+        "bits",
+    ),
 }
 
 

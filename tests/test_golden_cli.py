@@ -16,6 +16,10 @@ cells, with the most planes tight at each vertex; [[2,1,0],[1,2,1],[0,1,2]]
 has the largest g=3 cells of the three; [[2,3,0],[3,7,1],[0,1,2]] is a
 skewed basis, whose cells are much smaller than the coordinate box around
 them.
+One case pins a failing report: `tests/series_lambda0_off_support.json` is
+a lambda = 0 series with a coefficient off its cocycle's support, so
+`validate` reports "12 identities fail" and exits 1.  A document named with
+a "tests/" prefix is read from this directory, any other from `fixtures/`.
 
 Re-record the digests (only when an output change is intended) with
 
@@ -70,6 +74,7 @@ CASES = {
         ["crosscheck", "C", "series_g2_index4.json", "--seed", "2", "--samples", "10"]
     ],
     "validate-series-rational": [["validate", "series_g2_rational.json"]],
+    "validate-series-off-support": [["validate", "tests/series_lambda0_off_support.json"]],
     "crosscheck-a-series-rational": [
         ["crosscheck", "A", "series_g2_rational.json", "--samples", "3", "--seed", "2"]
     ],
@@ -108,7 +113,7 @@ def run_case(steps, workdir: Path) -> dict:
                 files.setdefault(name, workdir / f"{name}.out")
                 argv.append(str(files[name]))
             elif arg.endswith(".json"):
-                argv.append(str(FIXTURES / arg))
+                argv.append(str(ROOT / arg if arg.startswith("tests/") else FIXTURES / arg))
             else:
                 argv.append(arg)
         res = runner.invoke(main, argv)

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction as F
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +36,13 @@ from troptheta.theta import TropicalThetaFunction, riemann_theta
 from troptheta.varieties import InvalidDataError, TropicalPolarizationData
 
 P = PuiseuxNumber.parse
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SERIES_FIXTURES = sorted(p.name for p in FIXTURES.glob("series_*.json"))
+
+
+def load_series(name):
+    return NAThetaFunction.from_json_dict(json.loads((FIXTURES / name).read_text()))
 
 
 def pm1():
@@ -187,6 +195,42 @@ def test_cocycle_relation_exhaustive_small_box():
             assert coc.value(total) == coc.value(n1) * coc.value(n2) * coc.t_lambda(n1, n2)
 
 
+def test_cocycle_failure_carries_exact_monomials(monkeypatch):
+    # c(1, 1) off by one exponent unit over the kernel's D: the relation
+    # fails at the generator pairs summing to (1, 1), and each failure
+    # carries the public value(n1 + n2) against value(n1) value(n2)
+    # t_lambda(n1, n2), whose valuations differ by 1/D
+    coc = canonical_cocycle(pm2(), ((1, 0), (0, 1)))
+    value_factors = NACocycle._value_factors
+
+    def perturbed(self, n):
+        yield from value_factors(self, n)
+        if n == (1, 1):
+            yield (1, 1, 1), 1
+
+    monkeypatch.setattr(NACocycle, "_value_factors", perturbed)
+    report = verify_cocycle(coc, samples=0)
+    assert report.checked == 4
+    assert [(f.point, f.shift) for f in report.failures] == [((1, 0), (0, 1)), ((0, 1), (1, 0))]
+    for f in verify_cocycle(coc, samples=20, seed=3).failures:
+        n1, n2 = f.point, f.shift
+        assert isinstance(f.lhs, PuiseuxNumber) and isinstance(f.rhs, PuiseuxNumber)
+        assert f.lhs == coc.value((n1[0] + n2[0], n1[1] + n2[1]))
+        assert f.rhs == coc.value(n1) * coc.value(n2) * coc.t_lambda(n1, n2)
+        assert abs(f.lhs.val() - f.rhs.val()) == F(1, coc._kernel.D)
+
+
+@pytest.mark.parametrize("name", SERIES_FIXTURES)
+def test_series_checks_run_in_integers(count_calls, name):
+    # where every identity holds, both series checks compare folded integer
+    # monomials: no Puiseux product and no public monomial is formed
+    f = load_series(name)
+    counted = [PuiseuxNumber.__mul__, NACocycle.value, NACocycle.t_lambda, PeriodMatrix.t]
+    calls = [count_calls(fn) for fn in counted]
+    assert verify_cocycle(f.cocycle).ok and f.verify_invariance().ok
+    assert [len(c) for c in calls] == [0, 0, 0, 0]
+
+
 # ---------- theta functions ----------
 
 
@@ -249,6 +293,32 @@ def test_invariance_detects_corruption():
     f._table[(3,)] = P("q^(8)")  # should be q^(9)
     report = f.verify_invariance(samples=10, seed=1)
     assert not report.ok
+
+
+def test_invariance_report_does_not_depend_on_the_cache():
+    # the checked indices are the stored reps and the seeded draws, never
+    # the coefficient cache, which each call (and any coefficient) grows
+    f = load_series("series_g2_index4.json")
+    first = f.verify_invariance()
+    assert first.ok and first.checked == 120
+    assert f.verify_invariance() == first
+    f.coefficient((9, -7))
+    assert f.verify_invariance() == first
+
+
+def test_invariance_failure_carries_exact_coefficients():
+    # lambda = 0 with a coefficient off its cocycle's support: every shift
+    # at that index fails, with a_u against t(u', u) c(u') a_u
+    f = NAThetaFunction.from_json_dict(
+        {"T": [["q^(2)"]], "Lambda": [[0]], "c": ["1"], "coeffs": [{"rep": [0], "a": "1"}, {"rep": [3], "a": "q"}]}
+    )
+    report = f.verify_invariance()
+    assert len(report.failures) == 12
+    period, coc = f.cocycle.period, f.cocycle
+    for fail in report.failures:
+        u, nprime = fail.point, fail.shift
+        assert fail.lhs == f.coefficient(u) == P("q")
+        assert fail.rhs == period.t(nprime, u) * coc.value(nprime) * f.coefficient(u)
 
 
 # ---------- basis ----------
