@@ -90,7 +90,7 @@ from math import gcd, isqrt, lcm
 from operator import add, and_, mul, or_, sub
 from typing import NamedTuple, Sequence
 
-from .lattice import enumerate_below
+from .lattice import _over_common_denominator, enumerate_below
 from .linalg import (
     IntVec,
     RatMatrix,
@@ -105,12 +105,13 @@ from .linalg import (
     inverse,
     json_list,
     matvec,
+    point,
     rows_from,
     transpose,
     vecdot,
 )
 from .theta import TropicalThetaFunction
-from .varieties import InvalidDataError, TropPoint, as_point
+from .varieties import InvalidDataError, TropPoint
 
 
 class OnCornerLocusError(ValueError):
@@ -220,13 +221,6 @@ def _hx(t: IntVec, cols, D: int) -> IntVec:
     """The homogeneous x of x = P^T t, for the homogeneous t = (X, den) and
     cols the columns of D P: (V, q) = ((D P)^T X, D den) in lowest terms."""
     return _lowest([*[sum(map(mul, c, t)) for c in cols], D * t[-1]])
-
-
-def _homogeneous(point: TropPoint) -> IntVec:
-    """A Fraction point as a homogeneous x in lowest terms: its entries over
-    the lcm of their denominators."""
-    q = lcm(*(c.denominator for c in point))
-    return (*(c.numerator * (q // c.denominator) for c in point), q)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -374,8 +368,8 @@ class LinearityCell:
         return len(self.witness)
 
     def contains(self, v: Sequence) -> bool:
-        point = as_point(v)
-        return all(vecdot(a, point) >= b for a, b in self.halfspaces)
+        v = point(v, self.g)
+        return all(vecdot(a, v) >= b for a, b in self.halfspaces)
 
     def to_json_dict(self) -> dict:
         return {
@@ -589,7 +583,7 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
     g = theta.base.g
     if g > _MAX_RANK:
         raise RankTooLargeError(f"vertex enumeration capped at g <= {_MAX_RANK}")
-    _, witnesses = theta._least(v)
+    _, witnesses = theta._least(*_over_common_denominator(point(v, g)))
     if len(witnesses) > 1:
         raise OnCornerLocusError(witnesses)
     u = witnesses[0]
@@ -636,14 +630,14 @@ class FundamentalDomain:
         return self.matrix.rows
 
     def contains(self, v: Sequence) -> bool:
-        point = as_point(v)
-        return all(vecdot(a, point) >= b for a, b in self.halfspaces)
+        v = point(v, self.g)
+        return all(vecdot(a, v) >= b for a, b in self.halfspaces)
 
     def lattice_coordinates(self, v: Sequence) -> TropPoint:
         """t with v = P^T t: the lower halfspace normals are the rows of
         (P^T)^-1."""
-        point = as_point(v)
-        return tuple(vecdot(a, point) for a, _ in self.halfspaces[::2])
+        v = point(v, self.g)
+        return tuple(vecdot(a, v) for a, _ in self.halfspaces[::2])
 
     @functools.cached_property
     def _svg_frame(self) -> tuple[str, ...]:
@@ -689,8 +683,9 @@ def _points(data, name: str) -> tuple[TropPoint, ...]:
 
 
 def _homogeneous_points(data, name: str) -> tuple[IntVec, ...]:
-    """Exact points of a mesh file as homogeneous x."""
-    return tuple(map(_homogeneous, _points(data, name)))
+    """Exact points of a mesh file as homogeneous x (V, q): each point over
+    the lcm q of its denominators, which is in lowest terms."""
+    return tuple((*V, q) for q, V in map(_over_common_denominator, _points(data, name)))
 
 
 def _parallelepiped_halfspaces(inv_rows: Rows):

@@ -7,6 +7,13 @@ is exact.  `det`, `int_det`, `solve`, `inverse` (one elimination of
 [A | I]) and `adjugate_int` read its pivots, swap parity and reduced rows,
 and so do the affine spans and edge ranks in `geometry`.  Sizes are the
 rank g of a form (g <= 3 in geometry).
+
+The public entries of `theta`, `nonarch`, `varieties` and `geometry` read
+their arguments through the parsers here, once: a point of N_R through
+`point` (g rationals, each Fraction(x)), a lattice vector, profile or
+coefficient rep through `lattice_vector` or `int_vector_from` (exact
+integers by `_as_int`), and JSON matrices through `rows_from` and
+`int_rows_from`.
 """
 
 from __future__ import annotations
@@ -78,6 +85,23 @@ def int_rows_from(data: Sequence[Sequence], name: str = "matrix") -> IntRows:
 
 def int_vector_from(data: Sequence, name: str) -> IntVec:
     return tuple(_as_int(x, name) for x in json_list(data, name))
+
+
+def point(v: Sequence, g: int, name: str = "point") -> Row:
+    """A point of N_R: v as g rationals, Fraction(x) each."""
+    p = tuple(map(Fraction, v))
+    if len(p) != g:
+        raise ShapeMismatchError(f"{name} has length {len(p)}, not g = {g}")
+    return p
+
+
+def lattice_vector(n: Sequence, g: int, name: str = "lattice vector") -> IntVec:
+    """A lattice vector: n as g exact integers by `_as_int`, so 3/2 and 2.0
+    raise TypeError; an int entry is taken as it is."""
+    vec = tuple([x if type(x) is int else _as_int(x, name) for x in n])
+    if len(vec) != g:
+        raise ShapeMismatchError(f"{name} has length {len(vec)}, not g = {g}")
+    return vec
 
 
 def identity(n: int) -> IntRows:

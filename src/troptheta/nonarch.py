@@ -51,8 +51,10 @@ from .linalg import (
     int_vector_from,
     is_symmetric,
     json_list,
+    lattice_vector,
     matmul,
     matvec,
+    point,
     transpose,
 )
 from .puiseux import PuiseuxNumber, Term
@@ -213,7 +215,7 @@ class PeriodMatrix:
         """t(u', u) = prod_{i,j} T[i][j]^(n'_i u_j), one monomial whose
         exponent is the bilinear form n'^T P u."""
         D, T = self._kernel
-        nprime, u = tuple(map(int, nprime)), tuple(map(int, u))
+        nprime, u = lattice_vector(nprime, self.g, "n'"), lattice_vector(u, self.g, "u")
         return _monomial(D, _fold(_bilinear(T, nprime, u)))
 
     def to_json_rows(self) -> list:
@@ -281,7 +283,7 @@ class NACocycle:
     def value(self, n: Sequence[int]) -> PuiseuxNumber:
         """c(n) = prod_i c(e'_i)^(n_i) t_ii^(n_i (n_i - 1)/2) prod_{i<j}
         t_ij^(n_i n_j), t_ij = t(e'_i, lambda(e'_j)), as one monomial."""
-        return _monomial(self._kernel.D, _fold(self._value_factors(tuple(map(int, n)))))
+        return _monomial(self._kernel.D, _fold(self._value_factors(lattice_vector(n, self.g, "n"))))
 
     def _value_factors(self, n: IntVec):
         G, Q = self._kernel.G, self._kernel.Q
@@ -299,7 +301,7 @@ class NACocycle:
 
     def t_lambda(self, n1: Sequence[int], n2: Sequence[int]) -> PuiseuxNumber:
         """t(u1', lambda(u2')) = prod_{i,j} t_ij^(n1_i n2_j)."""
-        n1, n2 = tuple(map(int, n1)), tuple(map(int, n2))
+        n1, n2 = lattice_vector(n1, self.g, "n1"), lattice_vector(n2, self.g, "n2")
         return _monomial(self._kernel.D, _fold(_bilinear(self._kernel.Q, n1, n2)))
 
     def to_json_list(self) -> list:
@@ -340,9 +342,7 @@ class NAThetaFunction:
         g = self.cocycle.g
         entries = []
         for rep, a in self.coeffs:
-            rep = tuple(int(x) for x in rep)
-            if len(rep) != g:
-                raise ShapeMismatchError("coefficient index rank mismatch")
+            rep = lattice_vector(rep, g, "coefficient rep")
             if not isinstance(a, PuiseuxNumber):
                 raise InvalidDataError("coefficients must be Puiseux numbers")
             entries.append((rep, a))
@@ -366,7 +366,7 @@ class NAThetaFunction:
         if all(a.is_zero() for _, a in self.coeffs):
             raise InvalidDataError("theta function needs a nonzero coefficient")
 
-    @property
+    @cached_property
     def g(self) -> int:
         return self.cocycle.g
 
@@ -386,7 +386,10 @@ class NAThetaFunction:
 
     def coefficient(self, u: Sequence[int]) -> PuiseuxNumber:
         """a_u, from the stored coset data via the extension rule."""
-        u = tuple(int(x) for x in u)
+        return self._coefficient(lattice_vector(u, self.g, "u"))
+
+    def _coefficient(self, u: IntVec) -> PuiseuxNumber:
+        """a_u for a parsed u, memoized."""
         table = self._table
         if u in table:
             return table[u]
@@ -415,10 +418,10 @@ class NAThetaFunction:
         lam = {nprime: matvec(cocycle.Lambda, nprime) for nprime in shifts}
 
         def sides(u):
-            a = self.coefficient(u)
+            a = self._coefficient(u)
 
             def differ(nprime):
-                lhs = self.coefficient(tuple(map(add, u, lam[nprime])))
+                lhs = self._coefficient(tuple(map(add, u, lam[nprime])))
                 if lhs != a._shifted(*cocycle._extension(nprime, u)):
                     return lhs, cocycle.period.t(nprime, u) * cocycle.value(nprime) * a
 
@@ -487,9 +490,8 @@ def _polarization(period: PeriodMatrix, Lambda) -> IntRows:
 
 def _diagonal_pairs(period: PeriodMatrix, Lambda: IntRows) -> Iterable[PuiseuxNumber]:
     """The pair values t(e'_i, lambda(e'_i)), generator by generator."""
-    g = period.g
-    for i in range(g):
-        yield period.t(tuple(int(k == i) for k in range(g)), tuple(row[i] for row in Lambda))
+    for e, col in zip(identity(period.g), transpose(Lambda)):
+        yield period.t(e, col)
 
 
 def build_riemann_theta(period: PeriodMatrix, Lambda) -> NAThetaFunction:
@@ -610,27 +612,23 @@ def evaluate_at_point(
     When the minimal-valuation term is unique, val(value) equals that
     minimum.
     """
-    g = f.g
-    if len(x) != g:
-        raise ShapeMismatchError("point rank mismatch")
     for xj in x:
         if not isinstance(xj, PuiseuxNumber) or xj.is_zero():
             raise ZeroCoordinateError("point coordinates must be nonzero")
         if not xj.is_monomial():
             raise InvalidDataError("point coordinates must be monomials")
-    v = tuple(xj.val() for xj in x)
+    # v = trop(x) = V / q; each term's D q val(a_u x^u) is an integer, so the cutoff is floored
+    q, V = _over_common_denominator(point([xj.val() for xj in x], f.g, "x"))
     trop = tropicalize(f)
-    least, witnesses = trop._least(v)
+    least, witnesses = trop._least(q, V)
     cutoff = least if cutoff is None else Fraction(cutoff)
     if cutoff < least:
         raise CutoffBelowMinimumError(f"cutoff {cutoff} below minimal valuation {least}")
 
-    # v = V / q; each term's D q val(a_u x^u) is an integer, so floor the cutoff
-    q, V = _over_common_denominator(v)
     X = tuple(_mono(xj, q) for xj in x)
     terms = [u for u, _ in _terms_below(trop, q, V, floor(cutoff * trop._kernel.D * q))]
     # a_u x^u, with x^u one monomial; all terms canonicalized once
-    products = (f.coefficient(u)._shifted(*_term(q, _fold(zip(X, u)))) for u in terms)
+    products = (f._coefficient(u)._shifted(*_term(q, _fold(zip(X, u)))) for u in terms)
     return PartialSum(
         value=PuiseuxNumber(tuple(chain.from_iterable(p.terms for p in products))),
         terms=len(terms),

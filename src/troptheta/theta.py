@@ -30,7 +30,8 @@ bound through geometry._terms_below.  `_coset_terms` is the one
 D w(rep + Lam n) formula, for those enumerations, `extended_w` and `c_trop`
 and the law check's shifts (the coset of 0), so the divisor's pool offsets
 D w(u) - D w(u'') are differences of integers and no competitor is
-decomposed into its coset again.  The divisor certifies each cell in a
+decomposed into its coset again.  Its u = rep + Lam n is `_witness`, which
+`evaluate` and the divisor's walk read too.  The divisor certifies each cell in a
 parallelepiped read off `_region_frame`, one integer frame per theta: no
 inverse is formed here, each is read off the one reduction of P Lam
 (lattice._reduced).  Its fundamental domain is kept in `_domain`.  The
@@ -68,13 +69,16 @@ from .linalg import (
     RatMatrix,
     ShapeMismatchError,
     _as_fraction,
+    _as_int,
     int_det,
     int_rows_from,
     int_vector_from,
     is_symmetric,
     json_list,
+    lattice_vector,
     matmul,
     matvec,
+    point,
     transpose,
     vecdot,
 )
@@ -83,7 +87,6 @@ from .varieties import (
     InvalidDataError,
     TropicalPolarizationData,
     TropPoint,
-    as_point,
     embed_Mprime,
 )
 
@@ -168,7 +171,7 @@ class ValuationProfile:
         seen = set()
         norm = []
         for rep, w in self.entries:
-            rep = tuple(int(x) for x in rep)
+            rep = int_vector_from(rep, "profile rep")
             if rep in seen:
                 raise ShapeMismatchError(f"duplicate profile rep {rep}")
             seen.add(rep)
@@ -346,12 +349,12 @@ class TropicalThetaFunction:
 
     def c_trop(self, n: Sequence[int]) -> Fraction:
         # D c_trop(n) is D w(Lam n) on the coset of 0, with w(0) = 0
-        ((_, num),) = self._coset_terms((0,) * self.g, 0, self._kernel.ell, [self._point(n, "shift", int)])
+        ((_, num),) = self._coset_terms((0,) * self.g, 0, self._kernel.ell, [lattice_vector(n, self.g, "n")])
         return Fraction(num, self._kernel.D)
 
     def extended_w(self, u: Sequence[int]) -> Fraction | float:
         """w on all of M via w(u0 + Lam n) = w(u0) + c_trop(n) + [n, u0]."""
-        num = self._w_numerator(self._point(u, "lattice point", int))
+        num = self._w_numerator(lattice_vector(u, self.g, "u"))
         return INF if num is None else Fraction(num, self._kernel.D)
 
     def _w_numerator(self, u: IntVec) -> int | None:
@@ -366,14 +369,15 @@ class TropicalThetaFunction:
         """(u, D w(u)) for u = rep + Lam n, n in ns, with w = D w(rep) and
         base = D (ell + P rep): the one place that spells out
         D w(u) = w + n^T (D P Lam) n / 2 + <base, n>, exact as D P Lam is even."""
-        lam, B = self.factor.Lambda, self._kernel.B
+        B = self._kernel.B
         return [
-            (
-                tuple(map(add, rep, [sum(map(mul, row, n)) for row in lam])),
-                w + sum(map(mul, n, [sum(map(mul, row, n)) for row in B])) // 2 + sum(map(mul, base, n)),
-            )
+            (self._witness(rep, n), w + sum(map(mul, n, [sum(map(mul, row, n)) for row in B])) // 2 + sum(map(mul, base, n)))
             for n in ns
         ]
+
+    def _witness(self, rep: IntVec, n: IntVec) -> IntVec:
+        """u = rep + Lam n, in integers: the one formula for a coset member."""
+        return tuple(map(add, rep, [sum(map(mul, row, n)) for row in self.factor.Lambda]))
 
     # ---------- evaluation ----------
 
@@ -384,15 +388,14 @@ class TropicalThetaFunction:
         path because the benchmark harness's peak RSS grows with its op
         count, so a faster `eval` loop reads as a memory rise; once the
         harness's statistics stop growing with the op count it becomes
-        EvalResult(*self._least(v))."""
-        point = self._point(v)
+        EvalResult(*self._least(q, V))."""
+        q, V = _over_common_denominator(point(v, self.g))
         if not self.profile.finite_entries():
             raise EmptyProfileError("profile has no finite value")
         if not self.is_ample:
-            return EvalResult(*self._least(point))
+            return EvalResult(*self._least(q, V))
         best = None
         witnesses: list[IntVec] = []
-        q, V = _over_common_denominator(point)
         for rep, L, C in self._coset_quadratics(q, V):
             den = self._kernel.D * q
             res = minimize_quadratic(self._form, [Fraction(x, den) for x in L], Fraction(C, den))
@@ -403,17 +406,9 @@ class TropicalThetaFunction:
                 witnesses.extend(self._witness(rep, n) for n in res.argmin)
         return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
 
-    def _point(self, v: Sequence, name: str = "point", kind=Fraction) -> tuple:
-        """v as a g-tuple of kind; ShapeMismatchError on another length."""
-        point = tuple(map(kind, v))
-        if len(point) != self.g:
-            raise ShapeMismatchError(f"{name} length mismatch")
-        return point
-
-    def _least(self, v: Sequence) -> tuple[Fraction, tuple[IntVec, ...]]:
-        """(f(v), every witness, sorted), in integers: the value is
-        D q (w(u) + <u, v>) / (D q) at the first of `_least_terms`."""
-        q, V = _over_common_denominator(self._point(v))
+    def _least(self, q: int, V: Sequence[int]) -> tuple[Fraction, tuple[IntVec, ...]]:
+        """(f(v), every witness, sorted) at v = V / q, in integers: the value
+        is D q (w(u) + <u, v>) / (D q) at the first of `_least_terms`."""
         terms = self._least_terms(q, V)
         u, w_u = terms[0]
         D = self._kernel.D
@@ -479,20 +474,16 @@ class TropicalThetaFunction:
             L = tuple(q * b + lv for b, lv in zip(base, lam_t_v))
             yield rep, L, q * w + D * sum(map(mul, rep, V))
 
-    def _witness(self, rep: IntVec, n: IntVec) -> IntVec:
-        shift = matvec(self.factor.Lambda, n)
-        return tuple(int(r + s) for r, s in zip(rep, shift))
-
     def __call__(self, v: Sequence) -> Fraction:
         """f(v), in integers (`_least`)."""
-        return self._least(v)[0]
+        return self._least(*_over_common_denominator(point(v, self.g)))[0]
 
     # ---------- translation ----------
 
     def translate(self, v0: Sequence) -> "TropicalThetaFunction":
         """The translate T_{v0} f(v) = f(v + v0) as a theta function:
         ell gains Lam^T v0, each profile value gains <rep, v0>."""
-        shift = self._point(v0, "shift")
+        shift = point(v0, self.g, "v0")
         new_ell = tuple(
             e + s
             for e, s in zip(
@@ -612,7 +603,7 @@ def verify_transformation(
     if shifts is None:
         shifts = default_shifts(theta.g)
     # per shift: (D P)^T n, then (Lam n, D c_trop(n)) as c_trop reads it
-    ns = [theta._point(n, "shift", int) for n in shifts]
+    ns = [lattice_vector(n, theta.g, "shift") for n in shifts]
     terms = theta._coset_terms((0,) * theta.g, 0, k.ell, ns)
     table = {n: ([sum(map(mul, col, n)) for col in zip(*k.P)], *t) for n, t in zip(ns, terms)}
 
@@ -632,7 +623,7 @@ def verify_transformation(
 
         return differ
 
-    return _check_samples(((theta._point(v), ns) for v in samples), sides)
+    return _check_samples(((point(v, theta.g, "sample"), ns) for v in samples), sides)
 
 
 def is_even(theta: TropicalThetaFunction) -> bool:
@@ -657,27 +648,21 @@ class TropicalThetaExpression:
     def __post_init__(self):
         if not self.terms:
             raise IncompatibleError("expression needs at least one term")
-        norm = tuple(
-            (int(m), as_point(s), t) for m, s, t in self.terms
-        )
+        norm = tuple((_as_int(m, "multiplicity"), point(s, t.g, "shift"), t) for m, s, t in self.terms)
         object.__setattr__(self, "terms", norm)
-        base = norm[0][2].base
-        for _, shift, theta in norm:
-            if theta.base != base:
-                raise IncompatibleError("expression terms live on different tori")
-            if len(shift) != theta.g:
-                raise ShapeMismatchError("shift length mismatch")
+        if any(t.base != self.base for _, _, t in norm):
+            raise IncompatibleError("expression terms live on different tori")
 
     @property
     def base(self) -> TropicalPolarizationData:
         return self.terms[0][2].base
 
     def evaluate(self, v: Sequence) -> Fraction:
-        point = as_point(v)
-        return sum(
-            m * theta(tuple(a + b for a, b in zip(point, shift)))
-            for m, shift, theta in self.terms
-        )
+        return self._evaluate(point(v, self.base.g))
+
+    def _evaluate(self, v: TropPoint) -> Fraction:
+        """The value at a parsed point, each term read off `_least`."""
+        return sum(m * t._least(*_over_common_denominator(tuple(map(add, v, s))))[0] for m, s, t in self.terms)
 
 
 def expression_automorphy(expr: TropicalThetaExpression) -> AutomorphyFactor:
@@ -720,13 +705,15 @@ class PeriodicPLFunction:
         samples: Sequence[Sequence],
         shifts: Sequence[Sequence[int]] | None = None,
     ) -> CheckReport:
-        shifts = [tuple(map(int, n)) for n in (default_shifts(self.base.g) if shifts is None else shifts)]
-        return _check_samples(((as_point(v), shifts) for v in samples), self._periodic_sides)
+        g = self.base.g
+        shifts = [lattice_vector(n, g, "shift") for n in (default_shifts(g) if shifts is None else shifts)]
+        return _check_samples(((point(v, g, "sample"), shifts) for v in samples), self._periodic_sides)
 
     def _periodic_sides(self, v: TropPoint):
         """`_check_samples` sides of h(v) = h(v + P^T n)."""
-        value = self.evaluate(v)
-        return lambda n: _mismatch(value, self.evaluate(tuple(map(add, v, embed_Mprime(self.base, n)))))
+        at = self.expression._evaluate
+        value = at(v)
+        return lambda n: _mismatch(value, at(tuple(map(add, v, embed_Mprime(self.base, n)))))
 
 
 def difference_to_periodic(expr: TropicalThetaExpression) -> PeriodicPLFunction:
@@ -746,10 +733,10 @@ def level_n_function(
     The base theta must be the principal Riemann theta (factor (Lambda, 0),
     profile {0 -> 0}); the aggregate factor then cancels identically.
     """
-    points = [as_point(s) for s in shifts]
+    g = theta.g
+    points = [point(s, g, "shift") for s in shifts]
     if not points:
         raise ShiftsDoNotSumToZeroError("need at least one shift")
-    g = theta.g
     total = tuple(sum(p[i] for p in points) for i in range(g))
     if any(x != 0 for x in total):
         raise ShiftsDoNotSumToZeroError(f"shifts sum to {total}, not zero")
@@ -779,8 +766,10 @@ def kummer_check(
                 raise IncompatibleError(
                     "kummer_check needs an even base theta (ell = 0, w(u) = w(-u))"
                 )
+    at = h.expression._evaluate
+
     def sides(v):
-        return lambda _: _mismatch(h.evaluate(v), h.evaluate(tuple(-x for x in v)))
+        return lambda _: _mismatch(at(v), at(tuple(-x for x in v)))
 
     zero = [(0,) * h.base.g]
-    return _check_samples(((as_point(v), zero) for v in samples), sides)
+    return _check_samples(((point(v, h.base.g, "sample"), zero) for v in samples), sides)

@@ -6,12 +6,17 @@ polarization matrix Lambda (column j = coordinates of lambda(e'_j) in the
 character basis).  The induced bilinear form beta = P * Lambda must be
 symmetric positive-definite.  Points of N_R are coordinate tuples
 v = (<e_1, v>, ..., <e_g, v>); the period lattice embeds as n |-> P^T n.
+Each entry here reads a point once, as g rationals (linalg.point), and a
+lattice vector once, as g exact integers (linalg.lattice_vector), so a
+wrong length raises ShapeMismatchError and a non-integer lattice vector
+raises TypeError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Sequence
 
 from .linalg import (
@@ -23,8 +28,10 @@ from .linalg import (
     int_det,
     int_rows_from,
     is_symmetric,
+    lattice_vector,
     matmul,
     matvec,
+    point,
     rows_from,
     solve,
     transpose,
@@ -37,10 +44,6 @@ TropPoint = tuple[Fraction, ...]
 
 class InvalidDataError(ValueError):
     """Structurally valid JSON that violates a mathematical precondition."""
-
-
-def as_point(v: Sequence) -> TropPoint:
-    return tuple(Fraction(x) for x in v)
 
 
 @dataclass(frozen=True)
@@ -158,16 +161,12 @@ def require_valid(data: TropicalPolarizationData) -> None:
 
 def embed_Mprime(data: TropicalPolarizationData, n: Sequence[int]) -> TropPoint:
     """Embed the period lattice generator combination n into N_R: P^T n."""
-    if len(n) != data.g:
-        raise ShapeMismatchError("period coordinate length mismatch")
-    return tuple(matvec(transpose(data.P.entries), tuple(Fraction(x) for x in n)))
+    return matvec(transpose(data.P.entries), lattice_vector(n, data.g, "n"))
 
 
 def embed_M_dual(data: TropicalPolarizationData, m: Sequence[int]) -> TropPoint:
     """Embed the character lattice into N'_R (used by the dual torus): P m."""
-    if len(m) != data.g:
-        raise ShapeMismatchError("character coordinate length mismatch")
-    return tuple(matvec(data.P.entries, tuple(Fraction(x) for x in m)))
+    return matvec(data.P.entries, lattice_vector(m, data.g, "m"))
 
 
 def reduce_mod_lattice(data: TropicalPolarizationData, v: Sequence) -> SigmaPoint:
@@ -175,18 +174,13 @@ def reduce_mod_lattice(data: TropicalPolarizationData, v: Sequence) -> SigmaPoin
     {P^T t : t in [0,1)^g}; rep = v - P^T shift."""
     import math
 
-    point = as_point(v)
-    if len(point) != data.g:
-        raise ShapeMismatchError("point length mismatch")
+    v = point(v, data.g)
     try:
-        t = solve(transpose(data.P.entries), point)
+        t = solve(transpose(data.P.entries), v)
     except ShapeMismatchError:
         raise InvalidDataError("degenerate pairing: cannot reduce") from None
     shift = tuple(math.floor(c) for c in t)
-    rep = tuple(
-        x - y for x, y in zip(point, embed_Mprime(data, shift))
-    )
-    return SigmaPoint(rep=rep, shift=shift)
+    return SigmaPoint(rep=tuple(map(sub, v, embed_Mprime(data, shift))), shift=shift)
 
 
 def dual(data: TropicalPolarizationData) -> TropicalPolarizationData:
@@ -212,7 +206,4 @@ def polarization_map(data: TropicalPolarizationData, v: Sequence) -> TropPoint:
     """The map N_R -> N'_R induced by lambda: coordinate i = <lambda(e'_i), v>,
     i.e. Lambda^T v.  Sends embedded periods P^T n to embedded characters
     P (Lambda n), hence descends to the quotient tori."""
-    point = as_point(v)
-    if len(point) != data.g:
-        raise ShapeMismatchError("point length mismatch")
-    return tuple(matvec(transpose(data.Lambda), point))
+    return matvec(transpose(data.Lambda), point(v, data.g))

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from troptheta.geometry import _affine_span, _homogeneous, _x
+from troptheta.geometry import _affine_span, _homogeneous_points, _x
 from troptheta.linalg import (
     ShapeMismatchError,
     _echelon,
@@ -133,7 +133,7 @@ def test_affine_span_of_collinear_and_coplanar_points():
             pts.append(tuple(x + sum(c * d[i] for c, d in zip(t, dirs)) for i, x in enumerate(base)))
         pts = tuple(pts)
         rref, _ = reference([[q - b for b, q in zip(pts[0], p)] for p in pts[1:]], g)
-        span = tuple(map(_x, _affine_span(tuple(map(_homogeneous, pts)))))
+        span = tuple(map(_x, _affine_span(_homogeneous_points(pts, "points"))))
         assert span == rref and len(span) <= k, pts
         assert all(type(x) is F for r in span for x in r)
 

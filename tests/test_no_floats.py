@@ -23,6 +23,10 @@ every argument and result of its calls during corner loci and finds only
 ints.  Every theta value but `evaluate`'s is read off that entry too: a
 seventh check walks its calls during the transformation-law and Riemann
 crosschecks and the Puiseux partial sums, and finds only ints.
+
+A second syntax scan finds no int(...) call in theta.py, nonarch.py or
+varieties.py: their public entries read lattice vectors through
+linalg.lattice_vector, which refuses 3/2 where int() truncated it to 1.
 """
 
 import ast
@@ -83,6 +87,29 @@ def test_the_guard_sees_a_float(tmp_path):
         "geometry.py:2 float(...) in depth",
         "geometry.py:2 0.5 in depth",
     ]
+
+
+def int_casts(path: Path):
+    """Every int(...) call in a module: int() truncates 3/2 to 1, so the
+    parsing modules read integers through linalg.lattice_vector instead,
+    which raises on anything but an exact integer."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} int(...)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+    ]
+
+
+@pytest.mark.parametrize("name", ["theta.py", "nonarch.py", "varieties.py"])
+def test_no_int_casts_in_the_parsing_modules(name):
+    assert int_casts(SRC / name) == []
+
+
+def test_the_guard_sees_an_int_cast(tmp_path):
+    probe = tmp_path / "theta.py"
+    probe.write_text("def rep(u):\n    return tuple(int(x) for x in u), int_det(u), isinstance(u, int)\n")
+    assert int_casts(probe) == ["theta.py:2 int(...)"]
 
 
 def numbers(obj):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from troptheta import geometry, theta as theta_module
-from troptheta.lattice import CosetLattice, NotPositiveDefiniteError
+from troptheta.lattice import CosetLattice, NotPositiveDefiniteError, _over_common_denominator
 from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matvec, solve, transpose
 from troptheta.nonarch import (
     CutoffBelowMinimumError,
@@ -490,7 +490,7 @@ def series_of(theta):
 @given(sweep_cases(), st.data())
 @settings(max_examples=40, deadline=None)
 def test_integer_readers_match_evaluate(case, data):
-    # theta(v) and _least(v) give evaluate's value and witnesses, and the
+    # theta(v) and _least(q, V) give evaluate's value and witnesses, and the
     # partial sums of a series tropicalizing to theta give evaluate's value
     # as their minimal valuation and its uniqueness as their dominance: for
     # every kind of theta, with profile reps moved off the canonical box, ell
@@ -515,7 +515,7 @@ def test_integer_readers_match_evaluate(case, data):
     ties = list(geometry.linearity_cell(theta, v).vertices[:2]) if theta.evaluate(v).unique else []
     for x in [v, away, *ties]:
         res = theta.evaluate(x)
-        assert theta(x) == res.value and theta._least(x) == (res.value, res.witnesses)
+        assert theta(x) == res.value and theta._least(*_over_common_denominator(x)) == (res.value, res.witnesses)
         if not theta.is_ample:  # evaluate reads _least here too: scan the support in Fractions
             values = {u: w + sum(a * b for a, b in zip(u, x)) for u, w in theta.profile.finite_entries()}
             low = min(values.values())
