@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import identity, int_rows_from, matvec
+from .linalg import identity, matvec
 from .nonarch import (
     NAThetaFunction,
     PeriodMatrix,
@@ -118,9 +118,8 @@ def suite_b(
     """Principal tropicalization identity: tropicalize(series from a_0 = 1)
     equals the intrinsic tropical Riemann theta pointwise, constant zero."""
     g = period.g
-    Lambda = identity(g) if Lambda is None else int_rows_from(Lambda, "Lambda")
-    series = build_riemann_theta(period, Lambda)
-    trop = tropicalize(series)
+    series = build_riemann_theta(period, identity(g) if Lambda is None else Lambda)
+    Lambda, trop = series.cocycle.Lambda, tropicalize(series)
     intrinsic = riemann_theta(
         TropicalPolarizationData(g=g, P=period.pairing(), Lambda=Lambda)
     )

@@ -36,12 +36,14 @@ from .linalg import (
     IntRows,
     IntVec,
     ShapeMismatchError,
+    _as_fraction,
+    _as_int,
     adjugate_int,
     identity,
     is_symmetric,
     matmul,
     matvec,
-    rows_from,
+    square_rows,
     transpose,
     vecdot,
 )
@@ -108,12 +110,9 @@ def _gram_rows(B) -> Rows:
     """Coerce GramForm / RatMatrix / nested sequences to symmetric rows."""
     if isinstance(B, GramForm):
         return B.rows
-    if isinstance(B, RatMatrix):
-        rows = B.entries
-    else:
-        rows = rows_from(B)
-    if len(rows) == 0 or any(len(r) != len(rows) for r in rows):
-        raise ShapeMismatchError("gram matrix must be square and nonempty")
+    rows = B.entries if isinstance(B, RatMatrix) else B
+    # square of its own size, and at least 1 x 1
+    rows = square_rows(rows, len(rows) or 1, "gram matrix", _as_fraction)
     if not is_symmetric(rows):
         raise NotSymmetricError("gram matrix must be symmetric")
     return rows
@@ -353,9 +352,7 @@ class CosetLattice:
     matrix: IntRows
 
     def __post_init__(self):
-        g = len(self.matrix)
-        if any(len(r) != g for r in self.matrix):
-            raise ShapeMismatchError("coset lattice matrix must be square")
+        object.__setattr__(self, "matrix", square_rows(self.matrix, len(self.matrix), "coset lattice matrix", _as_int))
         object.__setattr__(self, "_hnf", _column_hnf(self.matrix))
 
     @property

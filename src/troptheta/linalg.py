@@ -12,8 +12,12 @@ The public entries of `theta`, `nonarch`, `varieties` and `geometry` read
 their arguments through the parsers here, once: a point of N_R through
 `point` (g rationals, each Fraction(x)), a lattice vector, profile or
 coefficient rep through `lattice_vector` or `int_vector_from` (exact
-integers by `_as_int`), and JSON matrices through `rows_from` and
-`int_rows_from`.
+integers by `_as_int`), every g x g field of a constructor (P, Lambda, a
+period, Gram or coset lattice matrix) through `square_rows`, shape first,
+and the mesh reader's matrices through `rows_from`.  An exact scalar (ell,
+w, a cutoff) is read by `_as_fraction`: a Fraction, an int or a "p/q"
+literal, never a float.  A str or bytes is never a vector: it would read as
+its characters.
 """
 
 from __future__ import annotations
@@ -65,6 +69,14 @@ def json_list(data, name: str) -> Sequence:
     return data
 
 
+def _vector(v, name: str):
+    """v, which may be any iterable but a str or bytes: one of those would
+    read as its characters."""
+    if isinstance(v, (str, bytes, bytearray)):
+        raise TypeError(f"{name} must be a sequence, got {type(v).__name__}: {v!r}")
+    return v
+
+
 def _rows(data, name: str, entry) -> tuple:
     rows = tuple(
         tuple(entry(x, name) for x in json_list(row, f"each row of {name}"))
@@ -87,9 +99,21 @@ def int_vector_from(data: Sequence, name: str) -> IntVec:
     return tuple(_as_int(x, name) for x in json_list(data, name))
 
 
+def square_rows(data: Sequence[Sequence], g: int, name: str, entry) -> tuple:
+    """data as g rows of g entries, each read by entry(x, name).  The shape
+    is checked before any entry is read."""
+    rows = [json_list(row, f"each row of {name}") for row in json_list(data, name)]
+    if len(rows) != g:
+        raise ShapeMismatchError(f"{name} shape mismatch: {len(rows)} row(s), not g = {g}")
+    for row in rows:
+        if len(row) != g:
+            raise ShapeMismatchError(f"{name} shape mismatch: a row of length {len(row)}, not g = {g}")
+    return tuple(tuple(entry(x, name) for x in row) for row in rows)
+
+
 def point(v: Sequence, g: int, name: str = "point") -> Row:
     """A point of N_R: v as g rationals, Fraction(x) each."""
-    p = tuple(map(Fraction, v))
+    p = tuple(map(Fraction, _vector(v, name)))
     if len(p) != g:
         raise ShapeMismatchError(f"{name} has length {len(p)}, not g = {g}")
     return p
@@ -98,7 +122,7 @@ def point(v: Sequence, g: int, name: str = "point") -> Row:
 def lattice_vector(n: Sequence, g: int, name: str = "lattice vector") -> IntVec:
     """A lattice vector: n as g exact integers by `_as_int`, so 3/2 and 2.0
     raise TypeError; an int entry is taken as it is."""
-    vec = tuple([x if type(x) is int else _as_int(x, name) for x in n])
+    vec = tuple([x if type(x) is int else _as_int(x, name) for x in _vector(n, name)])
     if len(vec) != g:
         raise ShapeMismatchError(f"{name} has length {len(vec)}, not g = {g}")
     return vec

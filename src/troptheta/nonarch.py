@@ -45,9 +45,11 @@ from .linalg import (
     IntVec,
     RatMatrix,
     ShapeMismatchError,
+    _as_fraction,
+    _as_int,
+    det,
     identity,
     int_det,
-    int_rows_from,
     int_vector_from,
     is_symmetric,
     json_list,
@@ -55,6 +57,7 @@ from .linalg import (
     matmul,
     matvec,
     point,
+    square_rows,
     transpose,
 )
 from .puiseux import PuiseuxNumber, Term
@@ -148,6 +151,15 @@ def _bilinear(T: Sequence[Sequence[Mono]], a: Sequence[int], b: Sequence[int]):
     return ((m, ai * bj) for row, ai in zip(T, a) if ai for m, bj in zip(row, b))
 
 
+def _period_entry(e, name: str) -> PuiseuxNumber:
+    """e, checked to be a monomial c q^r with c > 0."""
+    if not isinstance(e, PuiseuxNumber) or not e.is_monomial():
+        raise InvalidDataError(f"{name} entry must be a monomial: {e}")
+    if e.leading_coefficient() <= 0:
+        raise InvalidDataError(f"{name} entry must have positive coefficient: {e}")
+    return e
+
+
 def _literal(x, name: str) -> PuiseuxNumber:
     """A Puiseux literal from JSON: a string, or an integer constant."""
     if isinstance(x, bool) or not isinstance(x, (str, int)):
@@ -177,21 +189,9 @@ class PeriodMatrix:
     entries: tuple[tuple[PuiseuxNumber, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(e for e in row) for row in self.entries)
+        # square of its own size, and at least 1 x 1
+        rows = square_rows(self.entries, len(self.entries) or 1, "period matrix", _period_entry)
         object.__setattr__(self, "entries", rows)
-        g = len(rows)
-        if any(len(r) != g for r in rows) or g == 0:
-            raise ShapeMismatchError("period matrix must be square and nonempty")
-        for row in rows:
-            for e in row:
-                if not isinstance(e, PuiseuxNumber) or not e.is_monomial():
-                    raise InvalidDataError(f"period entry must be a monomial: {e}")
-                if e.leading_coefficient() <= 0:
-                    raise InvalidDataError(
-                        f"period entry must have positive coefficient: {e}"
-                    )
-        from .linalg import det
-
         if det(self.exponent_rows()) == 0:
             raise InvalidDataError("period exponent matrix is degenerate")
 
@@ -243,10 +243,8 @@ class NACocycle:
     generators: tuple[PuiseuxNumber, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "Lambda", int_rows_from(self.Lambda))
         g = self.period.g
-        if len(self.Lambda) != g or any(len(r) != g for r in self.Lambda):
-            raise ShapeMismatchError("Lambda shape mismatch")
+        object.__setattr__(self, "Lambda", square_rows(self.Lambda, g, "Lambda", _as_int))
         if len(self.generators) != g:
             raise ShapeMismatchError("need one generator value per basis vector")
         for c in self.generators:
@@ -445,8 +443,8 @@ class NAThetaFunction:
     def from_json_dict(cls, data: dict) -> "NAThetaFunction":
         period = PeriodMatrix.from_json_rows(data["T"])
         try:
-            Lambda = int_rows_from(data["Lambda"], "Lambda")
             generators = tuple(_literal(c, "c") for c in json_list(data["c"], "c"))
+            cocycle = NACocycle(period=period, Lambda=data["Lambda"], generators=generators)
             coeffs = []
             for e in json_list(data["coeffs"], "coeffs"):
                 if not isinstance(e, dict) or not {"rep", "a"} <= e.keys():
@@ -454,10 +452,7 @@ class NAThetaFunction:
                 coeffs.append((int_vector_from(e["rep"], "rep"), _literal(e["a"], "a")))
         except TypeError as exc:
             raise InvalidDataError(str(exc)) from exc
-        return cls(
-            cocycle=NACocycle(period=period, Lambda=Lambda, generators=generators),
-            coeffs=tuple(coeffs),
-        )
+        return cls(cocycle=cocycle, coeffs=tuple(coeffs))
 
 
 def _representatives(cosets: CosetLattice) -> tuple[IntVec, ...]:
@@ -480,14 +475,6 @@ def _require_ample(cocycle: NACocycle):
     return B
 
 
-def _polarization(period: PeriodMatrix, Lambda) -> IntRows:
-    """Lambda as integer rows, g x g for the period's g."""
-    Lambda, g = int_rows_from(Lambda, "Lambda"), period.g
-    if len(Lambda) != g or any(len(r) != g for r in Lambda):
-        raise ShapeMismatchError("Lambda shape mismatch")
-    return Lambda
-
-
 def _diagonal_pairs(period: PeriodMatrix, Lambda: IntRows) -> Iterable[PuiseuxNumber]:
     """The pair values t(e'_i, lambda(e'_i)), generator by generator."""
     for e, col in zip(identity(period.g), transpose(Lambda)):
@@ -498,23 +485,20 @@ def build_riemann_theta(period: PeriodMatrix, Lambda) -> NAThetaFunction:
     """The symmetric-normalized Riemann theta for a principal polarization:
     c(e'_i) = sqrt(t(e'_i, lambda(e'_i))) (square roots chosen on generator
     pairs, extended bilinearly), coefficients generated from a_0 = 1."""
-    Lambda = _polarization(period, Lambda)
+    Lambda = square_rows(Lambda, period.g, "Lambda", _as_int)
     if abs(int_det(Lambda)) != 1:
         raise NotPrincipalError("build_riemann_theta needs |det Lambda| = 1")
     # CoefficientNotASquareError if a pair value is not a square
     gens = tuple(t_ii.sqrt_monomial() for t_ii in _diagonal_pairs(period, Lambda))
     cocycle = NACocycle(period=period, Lambda=Lambda, generators=gens)
     _require_ample(cocycle)
-    zero = tuple(0 for _ in range(period.g))
-    return NAThetaFunction(
-        cocycle=cocycle, coeffs=((zero, PuiseuxNumber.one()),)
-    )
+    return NAThetaFunction(cocycle=cocycle, coeffs=(((0,) * period.g, PuiseuxNumber.one()),))
 
 
 def canonical_cocycle(period: PeriodMatrix, Lambda) -> NACocycle:
     """Square-root-normalized cocycle when the diagonal pair values are
     squares, otherwise generator values 1."""
-    Lambda = _polarization(period, Lambda)
+    Lambda = square_rows(Lambda, period.g, "Lambda", _as_int)
     gens = []
     for t_ii in _diagonal_pairs(period, Lambda):
         try:
@@ -552,38 +536,18 @@ def tropicalize(f: NAThetaFunction) -> TropicalThetaFunction:
 
 
 def _tropicalize(f: NAThetaFunction) -> TropicalThetaFunction:
-    g = f.g
-    P = f.cocycle.period.exponent_rows()
-    base_lambda = f.cocycle.Lambda
-    if int_det(base_lambda) == 0:
-        base_lambda = identity(g)
-    base = TropicalPolarizationData(
-        g=g, P=RatMatrix(P), Lambda=base_lambda
-    )
-    if f.cocycle.lambda_is_zero():
-        if any(c.val() != 0 for c in f.cocycle.generators):
-            raise InvalidDataError(
-                "lambda = 0 tropicalization needs a valuation-trivial cocycle"
-            )
-        entries = tuple(
-            (rep, a.val()) for rep, a in f.coeffs if not a.is_zero()
-        )
-        factor = AutomorphyFactor(
-            Lambda=tuple(tuple(0 for _ in range(g)) for _ in range(g)),
-            ell=tuple(Fraction(0) for _ in range(g)),
-        )
-        return TropicalThetaFunction(
-            base=base, factor=factor, profile=ValuationProfile(entries=entries)
-        )
-    B = matmul(P, f.cocycle.Lambda)
-    ell = tuple(
-        f.cocycle.generators[i].val() - Fraction(1, 2) * B[i][i] for i in range(g)
-    )
-    factor = AutomorphyFactor(Lambda=f.cocycle.Lambda, ell=ell)
-    entries = tuple((rep, a.val()) for rep, a in f.coeffs)
-    return TropicalThetaFunction(
-        base=base, factor=factor, profile=ValuationProfile(entries=entries)
-    )
+    g, cocycle = f.g, f.cocycle
+    P = cocycle.period.exponent_rows()
+    base = TropicalPolarizationData(g=g, P=P, Lambda=cocycle.Lambda if int_det(cocycle.Lambda) else identity(g))
+    # val(c) less the quadratic's diagonal; B = 0 when lambda = 0
+    B = matmul(P, cocycle.Lambda)
+    ell = tuple(c.val() - Fraction(1, 2) * B[i][i] for i, c in enumerate(cocycle.generators))
+    zero = cocycle.lambda_is_zero()
+    if zero and any(ell):
+        raise InvalidDataError("lambda = 0 tropicalization needs a valuation-trivial cocycle")
+    entries = tuple((rep, a.val()) for rep, a in f.coeffs if not (zero and a.is_zero()))
+    factor = AutomorphyFactor(Lambda=cocycle.Lambda, ell=ell)
+    return TropicalThetaFunction(base=base, factor=factor, profile=ValuationProfile(entries=entries))
 
 
 @dataclass(frozen=True)
@@ -621,7 +585,7 @@ def evaluate_at_point(
     q, V = _over_common_denominator(point([xj.val() for xj in x], f.g, "x"))
     trop = tropicalize(f)
     least, witnesses = trop._least(q, V)
-    cutoff = least if cutoff is None else Fraction(cutoff)
+    cutoff = least if cutoff is None else _as_fraction(cutoff, "cutoff")
     if cutoff < least:
         raise CutoffBelowMinimumError(f"cutoff {cutoff} below minimal valuation {least}")
 
@@ -647,13 +611,9 @@ class NARationalFunction:
 
     @cached_property
     def h_trop(self):
-        expr = TropicalThetaExpression(
-            terms=(
-                (1, tuple(Fraction(0) for _ in range(self.numerator.g)), tropicalize(self.numerator)),
-                (-1, tuple(Fraction(0) for _ in range(self.numerator.g)), tropicalize(self.denominator)),
-            )
-        )
-        return difference_to_periodic(expr)
+        zero = (0,) * self.numerator.g
+        terms = ((1, zero, tropicalize(self.numerator)), (-1, zero, tropicalize(self.denominator)))
+        return difference_to_periodic(TropicalThetaExpression(terms))
 
     def val_at(self, x: Sequence[PuiseuxNumber]) -> tuple[Fraction, bool]:
         """val f1(x) - val f2(x) from exact partial sums at the minimal

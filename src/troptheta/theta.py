@@ -38,6 +38,11 @@ inverse is formed here, each is read off the one reduction of P Lam
 lambda = 0 case carries a finite support and a trivial factor, and the min
 is a finite scan.
 
+The factor reads ell once, as exact rationals by linalg._as_fraction (a
+float raises TypeError), and Lam by linalg.square_rows with g = len(ell);
+the profile reads each w but inf by the same rule.  Points and lattice
+vectors are read once by linalg.point and linalg.lattice_vector.
+
 Products and translates never collapse into convolved profiles here: they
 stay formal expressions (TropicalThetaExpression) whose aggregate automorphy
 factor is tracked term by term.  An expression with exactly cancelling factor
@@ -70,8 +75,8 @@ from .linalg import (
     ShapeMismatchError,
     _as_fraction,
     _as_int,
+    _vector,
     int_det,
-    int_rows_from,
     int_vector_from,
     is_symmetric,
     json_list,
@@ -79,6 +84,7 @@ from .linalg import (
     matmul,
     matvec,
     point,
+    square_rows,
     transpose,
     vecdot,
 )
@@ -127,11 +133,8 @@ class AutomorphyFactor:
     ell: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "Lambda", int_rows_from(self.Lambda))
-        object.__setattr__(self, "ell", tuple(Fraction(x) for x in self.ell))
-        g = len(self.Lambda)
-        if any(len(r) != g for r in self.Lambda) or len(self.ell) != g:
-            raise ShapeMismatchError("factor shape mismatch")
+        object.__setattr__(self, "ell", tuple(_as_fraction(x, "ell") for x in _vector(self.ell, "ell")))
+        object.__setattr__(self, "Lambda", square_rows(self.Lambda, len(self.ell), "Lambda", _as_int))
 
     @property
     def g(self) -> int:
@@ -154,11 +157,9 @@ class AutomorphyFactor:
         try:
             if not isinstance(data, dict) or not {"Lambda", "ell"} <= data.keys():
                 raise TypeError(f'factor needs "Lambda" and "ell", got {data!r}')
-            Lambda = int_rows_from(data["Lambda"], "Lambda")
-            ell = tuple(_as_fraction(x, "ell") for x in json_list(data["ell"], "ell"))
+            return cls(Lambda=data["Lambda"], ell=json_list(data["ell"], "ell"))
         except TypeError as exc:
             raise InvalidDataError(str(exc)) from exc
-        return cls(Lambda=Lambda, ell=ell)
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ class ValuationProfile:
             if rep in seen:
                 raise ShapeMismatchError(f"duplicate profile rep {rep}")
             seen.add(rep)
-            norm.append((rep, w if w == INF else Fraction(w)))
+            norm.append((rep, w if w == INF else _as_fraction(w, "w")))
         norm.sort(key=lambda e: e[0])
         object.__setattr__(self, "entries", tuple(norm))
         if not any(w != INF for _, w in self.entries):
@@ -529,11 +530,9 @@ def riemann_theta(data: TropicalPolarizationData) -> TropicalThetaFunction:
         raise NotPrincipalError(
             f"riemann_theta needs |det Lambda| = 1, got index {abs(int_det(data.Lambda))}"
         )
-    zero = tuple(0 for _ in range(data.g))
+    zero = (0,) * data.g
     return TropicalThetaFunction(
-        base=data,
-        factor=AutomorphyFactor(Lambda=data.Lambda, ell=tuple(Fraction(0) for _ in range(data.g))),
-        profile=ValuationProfile(entries=((zero, Fraction(0)),)),
+        base=data, factor=AutomorphyFactor(Lambda=data.Lambda, ell=zero), profile=ValuationProfile(((zero, 0),))
     )
 
 

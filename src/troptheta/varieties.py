@@ -8,8 +8,10 @@ symmetric positive-definite.  Points of N_R are coordinate tuples
 v = (<e_1, v>, ..., <e_g, v>); the period lattice embeds as n |-> P^T n.
 Each entry here reads a point once, as g rationals (linalg.point), and a
 lattice vector once, as g exact integers (linalg.lattice_vector), so a
-wrong length raises ShapeMismatchError and a non-integer lattice vector
-raises TypeError.
+wrong length raises ShapeMismatchError and a non-integer lattice vector, a
+str or bytes raises TypeError.  The datum reads g as an exact integer and P
+and Lambda once each by linalg.square_rows, g x g of exact rationals and
+integers; its JSON reader hands the document's fields to it.
 """
 
 from __future__ import annotations
@@ -24,16 +26,17 @@ from .linalg import (
     IntVec,
     RatMatrix,
     ShapeMismatchError,
+    _as_fraction,
+    _as_int,
     adjugate_int,
     int_det,
-    int_rows_from,
     is_symmetric,
     lattice_vector,
     matmul,
     matvec,
     point,
-    rows_from,
     solve,
+    square_rows,
     transpose,
 )
 from .lattice import GramForm, NotPositiveDefiniteError, _gso
@@ -55,15 +58,13 @@ class TropicalPolarizationData:
     Lambda: IntRows
 
     def __post_init__(self):
-        if self.g < 1:
-            raise InvalidDataError(f"g must be at least 1, got {self.g}")
-        if not isinstance(self.P, RatMatrix):
-            object.__setattr__(self, "P", RatMatrix(rows_from(self.P)))
-        object.__setattr__(self, "Lambda", int_rows_from(self.Lambda))
-        if self.P.rows != self.g or self.P.cols != self.g:
-            raise ShapeMismatchError(f"P must be {self.g}x{self.g}")
-        if len(self.Lambda) != self.g or any(len(r) != self.g for r in self.Lambda):
-            raise ShapeMismatchError(f"Lambda must be {self.g}x{self.g}")
+        g = _as_int(self.g, "g")
+        if g < 1:
+            raise InvalidDataError(f"g must be at least 1, got {g}")
+        P = self.P.entries if isinstance(self.P, RatMatrix) else self.P
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "P", RatMatrix(square_rows(P, g, "P", _as_fraction)))
+        object.__setattr__(self, "Lambda", square_rows(self.Lambda, g, "Lambda", _as_int))
 
     @property
     def beta_rows(self):
@@ -90,14 +91,9 @@ class TropicalPolarizationData:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TropicalPolarizationData":
         try:
-            g = data["g"]
-            if type(g) is not int:
-                raise TypeError(f"g must be an integer, got {type(g).__name__}: {g!r}")
-            P = rows_from(data["P"], "P")
-            Lam = int_rows_from(data["Lambda"], "Lambda")
+            return cls(g=data["g"], P=data["P"], Lambda=data["Lambda"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDataError(f"malformed variety data: {exc}") from exc
-        return cls(g=g, P=RatMatrix(P), Lambda=Lam)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
 """Every public entry reads its arguments once, at the boundary.
 
 A point of N_R is g rationals (linalg.point) and a lattice vector is g exact
-integers (linalg.lattice_vector): a wrong length raises ShapeMismatchError
-and a non-integer lattice vector raises TypeError.  `BOUNDARY` lists every
-public entry of theta, nonarch, varieties and geometry that takes a point,
-a lattice vector, a profile or coefficient rep, or an expression
-multiplicity; a new entry belongs in it.  The regression cases below are
-inputs that used to be truncated or dropped into a quietly wrong answer.
+integers (linalg.lattice_vector): a wrong length raises ShapeMismatchError,
+a non-integer lattice vector raises TypeError, and so does a str or bytes,
+which would read as its characters.  `BOUNDARY` lists every public entry of
+theta, nonarch, varieties and geometry that takes a point, a lattice
+vector, a profile or coefficient rep, or an expression multiplicity; a new
+entry belongs in it.  `MATRICES` lists every g x g field of a public
+constructor, each read by linalg.square_rows: any other shape raises
+ShapeMismatchError naming the field.  `SCALARS` lists the exact scalars
+(ell, w, the partial sums' cutoff), read by linalg._as_fraction, so a float
+raises TypeError.  The regression cases are inputs that used to be
+truncated, read as characters or taken as binary fractions into a quietly
+wrong answer.
 """
 
 import json
@@ -15,11 +21,22 @@ from pathlib import Path
 
 import pytest
 
+from troptheta.crosschecks import suite_b
 from troptheta.geometry import corner_locus, linearity_cell
+from troptheta.lattice import CosetLattice, GramForm, enumerate_below, lll_reduce, minimize_quadratic
 from troptheta.linalg import RatMatrix, ShapeMismatchError
-from troptheta.nonarch import NAThetaFunction, construct_rational_function, evaluate_at_point
+from troptheta.nonarch import (
+    NACocycle,
+    NAThetaFunction,
+    PeriodMatrix,
+    build_riemann_theta,
+    canonical_cocycle,
+    construct_rational_function,
+    evaluate_at_point,
+)
 from troptheta.puiseux import PuiseuxNumber
 from troptheta.theta import (
+    AutomorphyFactor,
     TropicalThetaExpression,
     TropicalThetaFunction,
     ValuationProfile,
@@ -157,3 +174,85 @@ def test_truncated_input_raises(name):
     call, error = TRUNCATED[name]
     with pytest.raises(error):
         call()
+
+
+# name -> (call, good g x g matrix, the field's name in the message)
+I2 = ((1, 0), (0, 1))
+MATRICES = {
+    "TropicalPolarizationData P": (lambda P: TropicalPolarizationData(g=2, P=P, Lambda=I2), ((2, 1), (1, 2)), "P"),
+    "TropicalPolarizationData Lambda": (
+        lambda L: TropicalPolarizationData(g=2, P=((2, 1), (1, 2)), Lambda=L),
+        I2,
+        "Lambda",
+    ),
+    "AutomorphyFactor Lambda": (lambda L: AutomorphyFactor(Lambda=L, ell=(0, 0)), I2, "Lambda"),
+    "NACocycle Lambda": (lambda L: NACocycle(COCYCLE.period, L, COCYCLE.generators), COCYCLE.Lambda, "Lambda"),
+    "build_riemann_theta Lambda": (lambda L: build_riemann_theta(COCYCLE.period, L), I2, "Lambda"),
+    "canonical_cocycle Lambda": (lambda L: canonical_cocycle(COCYCLE.period, L), I2, "Lambda"),
+    "suite_b Lambda": (lambda L: suite_b(COCYCLE.period, L, samples=2), I2, "Lambda"),
+    "PeriodMatrix": (PeriodMatrix, COCYCLE.period.entries, "period matrix"),
+    "CosetLattice": (CosetLattice, ((2, 1), (0, 2)), "coset lattice matrix"),
+    "GramForm": (GramForm, ((2, 1), (1, 2)), "gram matrix"),
+    "minimize_quadratic": (lambda B: minimize_quadratic(B, (0, 0)), ((2, 1), (1, 2)), "gram matrix"),
+    "enumerate_below": (lambda B: list(enumerate_below(B, (0, 0), 1)), ((2, 1), (1, 2)), "gram matrix"),
+    "lll_reduce": (lll_reduce, ((2, 1), (1, 2)), "gram matrix"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_constructors_read_each_matrix_once(name):
+    # the good 2 x 2 matrix is read; a ragged one, 2 rows of 3 and 3 rows
+    # of 2 raise ShapeMismatchError naming the field, and so does an empty
+    # one where the matrix sets g itself
+    call, good, field = MATRICES[name]
+    call(good)
+    call([list(row) for row in good])  # nested lists read as tuples do
+    wrong = [(good[0], good[1][:1]), tuple((*r, r[0]) for r in good), (*good, good[0])]
+    if field in ("period matrix", "gram matrix"):
+        wrong.append(())
+    for matrix in wrong:
+        with pytest.raises(ShapeMismatchError, match=f"^{field} shape mismatch"):
+            call(matrix)
+
+
+X = tuple(PuiseuxNumber.monomial(1, x) for x in V)
+# name -> call: each exact scalar, read by the JSON readers' rule
+SCALARS = {
+    "ell": lambda x: AutomorphyFactor(Lambda=[[1]], ell=(x,)),
+    "w": lambda x: ValuationProfile(entries=(((0,), x),)),
+    "cutoff": lambda x: evaluate_at_point(SERIES, X, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALARS))
+def test_exact_scalars_refuse_floats(name):
+    # a Fraction, an int and a "p/q" literal are read exactly; 0.1 used to
+    # be taken as 3602879701896397/36028797018963968
+    call = SCALARS[name]
+    for x in (F(1, 10), 1, "1/10"):
+        call(x)
+    with pytest.raises(TypeError, match=f"^{name}: exact rational required, got float"):
+        call(0.1)
+
+
+# name -> call: each used to read a str as its characters, "12" as (1, 2)
+AS_CHARACTERS = {
+    "c_trop": lambda: TH.c_trop("12"),
+    "theta at a str": lambda: TH("12"),
+    "theta at bytes": lambda: TH.evaluate(b"12"),
+    "embed_Mprime": lambda: embed_Mprime(D2, "12"),
+    "AutomorphyFactor ell": lambda: AutomorphyFactor(Lambda=I2, ell="12"),
+    # g = True used to be read as g = 1
+    "TropicalPolarizationData g = True": lambda: TropicalPolarizationData(g=True, P=[[2]], Lambda=[[1]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AS_CHARACTERS))
+def test_strings_are_not_vectors(name):
+    with pytest.raises(TypeError):
+        AS_CHARACTERS[name]()
+
+
+def test_ranges_and_generators_stay_vectors():
+    assert TH.c_trop(range(1, 3)) == TH.c_trop((1, 2))
+    assert TH(x for x in V) == TH(V)

@@ -767,6 +767,43 @@ def test_divisor_and_eval_fuzz(tmp_path_factory, doc, data):
         assert time.perf_counter() - started < 10, argv[0]
 
 
+@given(theta_docs().map(lambda doc: {"g": doc["g"], "P": doc["P"], "Lambda": doc["factor"]["Lambda"]}), st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_variety_reader_fuzz(tmp_path_factory, doc, data):
+    # a variety document of the theta fuzz's shapes (its P, with the
+    # factor's Lam as the polarization: scalar, non-diagonal, singular, zero
+    # or of huge index), drawn or mutated to wrong types and shapes, gets a
+    # report or a theta file (exit 0), a failed check (exit 1) or a message
+    # (exit 2) from `validate`, `riemann` and `divisor`: never a traceback,
+    # and each within a few seconds
+    for _ in range(data.draw(st.integers(0, 2))):
+        mutate(data, doc)
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "variety.json"
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ("validate", path),
+        ("riemann", path, "--out", folder / "theta.json"),
+        ("divisor", path, "--out", folder / "mesh.json"),
+    ):
+        started = time.perf_counter()
+        res = run(*argv)
+        assert res.exit_code in (0, 1, 2), (argv[0], res.exit_code, repr(res.exception), res.output)
+        assert res.exception is None or isinstance(res.exception, SystemExit), (argv[0], repr(res.exception))
+        assert "Traceback" not in res.output
+        assert time.perf_counter() - started < 10, argv[0]
+
+
+def test_a_lambda_entry_literal_is_an_exact_integer(tmp_path):
+    # the one exact-integer rule reads the Lam entry "1", like "2/2", as
+    # the integer 1, and refuses "1/2" and 1.0
+    reports = [report_of(run_doc(tmp_path, {**VARIETY_G1, "Lambda": [[x]]}, "validate"))["checks"] for x in (1, "1", "2/2")]
+    assert reports[0] == reports[1] == reports[2] and all(c["passed"] for c in reports[0])
+    for x in ("1/2", 1.0):
+        res = run_doc(tmp_path, {**VARIETY_G1, "Lambda": [[x]]}, "validate")
+        assert res.exit_code == 2 and "Lambda: integer required" in res.output, res.output
+
+
 def monomial(coeff, exponent):
     return str(PuiseuxNumber.monomial(coeff, exponent))
 

@@ -26,7 +26,11 @@ crosschecks and the Puiseux partial sums, and finds only ints.
 
 A second syntax scan finds no int(...) call in theta.py, nonarch.py or
 varieties.py: their public entries read lattice vectors through
-linalg.lattice_vector, which refuses 3/2 where int() truncated it to 1.
+linalg.lattice_vector, which refuses 3/2 where int() truncated it to 1.  A
+third finds no one-argument Fraction(...) call there but of an integer
+literal: ell, w and the partial sums' cutoff are read by
+linalg._as_fraction, which refuses 0.1 where Fraction(0.1) took it as a
+binary fraction.
 """
 
 import ast
@@ -110,6 +114,40 @@ def test_the_guard_sees_an_int_cast(tmp_path):
     probe = tmp_path / "theta.py"
     probe.write_text("def rep(u):\n    return tuple(int(x) for x in u), int_det(u), isinstance(u, int)\n")
     assert int_casts(probe) == ["theta.py:2 int(...)"]
+
+
+def fraction_casts(path: Path):
+    """Every one-argument Fraction(...) call in a module but of an integer
+    literal: Fraction(x) takes a float x as its binary fraction, so the
+    parsing modules read exact scalars through linalg._as_fraction."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.name}:{node.lineno} Fraction(...)"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction"
+        and len(node.args) + len(node.keywords) == 1
+        and not (node.args and isinstance(node.args[0], ast.Constant) and type(node.args[0].value) is int)
+    ]
+
+
+@pytest.mark.parametrize("name", ["theta.py", "nonarch.py", "varieties.py"])
+def test_no_fraction_casts_in_the_parsing_modules(name):
+    assert fraction_casts(SRC / name) == []
+
+
+def test_the_guard_sees_a_fraction_cast(tmp_path):
+    probe = tmp_path / "nonarch.py"
+    probe.write_text(
+        "def cut(c, n, d):\n    return Fraction(c), Fraction(0), Fraction(n, d), Fraction(-1)\n\n"
+        "def ell(x):\n    return Fraction(numerator=x), Fraction('1/2'), Fraction(*x)\n"
+    )
+    assert fraction_casts(probe) == [
+        "nonarch.py:2 Fraction(...)",
+        "nonarch.py:2 Fraction(...)",
+        "nonarch.py:5 Fraction(...)",
+        "nonarch.py:5 Fraction(...)",
+        "nonarch.py:5 Fraction(...)",
+    ]
 
 
 def numbers(obj):
