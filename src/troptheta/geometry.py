@@ -74,8 +74,9 @@ ties with u at a point of the region, so it is pooled; its plane is tight
 at p, and the cell satisfies the deepest pooled plane of that normal, so
 the two are one plane, with u' among its witnesses and its bit in p's mask.
 The sweeps take each region corner as integers (V, q) for x = V / q with an
-integer bound and carry D w(u) with each competitor u (`theta._coset_terms`),
-so the pool offsets D w(u) - D w(u'') are integer differences.
+integer bound, walk each coset around the centre of its least terms, and
+carry D w(u) with each competitor u (`theta._coset_terms`), so the pool
+offsets D w(u) - D w(u'') are integer differences.
 """
 
 from __future__ import annotations
@@ -406,12 +407,11 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
     v = V / q, sorted, D the theta kernel's denominator: the terms below
     bound / (D q), in integers (q > 0).
 
-    One enumeration per finite coset (`theta._coset_quadratics`): with
-    (D P Lam)^-1 = A / a (from (P Lam)^-1 in lattice._reduced), the quadratic
-    (q/2) n^T (D P Lam) n + <L, n> + C is least at n* = -A L / (a q), where it
-    is m = C - L^T A L / (2 a q), and it is at most bound iff
-    (1/2) (n - n*)^T (P Lam) (n - n*) <= (bound - m) / (D q).  D w(u) is read
-    off each n by `theta._coset_terms`."""
+    One enumeration per finite coset, around the centre n* = U Z / (a D q)
+    of its quadratic (`theta._coset_least_terms`), whose value there is
+    m = C + <L, U Z> / (2 a D q): it is at most bound iff (1/2) (n - n*)^T
+    (P Lam) (n - n*) <= (2 a D q (bound - C) - <L, U Z>) / (2 a D^2 q^2).
+    D w(u) is read off each n by `theta._coset_terms`."""
     D = theta._kernel.D
     if not theta.is_ample:
         return sorted(
@@ -419,18 +419,20 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
             for rep, w in theta._kernel.w.items()
             if w is not None and q * w + D * sum(map(mul, rep, V)) <= bound
         )
-    A, a = theta._form._reduction[-1]
-    a *= D
+    U, _, aD, NDLt, cosets = theta._centre_frame
+    W = [sum(map(mul, row, V)) for row in NDLt]
+    lam_t_v = [D * sum(map(mul, col, V)) for col in zip(*theta.factor.Lambda)]
     out = []
-    for (w, base), (rep, L, C) in zip(theta._coset_constants.values(), theta._coset_quadratics(q, V)):
-        AL = [sum(map(mul, row, L)) for row in A]
-        # the radius (bound - m) / (D q), over 2 a q D q
-        scale = 2 * a * q
-        top = scale * (bound - C) + sum(map(mul, L, AL))
+    for rep, w, base, Nb in cosets:
+        Z = [q * x + y for x, y in zip(Nb, W)]
+        UZ = [sum(map(mul, row, Z)) for row in U]
+        # the coset's L and C, as theta._coset_quadratics forms them
+        L, C = [q * b + lv for b, lv in zip(base, lam_t_v)], q * w + D * sum(map(mul, rep, V))
+        top = 2 * aD * q * (bound - C) - sum(map(mul, L, UZ))
         if top < 0:
             continue
-        center = [Fraction(-x, a * q) for x in AL]
-        out += theta._coset_terms(rep, w, base, enumerate_below(theta._form, center, Fraction(top, scale * D * q)))
+        center = [Fraction(x, aD * q) for x in UZ]
+        out += theta._coset_terms(rep, w, base, enumerate_below(theta._form, center, Fraction(top, 2 * aD * D * q * q)))
     out.sort()
     return out
 

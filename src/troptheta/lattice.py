@@ -5,8 +5,8 @@ positive-definite over the rationals and n ranging over Z^g.  `_gso`, a
 fraction-free LDL^T in integers (Cohen, Algorithm 2.6.7), factors each form
 and checks it positive-definite.  `_reduced` reduces each form once, cached
 for both entry points: the integral LLL keeps that factorization current in
-place, and one adjugate of the reduced form G gives every inverse, so the
-real minimizer -G^-1 ell of a point's objective is a matrix-vector product.
+place, and one inverse U G^-1 = A / a of the reduced form G = U^T B U gives
+every coset centre: the real minimizer -G^-1 U^T ell is -A^T ell / a.
 `_argmin`, the integer argmin entry, takes its walk budget from Babai's
 nearest-plane point of an integer centre, rounded level by level from the
 walk data in O(g^2) integer operations, then walks the ellipsoid below the
@@ -25,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -38,11 +38,14 @@ from .linalg import (
     ShapeMismatchError,
     _as_fraction,
     _as_int,
+    _vector,
     adjugate_int,
     identity,
     is_symmetric,
+    lattice_vector,
     matmul,
     matvec,
+    point,
     square_rows,
     transpose,
     vecdot,
@@ -273,15 +276,12 @@ def _ellipsoid_points(walk, q: int, C: list[int], s: int, R: int) -> Iterator[tu
 def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     """All n in Z^g with (1/2) (n-center)^T B (n-center) <= radius, sorted
     lexicographically.  A GramForm B carries its reduction (`_reduction`)."""
-    U, U_inv, walk = _reduction(B)[:3]
-    radius = Fraction(radius) if not isinstance(radius, Fraction) else radius
+    U, U_inv, walk, _ = _reduction(B)
+    radius = _as_fraction(radius, "radius")
     if radius < 0:
         raise NegativeRadiusError(f"radius {radius} < 0")
-    c = [v if type(v) is Fraction else Fraction(v) for v in center]
-    if len(c) != len(U):
-        raise ShapeMismatchError("center length mismatch")
     # U^-1 c = (U^-1 C) / q and U m in integers: c over its common denominator q
-    q, C = _over_common_denominator(c)
+    q, C = _over_common_denominator(point(center, len(U), "center"))
     lq, _, dq, _ = walk
     C_red = [sum(map(mul, row, C)) for row in U_inv]
     # the walk's scale and budget for 2 radius (a common factor changes no leaf)
@@ -296,21 +296,18 @@ def _reduction(B):
 
 
 @functools.lru_cache(maxsize=32)
-def _reduced(rows: Rows) -> tuple[IntRows, IntRows, tuple, Rows, tuple[IntRows, int], tuple[IntRows, int]]:
-    """(U, U^-1, walk, G^-1, (A, a), (A', a')) for B = rows, cached: U from
-    `lll_reduce`, walk from the `_gso` of G = U^T B U, G^-1 = s adj(s G) / d_g
-    in integers, and from it U G^-1 = A / a (the divisor's region frame),
-    B^-1 = U G^-1 U^T = A' / a' in lowest terms (its sweeps) and
-    U^-1 = (U G^-1)^T B.  A theta evaluates one form at every point."""
+def _reduced(rows: Rows) -> tuple[IntRows, IntRows, tuple, tuple[IntRows, int]]:
+    """(U, U^-1, walk, (A, a)) for B = rows, cached: U from `lll_reduce`,
+    walk from the `_gso` of G = U^T B U, and the form's one inverse
+    U G^-1 = A / a, G^-1 = s adj(s G) / a in integers, a = d_g > 0, off which
+    every coset centre is read; U^-1 = (U G^-1)^T B.  A theta evaluates one
+    form at every point."""
     U, G = lll_reduce(rows)
     s, b, d, lam = _gso(G.entries)
-    adj, a = [[s * x for x in row] for row in adjugate_int(b)], d[-1]  # G^-1 = adj / a
-    UA, (t, B) = matmul(U, adj), _integral(rows)
-    U_inv = tuple(tuple(x // (a * t) for x in row) for row in matmul(transpose(UA), B))
-    BA = matmul(UA, transpose(U))
-    c = math.gcd(a, *chain.from_iterable(BA))
-    G_inv = tuple(tuple(Fraction(x, a) for x in row) for row in adj)
-    return U, U_inv, _walk(s, d, lam), G_inv, (UA, a), (tuple(tuple(x // c for x in row) for row in BA), a // c)
+    a, (t, B) = d[-1], _integral(rows)
+    A = matmul(U, [[s * x for x in row] for row in adjugate_int(b)])
+    U_inv = tuple(tuple(x // (a * t) for x in row) for row in matmul(transpose(A), B))
+    return U, U_inv, _walk(s, d, lam), (A, a)
 
 
 def _column_hnf(A: IntRows) -> tuple[IntRows, IntRows]:
@@ -372,7 +369,7 @@ class CosetLattice:
     def decompose(self, u: Sequence[int]) -> tuple[IntVec, IntVec]:
         """u = rep + Lam * n with rep in representatives(); returns (rep, n)."""
         H, V = self._hnf
-        rep, k = list(u), []
+        rep, k = list(lattice_vector(u, self.g, "u")), []
         for j in range(self.g):
             k.append(rep[j] // H[j][j])
             for i in range(j, self.g):
@@ -414,26 +411,26 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
     otherwise, the latter with its 1-based pivot index).  A GramForm B
     carries its reduction, as for `enumerate_below`.
 
-    The Fraction wrapper of `_argmin`, the integer argmin entry: in the
-    LLL-reduced form, Babai's nearest-plane point of the real minimizer c
-    lies at scaled distance S from it; the integer walk with budget S
-    yields every lattice point at or below the seed's value, each with its
-    leftover budget r, so the argmin is complete.  All leaves share the
-    scale dq k^2 of `_ellipsoid_points`, so the argmin is the leaves of
-    largest r and the minimum is q(c) + (S - r) / (2 dq k^2), with
-    q(c) = c0 + (1/2) ell^T c: one value per call, and no objective
-    evaluated at any point, for any g.
+    The Fraction wrapper of `_argmin`, the integer argmin entry, for exact
+    ell and c0: in the LLL-reduced form, the real minimizer is c = -A^T ell / a
+    (`_reduced`), and Babai's nearest-plane point lies at scaled distance S
+    from it; the integer walk with budget S yields every lattice point at or
+    below the seed's value, each with its leftover budget r, so the argmin
+    is complete.  All leaves share the scale dq k^2 of `_ellipsoid_points`,
+    so the argmin is the leaves of largest r and the minimum is
+    q(c) + (S - r) / (2 dq k^2), with q(c) = c0 + (1/2) (U^T ell)^T c: one
+    value per call, and no objective evaluated at any point, for any g.
     """
-    U, _, walk, G_inv, _, _ = _reduction(B)
-    ell = tuple(Fraction(v) for v in ell)
+    U, _, walk, (A, a) = _reduction(B)
+    ell = tuple(_as_fraction(v, "ell") for v in _vector(ell, "ell"))
     if len(ell) != len(U):
         raise ShapeMismatchError("linear part length mismatch")
     ell_red = matvec(transpose(U), ell)
-    center = tuple(-c for c in matvec(G_inv, ell_red))
+    center = tuple(-x / a for x in matvec(transpose(A), ell))
     q, C = _over_common_denominator(center)
     gap, winners = _argmin(walk, q, C)
     lq, _, dq, _ = walk
-    value = Fraction(c0) + vecdot(ell_red, center) / 2 + Fraction(gap, 2 * dq * (lq * q) ** 2)
+    value = _as_fraction(c0, "c0") + vecdot(ell_red, center) / 2 + Fraction(gap, 2 * dq * (lq * q) ** 2)
     argmin = sorted(tuple(sum(map(mul, row, m)) for row in U) for m in winners)
     return QuadraticMinimum(value=value, argmin=tuple(argmin))
 

@@ -8,16 +8,16 @@ is exact.  `det`, `int_det`, `solve`, `inverse` (one elimination of
 and so do the affine spans and edge ranks in `geometry`.  Sizes are the
 rank g of a form (g <= 3 in geometry).
 
-The public entries of `theta`, `nonarch`, `varieties` and `geometry` read
-their arguments through the parsers here, once: a point of N_R through
-`point` (g rationals, each Fraction(x)), a lattice vector, profile or
-coefficient rep through `lattice_vector` or `int_vector_from` (exact
+The public entries of `theta`, `nonarch`, `varieties`, `geometry` and
+`lattice` read their arguments through the parsers here, once: a point
+through `point` (g rationals, each Fraction(x)), a lattice vector, profile
+or coefficient rep through `lattice_vector` or `int_vector_from` (exact
 integers by `_as_int`), every g x g field of a constructor (P, Lambda, a
 period, Gram or coset lattice matrix) through `square_rows`, shape first,
 and the mesh reader's matrices through `rows_from`.  An exact scalar (ell,
-w, a cutoff) is read by `_as_fraction`: a Fraction, an int or a "p/q"
-literal, never a float.  A str or bytes is never a vector: it would read as
-its characters.
+w, a cutoff, c0, a radius, a Puiseux exponent or coefficient) is read by
+`_as_fraction`: a Fraction, an int or a "p/q" literal, never a float.  A
+str or bytes is never a vector: it would read as its characters.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def square_rows(data: Sequence[Sequence], g: int, name: str, entry) -> tuple:
 
 def point(v: Sequence, g: int, name: str = "point") -> Row:
     """A point of N_R: v as g rationals, Fraction(x) each."""
-    p = tuple(map(Fraction, _vector(v, name)))
+    p = tuple([x if type(x) is Fraction else Fraction(x) for x in _vector(v, name)])
     if len(p) != g:
         raise ShapeMismatchError(f"{name} has length {len(p)}, not g = {g}")
     return p

@@ -13,7 +13,8 @@ holds and no coefficient vanishes.  `PuiseuxNumber._trusted` builds such a
 value without running `_canonical` again, and `_shifted` is that product;
 `__mul__` takes it whenever either factor is a monomial, and so do the
 monomial powers and inverses.  The non-Archimedean kernels (`nonarch`) form
-each monomial from integers and hand it over the same way.
+each monomial from integers and hand it over the same way.  Every other
+value reads its exponents and coefficients by linalg._as_fraction.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .linalg import _as_fraction
 from .rationals import INF, format_fraction, is_square, parse_fraction, sqrt_exact
 
 Term = tuple[Fraction, Fraction]  # (exponent, coefficient)
@@ -39,7 +41,7 @@ class CoefficientNotASquareError(ValueError):
 def _canonical(terms: Iterable[Term]) -> tuple[Term, ...]:
     acc: dict[Fraction, Fraction] = {}
     for e, c in terms:
-        e, c = Fraction(e), Fraction(c)
+        e, c = _as_fraction(e, "exponent"), _as_fraction(c, "coefficient")
         acc[e] = acc.get(e, Fraction(0)) + c
     return tuple((e, acc[e]) for e in sorted(acc) if acc[e] != 0)
 
@@ -71,11 +73,11 @@ class PuiseuxNumber:
 
     @staticmethod
     def monomial(coeff, exponent) -> "PuiseuxNumber":
-        return PuiseuxNumber(((Fraction(exponent), Fraction(coeff)),))
+        return PuiseuxNumber(((exponent, coeff),))
 
     @staticmethod
     def rational(x) -> "PuiseuxNumber":
-        return PuiseuxNumber(((Fraction(0), Fraction(x)),))
+        return PuiseuxNumber(((0, x),))
 
     # ---------- structure ----------
 
@@ -242,10 +244,8 @@ def _parse_puiseux(text: str) -> PuiseuxNumber:
         coeff = parse_fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
         if m.group("q") is None:
             exp = Fraction(0)
-        elif m.group("pexp") is not None:
-            exp = parse_fraction(m.group("pexp"))
-        elif m.group("iexp") is not None:
-            exp = Fraction(m.group("iexp"))
+        elif m.group("pexp") or m.group("iexp"):
+            exp = parse_fraction(m.group("pexp") or m.group("iexp"))
         else:
             exp = Fraction(1)
         terms.append((exp, sgn * coeff))

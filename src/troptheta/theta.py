@@ -16,27 +16,26 @@ D (ell + P rep) per finite coset, keyed by the canonical rep of
 lattice.CosetLattice.  A profile rep may be any member of its coset: at
 construction, CosetLattice.normal_form (the one place that decomposes
 profile reps) moves its value to the canonical rep by the law above, and
-rejects a second rep of one coset.  Values minimize the quadratic in
-integers: `_least_terms` reads each coset's centre off `_centre_frame`, one
-integer frame per theta (a g x g product per point, g multiply-adds per
-coset), for the integer argmin entry lattice._argmin, and `_least` reads the
-value off its first term.  Every library reader of a value (`__call__`, the
-transformation-law check, whose sides are integers over D q, the periodicity
-checks, expressions, the Puiseux partial sums, the divisor's seed and
-linearity cells) uses that path; only the public `evaluate` still minimizes
-on g + 1 Fractions per coset through lattice.minimize_quadratic.  The
-divisor's competitor sweeps and the Puiseux partial sums enumerate below a
-bound through geometry._terms_below.  `_coset_terms` is the one
+rejects a second rep of one coset.  Each coset's centre is read off
+`_centre_frame`, one integer frame per theta on the one inverse that the
+reduction of P Lam keeps (lattice._reduced): a g x g product per point and
+g multiply-adds per coset.  `_least_terms` hands each centre to the integer
+argmin entry lattice._argmin, and `_least` reads the value off its first
+term.  Every library reader of a value (`__call__`, the transformation-law
+check, whose sides are integers over D q, the periodicity checks,
+expressions, the Puiseux partial sums, the divisor's seed and linearity
+cells) uses that path; only the public `evaluate` still minimizes on g + 1
+Fractions per coset through lattice.minimize_quadratic.  The divisor's
+competitor sweeps and the Puiseux partial sums enumerate below a bound
+around the same centres (geometry._terms_below).  `_coset_terms` is the one
 D w(rep + Lam n) formula, for those enumerations, `extended_w` and `c_trop`
 and the law check's shifts (the coset of 0), so the divisor's pool offsets
 D w(u) - D w(u'') are differences of integers and no competitor is
 decomposed into its coset again.  Its u = rep + Lam n is `_witness`, which
-`evaluate` and the divisor's walk read too.  The divisor certifies each cell in a
-parallelepiped read off `_region_frame`, one integer frame per theta: no
-inverse is formed here, each is read off the one reduction of P Lam
-(lattice._reduced).  Its fundamental domain is kept in `_domain`.  The
-lambda = 0 case carries a finite support and a trivial factor, and the min
-is a finite scan.
+`evaluate` and the divisor's walk read too.  The divisor certifies each cell
+in a parallelepiped read off `_region_frame`, on the same inverse.  Its
+fundamental domain is kept in `_domain`.  The lambda = 0 case carries a
+finite support and a trivial factor, and the min is a finite scan.
 
 The factor reads ell once, as exact rationals by linalg._as_fraction (a
 float raises TypeError), and Lam by linalg.square_rows with g = len(ell);
@@ -328,7 +327,7 @@ class TropicalThetaFunction:
         basis b_j = U e_j of the form P Lam, M = U^T (D P Lam), whose row j
         is D P Lam b_j, M^-1 = U G^-1 / D = A / a (lattice._reduced), a > 0, and
         half_j = (U^T D P Lam U)_jj / 2, an integer since D P Lam is even."""
-        U, _, _, _, (A, a), _ = self._form._reduction
+        U, _, _, (A, a) = self._form._reduction
         Ut = transpose(U)
         M = tuple(tuple(sum(map(mul, b, col)) for col in zip(*self._kernel.B)) for b in Ut)
         half = tuple(sum(map(mul, row, b)) // 2 for row, b in zip(M, Ut))
@@ -443,9 +442,11 @@ class TropicalThetaFunction:
     @cached_property
     def _centre_frame(self):
         """(U, walk, a D, N D Lam^T, [(rep, w, base, N base)] per finite
-        coset), N = -(U A)^T: `_coset_least_terms`' centres, in integers."""
-        U, _, walk, _, (UA, a), _ = self._form._reduction
-        N = [[-x for x in col] for col in zip(*UA)]
+        coset), N = -A^T for the form's one inverse U G^-1 = A / a
+        (lattice._reduced): the coset centres of `_coset_least_terms` and
+        geometry._terms_below, in integers."""
+        U, _, walk, (A, a) = self._form._reduction
+        N = [[-x for x in col] for col in zip(*A)]
         D = self._kernel.D
         NDLt = [[D * sum(map(mul, row, lam)) for lam in self.factor.Lambda] for row in N]
         cosets = [(rep, w, base, [sum(map(mul, row, base)) for row in N]) for rep, (w, base) in self._coset_constants.items()]
@@ -454,10 +455,9 @@ class TropicalThetaFunction:
     def _coset_least_terms(self, q: int, V: Sequence[int]):
         """Each finite coset's least (u, D w(u)) terms at v = V / q.  Its
         quadratic (`_coset_quadratics`) is least at n = -B^-1 L / (D q),
-        B = P Lam, so in reduced coordinates m = U^-1 n at -(U A)^T L /
-        (a D q), as U^-1 B^-1 = G^-1 U^T = (U A / a)^T (lattice._reduced);
-        with L = q base + D Lam^T V that is (q N base + W) / (a D q),
-        W = N D Lam^T V once per point (`_centre_frame`)."""
+        B = P Lam: in reduced coordinates m = U^-1 n = -A^T L / (a D q), as
+        U^-1 B^-1 = G^-1 U^T = (A / a)^T, and with L = q base + D Lam^T V
+        that is Z / (a D q), Z = q N base + W, W = N D Lam^T V per point."""
         U, walk, aD, NDLt, cosets = self._centre_frame
         W = [sum(map(mul, row, V)) for row in NDLt]
         for rep, w, base, Nb in cosets:

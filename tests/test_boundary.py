@@ -4,13 +4,14 @@ A point of N_R is g rationals (linalg.point) and a lattice vector is g exact
 integers (linalg.lattice_vector): a wrong length raises ShapeMismatchError,
 a non-integer lattice vector raises TypeError, and so does a str or bytes,
 which would read as its characters.  `BOUNDARY` lists every public entry of
-theta, nonarch, varieties and geometry that takes a point, a lattice
-vector, a profile or coefficient rep, or an expression multiplicity; a new
-entry belongs in it.  `MATRICES` lists every g x g field of a public
+theta, nonarch, varieties, geometry and lattice that takes a point, a
+lattice vector, a profile or coefficient rep, or an expression
+multiplicity; a new entry belongs in it.  `MATRICES` lists every g x g field of a public
 constructor, each read by linalg.square_rows: any other shape raises
 ShapeMismatchError naming the field.  `SCALARS` lists the exact scalars
-(ell, w, the partial sums' cutoff), read by linalg._as_fraction, so a float
-raises TypeError.  The regression cases are inputs that used to be
+(ell, w, the partial sums' cutoff, a Puiseux coefficient or exponent, and
+the lattice entries' ell, c0 and radius), read by linalg._as_fraction, so a
+float raises TypeError.  The regression cases are inputs that used to be
 truncated, read as characters or taken as binary fractions into a quietly
 wrong answer.
 """
@@ -116,6 +117,9 @@ BOUNDARY = {
     "LinearityCell.contains": ("point", CELL.contains),
     "FundamentalDomain.contains": ("point", DOMAIN.contains),
     "FundamentalDomain.lattice_coordinates": ("point", DOMAIN.lattice_coordinates),
+    # lattice
+    "CosetLattice.decompose": ("vector", CosetLattice(((2, 1), (0, 2))).decompose),
+    "CosetLattice.congruent": ("vector", lambda u: CosetLattice(((2, 1), (0, 2))).congruent(u, (0, 0))),
 }
 
 
@@ -166,6 +170,11 @@ TRUNCATED = {
     "multiplicity 3/2": (lambda: TropicalThetaExpression(((F(3, 2), (0, 0), TH),)), TypeError),
     # P^T (1/2, 0), not a period
     "embed_Mprime of (1/2, 0)": (lambda: embed_Mprime(D2, (F(1, 2), 0)), TypeError),
+    # ((1, 5), (1,)), a rep of the wrong length; ((1.5,), (0.0,)); False; IndexError
+    "decompose of (3, 5) at g = 1": (lambda: CosetLattice([[2]]).decompose((3, 5)), ShapeMismatchError),
+    "decompose of (1.5,)": (lambda: CosetLattice([[2]]).decompose((1.5,)), TypeError),
+    "congruent of (1,) and (3, 7)": (lambda: CosetLattice([[2]]).congruent((1,), (3, 7)), ShapeMismatchError),
+    "decompose of ()": (lambda: CosetLattice([[2]]).decompose(()), ShapeMismatchError),
 }
 
 
@@ -216,22 +225,30 @@ def test_constructors_read_each_matrix_once(name):
 
 
 X = tuple(PuiseuxNumber.monomial(1, x) for x in V)
-# name -> call: each exact scalar, read by the JSON readers' rule
+# name -> (the field's name in the message, call): each exact scalar, read
+# by the JSON readers' rule
 SCALARS = {
-    "ell": lambda x: AutomorphyFactor(Lambda=[[1]], ell=(x,)),
-    "w": lambda x: ValuationProfile(entries=(((0,), x),)),
-    "cutoff": lambda x: evaluate_at_point(SERIES, X, x),
+    "ell": ("ell", lambda x: AutomorphyFactor(Lambda=[[1]], ell=(x,))),
+    "w": ("w", lambda x: ValuationProfile(entries=(((0,), x),))),
+    "cutoff": ("cutoff", lambda x: evaluate_at_point(SERIES, X, x)),
+    "monomial coefficient": ("coefficient", lambda x: PuiseuxNumber.monomial(x, 1)),
+    "monomial exponent": ("exponent", lambda x: PuiseuxNumber.monomial(1, x)),
+    "rational": ("coefficient", PuiseuxNumber.rational),
+    "minimize_quadratic ell": ("ell", lambda x: minimize_quadratic([[2]], [x])),
+    "minimize_quadratic c0": ("c0", lambda x: minimize_quadratic([[2]], [1], c0=x)),
+    "enumerate_below radius": ("radius", lambda x: enumerate_below([[2]], (0,), x)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SCALARS))
 def test_exact_scalars_refuse_floats(name):
     # a Fraction, an int and a "p/q" literal are read exactly; 0.1 used to
-    # be taken as 3602879701896397/36028797018963968
-    call = SCALARS[name]
+    # be taken as 3602879701896397/36028797018963968 (a monomial's exponent
+    # 0.5 as 1/2)
+    field, call = SCALARS[name]
     for x in (F(1, 10), 1, "1/10"):
         call(x)
-    with pytest.raises(TypeError, match=f"^{name}: exact rational required, got float"):
+    with pytest.raises(TypeError, match=f"^{field}: exact rational required, got float"):
         call(0.1)
 
 
@@ -242,6 +259,8 @@ AS_CHARACTERS = {
     "theta at bytes": lambda: TH.evaluate(b"12"),
     "embed_Mprime": lambda: embed_Mprime(D2, "12"),
     "AutomorphyFactor ell": lambda: AutomorphyFactor(Lambda=I2, ell="12"),
+    "minimize_quadratic ell": lambda: minimize_quadratic(((2, 1), (1, 2)), "12"),
+    "enumerate_below center": lambda: enumerate_below(((2, 1), (1, 2)), "12", 1),
     # g = True used to be read as g = 1
     "TropicalPolarizationData g = True": lambda: TropicalPolarizationData(g=True, P=[[2]], Lambda=[[1]]),
 }

@@ -349,9 +349,9 @@ def test_one_factorization_per_reduction(monkeypatch):
     ],
 )
 def test_each_inverse_of_a_reduction_is_the_inverse(P, Lam):
-    # every inverse that one reduction hands out (of the reduced form, of
-    # U, of B and U G^-1) and the divisor's region frame M^-1 equal a plain
-    # Fraction inverse of their matrices
+    # the one inverse that a reduction keeps, U G^-1, and U^-1 equal a plain
+    # Fraction inverse of their matrices, and so do G^-1 and B^-1 = U G^-1 U^T
+    # read off it, and the divisor's region frame M^-1
     g = len(P)
     theta = TropicalThetaFunction(
         base=TropicalPolarizationData(g=g, P=RatMatrix(rows_from(P)), Lambda=Lam),
@@ -360,13 +360,14 @@ def test_each_inverse_of_a_reduction_is_the_inverse(P, Lam):
     )
     B = matmul(rows_from(P), Lam)
     lattice._reduced.cache_clear()
-    U, U_inv, _, G_inv, (UA, ua), (A, a) = lattice._reduced(lattice._gram_rows(B))
+    U, U_inv, _, (UA, ua) = lattice._reduced(lattice._gram_rows(B))
     G = matmul(transpose(U), matmul(B, U))
-    assert G_inv == inverse(G)
     assert U_inv == tuple(tuple(int(x) for x in r) for r in inverse(U))
-    assert a > 0 and math.gcd(a, *itertools.chain(*A)) == 1
-    assert tuple(tuple(F(x, a) for x in r) for r in A) == inverse(B)
-    assert tuple(tuple(F(x, ua) for x in r) for r in UA) == matmul(U, inverse(G))
+    assert ua > 0
+    UG_inv = tuple(tuple(F(x, ua) for x in r) for r in UA)
+    assert UG_inv == matmul(U, inverse(G))
+    assert matmul(U_inv, UG_inv) == inverse(G)
+    assert matmul(UG_inv, transpose(U)) == inverse(B)
     _, M, A, a, _ = theta._region_frame
     assert a > 0 and tuple(tuple(F(x, a) for x in r) for r in A) == inverse(M)
 

@@ -27,10 +27,11 @@ crosschecks and the Puiseux partial sums, and finds only ints.
 A second syntax scan finds no int(...) call in theta.py, nonarch.py or
 varieties.py: their public entries read lattice vectors through
 linalg.lattice_vector, which refuses 3/2 where int() truncated it to 1.  A
-third finds no one-argument Fraction(...) call there but of an integer
-literal: ell, w and the partial sums' cutoff are read by
-linalg._as_fraction, which refuses 0.1 where Fraction(0.1) took it as a
-binary fraction.
+third finds no one-argument Fraction(...) call there, nor in puiseux.py or
+lattice.py, but of an integer literal: ell, w, the partial sums' cutoff,
+a Puiseux exponent or coefficient and the lattice entries' ell, c0 and
+radius are read by linalg._as_fraction, which refuses 0.1 where
+Fraction(0.1) took it as a binary fraction.
 """
 
 import ast
@@ -130,7 +131,7 @@ def fraction_casts(path: Path):
     ]
 
 
-@pytest.mark.parametrize("name", ["theta.py", "nonarch.py", "varieties.py"])
+@pytest.mark.parametrize("name", ["theta.py", "nonarch.py", "varieties.py", "puiseux.py", "lattice.py"])
 def test_no_fraction_casts_in_the_parsing_modules(name):
     assert fraction_casts(SRC / name) == []
 

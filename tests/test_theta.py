@@ -544,7 +544,7 @@ def test_least_terms_do_not_depend_on_the_scale_of_the_denominator(case, data):
     # in lowest terms: every scale k q of one point gives the same terms, for
     # every kind of theta, with profile reps moved off the canonical box; and
     # each coset's centre, read off the per-theta frame as (q N base + W) /
-    # (a D q), is the rational -U^-1 A' L / (a' D q) of B^-1 = A' / a'
+    # (a D q), is the rational -U^-1 B^-1 L / (D q), B^-1 a plain inverse
     theta, v, _ = case
     g, lam = theta.g, theta.factor.Lambda
     if theta.is_ample:
@@ -570,14 +570,50 @@ def test_least_terms_do_not_depend_on_the_scale_of_the_denominator(case, data):
     if not theta.is_ample:
         assert centres == []
         return
-    _, U_inv, _, _, _, (A, a) = theta._form._reduction
+    _, U_inv, _, _ = theta._form._reduction
     _, _, aD, NDLt, cosets = theta._centre_frame
     W = [sum(x * y for x, y in zip(row, V)) for row in NDLt]
     assert centres == [(aD * q, [q * x + y for x, y in zip(Nb, W)]) for *_, Nb in cosets]
+    B_inv = inverse(theta._B_rows)
     for (scale, C), (_, L, _) in zip(centres, theta._coset_quadratics(q, V), strict=True):
-        AL = [sum(x * y for x, y in zip(row, L)) for row in A]
-        old = [F(-sum(x * y for x, y in zip(row, AL)), a * theta._kernel.D * q) for row in U_inv]
+        BL = matvec(B_inv, L)
+        old = [-sum(x * y for x, y in zip(row, BL)) / (theta._kernel.D * q) for row in U_inv]
         assert [F(x, scale) for x in C] == old
+
+
+@given(sweep_cases())
+@settings(max_examples=40, deadline=None)
+def test_both_coset_queries_share_one_centre(case):
+    # at one point, the centre of each coset that the least terms hand
+    # lattice._argmin (in reduced coordinates m, over a D q) and the centre
+    # that the terms below a bound hand lattice.enumerate_below are one
+    # point n = U m; the bound is the largest coset minimum, so every coset
+    # is enumerated
+    theta, v, _ = case
+    if not theta.is_ample:
+        return
+    q = math.lcm(*(c.denominator for c in v))
+    V = [c.numerator * (q // c.denominator) for c in v]
+    least, below = [], []
+
+    def recording_argmin(walk, scale, C):
+        least.append([F(x, scale) for x in C])
+        return argmin(walk, scale, C)
+
+    def recording_enumerate(B, center, radius):
+        below.append(tuple(center))
+        return enumerate_below(B, center, radius)
+
+    argmin, enumerate_below = theta_module._argmin, geometry.enumerate_below
+    D = theta._kernel.D
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theta_module, "_argmin", recording_argmin)
+        mp.setattr(geometry, "enumerate_below", recording_enumerate)
+        minima = [q * w + D * sum(x * y for x, y in zip(u, V)) for (u, w), *_ in theta._coset_least_terms(q, V)]
+        geometry._terms_below(theta, q, V, max(minima))
+    U = theta._form._reduction[0]
+    assert len(least) == len(theta._coset_constants)
+    assert below == [tuple(sum(x * y for x, y in zip(row, m)) for row in U) for m in least]
 
 
 def test_automorphy_data_takes_vectors_of_the_rank(count_calls):
