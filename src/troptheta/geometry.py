@@ -24,8 +24,8 @@ For k = +-b_j, the basis b_j = U e_j to which LLL reduces B
 |<Lam b_j, x - x0>| <= G_jj / 2: g pairs of parallel planes, a
 parallelepiped that is as tight as the reduced basis is short, and whose
 bound the cubes of diag(2, 2, 2) attain.  `_build_cell` widens each bound by
-`_MARGIN` to R_u and reads R_u's planes and 2^g vertices off one integer
-frame per theta (`theta._region_frame`).
+`_MARGIN` to R_u and reads R_u's planes and 2^g vertices off the integer
+frame (`theta._frame`) of the theta's form K = D B, which LLL reduces as B.
 
 Polytopes are held in exact double-description form (Motzkin-Raiffa-
 Thompson-Thrall 1953; Fukuda-Prodon 1996), in integers as in Avis's lrs
@@ -74,9 +74,9 @@ ties with u at a point of the region, so it is pooled; its plane is tight
 at p, and the cell satisfies the deepest pooled plane of that normal, so
 the two are one plane, with u' among its witnesses and its bit in p's mask.
 The sweeps take each region corner as integers (V, q) for x = V / q with an
-integer bound, walk each coset around the centre of its least terms, and
-carry D w(u) with each competitor u (`theta._coset_terms`), so the pool
-offsets D w(u) - D w(u'') are integer differences.
+integer bound, walk each coset around its quadratic's real minimizer
+(`theta._coset_quadratics`), and carry D w(u) with each competitor u
+(`theta._coset_terms`), so the pool offsets are integer differences.
 """
 
 from __future__ import annotations
@@ -407,11 +407,12 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
     v = V / q, sorted, D the theta kernel's denominator: the terms below
     bound / (D q), in integers (q > 0).
 
-    One enumeration per finite coset, around the centre n* = U Z / (a D q)
-    of its quadratic (`theta._coset_least_terms`), whose value there is
-    m = C + <L, U Z> / (2 a D q): it is at most bound iff (1/2) (n - n*)^T
-    (P Lam) (n - n*) <= (2 a D q (bound - C) - <L, U Z>) / (2 a D^2 q^2).
-    D w(u) is read off each n by `theta._coset_terms`."""
+    One enumeration per finite coset of (q/2) n^T K n + <L, n> + C
+    (`theta._coset_quadratics`), whose value at its real minimizer
+    n* = U Z / (a q) (`theta._coset_centres`) is C + <L, U Z> / (2 a q): a
+    term is below bound iff (1/2) (n - n*)^T K (n - n*) <= top / (2 a q^2),
+    top = 2 a q (bound - C) - <L, U Z>.  D w(u) is read off each n by
+    `theta._coset_terms`."""
     D = theta._kernel.D
     if not theta.is_ample:
         return sorted(
@@ -419,20 +420,16 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
             for rep, w in theta._kernel.w.items()
             if w is not None and q * w + D * sum(map(mul, rep, V)) <= bound
         )
-    U, _, aD, NDLt, cosets = theta._centre_frame
-    W = [sum(map(mul, row, V)) for row in NDLt]
-    lam_t_v = [D * sum(map(mul, col, V)) for col in zip(*theta.factor.Lambda)]
+    f = theta._frame
     out = []
-    for rep, w, base, Nb in cosets:
-        Z = [q * x + y for x, y in zip(Nb, W)]
-        UZ = [sum(map(mul, row, Z)) for row in U]
-        # the coset's L and C, as theta._coset_quadratics forms them
-        L, C = [q * b + lv for b, lv in zip(base, lam_t_v)], q * w + D * sum(map(mul, rep, V))
-        top = 2 * aD * q * (bound - C) - sum(map(mul, L, UZ))
+    centres = theta._coset_centres(q, V)
+    for (rep, w, base, L, C), (*_, Z) in zip(theta._coset_quadratics(q, V), centres, strict=True):
+        UZ = [sum(map(mul, row, Z)) for row in f.U]
+        top = 2 * f.a * q * (bound - C) - sum(map(mul, L, UZ))
         if top < 0:
             continue
-        center = [Fraction(x, aD * q) for x in UZ]
-        out += theta._coset_terms(rep, w, base, enumerate_below(theta._form, center, Fraction(top, 2 * aD * D * q * q)))
+        center = [Fraction(x, f.a * q) for x in UZ]
+        out += theta._coset_terms(rep, w, base, enumerate_below(theta._form, center, Fraction(top, 2 * f.a * q * q)))
     out.sort()
     return out
 
@@ -482,8 +479,8 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     which is pooled), which is the cell; the margin keeps R_u's planes off
     its vertices, so a polytope touching them raises.  In lattice
     coordinates t, R_u is |M t + c| <= half + D eps, with c = U^T D (ell +
-    P u) and M, half from `theta._region_frame`, so its corners are
-    M^-1 (+-(half + D eps) - c), read off the frame's adjugate in integers.
+    P u) and M, half from `theta._frame`, so its corners are
+    M^-1 (+-(half + D eps) - c), read off the frame's A / a in integers.
     eps is `_MARGIN` times min(1, min_j G_jj / 2): it shrinks with the form,
     where a fixed 1/16 pooled 1 / (8 p) competitors per corner for P = [[p]].
     They are `_cut` by the pool, most violated plane first (d|d|/<a,a>,
@@ -498,7 +495,8 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     kernel = theta._kernel
     D, DP = kernel.D, kernel.P
     cols = tuple(zip(*DP))
-    Ut, M, A, a, half = theta._region_frame
+    frame = theta._frame
+    Ut, A, a, half = tuple(zip(*frame.U)), frame.A, frame.a, frame.half
     p, q = _MARGIN.numerator, _MARGIN.denominator
     w_u = theta._w_numerator(u)
     y = [e + sum(map(mul, row, u)) for e, row in zip(kernel.ell, DP)]
@@ -509,7 +507,7 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     # <-q M_j, t> >= c_j - r_j, each corner tight on g of them; rows
     # 2g..4g-1: the domain, t_i >= 0 and -t_i >= -1
     rows = []
-    for m_j, c_j, r_j in zip(M, c, r):
+    for m_j, c_j, r_j in zip(frame.M, c, r):
         rows += [(*(q * x for x in m_j), c_j + r_j), (*(-q * x for x in m_j), r_j - c_j)]
     for e in identity(g):
         rows += [(*e, 0), (*(-x for x in e), 1)]

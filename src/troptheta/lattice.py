@@ -209,8 +209,7 @@ def _walk(s: int, d: list[int], lam: list[list[int]]) -> tuple[int, list[list[in
     computed once per form: lq = den(L), the scaled L and D, and dq = den(D)."""
     L, D = _ldlt(s, d, lam)
     lq = math.lcm(*(x.denominator for row in L for x in row))
-    dq = math.lcm(*(x.denominator for x in D))
-    return lq, [[int(x * lq) for x in row[:j]] for j, row in enumerate(L)], dq, [int(x * dq) for x in D]
+    return lq, [[x.numerator * (lq // x.denominator) for x in row[:j]] for j, row in enumerate(L)], *_over_common_denominator(D)
 
 
 def _over_common_denominator(values: Row) -> tuple[int, list[int]]:
@@ -300,8 +299,8 @@ def _reduced(rows: Rows) -> tuple[IntRows, IntRows, tuple, tuple[IntRows, int]]:
     """(U, U^-1, walk, (A, a)) for B = rows, cached: U from `lll_reduce`,
     walk from the `_gso` of G = U^T B U, and the form's one inverse
     U G^-1 = A / a, G^-1 = s adj(s G) / a in integers, a = d_g > 0, off which
-    every coset centre is read; U^-1 = (U G^-1)^T B.  A theta evaluates one
-    form at every point."""
+    every coset centre is read; U^-1 = (U G^-1)^T B.  It calls `lll_reduce`
+    by name, for a trace of that layer, so it factors G again."""
     U, G = lll_reduce(rows)
     s, b, d, lam = _gso(G.entries)
     a, (t, B) = d[-1], _integral(rows)

@@ -8,34 +8,34 @@ representatives of M / lambda(M'); it extends to all of M by
 
 and evaluates as f(v) = min_{u in M} w(u) + <u, v>.  With P Lam positive
 definite, w(u) + <u, v> on each coset is a convex integer quadratic in n,
-u = rep + Lam n.  `TropicalThetaFunction._coset_quadratics` is the one place
-that forms it, in integers: each theta compiles its data once over one
-common denominator D (with D P Lam even), so D w(rep), D P Lam, D ell and
-D P are integers and one table, `_coset_constants`, holds D w(rep) and
-D (ell + P rep) per finite coset, keyed by the canonical rep of
-lattice.CosetLattice.  A profile rep may be any member of its coset: at
-construction, CosetLattice.normal_form (the one place that decomposes
-profile reps) moves its value to the canonical rep by the law above, and
-rejects a second rep of one coset.  Each coset's centre is read off
-`_centre_frame`, one integer frame per theta on the one inverse that the
-reduction of P Lam keeps (lattice._reduced): a g x g product per point and
-g multiply-adds per coset.  `_least_terms` hands each centre to the integer
-argmin entry lattice._argmin, and `_least` reads the value off its first
-term.  Every library reader of a value (`__call__`, the transformation-law
-check, whose sides are integers over D q, the periodicity checks,
-expressions, the Puiseux partial sums, the divisor's seed and linearity
-cells) uses that path; only the public `evaluate` still minimizes on g + 1
-Fractions per coset through lattice.minimize_quadratic.  The divisor's
-competitor sweeps and the Puiseux partial sums enumerate below a bound
-around the same centres (geometry._terms_below).  `_coset_terms` is the one
-D w(rep + Lam n) formula, for those enumerations, `extended_w` and `c_trop`
-and the law check's shifts (the coset of 0), so the divisor's pool offsets
+u = rep + Lam n.  Each theta compiles its data once over one common
+denominator D (with D P even), so D w(rep), D ell and D P are integers, and
+holds its form once, as the even integer K = (D P) Lam of `_kernel`, which
+lattice._reduced reduces (a positive scale moves no argmin).  One table,
+`_coset_constants`, holds D w(rep) and D (ell + P rep) per finite coset,
+keyed by the canonical rep of lattice.CosetLattice.  A profile rep may be
+any member of its coset: at construction, CosetLattice.normal_form (the one
+place that decomposes profile reps) moves its value to the canonical rep by
+the law above, and rejects a second rep of one coset.  `_coset_quadratics`
+forms each coset's quadratic at v = V / q, and `_coset_centres` its real
+minimizer off `_frame`, the one integer frame of K per theta.  `_least_terms` hands
+each centre to the integer argmin entry lattice._argmin, and `_least` reads
+the value off its first term.  Every library reader of a value
+(`__call__`, the transformation-law check, whose sides are integers over
+D q, the periodicity checks, expressions, the Puiseux partial sums, the
+divisor's seed and linearity cells) uses that path; only the public
+`evaluate` still minimizes on g + 1 Fractions per coset through
+lattice.minimize_quadratic.  The divisor's competitor sweeps and the
+Puiseux partial sums enumerate below a bound around the same centres
+(geometry._terms_below).  `_coset_terms` is the one D w(rep + Lam n)
+formula, for those enumerations, `extended_w` and `c_trop` and the law
+check's shifts (the coset of 0), so the divisor's pool offsets
 D w(u) - D w(u'') are differences of integers and no competitor is
 decomposed into its coset again.  Its u = rep + Lam n is `_witness`, which
-`evaluate` and the divisor's walk read too.  The divisor certifies each cell
-in a parallelepiped read off `_region_frame`, on the same inverse.  Its
-fundamental domain is kept in `_domain`.  The lambda = 0 case carries a
-finite support and a trivial factor, and the min is a finite scan.
+`evaluate` and the divisor's walk read too.  The divisor certifies each
+cell in a parallelepiped read off `_frame` too.  Its fundamental domain is
+kept in `_domain`.  The lambda = 0 case carries a finite support and a
+trivial factor, and the min is a finite scan.
 
 The factor reads ell once, as exact rationals by linalg._as_fraction (a
 float raises TypeError), and Lam by linalg.square_rows with g = len(ell);
@@ -70,7 +70,6 @@ from .lattice import (
 from .linalg import (
     IntRows,
     IntVec,
-    RatMatrix,
     ShapeMismatchError,
     _as_fraction,
     _as_int,
@@ -225,14 +224,30 @@ class EvalResult:
 
 class _Kernel(NamedTuple):
     """A theta's data in integers over one common denominator D, chosen so
-    that D (P Lam) is even: D w(rep) on each profile rep as given (None for
-    inf), D (P Lam), D ell and D P."""
+    that D P is even: D w(rep) on each profile rep as given (None for inf),
+    the theta's one form K = (D P) Lam, D ell and D P."""
 
     D: int
     w: dict[IntVec, int | None]
     B: IntRows
     ell: IntVec
     P: IntRows
+
+
+class _Frame(NamedTuple):
+    """A theta's form K in its LLL-reduced basis b_j = U e_j, in integers:
+    the walk data of U^T K U, K's one inverse U (U^T K U)^-1 = A / a, a > 0,
+    which also inverts M = U^T K (row j is K b_j), half_j = b_j^T K b_j / 2,
+    and for N = -A^T, N D Lam^T and (rep, w, base, N base) per finite coset."""
+
+    U: IntRows
+    walk: tuple
+    A: IntRows
+    a: int
+    M: IntRows
+    half: IntVec
+    NDLt: IntRows
+    cosets: list[tuple[IntVec, int, IntVec, list[int]]]
 
 
 @dataclass(frozen=True)
@@ -259,7 +274,7 @@ class TropicalThetaFunction:
                 raise ShapeMismatchError(
                     "factor Lambda must be invertible or identically zero"
                 )
-            B = self._B_rows
+            B = self._kernel.B
             if not is_symmetric(B):
                 raise NotSymmetricError("P * Lambda must be symmetric")
             _gso(B)  # raises NotPositiveDefiniteError with the bad pivot
@@ -273,32 +288,28 @@ class TropicalThetaFunction:
         return self.base.g
 
     @cached_property
-    def _B_rows(self):
-        return matmul(self.base.P.entries, self.factor.Lambda)
-
-    @cached_property
     def _cosets(self) -> CosetLattice:
         return CosetLattice(self.factor.Lambda)
 
     @cached_property
     def _form(self) -> GramForm:
-        return GramForm(RatMatrix(self._B_rows))
+        return GramForm(self._kernel.B)
 
     @cached_property
     def _kernel(self) -> _Kernel:
-        P = self.base.P.entries
         finite = (w for _, w in self.profile.finite_entries())
-        D = 2 * lcm(*(x.denominator for x in chain(*P, self.factor.ell, finite)))
+        D = 2 * lcm(*(x.denominator for x in chain(*self.base.P.entries, self.factor.ell, finite)))
 
         def num(x: Fraction) -> int:
             return x.numerator * (D // x.denominator)
 
+        P = tuple(tuple(map(num, row)) for row in self.base.P.entries)
         return _Kernel(
             D=D,
             w={r: None if w == INF else num(w) for r, w in self.profile.entries},
-            B=tuple(tuple(map(num, row)) for row in self._B_rows),
+            B=matmul(P, self.factor.Lambda),
             ell=tuple(map(num, self.factor.ell)),
-            P=tuple(tuple(map(num, row)) for row in P),
+            P=P,
         )
 
     @cached_property
@@ -308,7 +319,7 @@ class TropicalThetaFunction:
         the one per-coset table.  A profile rep may be any member
         u = rep + Lam n of its coset; its value moves to rep by the
         transformation law, D w(rep) = D w(u) - D (c_trop(n) + [n, rep]),
-        an integer over the same D since D P Lam is even."""
+        an integer over the same D since K is even."""
         k = self._kernel
 
         def base(rep: IntVec) -> IntVec:
@@ -321,17 +332,15 @@ class TropicalThetaFunction:
         return {rep: (w, base(rep)) for rep, w in table.items() if w is not None}
 
     @cached_property
-    def _region_frame(self) -> tuple[IntRows, IntRows, IntRows, int, IntVec]:
-        """(Ut, M, A, a, half), the integer frame of the divisor's certified
-        cell regions (geometry module docstring): U^T for the LLL-reduced
-        basis b_j = U e_j of the form P Lam, M = U^T (D P Lam), whose row j
-        is D P Lam b_j, M^-1 = U G^-1 / D = A / a (lattice._reduced), a > 0, and
-        half_j = (U^T D P Lam U)_jj / 2, an integer since D P Lam is even."""
-        U, _, _, (A, a) = self._form._reduction
-        Ut = transpose(U)
-        M = tuple(tuple(sum(map(mul, b, col)) for col in zip(*self._kernel.B)) for b in Ut)
-        half = tuple(sum(map(mul, row, b)) // 2 for row, b in zip(M, Ut))
-        return Ut, M, A, a * self._kernel.D, half
+    def _frame(self) -> _Frame:
+        """`_Frame`, read off the one reduction of the form K."""
+        U, _, walk, (A, a) = self._form._reduction
+        M = matmul(transpose(U), self._kernel.B)
+        half = tuple(sum(map(mul, row, b)) // 2 for row, b in zip(M, zip(*U)))
+        N = [[-x for x in col] for col in zip(*A)]
+        NDLt = [[self._kernel.D * sum(map(mul, row, lam)) for lam in self.factor.Lambda] for row in N]
+        cosets = [(rep, w, base, [sum(map(mul, row, base)) for row in N]) for rep, (w, base) in self._coset_constants.items()]
+        return _Frame(U, walk, A, a, M, half, NDLt, cosets)
 
     @cached_property
     def _domain(self):
@@ -368,7 +377,7 @@ class TropicalThetaFunction:
     def _coset_terms(self, rep: IntVec, w: int, base: IntVec, ns) -> list[tuple[IntVec, int]]:
         """(u, D w(u)) for u = rep + Lam n, n in ns, with w = D w(rep) and
         base = D (ell + P rep): the one place that spells out
-        D w(u) = w + n^T (D P Lam) n / 2 + <base, n>, exact as D P Lam is even."""
+        D w(u) = w + n^T K n / 2 + <base, n>, exact as the form K is even."""
         B = self._kernel.B
         return [
             (self._witness(rep, n), w + sum(map(mul, n, [sum(map(mul, row, n)) for row in B])) // 2 + sum(map(mul, base, n)))
@@ -383,12 +392,13 @@ class TropicalThetaFunction:
 
     def evaluate(self, v: Sequence) -> EvalResult:
         """f(v) and every witness, sorted: the one Fraction reader, through
-        lattice.minimize_quadratic per coset.  Every other reader takes its
-        value off `_least` in integers.  `evaluate` stays on the Fraction
-        path because the benchmark harness's peak RSS grows with its op
-        count, so a faster `eval` loop reads as a memory rise; once the
-        harness's statistics stop growing with the op count it becomes
-        EvalResult(*self._least(q, V))."""
+        lattice.minimize_quadratic of D times each coset's quadratic
+        (`_coset_quadratics`), the least divided by D once.  Every other
+        reader takes its value off `_least` in integers.  `evaluate` stays
+        on the Fraction path because the benchmark harness's peak RSS grows
+        with its op count, so a faster `eval` loop reads as a memory rise;
+        once the harness's statistics stop growing with the op count it
+        becomes EvalResult(*self._least(q, V))."""
         q, V = _over_common_denominator(point(v, self.g))
         if not self.profile.finite_entries():
             raise EmptyProfileError("profile has no finite value")
@@ -396,15 +406,14 @@ class TropicalThetaFunction:
             return EvalResult(*self._least(q, V))
         best = None
         witnesses: list[IntVec] = []
-        for rep, L, C in self._coset_quadratics(q, V):
-            den = self._kernel.D * q
-            res = minimize_quadratic(self._form, [Fraction(x, den) for x in L], Fraction(C, den))
+        for rep, _, _, L, C in self._coset_quadratics(q, V):
+            res = minimize_quadratic(self._form, [Fraction(x, q) for x in L], Fraction(C, q))
             if best is None or res.value < best:
                 best = res.value
                 witnesses = [self._witness(rep, n) for n in res.argmin]
             elif res.value == best:
                 witnesses.extend(self._witness(rep, n) for n in res.argmin)
-        return EvalResult(value=best, witnesses=tuple(sorted(witnesses)))
+        return EvalResult(value=best / self._kernel.D, witnesses=tuple(sorted(witnesses)))
 
     def _least(self, q: int, V: Sequence[int]) -> tuple[Fraction, tuple[IntVec, ...]]:
         """(f(v), every witness, sorted) at v = V / q, in integers: the value
@@ -419,7 +428,7 @@ class TropicalThetaFunction:
         in integers; D q (w(u) + <u, v>) compare as integers, and V / q need
         not be in lowest terms.  With lambda = 0 each finite support point
         is a term; otherwise lattice._argmin takes each coset's real
-        minimizer off `_centre_frame` (`_coset_least_terms`).
+        minimizer off `_frame` (`_coset_least_terms`).
         EmptyProfileError if no value is finite."""
         D = self._kernel.D
         best, out = None, []
@@ -439,41 +448,34 @@ class TropicalThetaFunction:
         out.sort()
         return out
 
-    @cached_property
-    def _centre_frame(self):
-        """(U, walk, a D, N D Lam^T, [(rep, w, base, N base)] per finite
-        coset), N = -A^T for the form's one inverse U G^-1 = A / a
-        (lattice._reduced): the coset centres of `_coset_least_terms` and
-        geometry._terms_below, in integers."""
-        U, _, walk, (A, a) = self._form._reduction
-        N = [[-x for x in col] for col in zip(*A)]
-        D = self._kernel.D
-        NDLt = [[D * sum(map(mul, row, lam)) for lam in self.factor.Lambda] for row in N]
-        cosets = [(rep, w, base, [sum(map(mul, row, base)) for row in N]) for rep, (w, base) in self._coset_constants.items()]
-        return U, walk, a * D, NDLt, cosets
-
     def _coset_least_terms(self, q: int, V: Sequence[int]):
-        """Each finite coset's least (u, D w(u)) terms at v = V / q.  Its
-        quadratic (`_coset_quadratics`) is least at n = -B^-1 L / (D q),
-        B = P Lam: in reduced coordinates m = U^-1 n = -A^T L / (a D q), as
-        U^-1 B^-1 = G^-1 U^T = (A / a)^T, and with L = q base + D Lam^T V
-        that is Z / (a D q), Z = q N base + W, W = N D Lam^T V per point."""
-        U, walk, aD, NDLt, cosets = self._centre_frame
-        W = [sum(map(mul, row, V)) for row in NDLt]
-        for rep, w, base, Nb in cosets:
-            _, winners = _argmin(walk, aD * q, [q * x + y for x, y in zip(Nb, W)])
-            yield self._coset_terms(rep, w, base, [[sum(map(mul, row, m)) for row in U] for m in winners])
+        """Each finite coset's least (u, D w(u)) terms at v = V / q:
+        lattice._argmin walks around its centre Z / (a q) in reduced
+        coordinates m (`_coset_centres`), and n = U m."""
+        f = self._frame
+        for rep, w, base, Z in self._coset_centres(q, V):
+            _, winners = _argmin(f.walk, f.a * q, Z)
+            yield self._coset_terms(rep, w, base, [[sum(map(mul, row, m)) for row in f.U] for m in winners])
 
     def _coset_quadratics(self, q: int, V: Sequence[int]):
-        """(rep, L, C) in integers for each finite coset of an ample theta,
-        at the point v = V / q with integers V and q > 0: on u = rep + Lam n,
-        D q (w(u) + <u, v>) = (q/2) n^T (D P Lam) n + <L, n> + C, with
-        L = q D (ell + P rep) + D Lam^T V and C = q D w(rep) + D <rep, V>."""
+        """(rep, w, base, L, C) in integers per finite coset of an ample theta
+        at v = V / q, (w, base) its `_coset_constants`, V and q > 0 integers:
+        on u = rep + Lam n, D q (w(u) + <u, v>) = (q/2) n^T K n + <L, n> + C,
+        with L = q base + D Lam^T V and C = q w + D <rep, V>."""
         D = self._kernel.D
         lam_t_v = [D * sum(map(mul, col, V)) for col in zip(*self.factor.Lambda)]
         for rep, (w, base) in self._coset_constants.items():
-            L = tuple(q * b + lv for b, lv in zip(base, lam_t_v))
-            yield rep, L, q * w + D * sum(map(mul, rep, V))
+            yield rep, w, base, [q * b + lv for b, lv in zip(base, lam_t_v)], q * w + D * sum(map(mul, rep, V))
+
+    def _coset_centres(self, q: int, V: Sequence[int]):
+        """(rep, w, base, Z) per finite coset at v = V / q, in the order of
+        `_coset_quadratics`: the real minimizer -K^-1 L / q of its quadratic
+        is m = Z / (a q) in the coordinates m = U^-1 n of `_frame`, as
+        U^-1 K^-1 = (A / a)^T, so Z = N L = q N base + N D Lam^T V."""
+        f = self._frame
+        W = [sum(map(mul, row, V)) for row in f.NDLt]
+        for rep, w, base, Nb in f.cosets:
+            yield rep, w, base, [q * x + y for x, y in zip(Nb, W)]
 
     def __call__(self, v: Sequence) -> Fraction:
         """f(v), in integers (`_least`)."""

@@ -26,6 +26,7 @@ from troptheta.lattice import CosetLattice, lll_reduce
 from troptheta.linalg import (
     RatMatrix,
     ShapeMismatchError,
+    matmul,
     matvec,
     solve,
     transpose,
@@ -807,12 +808,12 @@ def assert_cells_inside_their_regions(theta):
     # it strictly inside the region _build_cell uses
     cx = corner_locus(theta)
     assert cx.cells
-    B = theta._B_rows
+    B = matmul(theta.base.P.entries, theta.factor.Lambda)
     basis = transpose(lll_reduce(B)[0])
-    Ut, M, _, _, half = theta._region_frame
+    frame = theta._frame
     D = theta._kernel.D
-    assert Ut == basis
-    for b, row, h in zip(basis, M, half):
+    assert transpose(frame.U) == basis
+    for b, row, h in zip(basis, frame.M, frame.half):
         assert row == tuple(D * c for c in matvec(B, b))
         assert F(h, D) == vecdot(b, matvec(B, b)) / 2
     box = [k for k in itertools.product(range(-2, 3), repeat=theta.g) if any(k)]

@@ -295,6 +295,32 @@ def test_lll_matches_the_fraction_reference(B):
     assert G.entries == matmul(matmul(transpose(U), B), U)
 
 
+@given(sheared_forms(), st.integers(0, 2**32))
+@example(sheared_sum_form(16, 16), 0)
+@settings(max_examples=20, deadline=None)
+def test_reduction_and_argmin_do_not_depend_on_the_scale_of_the_form(B, seed):
+    # a theta reduces its form over the kernel's denominator D, D P Lam, in
+    # place of P Lam: scaling a form by c > 0 changes neither the basis LLL
+    # returns, nor any argmin, nor any point below a bound scaled with it
+    rng = random.Random(seed)
+    g = len(B)
+    ell = [F(rng.randint(-99, 99), rng.choice((1, 2, 3, 7))) for _ in range(g)]
+    c0 = F(rng.randint(-9, 9), rng.choice((1, 4)))
+    centre = [F(rng.randint(-30, 30), rng.choice((1, 2, 5))) for _ in range(g)]
+    U, G = lll_reduce(B)
+    least = minimize_quadratic(B, ell, c0)
+    # the nearest lattice points to the centre lie at distance radius from it
+    radius = minimize_quadratic(B, [-x for x in matvec(B, centre)]).value + _objective_value(B, [0] * g, 0, centre)
+    points = enumerate_below(B, centre, radius)
+    assert points
+    for c in (2, 6, F(1, 3)):
+        cB = [[c * x for x in row] for row in B]
+        assert lll_reduce(cB) == (U, RatMatrix([[c * x for x in row] for row in G.entries]))
+        scaled = minimize_quadratic(cB, [c * x for x in ell], c * c0)
+        assert (scaled.value, scaled.argmin) == (c * least.value, least.argmin)
+        assert enumerate_below(cB, centre, c * radius) == points
+
+
 def test_pivot_index_matches_the_fraction_reference():
     rng = random.Random(17)
     checked = 0
@@ -368,8 +394,8 @@ def test_each_inverse_of_a_reduction_is_the_inverse(P, Lam):
     assert UG_inv == matmul(U, inverse(G))
     assert matmul(U_inv, UG_inv) == inverse(G)
     assert matmul(UG_inv, transpose(U)) == inverse(B)
-    _, M, A, a, _ = theta._region_frame
-    assert a > 0 and tuple(tuple(F(x, a) for x in r) for r in A) == inverse(M)
+    frame = theta._frame
+    assert frame.a > 0 and tuple(tuple(F(x, frame.a) for x in r) for r in frame.A) == inverse(frame.M)
 
 
 # ---------- minimize_quadratic ----------

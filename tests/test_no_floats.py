@@ -24,9 +24,11 @@ ints.  Every theta value but `evaluate`'s is read off that entry too: a
 seventh check walks its calls during the transformation-law and Riemann
 crosschecks and the Puiseux partial sums, and finds only ints.
 
-A second syntax scan finds no int(...) call in theta.py, nonarch.py or
-varieties.py: their public entries read lattice vectors through
-linalg.lattice_vector, which refuses 3/2 where int() truncated it to 1.  A
+A second syntax scan finds no int(...) call in theta.py, nonarch.py,
+varieties.py, lattice.py or geometry.py: their public entries read lattice
+vectors through linalg.lattice_vector, which refuses 3/2 where int()
+truncated it to 1, and an exact ratio is scaled to an integer by its
+numerator and denominator.  A
 third finds no one-argument Fraction(...) call there, nor in puiseux.py or
 lattice.py, but of an integer literal: ell, w, the partial sums' cutoff,
 a Puiseux exponent or coefficient and the lattice entries' ell, c0 and
@@ -106,7 +108,7 @@ def int_casts(path: Path):
     ]
 
 
-@pytest.mark.parametrize("name", ["theta.py", "nonarch.py", "varieties.py"])
+@pytest.mark.parametrize("name", ["theta.py", "nonarch.py", "varieties.py", "lattice.py", "geometry.py"])
 def test_no_int_casts_in_the_parsing_modules(name):
     assert int_casts(SRC / name) == []
 

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from troptheta import geometry, theta as theta_module
+from troptheta import geometry, lattice, theta as theta_module
 from troptheta.lattice import CosetLattice, NotPositiveDefiniteError, _over_common_denominator
-from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matvec, solve, transpose
+from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matmul, matvec, solve, transpose
 from troptheta.nonarch import (
     CutoffBelowMinimumError,
     NACocycle,
@@ -151,7 +151,7 @@ def test_transformation_law_worked_example():
 def test_c_trop_is_quadratic_with_beta_polarization():
     rng = random.Random(3)
     for theta in (TH2, NP2):
-        B = theta._B_rows
+        B = matmul(theta.base.P.entries, theta.factor.Lambda)
         for _ in range(25):
             n1 = tuple(rng.randint(-4, 4) for _ in range(2))
             n2 = tuple(rng.randint(-4, 4) for _ in range(2))
@@ -543,8 +543,8 @@ def test_least_terms_do_not_depend_on_the_scale_of_the_denominator(case, data):
     # the law check hands _least_terms its shifted point over D q, often not
     # in lowest terms: every scale k q of one point gives the same terms, for
     # every kind of theta, with profile reps moved off the canonical box; and
-    # each coset's centre, read off the per-theta frame as (q N base + W) /
-    # (a D q), is the rational -U^-1 B^-1 L / (D q), B^-1 a plain inverse
+    # each coset's centre, read off the per-theta frame as Z / (a q), is the
+    # rational -U^-1 B^-1 L / (D q) for B = P Lam, B^-1 a plain inverse
     theta, v, _ = case
     g, lam = theta.g, theta.factor.Lambda
     if theta.is_ample:
@@ -571,11 +571,10 @@ def test_least_terms_do_not_depend_on_the_scale_of_the_denominator(case, data):
         assert centres == []
         return
     _, U_inv, _, _ = theta._form._reduction
-    _, _, aD, NDLt, cosets = theta._centre_frame
-    W = [sum(x * y for x, y in zip(row, V)) for row in NDLt]
-    assert centres == [(aD * q, [q * x + y for x, y in zip(Nb, W)]) for *_, Nb in cosets]
-    B_inv = inverse(theta._B_rows)
-    for (scale, C), (_, L, _) in zip(centres, theta._coset_quadratics(q, V), strict=True):
+    frame = theta._frame
+    assert centres == [(frame.a * q, Z) for *_, Z in theta._coset_centres(q, V)]
+    B_inv = inverse(matmul(theta.base.P.entries, lam))
+    for (scale, C), (*_, L, _) in zip(centres, theta._coset_quadratics(q, V), strict=True):
         BL = matvec(B_inv, L)
         old = [-sum(x * y for x, y in zip(row, BL)) / (theta._kernel.D * q) for row in U_inv]
         assert [F(x, scale) for x in C] == old
@@ -585,7 +584,7 @@ def test_least_terms_do_not_depend_on_the_scale_of_the_denominator(case, data):
 @settings(max_examples=40, deadline=None)
 def test_both_coset_queries_share_one_centre(case):
     # at one point, the centre of each coset that the least terms hand
-    # lattice._argmin (in reduced coordinates m, over a D q) and the centre
+    # lattice._argmin (in reduced coordinates m, over a q) and the centre
     # that the terms below a bound hand lattice.enumerate_below are one
     # point n = U m; the bound is the largest coset minimum, so every coset
     # is enumerated
@@ -614,6 +613,23 @@ def test_both_coset_queries_share_one_centre(case):
     U = theta._form._reduction[0]
     assert len(least) == len(theta._coset_constants)
     assert below == [tuple(sum(x * y for x, y in zip(row, m)) for row in U) for m in least]
+
+
+def test_one_form_per_theta(count_calls):
+    # machine-independent gate: a theta holds its form once, as the kernel's
+    # integer K = D P Lam, and reduces that one form once: across building a
+    # fresh theta, its values, the law check and its divisor, the reduction
+    # sees K alone and LLL runs once
+    case = KERNEL_CASES["index-3"]
+    lattice._reduced.cache_clear()
+    forms, reductions = count_calls(lattice._reduced), count_calls(lattice.lll_reduce)
+    theta = TropicalThetaFunction(base=case.base, factor=case.factor, profile=case.profile)
+    point = (F(-7, 3), F(5, 4))
+    assert theta(point) == theta.evaluate(point).value
+    assert verify_transformation(theta, [point, (F(1, 2), F(-3, 2))]).ok
+    assert geometry.corner_locus(theta).cells
+    assert forms == [(theta._kernel.B,)]
+    assert len(reductions) == 1
 
 
 def test_automorphy_data_takes_vectors_of_the_rank(count_calls):
