@@ -5,8 +5,17 @@ canonical single-line JSON report to stdout.  Report bytes depend only on
 the input bytes and the flags, never on wall clock or filesystem paths, so
 repeated runs are byte-identical.  Timings go to stderr.
 
+Every command runs one path: `_read` returns the input's sha256 with its
+document, one reader per document kind (series, theta, variety) checks that
+kind's fields and builds it, `_attempt` turns a ValueError from building
+into a failed check and a refusal into a usage error, and `_finish` prints
+the report and exits.
+
 Exit codes: 0 all checks passed, 1 a mathematical check failed, 2 the input
-was unusable (bad JSON, missing fields, wrong flags).
+was unusable (bad JSON, missing fields, wrong flags) or was refused as too
+large to answer: a series of more than 4096 cosets or whose coefficients
+need more than 2^20 bits, a divisor at g above 3 or of more than 10,000
+cells in its fundamental domain.
 
 The command group `main` and its commands are built on first use, so a
 process that imports this module and runs no command loads neither click
@@ -19,10 +28,12 @@ import json
 import sys
 import time
 from fractions import Fraction
+from typing import NoReturn
 
-from .crosschecks import CheckOutcome, suite_a, suite_b, suite_c
+from .crosschecks import suite_a, suite_b, suite_c
 from .geometry import (
     CellComplex,
+    DivisorTooLargeError,
     RankTooLargeError,
     UnsupportedFormatError,
     corner_locus,
@@ -42,8 +53,14 @@ from .theta import TropicalThetaFunction, riemann_theta
 from .varieties import TropicalPolarizationData
 from .varieties import validate as validate_data
 
+# inputs too large to answer: each exits 2 with its message
+_REFUSALS = (SeriesTooLargeError, RankTooLargeError, UnsupportedFormatError, DivisorTooLargeError)
+# suite -> (function, default sample count)
+_SUITES = {"A": (suite_a, 50), "B": (suite_b, 100), "C": (suite_c, 50)}
 
-def _read(path: str) -> tuple[bytes, dict]:
+
+def _read(path: str) -> tuple[str, dict]:
+    """The sha256 of a file's bytes and the JSON object they hold."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -52,7 +69,7 @@ def _read(path: str) -> tuple[bytes, dict]:
         raise click.UsageError(f"{path}: not valid JSON ({exc})")
     if not isinstance(doc, dict):
         raise click.UsageError(f"{path}: top-level JSON object expected")
-    return raw, doc
+    return hashlib.sha256(raw).hexdigest(), doc
 
 
 def _require_keys(doc: dict, keys: tuple[str, ...]) -> None:
@@ -65,19 +82,118 @@ def _check(name: str, passed: bool, detail: str) -> dict:
     return {"name": name, "passed": passed, "detail": detail}
 
 
-def _finish(report: dict, started: float, ok: bool) -> None:
-    # print, not click.echo: click caches a wrapper per stream and the entry
-    # keeps the stream alive, so a caller that swaps sys.stdout for each
-    # in-process call would keep every report it was ever sent.
-    print(json.dumps(report, sort_keys=True, separators=(",", ":")), flush=True)
+def _attempt(name: str, make, *args, **kwargs) -> tuple[object, list[dict]]:
+    """(make(...), []), or (None, [the failed check `name`]) if make raises
+    a ValueError; a refusal exits 2."""
+    try:
+        return make(*args, **kwargs), []
+    except _REFUSALS as exc:
+        raise click.UsageError(str(exc))
+    except ValueError as exc:
+        return None, [_check(name, False, str(exc))]
+
+
+def _finish(command: str, digest: str, checks: list[dict], started: float, blob: bytes | None = None, **fields) -> NoReturn:
+    """Print the report of `command` on the input `digest` (or, given a
+    blob, those bytes instead) and the elapsed time; exit 0 if every check
+    passed, else 1."""
+    if blob is None:
+        # print, not click.echo: click caches a wrapper per stream and the
+        # entry keeps the stream alive, so a caller that swaps sys.stdout for
+        # each in-process call would keep every report it was ever sent.
+        report = {"command": command, "input_sha256": digest, "checks": checks, **fields}
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")), flush=True)
+    else:
+        sys.stdout.buffer.write(blob)
+        sys.stdout.buffer.flush()
     print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr, flush=True)
-    sys.exit(0 if ok else 1)
+    sys.exit(0 if all(c["passed"] for c in checks) else 1)
 
 
-def _fail(command: str, digest: str, check: str, exc: Exception, started: float, **extra) -> None:
-    """Report that building the command's object failed, and exit 1."""
-    report = {"command": command, "input_sha256": digest, "checks": [_check(check, False, str(exc))], **extra}
-    _finish(report, started, False)
+def _series(doc: dict) -> NAThetaFunction:
+    _require_keys(doc, ("T", "Lambda", "c", "coeffs"))
+    return NAThetaFunction.from_json_dict(doc)
+
+
+def _theta(doc: dict) -> TropicalThetaFunction:
+    _require_keys(doc, ("g", "P", "factor", "profile"))
+    return TropicalThetaFunction.from_json_dict(doc)
+
+
+def _variety(doc: dict) -> TropicalPolarizationData:
+    _require_keys(doc, ("g", "P", "Lambda"))
+    try:
+        return TropicalPolarizationData.from_json_dict(doc)
+    except ValueError as exc:
+        # malformed entries are a schema problem, not a failed check
+        raise click.UsageError(str(exc))
+
+
+def _theta_from_any(doc: dict) -> TropicalThetaFunction:
+    """By its fields: "T" marks a series (tropicalized), "factor" a theta,
+    anything else a variety (its Riemann theta)."""
+    if "T" in doc:
+        return tropicalize(_series(doc))
+    return _theta(doc) if "factor" in doc else riemann_theta(_variety(doc))
+
+
+def _constructed(theta: TropicalThetaFunction) -> dict:
+    return _check("construction", True, f"{len(theta.profile.entries)} stored cosets")
+
+
+def _validity_checks(data: TropicalPolarizationData) -> list[dict]:
+    rep = validate_data(data)
+    pivot = "all pivots positive" if rep.beta_positive_definite else (
+        "form not positive definite" if rep.first_bad_pivot is None else f"pivot {rep.first_bad_pivot} not positive"
+    )
+    index = "det Lambda = 0" if rep.index is None else f"index {rep.index}" + (" (principal)" if rep.principal else "")
+    return [
+        _check("pairing-nondegenerate", rep.pairing_nondegenerate,
+               "pairing nondegenerate" if rep.pairing_nondegenerate else "pairing degenerate"),
+        _check("form-symmetric", rep.beta_symmetric,
+               "induced form symmetric" if rep.beta_symmetric else "induced form not symmetric"),
+        _check("form-positive-definite", rep.beta_positive_definite, pivot),
+        _check("polarization-finite-index", rep.index is not None, index),
+    ]
+
+
+def _series_checks(doc: dict) -> list[dict]:
+    f = _series(doc)
+    rep, inv = verify_cocycle(f.cocycle), f.verify_invariance()
+    return [
+        _check("construction", True, f"valid series, g = {f.g}"),
+        _check("cocycle-relation", rep.ok,
+               f"{rep.checked} relations hold" if rep.ok else f"{len(rep.failures)} relations fail"),
+        _check("coefficient-invariance", inv.ok,
+               f"{inv.checked} identities hold" if inv.ok else f"{len(inv.failures)} identities fail"),
+    ]
+
+
+def _theta_checks(doc: dict) -> list[dict]:
+    theta = _theta(doc)
+    return [_constructed(theta), *_validity_checks(theta.base)]
+
+
+def _suite_inputs(suite: str, doc: dict) -> tuple:
+    """The positional arguments of a suite before its sample count."""
+    if suite == "A":
+        return (_series(doc),)
+    if suite == "B":
+        _require_keys(doc, ("T",))
+        return PeriodMatrix.from_json_rows(doc["T"]), doc.get("Lambda")
+    if "f1" in doc and "f2" in doc:
+        return NAThetaFunction.from_json_dict(doc["f1"]), NAThetaFunction.from_json_dict(doc["f2"])
+    _require_keys(doc, ("T", "Lambda"))
+    period = PeriodMatrix.from_json_rows(doc["T"])
+    basis = theta_basis(period, canonical_cocycle(period, doc["Lambda"]))
+    if len(basis) < 2:
+        raise ValueError("need a non-principal polarization with at least two basis elements")
+    return basis[0], basis[1]
+
+
+def _divisor(doc: dict, fmt: str) -> tuple[CellComplex, bytes]:
+    complex_ = corner_locus(_theta_from_any(doc))
+    return complex_, export_mesh(complex_, fmt)
 
 
 def _parse_point(text: str, g: int) -> tuple[Fraction, ...]:
@@ -88,49 +204,6 @@ def _parse_point(text: str, g: int) -> tuple[Fraction, ...]:
         return tuple(parse_fraction(p) for p in parts)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-
-
-def _load_variety(doc: dict) -> TropicalPolarizationData:
-    _require_keys(doc, ("g", "P", "Lambda"))
-    try:
-        return TropicalPolarizationData.from_json_dict(doc)
-    except ValueError as exc:
-        # malformed entries are a schema problem, not a failed check
-        raise click.UsageError(str(exc))
-
-
-def _validity_checks(data: TropicalPolarizationData) -> list[dict]:
-    rep = validate_data(data)
-    out = [
-        _check(
-            "pairing-nondegenerate",
-            rep.pairing_nondegenerate,
-            "pairing nondegenerate" if rep.pairing_nondegenerate else "pairing degenerate",
-        ),
-        _check(
-            "form-symmetric",
-            rep.beta_symmetric,
-            "induced form symmetric" if rep.beta_symmetric else "induced form not symmetric",
-        ),
-    ]
-    if rep.beta_positive_definite:
-        out.append(_check("form-positive-definite", True, "all pivots positive"))
-    else:
-        out.append(
-            _check(
-                "form-positive-definite",
-                False,
-                f"pivot {rep.first_bad_pivot} not positive"
-                if rep.first_bad_pivot is not None
-                else "form not positive definite",
-            )
-        )
-    if rep.index is None:
-        out.append(_check("polarization-finite-index", False, "det Lambda = 0"))
-    else:
-        detail = f"index {rep.index}" + (" (principal)" if rep.principal else "")
-        out.append(_check("polarization-finite-index", True, detail))
-    return out
 
 
 def _results(theta: TropicalThetaFunction, points: tuple[str, ...]) -> list[dict]:
@@ -147,16 +220,6 @@ def _results(theta: TropicalThetaFunction, points: tuple[str, ...]) -> list[dict
             }
         )
     return results
-
-
-def _theta_from_any(doc: dict) -> TropicalThetaFunction:
-    if "T" in doc:
-        _require_keys(doc, ("T", "Lambda", "c", "coeffs"))
-        return tropicalize(NAThetaFunction.from_json_dict(doc))
-    if "factor" in doc:
-        _require_keys(doc, ("g", "P", "factor", "profile"))
-        return TropicalThetaFunction.from_json_dict(doc)
-    return riemann_theta(_load_variety(doc))
 
 
 def _build() -> None:
@@ -185,53 +248,12 @@ def _build() -> None:
         anything else is treated as polarization data.
         """
         started = time.perf_counter()
-        raw, doc = _read(path)
-        checks: list[dict] = []
-        if "T" in doc:
-            _require_keys(doc, ("T", "Lambda", "c", "coeffs"))
-            try:
-                f = NAThetaFunction.from_json_dict(doc)
-            except SeriesTooLargeError as exc:
-                raise click.UsageError(str(exc))
-            except ValueError as exc:
-                checks.append(_check("construction", False, str(exc)))
-            else:
-                checks.append(_check("construction", True, f"valid series, g = {f.g}"))
-                try:
-                    rep, inv = verify_cocycle(f.cocycle), f.verify_invariance()
-                except SeriesTooLargeError as exc:
-                    raise click.UsageError(str(exc))
-                checks.append(
-                    _check(
-                        "cocycle-relation",
-                        rep.ok,
-                        f"{rep.checked} relations hold" if rep.ok else f"{len(rep.failures)} relations fail",
-                    )
-                )
-                checks.append(
-                    _check(
-                        "coefficient-invariance",
-                        inv.ok,
-                        f"{inv.checked} identities hold" if inv.ok else f"{len(inv.failures)} identities fail",
-                    )
-                )
-        elif "factor" in doc:
-            _require_keys(doc, ("g", "P", "factor", "profile"))
-            try:
-                theta = TropicalThetaFunction.from_json_dict(doc)
-            except ValueError as exc:
-                checks.append(_check("construction", False, str(exc)))
-            else:
-                checks.append(_check("construction", True, f"{len(theta.profile.entries)} stored cosets"))
-                checks.extend(_validity_checks(theta.base))
+        digest, doc = _read(path)
+        if "T" in doc or "factor" in doc:
+            checks, failed = _attempt("construction", _series_checks if "T" in doc else _theta_checks, doc)
         else:
-            checks.extend(_validity_checks(_load_variety(doc)))
-        report = {
-            "command": "validate",
-            "input_sha256": hashlib.sha256(raw).hexdigest(),
-            "checks": checks,
-        }
-        _finish(report, started, all(c["passed"] for c in checks))
+            checks, failed = _validity_checks(_variety(doc)), []
+        _finish("validate", digest, failed or checks, started)
 
     @main.command("eval", context_settings={"ignore_unknown_options": True})
     @click.argument("path", type=_INPUT)
@@ -243,20 +265,9 @@ def _build() -> None:
         the minimum (more than one witness means the point lies on the divisor).
         """
         started = time.perf_counter()
-        raw, doc = _read(path)
-        _require_keys(doc, ("g", "P", "factor", "profile"))
-        try:
-            theta = TropicalThetaFunction.from_json_dict(doc)
-        except ValueError as exc:
-            _fail("eval", hashlib.sha256(raw).hexdigest(), "construction", exc, started, results=[])
-        results = _results(theta, points)
-        report = {
-            "command": "eval",
-            "input_sha256": hashlib.sha256(raw).hexdigest(),
-            "checks": [],
-            "results": results,
-        }
-        _finish(report, started, True)
+        digest, doc = _read(path)
+        theta, failed = _attempt("construction", _theta, doc)
+        _finish("eval", digest, failed, started, results=[] if failed else _results(theta, points))
 
     @main.command()
     @click.argument("path", type=_INPUT)
@@ -271,30 +282,19 @@ def _build() -> None:
         to stdout.
         """
         started = time.perf_counter()
-        raw, doc = _read(path)
-        data = _load_variety(doc)
-        digest = hashlib.sha256(raw).hexdigest()
+        digest, doc = _read(path)
+        data = _variety(doc)
         if points and out is None:
             raise click.UsageError("--point requires --out")
-        try:
-            theta = riemann_theta(data)
-        except ValueError as exc:
-            _fail("riemann", digest, "construction", exc, started, results=[])
-        blob = json.dumps(theta.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        theta, failed = _attempt("construction", riemann_theta, data)
+        if failed:
+            _finish("riemann", digest, failed, started, results=[])
+        blob = (json.dumps(theta.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n").encode()
         if out is None:
-            print(blob, end="", flush=True)
-            print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr, flush=True)
-            return
-        with open(out, "w") as fh:
+            _finish("riemann", digest, [], started, blob=blob)
+        with open(out, "wb") as fh:
             fh.write(blob)
-        results = _results(theta, points)
-        report = {
-            "command": "riemann",
-            "input_sha256": digest,
-            "checks": [_check("construction", True, f"{len(theta.profile.entries)} stored cosets")],
-            "results": results,
-        }
-        _finish(report, started, True)
+        _finish("riemann", digest, [_constructed(theta)], started, results=_results(theta, points))
 
     @main.command()
     @click.argument("suite", type=click.Choice(["A", "B", "C"]))
@@ -312,49 +312,18 @@ def _build() -> None:
         ratios descend to the quotient.
         """
         started = time.perf_counter()
-        raw, doc = _read(path)
-        outcomes: tuple[CheckOutcome, ...]
-        used = samples
+        digest, doc = _read(path)
+        run, default = _SUITES[suite]
         try:
-            if suite == "A":
-                _require_keys(doc, ("T", "Lambda", "c", "coeffs"))
-                f = NAThetaFunction.from_json_dict(doc)
-                used = samples if samples is not None else 50
-                outcomes = suite_a(f, samples=used, seed=seed)
-            elif suite == "B":
-                _require_keys(doc, ("T",))
-                period = PeriodMatrix.from_json_rows(doc["T"])
-                used = samples if samples is not None else 100
-                outcomes = suite_b(period, doc.get("Lambda"), samples=used, seed=seed)
-            else:
-                if "f1" in doc and "f2" in doc:
-                    f1 = NAThetaFunction.from_json_dict(doc["f1"])
-                    f2 = NAThetaFunction.from_json_dict(doc["f2"])
-                else:
-                    _require_keys(doc, ("T", "Lambda"))
-                    period = PeriodMatrix.from_json_rows(doc["T"])
-                    basis = theta_basis(period, canonical_cocycle(period, doc["Lambda"]))
-                    if len(basis) < 2:
-                        raise ValueError("need a non-principal polarization with at least two basis elements")
-                    f1, f2 = basis[0], basis[1]
-                used = samples if samples is not None else 50
-                outcomes = suite_c(f1, f2, pairs=used, seed=seed)
+            inputs, failed = _attempt("precondition", _suite_inputs, suite, doc)
+            # a suite that never ran reports 0 samples unless some were asked for
+            used = samples or (0 if failed else default)
+            if not failed:
+                outcomes, failed = _attempt("precondition", run, *inputs, used, seed=seed)
         except (KeyError, TypeError) as exc:
             raise click.UsageError(f"malformed input for suite {suite}: {exc}")
-        except SeriesTooLargeError as exc:
-            raise click.UsageError(str(exc))
-        except ValueError as exc:
-            outcomes = (CheckOutcome("precondition", False, str(exc)),)
-            used = 0 if used is None else used
-        report = {
-            "command": "crosscheck",
-            "suite": suite,
-            "input_sha256": hashlib.sha256(raw).hexdigest(),
-            "seed": seed,
-            "samples": used,
-            "checks": [o.to_json_dict() for o in outcomes],
-        }
-        _finish(report, started, all(o.passed for o in outcomes))
+        checks = failed or [o.to_json_dict() for o in outcomes]
+        _finish("crosscheck", digest, checks, started, suite=suite, seed=seed, samples=used)
 
     @main.command()
     @click.argument("path", type=_INPUT)
@@ -368,39 +337,26 @@ def _build() -> None:
         --out; the report with cell counts and Betti numbers goes to stdout.
         """
         started = time.perf_counter()
-        raw, doc = _read(path)
-        digest = hashlib.sha256(raw).hexdigest()
-        try:
-            theta = _theta_from_any(doc)
-            complex_ = corner_locus(theta)
-        except (RankTooLargeError, SeriesTooLargeError) as exc:
-            raise click.UsageError(str(exc))
-        except ValueError as exc:
-            _fail("divisor", digest, "divisor-extraction", exc, started)
-        try:
-            mesh = export_mesh(complex_, fmt)
-        except UnsupportedFormatError as exc:
-            raise click.UsageError(str(exc))
+        digest, doc = _read(path)
+        built, failed = _attempt("divisor-extraction", _divisor, doc, fmt)
+        if failed:
+            _finish("divisor", digest, failed, started)
+        complex_, mesh = built
         with open(out, "wb") as fh:
             fh.write(mesh)
         q = complex_.quotient
-        report = {
-            "command": "divisor",
-            "input_sha256": digest,
-            "format": fmt,
-            "checks": [_check("divisor-extraction", True, f"{len(complex_.cells)} cells in the fundamental domain")],
-            "divisor": {
-                "cells": len(complex_.cells),
-                "skeleton_pieces": len(complex_.skeleton),
-                "zero_cells": len(q.points),
-                "one_cells": q.one_cell_count,
-                "top_cells": q.top_cell_count,
-                "components": q.betti0,
-                "betti": [q.betti0, q.betti1],
-                "euler_characteristic": q.euler_characteristic,
-            },
+        counts = {
+            "cells": len(complex_.cells),
+            "skeleton_pieces": len(complex_.skeleton),
+            "zero_cells": len(q.points),
+            "one_cells": q.one_cell_count,
+            "top_cells": q.top_cell_count,
+            "components": q.betti0,
+            "betti": [q.betti0, q.betti1],
+            "euler_characteristic": q.euler_characteristic,
         }
-        _finish(report, started, True)
+        checks = [_check("divisor-extraction", True, f"{len(complex_.cells)} cells in the fundamental domain")]
+        _finish("divisor", digest, checks, started, format=fmt, divisor=counts)
 
     @main.command()
     @click.argument("path", type=_INPUT)
@@ -409,23 +365,17 @@ def _build() -> None:
     def export(path: str, fmt: str, out: str | None) -> None:
         """Convert a divisor mesh JSON file to another mesh format."""
         started = time.perf_counter()
-        raw, doc = _read(path)
+        digest, doc = _read(path)
         _require_keys(doc, ("g", "domain", "cells", "skeleton", "quotient"))
         try:
             complex_ = CellComplex.from_json_dict(doc)
         except (KeyError, TypeError, ValueError) as exc:
             raise click.UsageError(f"not a mesh file: {exc}")
-        try:
-            blob = export_mesh(complex_, fmt)
-        except UnsupportedFormatError as exc:
-            raise click.UsageError(str(exc))
-        if out is None:
-            sys.stdout.buffer.write(blob)
-            sys.stdout.buffer.flush()
-        else:
+        blob, _ = _attempt("export", export_mesh, complex_, fmt)  # it raises only refusals
+        if out is not None:
             with open(out, "wb") as fh:
                 fh.write(blob)
-        print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr, flush=True)
+        _finish("export", digest, [], started, blob=blob if out is None else b"")
 
     globals().update(
         main=main, validate=validate, eval_=eval_, riemann=riemann, crosscheck=crosscheck, divisor=divisor, export=export

@@ -75,7 +75,7 @@ at p, and the cell satisfies the deepest pooled plane of that normal, so
 the two are one plane, with u' among its witnesses and its bit in p's mask.
 The sweeps take each region corner as integers (V, q) for x = V / q with an
 integer bound, walk each coset around its quadratic's real minimizer
-(`theta._coset_quadratics`), and carry D w(u) with each competitor u
+(`theta._coset_centres`), and carry D w(u) with each competitor u
 (`theta._coset_terms`), so the pool offsets are integer differences.
 """
 
@@ -131,7 +131,14 @@ class UnsupportedFormatError(ValueError):
     """Unknown export format, or format/rank mismatch."""
 
 
+class DivisorTooLargeError(ValueError):
+    """More than _MAX_CELLS cells meet the fundamental domain."""
+
+
 _MAX_RANK = 3
+# far above any divisor the tests and benchmarks draw (a few hundred cells);
+# a long thin domain, P = [[1 + a^2, a], [a, 1]], has a + 4 cells
+_MAX_CELLS = 10_000
 Polytope = dict[IntVec, int]  # homogeneous vertex (X, den) -> tight mask
 _MARGIN = Fraction(1, 16)  # added to each bound of a cell's certified region
 
@@ -901,7 +908,9 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     decomposes nothing.  A kept translate's skeleton pieces are faces of its
     one clip, deduplicated by their integer vertices, which key the quotient.
     Tie sets come from masks and the seed is `theta._least_terms` at x = 0,
-    so `theta.evaluate` never runs.
+    so `theta.evaluate` never runs.  Past _MAX_CELLS kept cells it raises
+    DivisorTooLargeError: the count grows with the length of the given
+    basis, not with the size of the input.
     """
     g = theta.base.g
     if g > _MAX_RANK:
@@ -953,6 +962,8 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
         points = tuple(_lowest([*(D * v - p[-1] * x for v, x in zip(p, s)), D * p[-1]]) for p in built.points)
         cell = _place(built, d, [sum(map(mul, row, d)) for row in lam], points)
         kept.append(cell)
+        if len(kept) > _MAX_CELLS:
+            raise DivisorTooLargeError(f"the divisor has more than {_MAX_CELLS} cells in its fundamental domain")
         # each piece is a face of the clip: tight sets stay complete, so its
         # vertices are those whose mask holds the facet plane (only
         # full-dimensional cells have facets), and keyed by its witnesses: a

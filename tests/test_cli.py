@@ -682,12 +682,27 @@ SMALL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 HUGE = st.builds(Fraction, st.sampled_from([10**30, -(10**30), 10**9]), st.sampled_from([1, 7]))
 
 
+def skewed_form(g, a):
+    """P = U^T U for the shear U = I + a (e_12 + ... + e_(g-1)g): det 1 and
+    LLL-reduced to the identity, but its given basis spans a long thin
+    parallelepiped, which a + 4 cells meet at g = 2 and about a^2 at g = 3."""
+    U = [[int(i == j) + a * (j == i + 1) for j in range(g)] for i in range(g)]
+    return [[sum(U[k][i] * U[k][j] for k in range(g)) for j in range(g)] for i in range(g)]
+
+
+def variety_doc(P):
+    g = len(P)
+    return {"g": g, "P": [[str(x) for x in row] for row in P], "Lambda": [[int(i == j) for j in range(g)] for i in range(g)]}
+
+
 @st.composite
 def theta_docs(draw):
     """A theta document of any shape `divisor` and `eval` read: g up to 4,
     Lam scalar, non-diagonal, singular, zero or of huge index, P positive,
-    indefinite, unsymmetric or huge, huge numerators in ell and w, "inf"
-    values, and profile reps anywhere in their cosets or not one per coset."""
+    indefinite, unsymmetric, huge or skewed (a long thin given basis, whose
+    divisor passes the cell cap at a shear of 10^6), huge numerators in ell
+    and w, "inf" values, and profile reps anywhere in their cosets or not
+    one per coset."""
     g = draw(st.integers(1, 4))
     unit = [[int(i == j) for j in range(g)] for i in range(g)]
     kinds = ["scalar"] * 4 + ["singular", "zero", "huge"] + (["non-diagonal"] * 2 if g in (2, 3) else [])
@@ -709,8 +724,10 @@ def theta_docs(draw):
         for i in range(g):
             for j in range(i):
                 P[i][j] = P[j][i] = scale * draw(st.sampled_from([Fraction(-1, 2), Fraction(0), Fraction(1, 3)]))
-        shape = draw(st.sampled_from(["positive"] * 4 + ["indefinite", "unsymmetric", "degenerate"]))
-        if shape == "indefinite":
+        shape = draw(st.sampled_from(["positive"] * 4 + ["indefinite", "unsymmetric", "degenerate", "skewed"]))
+        if shape == "skewed":
+            P = [[scale * x for x in row] for row in skewed_form(g, draw(st.sampled_from([3, 10**6])))]
+        elif shape == "indefinite":
             P[0][0] = -P[0][0]
         elif shape == "unsymmetric" and g > 1:
             P[0][1] += 1
@@ -904,6 +921,48 @@ def test_series_found_by_the_fuzz(tmp_path, case):
     res = run(*argv, path)
     assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
     assert res.exit_code == code and message in res.output, res.output
+
+
+def test_skewed_divisor_grows_with_the_shear(tmp_path):
+    # the cell count follows the length of the given basis, not the input
+    for a, cells in [(10, 14), (300, 304)]:
+        res = run_doc(tmp_path, variety_doc(skewed_form(2, a)), "divisor", "--out", tmp_path / "mesh.json")
+        assert res.exit_code == 0, res.output
+        assert report_of(res)["divisor"]["cells"] == cells
+
+
+HUGE_INDEX = series(Lambda=[[5000]])
+REFUSED = {
+    # case -> (command, document, flags, message on stderr)
+    "validate-series-index": (("validate",), HUGE_INDEX, (), "polarization index 5000 exceeds 4096 cosets"),
+    "crosscheck-a-series-index": (("crosscheck", "A"), HUGE_INDEX, (), "polarization index 5000 exceeds 4096 cosets"),
+    "crosscheck-c-series-index": (("crosscheck", "C"), HUGE_INDEX, (), "polarization index 5000 exceeds 4096 cosets"),
+    "divisor-series-index": (("divisor",), HUGE_INDEX, (), "polarization index 5000 exceeds 4096 cosets"),
+    "divisor-rank": (("divisor",), variety_doc([[2 * (i == j) for j in range(4)] for i in range(4)]), (),
+                     "corner locus capped at g <= 3"),
+    "divisor-format": (("divisor",), VARIETY_G1, ("--format", "svg"), "svg export needs g = 2"),
+    "export-format": (("export",), FUZZ_MESHES[2], ("--format", "obj"), "obj export needs g = 3"),
+    # P = [[1, a], [a, 1 + a^2]] at a = 10^6 used to exhaust memory
+    "divisor-cells-g2": (("divisor",), variety_doc(skewed_form(2, 10**6)), (),
+                         "the divisor has more than 10000 cells in its fundamental domain"),
+    "divisor-cells-g3": (("divisor",), variety_doc(skewed_form(3, 200)), ("--format", "obj"),
+                         "the divisor has more than 10000 cells in its fundamental domain"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_inputs_too_large_to_answer_exit_two(tmp_path, case):
+    # each command that can reach a refusal exits 2 with its message on
+    # stderr, prints no report and writes no mesh, well within 10 s
+    command, doc, flags, message = REFUSED[case]
+    path, mesh = tmp_path / "input.json", tmp_path / "mesh.out"
+    path.write_text(json.dumps(doc))
+    out = ("--out", mesh) if command == ("divisor",) else ()
+    started = time.perf_counter()
+    res = run(*command, path, *flags, *out)
+    assert time.perf_counter() - started < 10
+    assert res.exit_code == 2 and message in res.stderr, res.output
+    assert res.stdout == "" and not mesh.exists()
 
 
 @given(series_docs(), st.data())

@@ -16,10 +16,18 @@ cells, with the most planes tight at each vertex; [[2,1,0],[1,2,1],[0,1,2]]
 has the largest g=3 cells of the three; [[2,3,0],[3,7,1],[0,1,2]] is a
 skewed basis, whose cells are much smaller than the coordinate box around
 them.
-One case pins a failing report: `tests/series_lambda0_off_support.json` is
-a lambda = 0 series with a coefficient off its cocycle's support, so
-`validate` reports "12 identities fail" and exits 1.  A document named with
-a "tests/" prefix is read from this directory, any other from `fixtures/`.
+Nine cases pin failing reports, each exiting 1.
+`tests/series_lambda0_off_support.json` is a lambda = 0 series with a
+coefficient off its cocycle's support, so `validate` reports "12 identities
+fail".  The rest pin construction failures: a theta whose form is not
+positive definite (`validate`, `eval`, and `divisor`, which writes no mesh),
+a principal series with two congruent coefficient reps (`validate`, and
+`crosscheck A` and `C`, whose reports carry "samples": 0 because no suite
+ran), the Riemann theta of a non-principal variety, and `crosscheck B` of a
+non-principal period, where the suite itself refuses and the report carries
+its default 100 samples.  A scratch file that a step never writes is
+recorded as null.  A document named with a "tests/" prefix is read from
+this directory, any other from `fixtures/`.
 
 Re-record the digests (only when an output change is intended) with
 
@@ -93,6 +101,16 @@ CASES = {
     "divisor-variety-g3-diag": [["divisor", "variety_g3_diag.json", "--out", "{mesh}"]],
     "divisor-variety-g3-chain": [["divisor", "variety_g3_chain.json", "--out", "{mesh}"]],
     "divisor-variety-g3-sheared": [["divisor", "variety_g3_sheared.json", "--out", "{mesh}"]],
+    "validate-theta-not-positive-definite": [["validate", "tests/theta_not_positive_definite.json"]],
+    "eval-theta-not-positive-definite": [["eval", "tests/theta_not_positive_definite.json", "0,0"]],
+    "divisor-theta-not-positive-definite": [
+        ["divisor", "tests/theta_not_positive_definite.json", "--out", "{mesh}"]
+    ],
+    "validate-series-congruent-reps": [["validate", "tests/series_congruent_reps.json"]],
+    "crosscheck-a-series-congruent-reps": [["crosscheck", "A", "tests/series_congruent_reps.json"]],
+    "crosscheck-c-series-congruent-reps": [["crosscheck", "C", "tests/series_congruent_reps.json"]],
+    "riemann-variety-non-principal": [["riemann", "tests/variety_non_principal.json"]],
+    "crosscheck-b-level2-g1": [["crosscheck", "B", "level2_g1.json"]],
 }
 
 
@@ -122,7 +140,7 @@ def run_case(steps, workdir: Path) -> dict:
     return {
         "exit": exits,
         "stdout": stdouts,
-        "files": {name: _sha(p.read_bytes()) for name, p in sorted(files.items())},
+        "files": {name: _sha(p.read_bytes()) if p.exists() else None for name, p in sorted(files.items())},
     }
 
 
