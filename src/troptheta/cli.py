@@ -30,7 +30,7 @@ import time
 from fractions import Fraction
 from typing import NoReturn
 
-from .crosschecks import suite_a, suite_b, suite_c
+from .crosschecks import CheckOutcome, suite_a, suite_b, suite_c
 from .geometry import (
     CellComplex,
     DivisorTooLargeError,
@@ -78,11 +78,7 @@ def _require_keys(doc: dict, keys: tuple[str, ...]) -> None:
         raise click.UsageError("missing fields: " + ", ".join(missing))
 
 
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": passed, "detail": detail}
-
-
-def _attempt(name: str, make, *args, **kwargs) -> tuple[object, list[dict]]:
+def _attempt(name: str, make, *args, **kwargs) -> tuple[object, list[CheckOutcome]]:
     """(make(...), []), or (None, [the failed check `name`]) if make raises
     a ValueError; a refusal exits 2."""
     try:
@@ -90,10 +86,10 @@ def _attempt(name: str, make, *args, **kwargs) -> tuple[object, list[dict]]:
     except _REFUSALS as exc:
         raise click.UsageError(str(exc))
     except ValueError as exc:
-        return None, [_check(name, False, str(exc))]
+        return None, [CheckOutcome(name, False, str(exc))]
 
 
-def _finish(command: str, digest: str, checks: list[dict], started: float, blob: bytes | None = None, **fields) -> NoReturn:
+def _finish(command: str, digest: str, checks: list[CheckOutcome], started: float, blob: bytes | None = None, **fields) -> NoReturn:
     """Print the report of `command` on the input `digest` (or, given a
     blob, those bytes instead) and the elapsed time; exit 0 if every check
     passed, else 1."""
@@ -101,13 +97,13 @@ def _finish(command: str, digest: str, checks: list[dict], started: float, blob:
         # print, not click.echo: click caches a wrapper per stream and the
         # entry keeps the stream alive, so a caller that swaps sys.stdout for
         # each in-process call would keep every report it was ever sent.
-        report = {"command": command, "input_sha256": digest, "checks": checks, **fields}
+        report = {"command": command, "input_sha256": digest, "checks": [c.to_json_dict() for c in checks], **fields}
         print(json.dumps(report, sort_keys=True, separators=(",", ":")), flush=True)
     else:
         sys.stdout.buffer.write(blob)
         sys.stdout.buffer.flush()
     print(f"elapsed_ms={int((time.perf_counter() - started) * 1000)}", file=sys.stderr, flush=True)
-    sys.exit(0 if all(c["passed"] for c in checks) else 1)
+    sys.exit(0 if all(c.passed for c in checks) else 1)
 
 
 def _series(doc: dict) -> NAThetaFunction:
@@ -137,39 +133,39 @@ def _theta_from_any(doc: dict) -> TropicalThetaFunction:
     return _theta(doc) if "factor" in doc else riemann_theta(_variety(doc))
 
 
-def _constructed(theta: TropicalThetaFunction) -> dict:
-    return _check("construction", True, f"{len(theta.profile.entries)} stored cosets")
+def _constructed(theta: TropicalThetaFunction) -> CheckOutcome:
+    return CheckOutcome("construction", True, f"{len(theta.profile.entries)} stored cosets")
 
 
-def _validity_checks(data: TropicalPolarizationData) -> list[dict]:
+def _validity_checks(data: TropicalPolarizationData) -> list[CheckOutcome]:
     rep = validate_data(data)
     pivot = "all pivots positive" if rep.beta_positive_definite else (
         "form not positive definite" if rep.first_bad_pivot is None else f"pivot {rep.first_bad_pivot} not positive"
     )
     index = "det Lambda = 0" if rep.index is None else f"index {rep.index}" + (" (principal)" if rep.principal else "")
     return [
-        _check("pairing-nondegenerate", rep.pairing_nondegenerate,
-               "pairing nondegenerate" if rep.pairing_nondegenerate else "pairing degenerate"),
-        _check("form-symmetric", rep.beta_symmetric,
-               "induced form symmetric" if rep.beta_symmetric else "induced form not symmetric"),
-        _check("form-positive-definite", rep.beta_positive_definite, pivot),
-        _check("polarization-finite-index", rep.index is not None, index),
+        CheckOutcome("pairing-nondegenerate", rep.pairing_nondegenerate,
+                     "pairing nondegenerate" if rep.pairing_nondegenerate else "pairing degenerate"),
+        CheckOutcome("form-symmetric", rep.beta_symmetric,
+                     "induced form symmetric" if rep.beta_symmetric else "induced form not symmetric"),
+        CheckOutcome("form-positive-definite", rep.beta_positive_definite, pivot),
+        CheckOutcome("polarization-finite-index", rep.index is not None, index),
     ]
 
 
-def _series_checks(doc: dict) -> list[dict]:
+def _series_checks(doc: dict) -> list[CheckOutcome]:
     f = _series(doc)
     rep, inv = verify_cocycle(f.cocycle), f.verify_invariance()
     return [
-        _check("construction", True, f"valid series, g = {f.g}"),
-        _check("cocycle-relation", rep.ok,
-               f"{rep.checked} relations hold" if rep.ok else f"{len(rep.failures)} relations fail"),
-        _check("coefficient-invariance", inv.ok,
-               f"{inv.checked} identities hold" if inv.ok else f"{len(inv.failures)} identities fail"),
+        CheckOutcome("construction", True, f"valid series, g = {f.g}"),
+        CheckOutcome("cocycle-relation", rep.ok,
+                     f"{rep.checked} relations hold" if rep.ok else f"{len(rep.failures)} relations fail"),
+        CheckOutcome("coefficient-invariance", inv.ok,
+                     f"{inv.checked} identities hold" if inv.ok else f"{len(inv.failures)} identities fail"),
     ]
 
 
-def _theta_checks(doc: dict) -> list[dict]:
+def _theta_checks(doc: dict) -> list[CheckOutcome]:
     theta = _theta(doc)
     return [_constructed(theta), *_validity_checks(theta.base)]
 
@@ -322,7 +318,7 @@ def _build() -> None:
                 outcomes, failed = _attempt("precondition", run, *inputs, used, seed=seed)
         except (KeyError, TypeError) as exc:
             raise click.UsageError(f"malformed input for suite {suite}: {exc}")
-        checks = failed or [o.to_json_dict() for o in outcomes]
+        checks = failed or list(outcomes)
         _finish("crosscheck", digest, checks, started, suite=suite, seed=seed, samples=used)
 
     @main.command()
@@ -355,7 +351,7 @@ def _build() -> None:
             "betti": [q.betti0, q.betti1],
             "euler_characteristic": q.euler_characteristic,
         }
-        checks = [_check("divisor-extraction", True, f"{len(complex_.cells)} cells in the fundamental domain")]
+        checks = [CheckOutcome("divisor-extraction", True, f"{len(complex_.cells)} cells in the fundamental domain")]
         _finish("divisor", digest, checks, started, format=fmt, divisor=counts)
 
     @main.command()

@@ -9,7 +9,11 @@ Suite C: the quotient of two series with the same cocycle has point
 valuations descending to the periodic difference of the tropicalizations.
 
 Everything is Fraction-exact; randomness is deterministic in the seed, so
-suite outcomes are reproducible byte for byte.
+suite outcomes are reproducible byte for byte.  One seeded stream of
+rational points (`_points`) gives `sample_points` and suite C's monomial
+points, and one of integer vectors (`_shifts`) gives `sample_shifts` and
+suite B's valuation pairs, each with a fixed spread.  Each outcome is a
+CheckOutcome, the one report line the command line prints.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from .linalg import identity, matvec
+from .linalg import identity, matmul, matvec, transpose
 from .nonarch import (
     NAThetaFunction,
     PeriodMatrix,
@@ -47,49 +52,42 @@ class CheckOutcome:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-def sample_points(g: int, count: int, seed: int, spread: int = 40):
+def _points(g: int, seed: int):
+    """The endless seeded stream of rational points behind `sample_points`:
+    coordinates p / d with |p| <= 40, d cycling through _DENOMINATORS."""
     rng = random.Random(seed)
-    return tuple(
-        tuple(
-            Fraction(rng.randint(-spread, spread), _DENOMINATORS[i % 3])
-            for i in range(g)
-        )
-        for _ in range(count)
-    )
+    while True:
+        yield tuple(Fraction(rng.randint(-40, 40), _DENOMINATORS[i % 3]) for i in range(g))
 
 
-def sample_shifts(g: int, count: int, seed: int, spread: int = 3):
+def sample_points(g: int, count: int, seed: int):
+    return tuple(islice(_points(g, seed), count))
+
+
+def _shifts(g: int, seed: int):
+    """The endless seeded stream of integer vectors in [-3, 3]^g behind
+    `sample_shifts`, zero included."""
     rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        n = tuple(rng.randint(-spread, spread) for _ in range(g))
-        if any(n):
-            out.append(n)
-    return tuple(out)
+    while True:
+        yield tuple(rng.randint(-3, 3) for _ in range(g))
 
 
-def seeded_period(g: int, seed: int, spread: int = 2) -> PeriodMatrix:
+def sample_shifts(g: int, count: int, seed: int):
+    return tuple(islice(filter(any, _shifts(g, seed)), count))
+
+
+def seeded_period(g: int, seed: int) -> PeriodMatrix:
     """A seeded symmetric positive-definite monomial period matrix: the
-    exponents are L L^T for an integer lower-triangular L with positive
-    diagonal."""
+    exponents are L L^T for an integer lower-triangular L with entries in
+    [-2, 2] below a diagonal in [1, 3]."""
     rng = random.Random(seed)
     L = [[0] * g for _ in range(g)]
     for i in range(g):
         for j in range(i):
-            L[i][j] = rng.randint(-spread, spread)
-        L[i][i] = rng.randint(1, spread + 1)
-    exps = [
-        [sum(L[i][k] * L[j][k] for k in range(g)) for j in range(g)]
-        for i in range(g)
-    ]
-    return PeriodMatrix(
-        tuple(
-            tuple(
-                PuiseuxNumber.monomial(Fraction(1), Fraction(e)) for e in row
-            )
-            for row in exps
-        )
-    )
+            L[i][j] = rng.randint(-2, 2)
+        L[i][i] = rng.randint(1, 3)
+    exps = matmul(L, transpose(L))
+    return PeriodMatrix(tuple(tuple(PuiseuxNumber.monomial(Fraction(1), Fraction(e)) for e in row) for row in exps))
 
 
 def suite_a(
@@ -136,8 +134,7 @@ def suite_b(
     outcomes = [CheckOutcome("riemann-match", match.ok, match_detail)]
 
     # symmetric normalization makes the coefficient valuations even
-    rng = random.Random(seed + 1)
-    draws = [tuple(rng.randint(-3, 3) for _ in range(g)) for _ in range(samples // 4 or 1)]
+    draws = islice(_shifts(g, seed + 1), samples // 4 or 1)
 
     def symmetric(n):
         lam_n = matvec(Lambda, n)
@@ -168,29 +165,14 @@ def suite_c(
     detail = f"{periodic.checked - len(periodic.failures)}/{periodic.checked} sample/shift pairs agree"
     outcomes = [CheckOutcome("difference-periodic", periodic.ok, detail)]
 
-    rng = random.Random(seed + 2)
-    collected = 0
-    mismatched = 0
-    attempts = 0
-    while collected < points and attempts < 100 * points:
-        attempts += 1
-        exps = tuple(
-            Fraction(rng.randint(-40, 40), _DENOMINATORS[i % 3])
-            for i in range(g)
-        )
-        x = tuple(PuiseuxNumber.monomial(Fraction(1), e) for e in exps)
-        value, dominant_unique = h.val_at(x)
-        if not dominant_unique:
-            continue
-        collected += 1
-        if value != ht(exps):
-            mismatched += 1
-    outcomes.append(
-        CheckOutcome(
-            "valuation-identity",
-            mismatched == 0 and collected == points,
-            f"{collected - mismatched}/{points} monomial points with unique "
-            f"dominants match",
-        )
-    )
+    collected = mismatched = 0
+    for exps in islice(_points(g, seed + 2), max(100 * points, 0)):
+        value, dominant_unique = h.val_at(tuple(PuiseuxNumber.monomial(Fraction(1), e) for e in exps))
+        if dominant_unique:
+            collected += 1
+            mismatched += value != ht(exps)
+            if collected == points:
+                break
+    detail = f"{collected - mismatched}/{points} monomial points with unique dominants match"
+    outcomes.append(CheckOutcome("valuation-identity", mismatched == 0 and collected == points, detail))
     return tuple(outcomes)

@@ -25,7 +25,8 @@ For k = +-b_j, the basis b_j = U e_j to which LLL reduces B
 parallelepiped that is as tight as the reduced basis is short, and whose
 bound the cubes of diag(2, 2, 2) attain.  `_build_cell` widens each bound by
 `_MARGIN` to R_u and reads R_u's planes and 2^g vertices off the integer
-frame (`theta._frame`) of the theta's form K = D B, which LLL reduces as B.
+frame (`theta._frame`) of the theta's form K = D B, which LLL reduces as B,
+around D (ell + P u) (`theta._base`, which fills the theta's table too).
 
 Polytopes are held in exact double-description form (Motzkin-Raiffa-
 Thompson-Thrall 1953; Fukuda-Prodon 1996), in integers as in Avis's lrs
@@ -76,7 +77,9 @@ the two are one plane, with u' among its witnesses and its bit in p's mask.
 The sweeps take each region corner as integers (V, q) for x = V / q with an
 integer bound, walk each coset around its quadratic's real minimizer
 (`theta._coset_centres`), and carry D w(u) with each competitor u
-(`theta._coset_terms`), so the pool offsets are integer differences.
+(`theta._coset_terms`), so the pool offsets are integer differences.  A
+lambda = 0 theta's sweeps and cells scan the same one table of D w(u)
+(`theta._coset_constants`) over its finite support.
 """
 
 from __future__ import annotations
@@ -423,9 +426,7 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
     D = theta._kernel.D
     if not theta.is_ample:
         return sorted(
-            (rep, w)
-            for rep, w in theta._kernel.w.items()
-            if w is not None and q * w + D * sum(map(mul, rep, V)) <= bound
+            (rep, w) for rep, (w, _) in theta._coset_constants.items() if q * w + D * sum(map(mul, rep, V)) <= bound
         )
     f = theta._frame
     out = []
@@ -499,14 +500,13 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     the domain (for corner_locus's clips) and the pool, sorted by normal.
     """
     g = theta.base.g
-    kernel = theta._kernel
-    D, DP = kernel.D, kernel.P
+    D, DP = theta._kernel.D, theta._kernel.P
     cols = tuple(zip(*DP))
     frame = theta._frame
     Ut, A, a, half = tuple(zip(*frame.U)), frame.A, frame.a, frame.half
     p, q = _MARGIN.numerator, _MARGIN.denominator
     w_u = theta._w_numerator(u)
-    y = [e + sum(map(mul, row, u)) for e, row in zip(kernel.ell, DP)]
+    y = theta._base(u)
     c = [q * sum(map(mul, b, y)) for b in Ut]
     r = [q * h + p * min(D, *half) for h in half]
 
@@ -600,8 +600,8 @@ def linearity_cell(theta: TropicalThetaFunction, v) -> LinearityCell:
         # prod sqrt(|a|^2 + b^2) < sqrt(c^g) < R, for c the largest
         # |a|^2 + (floor|b| + 1)^2: the cell's vertices are those of the box
         # |x_i| <= R cut by the pool that are tight on no box plane
-        D, w = theta._kernel.D, theta._kernel.w
-        pool = sorted(_pool(u, w[u], ((rep, x) for rep, x in w.items() if x is not None)).items())
+        D, w = theta._kernel.D, {rep: x for rep, (x, _) in theta._coset_constants.items()}
+        pool = sorted(_pool(u, w[u], w.items()).items())
         c = max((sum(x * x for x in a) + (abs(num) // (D * m) + 1) ** 2 for a, (num, m, _) in pool), default=0)
         R = isqrt(c**g) + 1
         rows = [row for e in identity(g) for row in ((*e, R), (*(-x for x in e), R))]
@@ -858,6 +858,9 @@ class CellComplex:
             if len(v) - extra != g:
                 v = _x(v) if extra else v
                 raise ShapeMismatchError(f"the vector ({', '.join(map(str, v))}) has length {len(v)}, not g = {g}")
+        # g x g before the 2^g corners: 2^g of a huge g does not fit in memory
+        if domain.g != g:
+            raise ShapeMismatchError(f"domain shape mismatch: the matrix has {domain.g} row(s), not g = {g}")
         if len(domain.corners) != 2**g:
             raise ShapeMismatchError(f"corners: the domain has 2^g = {2**g} corners, got {len(domain.corners)}")
         return cls(g=g, cells=cells, skeleton=skeleton, domain=domain, quotient=quotient)

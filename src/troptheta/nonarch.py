@@ -380,7 +380,18 @@ class NAThetaFunction:
 
     @cached_property
     def _trop(self) -> TropicalThetaFunction:
-        return _tropicalize(self)
+        g, cocycle = self.g, self.cocycle
+        P = cocycle.period.exponent_rows()
+        base = TropicalPolarizationData(g=g, P=P, Lambda=cocycle.Lambda if int_det(cocycle.Lambda) else identity(g))
+        # val(c) less the quadratic's diagonal; B = 0 when lambda = 0
+        B = matmul(P, cocycle.Lambda)
+        ell = tuple(c.val() - Fraction(1, 2) * B[i][i] for i, c in enumerate(cocycle.generators))
+        zero = cocycle.lambda_is_zero()
+        if zero and any(ell):
+            raise InvalidDataError("lambda = 0 tropicalization needs a valuation-trivial cocycle")
+        entries = tuple((rep, a.val()) for rep, a in self.coeffs if not (zero and a.is_zero()))
+        factor = AutomorphyFactor(Lambda=cocycle.Lambda, ell=ell)
+        return TropicalThetaFunction(base=base, factor=factor, profile=ValuationProfile(entries=entries))
 
     def coefficient(self, u: Sequence[int]) -> PuiseuxNumber:
         """a_u, from the stored coset data via the extension rule."""
@@ -531,23 +542,10 @@ def theta_basis(period: PeriodMatrix, cocycle: NACocycle) -> tuple[NAThetaFuncti
 def tropicalize(f: NAThetaFunction) -> TropicalThetaFunction:
     """val of everything: profile w(u0) = val(a_u0) on the coset reps; the
     factor's linear part is how val(c) differs from the quadratic
-    (1/2) n^T (P Lambda) n.  Computed once per series and cached on it."""
+    (1/2) n^T (P Lambda) n.  Built once per series, by NAThetaFunction._trop;
+    its values sit in one table (TropicalThetaFunction._coset_constants),
+    per coset rep, or per support point when lambda = 0."""
     return f._trop
-
-
-def _tropicalize(f: NAThetaFunction) -> TropicalThetaFunction:
-    g, cocycle = f.g, f.cocycle
-    P = cocycle.period.exponent_rows()
-    base = TropicalPolarizationData(g=g, P=P, Lambda=cocycle.Lambda if int_det(cocycle.Lambda) else identity(g))
-    # val(c) less the quadratic's diagonal; B = 0 when lambda = 0
-    B = matmul(P, cocycle.Lambda)
-    ell = tuple(c.val() - Fraction(1, 2) * B[i][i] for i, c in enumerate(cocycle.generators))
-    zero = cocycle.lambda_is_zero()
-    if zero and any(ell):
-        raise InvalidDataError("lambda = 0 tropicalization needs a valuation-trivial cocycle")
-    entries = tuple((rep, a.val()) for rep, a in f.coeffs if not (zero and a.is_zero()))
-    factor = AutomorphyFactor(Lambda=cocycle.Lambda, ell=ell)
-    return TropicalThetaFunction(base=base, factor=factor, profile=ValuationProfile(entries=entries))
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .linalg import (
     square_rows,
     transpose,
 )
-from .lattice import GramForm, NotPositiveDefiniteError, _gso
+from .lattice import NotPositiveDefiniteError, _gso
 from .rationals import format_fraction
 
 TropPoint = tuple[Fraction, ...]
@@ -69,13 +69,6 @@ class TropicalPolarizationData:
     @property
     def beta_rows(self):
         return matmul(self.P.entries, self.Lambda)
-
-    def beta(self) -> GramForm:
-        """The polarization form beta = P * Lambda as a GramForm.
-
-        Raises NotSymmetricError if P * Lambda is not symmetric.
-        """
-        return GramForm(RatMatrix(self.beta_rows))
 
     def index(self) -> int:
         """[M : lambda(M')] = |det Lambda|."""

@@ -589,6 +589,23 @@ def test_export_rejects_a_coordinate_beyond_float_range(tmp_path):
     assert res.exit_code == 0 and str(10**400) in res.stdout
 
 
+@pytest.mark.parametrize("g", [10**10, "10000000000"], ids=["int", "string"])
+def test_export_reads_the_domain_shape_before_counting_corners(tmp_path, g):
+    # a 224-byte mesh of g = 10^10 with an empty domain: the reader used to
+    # form 2^g to count the corners first, a MemoryError traceback (exit 1)
+    quotient = {"zero_cells": [], "one_cell_count": 0, "top_cell_count": 0,
+                "betti0": None, "betti1": None, "euler_characteristic": None}
+    doc = {"g": g, "domain": {"matrix": [], "corners": []}, "cells": [], "skeleton": [], "quotient": quotient}
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    res = run("export", mesh)
+    assert time.perf_counter() - started < 1
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "Traceback" not in res.output
+    assert "not a mesh file: domain shape mismatch: the matrix has 0 row(s), not g = 10000000000" in res.stderr
+
+
 # ------------------------------------------------------------ reader fuzz
 
 

@@ -6,7 +6,9 @@ it; builds through `_attempt`, which holds the one tuple of refusals (the
 inputs too large to answer, exit 2); and reports through `_finish`, the one
 place that prints the elapsed time and exits.  A command that hashes its own
 input, names a refusal type itself, prints its own timing or exits on its
-own would add a second copy of that step, and fails this test.
+own would add a second copy of that step, and fails this test.  Every
+report line is a crosschecks.CheckOutcome, so a dict that holds a "passed"
+key is a second builder of one.
 """
 
 import ast
@@ -59,3 +61,29 @@ def test_the_guard_sees_a_second_copy():
         "RankTooLargeError": 2,
         "DivisorTooLargeError": 2,
     }
+
+
+def passed_dicts(source: str) -> int:
+    """How many dict displays with a "passed" key, or dict(...) calls with a
+    passed= keyword, the source holds: hand-built report lines."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            count += any(isinstance(k, ast.Constant) and k.value == "passed" for k in node.keys)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "dict":
+            count += any(k.arg == "passed" for k in node.keywords)
+    return count
+
+
+def test_cli_builds_report_lines_only_as_check_outcomes():
+    assert passed_dicts(CLI.read_text()) == 0
+
+
+def test_the_guard_sees_a_hand_built_report_line():
+    planted = CLI.read_text() + (
+        "\n\ndef _check(name, passed, detail):\n"
+        '    return {"name": name, "passed": passed, "detail": detail}\n'
+        "\n\ndef _line(name, passed, detail):\n"
+        "    return dict(name=name, passed=passed, detail=detail)\n"
+    )
+    assert passed_dicts(planted) == 2

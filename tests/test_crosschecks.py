@@ -162,6 +162,18 @@ def test_seeded_period_is_symmetric_and_deterministic():
     assert pm != seeded_period(3, 12)
 
 
+def test_seeded_draws_are_pinned_beyond_seed_zero():
+    # the exact draws, recorded before the spreads became constants: L L^T
+    # for seeded_period(3, 11), and 25 nonzero shifts at seed 0
+    assert seeded_period(3, 11).exponent_rows() == ((4, 4, 2), (4, 8, 6), (2, 6, 14))
+    assert sample_shifts(3, 25, 0) == (
+        (3, 0, 3), (0, -3, -1), (1, 0, 0), (3, 3, -1), (0, -1, 1), (-2, 1, -2), (-1, -2, 3),
+        (-3, 1, 3), (-1, 1, 2), (3, 1, -2), (-1, -3, 2), (-3, 3, 2), (-1, 0, 1), (-3, -1, 0),
+        (-1, 1, 2), (-2, 1, 0), (0, 3, 1), (-1, -3, 3), (1, -3, -3), (2, 3, 0), (2, 3, 3),
+        (2, 2, -3), (1, 0, 3), (3, -1, -2), (2, -1, 2),
+    )
+
+
 def test_check_outcome_serialization():
     o = CheckOutcome(name="x", passed=True, detail="42/42")
     assert o.to_json_dict() == {"name": "x", "passed": True, "detail": "42/42"}

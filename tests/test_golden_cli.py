@@ -25,7 +25,10 @@ a principal series with two congruent coefficient reps (`validate`, and
 `crosscheck A` and `C`, whose reports carry "samples": 0 because no suite
 ran), the Riemann theta of a non-principal variety, and `crosscheck B` of a
 non-principal period, where the suite itself refuses and the report carries
-its default 100 samples.  A scratch file that a step never writes is
+its default 100 samples.  Three crosscheck cases pin the seeded draws
+away from seed 0 and the default sample counts: suite A on the index-4
+series at seed 5 with 9 samples, suite B on `period_g2` at seed 7 with 40,
+and suite C on `level2_g1` at seed 11 with 9.  A scratch file that a step never writes is
 recorded as null.  A document named with a "tests/" prefix is read from
 this directory, any other from `fixtures/`.
 
@@ -111,6 +114,11 @@ CASES = {
     "crosscheck-c-series-congruent-reps": [["crosscheck", "C", "tests/series_congruent_reps.json"]],
     "riemann-variety-non-principal": [["riemann", "tests/variety_non_principal.json"]],
     "crosscheck-b-level2-g1": [["crosscheck", "B", "level2_g1.json"]],
+    "crosscheck-a-series-index4-seed5-samples9": [
+        ["crosscheck", "A", "series_g2_index4.json", "--seed", "5", "--samples", "9"]
+    ],
+    "crosscheck-b-period-g2-seed7-samples40": [["crosscheck", "B", "period_g2.json", "--seed", "7", "--samples", "40"]],
+    "crosscheck-c-level2-g1-seed11-samples9": [["crosscheck", "C", "level2_g1.json", "--seed", "11", "--samples", "9"]],
 }
 
 
