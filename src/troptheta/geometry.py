@@ -676,12 +676,17 @@ class FundamentalDomain:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FundamentalDomain":
-        Pt = RatMatrix(rows_from(data["matrix"], "matrix"))
-        return cls(
-            matrix=Pt,
-            corners=_points(data["corners"], "corners"),
-            halfspaces=_parallelepiped_halfspaces(inverse(Pt.entries)),
-        )
+        return cls._of(*cls._read(data))
+
+    @staticmethod
+    def _read(data: dict) -> tuple[RatMatrix, tuple[TropPoint, ...]]:
+        """The matrix and corners of a mesh file's domain, read exactly but
+        not yet inverted."""
+        return RatMatrix(rows_from(data["matrix"], "matrix")), _points(data["corners"], "corners")
+
+    @classmethod
+    def _of(cls, Pt: RatMatrix, corners: tuple[TropPoint, ...]) -> "FundamentalDomain":
+        return cls(matrix=Pt, corners=corners, halfspaces=_parallelepiped_halfspaces(inverse(Pt.entries)))
 
 
 def _points(data, name: str) -> tuple[TropPoint, ...]:
@@ -840,7 +845,7 @@ class CellComplex:
             raise InvalidDataError(f"g: a positive integer required, got {g}")
         cells = tuple(LinearityCell.from_json_dict(c) for c in json_list(data["cells"], "cells"))
         skeleton = tuple(SkeletonPiece.from_json_dict(p) for p in json_list(data["skeleton"], "skeleton"))
-        domain = FundamentalDomain.from_json_dict(data["domain"])
+        matrix, corners = FundamentalDomain._read(data["domain"])
         quotient = QuotientSummary.from_json_dict(data["quotient"])
         # every witness, normal, point and row of the (square) domain matrix;
         # a homogeneous x (V, q) has g + 1 entries
@@ -851,18 +856,20 @@ class CellComplex:
             for piece in skeleton:
                 yield from ((v, 0) for v in piece.witnesses)
                 yield from ((p, 1) for p in piece.points)
-            yield from ((v, 0) for v in (*domain.matrix.entries, *domain.corners))
+            yield from ((v, 0) for v in (*matrix.entries, *corners))
             yield from ((p, 1) for p in quotient.points)
 
         for v, extra in vectors():
             if len(v) - extra != g:
                 v = _x(v) if extra else v
                 raise ShapeMismatchError(f"the vector ({', '.join(map(str, v))}) has length {len(v)}, not g = {g}")
-        # g x g before the 2^g corners: 2^g of a huge g does not fit in memory
-        if domain.g != g:
-            raise ShapeMismatchError(f"domain shape mismatch: the matrix has {domain.g} row(s), not g = {g}")
-        if len(domain.corners) != 2**g:
-            raise ShapeMismatchError(f"corners: the domain has 2^g = {2**g} corners, got {len(domain.corners)}")
+        # g x g before the 2^g corners: 2^g of a huge g does not fit in memory;
+        # and both before the inverse, which a g of 90 makes take seconds
+        if matrix.rows != g:
+            raise ShapeMismatchError(f"domain shape mismatch: the matrix has {matrix.rows} row(s), not g = {g}")
+        if len(corners) != 2**g:
+            raise ShapeMismatchError(f"corners: the domain has 2^g = {2**g} corners, got {len(corners)}")
+        domain = FundamentalDomain._of(matrix, corners)
         return cls(g=g, cells=cells, skeleton=skeleton, domain=domain, quotient=quotient)
 
 

@@ -13,18 +13,21 @@ the min formula.  Series are never truncated approximately; partial sums
 carry every term up to an exact valuation cutoff.
 
 Every factor of the extension rule is a monomial whose exponent is an
-integer bilinear or quadratic form over one denominator, so each period and
-each cocycle is compiled once, on first use, into integer monomials over one
-common exponent denominator D: (D val, coefficient numerator, coefficient
-denominator) for every period entry T_ij, every generator value c(e'_i) and
-every pair value t(e'_i, lambda(e'_j)).  `t`, `t_lambda`, `value`, the
-cocycle's symmetry check and `coefficient` are then integer dot products
-and integer powers, with one exponent Fraction and one coefficient Fraction
-at the end, handed to puiseux's trusted constructor (a monomial, or a
-series times a nonzero monomial, is canonical as it stands).  Partial sums
-form x^u the same way and canonicalize all their terms once.  Both identity
-checks compare in these integers, through theta's one check loop, and form
-the exact products only for a failing case.
+integer bilinear or quadratic form over one denominator, so each cocycle is
+compiled once, on first use, into one integer kernel over a common exponent
+denominator D (`_Kernel`): the exponent forms D P, D val c and D P Lambda,
+and the few period, generator and pair coefficients that are not 1.
+t(n, u) c(n) has exponent n^T (D P) u + <D val c, n> + sum_i Q_ii n_i (n_i -
+1)/2 + sum_{i<j} Q_ij n_i n_j over D, Q = D P Lambda, and a coefficient
+folded from the non-unit factors alone.  `t`, `t_lambda`, `value` and the
+extension rule behind `coefficient` read that kernel, with one exponent
+Fraction and one coefficient Fraction at the end, handed to puiseux's
+trusted constructor (a monomial, or a series times a nonzero monomial, is
+canonical as it stands).  Partial sums form x^u the same way and
+canonicalize all their terms once.  Both identity checks compare the
+kernel's integer triples (exponent, numerator, denominator), through
+theta's one check loop, and form the exact Puiseux sides only for a failing
+case.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import floor, lcm
-from operator import add
+from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .geometry import _terms_below
@@ -133,6 +136,19 @@ def _fold(factors: Iterable[tuple[Mono, int]]) -> Mono:
     return exp, num, den
 
 
+def _times(*ms: Mono) -> Mono:
+    """The product of monomials over one D."""
+    exp, num, den = 0, 1, 1
+    for e, a, b in ms:
+        exp, num, den = exp + e, num * a, den * b
+    return exp, num, den
+
+
+def _same(x: Mono, y: Mono) -> bool:
+    """x and y are one monomial: equal exponents and equal coefficients."""
+    return x[0] == y[0] and x[1] * y[2] == y[1] * x[2]
+
+
 def _term(D: int, m: Mono) -> Term:
     return Fraction(m[0], D), Fraction(m[1], m[2])
 
@@ -146,9 +162,14 @@ def _monomial(D: int, m: Mono) -> PuiseuxNumber:
     return PuiseuxNumber._trusted((_term(D, m),))
 
 
-def _bilinear(T: Sequence[Sequence[Mono]], a: Sequence[int], b: Sequence[int]):
-    """The factors of prod_{i,j} T_ij^(a_i b_j)."""
-    return ((m, ai * bj) for row, ai in zip(T, a) if ai for m, bj in zip(row, b))
+def _pairing(rows: IntRows, coeffs, a: IntVec, b: IntVec) -> Mono:
+    """prod_{i,j} M_ij^(a_i b_j) for the monomials M_ij with exponents rows
+    and with the coefficients coeffs that are not 1: exponent a^T rows b."""
+    e = sum(ai * sum(map(mul, row, b)) for ai, row in zip(a, rows) if ai)
+    if not coeffs:
+        return e, 1, 1
+    _, num, den = _fold((m, a[i] * b[j]) for i, j, m in coeffs)
+    return e, num, den
 
 
 def _period_entry(e, name: str) -> PuiseuxNumber:
@@ -168,14 +189,68 @@ def _literal(x, name: str) -> PuiseuxNumber:
 
 
 class _Kernel(NamedTuple):
-    """A cocycle's monomials over one exponent denominator D: the period
-    entries T_ij, the generator values G_i = c(e'_i) and the pair values
-    Q_ij = t(e'_i, lambda(e'_j)), each with a reduced coefficient."""
+    """The extension rule of one cocycle in integers over one exponent
+    denominator D.  Exponents: P = D val T_ij (the entries of D P), c =
+    D val c(e'_i) and Q = D val t(e'_i, lambda(e'_j)) (the entries of
+    D P Lambda).  Coefficients: only the factors whose coefficient is not 1,
+    as (i, j, (0, num, den)) for T and for Q (reduced) and (i, (0, num, den))
+    for c; a unit coefficient adds nothing to a fold.  Every method returns
+    one monomial (exponent over D, numerator, denominator)."""
 
     D: int
-    T: tuple[tuple[Mono, ...], ...]
-    G: tuple[Mono, ...]
-    Q: tuple[tuple[Mono, ...], ...]
+    P: IntRows
+    c: IntVec
+    Q: IntRows
+    T_coeffs: tuple[tuple[int, int, Mono], ...]
+    c_coeffs: tuple[tuple[int, Mono], ...]
+    Q_coeffs: tuple[tuple[int, int, Mono], ...]
+
+    @classmethod
+    def of(cls, entries, Lambda: IntRows, generators) -> "_Kernel":
+        """The kernel of (T, Lambda, c); Q_ij = prod_k T_ik^(Lambda_kj),
+        since lambda(e'_j) is column j."""
+        D = lcm(*(m.val().denominator for m in chain(chain.from_iterable(entries), generators)))
+        T = [[_mono(e, D) for e in row] for row in entries]
+        G = [_mono(c, D) for c in generators]
+        Q = [[_reduced(_fold(zip(row, col))) for col in transpose(Lambda)] for row in T]
+
+        def exponents(rows):
+            return tuple(tuple(e for e, _, _ in row) for row in rows)
+
+        def coeffs(rows):
+            return tuple((i, j, (0, a, b)) for i, row in enumerate(rows) for j, (_, a, b) in enumerate(row) if a != b)
+
+        c_coeffs = tuple((i, (0, a, b)) for i, (_, a, b) in enumerate(G) if a != b)
+        return cls(D, exponents(T), tuple(e for e, _, _ in G), exponents(Q), coeffs(T), c_coeffs, coeffs(Q))
+
+    def pair(self, n: IntVec, u: IntVec) -> Mono:
+        """t(n, u) = prod_{i,j} T_ij^(n_i u_j): exponent n^T (D P) u."""
+        return _pairing(self.P, self.T_coeffs, n, u)
+
+    def value(self, n: IntVec) -> Mono:
+        """c(n) = prod_i c(e'_i)^(n_i) Q_ii^(n_i (n_i - 1)/2) prod_{i<j}
+        Q_ij^(n_i n_j), Q_ij = t(e'_i, lambda(e'_j))."""
+        e = 0
+        for i, ni in enumerate(n):
+            if ni:
+                row = self.Q[i]
+                e += ni * self.c[i] + ni * (ni - 1) // 2 * row[i] + ni * sum(map(mul, row[i + 1 :], n[i + 1 :]))
+        if not (self.c_coeffs or self.Q_coeffs):
+            return e, 1, 1
+        powers = ((m, n[i] * (n[i] - 1) // 2 if i == j else n[i] * n[j]) for i, j, m in self.Q_coeffs if i <= j)
+        _, a, b = _fold(chain(((m, n[i]) for i, m in self.c_coeffs), powers))
+        return e, a, b
+
+    def t_lambda(self, n1: IntVec, n2: IntVec) -> Mono:
+        """t(n1, lambda(n2)) = prod_{i,j} Q_ij^(n1_i n2_j): exponent
+        n1^T (D P Lambda) n2."""
+        return _pairing(self.Q, self.Q_coeffs, n1, n2)
+
+    def extension(self, n: IntVec, u: IntVec) -> Mono:
+        """t(n, u) c(n), the factor with a_{u + lambda(n)} = t(n, u) c(n) a_u."""
+        e, a, b = self.pair(n, u)
+        f, c, d = self.value(n)
+        return e + f, a * c, b * d
 
 
 @dataclass(frozen=True)
@@ -206,17 +281,17 @@ class PeriodMatrix:
         return RatMatrix(self.exponent_rows())
 
     @cached_property
-    def _kernel(self) -> tuple[int, tuple[tuple[Mono, ...], ...]]:
-        """D and the entries as integer monomials over it."""
-        D = lcm(*(e.val().denominator for row in self.entries for e in row))
-        return D, tuple(tuple(_mono(e, D) for e in row) for row in self.entries)
+    def _kernel(self) -> _Kernel:
+        """The kernel of the trivial cocycle (lambda = 0, c = 1), whose pair
+        is t."""
+        zero = ((0,) * self.g,) * self.g
+        return _Kernel.of(self.entries, zero, (PuiseuxNumber.one(),) * self.g)
 
     def t(self, nprime: Sequence[int], u: Sequence[int]) -> PuiseuxNumber:
         """t(u', u) = prod_{i,j} T[i][j]^(n'_i u_j), one monomial whose
         exponent is the bilinear form n'^T P u."""
-        D, T = self._kernel
-        nprime, u = lattice_vector(nprime, self.g, "n'"), lattice_vector(u, self.g, "u")
-        return _monomial(D, _fold(_bilinear(T, nprime, u)))
+        k = self._kernel
+        return _monomial(k.D, k.pair(lattice_vector(nprime, self.g, "n'"), lattice_vector(u, self.g, "u")))
 
     def to_json_rows(self) -> list:
         return [[str(e) for e in row] for row in self.entries]
@@ -252,10 +327,11 @@ class NACocycle:
                 raise InvalidDataError(f"cocycle generator must be a monomial: {c}")
         # symmetry of t(e'_i, lambda(e'_j)) is what makes the extension a
         # genuine cocycle; check it exactly
-        Q = self._kernel.Q
+        k = self._kernel
+        coeffs = {(i, j): m for i, j, m in k.Q_coeffs}
         for i in range(g):
             for j in range(i):
-                if Q[i][j] != Q[j][i]:
+                if k.Q[i][j] != k.Q[j][i] or coeffs.get((i, j)) != coeffs.get((j, i)):
                     raise InvalidDataError(
                         f"t(e'_{i}, lambda(e'_{j})) != t(e'_{j}, lambda(e'_{i}))"
                     )
@@ -266,14 +342,7 @@ class NACocycle:
 
     @cached_property
     def _kernel(self) -> _Kernel:
-        """Q_ij = prod_k T_ik^(Lambda_kj), since lambda(e'_j) is column j."""
-        D = lcm(self.period._kernel[0], *(c.val().denominator for c in self.generators))
-        T = tuple(tuple(_mono(e, D) for e in row) for row in self.period.entries)
-        Q = tuple(
-            tuple(_reduced(_fold(zip(row, col))) for col in transpose(self.Lambda))
-            for row in T
-        )
-        return _Kernel(D, T, tuple(_mono(c, D) for c in self.generators), Q)
+        return _Kernel.of(self.period.entries, self.Lambda, self.generators)
 
     def lambda_is_zero(self) -> bool:
         return all(x == 0 for r in self.Lambda for x in r)
@@ -281,26 +350,17 @@ class NACocycle:
     def value(self, n: Sequence[int]) -> PuiseuxNumber:
         """c(n) = prod_i c(e'_i)^(n_i) t_ii^(n_i (n_i - 1)/2) prod_{i<j}
         t_ij^(n_i n_j), t_ij = t(e'_i, lambda(e'_j)), as one monomial."""
-        return _monomial(self._kernel.D, _fold(self._value_factors(lattice_vector(n, self.g, "n"))))
-
-    def _value_factors(self, n: IntVec):
-        G, Q = self._kernel.G, self._kernel.Q
-        yield from zip(G, n)
-        for i, ni in enumerate(n):
-            if ni:
-                yield Q[i][i], ni * (ni - 1) // 2
-                yield from ((Q[i][j], ni * n[j]) for j in range(i + 1, len(n)))
+        return _monomial(self._kernel.D, self._kernel.value(lattice_vector(n, self.g, "n")))
 
     def _extension(self, n: IntVec, u: IntVec) -> Term:
-        """t(n, u) c(n) as (exponent, coefficient): the factor with
-        a_{u + lambda(n)} = t(n, u) c(n) a_u."""
-        k = self._kernel
-        return _term(k.D, _fold(chain(_bilinear(k.T, n, u), self._value_factors(n))))
+        """t(n, u) c(n) as (exponent, coefficient), read off the kernel: the
+        factor with a_{u + lambda(n)} = t(n, u) c(n) a_u."""
+        return _term(self._kernel.D, self._kernel.extension(n, u))
 
     def t_lambda(self, n1: Sequence[int], n2: Sequence[int]) -> PuiseuxNumber:
         """t(u1', lambda(u2')) = prod_{i,j} t_ij^(n1_i n2_j)."""
         n1, n2 = lattice_vector(n1, self.g, "n1"), lattice_vector(n2, self.g, "n2")
-        return _monomial(self._kernel.D, _fold(_bilinear(self._kernel.Q, n1, n2)))
+        return _monomial(self._kernel.D, self._kernel.t_lambda(n1, n2))
 
     def to_json_list(self) -> list:
         return [str(c) for c in self.generators]
@@ -309,10 +369,10 @@ class NACocycle:
 def verify_cocycle(cocycle: NACocycle, samples: int = 20, seed: int = 0) -> CheckReport:
     """Exact spot-check of c(u1+u2) = c(u1) c(u2) t(u1, lambda(u2)) on all
     generator pairs plus `samples` seeded random pairs with |n_i| <= 4: each
-    side is one integer `_fold` of its factors, compared reduced.  A failure
-    carries the pair (n1, n2) as its point and shift, and value(n1 + n2)
-    and value(n1) value(n2) t_lambda(n1, n2) as its sides."""
-    g, rng, Q = cocycle.g, random.Random(seed), cocycle._kernel.Q
+    side is one product of kernel monomials, compared as integer triples.  A
+    failure carries the pair (n1, n2) as its point and shift, and
+    value(n1 + n2) and value(n1) value(n2) t_lambda(n1, n2) as its sides."""
+    g, rng, k = cocycle.g, random.Random(seed), cocycle._kernel
     cases = [(e, identity(g)) for e in identity(g)]
     for _ in range(samples):
         n1, n2 = (tuple(rng.randint(-4, 4) for _ in range(g)) for _ in range(2))
@@ -320,9 +380,7 @@ def verify_cocycle(cocycle: NACocycle, samples: int = 20, seed: int = 0) -> Chec
 
     def differ(n1, n2):
         total = tuple(map(add, n1, n2))
-        lhs = _fold(cocycle._value_factors(total))
-        rhs = _fold(chain(cocycle._value_factors(n1), cocycle._value_factors(n2), _bilinear(Q, n1, n2)))
-        if _reduced(lhs) != _reduced(rhs):
+        if not _same(k.value(total), _times(k.value(n1), k.value(n2), k.t_lambda(n1, n2))):
             return cocycle.value(total), cocycle.value(n1) * cocycle.value(n2) * cocycle.t_lambda(n1, n2)
 
     return _check_samples(cases, lambda n1: lambda n2: differ(n1, n2))
@@ -414,9 +472,13 @@ class NAThetaFunction:
     def verify_invariance(self, samples: int = 20, seed: int = 0) -> CheckReport:
         """Exact check of a_{u + lambda(u')} = t(u', u) c(u') a_u at the
         stored coset reps and seeded random u, never at the coefficient cache
-        that earlier calls grew.  Both sides read `coefficient`, the right one
-        times the monomial `_extension(u', u)`; a failure carries u, u' and
-        the exact a_{u + lambda(u')} and t(u', u) c(u') a_u."""
+        that earlier calls grew.  For u = rep + lambda(n), a_u = a_rep m(n,
+        rep) with m(n, rep) the kernel's t(n, rep) c(n), so the identity is
+        m(n + n', rep) = m(n, rep) t(n', u) c(n') in integer triples (at
+        lambda = 0, u + lambda(u') = u and m is 1).  The table is read once
+        per index: where it holds an entry other than a_rep m, both sides are
+        read through `coefficient` and compared exactly.  A failure carries
+        u, u' and the exact a_{u + lambda(u')} and t(u', u) c(u') a_u."""
         rng = random.Random(seed)
         g, cocycle = self.g, self.cocycle
         indices = [rep for rep, _ in self.coeffs]
@@ -425,14 +487,32 @@ class NAThetaFunction:
         shifts = [tuple(rng.randint(-2, 2) for _ in range(g)) for _ in range(5)]
         shifts = [s for s in shifts if any(s)] or [tuple(1 for _ in range(g))]
         lam = {nprime: matvec(cocycle.Lambda, nprime) for nprime in shifts}
+        k, table, cosets = cocycle._kernel, self._table, self._cosets
+
+        def held(w, rep, n):
+            """Whether the table holds nothing at w = rep + lambda(n) but what
+            the extension rule gives."""
+            if w not in table or w == rep:
+                return True
+            a = table[rep]
+            return table[w] == (a if a.is_zero() else a._shifted(*_term(k.D, k.extension(n, rep))))
 
         def sides(u):
-            a = self._coefficient(u)
+            rep, n = cosets.decompose(u) if cosets else (u, (0,) * g)
+            live = not table.get(rep, PuiseuxNumber.zero()).is_zero()
+            m_u = k.extension(n, rep) if live else None
+            u_held = held(u, rep, n)
 
             def differ(nprime):
-                lhs = self._coefficient(tuple(map(add, u, lam[nprime])))
-                if lhs != a._shifted(*cocycle._extension(nprime, u)):
-                    return lhs, cocycle.period.t(nprime, u) * cocycle.value(nprime) * a
+                v = tuple(map(add, u, lam[nprime]))
+                n_v = tuple(map(add, n, nprime)) if cosets else n
+                if u_held and held(v, rep, n_v):
+                    # a zero coset holds 0 = 0 without forming t(u', u) c(u')
+                    if not live or _same(k.extension(n_v, rep), _times(m_u, k.extension(nprime, u))):
+                        return None
+                elif self._coefficient(v) == self._coefficient(u)._shifted(*_term(k.D, k.extension(nprime, u))):
+                    return None
+                return self._coefficient(v), cocycle.period.t(nprime, u) * cocycle.value(nprime) * self._coefficient(u)
 
             return differ
 

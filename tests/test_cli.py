@@ -606,6 +606,26 @@ def test_export_reads_the_domain_shape_before_counting_corners(tmp_path, g):
     assert "not a mesh file: domain shape mismatch: the matrix has 0 row(s), not g = 10000000000" in res.stderr
 
 
+def test_export_reads_the_domain_shape_before_inverting(tmp_path):
+    # a 45 KB mesh with a dense 90 x 90 domain matrix and no corners: the
+    # reader used to invert the matrix in Fractions before it counted the
+    # corners, and took 1.9 s to exit 2
+    g = 90
+    matrix = [[f"{(7 * i + 13 * j) % 17 + (100 if i == j else 1)}/{(i + j) % 5 + 1}" for j in range(g)] for i in range(g)]
+    quotient = {"zero_cells": [], "one_cell_count": 0, "top_cell_count": 0,
+                "betti0": None, "betti1": None, "euler_characteristic": None}
+    doc = {"g": g, "domain": {"matrix": matrix, "corners": []}, "cells": [], "skeleton": [], "quotient": quotient}
+    mesh = tmp_path / "mesh.json"
+    mesh.write_text(json.dumps(doc))
+    assert mesh.stat().st_size > 40_000
+    started = time.perf_counter()
+    res = run("export", mesh)
+    assert time.perf_counter() - started < 1
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "Traceback" not in res.output
+    assert f"not a mesh file: corners: the domain has 2^g = {2**g} corners, got 0" in res.stderr
+
+
 # ------------------------------------------------------------ reader fuzz
 
 
@@ -938,6 +958,20 @@ def test_series_found_by_the_fuzz(tmp_path, case):
     res = run(*argv, path)
     assert res.exception is None or isinstance(res.exception, SystemExit), repr(res.exception)
     assert res.exit_code == code and message in res.output, res.output
+
+
+def test_validate_refuses_a_power_past_the_cap_at_nonzero_lambda(tmp_path):
+    # the rep 2 * 10^300 of Lambda = 2 moves to 0 by t(n, 0) c(n) at
+    # n = 10^300, where the pair value t(e', lambda(e')) = 4 q^2 enters as
+    # 4^(n (n - 1)/2): refused by the fold of the cocycle's kernel, with the
+    # message recorded before that kernel replaced the per-factor folds
+    n = 10**300
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(series(T=[["2*q"]], Lambda=[[2]], coeffs=[{"rep": [2 * n], "a": "1"}])))
+    res = run("validate", path)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert "Traceback" not in res.output
+    assert f"coefficient (4/1)^{n * (n - 1) // 2} exceeds 1048576 bits" in res.stderr
 
 
 def test_skewed_divisor_grows_with_the_shear(tmp_path):

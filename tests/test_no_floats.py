@@ -22,7 +22,10 @@ seed is the integer argmin entry `lattice._argmin`: a sixth check walks
 every argument and result of its calls during corner loci and finds only
 ints.  Every theta value but `evaluate`'s is read off that entry too: a
 seventh check walks its calls during the transformation-law and Riemann
-crosschecks and the Puiseux partial sums, and finds only ints.
+crosschecks and the Puiseux partial sums, and finds only ints.  The series
+checks run on one integer kernel per cocycle: an eighth check walks every
+argument and result of its calls during `validate` of each series fixture,
+the kernel's own fields included, and finds only ints.
 
 A second syntax scan finds no int(...) call in theta.py, nonarch.py,
 varieties.py, lattice.py or geometry.py: their public entries read lattice
@@ -43,8 +46,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from troptheta import geometry, lattice, nonarch, theta
+from troptheta.cli import main
 from troptheta.crosschecks import seeded_period, suite_a, suite_b
 from troptheta.geometry import corner_locus, linearity_cell
 from troptheta.theta import AutomorphyFactor, TropicalThetaFunction, ValuationProfile, riemann_theta
@@ -366,4 +371,29 @@ def test_theta_values_run_in_integers(monkeypatch, name):
     assert all(o.passed for o in outcomes)
     found = list(numbers(calls))
     assert len(calls) >= 4 and all(winners for _, (_, winners) in calls)
+    assert {type(x) for x in found} == {int}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (ROOT / "fixtures").glob("series_*.json")))
+def test_series_kernel_runs_in_integers(monkeypatch, name):
+    # `validate` of a series reads every monomial of the extension rule and
+    # of the cocycle relation off the cocycle's kernel: its fields, the
+    # vectors it is called at and the (exponent, num, den) it returns are all
+    # ints
+    calls = []
+
+    def recording(original):
+        def record(*args):
+            out = original(*args)
+            calls.append((args, out))
+            return out
+
+        return record
+
+    for method in ("pair", "value", "t_lambda", "extension"):
+        monkeypatch.setattr(nonarch._Kernel, method, recording(getattr(nonarch._Kernel, method)))
+    res = CliRunner().invoke(main, ["validate", str(ROOT / "fixtures" / name)])
+    assert res.exit_code == 0, res.output
+    found = list(numbers(calls))
+    assert len(calls) > 100 and len(found) > 1000
     assert {type(x) for x in found} == {int}

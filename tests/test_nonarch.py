@@ -3,15 +3,18 @@
 import json
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import chain, product
+from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from troptheta.crosschecks import seeded_period
 from troptheta.linalg import RatMatrix, matvec
 from troptheta.nonarch import (
+    _Kernel,
     _fold,
     _mono,
     _monomial,
@@ -21,6 +24,7 @@ from troptheta.nonarch import (
     NAThetaFunction,
     NotAmpleError,
     PeriodMatrix,
+    SeriesTooLargeError,
     ZeroCoordinateError,
     build_riemann_theta,
     canonical_cocycle,
@@ -32,7 +36,7 @@ from troptheta.nonarch import (
 )
 from troptheta.puiseux import CoefficientNotASquareError, PuiseuxNumber
 from troptheta.rationals import INF
-from troptheta.theta import TropicalThetaFunction, riemann_theta
+from troptheta.theta import TropicalThetaFunction, _check_samples, riemann_theta
 from troptheta.varieties import InvalidDataError, TropicalPolarizationData
 
 P = PuiseuxNumber.parse
@@ -201,14 +205,13 @@ def test_cocycle_failure_carries_exact_monomials(monkeypatch):
     # carries the public value(n1 + n2) against value(n1) value(n2)
     # t_lambda(n1, n2), whose valuations differ by 1/D
     coc = canonical_cocycle(pm2(), ((1, 0), (0, 1)))
-    value_factors = NACocycle._value_factors
+    value = _Kernel.value
 
     def perturbed(self, n):
-        yield from value_factors(self, n)
-        if n == (1, 1):
-            yield (1, 1, 1), 1
+        e, a, b = value(self, n)
+        return (e + 1, a, b) if n == (1, 1) else (e, a, b)
 
-    monkeypatch.setattr(NACocycle, "_value_factors", perturbed)
+    monkeypatch.setattr(_Kernel, "value", perturbed)
     report = verify_cocycle(coc, samples=0)
     assert report.checked == 4
     assert [(f.point, f.shift) for f in report.failures] == [((1, 0), (0, 1)), ((0, 1), (1, 0))]
@@ -220,15 +223,35 @@ def test_cocycle_failure_carries_exact_monomials(monkeypatch):
         assert abs(f.lhs.val() - f.rhs.val()) == F(1, coc._kernel.D)
 
 
+@pytest.fixture
+def fraction_count(monkeypatch):
+    """The number of Fraction constructions so far, as a callable."""
+    made = [0]
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    return lambda: made[0]
+
+
 @pytest.mark.parametrize("name", SERIES_FIXTURES)
-def test_series_checks_run_in_integers(count_calls, name):
-    # where every identity holds, both series checks compare folded integer
-    # monomials: no Puiseux product and no public monomial is formed
+def test_series_checks_run_in_integers(count_calls, fraction_count, name):
+    # where every identity holds, both series checks compare kernel
+    # monomials in integers: no Puiseux product or shift and no public
+    # monomial is formed, and no Fraction at all, however many pairs
     f = load_series(name)
-    counted = [PuiseuxNumber.__mul__, NACocycle.value, NACocycle.t_lambda, PeriodMatrix.t]
+    counted = [PuiseuxNumber.__mul__, PuiseuxNumber._shifted, NACocycle.value, NACocycle.t_lambda, PeriodMatrix.t]
     calls = [count_calls(fn) for fn in counted]
-    assert verify_cocycle(f.cocycle).ok and f.verify_invariance().ok
-    assert [len(c) for c in calls] == [0, 0, 0, 0]
+    made = []
+    for samples in (0, 20, 40):
+        before = fraction_count()
+        assert verify_cocycle(f.cocycle, samples=samples).ok and f.verify_invariance(samples=samples).ok
+        made.append(fraction_count() - before)
+    assert [len(c) for c in calls] == [0] * 5
+    assert made == [0, 0, 0]
 
 
 # ---------- theta functions ----------
@@ -697,3 +720,247 @@ def test_tropicalize_is_cached_per_series():
     assert tropicalize(f) is tropicalize(f)
     g = build_riemann_theta(pm2(), ((1, 0), (0, 1)))
     assert tropicalize(g) == tropicalize(f)
+
+
+# ---------- the integer kernel against the folds it replaced ----------
+# The monomial kernel before the integer one, kept here as an oracle: each
+# period entry, generator value and pair value as a (D val, num, den) triple,
+# and every monomial of the extension rule one `_fold` of its factors.
+
+
+def old_kernel(coc):
+    """(D, T, G, Q) as monomial triples, from the cocycle's own data."""
+    D = lcm(*(m.val().denominator for m in [*chain.from_iterable(coc.period.entries), *coc.generators]))
+    T = [[_mono(e, D) for e in row] for row in coc.period.entries]
+    Q = [[reduced(_fold(zip(row, col))) for col in zip(*coc.Lambda)] for row in T]
+    return D, T, [_mono(c, D) for c in coc.generators], Q
+
+
+def from_kernel(k):
+    """(D, T, G, Q) as monomial triples, read off an integer kernel."""
+    Tc, Qc = {(i, j): m for i, j, m in k.T_coeffs}, {(i, j): m for i, j, m in k.Q_coeffs}
+    cc = dict(k.c_coeffs)
+
+    def mono(e, m):
+        return (e, *(m or (0, 1, 1))[1:])
+
+    T = [[mono(e, Tc.get((i, j))) for j, e in enumerate(row)] for i, row in enumerate(k.P)]
+    Q = [[mono(e, Qc.get((i, j))) for j, e in enumerate(row)] for i, row in enumerate(k.Q)]
+    return k.D, T, [mono(e, cc.get(i)) for i, e in enumerate(k.c)], Q
+
+
+def reduced(m):
+    c = F(m[1], m[2])
+    return m[0], c.numerator, c.denominator
+
+
+def bilinear(T, a, b):
+    return ((m, ai * bj) for row, ai in zip(T, a) if ai for m, bj in zip(row, b))
+
+
+def value_factors(G, Q, n):
+    yield from zip(G, n)
+    for i, ni in enumerate(n):
+        if ni:
+            yield Q[i][i], ni * (ni - 1) // 2
+            yield from ((Q[i][j], ni * n[j]) for j in range(i + 1, len(n)))
+
+
+def old_verify_cocycle(coc, kernel, samples=20, seed=0):
+    """verify_cocycle as it was, on a (D, T, G, Q) kernel."""
+    D, _, G, Q = kernel
+    g, rng = coc.g, random.Random(seed)
+    basis = [tuple(int(i == j) for j in range(g)) for i in range(g)]
+    cases = [(e, basis) for e in basis]
+    for _ in range(samples):
+        n1, n2 = (tuple(rng.randint(-4, 4) for _ in range(g)) for _ in range(2))
+        cases.append((n1, (n2,)))
+
+    def value(n):
+        return _monomial(D, _fold(value_factors(G, Q, n)))
+
+    def differ(n1, n2):
+        total = tuple(a + b for a, b in zip(n1, n2))
+        lhs = _fold(value_factors(G, Q, total))
+        rhs = _fold(chain(value_factors(G, Q, n1), value_factors(G, Q, n2), bilinear(Q, n1, n2)))
+        if reduced(lhs) != reduced(rhs):
+            return value(total), value(n1) * value(n2) * _monomial(D, _fold(bilinear(Q, n1, n2)))
+
+    return _check_samples(cases, lambda n1: lambda n2: differ(n1, n2))
+
+
+def old_verify_invariance(f, samples=20, seed=0):
+    """verify_invariance as it was: both sides read through the coefficient
+    table, which it grows, and each step is one fold."""
+    D, T, G, Q = old_kernel(f.cocycle)
+    coc, table = f.cocycle, f._table
+
+    def step(n, u):
+        e, num, den = _fold(chain(bilinear(T, n, u), value_factors(G, Q, n)))
+        return F(e, D), F(num, den)
+
+    def coefficient(u):
+        if u in table:
+            return table[u]
+        if f._cosets is None:
+            return PuiseuxNumber.zero()
+        rep, n = f._cosets.decompose(u)
+        a = table[rep]
+        if not a.is_zero():
+            a = a._shifted(*step(n, rep))
+        table[u] = a
+        return a
+
+    rng = random.Random(seed)
+    g = f.g
+    indices = [rep for rep, _ in f.coeffs]
+    for _ in range(samples):
+        indices.append(tuple(rng.randint(-4, 4) for _ in range(g)))
+    shifts = [tuple(rng.randint(-2, 2) for _ in range(g)) for _ in range(5)]
+    shifts = [s for s in shifts if any(s)] or [tuple(1 for _ in range(g))]
+    lam = {nprime: matvec(coc.Lambda, nprime) for nprime in shifts}
+
+    def sides(u):
+        a = coefficient(u)
+
+        def differ(nprime):
+            lhs = coefficient(tuple(x + y for x, y in zip(u, lam[nprime])))
+            if lhs != a._shifted(*step(nprime, u)):
+                return lhs, _monomial(D, _fold(bilinear(T, nprime, u))) * _monomial(D, _fold(value_factors(G, Q, nprime))) * a
+
+        return differ
+
+    return _check_samples(((u, shifts) for u in indices), sides)
+
+
+FUZZ_COEFFS = [1, 2, F(1, 3)]
+
+
+@st.composite
+def fuzz_cocycles(draw):
+    """A cocycle at g <= 3 with the series fuzz's coefficients: 1, 2, 1/3
+    on the periods (positive) and also -1 on the generators; exponents over
+    a drawn denominator; Lambda = d I or a non-diagonal form with P = I +
+    Lambda / 2, so that the pair values are symmetric in exponent."""
+    g = draw(st.integers(1, 3))
+    den = draw(st.sampled_from([1, 2, 3, 6]))
+    exponent = st.builds(F, st.integers(-6, 6), st.just(den))
+    nondiagonal = g > 1 and draw(st.booleans())
+    if nondiagonal:
+        lam = [[2 if i == j else int(abs(i - j) == 1) for j in range(g)] for i in range(g)]
+        P = [[F(i == j) + F(lam[i][j], 2) for j in range(g)] for i in range(g)]
+    else:
+        d = draw(st.integers(0, 3))
+        lam = [[d * (i == j) for j in range(g)] for i in range(g)]
+        P = [[F(12 + 2 * i) + draw(exponent) if i == j else F(0) for j in range(g)] for i in range(g)]
+        for i in range(g):
+            for j in range(i):
+                P[i][j] = P[j][i] = draw(exponent)
+    C = {(i, j): draw(st.sampled_from(FUZZ_COEFFS)) for i in range(g) for j in range(i, g)}
+    T = tuple(
+        tuple(PuiseuxNumber.monomial(C[min(i, j), max(i, j)], P[i][j]) for j in range(g)) for i in range(g)
+    )
+    gens = tuple(PuiseuxNumber.monomial(draw(st.sampled_from([*FUZZ_COEFFS, -1])), draw(exponent)) for _ in range(g))
+    try:
+        return NACocycle(period=PeriodMatrix(entries=T), Lambda=lam, generators=gens)
+    except InvalidDataError:  # pair coefficients that are not symmetric
+        assume(False)
+
+
+@given(fuzz_cocycles(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_the_folds_it_replaced(coc, data):
+    # every kernel monomial is the fold of the factors it replaced, triple
+    # for triple, unreduced: the kernel leaves out only unit coefficients
+    D, T, G, Q = old_kernel(coc)
+    k = coc._kernel
+    assert k.D == D and from_kernel(k) == (D, T, G, Q)
+    vectors = st.tuples(*[st.integers(-7, 7)] * coc.g)
+    for _ in range(5):
+        n, u = data.draw(vectors), data.draw(vectors)
+        assert k.extension(n, u) == _fold(chain(bilinear(T, n, u), value_factors(G, Q, n)))
+        assert k.value(n) == _fold(value_factors(G, Q, n))
+        assert k.t_lambda(n, u) == _fold(bilinear(Q, n, u))
+        assert coc.period.t(n, u) == _monomial(D, _fold(bilinear(T, n, u)))
+
+
+def corrupt(f, rng):
+    """f with its coefficient cache grown at a few indices, then a few table
+    entries (reps and cached ones) replaced by nearby wrong values."""
+    box = range(-6, 7)
+    for _ in range(rng.randint(0, 12)):
+        f.coefficient(tuple(rng.choice(box) for _ in range(f.g)))
+    keys = sorted(f._table)
+    for u in rng.sample(keys, rng.randint(0, min(3, len(keys)))):
+        a = f._table[u]
+        f._table[u] = rng.choice(
+            [a * P("q^(1/2)"), a * P("2"), a + P("q^(9)"), PuiseuxNumber.zero(), P("1 - q")]
+        )
+    return f
+
+
+SERIES_MAKERS = {
+    **{name: (lambda name=name: load_series(name)) for name in SERIES_FIXTURES},
+    "level2-g2": lambda: theta_basis(pm2(), canonical_cocycle(pm2(), [[2, 0], [0, 2]]))[3],
+    "riemann-g2": lambda: build_riemann_theta(pm2(), ((1, 0), (0, 1))),
+    "lambda0-g2": lambda_zero_series,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_MAKERS))
+def test_invariance_reports_match_the_folds_on_corrupted_tables(name):
+    # the same table corruption on two copies of a series: the integer check
+    # and the fold-per-pair check report the same cases, pairs and sides
+    failing = 0
+    for trial in range(12):
+        seed = 100 * trial + len(name)
+        new, old = (corrupt(SERIES_MAKERS[name](), random.Random(seed)) for _ in range(2))
+        assert new._table == old._table
+        samples = random.Random(seed).randint(0, 25)
+        report = new.verify_invariance(samples=samples, seed=trial)
+        assert report == old_verify_invariance(old, samples=samples, seed=trial)
+        failing += not report.ok
+    assert failing >= 3
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_cocycle_reports_match_the_folds_on_perturbed_kernels(g):
+    # one kernel entry moved at a time, exponent or coefficient: the integer
+    # check and the fold check report the same pairs and sides
+    rng = random.Random(g)
+    period = seeded_period(g, 11)
+    coc = canonical_cocycle(period, [[2 * (i == j) for j in range(g)] for i in range(g)])
+    failing = 0
+    for trial in range(20):
+        k = coc._kernel
+        # mostly off the diagonal, where an unequal Q_ij and Q_ji breaks the relation
+        i, j = rng.sample(range(g), 2) if g > 1 and rng.random() < 0.75 else (rng.randrange(g),) * 2
+        entry = rng.choice(["Q", "Q_coeffs", "c", "c_coeffs", "P"])
+        if entry in ("Q", "P"):
+            rows = [list(r) for r in getattr(k, entry)]
+            rows[i][j] += rng.choice([-2, -1, 1, 3])
+            k = k._replace(**{entry: tuple(map(tuple, rows))})
+        elif entry == "c":
+            k = k._replace(c=tuple(x + (n == i) for n, x in enumerate(k.c)))
+        elif entry == "c_coeffs":
+            k = k._replace(c_coeffs=((i, (0, rng.choice([2, -3]), 5)),))
+        else:
+            k = k._replace(Q_coeffs=((i, j, (0, rng.choice([2, -1]), 3)),))
+        perturbed = NACocycle(period=coc.period, Lambda=coc.Lambda, generators=coc.generators)
+        vars(perturbed)["_kernel"] = k
+        report = verify_cocycle(perturbed, samples=10, seed=trial)
+        assert report == old_verify_cocycle(perturbed, from_kernel(k), samples=10, seed=trial)
+        failing += not report.ok
+    assert g == 1 or failing >= 3
+
+
+def test_zero_coset_holds_without_its_power():
+    # a lambda = 0 coefficient 0 far out: its identities are 0 = 0, and no
+    # power t(u', u) = (2q)^(u' u) is formed for them (the fold-per-pair
+    # check refused it as too large)
+    f = NAThetaFunction.from_json_dict(
+        {"T": [["2*q"]], "Lambda": [[0]], "c": ["1"], "coeffs": [{"rep": [0], "a": "1"}, {"rep": [10**300], "a": "0"}]}
+    )
+    assert f.verify_invariance().ok
+    with pytest.raises(SeriesTooLargeError):
+        old_verify_invariance(f)
