@@ -7,13 +7,14 @@ and checks it positive-definite.  `_reduced` reduces each form once, cached
 for both entry points: the integral LLL keeps that factorization current in
 place, and one inverse U G^-1 = A / a of the reduced form G = U^T B U gives
 every coset centre: the real minimizer -G^-1 U^T ell is -A^T ell / a.
-`_argmin`, the integer argmin entry, takes its walk budget from Babai's
-nearest-plane point of an integer centre, rounded level by level from the
-walk data in O(g^2) integer operations, then walks the ellipsoid below the
-seed completely (Fincke-Pohst) and returns the leaves with the most budget
-left over; `minimize_quadratic` is its Fraction wrapper and reads the
-minimum off that budget: one Fraction value per call, none per point.
-`enumerate_below` walks an ellipsoid of a given radius.  A GramForm holds
+`_argmin`, the integer argmin entry, is one nearest-first walk
+(Schnorr-Euchner) around an integer centre: each level starts at the
+integer nearest its centre, so the first leaf is Babai's nearest-plane
+point, and the walk keeps only nodes at or below the best leaf so far,
+with no separate Babai pass; `minimize_quadratic` is its Fraction wrapper
+and reads the minimum off the best leaf's integer distance: one Fraction
+value per call, none per point.  `enumerate_below` walks an ellipsoid of a
+given radius completely (Fincke-Pohst, `_ellipsoid_points`).  A GramForm holds
 its own reduction, so minimizing or enumerating many times over one form
 neither re-validates it nor hashes it into that cache.  Every comparison is
 exact; floats never appear.
@@ -205,8 +206,13 @@ def lll_reduce(B) -> tuple[IntRows, RatMatrix]:
 
 
 def _walk(s: int, d: list[int], lam: list[list[int]]) -> tuple[int, list[list[int]], int, list[int]]:
-    """The form's part of `_ellipsoid_points`' integer data, from its `_gso`,
-    computed once per form: lq = den(L), the scaled L and D, and dq = den(D)."""
+    """The integer data of both walks, `_argmin` and `_ellipsoid_points`,
+    from the form's `_gso`, computed once per form: lq = den(L), the scaled
+    Lk = lq L and Dk = dq D, and dq = den(D).  For a centre c = C / q and
+    k = lq q, level i of a walk sees x_i's centre gamma_i = G_i / k given
+    the x_j above it, G_i = lq C_i - sum_{j>i} Lk[j][i] (q x_j - C_j), and
+    e_i = k x_i - G_i; as x^T G x = sum_i D_i (x_i + sum_{j>i} L[j][i] x_j)^2,
+    (x-c)^T G (x-c) = sum_i Dk_i e_i^2 / (dq k^2)."""
     L, D = _ldlt(s, d, lam)
     lq = math.lcm(*(x.denominator for row in L for x in row))
     return lq, [[x.numerator * (lq // x.denominator) for x in row[:j]] for j, row in enumerate(L)], *_over_common_denominator(D)
@@ -218,56 +224,26 @@ def _over_common_denominator(values: Row) -> tuple[int, list[int]]:
     return q, [v.numerator * (q // v.denominator) for v in values]
 
 
-def _nearest_plane(walk, q: int, C: list[int]) -> tuple[IntVec, int]:
-    """Babai's nearest-plane point x for the centre C / q in the form whose
-    `_walk` data is walk, with its scaled distance S = sum_i Dk_i e_i^2.
-    From the last coordinate down, x_i is the integer nearest its level's
-    centre gamma_i given the x_j above it (ties round up), with gamma_i =
-    G_i / k and e_i = k x_i - G_i in the integers of `_ellipsoid_points`.
-    It is the first leaf of a nearest-first walk: a lattice point, so the
-    walk with budget S reaches the minimum.  It takes O(g^2) integer
-    operations for any g."""
+def _ellipsoid_points(walk, q: int, C: list[int], R: int) -> Iterator[IntVec]:
+    """Every integer x with sum_i Dk_i e_i^2 <= R around the centre C / q,
+    in the integers of `_walk`: one complete walk (Fincke-Pohst) from the
+    last coordinate down, in which level i takes exactly the x_i with
+    |e_i| <= isqrt(r // Dk_i), r the budget the levels above left over."""
     lq, Lk, _, Dk = walk
-    g = len(Lk)
-    k = lq * q
-    x = [0] * g
-    S = 0
-    for i in range(g - 1, -1, -1):
-        G = lq * C[i] - sum(Lk[j][i] * (q * x[j] - C[j]) for j in range(i + 1, g))
-        x[i] = (2 * G + k) // (2 * k)
-        e = k * x[i] - G
-        S += Dk[i] * e * e
-    return tuple(x), S
-
-
-def _ellipsoid_points(walk, q: int, C: list[int], s: int, R: int) -> Iterator[tuple[IntVec, int]]:
-    """Every integer x with (x-c)^T (L D L^T) (x-c) <= R / (s dq k^2), for
-    walk the form's `_walk` data, the centre c = C / q and k = den(L) q, each with its
-    leftover budget r = R - sum_i s Dk_i e_i^2 >= 0.
-
-    Uses the identity x^T B x = sum_i d_i (x_i + sum_{j>i} L[j][i] x_j)^2 and
-    recurses from the last coordinate down with exact interval bounds, in
-    integers: gamma_i = G_i / k for an integer G_i, e_i = k x_i - G_i, and
-    level i takes exactly the x_i with |e_i| <= isqrt(r // (s Dk_i)), r the
-    budget the levels above left over.  At scale s = 1 every leaf's
-    (x-c)^T G (x-c) is (R - r) / (dq k^2).
-    """
-    lq, Lk, dq, Dk = walk
     g = len(Dk)
     k = lq * q
-    w = [d * s for d in Dk]
     x = [0] * g
 
-    def recurse(i: int, r: int) -> Iterator[tuple[IntVec, int]]:
+    def recurse(i: int, r: int) -> Iterator[IntVec]:
         if i < 0:
-            yield tuple(x), r
+            yield tuple(x)
             return
         G = lq * C[i] - sum(Lk[j][i] * (q * x[j] - C[j]) for j in range(i + 1, g))
-        m = math.isqrt(r // w[i])
+        m = math.isqrt(r // Dk[i])
         for xi in range(-((m - G) // k), (G + m) // k + 1):
             x[i] = xi
             e = k * xi - G
-            yield from recurse(i - 1, r - w[i] * e * e)
+            yield from recurse(i - 1, r - Dk[i] * e * e)
 
     yield from recurse(g - 1, R)
 
@@ -283,9 +259,9 @@ def enumerate_below(B, center: Sequence, radius) -> list[IntVec]:
     q, C = _over_common_denominator(point(center, len(U), "center"))
     lq, _, dq, _ = walk
     C_red = [sum(map(mul, row, C)) for row in U_inv]
-    # the walk's scale and budget for 2 radius (a common factor changes no leaf)
-    leaves = _ellipsoid_points(walk, q, C_red, radius.denominator, 2 * radius.numerator * dq * (lq * q) ** 2)
-    return sorted([tuple([sum(map(mul, row, m)) for row in U]) for m, _ in leaves])
+    # the walk's budget for 2 radius: sum_i Dk_i e_i^2 <= 2 radius dq k^2, in integers
+    leaves = _ellipsoid_points(walk, q, C_red, 2 * radius.numerator * dq * (lq * q) ** 2 // radius.denominator)
+    return sorted([tuple([sum(map(mul, row, m)) for row in U]) for m in leaves])
 
 
 def _reduction(B):
@@ -367,8 +343,12 @@ class CosetLattice:
 
     def decompose(self, u: Sequence[int]) -> tuple[IntVec, IntVec]:
         """u = rep + Lam * n with rep in representatives(); returns (rep, n)."""
+        return self._decompose(lattice_vector(u, self.g, "u"))
+
+    def _decompose(self, u: IntVec) -> tuple[IntVec, IntVec]:
+        """`decompose` of a u that linalg.lattice_vector already read."""
         H, V = self._hnf
-        rep, k = list(lattice_vector(u, self.g, "u")), []
+        rep, k = list(u), []
         for j in range(self.g):
             k.append(rep[j] // H[j][j])
             for i in range(j, self.g):
@@ -412,13 +392,11 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
 
     The Fraction wrapper of `_argmin`, the integer argmin entry, for exact
     ell and c0: in the LLL-reduced form, the real minimizer is c = -A^T ell / a
-    (`_reduced`), and Babai's nearest-plane point lies at scaled distance S
-    from it; the integer walk with budget S yields every lattice point at or
-    below the seed's value, each with its leftover budget r, so the argmin
-    is complete.  All leaves share the scale dq k^2 of `_ellipsoid_points`,
-    so the argmin is the leaves of largest r and the minimum is
-    q(c) + (S - r) / (2 dq k^2), with q(c) = c0 + (1/2) (U^T ell)^T c: one
-    value per call, and no objective evaluated at any point, for any g.
+    (`_reduced`), and the nearest-first walk around it returns every lattice
+    point at the least scaled distance S, so the argmin is complete, and
+    the minimum is q(c) + S / (2 dq k^2) (`_walk`), with
+    q(c) = c0 + (1/2) (U^T ell)^T c: one value per call, and no objective
+    evaluated at any point, for any g.
     """
     U, _, walk, (A, a) = _reduction(B)
     ell = tuple(_as_fraction(v, "ell") for v in _vector(ell, "ell"))
@@ -435,15 +413,45 @@ def minimize_quadratic(B, ell: Sequence, c0=Fraction(0)) -> QuadraticMinimum:
 
 
 def _argmin(walk, q: int, C: list[int]) -> tuple[int, list[IntVec]]:
-    """(S - r, winners): every lattice point nearest the centre C / q of the
-    form with `_walk` data walk, in its coordinates, and its scaled distance,
-    the walk's budget S (Babai's point, so polynomial for any centre) less
-    the largest leftover r."""
-    S = _nearest_plane(walk, q, C)[1]
-    top, winners = -1, []
-    for m, r in _ellipsoid_points(walk, q, C, 1, S):
-        if r > top:
-            top, winners = r, [m]
-        elif r == top:
-            winners.append(m)
-    return S - top, winners
+    """(S, winners): every lattice point nearest the centre C / q of the
+    form with `_walk` data walk, in its coordinates, and its scaled distance
+    S = sum_i Dk_i e_i^2 in the integers of `_walk`.
+
+    One nearest-first walk (Schnorr-Euchner 1994), by plain recursion: from
+    the last coordinate down, each level starts at the integer nearest its
+    centre gamma_i = G_i / k given the x_j above it (ties round up), so the
+    first leaf is Babai's nearest-plane point, then steps outward, up and
+    then down, and leaves each side at its first node whose partial
+    distance exceeds the best leaf's.  A leaf at the best distance is kept,
+    so the argmin is complete.  Each call of `node` is one node of the
+    search tree, with t the partial distance of the levels above; a call
+    at level -1 is a leaf."""
+    lq, Lk, _, Dk = walk
+    k, g = lq * q, len(Dk)
+    x, y = [0] * g, [0] * g  # y_j = q x_j - C_j
+    best, winners = None, []
+
+    def node(i: int, t: int) -> None:
+        nonlocal best, winners
+        if i < 0:  # a leaf, at distance t <= best
+            if best is None or t < best:
+                best, winners = t, []
+            winners.append(tuple(x))
+            return
+        G = lq * C[i]
+        for j in range(i + 1, g):
+            G -= Lk[j][i] * y[j]
+        d, x0 = Dk[i], (2 * G + k) // (2 * k)
+        xi, step = x0, 1
+        while step:
+            e = k * xi - G
+            s = t + d * e * e
+            if best is None or s <= best:
+                x[i], y[i] = xi, q * xi - C[i]
+                node(i - 1, s)
+                xi += step
+            else:  # this side is done: go down from x0 - 1, or stop
+                xi, step = x0 - 1, -1 if step > 0 else 0
+
+    node(g - 1, 0)
+    return best, winners

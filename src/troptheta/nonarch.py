@@ -462,7 +462,7 @@ class NAThetaFunction:
             return table[u]
         if self._cosets is None:
             return PuiseuxNumber.zero()
-        rep, n = self._cosets.decompose(u)
+        rep, n = self._cosets._decompose(u)
         a = table[rep]
         if not a.is_zero():
             a = a._shifted(*self.cocycle._extension(n, rep))
@@ -498,7 +498,7 @@ class NAThetaFunction:
             return table[w] == (a if a.is_zero() else a._shifted(*_term(k.D, k.extension(n, rep))))
 
         def sides(u):
-            rep, n = cosets.decompose(u) if cosets else (u, (0,) * g)
+            rep, n = cosets._decompose(u) if cosets else (u, (0,) * g)
             live = not table.get(rep, PuiseuxNumber.zero()).is_zero()
             m_u = k.extension(n, rep) if live else None
             u_held = held(u, rep, n)

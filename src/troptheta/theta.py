@@ -22,9 +22,13 @@ profile reps) moves its value to the canonical rep by the law above, and
 rejects a second rep of one coset.  `_coset_quadratics` forms each coset's
 quadratic at v = V / q, and `_coset_centres` its real minimizer off
 `_frame`, the one integer frame of K per theta, which adds to the table
-only its column N base.  `_least_terms` hands each centre to the integer
-argmin entry lattice._argmin, and `_least` reads the value off its first
-term.  Every library reader of a value (`__call__`, the transformation-law
+only its column N base.  `_least_terms` is one flat loop over the finite
+cosets: it forms each centre the same way, inline, hands it to the
+integer argmin entry lattice._argmin (one nearest-first walk), reads the
+coset's value off its first winner's (u, D w(u)) and forms the other
+winners' terms only where the coset ties or beats the least value so far;
+`_least` reads the value off its first term.
+Every library reader of a value (`__call__`, the transformation-law
 check, whose sides are integers over D q, the periodicity checks,
 expressions, the Puiseux partial sums, the divisor's seed and linearity
 cells) uses that path; only the public `evaluate` still minimizes on g + 1
@@ -371,7 +375,7 @@ class TropicalThetaFunction:
 
     def _w_numerator(self, u: IntVec) -> int | None:
         """D w(u) over the kernel's denominator D, None where w(u) = inf."""
-        rep, n = self._cosets.decompose(u) if self.is_ample else (u, (0,) * self.g)
+        rep, n = self._cosets._decompose(u) if self.is_ample else (u, (0,) * self.g)
         constants = self._coset_constants.get(rep)
         return None if constants is None else self._coset_terms(rep, *constants, [n])[0][1]
 
@@ -429,35 +433,37 @@ class TropicalThetaFunction:
         """(u, D w(u)) for every witness u of f at v = V / q (q > 0), sorted,
         in integers; D q (w(u) + <u, v>) compare as integers, and V / q need
         not be in lowest terms.  With lambda = 0 each finite support point
-        is a term; otherwise lattice._argmin takes each coset's real
-        minimizer off `_frame` (`_coset_least_terms`).
-        EmptyProfileError if no value is finite."""
-        D = self._kernel.D
+        is a term.  Otherwise one flat loop over the finite cosets hands
+        lattice._argmin each real minimizer m = Z / (a q) in the reduced
+        coordinates of `_frame`, Z = q N base + W with W = N D Lam^T V formed
+        once (as `_coset_centres` does), and n = U m; a coset's value is read
+        off its first winner, and its other winners become terms only if it
+        ties or beats the least so far.  EmptyProfileError if no value is
+        finite."""
+        D, f = self._kernel.D, self._frame if self.is_ample else None
+        W = None if f is None else [sum(map(mul, row, V)) for row in f.NDLt]
         best, out = None, []
-        if self.is_ample:
-            groups = self._coset_least_terms(q, V)
-        else:
-            groups = ([(u, w)] for u, (w, _) in self._coset_constants.items())
-        for terms in groups:
+        for k, (rep, (w, base)) in enumerate(self._coset_constants.items()):
+            if f is None:
+                ns, terms = (), [(rep, w)]
+            else:
+                _, winners = _argmin(f.walk, f.a * q, [q * x + y for x, y in zip(f.Nbase[k], W)])
+                ns = [[sum(map(mul, row, m)) for row in f.U] for m in winners]
+                terms = self._coset_terms(rep, w, base, ns[:1])
             u, w_u = terms[0]
             value = q * w_u + D * sum(map(mul, u, V))
+            if best is not None and value > best:
+                continue
+            if len(ns) > 1:
+                terms += self._coset_terms(rep, w, base, ns[1:])
             if best is None or value < best:
-                best, out = value, terms
-            elif value == best:
-                out += terms
+                best, out = value, []
+            out += terms
         if best is None:
             raise EmptyProfileError("profile has no finite value")
-        out.sort()
+        if len(out) > 1:
+            out.sort()
         return out
-
-    def _coset_least_terms(self, q: int, V: Sequence[int]):
-        """Each finite coset's least (u, D w(u)) terms at v = V / q:
-        lattice._argmin walks around its centre Z / (a q) in reduced
-        coordinates m (`_coset_centres`), and n = U m."""
-        f = self._frame
-        for rep, w, base, Z in self._coset_centres(q, V):
-            _, winners = _argmin(f.walk, f.a * q, Z)
-            yield self._coset_terms(rep, w, base, [[sum(map(mul, row, m)) for row in f.U] for m in winners])
 
     def _coset_quadratics(self, q: int, V: Sequence[int]):
         """(rep, w, base, L, C) in integers per finite coset of an ample theta

@@ -348,9 +348,10 @@ def test_coset_decompositions_per_corner_locus(count_calls, name, calls):
     # Decomposing every visited witness took 5, 15, 19, 65 and 57;
     # decomposing every pooled competitor again took 10, 40, 76, 124 and
     # 138; decomposing each kept cell's witness again for the count took 7,
-    # 19, 25, 73 and 65.
+    # 19, 25, 73 and 65.  Every decomposition runs CosetLattice._decompose,
+    # which `decompose` calls after parsing and theta calls directly.
     theta = GATED[name]()
-    found = count_calls(CosetLattice.decompose)
+    found = count_calls(CosetLattice._decompose)
     corner_locus(theta)
     assert len(found) == calls
 

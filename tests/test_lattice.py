@@ -545,17 +545,24 @@ def box_argmin(A, t):
 @st.composite
 def skewed_problems(draw):
     """(B, ell, c0, A, S, V, z, f) with B = S^T A S, g <= 6: A diagonally
-    dominant with nonzero off-diagonal entries, S a unimodular shear and
-    V = S^-1.  The real minimizer is z + f, z an integer point with some
-    coordinates near 10^30 and f small; a half-integer f ties, as
-    q(n) = q(2 (z + f) - n)."""
+    dominant with nonzero off-diagonal entries, or at g <= 4 also 2I or
+    I + J, S a unimodular shear and V = S^-1.  The real minimizer is z + f,
+    z an integer point with some coordinates near 10^30 and f small; a
+    half-integer f ties, as q(n) = q(2 (z + f) - n), and with A = 2I each
+    half-integer coordinate doubles the argmin."""
     g = draw(st.integers(1, 6))
-    A = [[F(0)] * g for _ in range(g)]
-    for i in range(g):
-        for j in range(i):
-            A[i][j] = A[j][i] = F(draw(st.sampled_from((-1, 1))), draw(st.integers(2, 4)))
-    for i in range(g):
-        A[i][i] = sum(abs(A[i][j]) for j in range(g) if j != i) + draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(("dominant", "2I", "I+J") if g <= 4 else ("dominant",)))
+    if shape == "2I":
+        A = [[F(2 * int(i == j)) for j in range(g)] for i in range(g)]
+    elif shape == "I+J":
+        A = [[F(1 + int(i == j)) for j in range(g)] for i in range(g)]
+    else:
+        A = [[F(0)] * g for _ in range(g)]
+        for i in range(g):
+            for j in range(i):
+                A[i][j] = A[j][i] = F(draw(st.sampled_from((-1, 1))), draw(st.integers(2, 4)))
+        for i in range(g):
+            A[i][i] = sum(abs(A[i][j]) for j in range(g) if j != i) + draw(st.integers(1, 3))
     # S by row operations row_i += k row_j, V by the inverse column ones
     S, V = [list(r) for r in identity(g)], [list(r) for r in identity(g)]
     ops = st.tuples(st.integers(0, g - 1), st.integers(0, g - 1), st.integers(-2, 2))
@@ -576,12 +583,12 @@ def skewed_problems(draw):
 
 
 @given(skewed_problems())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_minimize_matches_box_scan_on_skewed_forms(problem):
-    # non-separable skewed forms: the value is a plain Fraction objective at
-    # every argmin point, and the argmin is a box scan in the coordinates
-    # y = S (n - z) of the well-conditioned A, which needs no reduction,
-    # rounding or walk of the library's
+    # skewed forms: the value is a plain Fraction objective at every argmin
+    # point, and the argmin, ties and far centres included, is a box scan in
+    # the coordinates y = S (n - z) of the well-conditioned A, which needs no
+    # reduction, rounding or walk of the library's
     B, ell, c0, A, S, V, z, f = problem
     got = minimize_quadratic(B, ell, c0)
     assert {_objective_value(B, ell, c0, n) for n in got.argmin} == {got.value}
@@ -589,53 +596,61 @@ def test_minimize_matches_box_scan_on_skewed_forms(problem):
     assert list(got.argmin) == scan
     if any(x.denominator == 2 for x in f):
         assert len(scan) >= 2
+    if A == [[2 * int(i == j) for j in range(len(A))] for i in range(len(A))]:
+        assert len(scan) == 2 ** sum(x.denominator == 2 for x in matvec(S, f))
 
 
-@pytest.fixture
-def walk_leaves(monkeypatch):
-    """Every (m, r) leaf the ellipsoid walk yields, in reduced coordinates
-    with its leftover budget, and every Babai seed (x, S) computed."""
-    leaves, seeds = [], []
-    walk, nearest = lattice._ellipsoid_points, lattice._nearest_plane
+def babai(walk, q, C):
+    """Babai's nearest-plane point x for the centre C / q of the form whose
+    `_walk` data is walk, and its scaled distance S = sum_i Dk_i e_i^2: from
+    the last coordinate down, x_i is the integer nearest its level's centre
+    G_i / k given the x_j above it (ties round up), e_i = k x_i - G_i.  An
+    oracle for the first leaf of the nearest-first walk, computed apart
+    from it."""
+    lq, Lk, _, Dk = walk
+    g = len(Lk)
+    k = lq * q
+    x = [0] * g
+    S = 0
+    for i in range(g - 1, -1, -1):
+        G = lq * C[i] - sum(Lk[j][i] * (q * x[j] - C[j]) for j in range(i + 1, g))
+        x[i] = (2 * G + k) // (2 * k)
+        e = k * x[i] - G
+        S += Dk[i] * e * e
+    return tuple(x), S
 
-    def recording_walk(*args):
-        for leaf in walk(*args):
-            leaves.append(leaf)
-            yield leaf
 
-    def recording_nearest(*args):
-        seeds.append(nearest(*args))
-        return seeds[-1]
-
-    monkeypatch.setattr(lattice, "_ellipsoid_points", recording_walk)
-    monkeypatch.setattr(lattice, "_nearest_plane", recording_nearest)
-    return leaves, seeds
-
-
-@pytest.mark.parametrize("g, total", [(4, 13), (8, 16), (10, 27)])
-def test_walk_leaves_per_minimization(walk_leaves, g, total):
-    # machine-independent gate: the walk's budget is the scaled distance of
-    # one seed point (Babai's nearest plane), so a minimization yields each
-    # lattice point at or below the seed's value once, as a leaf, the seed
-    # with nothing left over, and reads its value off the leftover budgets
-    leaves, seeds = walk_leaves
+@pytest.mark.parametrize("g, total", [(4, 13), (8, 16), (10, 19)])
+def test_walk_leaves_per_minimization(walk_nodes, g, total):
+    # machine-independent gate: the walk is nearest-first, so its first leaf
+    # is Babai's nearest-plane point (the oracle above) and each later leaf
+    # lies at or below the best distance so far.  A minimization so visits
+    # only lattice points at or below Babai's value, and its argmin is the
+    # leaves at the last distance.  A full walk below Babai's distance
+    # visits every such point: 13, 16 and 27 leaves here.
     B = [[2 if i == j else 1 for j in range(g)] for i in range(g)]  # P = I + J
-    U = lattice._reduced(lattice._gram_rows(B))[0]
+    U, _, walk, _ = lattice._reduced(lattice._gram_rows(B))
+    U_inv = inverse(U)
     rng = random.Random(g)
     count = 0
     for k in range(10):
         far = rng.choice((-1, 1)) * 10**30 if k % 5 == 4 else 0
         ell = [far + F(rng.randint(-400, 400), rng.choice((7, 11, 13))) for _ in range(g)]
-        del leaves[:], seeds[:]
-        minimize_quadratic(B, ell)
-        (seed, _), = seeds
-        assert (seed, 0) in leaves and all(r >= 0 for _, r in leaves)
-        found = len(leaves)
+        del walk_nodes[:]
+        got = minimize_quadratic(B, ell)
+        leaves = [(x, t) for i, t, x in walk_nodes if i < 0]
         centre = [-x for x in matvec(inverse(B), ell)]
+        m = matvec(U_inv, centre)  # the centre in the walk's coordinates
+        q = math.lcm(*(x.denominator for x in m))
+        seed, S = babai(walk, q, [int(x * q) for x in m])
+        distances = [t for _, t in leaves]
+        assert leaves[0] == (seed, S)
+        assert all(b <= a for a, b in itertools.pairwise(distances))
         seed_value = _objective_value(B, ell, 0, matvec(U, seed))
         points = enumerate_below(B, centre, seed_value - _objective_value(B, ell, 0, centre))
-        assert found == len(points)
-        count += found
+        assert {tuple(matvec(U, x)) for x, _ in leaves} <= set(points)
+        assert set(got.argmin) == {tuple(matvec(U, x)) for x, t in leaves if t == distances[-1]}
+        count += len(leaves)
     assert count == total
 
 

@@ -16,8 +16,9 @@ the pool built from them: a fourth check walks every `_terms_below`
 argument and result and every `_pool` argument and result, also for a
 theta whose profile reps lie off the canonical box, so that its values are
 moved onto the box in ints.  The minimizer reads each value off its
-ellipsoid walk: a fifth check walks every leaf the walk yields during theta
-evaluations, point and leftover budget, and finds only ints.  The divisor's
+nearest-first walk: a fifth check walks every node the walk enters during
+theta evaluations, each leaf's point and distance included, and finds only
+ints.  The divisor's
 seed is the integer argmin entry `lattice._argmin`: a sixth check walks
 every argument and result of its calls during corner loci and finds only
 ints.  Every theta value but `evaluate`'s is read off that entry too: a
@@ -303,23 +304,14 @@ def test_sweep_and_pool_run_in_integers(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name", ["variety_g2.json", "variety_g3.json", "LEVEL2_I"])
-def test_walk_leaves_are_integers(monkeypatch, name):
-    # every point and leftover budget the minimizer's walk yields is an int
+def test_walk_leaves_are_integers(walk_nodes, name):
+    # every node the minimizer's walk enters holds ints: its level, its
+    # partial distance and its point, and so does every leaf
     theta = LEVEL2_I if name == "LEVEL2_I" else fixture_theta(name)
-    leaves = []
-    walk = lattice._ellipsoid_points
-
-    def recording(*args):
-        for leaf in walk(*args):
-            leaves.append(leaf)
-            yield leaf
-
-    monkeypatch.setattr(lattice, "_ellipsoid_points", recording)
     for k in range(20):
         theta.evaluate(tuple(Fraction(k * (i + 2) - 17, 7 + i) for i in range(theta.g)))
-    assert len(leaves) >= 20
-    assert {type(r) for _, r in leaves} == {int}
-    assert {type(x) for m, _ in leaves for x in m} == {int}
+    assert sum(i < 0 for i, _, _ in walk_nodes) >= 20
+    assert {type(x) for node in walk_nodes for x in numbers(node)} == {int}
 
 
 @pytest.mark.parametrize("name", ["variety_g1.json", "variety_g2.json", "variety_g3.json", "LEVEL2_SHIFTED"])

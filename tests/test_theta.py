@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from troptheta import geometry, lattice, theta as theta_module
+from troptheta.crosschecks import sample_points, sample_shifts, seeded_period
 from troptheta.lattice import CosetLattice, NotPositiveDefiniteError, _over_common_denominator
 from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matmul, matvec, solve, transpose
 from troptheta.nonarch import (
@@ -15,8 +16,11 @@ from troptheta.nonarch import (
     NACocycle,
     NAThetaFunction,
     PeriodMatrix,
+    build_riemann_theta,
     canonical_cocycle,
     evaluate_at_point,
+    theta_basis,
+    tropicalize,
 )
 from troptheta.puiseux import PuiseuxNumber
 from troptheta.rationals import INF
@@ -399,6 +403,56 @@ def test_terms_below_matches_fraction_brute_force(case):
     assert (offset < 0) == (got == [])
 
 
+@st.composite
+def finite_coset_cases(draw):
+    """(theta, v) for the ample thetas of `sweep_cases` with more than one
+    coset (Lam = 2I, 3I or non-diagonal), every coset finite.  Half of them
+    have ell = 0, w = 0 at every rep and v on half integers, where several
+    cosets tie."""
+    theta, v, _ = draw(sweep_cases().filter(lambda case: case[0].is_ample and case[0]._cosets.index > 1))
+    g, reps = theta.g, theta.profile.reps
+    tie = draw(st.booleans())
+    ws = [F(0) if tie else draw(small_rationals) for _ in reps]
+    ell = (F(0),) * g if tie else theta.factor.ell
+    if tie:
+        v = tuple(F(draw(st.integers(-4, 4)), 2) for _ in range(g))
+    factor = AutomorphyFactor(Lambda=theta.factor.Lambda, ell=ell)
+    return TropicalThetaFunction(base=theta.base, factor=factor, profile=ValuationProfile(tuple(zip(reps, ws)))), v
+
+
+# P = I, Lam = 2I, ell = 0 and w = 0: at v = 0 the nine points of
+# {-1, 0, 1}^2 tie at 0, in all four cosets
+LEVEL2_TIES = TropicalThetaFunction(
+    base=data_of([[1, 0], [0, 1]], [[1, 0], [0, 1]]),
+    factor=AutomorphyFactor(Lambda=[[2, 0], [0, 2]], ell=(0, 0)),
+    profile=ValuationProfile(tuple((rep, 0) for rep in itertools.product((0, 1), repeat=2))),
+)
+
+
+@given(finite_coset_cases())
+@example((LEVEL2_TIES, (F(0), F(0))))
+@example((LEVEL2_TIES, (F(1, 2), F(-1, 2))))
+@settings(max_examples=60, deadline=None)
+def test_least_terms_match_fraction_brute_force(case):
+    # the flat coset loop of _least_terms against `brute_terms`, which has
+    # no walk: below evaluate's value the brute force finds no term, and at
+    # it every term it finds is a least term, ties between cosets included
+    theta, v = case
+    D = theta._kernel.D
+    value = {(u, w): w + sum(a * b for a, b in zip(u, v)) for u, w in brute_terms(theta, v, theta.evaluate(v).value)}
+    low = min(value.values())
+    assert low == theta.evaluate(v).value
+    q = math.lcm(*(c.denominator for c in v))
+    V = [c.numerator * (q // c.denominator) for c in v]
+    assert theta._least_terms(q, V) == [(u, D * w) for (u, w), x in value.items() if x == low]
+
+
+def test_least_terms_keep_ties_between_cosets():
+    terms = LEVEL2_TIES._least_terms(1, (0, 0))
+    assert terms == [(u, 0) for u in itertools.product((-1, 0, 1), repeat=2)]
+    assert {LEVEL2_TIES._cosets.decompose(u)[0] for u, _ in terms} == set(LEVEL2_TIES.profile.reps)
+
+
 # ---------- profile reps anywhere in their cosets ----------
 
 
@@ -596,8 +650,9 @@ def test_both_coset_queries_share_one_centre(case):
     least, below = [], []
 
     def recording_argmin(walk, scale, C):
-        least.append([F(x, scale) for x in C])
-        return argmin(walk, scale, C)
+        out = argmin(walk, scale, C)
+        least.append(([F(x, scale) for x in C], out[1][0]))
+        return out
 
     def recording_enumerate(B, center, radius):
         below.append(tuple(center))
@@ -605,14 +660,38 @@ def test_both_coset_queries_share_one_centre(case):
 
     argmin, enumerate_below = theta_module._argmin, geometry.enumerate_below
     D = theta._kernel.D
+    U = theta._form._reduction[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(theta_module, "_argmin", recording_argmin)
         mp.setattr(geometry, "enumerate_below", recording_enumerate)
-        minima = [q * w + D * sum(x * y for x, y in zip(u, V)) for (u, w), *_ in theta._coset_least_terms(q, V)]
+        theta._least_terms(q, V)
+        # each coset's minimum, at the first winner the walk returned for it
+        minima = [
+            q * w_u + D * sum(x * y for x, y in zip(u, V))
+            for (rep, (w, base)), (_, m) in zip(theta._coset_constants.items(), least, strict=True)
+            for u, w_u in theta._coset_terms(rep, w, base, [[sum(x * y for x, y in zip(row, m)) for row in U]])
+        ]
         geometry._terms_below(theta, q, V, max(minima))
-    U = theta._form._reduction[0]
     assert len(least) == len(theta._coset_constants)
-    assert below == [tuple(sum(x * y for x, y in zip(row, m)) for row in U) for m in least]
+    assert below == [tuple(sum(x * y for x, y in zip(row, m)) for row in U) for m, _ in least]
+
+
+@pytest.mark.parametrize("g, level, calls, nodes", [(1, 1, 48, 96), (1, 2, 48, 96), (2, 1, 48, 144), (2, 2, 48, 160)])
+def test_walk_nodes_per_least_terms(walk_nodes, count_calls, g, level, calls, nodes):
+    # machine-independent gate on the shapes of the nonarch benchmark: the
+    # transformation-law check of a Riemann series (Lam = I) and of a level-2
+    # basis series (Lam = 2I, one finite coset) at g = 1 and 2, counting its
+    # _least_terms calls and the nodes that the nearest-first walk of
+    # lattice._argmin enters.  A walk with one finite coset enters at least
+    # g + 1 nodes per call, one per level and a leaf: 2, 2, 3 and 3.33 here
+    period = seeded_period(g, 7)
+    lam = [[level * int(i == j) for j in range(g)] for i in range(g)]
+    f = build_riemann_theta(period, lam) if level == 1 else theta_basis(period, canonical_cocycle(period, lam))[-1]
+    trop = tropicalize(f)
+    least = count_calls(theta_module.TropicalThetaFunction._least_terms)
+    del walk_nodes[:]
+    assert verify_transformation(trop, sample_points(g, 6, 5), sample_shifts(g, 7, 6)).ok
+    assert (len(least), len(walk_nodes)) == (calls, nodes)
 
 
 def test_one_form_per_theta(count_calls):
