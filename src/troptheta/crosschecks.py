@@ -8,8 +8,10 @@ intrinsic tropical Riemann theta with additive constant zero.
 Suite C: the quotient of two series with the same cocycle has point
 valuations descending to the periodic difference of the tropicalizations.
 
-Everything is Fraction-exact; randomness is deterministic in the seed, so
-suite outcomes are reproducible byte for byte.  One seeded stream of
+Everything is exact: the suites compare integers (each theta value as the
+integer pair of TropicalThetaFunction._value, cross-multiplied) and form
+Fractions only for a failing case.  Randomness is deterministic in the
+seed, so suite outcomes are reproducible byte for byte.  One seeded stream of
 rational points (`_points`) gives `sample_points` and suite C's monomial
 points, and one of integer vectors (`_shifts`) gives `sample_shifts` and
 suite B's valuation pairs, each with a fixed spread.  Each outcome is a
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 
+from .lattice import _over_common_denominator
 from .linalg import identity, matmul, matvec, transpose
 from .nonarch import (
     NAThetaFunction,
@@ -122,10 +125,12 @@ def suite_b(
         TropicalPolarizationData(g=g, P=period.pairing(), Lambda=Lambda)
     )
     zero = [(0,) * g]
-    match = _check_samples(
-        ((v, zero) for v in sample_points(g, samples, seed)),
-        lambda v: lambda _: _mismatch(trop(v), intrinsic(v)),
-    )
+
+    def riemann(v):
+        q, V = _over_common_denominator(v)
+        return lambda _: _mismatch(*trop._value(q, V), *intrinsic._value(q, V))
+
+    match = _check_samples(((v, zero) for v in sample_points(g, samples, seed)), riemann)
     if match.ok:
         match_detail = f"{match.checked}/{match.checked} exact equalities, additive constant 0"
     else:
@@ -138,7 +143,9 @@ def suite_b(
 
     def symmetric(n):
         lam_n = matvec(Lambda, n)
-        return lambda _: _mismatch(trop.extended_w(lam_n), trop.extended_w(tuple(-x for x in lam_n)))
+        neg = tuple(-x for x in lam_n)
+        same = trop._w_numerator(lam_n) == trop._w_numerator(neg)
+        return lambda _: None if same else (trop.extended_w(lam_n), trop.extended_w(neg))
 
     even = _check_samples(((n, zero) for n in draws), symmetric)
     detail = f"{even.checked - len(even.failures)}/{even.checked} symmetric pairs"
@@ -170,7 +177,8 @@ def suite_c(
         value, dominant_unique = h.val_at(tuple(PuiseuxNumber.monomial(Fraction(1), e) for e in exps))
         if dominant_unique:
             collected += 1
-            mismatched += value != ht(exps)
+            num, den = ht.expression._value(*_over_common_denominator(exps))
+            mismatched += value.numerator * den != num * value.denominator
             if collected == points:
                 break
     detail = f"{collected - mismatched}/{points} monomial points with unique dominants match"

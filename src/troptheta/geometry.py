@@ -937,7 +937,7 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
     kept = []
     top = set()  # classes of the kept full-dimensional cells
     pieces: dict[tuple[IntVec, ...], list[IntVec]] = {}  # witnesses -> vertices
-    queue = deque([cosets.decompose(theta._least_terms(1, (0,) * g)[0][0])])
+    queue = deque([cosets._decompose(theta._least_terms(1, (0,) * g)[0][0])])
     while queue:
         key = queue.popleft()
         if key in seen:
@@ -950,7 +950,7 @@ def corner_locus(theta: TropicalThetaFunction) -> CellComplex:
             # every neighbor ties with u at a vertex of the cell: it is a
             # witness of a pool plane tight at some vertex (module docstring)
             tight = functools.reduce(or_, built.poly.values())
-            neighbors = tuple(map(cosets.decompose, sorted({w for k in _bits(tight) for w in built.witnesses[k]})))
+            neighbors = tuple(map(cosets._decompose, sorted({w for k in _bits(tight) for w in built.witnesses[k]})))
             bounds = [
                 (min(-(-x // t[-1]) for x, t in zip(c, built.poly)),
                  max(x // t[-1] for x, t in zip(c, built.poly)))

@@ -643,16 +643,18 @@ def evaluate_at_point(
 ) -> PartialSum:
     """Sum a_u x^u over every u with val(a_u x^u) <= cutoff, exactly.
 
-    val(a_u x^u) = w(u) + <u, trop(x)> for the tropicalization, so the terms
-    are the u of the (u, D w(u)) pairs of geometry._terms_below at trop(x)
-    and the cutoff, in integers: one enumeration below the cutoff per
-    finite coset (a finite scan when lambda = 0), summed in lex order of u.
-    x must have monomial nonzero coordinates; cutoff must be at least the
-    minimal term valuation f_trop(trop(x)), which is the default.  That
-    minimum and whether one term attains it come from one integer argmin of
-    the tropicalization (TropicalThetaFunction._least), not from `evaluate`.
-    When the minimal-valuation term is unique, val(value) equals that
-    minimum.
+    val(a_u x^u) = w(u) + <u, trop(x)> for the tropicalization.  x must
+    have monomial nonzero coordinates; cutoff must be at least the minimal
+    term valuation f_trop(trop(x)), which is the default.  That minimum and
+    every term that attains it come from one integer argmin of the
+    tropicalization (TropicalThetaFunction._least_terms), not from
+    `evaluate`.  At the minimal cutoff the terms are exactly those
+    witnesses, already sorted, so nothing is walked twice; a cutoff above
+    it takes the u of the (u, D w(u)) pairs of geometry._terms_below at
+    trop(x) and the cutoff, in integers: one enumeration below the cutoff
+    per finite coset (a finite scan when lambda = 0).  The terms are summed
+    in lex order of u.  When the minimal-valuation term is unique,
+    val(value) equals that minimum.
     """
     for xj in x:
         if not isinstance(xj, PuiseuxNumber) or xj.is_zero():
@@ -662,13 +664,16 @@ def evaluate_at_point(
     # v = trop(x) = V / q; each term's D q val(a_u x^u) is an integer, so the cutoff is floored
     q, V = _over_common_denominator(point([xj.val() for xj in x], f.g, "x"))
     trop = tropicalize(f)
-    least, witnesses = trop._least(q, V)
+    witnesses = trop._least_terms(q, V)
+    num, den = trop._value(q, V, witnesses[0])
+    least = Fraction(num, den)
     cutoff = least if cutoff is None else _as_fraction(cutoff, "cutoff")
     if cutoff < least:
         raise CutoffBelowMinimumError(f"cutoff {cutoff} below minimal valuation {least}")
 
     X = tuple(_mono(xj, q) for xj in x)
-    terms = [u for u, _ in _terms_below(trop, q, V, floor(cutoff * trop._kernel.D * q))]
+    below = witnesses if cutoff == least else _terms_below(trop, q, V, floor(cutoff * trop._kernel.D * q))
+    terms = [u for u, _ in below]
     # a_u x^u, with x^u one monomial; all terms canonicalized once
     products = (f._coefficient(u)._shifted(*_term(q, _fold(zip(X, u)))) for u in terms)
     return PartialSum(

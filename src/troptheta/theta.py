@@ -27,13 +27,19 @@ cosets: it forms each centre the same way, inline, hands it to the
 integer argmin entry lattice._argmin (one nearest-first walk), reads the
 coset's value off its first winner's (u, D w(u)) and forms the other
 winners' terms only where the coset ties or beats the least value so far;
-`_least` reads the value off its first term.
+`_value` reads the value off its first term as the integer pair
+(D q f(v), D q), and `_least` forms its one Fraction.
 Every library reader of a value (`__call__`, the transformation-law
-check, whose sides are integers over D q, the periodicity checks,
-expressions, the Puiseux partial sums, the divisor's seed and linearity
-cells) uses that path; only the public `evaluate` still minimizes on g + 1
-Fractions per coset through lattice.minimize_quadratic.  The divisor's
-competitor sweeps and the Puiseux partial sums enumerate below a bound
+check, whose sides are integers over D q, the periodicity and Kummer
+checks, expressions, the Puiseux partial sums, the divisor's seed and
+linearity cells) uses that path; only the public `evaluate` still
+minimizes on g + 1 Fractions per coset through lattice.minimize_quadratic.
+The checks compare integer pairs by cross-multiplying (`_mismatch`) and
+form Fractions only for a failing case.  An expression writes its shifts
+over one common denominator once; at v = V / q each term reads
+D Q f(v + shift) over the one Q of the point and the shifts, and the sum
+is one integer over lcm(D) Q.  The divisor's competitor sweeps and the
+Puiseux partial sums above the minimal cutoff enumerate below a bound
 around the same centres (geometry._terms_below).  `_coset_terms` is the one
 D w(rep + Lam n) formula, for those enumerations, `extended_w` and `c_trop`
 and the law check's shifts (the coset of 0), so the divisor's pool offsets
@@ -97,7 +103,6 @@ from .varieties import (
     InvalidDataError,
     TropicalPolarizationData,
     TropPoint,
-    embed_Mprime,
 )
 
 
@@ -423,11 +428,19 @@ class TropicalThetaFunction:
 
     def _least(self, q: int, V: Sequence[int]) -> tuple[Fraction, tuple[IntVec, ...]]:
         """(f(v), every witness, sorted) at v = V / q, in integers: the value
-        is D q (w(u) + <u, v>) / (D q) at the first of `_least_terms`."""
+        is `_value` at the first of `_least_terms`."""
         terms = self._least_terms(q, V)
-        u, w_u = terms[0]
+        num, den = self._value(q, V, terms[0])
+        return Fraction(num, den), tuple(u for u, _ in terms)
+
+    def _value(self, q: int, V: Sequence[int], term: tuple[IntVec, int] | None = None) -> tuple[int, int]:
+        """f(v) at v = V / q as the integer pair (D q f(v), D q), read off a
+        term (u, D w(u)) that attains it, by default the first of
+        `_least_terms`: D q f(v) = q D w(u) + D <u, V>.  The checks compare
+        such pairs by cross-multiplying (`_mismatch`)."""
+        u, w = self._least_terms(q, V)[0] if term is None else term
         D = self._kernel.D
-        return Fraction(q * w_u + D * sum(map(mul, u, V)), D * q), tuple(u for u, _ in terms)
+        return q * w + D * sum(map(mul, u, V)), D * q
 
     def _least_terms(self, q: int, V: Sequence[int]) -> list[tuple[IntVec, int]]:
         """(u, D w(u)) for every witness u of f at v = V / q (q > 0), sorted,
@@ -486,8 +499,9 @@ class TropicalThetaFunction:
             yield rep, w, base, [q * x + y for x, y in zip(Nb, W)]
 
     def __call__(self, v: Sequence) -> Fraction:
-        """f(v), in integers (`_least`)."""
-        return self._least(*_over_common_denominator(point(v, self.g)))[0]
+        """f(v), in integers (`_value`)."""
+        num, den = self._value(*_over_common_denominator(point(v, self.g)))
+        return Fraction(num, den)
 
     # ---------- translation ----------
 
@@ -574,9 +588,12 @@ def default_shifts(g: int) -> tuple[IntVec, ...]:
     return tuple(n for n in product((-1, 0, 1), repeat=g) if any(n))
 
 
-def _mismatch(lhs, rhs):
-    """None where lhs == rhs, else the pair: a `_check_samples` verdict."""
-    return None if lhs == rhs else (lhs, rhs)
+def _mismatch(lhs: int, lhs_den: int, rhs: int, rhs_den: int):
+    """None where lhs / lhs_den == rhs / rhs_den, compared by
+    cross-multiplying, else the two Fractions: a `_check_samples` verdict
+    on two values given as integer pairs (`_value`)."""
+    if lhs * rhs_den != rhs * lhs_den:
+        return Fraction(lhs, lhs_den), Fraction(rhs, rhs_den)
 
 
 def _check_samples(cases, sides) -> CheckReport:
@@ -667,11 +684,29 @@ class TropicalThetaExpression:
         return self.terms[0][2].base
 
     def evaluate(self, v: Sequence) -> Fraction:
-        return self._evaluate(point(v, self.base.g))
+        num, den = self._value(*_over_common_denominator(point(v, self.base.g)))
+        return Fraction(num, den)
 
-    def _evaluate(self, v: TropPoint) -> Fraction:
-        """The value at a parsed point, each term read off `_least`."""
-        return sum(m * t._least(*_over_common_denominator(tuple(map(add, v, s))))[0] for m, s, t in self.terms)
+    @cached_property
+    def _integers(self) -> tuple[int, int, list[tuple[int, list[int], TropicalThetaFunction]]]:
+        """(s, L, terms): s the one common denominator of the shifts, L the
+        lcm of the terms' kernel denominators D, and per term
+        (m L / D, s times its shift, theta)."""
+        s, flat = _over_common_denominator([x for _, shift, _ in self.terms for x in shift])
+        L = lcm(*(t._kernel.D for _, _, t in self.terms))
+        g = self.base.g
+        return s, L, [(m * (L // t._kernel.D), flat[k * g : k * g + g], t) for k, (m, _, t) in enumerate(self.terms)]
+
+    def _value(self, q: int, V: Sequence[int]) -> tuple[int, int]:
+        """The value at v = V / q as the integer pair (L Q h(v), L Q): the
+        point and every shift go over Q = lcm(q, s), and each term reads
+        D Q f(v + shift) off its theta's `_value`, so the sum is one
+        integer over L Q."""
+        s, L, terms = self._integers
+        Q = lcm(q, s)
+        a, b = Q // q, Q // s
+        X = [a * x for x in V]
+        return sum(scale * t._value(Q, [x + b * y for x, y in zip(X, S)])[0] for scale, S, t in terms), L * Q
 
 
 def expression_automorphy(expr: TropicalThetaExpression) -> AutomorphyFactor:
@@ -718,11 +753,23 @@ class PeriodicPLFunction:
         shifts = [lattice_vector(n, g, "shift") for n in (default_shifts(g) if shifts is None else shifts)]
         return _check_samples(((point(v, g, "sample"), shifts) for v in samples), self._periodic_sides)
 
+    @cached_property
+    def _period(self) -> tuple[int, list[list[int]]]:
+        """(p, (p P)^T): the pairing over its one common denominator p."""
+        g = self.base.g
+        p, flat = _over_common_denominator([x for col in transpose(self.base.P.entries) for x in col])
+        return p, [flat[i : i + g] for i in range(0, g * g, g)]
+
     def _periodic_sides(self, v: TropPoint):
-        """`_check_samples` sides of h(v) = h(v + P^T n)."""
-        at = self.expression._evaluate
-        value = at(v)
-        return lambda n: _mismatch(value, at(tuple(map(add, v, embed_Mprime(self.base, n)))))
+        """`_check_samples` sides of h(v) = h(v + P^T n), in integers: at
+        v = V / q, v + P^T n = (p V + q (p P)^T n) / (p q)."""
+        q, V = _over_common_denominator(v)
+        p, Pt = self._period
+        value = self.expression._value(q, V)
+        pV = [p * x for x in V]
+        return lambda n: _mismatch(
+            *value, *self.expression._value(p * q, [x + q * sum(map(mul, row, n)) for x, row in zip(pV, Pt)])
+        )
 
 
 def difference_to_periodic(expr: TropicalThetaExpression) -> PeriodicPLFunction:
@@ -775,10 +822,11 @@ def kummer_check(
                 raise IncompatibleError(
                     "kummer_check needs an even base theta (ell = 0, w(u) = w(-u))"
                 )
-    at = h.expression._evaluate
+    at = h.expression._value
 
     def sides(v):
-        return lambda _: _mismatch(at(v), at(tuple(-x for x in v)))
+        q, V = _over_common_denominator(v)
+        return lambda _: _mismatch(*at(q, V), *at(q, [-x for x in V]))
 
     zero = [(0,) * h.base.g]
     return _check_samples(((point(v, h.base.g, "sample"), zero) for v in samples), sides)

@@ -8,9 +8,10 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from troptheta import geometry
 from troptheta.crosschecks import seeded_period
 from troptheta.linalg import RatMatrix, matvec
 from troptheta.nonarch import (
@@ -529,6 +530,54 @@ def test_partial_sum_matches_box_scan(make):
         assert (out.value, out.terms) == (total, count)
 
 
+def box_terms(f, x, box):
+    """Independent oracle: (val, a_u x^u) for every u in the box |u_i| <=
+    box with a_u != 0, x^u built directly as prod c_j^u_j t^<u, val x>, and
+    the least val on the box's outer ring of width 2."""
+    v = [xj.val() for xj in x]
+    out, edge = [], None
+    for u in product(range(-box, box + 1), repeat=len(x)):
+        a = f.coefficient(u)
+        if not a.is_zero():
+            coeff = F(1)
+            for xj, k in zip(x, u):
+                coeff *= xj.leading_coefficient() ** k
+            term = a * PuiseuxNumber.monomial(coeff, sum(k * vj for k, vj in zip(u, v)))
+            out.append((term.val(), term))
+            if max(map(abs, u)) >= box - 1:
+                edge = term.val() if edge is None else min(edge, term.val())
+    return out, edge
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_riemann_theta(pm1(), [[1]]),
+        lambda: theta_basis(pm1(), canonical_cocycle(pm1(), [[2]]))[1],
+        lambda: build_riemann_theta(pm2(), ((1, 0), (0, 1))),
+        lambda: theta_basis(pm2(), canonical_cocycle(pm2(), [[2, 0], [0, 2]]))[2],
+    ],
+    ids=["I-g1", "2I-g1", "I-g2", "2I-g2"],
+)
+@seed(36)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_partial_sums_at_the_minimum_match_box_scan(make, data):
+    # the terms at the minimal cutoff, by default or given, are the
+    # witnesses of one argmin; the cutoff one above keeps enumerating below
+    # it.  Each must equal the box scan's terms at or below its cutoff
+    f = make()
+    exps = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    x = tuple(PuiseuxNumber.monomial(data.draw(st.sampled_from([1, 2, -3])), data.draw(exps)) for _ in range(f.g))
+    scanned, edge = box_terms(f, x, box=12)
+    least = min(val for val, _ in scanned)
+    assert edge > least + 1  # the box holds every term at or below least + 1
+    for cutoff, out in [(least, evaluate_at_point(f, x)), (least, evaluate_at_point(f, x, least)), (least + 1, evaluate_at_point(f, x, least + 1))]:
+        below = [term for val, term in scanned if val <= cutoff]
+        assert (out.value, out.terms, out.trop_value) == (sum(below, PuiseuxNumber.zero()), len(below), least)
+    assert evaluate_at_point(f, x).dominant_unique == (len([val for val, _ in scanned if val == least]) == 1)
+
+
 # ---------- rational functions ----------
 
 
@@ -566,8 +615,9 @@ def test_val_at_evaluates_each_theta_once(count_calls):
     h = construct_rational_function(*theta_basis(pm1(), coc))
     least = count_calls(TropicalThetaFunction._least_terms)
     evaluate = count_calls(TropicalThetaFunction.evaluate)
+    below = count_calls(geometry._terms_below)
     vd, ok = h.val_at((PuiseuxNumber.monomial(2, F(3, 7)),))
-    assert (len(least), len(evaluate)) == (2, 0)
+    assert (len(least), len(evaluate), len(below)) == (2, 0, 0)
     assert ok and vd == h.h_trop.evaluate((F(3, 7),))
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from troptheta import geometry, lattice, theta as theta_module
@@ -34,6 +34,7 @@ from troptheta.theta import (
     TropicalThetaExpression,
     TropicalThetaFunction,
     ValuationProfile,
+    default_shifts,
     difference_to_periodic,
     expression_automorphy,
     is_even,
@@ -946,6 +947,28 @@ def test_expression_automorphy_cancellation():
     assert h.check_periodicity(rational_grid(2, 10, seed=53)).ok
 
 
+@seed(36)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_expression_sums_terms_over_mixed_denominators(data):
+    # the expression reads every term's value over one denominator: it must
+    # equal the sum of the terms' Fraction paths (evaluate), with a theta
+    # beside its own translate (a different kernel D), a lambda = 0 term and
+    # shifts over mixed denominators
+    g = data.draw(st.sampled_from([1, 2]))
+    theta = data.draw(st.sampled_from([TH1, L2] if g == 1 else [TH2, NP2]))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    vec = st.tuples(*[rational] * g)
+    moved = theta.translate(data.draw(vec))
+    support = st.lists(st.tuples(st.tuples(*[st.integers(-3, 3)] * g), rational), min_size=1, max_size=3, unique_by=lambda e: e[0])
+    flat = TropicalThetaFunction(base=theta.base, factor=zero_factor(g), profile=ValuationProfile(entries=tuple(data.draw(support))))
+    thetas = data.draw(st.permutations([theta, moved, flat])) + data.draw(st.lists(st.sampled_from([theta, moved, flat]), max_size=2))
+    terms = tuple((data.draw(st.integers(-3, 3)), data.draw(vec), t) for t in thetas)
+    v = data.draw(vec)
+    want = sum(m * t.evaluate(tuple(a + b for a, b in zip(v, s))).value for m, s, t in terms)
+    assert TropicalThetaExpression(terms).evaluate(v) == want
+
+
 def test_expression_residual_factor_reported():
     expr = TropicalThetaExpression(
         terms=((1, (F(1, 2),), TH1), (-1, (F(0),), TH1))
@@ -978,6 +1001,19 @@ def test_level_n_function_and_kummer():
     moved = TropicalThetaFunction(base=D1, factor=TH1.factor, profile=ValuationProfile(entries=(((2,), TH1.extended_w((2,))),)))
     h3 = level_n_function(moved, [w, tuple(-x for x in w)])
     assert [h3(v) for v in samples] == [h(v) for v in samples]
+
+
+def test_periodicity_over_a_rational_pairing():
+    # with P over a denominator p > 1 the shifted side is an integer pair
+    # over p times the sample's denominator, so the two sides are compared
+    # across different denominators
+    theta = riemann_theta(data_of([[F(5, 2), F(1, 3)], [F(1, 3), F(3, 2)]], [[1, 0], [0, 1]]))
+    h = level_n_function(theta, [(F(1, 2), F(1, 5)), (F(-1, 2), F(-1, 5))])
+    samples = rational_grid(2, 8, seed=71)
+    report = h.check_periodicity(samples)
+    assert report.ok and report.checked == 8 * 8
+    for v in samples[:3]:
+        assert {h(tuple(a + b for a, b in zip(v, embed_Mprime(theta.base, n)))) for n in default_shifts(2)} == {h(v)}
 
 
 def test_level_n_shift_sum_enforced():
