@@ -75,11 +75,13 @@ ties with u at a point of the region, so it is pooled; its plane is tight
 at p, and the cell satisfies the deepest pooled plane of that normal, so
 the two are one plane, with u' among its witnesses and its bit in p's mask.
 The sweeps take each region corner as integers (V, q) for x = V / q with an
-integer bound, walk each coset around its quadratic's real minimizer
-(`theta._coset_centres`), and carry D w(u) with each competitor u
-(`theta._coset_terms`), so the pool offsets are integer differences.  A
-lambda = 0 theta's sweeps and cells scan the same one table of D w(u)
-(`theta._coset_constants`) over its finite support.
+integer bound, walk each coset of the theta's one table
+(`theta._coset_constants`) around its quadratic's real minimizer, read off
+the theta's frame (`theta._frame`) as `theta._least_terms` reads it, with
+the coset's least real value taken off the reduced form G, and carry
+D w(u) with each competitor u (`theta._coset_terms`), so the pool offsets
+are integer differences.  A lambda = 0 theta's sweeps and cells scan the same one
+table of D w(u) (`theta._coset_constants`) over its finite support.
 """
 
 from __future__ import annotations
@@ -417,27 +419,32 @@ def _terms_below(theta: TropicalThetaFunction, q: int, V, bound: int) -> list[tu
     v = V / q, sorted, D the theta kernel's denominator: the terms below
     bound / (D q), in integers (q > 0).
 
-    One enumeration per finite coset of (q/2) n^T K n + <L, n> + C
-    (`theta._coset_quadratics`), whose value at its real minimizer
-    n* = U Z / (a q) (`theta._coset_centres`) is C + <L, U Z> / (2 a q): a
+    One enumeration per finite coset, read as `theta._least_terms` reads
+    it: on u = rep + Lam n, D q (w(u) + <u, v>) = (q/2) n^T K n + <L, n> + C
+    with C = q D w(rep) + D <rep, V>, whose real minimizer is
+    n* = U Z / (a q), Z = q N base + N D Lam^T V in the reduced frame
+    (`theta._frame`).  Its value there is C + <L, U Z> / (2 a q) =
+    C - Z^T G Z / (2 a^2 q), off the reduced form G, so no L is formed: a
     term is below bound iff (1/2) (n - n*)^T K (n - n*) <= top / (2 a q^2),
-    top = 2 a q (bound - C) - <L, U Z>.  D w(u) is read off each n by
-    `theta._coset_terms`."""
+    top = 2 a q (bound - C) + Z^T G Z / a (Fincke-Pohst 1985).  D w(u) is
+    read off each n by `theta._coset_terms`."""
     D = theta._kernel.D
     if not theta.is_ample:
         return sorted(
             (rep, w) for rep, (w, _) in theta._coset_constants.items() if q * w + D * sum(map(mul, rep, V)) <= bound
         )
     f = theta._frame
+    aq = f.a * q
+    W = [sum(map(mul, row, V)) for row in f.NDLt]
     out = []
-    centres = theta._coset_centres(q, V)
-    for (rep, w, base, L, C), (*_, Z) in zip(theta._coset_quadratics(q, V), centres, strict=True):
-        UZ = [sum(map(mul, row, Z)) for row in f.U]
-        top = 2 * f.a * q * (bound - C) - sum(map(mul, L, UZ))
+    for (rep, (w, base)), Nb in zip(theta._coset_constants.items(), f.Nbase):
+        Z = [q * x + y for x, y in zip(Nb, W)]
+        ZGZ = sum(map(mul, Z, [sum(map(mul, row, Z)) for row in f.G]))
+        top = 2 * aq * (bound - q * w - D * sum(map(mul, rep, V))) + ZGZ // f.a
         if top < 0:
             continue
-        center = [Fraction(x, f.a * q) for x in UZ]
-        out += theta._coset_terms(rep, w, base, enumerate_below(theta._form, center, Fraction(top, 2 * f.a * q * q)))
+        center = [Fraction(sum(map(mul, row, Z)), aq) for row in f.U]
+        out += theta._coset_terms(rep, w, base, enumerate_below(theta._form, center, Fraction(top, 2 * aq * q)))
     out.sort()
     return out
 
@@ -487,7 +494,8 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     which is pooled), which is the cell; the margin keeps R_u's planes off
     its vertices, so a polytope touching them raises.  In lattice
     coordinates t, R_u is |M t + c| <= half + D eps, with c = U^T D (ell +
-    P u) and M, half from `theta._frame`, so its corners are
+    P u), M from `theta._frame` and half_j = G_jj / 2 off its reduced form
+    G, so its corners are
     M^-1 (+-(half + D eps) - c), read off the frame's A / a in integers.
     eps is `_MARGIN` times min(1, min_j G_jj / 2): it shrinks with the form,
     where a fixed 1/16 pooled 1 / (8 p) competitors per corner for P = [[p]].
@@ -503,7 +511,8 @@ def _build_cell(theta: TropicalThetaFunction, u: IntVec) -> _Built:
     D, DP = theta._kernel.D, theta._kernel.P
     cols = tuple(zip(*DP))
     frame = theta._frame
-    Ut, A, a, half = tuple(zip(*frame.U)), frame.A, frame.a, frame.half
+    Ut, A, a = tuple(zip(*frame.U)), frame.A, frame.a
+    half = [row[j] // 2 for j, row in enumerate(frame.G)]
     p, q = _MARGIN.numerator, _MARGIN.denominator
     w_u = theta._w_numerator(u)
     y = theta._base(u)

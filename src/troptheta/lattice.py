@@ -96,13 +96,6 @@ class GramForm:
     def rows(self) -> Rows:
         return self.matrix.entries
 
-    def is_positive_definite(self) -> bool:
-        try:
-            _gso(self.rows)
-        except NotPositiveDefiniteError:
-            return False
-        return True
-
     @functools.cached_property
     def _reduction(self):
         """`_reduced` of this form, read once: a form that is enumerated

@@ -157,11 +157,6 @@ class PuiseuxNumber:
             raise CoefficientNotASquareError(f"{c} is not a rational square")
         return PuiseuxNumber.monomial(sqrt_exact(c), e / 2)
 
-    def divide_by_monomial(self, m: "PuiseuxNumber") -> "PuiseuxNumber":
-        if m.is_zero():
-            raise ZeroDivisionError("division by zero")
-        return self * m.inverse_monomial()
-
     # ---------- text form ----------
 
     def __str__(self) -> str:

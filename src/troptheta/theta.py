@@ -19,16 +19,16 @@ of the table.  Otherwise the table is keyed by the canonical reps of
 lattice.CosetLattice.  A profile rep may be any member of its coset: at
 construction, CosetLattice.normal_form (the one place that decomposes
 profile reps) moves its value to the canonical rep by the law above, and
-rejects a second rep of one coset.  `_coset_quadratics` forms each coset's
-quadratic at v = V / q, and `_coset_centres` its real minimizer off
-`_frame`, the one integer frame of K per theta, which adds to the table
-only its column N base.  `_least_terms` is one flat loop over the finite
-cosets: it forms each centre the same way, inline, hands it to the
-integer argmin entry lattice._argmin (one nearest-first walk), reads the
-coset's value off its first winner's (u, D w(u)) and forms the other
-winners' terms only where the coset ties or beats the least value so far;
-`_value` reads the value off its first term as the integer pair
-(D q f(v), D q), and `_least` forms its one Fraction.
+rejects a second rep of one coset.  `_frame`, the one integer frame of K
+per theta (its LLL basis U, reduced form G = U^T K U and inverse A / a),
+adds to the table only its column N base, off which each coset's real
+minimizer at v = V / q is read.  `_least_terms` is one flat loop over the
+finite cosets: it forms each centre inline, hands it to the integer argmin
+entry lattice._argmin (one nearest-first walk), reads the coset's value off
+its first winner's (u, D w(u)) and forms the other winners' terms only
+where the coset ties or beats the least value so far; `_value` reads the
+value off its first term as the integer pair (D q f(v), D q), and `_least`
+forms its one Fraction.
 Every library reader of a value (`__call__`, the transformation-law
 check, whose sides are integers over D q, the periodicity and Kummer
 checks, expressions, the Puiseux partial sums, the divisor's seed and
@@ -39,15 +39,17 @@ form Fractions only for a failing case.  An expression writes its shifts
 over one common denominator once; at v = V / q each term reads
 D Q f(v + shift) over the one Q of the point and the shifts, and the sum
 is one integer over lcm(D) Q.  The divisor's competitor sweeps and the
-Puiseux partial sums above the minimal cutoff enumerate below a bound
-around the same centres (geometry._terms_below).  `_coset_terms` is the one
-D w(rep + Lam n) formula, for those enumerations, `extended_w` and `c_trop`
-and the law check's shifts (the coset of 0), so the divisor's pool offsets
-D w(u) - D w(u'') are differences of integers and no competitor is
-decomposed into its coset again.  Its u = rep + Lam n is `_witness`, which
-`evaluate` and the divisor's walk read too.  The divisor certifies each
-cell in a parallelepiped read off `_frame` around D (ell + P u) from
-`_base`.  Its fundamental domain is kept in `_domain`.
+Puiseux partial sums above the minimal cutoff walk the same table and
+frame the same way (geometry._terms_below): they enumerate below a bound
+around the same centres, each coset's least real value read off G.
+`_coset_terms` is the one D w(rep + Lam n) formula, for those
+enumerations, `extended_w` and `c_trop` and the law check's shifts (the
+coset of 0), so the divisor's pool offsets D w(u) - D w(u'') are
+differences of integers and no competitor is decomposed into its coset
+again.  Its u = rep + Lam n is `_witness`, which `evaluate` and the
+divisor's walk read too.  The divisor certifies each cell in a
+parallelepiped read off `_frame` around D (ell + P u) from `_base`.  Its
+fundamental domain is kept in `_domain`.
 
 The factor reads ell once, as exact rationals by linalg._as_fraction (a
 float raises TypeError), and Lam by linalg.square_rows with g = len(ell);
@@ -246,17 +248,20 @@ class _Kernel(NamedTuple):
 
 class _Frame(NamedTuple):
     """A theta's form K in its LLL-reduced basis b_j = U e_j, in integers:
-    the walk data of U^T K U, K's one inverse U (U^T K U)^-1 = A / a, a > 0,
-    which also inverts M = U^T K (row j is K b_j), half_j = b_j^T K b_j / 2,
+    the reduced form G = U^T K U and its walk data, K's one inverse
+    U G^-1 = A / a, a > 0, which also inverts M = U^T K (row j is K b_j),
     and for N = -A^T, N D Lam^T and the column N base, one per finite coset
-    in the order of `_coset_constants`, base its D (ell + P rep)."""
+    in the order of `_coset_constants`, base its D (ell + P rep).  A
+    coset's centre Z = q N base + N D Lam^T V is -A^T L for its linear
+    part L = q base + D Lam^T V, so U^T L = -G Z / a and
+    <L, U Z> = -Z^T G Z / a, an integer: G stands in for L."""
 
     U: IntRows
     walk: tuple
     A: IntRows
     a: int
     M: IntRows
-    half: IntVec
+    G: IntRows
     NDLt: IntRows
     Nbase: list[list[int]]
 
@@ -348,11 +353,10 @@ class TropicalThetaFunction:
         """`_Frame`, read off the one reduction of the form K."""
         U, _, walk, (A, a) = self._form._reduction
         M = matmul(transpose(U), self._kernel.B)
-        half = tuple(sum(map(mul, row, b)) // 2 for row, b in zip(M, zip(*U)))
         N = [[-x for x in col] for col in zip(*A)]
         NDLt = [[self._kernel.D * sum(map(mul, row, lam)) for lam in self.factor.Lambda] for row in N]
         Nbase = [[sum(map(mul, row, base)) for row in N] for _, base in self._coset_constants.values()]
-        return _Frame(U, walk, A, a, M, half, NDLt, Nbase)
+        return _Frame(U, walk, A, a, M, matmul(M, U), NDLt, Nbase)
 
     @cached_property
     def _domain(self):
@@ -402,29 +406,35 @@ class TropicalThetaFunction:
 
     def evaluate(self, v: Sequence) -> EvalResult:
         """f(v) and every witness, sorted: the one Fraction reader, through
-        lattice.minimize_quadratic of D times each coset's quadratic
-        (`_coset_quadratics`), the least divided by D once; with lambda = 0,
-        `_least`'s scan of the one table, which must not be empty.  Every
-        other reader takes its value off `_least` in integers.  It stays
-        on the Fraction path because the benchmark harness's peak RSS grows
-        with its op count, so a faster `eval` loop reads as a memory rise;
-        once the harness's statistics stop growing with the op count it
-        becomes EvalResult(*self._least(q, V))."""
+        lattice.minimize_quadratic of D times each coset's quadratic, whose
+        linear part and constant it forms from `_coset_constants` (on
+        u = rep + Lam n, D (w(u) + <u, v>) = (1/2) n^T K n + <ell, n> + c0,
+        ell = base + D Lam^T v, c0 = D w(rep) + D <rep, v>), the least
+        divided by D once; with lambda = 0, `_least`'s scan of the one
+        table, which must not be empty.  Every other reader takes its value
+        off `_least` in integers.  It stays on the Fraction path because the
+        benchmark harness's peak RSS grows with its op count, so a faster
+        `eval` loop reads as a memory rise; once the harness's statistics
+        stop growing with the op count it becomes
+        EvalResult(*self._least(q, V))."""
         q, V = _over_common_denominator(point(v, self.g))
         if not self._coset_constants:
             raise EmptyProfileError("profile has no finite value")
         if not self.is_ample:
             return EvalResult(*self._least(q, V))
+        D = self._kernel.D
+        lam_t_v = [D * sum(map(mul, col, V)) for col in zip(*self.factor.Lambda)]
         best = None
         witnesses: list[IntVec] = []
-        for rep, _, _, L, C in self._coset_quadratics(q, V):
-            res = minimize_quadratic(self._form, [Fraction(x, q) for x in L], Fraction(C, q))
+        for rep, (w, base) in self._coset_constants.items():
+            ell = [Fraction(q * b + x, q) for b, x in zip(base, lam_t_v)]
+            res = minimize_quadratic(self._form, ell, Fraction(q * w + D * sum(map(mul, rep, V)), q))
             if best is None or res.value < best:
                 best = res.value
                 witnesses = [self._witness(rep, n) for n in res.argmin]
             elif res.value == best:
                 witnesses.extend(self._witness(rep, n) for n in res.argmin)
-        return EvalResult(value=best / self._kernel.D, witnesses=tuple(sorted(witnesses)))
+        return EvalResult(value=best / D, witnesses=tuple(sorted(witnesses)))
 
     def _least(self, q: int, V: Sequence[int]) -> tuple[Fraction, tuple[IntVec, ...]]:
         """(f(v), every witness, sorted) at v = V / q, in integers: the value
@@ -449,10 +459,10 @@ class TropicalThetaFunction:
         is a term.  Otherwise one flat loop over the finite cosets hands
         lattice._argmin each real minimizer m = Z / (a q) in the reduced
         coordinates of `_frame`, Z = q N base + W with W = N D Lam^T V formed
-        once (as `_coset_centres` does), and n = U m; a coset's value is read
-        off its first winner, and its other winners become terms only if it
-        ties or beats the least so far.  EmptyProfileError if no value is
-        finite."""
+        once (as geometry._terms_below does), and n = U m; a coset's value
+        is read off its first winner, and its other winners become terms
+        only if it ties or beats the least so far.  EmptyProfileError if no
+        value is finite."""
         D, f = self._kernel.D, self._frame if self.is_ample else None
         W = None if f is None else [sum(map(mul, row, V)) for row in f.NDLt]
         best, out = None, []
@@ -477,26 +487,6 @@ class TropicalThetaFunction:
         if len(out) > 1:
             out.sort()
         return out
-
-    def _coset_quadratics(self, q: int, V: Sequence[int]):
-        """(rep, w, base, L, C) in integers per finite coset of an ample theta
-        at v = V / q, (w, base) its `_coset_constants`, V and q > 0 integers:
-        on u = rep + Lam n, D q (w(u) + <u, v>) = (q/2) n^T K n + <L, n> + C,
-        with L = q base + D Lam^T V and C = q w + D <rep, V>."""
-        D = self._kernel.D
-        lam_t_v = [D * sum(map(mul, col, V)) for col in zip(*self.factor.Lambda)]
-        for rep, (w, base) in self._coset_constants.items():
-            yield rep, w, base, [q * b + lv for b, lv in zip(base, lam_t_v)], q * w + D * sum(map(mul, rep, V))
-
-    def _coset_centres(self, q: int, V: Sequence[int]):
-        """(rep, w, base, Z) per finite coset at v = V / q, in the order of
-        `_coset_quadratics`: the real minimizer -K^-1 L / q of its quadratic
-        is m = Z / (a q) in the coordinates m = U^-1 n of `_frame`, as
-        U^-1 K^-1 = (A / a)^T, so Z = N L = q N base + N D Lam^T V."""
-        f = self._frame
-        W = [sum(map(mul, row, V)) for row in f.NDLt]
-        for (rep, (w, base)), Nb in zip(self._coset_constants.items(), f.Nbase):
-            yield rep, w, base, [q * x + y for x, y in zip(Nb, W)]
 
     def __call__(self, v: Sequence) -> Fraction:
         """f(v), in integers (`_value`)."""

@@ -356,6 +356,34 @@ def test_coset_decompositions_per_corner_locus(count_calls, name, calls):
     assert len(found) == calls
 
 
+@pytest.mark.parametrize(
+    "name, calls, points",
+    [
+        ("variety_g2", 4, 20),
+        ("variety_g2_skewed", 4, 16),
+        ("variety_g3", 8, 56),
+        ("variety_g3_diag", 8, 64),
+        ("variety_g3_chain", 8, 104),
+    ],
+)
+def test_sweep_enumerations_per_corner_locus(monkeypatch, name, calls, points):
+    # machine-independent gate on the sweep's work: the enumerate_below
+    # calls that one corner_locus makes through _terms_below (one per
+    # corner of the one built cell's region), and the lattice points they
+    # return, whose count follows the budget read off the reduced form
+    found = []
+    enumerate_below = geometry.enumerate_below
+
+    def counting(*args):
+        out = enumerate_below(*args)
+        found.append(len(out))
+        return out
+
+    monkeypatch.setattr(geometry, "enumerate_below", counting)
+    corner_locus(fixture_theta(f"{name}.json"))
+    assert (len(found), sum(found)) == (calls, points)
+
+
 @pytest.mark.parametrize("name", list(GATED))
 def test_domain_inverse_once_per_theta(count_calls, name):
     # machine-independent gate: the domain's normals (P^T)^-1 are formed
@@ -814,9 +842,10 @@ def assert_cells_inside_their_regions(theta):
     frame = theta._frame
     D = theta._kernel.D
     assert transpose(frame.U) == basis
-    for b, row, h in zip(basis, frame.M, frame.half):
+    assert frame.G == matmul(basis, matmul([[D * x for x in row] for row in B], frame.U))
+    for j, (b, row) in enumerate(zip(basis, frame.M)):
         assert row == tuple(D * c for c in matvec(B, b))
-        assert F(h, D) == vecdot(b, matvec(B, b)) / 2
+        assert F(frame.G[j][j], 2 * D) == vecdot(b, matvec(B, b)) / 2
     box = [k for k in itertools.product(range(-2, 3), repeat=theta.g) if any(k)]
     bounds = [(k, vecdot(k, matvec(B, k)) / 2) for k in [*box, *basis]]
     for cell in cx.cells:

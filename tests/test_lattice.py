@@ -26,6 +26,7 @@ from troptheta.lattice import (
     ldlt_decompose,
     lll_reduce,
     _column_hnf,
+    _gso,
     minimize_quadratic,
 )
 from troptheta.linalg import (
@@ -140,8 +141,9 @@ def test_gram_form_shape_checks():
         GramForm(RatMatrix(((F(1), F(0)),)))
     with pytest.raises(NotSymmetricError):
         GramForm(RatMatrix(((F(1), F(2)), (F(0), F(1)))))
-    assert GramForm(RatMatrix(((F(2), F(1)), (F(1), F(2))))).is_positive_definite()
-    assert not GramForm(RatMatrix(((F(1), F(2)), (F(2), F(1))))).is_positive_definite()
+    _gso(GramForm(RatMatrix(((F(2), F(1)), (F(1), F(2))))).rows)  # positive definite: no raise
+    with pytest.raises(NotPositiveDefiniteError):
+        _gso(GramForm(RatMatrix(((F(1), F(2)), (F(2), F(1))))).rows)
 
 
 # ---------- lll ----------

@@ -73,11 +73,11 @@ def test_sqrt_monomial():
 
 def test_divide_by_monomial():
     x = P.monomial(6, 2) + P.monomial(3, 1)
-    assert x.divide_by_monomial(P.monomial(3, 1)) == P.monomial(2, 1) + P.one()
+    assert x * P.monomial(3, 1).inverse_monomial() == P.monomial(2, 1) + P.one()
     with pytest.raises(ZeroDivisionError):
-        x.divide_by_monomial(P.zero())
+        x * P.zero().inverse_monomial()
     with pytest.raises(NotMonomialError):
-        x.divide_by_monomial(x)
+        x * x.inverse_monomial()
 
 
 def test_string_format():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from troptheta import geometry, lattice, theta as theta_module
 from troptheta.crosschecks import sample_points, sample_shifts, seeded_period
 from troptheta.lattice import CosetLattice, NotPositiveDefiniteError, _over_common_denominator
-from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matmul, matvec, solve, transpose
+from troptheta.linalg import RatMatrix, ShapeMismatchError, inverse, matmul, matvec, solve, transpose, vecdot
 from troptheta.nonarch import (
     CutoffBelowMinimumError,
     NACocycle,
@@ -404,6 +404,37 @@ def test_terms_below_matches_fraction_brute_force(case):
     assert (offset < 0) == (got == [])
 
 
+@seed(37)
+@given(sweep_cases().filter(lambda case: case[0].is_ample), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sweep_bound_reads_the_reduced_form(case, data):
+    # the identity _terms_below takes its bound from: each coset's centre
+    # Z, read off the frame, is -A^T L for its linear part L = D q (ell +
+    # P rep + Lam^T v), formed here in Fractions, so Z^T G Z is a multiple
+    # of a and equals -a <L, U Z>, and the coset's real minimum is
+    # C - Z^T G Z / (2 a^2 q), C = D q (w(rep) + <rep, v>), which is D q
+    # times w(rep) + <rep, v> - (1/2) lin^T B^-1 lin for B = P Lam
+    theta, v, _ = case
+    g, f, D = theta.g, theta._frame, theta._kernel.D
+    P, lam, ell = theta.base.P.entries, theta.factor.Lambda, theta.factor.ell
+    B_inv = inverse(matmul(P, lam))
+    far = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 12))
+    for pt in [v, *data.draw(st.lists(st.tuples(*[far] * g), min_size=1, max_size=3))]:
+        q = math.lcm(*(c.denominator for c in pt))
+        V = [c.numerator * (q // c.denominator) for c in pt]
+        W = matvec(f.NDLt, V)
+        for (rep, (w, _)), Nb in zip(theta._coset_constants.items(), f.Nbase, strict=True):
+            Z = [q * x + y for x, y in zip(Nb, W)]
+            ZGZ = vecdot(Z, matvec(f.G, Z))
+            lin = [e + vecdot(row, rep) + vecdot(col, pt) for e, row, col in zip(ell, P, zip(*lam))]
+            L = [D * q * c for c in lin]
+            assert all(c.denominator == 1 for c in L)
+            assert ZGZ >= 0 and ZGZ % f.a == 0
+            assert ZGZ == -f.a * vecdot(L, matvec(f.U, Z))
+            low = F(w, D) + vecdot(rep, pt) - vecdot(lin, matvec(B_inv, lin)) / 2
+            assert q * w + D * vecdot(rep, V) - F(ZGZ, 2 * f.a**2 * q) == D * q * low
+
+
 @st.composite
 def finite_coset_cases(draw):
     """(theta, v) for the ample thetas of `sweep_cases` with more than one
@@ -452,6 +483,64 @@ def test_least_terms_keep_ties_between_cosets():
     terms = LEVEL2_TIES._least_terms(1, (0, 0))
     assert terms == [(u, 0) for u in itertools.product((-1, 0, 1), repeat=2)]
     assert {LEVEL2_TIES._cosets.decompose(u)[0] for u, _ in terms} == set(LEVEL2_TIES.profile.reps)
+
+
+# ---------- a change of basis of M ----------
+
+
+@seed(37)
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_change_of_basis_moves_values_witnesses_and_terms(data):
+    # Lam = I and one coset: for S in GL_g(Z), a product of +-1 shears,
+    # P' = S^T P S, ell' = S^T ell and the same w(0) give w'(u') = w(S u'),
+    # so at v' = S^T v every answer is the map's image, u = S u'.  Each
+    # basis has its own kernel D, frame U, G and N; terms are compared as
+    # w(u) = D w(u) / D and bounds as Fractions, so a different D hides
+    # nothing
+    g = data.draw(st.integers(2, 3))
+    unit = [[int(i == j) for j in range(g)] for i in range(g)]
+    P = [[F(0)] * g for _ in range(g)]
+    for i in range(g):
+        P[i][i] = data.draw(st.sampled_from([F(3, 2), F(2), F(5, 2), F(3)]))
+    for i, j in itertools.combinations(range(g), 2):
+        P[i][j] = P[j][i] = data.draw(st.sampled_from([F(-1, 2), F(-1, 3), F(0), F(1, 3), F(1, 2)]))
+    S = unit
+    for _ in range(data.draw(st.integers(1, 5))):
+        i, j = data.draw(st.permutations(range(g)))[:2]
+        e = data.draw(st.sampled_from([1, -1]))
+        S = [[x + e * row[i] * (c == j) for c, x in enumerate(row)] for row in S]  # column j += e column i
+    St = transpose(S)
+    ell, w0 = tuple(data.draw(small_rationals) for _ in range(g)), data.draw(small_rationals)
+
+    def theta_of(P, ell):
+        factor = AutomorphyFactor(Lambda=unit, ell=ell)
+        return TropicalThetaFunction(base=data_of(P, unit), factor=factor, profile=ValuationProfile((((0,) * g, w0),)))
+
+    theta, moved = theta_of(P, ell), theta_of(matmul(St, matmul(P, S)), tuple(matvec(St, ell)))
+    v = tuple(data.draw(st.builds(F, st.integers(-9, 9), st.integers(1, 4))) for _ in range(g))
+    v2 = tuple(matvec(St, v))
+
+    def image(terms, th):
+        return sorted((tuple(matvec(S, u)), F(w, th._kernel.D)) for u, w in terms)
+
+    def plain(terms, th):
+        return [(u, F(w, th._kernel.D)) for u, w in terms]
+
+    res, res2 = theta.evaluate(v), moved.evaluate(v2)
+    assert res2.value == res.value
+    assert sorted(tuple(matvec(S, u)) for u in res2.witnesses) == list(res.witnesses)
+    q = math.lcm(*(c.denominator for c in v))
+    V = [c.numerator * (q // c.denominator) for c in v]
+    least = theta._least_terms(q, V)
+    assert image(moved._least_terms(q, matvec(St, V)), moved) == plain(least, theta)
+    value, witnesses = moved._least(q, matvec(St, V))
+    assert (value, sorted(tuple(matvec(S, u)) for u in witnesses)) == (res.value, list(res.witnesses))
+    assert [u for u, _ in least] == list(res.witnesses)
+    bound = res.value + data.draw(st.sampled_from([F(0), F(1, 3), F(1), F(5, 2)]))
+    below = terms_below(theta, v, bound)
+    assert image(terms_below(moved, v2, bound), moved) == plain(below, theta)
+    assert set(res.witnesses) <= {u for u, _ in below}
 
 
 # ---------- profile reps anywhere in their cosets ----------
@@ -627,11 +716,17 @@ def test_least_terms_do_not_depend_on_the_scale_of_the_denominator(case, data):
         return
     _, U_inv, _, _ = theta._form._reduction
     frame = theta._frame
-    assert centres == [(frame.a * q, Z) for *_, Z in theta._coset_centres(q, V)]
-    B_inv = inverse(matmul(theta.base.P.entries, lam))
-    for (scale, C), (*_, L, _) in zip(centres, theta._coset_quadratics(q, V), strict=True):
-        BL = matvec(B_inv, L)
-        old = [-sum(x * y for x, y in zip(row, BL)) / (theta._kernel.D * q) for row in U_inv]
+    W = matvec(frame.NDLt, V)
+    assert centres == [(frame.a * q, [q * x + y for x, y in zip(Nb, W)]) for Nb in frame.Nbase]
+    # the oracle: the linear part over D q of the quadratic on rep's coset,
+    # ell + P rep + Lam^T v, for each canonical rep of a finite profile value
+    reps = list(theta._coset_constants)
+    assert set(reps) == {theta._cosets.decompose(rep)[0] for rep, _ in theta.profile.finite_entries()}
+    P, ell = theta.base.P.entries, theta.factor.ell
+    B_inv = inverse(matmul(P, lam))
+    for (scale, C), rep in zip(centres, reps, strict=True):
+        BL = matvec(B_inv, [e + vecdot(row, rep) + vecdot(col, v) for e, row, col in zip(ell, P, zip(*lam))])
+        old = [-vecdot(row, BL) for row in U_inv]
         assert [F(x, scale) for x in C] == old
 
 
